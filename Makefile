@@ -84,10 +84,16 @@ soak-replication:
 doc:
 	dune build @doc
 
+# Size of the library: lines of every .ml and .mli under lib/ — the
+# figure ROADMAP.md tracks.
+loc:
+	@printf 'lib/ .ml+.mli lines: '
+	@find lib \( -name '*.ml' -o -name '*.mli' \) -print0 | xargs -0 cat | wc -l
+
 quickstart:
 	dune exec examples/quickstart.exe
 
 clean:
 	dune clean
 
-.PHONY: all test ci soak bench bench-full bench-multirole bench-concurrent bench-rewrite bench-snapshot bench-replication soak-replication doc quickstart clean
+.PHONY: all test ci soak bench bench-full bench-multirole bench-concurrent bench-rewrite bench-snapshot bench-replication soak-replication doc loc quickstart clean

@@ -98,13 +98,13 @@ let run (_cfg : Bench_common.config) =
             and lats = ref [] in
             for k = 0 to requests_per_reader - 1 do
               let qi = k mod Array.length queries in
-              let t0 = Timing.now_wall () in
+              let t0 = Timing.now () in
               (match Session.request sess queries.(qi) with
               | Ok r ->
                   if r.S.served <> S.Pinned then incr unpinned;
                   if r.S.decision <> oracle.(qi) then incr stale
               | Error _ -> incr errs);
-              lats := (Timing.now_wall () -. t0) :: !lats
+              lats := (Timing.now () -. t0) :: !lats
             done;
             `Reader (!stale, !unpinned, !errs, !lats)
           in
@@ -114,12 +114,12 @@ let run (_cfg : Bench_common.config) =
             done;
             `Writer
           in
-          let t0 = Timing.now_wall () in
+          let t0 = Timing.now () in
           let outcomes =
             Pool.parallel pool
               (List.map reader_job sessions @ [ writer_job ])
           in
-          let wall = Timing.now_wall () -. t0 in
+          let wall = Timing.now () -. t0 in
           List.iter Session.close sessions;
           Pool.shutdown pool;
           let stale = ref 0

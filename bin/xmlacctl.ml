@@ -371,10 +371,12 @@ let explain policy_path dtd_name doc_path raw requests subjects lane =
   let doc = Option.map load_doc doc_path in
   Format.printf "%a@." Plan.pp_explain
     (Plan.explain ~schema:sg ~mapping ?doc (Plan.of_policy policy));
-  (* The request fast lane, exercised live: each --request query is
-     answered twice through an engine (cold, then cached) — for the
-     anonymous subject and for every --subject role — then the
-     fast-lane counters and stage timings are dumped. *)
+  (* The read path, exercised live: each --request query is answered
+     twice through an engine (cold, then memoized by the current
+     snapshot) — for the anonymous subject and for every --subject
+     role — then the memo and CAM counters and the metrics are
+     dumped.  Per-role figures are the counter movement across that
+     role's requests. *)
   match (requests, doc) with
   | [], _ -> ()
   | _ :: _, None -> die "--request needs --doc to build an engine"
@@ -399,6 +401,22 @@ let explain policy_path dtd_name doc_path raw requests subjects lane =
       let resolved, why = Engine.resolve_lane ~lane eng Engine.Native in
       Printf.printf "  lane              %s (%s)\n"
         (Rewrite.lane_to_string resolved) why;
+      let m = Engine.metrics eng in
+      let c = Xmlac_util.Metrics.counter m in
+      let per_role = Hashtbl.create 8 in
+      let tally role f =
+        let hits = c "cache.hits" and misses = c "cache.misses"
+        and lookups = c "cam.lookups" in
+        let d = f () in
+        let h, mi, l =
+          Option.value (Hashtbl.find_opt per_role role) ~default:(0, 0, 0)
+        in
+        Hashtbl.replace per_role role
+          ( h + c "cache.hits" - hits,
+            mi + c "cache.misses" - misses,
+            l + c "cam.lookups" - lookups );
+        d
+      in
       List.iter
         (fun q ->
           let cold = Engine.request ~lane eng Engine.Native q in
@@ -407,43 +425,33 @@ let explain policy_path dtd_name doc_path raw requests subjects lane =
           Format.printf "  %-40s -> %a@." q Requester.pp warm;
           List.iter
             (fun role ->
-              let cold = Engine.request ~subject:role ~lane eng Engine.Native q in
-              let warm = Engine.request ~subject:role ~lane eng Engine.Native q in
-              ignore cold;
+              let ask () = Engine.request ~subject:role ~lane eng Engine.Native q in
+              ignore (tally role ask);
+              let warm = tally role ask in
               Format.printf "  %-40s -> %a@."
                 (Printf.sprintf "%s [as %s]" q role)
                 Requester.pp warm)
             subjects)
         queries;
-      let m = Engine.metrics eng in
+      let rate hits misses =
+        (* 0/0 must print as n/a, not nan. *)
+        if hits + misses = 0 then "n/a"
+        else Printf.sprintf "%.2f" (float_of_int hits /. float_of_int (hits + misses))
+      in
       List.iter
         (fun role ->
-          let c name = Xmlac_util.Metrics.counter m (name ^ "." ^ role) in
-          let hits = c "cache.hits" and misses = c "cache.misses" in
-          (* Guard the rate against a role that never looked anything
-             up — 0/0 must print as n/a, not nan. *)
-          let rate =
-            if hits + misses = 0 then "n/a"
-            else
-              Printf.sprintf "%.2f"
-                (float_of_int hits /. float_of_int (hits + misses))
+          let hits, misses, lookups =
+            Option.value (Hashtbl.find_opt per_role role) ~default:(0, 0, 0)
           in
           Printf.printf
-            "  as %-12s cache %d hit(s) / %d miss(es) (rate %s), %d \
-             eviction(s), cam lookups %d, bypass %d\n"
-            role hits misses rate (c "cache.evictions") (c "cam.lookups")
-            (c "fastlane.bypass"))
+            "  as %-12s cache %d hit(s) / %d miss(es) (rate %s), cam lookups %d\n"
+            role hits misses (rate hits misses) lookups)
         subjects;
-      let dc = Engine.decision_cache eng in
-      Printf.printf
-        "  decision cache    %d/%d entries, %d eviction(s), %d stale \
-         drop(s), hit rate %.2f\n"
-        (Decision_cache.length dc)
-        (Decision_cache.capacity dc)
-        (Decision_cache.evictions dc)
-        (Decision_cache.stale_drops dc)
-        (Xmlac_util.Metrics.hit_rate (Engine.metrics eng) ~hits:"cache.hits"
-           ~misses:"cache.misses");
+      Printf.printf "  decision cache    %d/%d entries in the epoch %d snapshot, hit rate %s\n"
+        (Snapshot.cached_decisions (Engine.current_snapshot eng))
+        Snapshot.memo_capacity
+        (Snapshot.epoch (Engine.current_snapshot eng))
+        (rate (c "cache.hits") (c "cache.misses"));
       print_endline "durability:";
       Printf.printf "  sign epoch        %d (committed)\n"
         (Engine.sign_epoch eng);
@@ -514,10 +522,9 @@ let explain_cmd =
   let requests =
     Arg.(value & opt_all string []
          & info [ "request" ]
-             ~doc:"Also run this XPath request twice (cold, cached) through \
-                   the engine's fast lane and report its metrics — cache \
-                   hits, CAM lookups, per-stage timings. Needs --doc. \
-                   Repeatable.")
+             ~doc:"Also run this XPath request twice (cold, memoized) \
+                   through the engine's fast lane and report its metrics — \
+                   memo hits, CAM lookups. Needs --doc. Repeatable.")
   in
   let subjects =
     Arg.(value & opt_all string []

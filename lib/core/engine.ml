@@ -86,20 +86,11 @@ type t = {
   row : Backend.t;
   column : Backend.t;
   journals : (backend_kind * Backend.journal) list;
-  (* The request fast lane: a CAM over the native store's signs,
-     maintained incrementally, plus a bounded per-(backend, query)
-     decision cache invalidated by bumping [epoch].  [annotated] lists
-     the kinds annotated so far: relational requests may borrow the
-     native CAM only while all stores are known to be in lockstep. *)
   metrics : Metrics.t;
-  cache : Requester.decision Decision_cache.t;
+  (* A CAM over the native store's signs, maintained incrementally;
+     every published snapshot freezes it.  [annotated] lists the kinds
+     annotated so far, which decides the auto lane. *)
   mutable cam : Cam.t;
-  (* Per-role CAMs over the native store's bitmap slices, built lazily
-     on the first subject request for that role and dropped whenever
-     the bitmaps (or the document) may have moved — with hundreds of
-     roles an eager rebuild of every map per epoch would dwarf the
-     annotation itself. *)
-  role_cams : (int, Cam.t) Hashtbl.t;
   mutable epoch : int;
   mutable annotated : backend_kind list;
   mutable bits_annotated : backend_kind list;
@@ -142,8 +133,7 @@ let publish_snapshot t =
   in
   Snapshot.publish t.snapshots snap
 
-let create ?(mode = Paper_mode) ?(optimize = true) ?cache_capacity ~dtd ~policy
-    doc =
+let create ?(mode = Paper_mode) ?(optimize = true) ~dtd ~policy doc =
   let mapping = Xmlac_shrex.Mapping.of_dtd dtd in
   let sg = Xmlac_shrex.Mapping.schema_graph mapping in
   let original_policy = policy in
@@ -197,13 +187,7 @@ let create ?(mode = Paper_mode) ?(optimize = true) ?cache_capacity ~dtd ~policy
     column = wrap Column_sql (Rel_backend.make mapping col_db);
     journals;
     metrics;
-    cache =
-      Decision_cache.create ?capacity:cache_capacity
-        ~on_evict:(Metrics.add metrics "cache.evictions")
-        ~on_stale:(Metrics.add metrics "cache.stale_drops")
-        ();
     cam = Cam.build native_doc ~default:(Policy.ds policy);
-    role_cams = Hashtbl.create 8;
     epoch = 0;
     annotated = [];
     bits_annotated = [];
@@ -223,7 +207,6 @@ let create ?(mode = Paper_mode) ?(optimize = true) ?cache_capacity ~dtd ~policy
 
 let policy t = t.policy
 let original_policy t = t.original_policy
-let decision_cache t = t.cache
 let optimizer_report t = t.report
 let mapping t = t.mapping
 let schema_graph t = t.sg
@@ -261,26 +244,6 @@ let backend t = function
 
 let document t = t.doc
 
-(* All stores agree sign-for-sign when they share a history: either
-   none has been annotated yet (all still carry the load-time default)
-   or all three have been annotated since the last known divergence.
-   Engine-level updates repair every store, so they preserve whichever
-   of the two states holds; {!refresh} declares a divergence (signs
-   were mutated behind the engine's back) that only annotating all
-   three stores clears. *)
-let in_lockstep t =
-  match t.annotated with
-  | [] -> not t.divergent
-  | ks -> List.length ks = 3
-
-(* Same reasoning for the bitmap layer: the stores' bitmaps agree when
-   none has run the shared pass yet (all carry the load-time default
-   bitmap) or all three have. *)
-let in_bits_lockstep t =
-  match t.bits_annotated with
-  | [] -> not t.divergent
-  | ks -> List.length ks = 3
-
 let bump_epoch t = t.epoch <- t.epoch + 1
 
 let role_index t role =
@@ -290,23 +253,6 @@ let role_index t role =
       invalid_arg
         (Printf.sprintf "Engine: unknown role %S (declared: %s)" role
            (String.concat ", " (Policy.roles t.policy)))
-
-let role_cam_idx t idx =
-  match Hashtbl.find_opt t.role_cams idx with
-  | Some c -> c
-  | None ->
-      let role = Subject.name_of (Policy.subjects t.policy) idx in
-      let c =
-        Cam.build_role t.doc ~role:idx
-          ~default:(Policy.resolved_ds t.policy role)
-      in
-      Hashtbl.replace t.role_cams idx c;
-      Metrics.incr t.metrics "cam.role_builds";
-      c
-
-let role_cam t role = role_cam_idx t (role_index t role)
-
-let drop_role_cams t = Hashtbl.reset t.role_cams
 
 let rebuild_cam t =
   Metrics.incr t.metrics "cam.full_rebuilds";
@@ -345,11 +291,9 @@ let cam_check t =
 
 let refresh t =
   bump_epoch t;
-  Decision_cache.clear t.cache;
   t.divergent <- true;
   t.annotated <- [];
   t.bits_annotated <- [];
-  drop_role_cams t;
   rebuild_cam t;
   (* The signs moved behind the engine's back; the current snapshot no
      longer reflects them.  Republish under the same sign epoch —
@@ -429,7 +373,6 @@ let annotate_subjects t kind =
   bump_epoch t;
   if not (List.mem kind t.bits_annotated) then
     t.bits_annotated <- kind :: t.bits_annotated;
-  if kind = Native then drop_role_cams t;
   commit_op t o;
   stats
 
@@ -450,37 +393,7 @@ let reannotate_bits t =
         (fun k ->
           ignore
             (Annotator.annotate_subjects ~schema:t.sg (backend t k) t.policy))
-        (List.rev ks);
-      drop_role_cams t
-
-let effective_plus t b id =
-  Backend.effective_sign b ~default:(Policy.ds t.policy) id = Tree.Plus
-
-let request_uncached t kind expr =
-  let b = backend t kind in
-  if kind = Native || in_lockstep t then begin
-    let ids =
-      Metrics.time t.metrics "request.eval" (fun () ->
-          b.Backend.eval_ids expr)
-    in
-    Metrics.add t.metrics "cam.lookups" (List.length ids);
-    Metrics.time t.metrics "request.check" (fun () ->
-        Requester.decide ~ids ~accessible:(fun id ->
-            match Tree.find t.doc id with
-            | Some n -> Cam.lookup t.cam n = Tree.Plus
-            | None ->
-                (* Not in the native tree (should not happen while the
-                   stores are in lockstep): fall back to the backend's
-                   own signs. *)
-                effective_plus t b id))
-  end
-  else begin
-    (* This store's signs have diverged from the native ones (only one
-       of the two annotation states reached it); the CAM does not
-       describe it, so read its signs directly. *)
-    Metrics.incr t.metrics "fastlane.bypass";
-    Requester.request b ~default:(Policy.ds t.policy) expr
-  end
+        (List.rev ks)
 
 (* The role's per-node sign, read off the bitmap layer: explicit where
    a bitmap is materialized, the role's resolved default elsewhere
@@ -492,30 +405,6 @@ let role_sign t b idx id =
       (Backend.effective_bits b ~default:(Policy.default_bits t.policy) id)
   then Tree.Plus
   else Tree.Minus
-
-let request_uncached_subject t kind (role, idx) expr =
-  let b = backend t kind in
-  if kind = Native || in_bits_lockstep t then begin
-    let ids =
-      Metrics.time t.metrics "request.eval" (fun () ->
-          b.Backend.eval_ids expr)
-    in
-    Metrics.add t.metrics "cam.lookups" (List.length ids);
-    Metrics.add t.metrics ("cam.lookups." ^ role) (List.length ids);
-    let cam = role_cam_idx t idx in
-    Metrics.time t.metrics "request.check" (fun () ->
-        Requester.decide ~ids ~accessible:(fun id ->
-            match Tree.find t.doc id with
-            | Some n -> Cam.lookup cam n = Tree.Plus
-            | None -> role_sign t b idx id = Tree.Plus))
-  end
-  else begin
-    (* This store's bitmaps have diverged from the native ones; the
-       per-role CAM does not describe it, so read its bits directly. *)
-    Metrics.incr t.metrics "fastlane.bypass";
-    Metrics.incr t.metrics ("fastlane.bypass." ^ role);
-    Requester.request_via ~sign:(role_sign t b idx) b expr
-  end
 
 (* --- lane selection ------------------------------------------------ *)
 
@@ -543,92 +432,47 @@ let resolve_lane ?subject ?(lane = Rewrite.Auto) t kind =
         (Rewrite.Materialized, "diverged store")
       else (Rewrite.Rewrite, "never-annotated store")
 
-(* The rewrite lane: compile the request against the policy (the
-   cached engine plan for the anonymous subject, the role's projection
-   otherwise) and evaluate the granted/residue pair through the
-   backend — zero sign or bitmap reads, so a cold store answers the
-   true policy decision. *)
-let request_rewritten t kind subj expr =
+(* The materialized lane read straight off one store: per-node sign
+   (or per-role bit) reads through the backend. *)
+let request_signs ?subject t kind expr =
   let b = backend t kind in
-  Metrics.time t.metrics "request.rewrite" (fun () ->
-      match subj with
-      | None ->
-          Requester.request_rewritten ~schema:t.sg ~plan:t.plan b t.policy expr
-      | Some (role, _) ->
-          Requester.request_rewritten ~schema:t.sg ~subject:role b t.policy
-            expr)
-
-let request ?subject ?lane t kind query =
-  Metrics.time t.metrics "request" (fun () ->
-      (* Resolve (and validate) the role before consulting the cache so
-         an unknown role raises instead of poisoning a cache slot. *)
-      let subj =
-        match subject with
-        | None -> None
-        | Some role -> Some (role, role_index t role)
-      in
-      let lane, _reason = resolve_lane ?subject ?lane t kind in
-      (* The effective lane is part of the cache key: the two lanes are
-         answer-equivalent only while the materialized layer is fresh,
-         and a forced-lane caller must not be served the other lane's
-         memo. *)
-      let lane_tag =
-        match lane with Rewrite.Rewrite -> "R\x00" | _ -> "M\x00"
-      in
-      let key =
-        match subject with
-        | None -> lane_tag ^ backend_kind_to_string kind ^ "\x00" ^ query
-        | Some role ->
-            lane_tag ^ backend_kind_to_string kind ^ "\x00@" ^ role ^ "\x00"
-            ^ query
-      in
-      let tally base =
-        Metrics.incr t.metrics base;
-        match subject with
-        | Some role -> Metrics.incr t.metrics (base ^ "." ^ role)
-        | None -> ()
-      in
-      match Decision_cache.find t.cache ~epoch:t.epoch key with
-      | Some d ->
-          tally "cache.hits";
-          d
-      | None ->
-          tally "cache.misses";
-          let expr = Requester.parse_or_fail query in
-          let evictions_before = Decision_cache.evictions t.cache in
-          let d =
-            match lane with
-            | Rewrite.Rewrite ->
-                Metrics.incr t.metrics "lane.rewrite";
-                (match subject with
-                | Some role -> Metrics.incr t.metrics ("lane.rewrite." ^ role)
-                | None -> ());
-                request_rewritten t kind subj expr
-            | _ -> (
-                Metrics.incr t.metrics "lane.materialized";
-                match subj with
-                | None -> request_uncached t kind expr
-                | Some s -> request_uncached_subject t kind s expr)
-          in
-          Decision_cache.add t.cache ~epoch:t.epoch key d;
-          (match subject with
-          | Some role ->
-              (* Attribute evictions to the role whose insert forced
-                 them — the per-role churn [explain --request] shows. *)
-              let forced =
-                Decision_cache.evictions t.cache - evictions_before
-              in
-              if forced > 0 then
-                Metrics.add t.metrics ("cache.evictions." ^ role) forced
-          | None -> ());
-          d)
-
-let request_direct ?subject t kind query =
-  let b = backend t kind in
-  let expr = Requester.parse_or_fail query in
   match subject with
   | None -> Requester.request b ~default:(Policy.ds t.policy) expr
-  | Some role -> Requester.request_via ~sign:(role_sign t b (role_index t role)) b expr
+  | Some role ->
+      Requester.request_via ~sign:(role_sign t b (role_index t role)) b expr
+
+let request ?subject ?lane t kind query =
+  (* Validate the role up front so every path reports it alike. *)
+  Option.iter (fun role -> ignore (role_index t role)) subject;
+  match kind with
+  | Native ->
+      (* The native store answers from the last committed epoch's
+         snapshot, memoized there; a read never sees an open epoch. *)
+      Snapshot.request ?subject ?lane ~live:true (current_snapshot t) query
+  | Row_sql | Column_sql -> (
+      let expr = Requester.parse_or_fail query in
+      match resolve_lane ?subject ?lane t kind with
+      | Rewrite.Rewrite, _ ->
+          (* Compiled against the policy (the cached engine plan for
+             the anonymous subject, the role's projection otherwise)
+             and evaluated through the store: zero sign or bitmap
+             reads, so a cold store answers the true policy
+             decision. *)
+          Metrics.incr t.metrics "lane.rewrite";
+          let b = backend t kind in
+          (match subject with
+          | None ->
+              Requester.request_rewritten ~schema:t.sg ~plan:t.plan b t.policy
+                expr
+          | Some role ->
+              Requester.request_rewritten ~schema:t.sg ~subject:role b
+                t.policy expr)
+      | _ ->
+          Metrics.incr t.metrics "lane.materialized";
+          request_signs ?subject t kind expr)
+
+let request_direct ?subject t kind query =
+  request_signs ?subject t kind (Requester.parse_or_fail query)
 
 let update t query =
   let expr = Xmlac_xpath.Parser.parse_exn query in
@@ -651,7 +495,6 @@ let update t query =
   | Some s -> maintain_cam t ~changed:s.Reannotator.changed ~roots:[]
   | None -> rebuild_cam t);
   reannotate_bits t;
-  drop_role_cams t;
   commit_op t o;
   stats
 
@@ -718,7 +561,6 @@ let insert t ~at ~fragment =
   maintain_cam t ~changed:native_stats.Reannotator.changed
     ~roots:(List.map (fun (n : Tree.node) -> n.Tree.id) o.new_roots);
   reannotate_bits t;
-  drop_role_cams t;
   commit_op t o;
   stats
 
@@ -788,7 +630,7 @@ let recover t =
          epoch and left no partial state.  This makes recover
          idempotent — a second call after a completed recovery finds
          committed WAL tails and no open epoch, so it leaves every
-         counter, the request epoch, the cache and the CAM untouched. *)
+         counter, the request epoch and the CAM untouched. *)
       if wal_dropped > 0 then begin
         Metrics.incr t.metrics "recovery.runs";
         Metrics.add t.metrics "recovery.wal_dropped" wal_dropped
@@ -796,7 +638,7 @@ let recover t =
       (* One exception to "leave everything untouched": a crash that
          hit after commit but before the snapshot publish leaves the
          registry an epoch behind.  Republishing is invisible to every
-         other observable (epoch, counters, caches), so recover stays
+         other observable (epoch, counters, CAM), so recover stays
          idempotent. *)
       if Snapshot.current_epoch t.snapshots <> Some t.sign_epoch then
         publish_snapshot t;
@@ -849,9 +691,7 @@ let recover t =
       t.open_op <- None;
       List.iter (fun (_, j) -> Backend.journal_stop j) t.journals;
       bump_epoch t;
-      Decision_cache.clear t.cache;
       rebuild_cam t;
-      drop_role_cams t;
       (* The recovered epoch is committed; publish it like any other.
          Readers pinned through the crash keep their pre-crash
          snapshot untouched. *)

@@ -8,22 +8,24 @@
     precomputes the rule dependency graph.  Updates are applied to all
     three stores so their annotations can be compared at any point.
 
-    {2 The request fast lane}
+    {2 One read path}
 
     The paper's requester (Section 4) reads the materialized sign of
-    every selected node on every call.  The engine instead owns a
+    every selected node on every call.  The engine instead keeps a
     {!Cam} over the native store's signs — O(depth) lookups against a
     map whose size follows the sign {e changes}, not the document —
-    and a bounded {!Decision_cache} keyed by (backend, query text), so
-    a query repeated between updates costs one hash lookup.  Every
-    mutation ({!annotate}, {!update}, {!insert}) bumps the engine's
-    {!epoch}, which invalidates all cached decisions at once; document
-    updates repair the CAM {e incrementally} from the re-annotator's
-    changed-id report ([Reannotator.stats.changed]), with a full
-    rebuild as fallback ({!cam_check} verifies the incremental map
-    against a fresh build).  The whole path is instrumented through
-    {!Xmlac_util.Metrics} — cache hits/misses, CAM lookups and touched
-    entries, per-stage timings — surfaced by [xmlacctl explain
+    and publishes every committed epoch as an immutable {!Snapshot.t}
+    that freezes the document and the CAM.  A native {!request} reads
+    the current snapshot, which memoizes its decisions, so a query
+    repeated between updates costs one hash lookup; the snapshot of
+    the next epoch carries forward the decisions the epoch cannot have
+    moved.  Document updates repair the CAM {e incrementally} from the
+    re-annotator's changed-id report ([Reannotator.stats.changed]),
+    with a full rebuild as fallback ({!cam_check} verifies the
+    incremental map against a fresh build).  The relational stores
+    answer uncached, from their own signs, bitmaps or rewritten plans.
+    Counters in {!Xmlac_util.Metrics} — memo hits/misses, CAM lookups
+    and touched entries — are surfaced by [xmlacctl explain
     --request] and the [exp_requester] bench.
 
     {2 Sign epochs and crash recovery}
@@ -45,9 +47,10 @@
     materialization) or re-apply the structural mutation and re-run the
     repair from the stashed {!Reannotator.prepared} state (structural
     operations land on the post-operation materialization).  Either
-    way the stores are back in lockstep, the CAM and decision cache are
-    rebuilt coherently, and the epoch counter never runs backwards —
-    an aborted epoch's number is consumed. *)
+    way the stores are back in lockstep, the CAM is rebuilt and the
+    recovered epoch is published as the current snapshot, and the
+    epoch counter never runs backwards — an aborted epoch's number is
+    consumed. *)
 
 type backend_kind = Native | Row_sql | Column_sql
 
@@ -62,15 +65,13 @@ type t
 val create :
   ?mode:trigger_mode ->
   ?optimize:bool ->
-  ?cache_capacity:int ->
   dtd:Xmlac_xml.Dtd.t ->
   policy:Policy.t ->
   Xmlac_xml.Tree.t ->
   t
 (** [optimize] (default [true]) runs redundancy elimination first.
-    [cache_capacity] bounds the decision cache (default
-    {!Decision_cache.default_capacity}).  The source document is
-    copied; the caller's tree is not touched. *)
+    The source document is copied; the caller's tree is not
+    touched. *)
 
 val policy : t -> Policy.t
 (** The (possibly optimized) policy in force. *)
@@ -104,9 +105,8 @@ val annotate_all : t -> (backend_kind * Annotator.stats) list
 val annotate_subjects : t -> backend_kind -> Annotator.subjects_stats
 (** The multi-subject shared pass ({!Annotator.annotate_subjects}) on
     one store: every role's accessibility materialized as per-node
-    bitmaps in one annotation epoch.  Bumps the {!epoch}; the native
-    store's per-role CAMs are dropped and rebuilt lazily on the next
-    subject request.  Crash-safe like {!annotate}: a killed pass is
+    bitmaps in one annotation epoch.  Bumps the {!epoch}.  Crash-safe
+    like {!annotate}: a killed pass is
     rolled back through the bitmap journal, never leaving a partial
     bitmap visible. *)
 
@@ -120,16 +120,12 @@ val request :
   string ->
   Requester.decision
 (** All-or-nothing query answering.  Two enforcement lanes share the
-    entry point (and the decision cache, whose key carries the
-    effective lane):
+    entry point:
 
     {ul
-    {- {e materialized} — the paper's lane and the fast path: served
-       from the decision cache when the query repeats within the
-       current epoch, otherwise evaluated through the backend with
-       accessibility checked against the CAM.  (While the stores are
-       known to have diverged — some but not all annotated —
-       relational requests read their own signs directly.)}
+    {- {e materialized} — the paper's lane: the selected nodes'
+       accessibility is read off the materialized signs (role bitmaps
+       for a named [~subject]).}
     {- {e rewrite} — the request is compiled against the policy
        ({!Requester.request_rewritten}) and answered with zero sign or
        bitmap reads, so a store with no committed annotation epoch
@@ -139,14 +135,19 @@ val request :
     materialized lane iff the layer the request would read — signs for
     the anonymous subject, role bitmaps for a named one — has a
     committed annotation epoch on this store ({!resolve_lane} reports
-    the choice and why).  Per-lane evaluations are tallied as
-    [lane.materialized] / [lane.rewrite] metrics.
+    the choice and why).
 
-    [~subject] answers for one role instead of the anonymous
-    single-subject view: accessibility is checked against that role's
-    bitmap slice — through a lazily built per-role CAM on the fast
-    path — the cache key carries the role, and the cache/CAM counters
-    are additionally tallied per role ([cache.hits.<role>], …).
+    {!Native} requests are answered by {!Snapshot.request} on the
+    {!current_snapshot}: the last committed epoch, never an open one.
+    The snapshot checks accessibility against its frozen CAM (a lazily
+    built per-role CAM for [~subject]) and memoizes the decision under
+    the effective lane; hits and misses are counted as [cache.hits] /
+    [cache.misses], and a miss crosses the [native.eval] fault point
+    once.  {!Row_sql} and {!Column_sql} requests are not cached: the
+    materialized lane reads the store's own signs or bitmaps (as
+    {!request_direct} does), the rewrite lane evaluates the compiled
+    plans through the store.  Every evaluation is tallied as
+    [lane.materialized] or [lane.rewrite].
     @raise Invalid_argument on a malformed query (naming the
     expression and error position) or an unknown role. *)
 
@@ -162,8 +163,8 @@ val resolve_lane :
 
 val request_direct :
   ?subject:string -> t -> backend_kind -> string -> Requester.decision
-(** The pre-fast-lane path: per-node sign (or per-role bit) reads
-    through the backend, no CAM, no cache.  The baseline the
+(** The paper's requester: per-node sign (or per-role bit) reads
+    through the backend, no CAM, no memo.  The baseline the
     [exp_requester] bench and the equivalence property compare
     {!request} against.
     @raise Invalid_argument like {!request}. *)
@@ -204,34 +205,21 @@ val consistent_subjects : t -> bool
 (** {!consistent}, per role: every declared role's accessible set
     agrees across all three stores' bitmap layers. *)
 
-(** {1 Fast-lane observability} *)
+(** {1 Read-path observability} *)
 
 val metrics : t -> Xmlac_util.Metrics.t
-(** Counters and stage timings of the request path: [cache.hits],
-    [cache.misses], [cam.lookups], [cam.touched], [cam.purged],
-    [cam.full_rebuilds], [fastlane.bypass]; stages [request],
-    [request.eval], [request.check], [cam.maintain]. *)
+(** Counters and stage timings shared by the engine, its snapshots and
+    the serving layer: [cache.hits], [cache.misses], [cam.lookups],
+    [lane.materialized], [lane.rewrite], [cam.touched], [cam.purged],
+    [cam.full_rebuilds], the [snapshot.*] counters; stage
+    [cam.maintain]. *)
 
 val cam : t -> Cam.t
 (** The engine's live CAM over the native store's signs. *)
 
-val role_cam : t -> string -> Cam.t
-(** The per-role CAM over the native store's bitmap slice for [role] —
-    built lazily on first use ([cam.role_builds]) and cached until the
-    bitmaps move ({!annotate_subjects}, {!update}, {!insert},
-    {!refresh}, {!recover}).
-    @raise Invalid_argument on an unknown role. *)
-
-val decision_cache : t -> Requester.decision Decision_cache.t
-(** The engine's bounded decision cache — exposed read-only in spirit
-    for observability ([length] / [capacity] / [evictions] /
-    [stale_drops]); its churn is mirrored into {!metrics} as
-    [cache.evictions] and [cache.stale_drops]. *)
-
 val epoch : t -> int
 (** Version counter of the materialized state; bumped by {!annotate},
-    {!update}, {!insert} and {!refresh}.  Cached decisions from older
-    epochs are never served. *)
+    {!update}, {!insert}, {!refresh} and an open-epoch {!recover}. *)
 
 val cam_check : t -> bool
 (** The checked fallback: compares the incrementally maintained CAM
@@ -240,10 +228,10 @@ val cam_check : t -> bool
     (counted as [cam.check_failures]) and returns [false]. *)
 
 val refresh : t -> unit
-(** Invalidate the fast lane wholesale: bump the epoch, clear the
-    decision cache and rebuild the CAM.  Call after mutating a
-    backend's signs behind the engine's back (e.g. driving
-    {!Annotator} directly on {!backend}). *)
+(** Re-read the native store wholesale: bump the epoch, rebuild the
+    CAM and publish the live document as the current snapshot.  Call
+    after mutating a backend's signs behind the engine's back (e.g.
+    driving {!Annotator} directly on {!backend}). *)
 
 (** {1 Sign epochs and crash recovery} *)
 
@@ -318,11 +306,11 @@ val recover : t -> recovery
     writes back through the undo journals, and resolves the open epoch
     as described in the module preamble — backwards for {!annotate},
     forwards for {!update} / {!insert}.  Restores lockstep tracking,
-    bumps the request {!epoch}, clears the decision cache and rebuilds
-    the CAM, so the fast lane is coherent with the recovered signs.
+    bumps the request {!epoch}, rebuilds the CAM and publishes the
+    recovered epoch, so reads are coherent with the recovered signs.
     Safe to call when nothing crashed (reports [`None]), and
     {e idempotent}: a second call after a completed recovery is a pure
-    no-op — no epoch bump, no cache clear, no counter movement. *)
+    no-op — no epoch bump, no counter movement. *)
 
 (** {1 Replication}
 

@@ -3,11 +3,15 @@ module Metrics = Xmlac_util.Metrics
 module Fault = Xmlac_util.Fault
 module Iset = Set.Make (Int)
 
-(* A memoized decision remembers which node ids it examined — the
-   query's answers plus their ancestors (every id whose effective sign
-   a CAM lookup read).  Carry-forward into the next epoch's snapshot
-   is sound exactly when none of those ids was touched. *)
-type memo = { examined : int list; decision : Requester.decision }
+(* A memoized decision keeps the sorted ids of the query's answers —
+   for a granted decision the very list it grants.  A CAM lookup reads
+   an answer and its ancestors, so carry-forward into the next epoch's
+   snapshot walks those ancestors in the old view when it needs them;
+   a rewrite-lane entry keeps no answers, because it read no
+   annotation. *)
+type memo = { answers : int list; decision : Requester.decision }
+
+let memo_capacity = 256
 
 type t = {
   epoch : int;
@@ -23,15 +27,18 @@ type t = {
          first request naming each role (or carried from the previous
          snapshot when the epoch touched no bitmap); guarded by
          [lock]. *)
-  cache : memo Decision_cache.t;
-      (* Private memo table.  The epoch is fixed for the snapshot's
-         lifetime, so entries never go stale — the epoch tag only
-         guards against misuse.  Guarded by [lock]. *)
+  memos : (string, memo) Hashtbl.t;
+  order : string Queue.t;
+      (* The memo table, bounded at [memo_capacity] and evicted in
+         insertion order; [order] holds exactly the keys of [memos].
+         The epoch is fixed for the snapshot's lifetime, so entries
+         never go stale.  Guarded by [lock]. *)
   metrics : Metrics.t;
   lock : Mutex.t;
-      (* Guards [role_cams] and [cache]; the rest is frozen.  The pin
-         count is guarded by the owning registry's lock instead, so
-         pin/publish/reclaim are atomic with respect to each other. *)
+      (* Guards [role_cams], [memos] and [order]; the rest is frozen.
+         The pin count is guarded by the owning registry's lock
+         instead, so pin/publish/reclaim are atomic with respect to
+         each other. *)
   mutable pins : int;
 }
 
@@ -45,16 +52,36 @@ let with_lock lock f =
       Mutex.unlock lock;
       raise e
 
+(* Must run under [t.lock]. *)
+let remember t key m =
+  if not (Hashtbl.mem t.memos key) then begin
+    if Hashtbl.length t.memos >= memo_capacity then
+      Hashtbl.remove t.memos (Queue.take t.order);
+    Queue.add key t.order
+  end;
+  Hashtbl.replace t.memos key m
+
+(* Whether no answer in [answers], nor any ancestor of one in [doc],
+   is in [changed]. *)
+let untouched ~changed doc answers =
+  let rec clean (n : Tree.node) =
+    (not (Iset.mem n.Tree.id changed))
+    && match Tree.parent n with Some p -> clean p | None -> true
+  in
+  List.for_all
+    (fun id -> match Tree.find doc id with Some n -> clean n | None -> false)
+    answers
+
 (* Decisions and per-role maps survive into the next snapshot when the
    epoch's change set provably cannot have moved them:
 
    - any entry dies on a structural epoch (insert/delete/value writes
-     can move answer sets without touching previously examined ids);
+     can move answer sets without touching previously read ids);
    - a materialized-lane entry additionally dies when the change set
-     intersects its examined ids (a sign or bitmap write there can
-     flip an effective sign the decision read);
-   - a rewrite-lane entry reads no annotation at all, so it survives
-     any non-structural epoch;
+     holds one of its answers or an ancestor of one (a sign or bitmap
+     write there can flip an effective sign the decision read);
+   - a rewrite-lane entry keeps no answers, so it survives any
+     non-structural epoch;
    - the per-role maps survive iff the epoch touched neither structure
      nor any bitmap.
 
@@ -69,73 +96,60 @@ let carry_forward ~prev ~stats t =
     && stats.Tree.frozen_gen = prev.gen + 1
     && prev.policy == t.policy
   in
-  if continuous then begin
-    let structural = stats.Tree.structural in
+  if continuous && not stats.Tree.structural then begin
     let changed = Iset.of_list stats.Tree.changed in
-    let untouched ids = not (List.exists (fun id -> Iset.mem id changed) ids) in
     let carried = ref 0 in
     with_lock prev.lock (fun () ->
-        if not structural then
-          Decision_cache.iter
-            (fun key ~epoch:_ (m : memo) ->
-              let keep =
-                if String.length key > 0 && key.[0] = 'R' then true
-                else untouched m.examined
-              in
-              if keep then begin
-                Decision_cache.add t.cache ~epoch:t.epoch key m;
-                incr carried
-              end)
-            prev.cache;
-        if (not structural) && not stats.Tree.bits_touched then
+        Queue.iter
+          (fun key ->
+            let m = Hashtbl.find prev.memos key in
+            if Iset.is_empty changed || untouched ~changed prev.doc m.answers
+            then begin
+              remember t key m;
+              incr carried
+            end)
+          prev.order;
+        if not stats.Tree.bits_touched then
           Hashtbl.iter
             (fun role c -> Hashtbl.replace t.role_cams role c)
             prev.role_cams);
     if !carried > 0 then Metrics.add t.metrics "snapshot.cache.carried" !carried
   end
 
+let make ~epoch ~doc ~gen ~stats ~cam ~annotated ~bits_annotated ~policy
+    ~metrics =
+  Metrics.incr metrics "snapshot.captures";
+  {
+    epoch;
+    doc;
+    gen;
+    stats;
+    cam = Cam.freeze cam;
+    annotated;
+    bits_annotated;
+    policy;
+    role_cams = Hashtbl.create 4;
+    memos = Hashtbl.create 64;
+    order = Queue.create ();
+    metrics;
+    lock = Mutex.create ();
+    pins = 0;
+  }
+
 let capture ?(annotated = true) ?(bits_annotated = true) ?prev ~epoch ~policy
     ~cam ~metrics doc =
-  Metrics.incr metrics "snapshot.captures";
   let view, stats = Tree.freeze doc in
   let t =
-    {
-      epoch;
-      doc = view;
-      gen = stats.Tree.frozen_gen;
-      stats = Some stats;
-      cam = Cam.freeze cam;
-      annotated;
-      bits_annotated;
-      policy;
-      role_cams = Hashtbl.create 4;
-      cache = Decision_cache.create ();
-      metrics;
-      lock = Mutex.create ();
-      pins = 0;
-    }
+    make ~epoch ~doc:view ~gen:stats.Tree.frozen_gen ~stats:(Some stats) ~cam
+      ~annotated ~bits_annotated ~policy ~metrics
   in
   (match prev with Some p -> carry_forward ~prev:p ~stats t | None -> ());
   t
 
 let capture_full ?(annotated = true) ?(bits_annotated = true) ~epoch ~policy
     ~cam ~metrics doc =
-  Metrics.incr metrics "snapshot.captures";
-  {
-    epoch;
-    doc = Tree.copy doc;
-    gen = -1;
-    stats = None;
-    cam = Cam.freeze cam;
-    annotated;
-    bits_annotated;
-    policy;
-    role_cams = Hashtbl.create 4;
-    cache = Decision_cache.create ();
-    metrics;
-    lock = Mutex.create ();
-    pins = 0;
-  }
+  make ~epoch ~doc:(Tree.copy doc) ~gen:(-1) ~stats:None ~cam ~annotated
+    ~bits_annotated ~policy ~metrics
 
 let epoch t = t.epoch
 let document t = t.doc
@@ -144,7 +158,7 @@ let annotated t = t.annotated
 let bits_annotated t = t.bits_annotated
 let pins t = t.pins
 let cow t = t.stats <> None
-let cached_decisions t = with_lock t.lock (fun () -> Decision_cache.length t.cache)
+let cached_decisions t = with_lock t.lock (fun () -> Hashtbl.length t.memos)
 
 let resolve_lane ?subject ?(lane = Rewrite.Auto) t =
   match lane with
@@ -179,43 +193,30 @@ let role_cam t role =
       c
 
 (* The materialized lane over the frozen state: evaluate on the frozen
-   tree, check accessibility against the frozen (per-role) CAM.  Also
-   reports the ids the decision examined — the answers plus all their
-   ancestors, i.e. every node whose annotation a [Cam.lookup] walk can
-   have read — which is what makes the memo carriable. *)
+   tree, check accessibility against the frozen (per-role) CAM. *)
 let materialized_decision ?subject t expr =
   let cam =
     match subject with
     | None -> t.cam
     | Some role -> with_lock t.lock (fun () -> role_cam t role)
   in
-  let answers = Xmlac_xpath.Eval.eval t.doc expr in
-  let ids =
-    List.map (fun (n : Tree.node) -> n.Tree.id) answers
+  let answers =
+    List.map (fun (n : Tree.node) -> n.Tree.id) (Xmlac_xpath.Eval.eval t.doc expr)
     |> List.sort_uniq compare
   in
-  let examined =
-    List.concat_map
-      (fun (n : Tree.node) ->
-        n.Tree.id
-        :: List.map (fun (a : Tree.node) -> a.Tree.id) (Tree.ancestors n))
-      answers
-    |> List.sort_uniq compare
-  in
+  Metrics.add t.metrics "cam.lookups" (List.length answers);
   let d =
-    Requester.decide ~ids ~accessible:(fun id ->
+    Requester.decide ~ids:answers ~accessible:(fun id ->
         match Tree.find t.doc id with
         | Some n -> Cam.lookup cam n = Tree.Plus
         | None -> false)
   in
-  { examined; decision = d }
+  { answers; decision = d }
 
 (* The rewrite lane over the frozen state: compile the request against
    the frozen policy and evaluate the granted/residue pair on the
    frozen tree — no CAM, no sign, no bitmap, so a never-annotated
-   frozen document still answers the true policy decision (and the
-   memo examines no annotation, making it carriable across any
-   non-structural epoch). *)
+   frozen document still answers the true policy decision. *)
 let rewritten_decision ?subject t expr =
   let compiled = Rewrite.compile ?subject t.policy expr in
   let answer = Rewrite.eval_tree t.doc compiled in
@@ -226,10 +227,9 @@ let rewritten_decision ?subject t expr =
       Requester.decide ~ids:answer.Rewrite.granted_ids
         ~accessible:(fun _ -> true)
   in
-  { examined = []; decision = d }
+  { answers = []; decision = d }
 
-let request ?subject ?lane t query =
-  Metrics.incr t.metrics "snapshot.reads";
+let request ?subject ?lane ?(live = false) t query =
   let lane, _reason = resolve_lane ?subject ?lane t in
   let lane_tag = match lane with Rewrite.Rewrite -> "R" | _ -> "M" in
   let key =
@@ -237,27 +237,31 @@ let request ?subject ?lane t query =
     | None -> lane_tag ^ "\x00" ^ query
     | Some role -> lane_tag ^ "@" ^ role ^ "\x00" ^ query
   in
-  match
-    with_lock t.lock (fun () ->
-        Decision_cache.find t.cache ~epoch:t.epoch key)
-  with
+  let hits, misses, fault =
+    if live then ("cache.hits", "cache.misses", "native.eval")
+    else ("snapshot.cache.hits", "snapshot.cache.misses", "snapshot.read")
+  in
+  match with_lock t.lock (fun () -> Hashtbl.find_opt t.memos key) with
   | Some m ->
-      Metrics.incr t.metrics "snapshot.cache.hits";
+      Metrics.incr t.metrics hits;
       m.decision
   | None ->
-      Metrics.incr t.metrics "snapshot.cache.misses";
+      Metrics.incr t.metrics misses;
       let expr = Requester.parse_or_fail query in
-      (* The frozen-read checkpoint: lets the serve layer inject
-         transient faults into the pinned read path (retry tests, the
-         chaos soak) without touching the live stores. *)
-      Fault.point "snapshot.read";
+      (* The read path's injection site: lets the serve layer inject
+         transient faults into live and pinned reads (retry tests, the
+         chaos soak) without touching the stores. *)
+      Fault.point fault;
       let m =
         match lane with
-        | Rewrite.Rewrite -> rewritten_decision ?subject t expr
-        | _ -> materialized_decision ?subject t expr
+        | Rewrite.Rewrite ->
+            Metrics.incr t.metrics "lane.rewrite";
+            rewritten_decision ?subject t expr
+        | _ ->
+            Metrics.incr t.metrics "lane.materialized";
+            materialized_decision ?subject t expr
       in
-      with_lock t.lock (fun () ->
-          Decision_cache.add t.cache ~epoch:t.epoch key m);
+      with_lock t.lock (fun () -> remember t key m);
       m.decision
 
 (* --- registry ------------------------------------------------------ *)

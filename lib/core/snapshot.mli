@@ -6,8 +6,9 @@
     committed [sign_epoch] becomes an {e immutable versioned snapshot}
     — a frozen copy-on-write view of the document, a frozen {!Cam}
     over its signs, lazily built per-role maps over its bitmaps, and a
-    private decision cache, all keyed by the epoch that committed
-    them.  Readers {e pin} a snapshot (refcounted) and answer requests
+    private bounded memo of decisions, all keyed by the epoch that
+    committed them.  The engine's own native reads go through the
+    current snapshot too, so every reader shares one read path.  Readers {e pin} a snapshot (refcounted) and answer requests
     from it for as long as they like while the engine builds the next
     epoch against its own working set; a snapshot is {e reclaimed}
     (its references dropped, so the GC frees its private records) only
@@ -52,8 +53,8 @@
 
     A snapshot is safe to share across OCaml domains: the document
     view and the single-subject map are frozen at capture, and the two
-    mutable members (the per-role map table and the decision cache)
-    are guarded by a private mutex.  Registry operations cross the
+    mutable members (the per-role map table and the memo) are guarded
+    by a private mutex.  Registry operations cross the
     fault points [snapshot.publish] (before the new snapshot is
     installed), [snapshot.share] (before the epoch's shared-segment
     accounting is recorded), [snapshot.reclaim] (after an old snapshot
@@ -81,10 +82,11 @@ val capture :
     [cam] (valid for the view because entries are keyed by node id).
 
     [prev] (normally the registry's current snapshot) enables
-    carry-forward: memoized decisions whose examined nodes the epoch
-    left untouched, rewrite-lane decisions after any non-structural
-    epoch, and the per-role maps after an epoch touching no bitmap
-    all migrate into the new snapshot instead of cold-starting.
+    carry-forward: after a non-structural epoch, memoized decisions
+    none of whose answers (nor their ancestors in [prev]'s view) the
+    epoch touched, rewrite-lane decisions, and — when no bitmap was
+    written — the per-role maps migrate into the new snapshot instead
+    of cold-starting.
     Carry is gated on provenance (same tree family, exactly the next
     generation, physically equal policy) and silently skipped
     otherwise.
@@ -94,9 +96,9 @@ val capture :
     annotation epoch at capture — {!request}'s auto lane routes a
     never-annotated frozen document through the rewrite lane instead
     of its default-sign CAM.  [metrics] receives the snapshot's
-    lifetime counters ([snapshot.captures], [snapshot.reads],
-    [snapshot.cache.*], [snapshot.role_cam_builds],
-    [snapshot.cache.carried]).
+    lifetime counters ([snapshot.captures], [snapshot.cache.*],
+    [snapshot.role_cam_builds], [snapshot.cache.carried], and those
+    {!request} counts).
     @raise Invalid_argument when [doc] is itself a frozen view. *)
 
 val capture_full :
@@ -138,6 +140,10 @@ val cow : t -> bool
 (** Whether this snapshot shares structure ({!capture}) rather than
     owning a deep copy ({!capture_full}). *)
 
+val memo_capacity : int
+(** The bound on a snapshot's memo (256); the oldest entry is evicted
+    first. *)
+
 val cached_decisions : t -> int
 (** Memoized decisions currently held (carried entries included). *)
 
@@ -148,18 +154,21 @@ val resolve_lane :
     Never returns {!Rewrite.Auto}. *)
 
 val request :
-  ?subject:string -> ?lane:Rewrite.lane -> t -> string -> Requester.decision
+  ?subject:string ->
+  ?lane:Rewrite.lane ->
+  ?live:bool ->
+  t ->
+  string ->
+  Requester.decision
 (** [request ?subject t query] answers the all-or-nothing request
     from the snapshot alone: evaluate [query] on the frozen document,
     check accessibility against the frozen CAM ([?subject]: a lazily
     built per-role map over the frozen bitmaps), and memoize the
-    decision in the snapshot's private cache (keyed by the effective
-    lane).  Full fidelity at the snapshot's epoch — byte-identical to
-    what the live engine decided when this epoch was current — and
-    never touches the live stores, so it cannot block on (or be
-    blocked by) the writer.  Crosses
-    {!Xmlac_util.Deadline.checkpoint}s through [Cam.lookup], so it
-    honours a caller-installed budget.
+    decision in the snapshot's memo (keyed by the effective lane).
+    Full fidelity at the snapshot's epoch and never touches the live
+    stores, so it cannot block on (or be blocked by) the writer.
+    Crosses {!Xmlac_util.Deadline.checkpoint}s through [Cam.lookup],
+    so it honours a caller-installed budget.
 
     [~lane] (default {!Rewrite.Auto}) selects the enforcement lane as
     in {!Engine.request}: [Auto] picks the materialized lane iff the
@@ -168,6 +177,14 @@ val request :
     the frozen policy and evaluates it on the frozen tree with no
     sign or bitmap read — how cold documents are served from pinned
     sessions.
+
+    A miss counts [lane.materialized] or [lane.rewrite] (and
+    [cam.lookups] on the materialized lane) and crosses one fault
+    point before evaluating.  A pinned read (the default) counts
+    [snapshot.cache.hits] / [snapshot.cache.misses] and crosses
+    [snapshot.read]; [~live:true] — {!Engine.request} on the native
+    store — counts [cache.hits] / [cache.misses] and crosses
+    [native.eval] instead.
     @raise Invalid_argument on an unparsable query or unknown role. *)
 
 (** {1 Registry: publish / pin / reclaim}

@@ -117,11 +117,6 @@ let names t = List.map (fun d -> d.name) (decls t)
 let index t name = Hashtbl.find_opt t.by_name name
 let mem t name = Hashtbl.mem t.by_name name
 
-let name_of t i =
-  if i < 0 || i >= Array.length t.order then
-    invalid_arg (Printf.sprintf "Subject.name_of: no role with index %d" i)
-  else t.order.(i).name
-
 let decl t name = Option.map (fun i -> t.order.(i)) (index t name)
 
 let closure t name =

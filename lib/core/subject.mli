@@ -55,9 +55,6 @@ val names : t -> string list
 val index : t -> string -> int option
 (** A role's bit index. *)
 
-val name_of : t -> int -> string
-(** @raise Invalid_argument when the index is out of range. *)
-
 val mem : t -> string -> bool
 val decl : t -> string -> decl option
 

@@ -39,7 +39,7 @@ let checkpoint () =
           b.clock_countdown <- b.clock_countdown - 1;
           if b.clock_countdown <= 0 then begin
             b.clock_countdown <- clock_stride;
-            if Timing.now_wall () > d then raise (Expired b.label)
+            if Timing.now () > d then raise (Expired b.label)
           end)
 
 let with_budget ?(label = "deadline") ?ticks ?seconds f =
@@ -56,7 +56,7 @@ let with_budget ?(label = "deadline") ?ticks ?seconds f =
         {
           label;
           ticks;
-          deadline = Option.map (fun s -> Timing.now_wall () +. s) seconds;
+          deadline = Option.map (fun s -> Timing.now () +. s) seconds;
           clock_countdown = 1;  (* first checkpoint reads the clock *)
         }
       in

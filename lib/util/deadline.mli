@@ -15,7 +15,7 @@
     - {e ticks} — a count of checkpoint crossings.  Deterministic, so
       the tests and the seeded soak harness use it to force timeouts
       at exactly reproducible places.
-    - {e seconds} — wall clock against {!Timing.now_wall}, checked
+    - {e seconds} — wall clock against {!Timing.now}, checked
       every few ticks to amortize the clock read.  What a real
       deployment sets.
 

@@ -1,10 +1,10 @@
 (** Lightweight named counters and per-stage timers.
 
     The requester fast lane (Section 4 of the paper, plus the CAM and
-    decision-cache layers this implementation adds on top) is only
-    trustworthy when it is observable: every cache hit, CAM lookup and
+    snapshot-memo layers this implementation adds on top) is only
+    trustworthy when it is observable: every memo hit, CAM lookup and
     fallback rebuild is counted here, and every pipeline stage can be
-    timed.  A registry is a plain value — the engine owns one per
+    timed on the wall clock ({!Timing.now}).  A registry is a plain value — the engine owns one per
     instance, benches and the CLI create their own — so counters never
     leak between two systems living in one process.
 

@@ -1,11 +1,7 @@
-(* [Sys.time] measures processor time, which for a single-threaded
-   CPU-bound caller coincides with wall time.  Concurrent callers
-   (the domain pool, the latency benches) must use [now_wall]:
-   processor time aggregates across domains and would overstate
-   per-request latency by the domain count. *)
-
-let now () = Sys.time ()
-let now_wall () = Unix.gettimeofday ()
+(* Wall time, not processor time ([Sys.time]): processor time
+   aggregates across domains and leaves out time spent waiting, so it
+   would misstate every latency figure. *)
+let now () = Unix.gettimeofday ()
 
 let time f =
   let t0 = now () in

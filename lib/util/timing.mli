@@ -7,14 +7,8 @@
     so the clock source and its resolution are decided in one place. *)
 
 val now : unit -> float
-(** Processor time in seconds.  Equals wall time only while the
-    process is single-threaded and CPU-bound; concurrent measurements
-    must use {!now_wall}. *)
-
-val now_wall : unit -> float
-(** Wall-clock time in seconds ([Unix.gettimeofday]).  The clock
-    behind every concurrent latency figure: processor time aggregates
-    across OCaml domains and would overstate per-request latency. *)
+(** Wall-clock time in seconds ([Unix.gettimeofday]) — the one clock
+    behind every figure here, sequential or concurrent. *)
 
 val percentile : float array -> p:float -> float
 (** [percentile samples ~p] is the nearest-rank [p]-th percentile

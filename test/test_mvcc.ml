@@ -263,6 +263,41 @@ let test_cow_sharing_and_carry () =
   Alcotest.(check bool) "sharing summary renders" true
     (String.length (Format.asprintf "%a" Snapshot.pp_sharing reg) > 0)
 
+(* Carry-forward reads ancestors too: a materialized memo whose
+   answers the epoch left alone, but one of whose answers' ancestors
+   changed sign, must not be carried.  A rewrite-lane memo of the same
+   snapshot is, which shows carry-forward ran at all. *)
+let test_carry_checks_answer_ancestors () =
+  Fault.reset ();
+  let eng = annotated_engine () in
+  let m = Engine.metrics eng in
+  let misses () = Metrics.counter m "cache.misses" in
+  let q = "//patient/name" and control = "//nurse" in
+  let d0 = Engine.request eng Engine.Native q in
+  ignore (Engine.request ~lane:Rewrite.Rewrite eng Engine.Native control);
+  let doc = Engine.document eng in
+  let name_ids = Helpers.ids doc q in
+  let patient =
+    match Option.bind (Tree.find doc (List.hd name_ids)) Tree.parent with
+    | Some p -> Option.get (Tree.find doc p.Tree.id)
+    | None -> Alcotest.fail "a name without a patient"
+  in
+  let flipped =
+    match patient.Tree.sign with Some Tree.Plus -> Tree.Minus | _ -> Tree.Plus
+  in
+  Tree.set_sign doc patient (Some flipped);
+  Engine.refresh eng;
+  let before = misses () in
+  ignore (Engine.request ~lane:Rewrite.Rewrite eng Engine.Native control);
+  Alcotest.(check int) "rewrite-lane memo carried" before (misses ());
+  let d1 = Engine.request eng Engine.Native q in
+  Alcotest.(check int) "memo over a changed ancestor not carried" (before + 1)
+    (misses ());
+  Alcotest.(check bool) "decision equals the direct read" true
+    (d1 = Engine.request_direct eng Engine.Native q);
+  Alcotest.(check bool) "the answers themselves were untouched" true
+    (d1 = d0)
+
 (* ------------------------------------------------------------------ *)
 (* A killed COW publish must never corrupt a pinned neighbor.  The
    writer dies inside the sharing machinery — publish, segment
@@ -674,6 +709,8 @@ let () =
             test_cow_sharing_and_carry;
           tc "killed publish never corrupts a pinned neighbor"
             test_cow_kill_never_corrupts_pinned_neighbor;
+          tc "carry checks the answers' ancestors"
+            test_carry_checks_answer_ancestors;
         ] );
       ( "properties",
         [

@@ -1,7 +1,7 @@
-(* The request fast lane (PR 2): requester edge cases, the metrics
-   registry, the bounded decision cache, incremental CAM maintenance,
-   and the engine-level equivalence of CAM/cache-served decisions with
-   direct sign reads — including the qcheck property across random
+(* The request fast lane: requester edge cases, the metrics registry,
+   the bounded snapshot memo, incremental CAM maintenance, and the
+   engine-level equivalence of CAM/memo-served decisions with direct
+   sign reads — including the qcheck property across random
    documents, policies and update sequences on all three backends. *)
 
 open Xmlac_core
@@ -59,42 +59,54 @@ let test_metrics_hit_rate () =
     (Metrics.hit_rate m ~hits:"h" ~misses:"mi")
 
 (* ------------------------------------------------------------------ *)
-(* Decision cache *)
+(* Snapshot memo *)
 
-let test_cache_hit_and_epoch () =
-  let c = Decision_cache.create ~capacity:8 () in
-  Decision_cache.add c ~epoch:0 "q" 1;
-  Alcotest.(check (option int)) "same epoch hits" (Some 1)
-    (Decision_cache.find c ~epoch:0 "q");
-  Alcotest.(check (option int)) "bumped epoch misses" None
-    (Decision_cache.find c ~epoch:1 "q");
-  Alcotest.(check int) "stale entry dropped on sight" 0
-    (Decision_cache.length c);
-  Decision_cache.add c ~epoch:1 "q" 2;
-  Alcotest.(check (option int)) "new epoch value" (Some 2)
-    (Decision_cache.find c ~epoch:1 "q")
+let hospital_engine () =
+  let eng =
+    Engine.create ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
+      (W.Hospital.sample_document ())
+  in
+  let _ = Engine.annotate_all eng in
+  eng
 
-let test_cache_bounded () =
-  let c = Decision_cache.create ~capacity:2 () in
-  Decision_cache.add c ~epoch:0 "a" 1;
-  Decision_cache.add c ~epoch:0 "b" 2;
-  Decision_cache.add c ~epoch:0 "c" 3;
-  Alcotest.(check int) "capacity respected" 2 (Decision_cache.length c);
-  Alcotest.(check (option int)) "oldest evicted" None
-    (Decision_cache.find c ~epoch:0 "a");
-  Alcotest.(check (option int)) "newest kept" (Some 3)
-    (Decision_cache.find c ~epoch:0 "c");
-  (* Overwriting an existing key must not grow the table. *)
-  Decision_cache.add c ~epoch:0 "c" 4;
-  Alcotest.(check int) "overwrite in place" 2 (Decision_cache.length c);
-  Alcotest.(check (option int)) "overwritten" (Some 4)
-    (Decision_cache.find c ~epoch:0 "c")
+let test_memo_hit_and_epoch () =
+  let eng = hospital_engine () in
+  let m = Engine.metrics eng in
+  let misses () = Metrics.counter m "snapshot.cache.misses" in
+  let q = "//patient/treatment" in
+  let snap = Engine.current_snapshot eng in
+  let d = Snapshot.request snap q in
+  Alcotest.(check bool) "repeat hits" true (Snapshot.request snap q = d);
+  Alcotest.(check int) "one miss" 1 (misses ());
+  Alcotest.(check int) "one hit" 1 (Metrics.counter m "snapshot.cache.hits");
+  let _ = Engine.update eng "//patient/treatment" in
+  let next = Engine.current_snapshot eng in
+  Alcotest.(check int) "structural epoch carries nothing" 0
+    (Snapshot.cached_decisions next);
+  let d' = Snapshot.request next q in
+  Alcotest.(check int) "new epoch misses" 2 (misses ());
+  Alcotest.(check bool) "new decision matches direct" true
+    (d' = Engine.request_direct eng Engine.Native q);
+  Alcotest.(check bool) "old snapshot keeps its decision" true
+    (Snapshot.request snap q = d && misses () = 2)
 
-let test_cache_rejects_zero_capacity () =
-  try
-    ignore (Decision_cache.create ~capacity:0 ());
-    Alcotest.fail "accepted capacity 0"
-  with Invalid_argument _ -> ()
+let test_memo_bounded () =
+  let eng = hospital_engine () in
+  let m = Engine.metrics eng in
+  let misses () = Metrics.counter m "snapshot.cache.misses" in
+  let snap = Engine.current_snapshot eng in
+  let q i = Printf.sprintf "//patient[psn = \"%03d\"]" i in
+  let cap = Snapshot.memo_capacity in
+  for i = 0 to cap do
+    ignore (Snapshot.request snap (q i))
+  done;
+  Alcotest.(check int) "capacity respected" cap (Snapshot.cached_decisions snap);
+  let before = misses () in
+  ignore (Snapshot.request snap (q cap));
+  Alcotest.(check int) "newest kept" before (misses ());
+  ignore (Snapshot.request snap (q 0));
+  Alcotest.(check int) "oldest evicted" (before + 1) (misses ());
+  Alcotest.(check int) "still bounded" cap (Snapshot.cached_decisions snap)
 
 (* ------------------------------------------------------------------ *)
 (* Requester edge cases *)
@@ -252,14 +264,6 @@ let sample_queries =
     "//patient[.//experimental]"; "//regular/med"; "//staff"; "//nosuch";
   ]
 
-let hospital_engine () =
-  let eng =
-    Engine.create ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
-      (W.Hospital.sample_document ())
-  in
-  let _ = Engine.annotate_all eng in
-  eng
-
 let check_fast_lane_matches eng label =
   List.iter
     (fun kind ->
@@ -311,25 +315,25 @@ let test_engine_insert_maintains_cam () =
 
 let test_engine_divergent_backend_bypasses () =
   (* Annotate only the native store: relational signs still carry the
-     load-time default, so the fast lane must not borrow the native
-     CAM for them.  The materialized lane is forced — the auto lane
-     would (correctly) route the never-annotated relational stores to
-     the rewrite lane, but this test pins the CAM-borrowing guard. *)
+     load-time default, so a relational request must read them, not
+     the native store's CAM.  The materialized lane is forced — the
+     auto lane would (correctly) route the never-annotated relational
+     stores to the rewrite lane. *)
   let eng =
     Engine.create ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
       (W.Hospital.sample_document ())
   in
   let _ = Engine.annotate eng Engine.Native in
-  let m = Engine.metrics eng in
-  Metrics.reset m;
+  let row q = Engine.request ~lane:Rewrite.Materialized eng Engine.Row_sql q in
   List.iter
     (fun q ->
       Alcotest.(check bool) ("row matches direct: " ^ q) true
-        (Engine.request ~lane:Rewrite.Materialized eng Engine.Row_sql q
-        = Engine.request_direct eng Engine.Row_sql q))
+        (row q = Engine.request_direct eng Engine.Row_sql q))
     sample_queries;
-  Alcotest.(check bool) "bypass counted" true
-    (Metrics.counter m "fastlane.bypass" > 0)
+  Alcotest.(check bool) "row decisions differ from the native signs" true
+    (List.exists
+       (fun q -> row q <> Engine.request eng Engine.Native q)
+       sample_queries)
 
 let test_engine_request_parse_error () =
   let eng = hospital_engine () in
@@ -414,11 +418,10 @@ let () =
           tc "timers" test_metrics_timers;
           tc "hit rate" test_metrics_hit_rate;
         ] );
-      ( "decision cache",
+      ( "snapshot memo",
         [
-          tc "hit and epoch invalidation" test_cache_hit_and_epoch;
-          tc "bounded" test_cache_bounded;
-          tc "rejects zero capacity" test_cache_rejects_zero_capacity;
+          tc "hit and epoch invalidation" test_memo_hit_and_epoch;
+          tc "bounded" test_memo_bounded;
         ] );
       ( "requester edge cases",
         [
