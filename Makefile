@@ -81,6 +81,16 @@ soak-replication:
 	done
 	dune exec bench/main.exe -- -e replication
 
+# Smoke run of the repo benchmark (BENCHMARK.json): every workload for
+# 3 s with the per-layer trace on.  The benchmark exits non-zero on any
+# oracle, layer-split or snapshot-leak failure, so a change that breaks
+# a workload fails here rather than only in a full benchmark run.
+perfbench-smoke:
+	@for w in session-reads role-churn replica-churn; do \
+	  echo "== perfbench $$w, seed 1, 3 s, traced =="; \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 3 --trace 1 || exit 1; \
+	done
+
 doc:
 	dune build @doc
 
@@ -96,4 +106,4 @@ quickstart:
 clean:
 	dune clean
 
-.PHONY: all test ci soak bench bench-full bench-multirole bench-concurrent bench-rewrite bench-snapshot bench-replication soak-replication doc loc quickstart clean
+.PHONY: all test ci soak bench bench-full bench-multirole bench-concurrent bench-rewrite bench-snapshot bench-replication soak-replication perfbench-smoke doc loc quickstart clean

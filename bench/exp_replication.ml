@@ -147,12 +147,11 @@ let run (_cfg : Bench_common.config) =
                             | Requester.Denied _ -> ())
                         | _ -> ()))
               in
-              List.iter
-                (fun kind ->
-                  match Repl.annotate t_cluster kind with
-                  | Ok () -> record_epoch ()
-                  | Error e -> fail "annotate failed: %s" e.Serve.message)
-                Engine.all_backend_kinds;
+              (* Replicas hold the native store only: one annotation
+                 epoch, recorded like every other. *)
+              (match Repl.annotate_all t_cluster with
+              | Ok () -> record_epoch ()
+              | Error e -> fail "annotate failed: %s" e.Serve.message);
               for step = 1 to churn do
                 (match Repl.update t_cluster (Prng.choose_list rng updates)
                  with

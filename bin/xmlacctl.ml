@@ -471,10 +471,9 @@ let explain policy_path dtd_name doc_path raw requests subjects lane =
       Format.printf "  %a@." Snapshot.pp_registry (Engine.snapshots eng);
       Printf.printf "  stale denials     %d\n"
         (Xmlac_util.Metrics.counter m Xmlac_util.Metrics.stale_snapshot_denials);
-      (* What the epoch shipper would put on the wire for this engine:
-         the state digest a follower re-derives after every applied
-         frame, and the committed row-WAL epoch ledger read through the
-         same cursor replication uses. *)
+      (* The state digest the epoch shipper frames (a follower
+         recomputes it after every applied frame), and each relational
+         WAL's committed-epoch ledger read through its epoch cursor. *)
       print_endline "replication:";
       Printf.printf "  state digest      %08lx (follower verifies per applied epoch)\n"
         (Engine.state_checksum eng);

@@ -19,6 +19,7 @@ type t = {
   delete_update : Xmlac_xpath.Ast.expr -> int;
   has_node : int -> bool;
   live_ids : unit -> int list;
+  iter_live : (int -> Tree.sign option -> Bitset.t option -> unit) -> unit;
   node_count : unit -> int;
 }
 

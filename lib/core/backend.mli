@@ -93,6 +93,12 @@ type t = {
       (** Whether a node with this universal id is currently stored;
           O(1) natively, a handful of index probes relationally. *)
   live_ids : unit -> int list;
+  iter_live :
+    (int -> Xmlac_xml.Tree.sign option -> Xmlac_util.Bitset.t option -> unit) ->
+    unit;
+      (** Visits every live node once, in ascending id order, with its
+          [sign_of] and [bits_of] values: one pass over the store
+          instead of a [live_ids] list plus two lookups per id. *)
   node_count : unit -> int;
 }
 

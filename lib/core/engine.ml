@@ -718,32 +718,44 @@ let apply_replica t op =
       | Op_insert { at; fragment } -> ignore (insert t ~at ~fragment))
 
 (* A deterministic digest of the enforcement-relevant materialization:
-   the anonymous accessible set and every role's accessible set, per
-   held store.  Epoch counters are deliberately excluded — a replica whose
-   crash recovery consumed extra local epoch numbers still converges on
-   the leader's answers, and this digest is the arbiter of that
-   convergence (shipped per frame, re-verified at promotion). *)
+   the anonymous accessible set and every declared role's accessible
+   set, per held store.  Epoch counters are deliberately excluded — a
+   replica whose crash recovery consumed extra local epoch numbers
+   still converges on the leader's answers, and this digest is the
+   arbiter of that convergence (shipped per frame, re-verified at
+   promotion).
+
+   One pass per store over [iter_live], folding ints straight into a
+   32-bit FNV-1a-style running sum.  A node nothing is granted on is
+   skipped, so the digest depends on the accessible sets alone; a
+   granted node contributes its id, then [(granted roles lsl 1) lor
+   anonymous], then each granted role's bit index, and every store
+   opens with its kind code and closes with [-1].  The stream is
+   prefix-free, and each step is a bijection of the running sum, so
+   one changed word always changes the digest. *)
 let state_checksum t =
-  let buf = Buffer.create 1024 in
+  let nroles = Subject.count (Policy.subjects t.policy) in
+  let ds = Policy.ds t.policy and dbits = Policy.default_bits t.policy in
+  let h = ref 0x811c9dc5 in
+  let mix x = h := (!h lxor x) * 0x01000193 land 0xffff_ffff in
   List.iter
-    (fun kind ->
-      Buffer.add_string buf (backend_kind_to_string kind);
-      Buffer.add_char buf '\x00';
-      List.iter
-        (fun id ->
-          Buffer.add_string buf (string_of_int id);
-          Buffer.add_char buf ',')
-        (accessible t kind);
-      List.iter
-        (fun role ->
-          Buffer.add_char buf '@';
-          Buffer.add_string buf role;
-          Buffer.add_char buf ':';
-          List.iter
-            (fun id ->
-              Buffer.add_string buf (string_of_int id);
-              Buffer.add_char buf ',')
-            (accessible_subject t kind role))
-        (Policy.roles t.policy))
-    (kinds t);
-  Wal.adler32 1l (Buffer.contents buf)
+    (fun s ->
+      mix (match s.kind with Native -> 0 | Row_sql -> 1 | Column_sql -> 2);
+      s.backend.Backend.iter_live (fun id sign bits ->
+          let anon =
+            if Option.value sign ~default:ds = Tree.Plus then 1 else 0
+          in
+          let bits = Option.value bits ~default:dbits in
+          let granted =
+            Xmlac_util.Bitset.fold
+              (fun i n -> if i < nroles then n + 1 else n)
+              bits 0
+          in
+          if anon = 1 || granted > 0 then begin
+            mix id;
+            mix ((granted lsl 1) lor anon);
+            Xmlac_util.Bitset.iter (fun i -> if i < nroles then mix i) bits
+          end);
+      mix (-1))
+    t.stores;
+  Int32.of_int !h

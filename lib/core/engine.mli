@@ -378,9 +378,11 @@ val set_read_only : t -> bool -> unit
 
 val state_checksum : t -> int32
 (** Deterministic digest of the enforcement-relevant materialization:
-    the anonymous and every role's accessible id set on every held
-    store.  Engine-local epoch counters are excluded, so a replica
-    whose own crash recoveries consumed extra epoch numbers still
-    digests equal once its answers converge on the leader's — this is
-    the divergence check shipped with every frame and re-verified by
-    promotion. *)
+    the anonymous and every declared role's accessible id set on every
+    held store, computed in one {!Backend.t.iter_live} pass per store
+    with no string building.  Two engines holding the same stores with
+    equal accessible sets digest equal.  Engine-local epoch counters
+    are excluded, so a replica whose own crash recoveries consumed
+    extra epoch numbers still digests equal once its answers converge
+    on the leader's — this is the divergence check shipped with every
+    frame and re-verified by promotion. *)

@@ -78,6 +78,28 @@ let make mapping db : Backend.t =
     | None -> ids
     | Some s -> List.filter (fun id -> Plan.Ids.mem id s) ids
   in
+  let sign_of id =
+    match Shred.node_table mapping db id with
+    | None -> None
+    | Some table -> (
+        match Table.find_by_id table id with
+        | None -> None
+        | Some row -> (
+            let column =
+              Xmlac_reldb.Schema.column_index (Table.schema table) "s"
+            in
+            match Table.get table ~row ~column with
+            | Value.Str s -> Tree.sign_of_string s
+            | _ -> None))
+  in
+  let bits_of id =
+    match Shred.node_table mapping db id with
+    | None -> None
+    | Some table -> read_bits table id
+  in
+  let live_ids () =
+    List.sort Stdlib.compare (List.concat_map Table.ids (Db.tables db))
+  in
   {
     Backend.name = Table.engine_to_string engine ^ "-sql";
     eval_ids = (fun e -> Translate.eval_ids mapping db e);
@@ -94,20 +116,7 @@ let make mapping db : Backend.t =
                  (Sql.Update
                     { table = Table.name table; set = [ ("s", v) ]; where = [] })))
           (Db.tables db));
-    sign_of =
-      (fun id ->
-        match Shred.node_table mapping db id with
-        | None -> None
-        | Some table -> (
-            match Table.find_by_id table id with
-            | None -> None
-            | Some row ->
-                let column =
-                  Xmlac_reldb.Schema.column_index (Table.schema table) "s"
-                in
-                (match Table.get table ~row ~column with
-                | Value.Str s -> Tree.sign_of_string s
-                | _ -> None)));
+    sign_of;
     restore_sign =
       (fun id s ->
         (* A live tuple always carries a sign value, so the journal
@@ -173,11 +182,7 @@ let make mapping db : Backend.t =
                  (Sql.Update
                     { table = Table.name table; set = [ ("b", v) ]; where = [] })))
           (Db.tables db));
-    bits_of =
-      (fun id ->
-        match Shred.node_table mapping db id with
-        | None -> None
-        | Some table -> read_bits table id);
+    bits_of;
     restore_bits =
       (fun id b ->
         (* A live tuple always carries a bitmap value, so the journal
@@ -194,9 +199,9 @@ let make mapping db : Backend.t =
         ignore (Shred.delete_subtrees mapping db ids);
         List.length ids);
     has_node = (fun id -> Shred.node_table mapping db id <> None);
-    live_ids =
-      (fun () ->
-        List.sort Stdlib.compare
-          (List.concat_map Table.ids (Db.tables db)));
+    live_ids;
+    iter_live =
+      (fun f ->
+        List.iter (fun id -> f id (sign_of id) (bits_of id)) (live_ids ()));
     node_count = (fun () -> Db.total_tuples db);
   }

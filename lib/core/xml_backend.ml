@@ -96,5 +96,8 @@ let make doc : Backend.t =
       (fun () ->
         List.sort Stdlib.compare
           (List.map (fun (n : Tree.node) -> n.Tree.id) (Tree.nodes doc)));
+    iter_live =
+      (fun f ->
+        Tree.iter_by_id (fun n -> f n.Tree.id n.Tree.sign n.Tree.bits) doc);
     node_count = (fun () -> Tree.size doc);
   }

@@ -220,10 +220,10 @@ let replay t f =
 
 (* Incremental epoch cursor: committed epochs oldest-first, each as its
    record batch.  An epoch only surfaces once its Commit marker is in
-   the committed prefix, so a shipper can never frame a partial epoch.
+   the committed prefix, so a reader can never see a partial epoch.
    Records logged outside any epoch (bulk load) carry no epoch number
-   and are not visited — they belong to the base image, not the
-   replication stream. *)
+   and are not visited — they belong to the base image, not to any
+   epoch. *)
 let fold_epochs ?(from = min_int) t f acc =
   let finish (acc, open_) =
     ignore open_;

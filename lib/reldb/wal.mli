@@ -83,7 +83,7 @@ val replay : t -> (string -> unit) -> int
 
 val fold_epochs :
   ?from:int -> t -> ('a -> epoch:int -> records:string list -> 'a) -> 'a -> 'a
-(** The incremental epoch cursor the replication shipper reads:
+(** The incremental epoch cursor:
     committed retained epochs oldest-first, each with its record batch
     in log order.  An epoch is visited only once its commit marker is
     inside the committed prefix — a torn or open tail can never
@@ -99,9 +99,8 @@ val epoch_records : t -> int -> string list option
 
 val epoch_checksum : t -> int -> int32 option
 (** {!adler32} over committed epoch [n]'s records (seeded with [1l]),
-    or [None] as in {!epoch_records}.  What the shipper frames and a
-    follower re-derives from its own log to cross-check an applied
-    epoch. *)
+    or [None] as in {!epoch_records}.  The per-epoch ledger
+    [xmlacctl explain --request] prints. *)
 
 val adler32 : int32 -> string -> int32
 (** The log's rolling checksum primitive (Adler-32), exposed so frames

@@ -8,12 +8,10 @@ type t = {
   payload : string;
   sum : int32;
   state_sum : int32;
-  wal_sum : int32 option;
 }
 
 let epoch f = f.epoch
 let state_sum f = f.state_sum
-let wal_sum f = f.wal_sum
 
 let kind_to_tag = function
   | Engine.Native -> "native"
@@ -74,9 +72,9 @@ let op_of_payload s =
                   | Error _ -> Error "torn insert frame (unparsable fragment)")))
     | _ -> Error "unknown frame op"
 
-let make ~epoch ~state_sum ?wal_sum op =
+let make ~epoch ~state_sum op =
   let payload = payload_of_op op in
-  { epoch; payload; sum = Wal.adler32 1l payload; state_sum; wal_sum }
+  { epoch; payload; sum = Wal.adler32 1l payload; state_sum }
 
 let intact f = Wal.adler32 1l f.payload = f.sum
 

@@ -3,25 +3,16 @@
     A frame carries the epoch's logical operation
     ({!Xmlac_core.Engine.op}) serialized to bytes, the stream
     epoch number, an Adler-32 over the payload (same arithmetic as the
-    WAL's, {!Xmlac_reldb.Wal.adler32}), the leader's post-epoch state
-    digest ({!Xmlac_core.Engine.state_checksum}) and — when the leader
-    applied the epoch cleanly — the Adler-32 of the epoch's row-WAL
-    record batch read through {!Xmlac_reldb.Wal.epoch_checksum}, which
-    a follower re-derives from its own log after applying as an
-    end-to-end determinism cross-check. *)
+    WAL's, {!Xmlac_reldb.Wal.adler32}) and the leader's post-epoch
+    state digest ({!Xmlac_core.Engine.state_checksum}), which a
+    follower recomputes after applying the epoch. *)
 
 type t
 
-val make :
-  epoch:int ->
-  state_sum:int32 ->
-  ?wal_sum:int32 ->
-  Xmlac_core.Engine.op ->
-  t
+val make : epoch:int -> state_sum:int32 -> Xmlac_core.Engine.op -> t
 
 val epoch : t -> int
 val state_sum : t -> int32
-val wal_sum : t -> int32 option
 
 val intact : t -> bool
 (** Whether the payload still matches the declared checksum — the

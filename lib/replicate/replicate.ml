@@ -3,7 +3,6 @@ module Metrics = Xmlac_util.Metrics
 module Prng = Xmlac_util.Prng
 module Engine = Xmlac_core.Engine
 module Requester = Xmlac_core.Requester
-module Wal = Xmlac_reldb.Wal
 module Serve = Xmlac_serve.Serve
 
 type role = Leader | Follower | Deposed
@@ -78,9 +77,7 @@ let create ?(config = default_config) ?(followers = 2) ~dtd ~policy doc =
   if config.lag_threshold < 0 then
     invalid_arg "Replicate.create: lag_threshold < 0";
   let mk id =
-    (* Mirrored, so every frame can carry the row store's WAL digest
-       for the follower to cross-check. *)
-    let eng = Engine.create ~mirrored:true ~dtd ~policy doc in
+    let eng = Engine.create ~dtd ~policy doc in
     let role = if id = 0 then Leader else Follower in
     if role = Follower then Engine.set_read_only eng true;
     {
@@ -139,23 +136,10 @@ let backoff t n =
   in
   t.config.sleep (Prng.float t.rng (max cap 1e-9))
 
-let frame_committed t op ~clean =
+let frame_committed t op =
   let ld = leader t in
   let epoch = t.committed + 1 in
-  let wal_sum =
-    (* The determinism cross-check only makes sense for an epoch the
-       leader applied in one clean pass: a crash-recovered epoch's WAL
-       batch contains the aborted attempt plus compensation, which a
-       follower's clean apply will legitimately not reproduce. *)
-    if clean then
-      match Engine.wal ld.eng Engine.Row_sql with
-      | Some w -> Wal.epoch_checksum w (Engine.sign_epoch ld.eng)
-      | None -> None
-    else None
-  in
-  let f =
-    Frame.make ~epoch ~state_sum:(Engine.state_checksum ld.eng) ?wal_sum op
-  in
+  let f = Frame.make ~epoch ~state_sum:(Engine.state_checksum ld.eng) op in
   Hashtbl.replace t.frames epoch f;
   t.committed <- epoch;
   ld.applied <- epoch;
@@ -187,7 +171,7 @@ let apply t op =
       let e0 = Engine.sign_epoch eng in
       match run_leader_op eng op with
       | () ->
-          frame_committed t op ~clean:true;
+          frame_committed t op;
           Ok ()
       | exception exn -> (
           let err = Serve.error_of_exn ~attempts:n exn in
@@ -209,25 +193,24 @@ let apply t op =
             match (r.Engine.recovered_epoch, r.Engine.direction) with
             | Some _, `Forward ->
                 (* The structural mutation committed under recovery:
-                   frame the op itself (recovered batch, so no WAL
-                   cross-check). *)
-                frame_committed t op ~clean:false;
+                   frame the op itself. *)
+                frame_committed t op;
                 Ok ()
             | Some _, _ ->
                 (* The epoch aborted but its number is consumed:
                    replicas must consume it too. *)
-                frame_committed t Engine.Op_noop ~clean:false;
+                frame_committed t Engine.Op_noop;
                 retry ()
             | None, _ ->
                 if Engine.sign_epoch eng > e0 then begin
                   (* Crash after commit, before publish: durable. *)
-                  frame_committed t op ~clean:false;
+                  frame_committed t op;
                   Ok ()
                 end
                 else retry ()
           end
           else if Engine.sign_epoch eng > e0 then begin
-            frame_committed t op ~clean:false;
+            frame_committed t op;
             Ok ()
           end
           else retry ())
@@ -337,23 +320,11 @@ let mark_diverged t n =
   end
 
 (* Bookkeeping once frame [f] is known durable on [n]: digest check
-   against the leader's shipped state sum, opportunistic WAL-batch
-   cross-check, cursor advance, ack. *)
-let finish_applied ?(ack = true) t n f ~clean =
-  let sum = Engine.state_checksum n.eng in
-  if sum <> Frame.state_sum f then mark_diverged t n
-  else begin
-    match Frame.wal_sum f with
-    | Some ws when clean -> (
-        match Engine.wal n.eng Engine.Row_sql with
-        | Some w -> (
-            match Wal.epoch_checksum w (Engine.sign_epoch n.eng) with
-            | Some own when own <> ws -> mark_diverged t n
-            | Some _ -> Metrics.incr t.metrics "repl.wal_verified"
-            | None -> ())
-        | None -> ())
-    | _ -> ()
-  end;
+   against the leader's shipped state sum, cursor advance, ack. *)
+let finish_applied ?(ack = true) t n f =
+  if Engine.state_checksum n.eng = Frame.state_sum f then
+    Metrics.incr t.metrics "repl.digest_verified"
+  else mark_diverged t n;
   n.applied <- Frame.epoch f;
   n.state_sum <- Frame.state_sum f;
   n.inflight <- None;
@@ -379,7 +350,7 @@ let apply_frame t n f =
         n.inflight <- Some (Frame.epoch f, Engine.sign_epoch n.eng);
         let e0 = Engine.sign_epoch n.eng in
         match Engine.apply_replica n.eng op with
-        | () -> finish_applied t n f ~clean:true
+        | () -> finish_applied t n f
         | exception (Fault.Crash _ as exn) ->
             (* The node is killed mid-apply: leave [inflight] for
                [heal] to resolve after the simulated restart.  Until
@@ -402,7 +373,7 @@ let apply_frame t n f =
               end
               else None
             in
-            if committed_anyway recovery then finish_applied t n f ~clean:false
+            if committed_anyway recovery then finish_applied t n f
             else if
               err.Serve.class_ = Serve.Transient && k <= t.config.max_retries
             then begin
@@ -477,7 +448,7 @@ let heal_node t n =
         in
         if committed_anyway then (
           match Hashtbl.find_opt t.frames se with
-          | Some f -> finish_applied ~ack:false t n f ~clean:false
+          | Some f -> finish_applied ~ack:false t n f
           | None ->
               (* The stream was truncated under us (promotion of a
                  shorter tail): this node holds an epoch the new leader
@@ -666,7 +637,7 @@ let counter_names =
     "repl.acked"; "repl.rejected"; "repl.dropped"; "repl.duplicated";
     "repl.reordered"; "repl.torn"; "repl.dups_dropped"; "repl.gap_requests";
     "repl.retries"; "repl.node_restarts"; "repl.divergences";
-    "repl.wal_verified"; "repl.noops"; "repl.promotions";
+    "repl.digest_verified"; "repl.noops"; "repl.promotions";
     "repl.ship_faults"; "repl.recv_faults"; "repl.ack_faults";
     "repl.reship_exhausted"; "repl.errors"; Metrics.repl_stale_denials;
   ]

@@ -6,17 +6,15 @@
     {2 The stream}
 
     Every committed leader epoch becomes one {!Frame}: the epoch's
-    logical operation, a payload checksum, the leader's post-epoch
-    state digest ({!Xmlac_core.Engine.state_checksum}) and — for
-    cleanly applied epochs — the Adler-32 of the epoch's row-WAL
-    record batch read through the {!Xmlac_reldb.Wal.fold_epochs}
-    cursor.  Followers apply frames strictly in stream order through
+    logical operation, a payload checksum and the leader's post-epoch
+    state digest ({!Xmlac_core.Engine.state_checksum}).  Followers
+    apply frames strictly in stream order through
     {!Xmlac_core.Engine.apply_replica}, so every applied epoch runs
-    under the full sign-epoch machinery: journaled writes, WAL
-    framing, and a crash recovery that lands pre- or post-epoch, never
-    a mix.  After each apply the follower re-derives both digests and
-    marks itself {e divergent} on any mismatch — a divergent follower
-    stops serving and refuses promotion.
+    under the full sign-epoch machinery: journaled writes and a crash
+    recovery that lands pre- or post-epoch, never a mix.  After each
+    apply the follower recomputes the digest: a match counts under
+    [repl.digest_verified], a mismatch marks the follower
+    {e divergent} — it stops serving and refuses promotion.
 
     {2 Robustness}
 
@@ -76,9 +74,9 @@ val create :
 (** A cluster over one document: node 0 is the leader, nodes
     [1..followers] (default 2) are read-only replicas built from the
     same inputs, so universal node ids line up across the cluster by
-    construction.  Each node owns a mirrored engine (all three
-    stores, so frames can carry the row store's WAL digest) and a
-    {!Xmlac_serve.Serve} layer. *)
+    construction.  Each node owns a default (native-only) engine and
+    a {!Xmlac_serve.Serve} layer; cross-store checks belong to a
+    mirrored {!Xmlac_core.Engine} built directly. *)
 
 (** {1 Leader mutations}
 
@@ -96,7 +94,13 @@ val insert :
   t -> at:string -> fragment:Xmlac_xml.Tree.t -> (unit, Serve.error) result
 
 val annotate : t -> Engine.backend_kind -> (unit, Serve.error) result
+(** Fails with a [Fatal] error on a store the leader does not hold —
+    every store but [Native]. *)
+
 val annotate_all : t -> (unit, Serve.error) result
+(** One epoch per store the leader holds: one epoch, on the native
+    store. *)
+
 val annotate_subjects_all : t -> (unit, Serve.error) result
 
 (** {1 Shipping} *)
@@ -192,7 +196,7 @@ val set_partitioned : t -> int -> bool -> unit
 val metrics : t -> Xmlac_util.Metrics.t
 (** The cluster's replication counters ([repl.framed], [repl.shipped],
     [repl.reshipped], [repl.applied], [repl.rejected],
-    [repl.gap_requests], [repl.divergences],
+    [repl.gap_requests], [repl.divergences], [repl.digest_verified],
     {!Xmlac_util.Metrics.repl_stale_denials}, …). *)
 
 type node_status = {

@@ -268,6 +268,7 @@ let label_path n =
   go [] n
 
 let iter f t = iter_subtree f t.root_node
+let iter_by_id f t = Imap.iter (fun _ n -> f n) t.index
 
 let fold f acc t =
   let acc = ref acc in

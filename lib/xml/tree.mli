@@ -125,6 +125,10 @@ val label_path : node -> string list
 val iter : (node -> unit) -> t -> unit
 (** Preorder traversal of the whole document. *)
 
+val iter_by_id : (node -> unit) -> t -> unit
+(** Every node's current record in ascending id order: a walk of the
+    id index, with no sort and no per-id lookup. *)
+
 val fold : ('a -> node -> 'a) -> 'a -> t -> 'a
 val nodes : t -> node list
 

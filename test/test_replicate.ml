@@ -135,7 +135,7 @@ let churn t =
        ~fragment:(treatment_fragment ()))
 
 let accessible_sets eng =
-  List.map (fun k -> (k, Engine.accessible eng k)) Engine.all_backend_kinds
+  List.map (fun k -> (k, Engine.accessible eng k)) (Engine.kinds eng)
 
 let subject_sets eng =
   let roles = Policy.roles (Engine.policy eng) in
@@ -143,11 +143,11 @@ let subject_sets eng =
     (fun k ->
       ( k,
         List.map (fun r -> (r, Engine.accessible_subject eng k r)) roles ))
-    Engine.all_backend_kinds
+    (Engine.kinds eng)
 
 (* Byte-identical equivalence between two engines: state digests,
    visible id sets with and without subjects, and decisions on [qs]
-   across all backends, both forced lanes, and every subject. *)
+   across every held store, both forced lanes, and every subject. *)
 let check_twin_engines ctx leader follower qs =
   Alcotest.(check int32)
     (ctx ^ ": state digests agree")
@@ -176,7 +176,7 @@ let check_twin_engines ctx leader follower qs =
                     Alcotest.failf "%s: decision differs on %s" ctx q)
                 subjects)
             [ Rewrite.Materialized; Rewrite.Rewrite ])
-        Engine.all_backend_kinds)
+        (Engine.kinds leader))
     qs
 
 let sample_queries =
@@ -205,11 +205,10 @@ let test_basic_convergence () =
           ld (Repl.engine t id) sample_queries
       end)
     (Repl.nodes t);
-  (* Faultless run: every applied epoch carried the WAL batch
-     cross-check and every one verified. *)
-  Alcotest.(check int) "every applied epoch WAL-verified"
+  (* Every applied epoch's recomputed digest matched its frame's. *)
+  Alcotest.(check int) "every applied epoch digest-verified"
     (Metrics.counter (Repl.metrics t) "repl.applied")
-    (Metrics.counter (Repl.metrics t) "repl.wal_verified");
+    (Metrics.counter (Repl.metrics t) "repl.digest_verified");
   (* Reads through the serving layer agree across nodes. *)
   List.iter
     (fun q ->
@@ -476,11 +475,7 @@ let test_promote_lagging_tail () =
         (Helpers.contains msg "diverged")
 
 (* ------------------------------------------------------------------ *)
-(* The cross-node equivalence property: a random committed epoch chain
-   shipped through a faulty transport (drops, duplicates, reorders,
-   torn frames, one follower kill) leaves every follower answering
-   byte-identically to the leader — decisions with and without
-   subjects, visible id sets, both lanes, all three backends. *)
+(* The state digest: it moves with every grant, and only with grants. *)
 
 let roles_policy =
   lazy
@@ -492,6 +487,130 @@ let roles_policy =
         allow //patient\n\
         deny @staff //patient[treatment]\n\
         allow @doctor //treatment\n")
+
+let digest_engine ?(mirrored = false) () =
+  Fault.reset ();
+  let eng =
+    Engine.create ~mirrored ~dtd:W.Hospital.dtd
+      ~policy:(Lazy.force roles_policy) (W.Hospital.sample_document ())
+  in
+  ignore (Engine.annotate_all eng);
+  ignore (Engine.annotate_subjects_all eng);
+  eng
+
+let flip = function Tree.Plus -> Tree.Minus | Tree.Minus -> Tree.Plus
+
+(* Flipping one stored sign (or role bit) through a backend changes
+   the digest, and flipping it back restores it: the digest is a
+   function of the stored grants. *)
+let check_flip what eng ~write ~undo =
+  let before = Engine.state_checksum eng in
+  write ();
+  if Engine.state_checksum eng = before then
+    Alcotest.failf "%s left the digest unchanged" what;
+  undo ();
+  Alcotest.(check int32) (what ^ ", undone") before (Engine.state_checksum eng)
+
+let test_digest_sensitive () =
+  let eng = digest_engine () in
+  let policy = Engine.policy eng in
+  let b = Engine.backend eng Engine.Native in
+  let id = List.nth (b.Backend.live_ids ()) 3 in
+  let sign = b.Backend.sign_of id in
+  let eff = Backend.effective_sign b ~default:(Policy.ds policy) id in
+  check_flip "native sign flip" eng
+    ~write:(fun () -> b.Backend.restore_sign id (Some (flip eff)))
+    ~undo:(fun () -> b.Backend.restore_sign id sign);
+  let bits = b.Backend.bits_of id in
+  let default = Policy.default_bits policy in
+  let set = Xmlac_util.Bitset.mem 1 (Backend.effective_bits b ~default id) in
+  check_flip "role bit flip" eng
+    ~write:(fun () ->
+      ignore (b.Backend.set_bits_ids [ id ] ~role:1 ~value:(not set) ~default))
+    ~undo:(fun () -> b.Backend.restore_bits id bits);
+  (* On a mirrored engine the row store's own signs are digested too. *)
+  let eng = digest_engine ~mirrored:true () in
+  let row = Engine.backend eng Engine.Row_sql in
+  let id = List.nth (row.Backend.live_ids ()) 3 in
+  let eff = Backend.effective_sign row ~default:(Policy.ds policy) id in
+  check_flip "row-store sign flip" eng
+    ~write:(fun () -> ignore (row.Backend.set_sign_ids [ id ] (flip eff)))
+    ~undo:(fun () -> ignore (row.Backend.set_sign_ids [ id ] eff))
+
+let test_digest_ignores_epochs () =
+  let eng = digest_engine () in
+  let before = Engine.state_checksum eng in
+  let e0 = Engine.sign_epoch eng in
+  Engine.apply_replica eng Engine.Op_noop;
+  Alcotest.(check int) "noop consumed an epoch" (e0 + 1)
+    (Engine.sign_epoch eng);
+  Alcotest.(check int32) "noop epoch: digest unchanged" before
+    (Engine.state_checksum eng);
+  (* A crash mid-annotation, rolled back by recovery: the epoch number
+     is consumed, the grants are the pre-epoch ones. *)
+  Fault.arm "native.set_sign" (Fault.After 2);
+  (match Engine.annotate eng Engine.Native with
+  | _ -> Alcotest.fail "armed kill did not fire"
+  | exception Fault.Crash _ -> ());
+  let r = Engine.recover eng in
+  Alcotest.(check bool) "rolled back" true (r.Engine.direction = `Back);
+  Alcotest.(check int) "recovery consumed an epoch" (e0 + 2)
+    (Engine.sign_epoch eng);
+  Alcotest.(check int32) "crash + recover: digest unchanged" before
+    (Engine.state_checksum eng);
+  Alcotest.(check int32) "equal to a twin that never crashed"
+    (Engine.state_checksum (digest_engine ()))
+    (Engine.state_checksum eng);
+  Fault.reset ()
+
+(* Whenever two engines grant the same node sets — anonymously and per
+   role, on every held store — their digests are equal, whatever
+   chains of epochs led there.  Engines with unequal sets must digest
+   apart (a 32-bit collision would be a 2^-32 accident). *)
+let digest_prop =
+  QCheck2.Test.make ~name:"equal accessible sets <-> equal digests" ~count:30
+    QCheck2.Gen.(pair Helpers.seed_gen bool)
+    (fun (seed, mirrored) ->
+      Fault.reset ();
+      let rng = Prng.create ~seed in
+      let doc = Helpers.random_hospital_doc rng in
+      let policy =
+        Helpers.random_role_policy rng (Helpers.random_subjects rng)
+      in
+      let updates = List.init 2 (fun _ -> Helpers.random_update rng) in
+      let step eng = function
+        | 0 -> ignore (Engine.annotate_all eng)
+        | 1 -> ignore (Engine.annotate_subjects_all eng)
+        | 2 -> Engine.apply_replica eng Engine.Op_noop
+        | 3 ->
+            ignore
+              (Engine.insert eng ~at:"//patient"
+                 ~fragment:(treatment_fragment ()))
+        | k -> ignore (Engine.update eng (List.nth updates (k - 4)))
+      in
+      let chain () =
+        let eng = Engine.create ~mirrored ~dtd:W.Hospital.dtd ~policy doc in
+        for _ = 1 to Prng.int rng 4 do
+          step eng (Prng.int rng 6)
+        done;
+        eng
+      in
+      let a = chain () and b = chain () in
+      let sets = (accessible_sets a, subject_sets a) in
+      let same_sets = sets = (accessible_sets b, subject_sets b) in
+      let same_digest = Engine.state_checksum a = Engine.state_checksum b in
+      if same_sets <> same_digest then
+        QCheck2.Test.fail_reportf "accessible sets %s, digests %s"
+          (if same_sets then "equal" else "differ")
+          (if same_digest then "equal" else "differ");
+      true)
+
+(* ------------------------------------------------------------------ *)
+(* The cross-node equivalence property: a random committed epoch chain
+   shipped through a faulty transport (drops, duplicates, reorders,
+   torn frames, one follower kill) leaves every follower answering
+   byte-identically to the leader — decisions with and without
+   subjects, visible id sets, both lanes, every held store. *)
 
 let equivalence_prop =
   QCheck2.Test.make
@@ -600,6 +719,13 @@ let () =
           tc "promote after leader kill" test_promote_after_leader_kill;
           tc "promoting a lagging tail marks survivors divergent"
             test_promote_lagging_tail;
+        ] );
+      ( "state digest",
+        [
+          tc "one flipped sign or role bit changes it" test_digest_sensitive;
+          tc "noop and recovered epochs leave it alone"
+            test_digest_ignores_epochs;
+          QCheck_alcotest.to_alcotest digest_prop;
         ] );
       ( "properties", [ QCheck_alcotest.to_alcotest equivalence_prop ] );
     ]
