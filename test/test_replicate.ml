@@ -720,7 +720,7 @@ let () =
           tc "promoting a lagging tail marks survivors divergent"
             test_promote_lagging_tail;
         ] );
-      ( "state digest",
+      ( "digest",
         [
           tc "one flipped sign or role bit changes it" test_digest_sensitive;
           tc "noop and recovered epochs leave it alone"
