@@ -33,32 +33,34 @@ type subjects_stats = {
   bits_total : int;
 }
 
+(* Same resolved ds/cr and the same rules (structurally equal
+   resources, equal effects): the two projections compile to the same
+   plan. *)
+let same_projection p q =
+  Policy.ds p = Policy.ds q
+  && Policy.cr p = Policy.cr q
+  &&
+  let rp = Policy.rules p and rq = Policy.rules q in
+  List.length rp = List.length rq
+  && List.for_all2
+       (fun (a : Rule.t) (b : Rule.t) ->
+         a.Rule.effect = b.Rule.effect
+         && (a.Rule.resource == b.Rule.resource
+            || Xmlac_xpath.Ast.equal_expr a.Rule.resource b.Rule.resource))
+       rp rq
+
 (* One plan per role, in bit order: the role's projected single-subject
    policy compiled and rewritten exactly as the single-plan path
-   would.  Roles whose projections coincide — same resolved ds/cr and
-   the same applicable rules (structurally equal resources, equal
-   effects) — compile (and rewrite, the expensive step) once and share
-   the plan value; a miss only costs the duplicate compile it would
-   have paid anyway. *)
+   would.  Roles whose projections coincide ({!same_projection})
+   compile (and rewrite, the expensive step) once and share the plan
+   value; a miss only costs the duplicate compile it would have paid
+   anyway. *)
 let compile_subjects ?schema ?(rewrite = true) policy =
-  let same_proj p q =
-    Policy.ds p = Policy.ds q
-    && Policy.cr p = Policy.cr q
-    &&
-    let rp = Policy.rules p and rq = Policy.rules q in
-    List.length rp = List.length rq
-    && List.for_all2
-         (fun (a : Rule.t) (b : Rule.t) ->
-           a.Rule.effect = b.Rule.effect
-           && (a.Rule.resource == b.Rule.resource
-              || Xmlac_xpath.Ast.equal_expr a.Rule.resource b.Rule.resource))
-         rp rq
-  in
   let compiled = ref [] in
   List.map
     (fun role ->
       let p = Policy.for_subject policy role in
-      match List.find_opt (fun (q, _) -> same_proj p q) !compiled with
+      match List.find_opt (fun (q, _) -> same_projection p q) !compiled with
       | Some (_, plan) -> plan
       | None ->
           let plan = Plan.of_policy p in

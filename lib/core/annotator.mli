@@ -45,6 +45,12 @@ type subjects_stats = {
   bits_total : int;  (** Nodes in the store at annotation time. *)
 }
 
+val same_projection : Policy.t -> Policy.t -> bool
+(** Whether two single-subject projections ({!Policy.for_subject})
+    have the same resolved [(ds, cr)] and the same rules in the same
+    order (equal effects, structurally equal resources) — so they
+    compile to the same plan. *)
+
 val compile_subjects :
   ?schema:Xmlac_xml.Schema_graph.t -> ?rewrite:bool -> Policy.t -> Plan.t list
 (** Each role's plan in bit order, compiled and rewritten exactly as

@@ -32,10 +32,27 @@ let build ~mode policy =
     | Paper -> rules.(i).Rule.effect <> rules.(j).Rule.effect
     | Overlap _ -> true
   in
+  (* Relatedness depends on the resources alone: number the distinct
+     resources and decide each pair of them once. *)
+  let classes = ref 0 in
+  let class_of =
+    Rule.memo_resource (fun _ ->
+        incr classes;
+        !classes - 1)
+  in
+  let cls = Array.map (fun (r : Rule.t) -> class_of r.Rule.resource) rules in
+  let memo = Array.make_matrix !classes !classes None in
+  let related i j =
+    match memo.(cls.(i)).(cls.(j)) with
+    | Some v -> v
+    | None ->
+        let v = related mode rules.(i) rules.(j) in
+        memo.(cls.(i)).(cls.(j)) <- Some v;
+        v
+  in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
-      if i <> j && signs_ok i j && related mode rules.(i) rules.(j) then
-        adj.(i) <- j :: adj.(i)
+      if i <> j && signs_ok i j && related i j then adj.(i) <- j :: adj.(i)
     done;
     adj.(i) <- List.rev adj.(i)
   done;

@@ -39,8 +39,9 @@ type open_op = {
   saved_bits_annotated : backend_kind list;
   saved_divergent : bool;
   mutable prepared : (backend_kind * Reannotator.prepared) list;
-      (** Pre-mutation repair state, stashed per backend just before
-          its structural apply — recovery's roll-forward input. *)
+      (** Pre-mutation repair state (signs, and bitmaps where they are
+          materialized), stashed per backend just before its
+          structural apply — recovery's roll-forward input. *)
   mutable applied : backend_kind list;
       (** Backends whose structural mutation completed. *)
   mutable new_roots : Tree.node list;  (** Grafted roots (insert only). *)
@@ -73,6 +74,11 @@ type t = {
   mapping : Xmlac_shrex.Mapping.t;
   sg : Sg.t;
   depend : Depend.t;
+  (* The bitmap repair's trigger graph: always [Overlap], so the
+     repair matches the full shared pass.  [depend] itself under
+     [Overlap_mode]; otherwise built on the first repair that needs
+     it. *)
+  bits_depend : Depend.t Lazy.t;
   plan : Plan.t;
   doc : Tree.t;
   (* The held stores, native first; the relational mirrors only when
@@ -167,10 +173,13 @@ let create ?(mode = Paper_mode) ?(optimize = true) ?(mirrored = false) ~dtd
           [ relational Row_sql Table.Row; relational Column_sql Table.Column ]
         else [])
   in
-  let depend_mode =
+  let depend, bits_depend =
+    let overlap () = Depend.build ~mode:(Depend.Overlap sg) policy in
     match mode with
-    | Paper_mode -> Depend.Paper
-    | Overlap_mode -> Depend.Overlap sg
+    | Paper_mode -> (Depend.build ~mode:Depend.Paper policy, lazy (overlap ()))
+    | Overlap_mode ->
+        let d = overlap () in
+        (d, Lazy.from_val d)
   in
   let metrics = Metrics.create () in
   let t =
@@ -180,7 +189,8 @@ let create ?(mode = Paper_mode) ?(optimize = true) ?(mirrored = false) ~dtd
     report;
     mapping;
     sg;
-    depend = Depend.build ~mode:depend_mode policy;
+    depend;
+    bits_depend;
     plan = Plan.rewrite ~schema:sg (Plan.of_policy policy);
     doc = native_doc;
     stores;
@@ -389,22 +399,6 @@ let annotate_subjects t kind =
 let annotate_subjects_all t =
   List.map (fun s -> (s.kind, annotate_subjects t s.kind)) t.stores
 
-(* Structural updates repair the single-subject signs incrementally
-   (Reannotator), but the bitmap layer has no incremental repair yet —
-   once the shared pass has materialized a store's bitmaps, keep them
-   fresh by re-running it after the mutation, inside the same epoch
-   (so a crash rolls the whole thing back together). *)
-let reannotate_bits t =
-  match t.bits_annotated with
-  | [] -> ()
-  | ks ->
-      Metrics.incr t.metrics "subjects.reannotations";
-      List.iter
-        (fun k ->
-          ignore
-            (Annotator.annotate_subjects ~schema:t.sg (backend t k) t.policy))
-        (List.rev ks)
-
 (* The role's per-node sign, read off the bitmap layer: explicit where
    a bitmap is materialized, the role's resolved default elsewhere
    ([effective_bits] falls back to the policy's default bitmap, whose
@@ -531,12 +525,14 @@ let structural t op =
       invalid_arg "Engine: not a structural operation"
 
 (* Apply a structural operation to every held store and repair its
-   signs.  Per store: take the stashed pre-mutation repair state (or
-   compute it while the store is untouched), apply the mutation unless
-   it already completed, and run the repair's sign phase.  Recovery's
-   roll-forward resumes from what the crashed attempt recorded; its
-   partial sign writes were rolled back, so the repair recomputes them
-   from the inputs the uninterrupted operation used. *)
+   signs — and its role bitmaps, once an [annotate_subjects] epoch has
+   materialized them there.  Per store: take the stashed pre-mutation
+   repair state (or compute it while the store is untouched), apply the
+   mutation unless it already completed, and run the repair's
+   post-mutation phase.  Recovery's roll-forward resumes from what the
+   crashed attempt recorded; its partial sign and bitmap writes were
+   rolled back, so the repair recomputes them from the inputs the
+   uninterrupted operation used. *)
 let restructure t o (touched, apply) =
   List.map
     (fun s ->
@@ -544,8 +540,14 @@ let restructure t o (touched, apply) =
         match List.assoc_opt s.kind o.prepared with
         | Some p -> p
         | None ->
+            let bits =
+              if List.mem s.kind t.bits_annotated then
+                Some (Lazy.force t.bits_depend)
+              else None
+            in
             let p =
-              Reannotator.prepare ~schema:t.sg s.backend t.depend ~touched
+              Reannotator.prepare ~schema:t.sg ?bits s.backend t.depend
+                ~touched
             in
             o.prepared <- (s.kind, p) :: o.prepared;
             p
@@ -573,7 +575,6 @@ let mutate t op =
   maintain_cam t
     ~changed:(List.assoc Native stats).Reannotator.changed
     ~roots:(List.map (fun (n : Tree.node) -> n.Tree.id) o.new_roots);
-  reannotate_bits t;
   commit_op t o;
   stats
 
@@ -647,12 +648,10 @@ let recover t =
         | Op_update _ | Op_insert _ ->
             (* Structural operation: the mutation may have reached some
                stores; re-applying it everywhere and re-running the
-               repair converges every held store on the post-operation
-               state.  Stores whose bitmaps were materialized get the
-               shared pass re-run too, as the uninterrupted operation
-               would have. *)
+               repair — signs, and bitmaps where materialized —
+               converges every held store on the post-operation
+               state. *)
             ignore (restructure t o (structural t o.op));
-            reannotate_bits t;
             (`Forward, kinds t)
       in
       (* The epoch number is consumed either way — the counter never

@@ -63,7 +63,10 @@ val all_backend_kinds : backend_kind list
 (** Every kind, held or not; {!kinds} lists an engine's own. *)
 
 type trigger_mode = Paper_mode | Overlap_mode
-(** See {!Depend.mode}; [Overlap_mode] is the complete variant. *)
+(** See {!Depend.mode}; [Overlap_mode] is the complete variant.  The
+    mode governs the sign layer's repair only: the role-bitmap repair
+    always triggers through an [Overlap] graph (under [Paper_mode] one
+    is built on the first mutation that repairs bitmaps). *)
 
 type t
 
@@ -190,8 +193,11 @@ val request_direct :
 
 val update : t -> string -> (backend_kind * Reannotator.stats) list
 (** Applies a delete update (XPath string) to every held store and
-    re-annotates each partially; bumps the {!epoch} and repairs the
-    CAM incrementally from the native store's changed-id report. *)
+    re-annotates each partially — signs, and the role bitmaps of every
+    store an {!annotate_subjects} epoch has materialized, both over
+    the affected region only ({!Reannotator.finish}); bumps the
+    {!epoch} and repairs the CAM incrementally from the native store's
+    changed-id report. *)
 
 val insert :
   t -> at:string -> fragment:Xmlac_xml.Tree.t ->
@@ -199,7 +205,8 @@ val insert :
 (** Grafts a copy of [fragment] under every node selected by [at] in
     every held store (relational mirrors copy the native store's fresh
     universal ids, so the stores stay comparable) and partially
-    re-annotates each.  The trigger treats the insertion points —
+    re-annotates each, role bitmaps included, as {!update} does.  The
+    trigger treats the insertion points —
     [at/<fragment-root>] — as the update expression.  Bumps the
     {!epoch}; the CAM entries of the changed nodes and of the grafted
     subtrees are rebuilt incrementally.

@@ -27,25 +27,39 @@ type stats = {
           a subset of the affected region, reported so downstream
           indexes ({!Cam.apply_changes} in the engine) can repair
           themselves incrementally instead of rebuilding. *)
+  bits_changed : int list;
+      (** The ids whose role bitmap was rewritten, ascending — empty
+          unless the repair was prepared with [~bits].  Every one lies
+          in the bitmap layer's affected region: the triggered rules'
+          scopes before or after the update. *)
 }
 
 type prepared
 (** The pre-mutation half of a repair: the triggered rules and the
-    union of their scopes {e before} the update.  Computing it is
-    side-effect free, so the engine stashes it in its open-epoch
-    record — after a crash between the mutation and the sign repair,
-    {!finish} can be re-run from the stashed value even though the
-    pre-update document no longer exists ({!Engine.recover}'s
-    roll-forward path). *)
+    union of their scopes {e before} the update, for the sign layer
+    and (when asked) the bitmap layer.  Computing it is side-effect
+    free, so the engine stashes it in its open-epoch record — after a
+    crash between the mutation and the repair, {!finish} can be re-run
+    from the stashed value even though the pre-update document no
+    longer exists ({!Engine.recover}'s roll-forward path). *)
 
 val prepare :
   ?schema:Xmlac_xml.Schema_graph.t ->
+  ?bits:Depend.t ->
   Backend.t ->
   Depend.t ->
   touched:Xmlac_xpath.Ast.expr list ->
   prepared
 (** Runs the trigger and evaluates the pre-update scopes.  Must be
-    called {e before} the mutation is applied to this backend. *)
+    called {e before} the mutation is applied to this backend.
+
+    [~bits] asks {!finish} to repair the role bitmaps too, triggered
+    through the given graph — which must be an [Overlap] graph over
+    the same policy: unlike signs, bitmaps have no weaker mode to fall
+    back on, and only that graph makes the repair coincide with the
+    full shared pass ({!Annotator.annotate_subjects}).  When it is
+    the sign layer's graph itself, the two layers share one trigger
+    run and one affected region. *)
 
 val finish :
   ?schema:Xmlac_xml.Schema_graph.t ->
@@ -55,9 +69,15 @@ val finish :
   deleted_roots:int ->
   stats
 (** The post-mutation half: post-update scopes, the restricted
-    annotation plan, and the sign writes.  Idempotent given the same
-    [prepared] and document state — recovery re-runs it after rolling
-    back any partial sign writes of a crashed attempt. *)
+    annotation plan, and the sign writes; then, if prepared with
+    [~bits], the bitmap repair — every role's projection of the
+    bitmap layer's triggered rules ({!Policy.for_subject}), restricted
+    to its affected region, identical projections evaluated once, all
+    in one {!Backend.t.eval_plans} batch, and exactly the role bits
+    that disagree written in one {!Backend.t.set_bits_batch}.
+    Idempotent given the same [prepared] and document state — recovery
+    re-runs it after rolling back any partial sign and bitmap writes
+    of a crashed attempt. *)
 
 val reannotate :
   ?schema:Xmlac_xml.Schema_graph.t ->

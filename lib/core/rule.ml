@@ -30,6 +30,18 @@ let unqualified r = r.subjects = []
 let applies_to ~closure r =
   r.subjects = [] || List.exists (fun s -> List.mem s r.subjects) closure
 
+(* [equal_expr] is structural equality on plain data, so the generic
+   hash table keys resources exactly. *)
+let memo_resource f =
+  let tbl = Hashtbl.create 16 in
+  fun e ->
+    match Hashtbl.find_opt tbl e with
+    | Some v -> v
+    | None ->
+        let v = f e in
+        Hashtbl.replace tbl e v;
+        v
+
 let is_positive r = r.effect = Plus
 let is_negative r = r.effect = Minus
 

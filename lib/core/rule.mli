@@ -46,6 +46,12 @@ val applies_to : closure:string list -> t -> bool
     ({!Subject.closure}) is [closure]: unqualified rules always do; a
     qualified rule does iff it names a role in the closure. *)
 
+val memo_resource : (Xmlac_xpath.Ast.expr -> 'a) -> Xmlac_xpath.Ast.expr -> 'a
+(** Memoizes a function of resources under structural equality
+    ({!Xmlac_xpath.Ast.equal_expr}): role policies repeat one resource
+    under many qualifiers, and work that depends on the resource alone
+    need not be repeated per rule. *)
+
 val is_positive : t -> bool
 val is_negative : t -> bool
 

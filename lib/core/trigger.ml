@@ -23,16 +23,17 @@ let run_all ?schema depend ~updates =
     | None, Depend.Paper -> None
   in
   let rules = Array.of_list (Policy.rules policy) in
+  (* The verdict depends on the resource alone. *)
+  let triggers =
+    Rule.memo_resource (fun e ->
+        let expansion = Xp.Expand.expand ?schema e in
+        List.exists
+          (fun update -> List.exists (fun x -> related mode x update) expansion)
+          updates)
+  in
   let directly = ref [] in
   Array.iteri
-    (fun i r ->
-      let expansion = Xp.Expand.expand ?schema r.Rule.resource in
-      if
-        List.exists
-          (fun update ->
-            List.exists (fun x -> related mode x update) expansion)
-          updates
-      then directly := i :: !directly)
+    (fun i r -> if triggers r.Rule.resource then directly := i :: !directly)
     rules;
   let directly = List.rev !directly in
   let with_deps =

@@ -111,6 +111,19 @@ let random_role_policy rng subjects =
   let cr = if Prng.bool rng then Rule.Plus else Rule.Minus in
   Policy.make ~subjects ~ds ~cr rules
 
+(* A two-role hospital policy: doctors inherit staff's rules, staff
+   lose patients under treatment, doctors see treatments. *)
+let hospital_roles_policy =
+  lazy
+    (Xmlac_core.Policy_io.parse_exn
+       "role staff\n\
+        role doctor inherits staff\n\
+        default deny\n\
+        conflict deny\n\
+        allow //patient\n\
+        deny @staff //patient[treatment]\n\
+        allow @doctor //treatment\n")
+
 (* Alcotest checkers. *)
 let int_list = Alcotest.(list int)
 let string_list = Alcotest.(list string)

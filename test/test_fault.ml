@@ -152,7 +152,8 @@ let kill_offsets hits =
    epoch counter never runs backwards; the fast lane is coherent.
    [structural] marks operations whose single epoch spans every held
    store (recovery rolls them forward together). *)
-let crash_sweep ~name ~make_engine ~prep ~op ~structural ~sets () =
+let crash_sweep ?(crosses = []) ~name ~make_engine ~prep ~op ~structural
+    ~sets () =
   Fault.reset ();
   let scout = make_engine () in
   prep scout;
@@ -167,6 +168,11 @@ let crash_sweep ~name ~make_engine ~prep ~op ~structural ~sets () =
       (Fault.registered ())
   in
   Alcotest.(check bool) (name ^ ": crosses fault points") true (crossed <> []);
+  List.iter
+    (fun pt ->
+      Alcotest.(check bool) (name ^ ": crosses " ^ pt) true
+        (List.mem_assoc pt crossed))
+    crosses;
   let pre_twin = make_engine () in
   prep pre_twin;
   let pre = sets pre_twin in
@@ -256,20 +262,9 @@ let test_crash_sweep_insert ~mirrored () =
    accessible sets are extensionally the pre- or the post-annotation
    materialization, never a mix of roles. *)
 
-let hospital_roles_policy =
-  lazy
-    (Policy_io.parse_exn
-       "role staff\n\
-        role doctor inherits staff\n\
-        default deny\n\
-        conflict deny\n\
-        allow //patient\n\
-        deny @staff //patient[treatment]\n\
-        allow @doctor //treatment\n")
-
 let hospital_roles_fixture ~mirrored () =
   let doc = W.Hospital.sample_document () in
-  let policy = Lazy.force hospital_roles_policy in
+  let policy = Lazy.force Helpers.hospital_roles_policy in
   fun () -> Engine.create ~mirrored ~dtd:W.Hospital.dtd ~policy doc
 
 let accessible_subject_sets eng =
@@ -287,6 +282,46 @@ let test_crash_sweep_annotate_subjects ~mirrored () =
     ~prep:(fun _ -> ())
     ~op:(fun eng -> ignore (Engine.annotate_subjects_all eng))
     ~structural:false ~sets:accessible_subject_sets ()
+
+(* Structural epochs over materialized bitmaps: the mutation repairs
+   the role bitmaps over its affected region inside the same epoch, so
+   a crash at any point of that repair — each per-node bitmap stamp
+   included — must recover every store to the pre- or post-mutation
+   state for the anonymous subject and for every role at once. *)
+
+let bitmapped eng =
+  annotate_all eng;
+  ignore (Engine.annotate_subjects_all eng)
+
+let all_subject_sets eng =
+  List.map
+    (fun (k, roles) -> (k, (Engine.accessible eng k, roles)))
+    (accessible_subject_sets eng)
+
+(* Every held store's per-node bitmap stamp. *)
+let bit_stamps ~mirrored =
+  if mirrored then [ "native.set_bits"; "row.set_bits"; "column.set_bits" ]
+  else [ "native.set_bits" ]
+
+let test_crash_sweep_update_bits ~mirrored () =
+  crash_sweep ~crosses:(bit_stamps ~mirrored)
+    ~name:(sweep_name "update with bitmaps" ~mirrored)
+    ~make_engine:(hospital_roles_fixture ~mirrored ())
+    ~prep:bitmapped
+    ~op:(fun eng -> ignore (Engine.update eng "//patient/treatment"))
+    ~structural:true ~sets:all_subject_sets ()
+
+let test_crash_sweep_insert_bits ~mirrored () =
+  crash_sweep ~crosses:(bit_stamps ~mirrored)
+    ~name:(sweep_name "insert with bitmaps" ~mirrored)
+    ~make_engine:(hospital_roles_fixture ~mirrored ())
+    ~prep:bitmapped
+    ~op:(fun eng ->
+      ignore
+        (Engine.insert eng
+           ~at:"//patient[psn = \"099\"]"
+           ~fragment:(treatment_fragment ())))
+    ~structural:true ~sets:all_subject_sets ()
 
 (* The ISSUE's coverage floor: the mutating paths cross named points
    spanning the WAL, relational sign UPDATEs, native sign stamping,
@@ -598,6 +633,14 @@ let () =
             (test_crash_sweep_insert ~mirrored:false);
           tc "multi-role epoch, native only"
             (test_crash_sweep_annotate_subjects ~mirrored:false);
+          tc "update epoch with bitmaps"
+            (test_crash_sweep_update_bits ~mirrored:true);
+          tc "insert epoch with bitmaps"
+            (test_crash_sweep_insert_bits ~mirrored:true);
+          tc "update epoch with bitmaps, native only"
+            (test_crash_sweep_update_bits ~mirrored:false);
+          tc "insert epoch with bitmaps, native only"
+            (test_crash_sweep_insert_bits ~mirrored:false);
           tc "fault point coverage" test_fault_point_coverage;
           tc "registry listing sorted" test_registered_sorted;
           tc "rewrite compile kill isolated" test_rewrite_compile_kill_isolated;

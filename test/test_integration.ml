@@ -417,6 +417,167 @@ let mirrored_harness_prop =
       done;
       true)
 
+(* ------------------------------------------------------------------ *)
+(* Role bitmaps on the default engine: a structural mutation repairs
+   them over its affected region only, and the repair must say exactly
+   what the policy says.  The engine's own oracle ([request_direct])
+   reads the same bitmaps, so the reference semantics is the only
+   check that can see them drift. *)
+
+let bitmap_oracle_prop =
+  QCheck2.Test.make
+    ~name:"default engine: role bitmaps = reference after every mutation"
+    ~count:40 QCheck2.Gen.int64 (fun seed ->
+      let rng = Prng.create ~seed in
+      let doc = Helpers.random_hospital_doc rng in
+      let policy =
+        Helpers.random_role_policy rng (Helpers.random_subjects rng)
+      in
+      let def = Engine.create ~dtd:W.Hospital.dtd ~policy doc in
+      let twin = Engine.create ~mirrored:true ~dtd:W.Hospital.dtd ~policy doc in
+      let roles = Policy.roles (Engine.policy def) in
+      let check step =
+        let fail fmt = QCheck2.Test.fail_reportf ("after %s: " ^^ fmt) step in
+        List.iter
+          (fun (name, eng) ->
+            List.iter
+              (fun role ->
+                let want =
+                  Policy.accessible_ids ~subject:role (Engine.policy eng)
+                    (Engine.document eng)
+                in
+                if Engine.accessible_subject eng Engine.Native role <> want
+                then fail "%s engine: %s's bitmaps differ from the policy" name
+                    role)
+              roles)
+          [ ("default", def); ("mirrored", twin) ];
+        if not (Engine.consistent_subjects twin) then
+          fail "twin bitmaps out of lockstep"
+      in
+      List.iter
+        (fun eng ->
+          ignore (Engine.annotate_all eng);
+          ignore (Engine.annotate_subjects_all eng))
+        [ def; twin ];
+      check "annotate_subjects";
+      for _ = 1 to 4 + Prng.int rng 3 do
+        let step, run =
+          if Prng.bool rng then
+            let q = Helpers.random_update rng in
+            ("update " ^ q, fun eng -> ignore (Engine.update eng q))
+          else
+            let at, fragment =
+              if Prng.bool rng then
+                ("//patient", treatment_fragment ~med:"aspirin" ~bill:"120")
+              else ("//staffinfo", staff_fragment ())
+            in
+            ( "insert at " ^ at,
+              fun eng -> ignore (Engine.insert eng ~at ~fragment) )
+        in
+        run def;
+        run twin;
+        check step
+      done;
+      true)
+
+let bitmapped_engine () =
+  let eng =
+    Engine.create ~dtd:W.Hospital.dtd
+      ~policy:(Lazy.force Helpers.hospital_roles_policy)
+      (W.Hospital.sample_document ())
+  in
+  ignore (Engine.annotate_all eng);
+  ignore (Engine.annotate_subjects_all eng);
+  eng
+
+(* Per-node bitmap writes on the native store so far: its backend
+   crosses this fault point once per node stamped. *)
+let bit_stamps () = Xmlac_util.Fault.hits "native.set_bits"
+
+let raw_bits eng =
+  let b = Engine.backend eng Engine.Native in
+  List.map (fun id -> (id, b.Backend.bits_of id)) (b.Backend.live_ids ())
+
+(* The rules the bitmap layer's trigger — the complete, overlap-based
+   graph — reaches from the given update paths. *)
+let overlap_triggered eng updates =
+  let policy = Engine.policy eng and sg = Engine.schema_graph eng in
+  let depend = Depend.build ~mode:(Depend.Overlap sg) policy in
+  Trigger.triggered_rules depend
+    (Trigger.run_all ~schema:sg depend
+       ~updates:(List.map Helpers.parse updates))
+
+let native_stats = function
+  | [ (Engine.Native, s) ] -> s
+  | _ -> Alcotest.fail "expected the native store's stats only"
+
+let test_untriggered_insert_keeps_bitmaps () =
+  let eng = bitmapped_engine () in
+  Alcotest.(check int) "the insert paths trigger no rule" 0
+    (List.length
+       (overlap_triggered eng [ "//staffinfo/staff"; "//staffinfo/staff//*" ]));
+  let before = raw_bits eng and stamps = bit_stamps () in
+  let s =
+    native_stats
+      (Engine.insert eng ~at:"//staffinfo" ~fragment:(staff_fragment ()))
+  in
+  Alcotest.(check Helpers.int_list) "no bitmap rewritten" []
+    s.Reannotator.bits_changed;
+  Alcotest.(check int) "no bitmap stamped" stamps (bit_stamps ());
+  let after = raw_bits eng in
+  List.iter
+    (fun (id, bits) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d keeps its stored bitmap" id)
+        true
+        (List.assoc id after = bits))
+    before
+
+let test_bits_repair_stays_in_region () =
+  let eng = bitmapped_engine () in
+  let update = "//patient/treatment" in
+  let policy = Engine.policy eng in
+  let rules = overlap_triggered eng [ update ] in
+  let scopes () =
+    List.concat_map
+      (fun (r : Rule.t) ->
+        Helpers.ids (Engine.document eng)
+          (Xmlac_xpath.Pp.expr_to_string r.Rule.resource))
+      rules
+  in
+  let pre = scopes () and before = raw_bits eng and stamps = bit_stamps () in
+  let s = native_stats (Engine.update eng update) in
+  let region = pre @ scopes () in
+  let rewritten = s.Reannotator.bits_changed in
+  Alcotest.(check bool) "the deletion rewrote some bitmaps" true
+    (rewritten <> []);
+  Alcotest.(check int) "one stamp per rewritten node"
+    (List.length rewritten)
+    (bit_stamps () - stamps);
+  List.iter
+    (fun id ->
+      Alcotest.(check bool)
+        (Printf.sprintf "rewritten node %d lies in a triggered scope" id)
+        true (List.mem id region))
+    rewritten;
+  (* And the report is complete: no other surviving node's bitmap
+     moved. *)
+  let after = raw_bits eng in
+  List.iter
+    (fun (id, bits) ->
+      if not (List.mem id rewritten) then
+        Alcotest.(check bool)
+          (Printf.sprintf "unreported node %d keeps its stored bitmap" id)
+          true
+          (List.assoc id before = bits))
+    after;
+  List.iter
+    (fun role ->
+      Alcotest.(check Helpers.int_list) (role ^ " matches the policy")
+        (Policy.accessible_ids ~subject:role policy (Engine.document eng))
+        (Engine.accessible_subject eng Engine.Native role))
+    (Policy.roles policy)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "integration-insert"
@@ -431,5 +592,13 @@ let () =
         [
           tc "holds the native store only" test_default_holds_native_only;
           QCheck_alcotest.to_alcotest mirrored_harness_prop;
+        ] );
+      ( "bitmap repair",
+        [
+          QCheck_alcotest.to_alcotest bitmap_oracle_prop;
+          tc "untriggered insert rewrites no bitmap"
+            test_untriggered_insert_keeps_bitmaps;
+          tc "rewritten bitmaps lie in the triggered scopes"
+            test_bits_repair_stays_in_region;
         ] );
     ]
