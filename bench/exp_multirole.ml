@@ -21,8 +21,9 @@
    native store with every role's bitmaps materialized, two ways: the
    sign repair followed by the full shared pass, and the sign repair
    with the region-restricted bitmap repair
-   (Reannotator.prepare ~bits).  Both must leave every role's
-   accessible set identical; the bench exits non-zero otherwise. *)
+   (Reannotator.prepare ~bits:true).  Both trigger through the Overlap
+   graph, as the engine does, and must leave every role's accessible
+   set identical; the bench exits non-zero otherwise. *)
 
 module Tree = Xmlac_xml.Tree
 module Timing = Xmlac_util.Timing
@@ -111,24 +112,25 @@ let repair_row document n =
   let schema = Bench_common.schema_graph in
   let policy = policy_for ~roles:n in
   let update = Xmlac_xpath.Parser.parse_exn mutation in
-  let signs = Depend.build ~mode:Depend.Paper policy in
-  let bits, graph_s =
+  let depend, graph_s =
     Timing.time (fun () -> Depend.build ~mode:(Depend.Overlap schema) policy)
   in
   let signs_s, _, _ =
     time_mutation document policy ~run:(fun b ->
-        Reannotator.reannotate ~schema b signs ~update)
+        Reannotator.reannotate ~schema b depend ~update)
   in
   let full_s, full_b, () =
     time_mutation document policy ~run:(fun b ->
-        ignore (Reannotator.reannotate ~schema b signs ~update);
+        ignore (Reannotator.reannotate ~schema b depend ~update);
         ignore (Annotator.annotate_subjects ~schema b policy))
   in
   let repair_s, repair_b, stats =
     time_mutation document policy ~run:(fun b ->
-        let p = Reannotator.prepare ~schema ~bits b signs ~touched:[ update ] in
+        let p =
+          Reannotator.prepare ~schema ~bits:true b depend ~touched:[ update ]
+        in
         let deleted_roots = b.Backend.delete_update update in
-        Reannotator.finish ~schema b signs p ~deleted_roots)
+        Reannotator.finish ~schema b depend p ~deleted_roots)
   in
   let default = Policy.default_bits policy in
   let agree =

@@ -27,11 +27,11 @@ module Pool = Xmlac_serve.Pool
 module Repl = Xmlac_replicate.Replicate
 module Timing = Xmlac_util.Timing
 
+let die fmt = Printf.ksprintf (fun m -> prerr_endline ("xmlacctl: " ^ m); exit 1) fmt
+
 let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error m -> die "cannot read %s: %s" path m
 
 let write_out path content =
   match path with
@@ -41,8 +41,6 @@ let write_out path content =
       Fun.protect
         ~finally:(fun () -> close_out oc)
         (fun () -> output_string oc content)
-
-let die fmt = Printf.ksprintf (fun m -> prerr_endline ("xmlacctl: " ^ m); exit 1) fmt
 
 let load_dtd = function
   | "hospital" -> Xmlac_workload.Hospital.dtd

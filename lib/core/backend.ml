@@ -54,11 +54,10 @@ let with_faults ~prefix b =
         b.eval_ids e);
     eval_plans =
       (fun ps ->
-        List.map
-          (fun p ->
-            pt "eval";
-            b.eval_plan p)
-          ps);
+        (* One crossing per plan, then one batch, so the wrapped
+           store keeps its shared evaluation. *)
+        List.iter (fun _ -> pt "eval") ps;
+        b.eval_plans ps);
     set_sign_ids =
       (fun ids sign ->
         List.fold_left

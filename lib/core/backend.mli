@@ -126,9 +126,10 @@ val with_faults : prefix:string -> t -> t
     mid-write),
     [<prefix>.reset_signs], [<prefix>.reset_bits] and
     [<prefix>.delete]; [eval_ids] crosses [<prefix>.eval] once per
-    query — as does each plan of an [eval_plans] batch — the read-path
-    site transient triggers use to fail a request without corrupting
-    state.  Other read operations pass through untouched. *)
+    query — as does each plan of an [eval_plans] batch, before the
+    wrapped store runs the whole batch — the read-path site transient
+    triggers use to fail a request without corrupting state.  Other
+    read operations pass through untouched. *)
 
 (** {1 Annotation undo journal} *)
 

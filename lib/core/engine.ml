@@ -20,8 +20,6 @@ let fault_prefix = function
 
 let all_backend_kinds = [ Native; Row_sql; Column_sql ]
 
-type trigger_mode = Paper_mode | Overlap_mode
-
 (* One mutating operation: what an open sign epoch is attempting (so
    recovery can finish or abandon it after a simulated crash) and what
    a committed epoch ships to replicas. *)
@@ -74,11 +72,6 @@ type t = {
   mapping : Xmlac_shrex.Mapping.t;
   sg : Sg.t;
   depend : Depend.t;
-  (* The bitmap repair's trigger graph: always [Overlap], so the
-     repair matches the full shared pass.  [depend] itself under
-     [Overlap_mode]; otherwise built on the first repair that needs
-     it. *)
-  bits_depend : Depend.t Lazy.t;
   plan : Plan.t;
   doc : Tree.t;
   (* The held stores, native first; the relational mirrors only when
@@ -131,8 +124,7 @@ let publish_snapshot t =
   in
   Snapshot.publish t.snapshots snap
 
-let create ?(mode = Paper_mode) ?(optimize = true) ?(mirrored = false) ~dtd
-    ~policy doc =
+let create ?(optimize = true) ?(mirrored = false) ~dtd ~policy doc =
   let mapping = Xmlac_shrex.Mapping.of_dtd dtd in
   let sg = Xmlac_shrex.Mapping.schema_graph mapping in
   let original_policy = policy in
@@ -173,14 +165,6 @@ let create ?(mode = Paper_mode) ?(optimize = true) ?(mirrored = false) ~dtd
           [ relational Row_sql Table.Row; relational Column_sql Table.Column ]
         else [])
   in
-  let depend, bits_depend =
-    let overlap () = Depend.build ~mode:(Depend.Overlap sg) policy in
-    match mode with
-    | Paper_mode -> (Depend.build ~mode:Depend.Paper policy, lazy (overlap ()))
-    | Overlap_mode ->
-        let d = overlap () in
-        (d, Lazy.from_val d)
-  in
   let metrics = Metrics.create () in
   let t =
   {
@@ -189,8 +173,9 @@ let create ?(mode = Paper_mode) ?(optimize = true) ?(mirrored = false) ~dtd
     report;
     mapping;
     sg;
-    depend;
-    bits_depend;
+    (* The complete trigger: the sign and bitmap repairs both match
+       annotating from scratch. *)
+    depend = Depend.build ~mode:(Depend.Overlap sg) policy;
     plan = Plan.rewrite ~schema:sg (Plan.of_policy policy);
     doc = native_doc;
     stores;
@@ -540,14 +525,10 @@ let restructure t o (touched, apply) =
         match List.assoc_opt s.kind o.prepared with
         | Some p -> p
         | None ->
-            let bits =
-              if List.mem s.kind t.bits_annotated then
-                Some (Lazy.force t.bits_depend)
-              else None
-            in
             let p =
-              Reannotator.prepare ~schema:t.sg ?bits s.backend t.depend
-                ~touched
+              Reannotator.prepare ~schema:t.sg
+                ~bits:(List.mem s.kind t.bits_annotated)
+                s.backend t.depend ~touched
             in
             o.prepared <- (s.kind, p) :: o.prepared;
             p

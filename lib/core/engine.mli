@@ -4,7 +4,9 @@
 
     [create] keeps a private native copy ("MonetDB/XQuery") of the
     source document, optimizes the policy and precomputes the rule
-    dependency graph.  The CAM, snapshots, the rewrite lane and every
+    dependency graph — the complete [Overlap] one ({!Depend.mode}), so
+    every repair of signs and role bitmaps coincides with annotating
+    from scratch.  The CAM, snapshots, the rewrite lane and every
     reader use the native store alone.  The paper (Section 6) compares
     it with two relational stores; an engine created [~mirrored:true]
     also shreds the document into a row-engine ("PostgreSQL") and a
@@ -62,16 +64,9 @@ val backend_kind_to_string : backend_kind -> string
 val all_backend_kinds : backend_kind list
 (** Every kind, held or not; {!kinds} lists an engine's own. *)
 
-type trigger_mode = Paper_mode | Overlap_mode
-(** See {!Depend.mode}; [Overlap_mode] is the complete variant.  The
-    mode governs the sign layer's repair only: the role-bitmap repair
-    always triggers through an [Overlap] graph (under [Paper_mode] one
-    is built on the first mutation that repairs bitmaps). *)
-
 type t
 
 val create :
-  ?mode:trigger_mode ->
   ?optimize:bool ->
   ?mirrored:bool ->
   dtd:Xmlac_xml.Dtd.t ->
@@ -100,6 +95,7 @@ val optimizer_report : t -> Optimizer.report option
 val mapping : t -> Xmlac_shrex.Mapping.t
 val schema_graph : t -> Xmlac_xml.Schema_graph.t
 val depend : t -> Depend.t
+(** The [Overlap] dependency graph both repairs trigger through. *)
 
 val plan : t -> Plan.t
 (** The cached annotation plan: {!Plan.of_policy} of the in-force

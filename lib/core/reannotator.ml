@@ -8,9 +8,9 @@ type stats = {
 }
 
 (* Scope evaluation through the backend, once per distinct resource:
-   role policies repeat a resource under many qualifiers, and the sign
-   and bitmap layers' triggered rules overlap.  One evaluator serves
-   one document state — before the update, or after it. *)
+   role policies repeat a resource under many qualifiers.  One
+   evaluator serves one document state — before the update, or after
+   it. *)
 let scopes (backend : Backend.t) = Rule.memo_resource backend.Backend.eval_ids
 
 (* Union of the rules' scope id sets — this feeds the affected-region
@@ -23,36 +23,21 @@ let scope_union scope rules =
         acc (scope r.Rule.resource))
     Plan.Ids.empty rules
 
-(* One layer's pre-mutation half: the triggered rules and their scopes
-   before the update — nodes that may fall out of scope. *)
-type half = { trig : Trigger.result; rules : Rule.t list; pre : Plan.Ids.t }
+(* The pre-mutation half: the triggered rules and their scopes before
+   the update — nodes that may fall out of scope — and whether the
+   role bitmaps are repaired too.  Side-effect free, so the engine can
+   stash it for crash recovery. *)
+type prepared = {
+  trig : Trigger.result;
+  rules : Rule.t list;
+  pre : Plan.Ids.t;
+  bits : bool;
+}
 
-type prepared = { signs : half; bits : half option }
-
-let half ?schema scope depend ~touched =
+let prepare ?schema ?(bits = false) (backend : Backend.t) depend ~touched =
   let trig = Trigger.run_all ?schema depend ~updates:touched in
   let rules = Trigger.triggered_rules depend trig in
-  { trig; rules; pre = scope_union scope rules }
-
-(* Side-effect free, so the engine can stash it for crash recovery.
-   When the bitmap layer's graph is the sign layer's own, the two
-   halves are one value. *)
-let prepare ?schema ?bits (backend : Backend.t) depend ~touched =
-  let scope = scopes backend in
-  let signs = half ?schema scope depend ~touched in
-  let bits =
-    Option.map
-      (fun d -> if d == depend then signs else half ?schema scope d ~touched)
-      bits
-  in
-  { signs; bits }
-
-(* Scopes after — nodes that may have entered scope — joined with the
-   scopes before.  Pre-update scopes may reference deleted nodes;
-   restrict the affected region to the nodes still stored. *)
-let region (backend : Backend.t) scope { rules; pre; _ } =
-  let post = scope_union scope rules in
-  Plan.Ids.filter backend.Backend.has_node (Plan.Ids.union pre post)
+  { trig; rules; pre = scope_union (scopes backend) rules; bits }
 
 (* The bitmap layer's repair over [live]: every role projection of the
    triggered rules, restricted to the region — identical projections
@@ -113,17 +98,20 @@ let repair_bits (backend : Backend.t) policy rules live =
 
 (* The post-mutation half; re-runnable by recovery once partial sign
    and bitmap writes of a crashed attempt have been rolled back. *)
-let finish ?schema (backend : Backend.t) depend { signs; bits }
-    ~deleted_roots =
+let finish ?schema (backend : Backend.t) depend p ~deleted_roots =
   let policy = Depend.policy depend in
-  let scope = scopes backend in
-  let live = region backend scope signs in
+  (* Scopes after — nodes that may have entered scope — joined with the
+     scopes before.  Pre-update scopes may reference deleted nodes;
+     restrict the affected region to the nodes still stored. *)
+  let live =
+    Plan.Ids.filter backend.Backend.has_node
+      (Plan.Ids.union p.pre (scope_union (scopes backend) p.rules))
+  in
   (* The restricted Annotation-Queries plan of Section 5.3: the
      triggered rules' compilation, rewritten, intersected with the
      affected region, evaluated in the backend's own algebra. *)
   let plan =
-    Plan.restrict live
-      (Plan.rewrite ?schema (Plan.of_rules policy signs.rules))
+    Plan.restrict live (Plan.rewrite ?schema (Plan.of_rules policy p.rules))
   in
   let answer = Plan.Ids.of_list (backend.Backend.eval_plan plan) in
   (* Partition the surviving affected region into nodes to mark with
@@ -145,14 +133,10 @@ let finish ?schema (backend : Backend.t) depend { signs; bits }
   let _ = backend.Backend.set_sign_ids to_default default in
   let marked = backend.Backend.set_sign_ids to_mark mark_sign in
   let bits_changed =
-    match bits with
-    | None -> []
-    | Some b ->
-        repair_bits backend policy b.rules
-          (if b == signs then live else region backend scope b)
+    if p.bits then repair_bits backend policy p.rules live else []
   in
   {
-    triggered = Trigger.all signs.trig;
+    triggered = Trigger.all p.trig;
     affected = Plan.Ids.cardinal live;
     deleted_roots;
     marked;

@@ -12,10 +12,11 @@
 
     Every other node keeps its annotation untouched — that asymmetry is
     where the speedup over full annotation comes from.  With an
-    [Overlap]-mode dependency graph the result provably coincides with
-    annotating from scratch; with the published [Paper] mode it
-    coincides on the paper's policy classes (the property tests pin
-    both claims down). *)
+    [Overlap]-mode dependency graph — the one {!Engine} builds — the
+    result provably coincides with annotating from scratch; the
+    published [Paper] mode, kept as a named ablation, coincides on the
+    paper's policy classes only (the property tests pin both claims
+    down). *)
 
 type stats = {
   triggered : int list;  (** Triggered rule indices (with dependencies). *)
@@ -29,23 +30,23 @@ type stats = {
           themselves incrementally instead of rebuilding. *)
   bits_changed : int list;
       (** The ids whose role bitmap was rewritten, ascending — empty
-          unless the repair was prepared with [~bits].  Every one lies
-          in the bitmap layer's affected region: the triggered rules'
-          scopes before or after the update. *)
+          unless the repair was prepared with [~bits:true].  Every one
+          lies in the affected region: the triggered rules' scopes
+          before or after the update. *)
 }
 
 type prepared
 (** The pre-mutation half of a repair: the triggered rules and the
-    union of their scopes {e before} the update, for the sign layer
-    and (when asked) the bitmap layer.  Computing it is side-effect
-    free, so the engine stashes it in its open-epoch record — after a
-    crash between the mutation and the repair, {!finish} can be re-run
-    from the stashed value even though the pre-update document no
-    longer exists ({!Engine.recover}'s roll-forward path). *)
+    union of their scopes {e before} the update.  Computing it is
+    side-effect free, so the engine stashes it in its open-epoch
+    record — after a crash between the mutation and the repair,
+    {!finish} can be re-run from the stashed value even though the
+    pre-update document no longer exists ({!Engine.recover}'s
+    roll-forward path). *)
 
 val prepare :
   ?schema:Xmlac_xml.Schema_graph.t ->
-  ?bits:Depend.t ->
+  ?bits:bool ->
   Backend.t ->
   Depend.t ->
   touched:Xmlac_xpath.Ast.expr list ->
@@ -53,13 +54,10 @@ val prepare :
 (** Runs the trigger and evaluates the pre-update scopes.  Must be
     called {e before} the mutation is applied to this backend.
 
-    [~bits] asks {!finish} to repair the role bitmaps too, triggered
-    through the given graph — which must be an [Overlap] graph over
-    the same policy: unlike signs, bitmaps have no weaker mode to fall
-    back on, and only that graph makes the repair coincide with the
-    full shared pass ({!Annotator.annotate_subjects}).  When it is
-    the sign layer's graph itself, the two layers share one trigger
-    run and one affected region. *)
+    [~bits:true] (default [false]) asks {!finish} to repair the role
+    bitmaps too, over the same triggered rules and affected region as
+    the signs.  Only an [Overlap] graph makes that repair coincide
+    with the full shared pass ({!Annotator.annotate_subjects}). *)
 
 val finish :
   ?schema:Xmlac_xml.Schema_graph.t ->
@@ -70,14 +68,14 @@ val finish :
   stats
 (** The post-mutation half: post-update scopes, the restricted
     annotation plan, and the sign writes; then, if prepared with
-    [~bits], the bitmap repair — every role's projection of the
-    bitmap layer's triggered rules ({!Policy.for_subject}), restricted
-    to its affected region, identical projections evaluated once, all
-    in one {!Backend.t.eval_plans} batch, and exactly the role bits
-    that disagree written in one {!Backend.t.set_bits_batch}.
-    Idempotent given the same [prepared] and document state — recovery
-    re-runs it after rolling back any partial sign and bitmap writes
-    of a crashed attempt. *)
+    [~bits:true], the bitmap repair — every role's projection of the
+    triggered rules ({!Policy.for_subject}), restricted to the
+    affected region, identical projections evaluated once, all in one
+    {!Backend.t.eval_plans} batch, and exactly the role bits that
+    disagree written in one {!Backend.t.set_bits_batch}.  Idempotent
+    given the same [prepared] and document state — recovery re-runs it
+    after rolling back any partial sign and bitmap writes of a crashed
+    attempt. *)
 
 val reannotate :
   ?schema:Xmlac_xml.Schema_graph.t ->

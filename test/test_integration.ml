@@ -83,13 +83,13 @@ let test_xmark_lockstep () =
 
 (* ------------------------------------------------------------------ *)
 (* Scenario 3: partial re-annotation equals reference semantics after a
-   sequence of updates (Overlap mode), on every backend. *)
+   sequence of updates, on every backend. *)
 
 let test_update_sequence_reference () =
   let doc = W.Hospital.generate ~departments:3 ~patients_per_dept:8 () in
   let policy = Optimizer.optimize_policy W.Hospital.policy in
   let eng =
-    Engine.create ~mirrored:true ~mode:Engine.Overlap_mode ~dtd:W.Hospital.dtd
+    Engine.create ~mirrored:true ~dtd:W.Hospital.dtd
       ~policy:W.Hospital.policy (Tree.copy doc)
   in
   let _ = Engine.annotate_all eng in
@@ -164,7 +164,7 @@ let test_all_configurations_consistent () =
       (Rule.Plus, Rule.Minus); (Rule.Plus, Rule.Plus) ]
 
 (* ------------------------------------------------------------------ *)
-(* Scenario 6: randomized end-to-end fuzz in Overlap mode. *)
+(* Scenario 6: randomized end-to-end fuzz. *)
 
 let fuzz_prop =
   QCheck2.Test.make ~name:"engine fuzz: annotate/update/query stay consistent"
@@ -181,10 +181,7 @@ let fuzz_prop =
               (if Prng.bool rng then Rule.Plus else Rule.Minus))
       in
       let policy = Policy.make ~ds:Rule.Minus ~cr:Rule.Minus rules in
-      let eng =
-        Engine.create ~mirrored:true ~mode:Engine.Overlap_mode
-          ~dtd:W.Hospital.dtd ~policy doc
-      in
+      let eng = Engine.create ~mirrored:true ~dtd:W.Hospital.dtd ~policy doc in
       let _ = Engine.annotate_all eng in
       let ok = ref (Engine.consistent eng) in
       for _ = 1 to 3 do
@@ -226,7 +223,7 @@ let treatment_fragment ~med ~bill =
 
 let test_insert_keeps_stores_lockstep () =
   let eng =
-    Engine.create ~mirrored:true ~mode:Engine.Overlap_mode ~dtd:W.Hospital.dtd
+    Engine.create ~mirrored:true ~dtd:W.Hospital.dtd
       ~policy:W.Hospital.policy (W.Hospital.sample_document ())
   in
   let _ = Engine.annotate_all eng in
@@ -261,7 +258,7 @@ let test_insert_keeps_stores_lockstep () =
 let test_insert_multiple_targets_relational_mirror () =
   let doc = W.Hospital.generate ~seed:3L ~departments:2 ~patients_per_dept:4 () in
   let eng =
-    Engine.create ~mirrored:true ~mode:Engine.Overlap_mode ~dtd:W.Hospital.dtd
+    Engine.create ~mirrored:true ~dtd:W.Hospital.dtd
       ~policy:W.Hospital.policy doc
   in
   let _ = Engine.annotate_all eng in
@@ -288,7 +285,7 @@ let test_insert_multiple_targets_relational_mirror () =
 
 let test_insert_then_delete_round () =
   let eng =
-    Engine.create ~mirrored:true ~mode:Engine.Overlap_mode ~dtd:W.Hospital.dtd
+    Engine.create ~mirrored:true ~dtd:W.Hospital.dtd
       ~policy:W.Hospital.policy (W.Hospital.sample_document ())
   in
   let _ = Engine.annotate_all eng in
@@ -418,15 +415,16 @@ let mirrored_harness_prop =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* Role bitmaps on the default engine: a structural mutation repairs
-   them over its affected region only, and the repair must say exactly
-   what the policy says.  The engine's own oracle ([request_direct])
-   reads the same bitmaps, so the reference semantics is the only
-   check that can see them drift. *)
+(* Signs and role bitmaps on the default engine: a structural mutation
+   repairs both over its affected region only, and the repair must say
+   exactly what the policy says.  The engine's own oracle
+   ([request_direct]) reads the same signs and bitmaps, so the
+   reference semantics is the only check that can see them drift. *)
 
-let bitmap_oracle_prop =
+let repair_oracle_prop =
   QCheck2.Test.make
-    ~name:"default engine: role bitmaps = reference after every mutation"
+    ~name:"default engine: signs and role bitmaps = reference after every \
+           mutation"
     ~count:40 QCheck2.Gen.int64 (fun seed ->
       let rng = Prng.create ~seed in
       let doc = Helpers.random_hospital_doc rng in
@@ -440,6 +438,10 @@ let bitmap_oracle_prop =
         let fail fmt = QCheck2.Test.fail_reportf ("after %s: " ^^ fmt) step in
         List.iter
           (fun (name, eng) ->
+            if
+              Engine.accessible eng Engine.Native
+              <> Policy.accessible_ids (Engine.policy eng) (Engine.document eng)
+            then fail "%s engine: anonymous signs differ from the policy" name;
             List.iter
               (fun role ->
                 let want =
@@ -498,13 +500,12 @@ let raw_bits eng =
   let b = Engine.backend eng Engine.Native in
   List.map (fun id -> (id, b.Backend.bits_of id)) (b.Backend.live_ids ())
 
-(* The rules the bitmap layer's trigger — the complete, overlap-based
-   graph — reaches from the given update paths. *)
+(* The rules the engine's trigger — the complete, overlap-based graph —
+   reaches from the given update paths. *)
 let overlap_triggered eng updates =
-  let policy = Engine.policy eng and sg = Engine.schema_graph eng in
-  let depend = Depend.build ~mode:(Depend.Overlap sg) policy in
+  let depend = Engine.depend eng in
   Trigger.triggered_rules depend
-    (Trigger.run_all ~schema:sg depend
+    (Trigger.run_all ~schema:(Engine.schema_graph eng) depend
        ~updates:(List.map Helpers.parse updates))
 
 let native_stats = function
@@ -595,7 +596,7 @@ let () =
         ] );
       ( "bitmap repair",
         [
-          QCheck_alcotest.to_alcotest bitmap_oracle_prop;
+          QCheck_alcotest.to_alcotest repair_oracle_prop;
           tc "untriggered insert rewrites no bitmap"
             test_untriggered_insert_keeps_bitmaps;
           tc "rewritten bitmaps lie in the triggered scopes"

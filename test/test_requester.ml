@@ -376,10 +376,7 @@ let fast_lane_equivalence_prop =
       in
       let ds = if Prng.bool rng then Rule.Plus else Rule.Minus in
       let policy = Policy.make ~ds ~cr:Rule.Minus rules in
-      let eng =
-        Engine.create ~mirrored:true ~mode:Engine.Overlap_mode
-          ~dtd:W.Hospital.dtd ~policy doc
-      in
+      let eng = Engine.create ~mirrored:true ~dtd:W.Hospital.dtd ~policy doc in
       let _ = Engine.annotate_all eng in
       let ok = ref true in
       let check_round () =

@@ -132,10 +132,7 @@ let engine_auto_lane_prop =
         List.init 3 (fun _ ->
             Xp.Pp.expr_to_string (Helpers.random_hospital_expr rng))
       in
-      let eng =
-        Engine.create ~mirrored:true ~mode:Engine.Overlap_mode
-          ~dtd:W.Hospital.dtd ~policy doc
-      in
+      let eng = Engine.create ~mirrored:true ~dtd:W.Hospital.dtd ~policy doc in
       let doc = Engine.document eng in
       let ok = ref true in
       let expect a b = if a <> b then ok := false in

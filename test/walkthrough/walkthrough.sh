@@ -73,3 +73,5 @@ show serve auction.policy --dtd xmark --doc site.xml \
 # verification, and commits one write through the new leader.
 show replicate auction.policy --dtd xmark --doc site.xml \
   --churn 3 --fault-rate 0.2 --seed 7 --kill
+# A missing input file is a one-line error with exit status 1.
+show update annotated.xml auction.policy --dtd missing.dtd "//person/creditcard"
