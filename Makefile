@@ -57,8 +57,9 @@ bench-rewrite:
 
 # Snapshot publication: full-copy vs COW publish p50/p99 across a
 # document ladder, plus 1000 pinned epochs of retained history.
-# Exits non-zero if COW publish is not sublinear in document size or
-# pinned history is not bounded.
+# Exits non-zero if COW publish is not sublinear in document size,
+# pinned history is not bounded, or a decision carried across a
+# structural epoch differs from a direct read.
 bench-snapshot:
 	dune exec bench/main.exe -- -e snapshot
 

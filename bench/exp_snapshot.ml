@@ -14,8 +14,14 @@
    p99 within 2x across a >= 16x document growth — and pinned history
    costs the change sets, not the copies: a thousand pinned epochs of
    the largest document must stay far below a thousand deep copies.
-   The driver exits non-zero when either assertion fails, so CI fails
-   loudly on a sharing regression. *)
+
+   A third table measures carry-forward across structural epochs: per
+   mutation kind, how many memoized decisions the snapshot carried
+   against how many an exact test would have (the decisions that did
+   not move), and how many carried decisions differ from a direct
+   read — which must be none.
+   The bench exits non-zero when any assertion fails, so CI fails
+   loudly on a sharing regression or an unsound carry. *)
 
 module Tree = Xmlac_xml.Tree
 module Timing = Xmlac_util.Timing
@@ -139,6 +145,135 @@ let pinned_history factor n =
   List.iter (fun p -> Snapshot.unpin reg p) !pins;
   (cow_bytes, per_copy * n, shared, live, Format.asprintf "%a" Snapshot.pp_sharing reg)
 
+(* --- carry across structural epochs ---------------------------------- *)
+
+(* How much of the memo survives each kind of structural epoch.  An
+   engine with two roles serves a fixed query pool for the anonymous
+   subject and both roles; before each mutation every pair is
+   requested (warming the current snapshot's memo) and read directly
+   off the store.  After the mutation each pair is requested again: a
+   memo hit is a carried entry, and a pair whose direct read did not
+   move is one an exact test would have carried.  [carried <=
+   unchanged] is the ceiling; a carried entry that differs from the
+   direct read is a soundness failure. *)
+let carry_factor = 0.1
+let carry_queries = 80
+
+let carry_policy doc =
+  let base = Xmlac_workload.Coverage.policy_for_target ~doc ~target:0.5 in
+  let subjects = Subject.make_exn [ Subject.role "r0"; Subject.role "r1" ] in
+  Policy.make ~subjects ~ds:(Policy.ds base) ~cr:(Policy.cr base)
+    (Policy.rules base
+    @ [ Rule.parse ~name:"q0" ~subjects:[ "r0" ]
+          "//person[creditcard]/emailaddress" Rule.Plus;
+        Rule.parse ~name:"q1" ~subjects:[ "r1" ] "//interest" Rule.Plus ])
+
+(* Inserts of whole entities, of a creditcard under a person and of an
+   interest under a profile, each followed by the delete of what it
+   inserted: the mutation kinds of the repo benchmark's churn. *)
+let carry_mutations doc =
+  let person pred =
+    let has (n : Tree.node) name =
+      List.exists (fun (c : Tree.node) -> c.Tree.name = name) n.Tree.children
+    in
+    let name_of (n : Tree.node) =
+      List.find_map
+        (fun (c : Tree.node) ->
+          if c.Tree.name = "name" then c.Tree.value else None)
+        n.Tree.children
+    in
+    match
+      List.find_map
+        (fun (n : Tree.node) ->
+          if n.Tree.name = "person" && pred (has n) then name_of n else None)
+        (Tree.nodes doc)
+    with
+    | Some name -> Printf.sprintf "/site/people/person[name = \"%s\"]" name
+    | None -> failwith "exp_snapshot: no anchor person"
+  in
+  let cardless = person (fun has -> not (has "creditcard"))
+  and profiled = person (fun has -> has "profile") ^ "/profile" in
+  [
+    ( "person", "/site/people",
+      "<person><name>cx1</name><emailaddress>mailto:cx1@example.com\
+       </emailaddress><creditcard>1234</creditcard></person>",
+      "/site/people/person[name = \"cx1\"]" );
+    ( "item", "/site/regions/europe",
+      "<item><location>Greece</location><quantity>1</quantity><name>cx2</name>\
+       <payment>Cash</payment><description>lot</description></item>",
+      "/site/regions/europe/item[name = \"cx2\"]" );
+    ( "open_auction", "/site/open_auctions",
+      "<open_auction><initial>12.00</initial><current>15.00</current>\
+       <itemref>item1</itemref><seller>cx3</seller><quantity>1</quantity>\
+       <type>Featured</type></open_auction>",
+      "/site/open_auctions/open_auction[seller = \"cx3\"]" );
+    ( "closed_auction", "/site/closed_auctions",
+      "<closed_auction><seller>cx4</seller><buyer>person2</buyer>\
+       <price>40.00</price></closed_auction>",
+      "/site/closed_auctions/closed_auction[seller = \"cx4\"]" );
+    ("creditcard", cardless, "<creditcard>9999</creditcard>", cardless ^ "/creditcard");
+    ( "interest", profiled, "<interest>cx6</interest>",
+      profiled ^ "/interest[. = \"cx6\"]" );
+  ]
+
+type carry_row = {
+  mutation : string;
+  entries : int;
+  carried : int;
+  unchanged : int;
+  wrong : int;  (* carried entries that differ from the direct read *)
+}
+
+let carry_table () =
+  let doc = Bench_common.doc carry_factor in
+  let eng =
+    Engine.create ~dtd:Xmlac_workload.Xmark.dtd ~policy:(carry_policy doc) doc
+  in
+  ignore (Engine.annotate_all eng);
+  ignore (Engine.annotate_subjects_all eng);
+  let queries =
+    Xmlac_workload.Queries.response_queries ~n:carry_queries ~seed:20090101L ()
+    |> List.map Xmlac_xpath.Pp.expr_to_string
+    |> List.sort_uniq compare
+  in
+  let pairs =
+    List.concat_map
+      (fun subject -> List.map (fun q -> (subject, q)) queries)
+      [ None; Some "r0"; Some "r1" ]
+  in
+  assert (List.length pairs <= Snapshot.memo_capacity);
+  let hits () = Metrics.counter (Engine.metrics eng) "cache.hits" in
+  let direct (subject, q) = Engine.request_direct ?subject eng Engine.Native q in
+  let row mutation apply =
+    List.iter
+      (fun (subject, q) -> ignore (Engine.request ?subject eng Engine.Native q))
+      pairs;
+    let before = List.map direct pairs in
+    apply ();
+    List.fold_left2
+      (fun r ((subject, q) as pair) was ->
+        let h = hits () in
+        let d = Engine.request ?subject eng Engine.Native q in
+        let now = direct pair in
+        let hit = hits () > h in
+        {
+          r with
+          carried = (r.carried + if hit then 1 else 0);
+          unchanged = (r.unchanged + if now = was then 1 else 0);
+          wrong = (r.wrong + if hit && d <> now then 1 else 0);
+        })
+      { mutation; entries = List.length pairs; carried = 0; unchanged = 0; wrong = 0 }
+      pairs before
+  in
+  List.concat_map
+    (fun (kind, at, xml, delete) ->
+      let fragment = Xmlac_xml.Xml_parser.parse_exn xml in
+      let inserted =
+        row ("insert " ^ kind) (fun () -> ignore (Engine.insert eng ~at ~fragment))
+      in
+      [ inserted; row ("delete " ^ kind) (fun () -> ignore (Engine.update eng delete)) ])
+    (carry_mutations doc)
+
 let run (_cfg : Bench_common.config) =
   Bench_common.section "Snapshot publication: full copy vs structural sharing";
   Printf.printf
@@ -192,6 +327,35 @@ let run (_cfg : Bench_common.config) =
     (Bench_common.pp_bytes full_estimate)
     shared sharing;
 
+  (* Carry across structural epochs, against the exact ceiling. *)
+  let carry = carry_table () in
+  Printf.printf
+    "\ncarry across structural epochs: factor %s, %d queries x anonymous+2 \
+     roles\n"
+    (Bench_common.pp_factor carry_factor)
+    carry_queries;
+  let ct =
+    Tabular.create
+      ~headers:[ "mutation"; "entries"; "carried"; "unchanged"; "carried/unchanged"; "wrong" ]
+  in
+  let pct_of a b = if b = 0 then "-" else Printf.sprintf "%.1f%%" (100.0 *. float_of_int a /. float_of_int b) in
+  let total =
+    List.fold_left
+      (fun t r ->
+        { t with entries = t.entries + r.entries; carried = t.carried + r.carried;
+          unchanged = t.unchanged + r.unchanged; wrong = t.wrong + r.wrong })
+      { mutation = "total"; entries = 0; carried = 0; unchanged = 0; wrong = 0 }
+      carry
+  in
+  List.iter
+    (fun r ->
+      Tabular.add_row ct
+        [ r.mutation; string_of_int r.entries; string_of_int r.carried;
+          string_of_int r.unchanged; pct_of r.carried r.unchanged;
+          string_of_int r.wrong ])
+    (carry @ [ total ]);
+  Tabular.print ct;
+
   (* Machine-readable block for the CI artifact. *)
   print_endline "summary:";
   List.iter
@@ -207,6 +371,9 @@ let run (_cfg : Bench_common.config) =
     "  snapshot.pinned: epochs=%d cow_bytes=%d full_estimate_bytes=%d \
      shared_records=%d\n"
     pinned_target (max cow_bytes 0) full_estimate shared;
+  Printf.printf
+    "  snapshot.carry: entries=%d carried=%d unchanged=%d wrong=%d\n"
+    total.entries total.carried total.unchanged total.wrong;
 
   (* Hard assertions: a sharing regression fails the bench run. *)
   let failures = ref [] in
@@ -234,12 +401,17 @@ let run (_cfg : Bench_common.config) =
       if pct cow 50.0 > pct full 50.0 then
         fail "COW publish slower than a deep copy on the largest document"
   | [] -> ());
+  if total.wrong > 0 then
+    fail "%d carried decisions differ from request_direct" total.wrong;
   if cow_bytes > full_estimate / 4 then
     fail
       "pinned COW history is not bounded: %d bytes vs %d for deep copies"
       cow_bytes full_estimate;
   match !failures with
-  | [] -> print_endline "assertions: COW publish sublinear, pinned history bounded"
+  | [] ->
+      print_endline
+        "assertions: COW publish sublinear, pinned history bounded, every \
+         carried decision equals request_direct"
   | fs ->
       List.iter (fun f -> Printf.printf "ASSERTION FAILED: %s\n" f) fs;
       exit 1

@@ -103,7 +103,7 @@ let apply_changes t doc ~changed =
   List.iter
     (fun id ->
       match Tree.find doc id with
-      | None -> ()  (* written then deleted; purge handles its entry *)
+      | None -> t.map <- Imap.remove id t.map  (* deleted *)
       | Some n ->
           refresh (parent_effective t doc n) n;
           List.iter (refresh (effective t n)) n.Tree.children)

@@ -81,9 +81,11 @@ val apply_changes : t -> Xmlac_xml.Tree.t -> changed:int list -> int
 (** [apply_changes t doc ~changed] repairs the map after the sign
     slots of the nodes in [changed] were rewritten in place.  A sign
     write at [n] can only move the change points at [n] itself and at
-    [n]'s children, so exactly those entries are recomputed; ids no
-    longer present in [doc] are ignored (see {!purge}).  Returns the
-    number of distinct nodes examined. *)
+    [n]'s children, so exactly those entries are recomputed; an id no
+    longer present in [doc] loses its entry (a deleted node's
+    descendants are dropped only if listed too; {!purge} sweeps
+    everything).  Returns the number of distinct live nodes
+    examined. *)
 
 val rebuild_subtree : t -> Xmlac_xml.Tree.t -> root:int -> int
 (** Recomputes every entry in the subtree rooted at id [root]

@@ -99,13 +99,18 @@ type t = {
      epochs on it.  Promotion flips [read_only] back off. *)
   mutable read_only : bool;
   mutable applying : bool;
+  (* Whether every node of the native document sits at a label path of
+     the schema ([Sg.covers]).  The schema-level overlap test that lets
+     a snapshot memo survive a structural epoch assumes it; nothing
+     validates inserts, so an off-schema one clears it for good. *)
+  mutable on_schema : bool;
 }
 
 (* Freeze the committed materialization as of [sign_epoch] and install
    it as the current snapshot.  Called only between epochs (after
    [commit_op], at creation, after recovery) — never inside an open
    epoch — so a reader can never pin partial state. *)
-let publish_snapshot t =
+let publish_snapshot ?footprint t =
   let snap =
     (* The annotation flags describe the native tree being frozen —
        that is what snapshot requests read — so [Snapshot.request]'s
@@ -113,16 +118,26 @@ let publish_snapshot t =
        the rewrite lane instead of its default-sign CAM.  [prev] (the
        outgoing snapshot) feeds carry-forward: the capture compares
        the tree-level change set against it and migrates still-valid
-       memoized decisions and per-role maps instead of cold-starting;
-       the capture itself is an O(changed) [Tree.freeze], not a
-       copy. *)
+       memoized decisions and patched per-role maps instead of
+       cold-starting.  [footprint] is a structural epoch's trigger
+       input, the same update expressions the [Overlap] trigger tested
+       the rules against; it is passed only while the document lies on
+       the schema's paths, the premise of that test.  The capture
+       itself is an O(changed) [Tree.freeze], not a copy. *)
     Snapshot.capture ?prev:(Snapshot.current t.snapshots)
+      ?footprint:
+        (match footprint with
+        | Some exprs when t.on_schema -> Some (t.sg, exprs)
+        | _ -> None)
       ~epoch:t.sign_epoch ~policy:t.policy ~cam:t.cam
       ~annotated:(List.mem Native t.annotated || t.divergent)
       ~bits_annotated:(List.mem Native t.bits_annotated || t.divergent)
       ~metrics:t.metrics t.doc
   in
   Snapshot.publish t.snapshots snap
+
+let schema_covers sg doc =
+  (not (Sg.is_recursive sg)) && Sg.covers sg (Tree.root doc)
 
 let create ?(optimize = true) ?(mirrored = false) ~dtd ~policy doc =
   let mapping = Xmlac_shrex.Mapping.of_dtd dtd in
@@ -190,6 +205,7 @@ let create ?(optimize = true) ?(mirrored = false) ~dtd ~policy doc =
     snapshots = Snapshot.create_registry ~metrics ();
     read_only = false;
     applying = false;
+    on_schema = schema_covers sg native_doc;
   }
   in
   (* Epoch 0 (the load-time materialization) is a committed epoch like
@@ -295,6 +311,7 @@ let refresh t =
   t.divergent <- true;
   t.annotated <- [];
   t.bits_annotated <- [];
+  t.on_schema <- schema_covers t.sg t.doc;
   rebuild_cam t;
   (* The signs moved behind the engine's back; the current snapshot no
      longer reflects them.  Republish under the same sign epoch —
@@ -345,13 +362,13 @@ let close_op t o =
   t.sign_epoch <- o.num;
   t.open_op <- None
 
-let commit_op t o =
+let commit_op ?footprint t o =
   close_op t o;
   Metrics.incr t.metrics "epoch.commits";
   (* The epoch is durable; freeze it for readers.  A crash past this
      point (the snapshot.publish fault) leaves the registry one epoch
      behind — recovery's idempotent path republishes. *)
-  publish_snapshot t
+  publish_snapshot ?footprint t
 
 let annotate t kind =
   let b = backend t kind in
@@ -497,7 +514,12 @@ let structural t op =
           (match s.mirror with
           | None ->
               o.new_roots <-
-                Xmlac_xmldb.Update.insert_nodes t.doc ~at:at_expr ~fragment
+                Xmlac_xmldb.Update.insert_nodes t.doc ~at:at_expr ~fragment;
+              (* Nothing validates an insert against the DTD; a graft
+                 off the schema's paths ends the structural carry for
+                 good. *)
+              if not (List.for_all (Sg.covers t.sg) o.new_roots) then
+                t.on_schema <- false
           | Some (db, _) ->
               List.iter
                 (fun root ->
@@ -556,7 +578,7 @@ let mutate t op =
   maintain_cam t
     ~changed:(List.assoc Native stats).Reannotator.changed
     ~roots:(List.map (fun (n : Tree.node) -> n.Tree.id) o.new_roots);
-  commit_op t o;
+  commit_op ~footprint:(fst step) t o;
   stats
 
 let update t query = mutate t (Op_update query)

@@ -205,7 +205,11 @@ val insert :
     trigger treats the insertion points —
     [at/<fragment-root>] — as the update expression.  Bumps the
     {!epoch}; the CAM entries of the changed nodes and of the grafted
-    subtrees are rebuilt incrementally.
+    subtrees are rebuilt incrementally.  Nothing validates the
+    fragment against the DTD; a graft whose nodes do not all sit at
+    schema root paths ({!Xmlac_xml.Schema_graph.covers}) ends the
+    carrying of memoized decisions across later structural epochs,
+    whose schema test assumes the document lies on those paths.
 
     Aliasing contract: the engine takes ownership of [fragment]
     {e without copying it} — the grafts deep-copy out of it, and the
@@ -252,9 +256,10 @@ val cam_check : t -> bool
 
 val refresh : t -> unit
 (** Re-read the native store wholesale: bump the epoch, rebuild the
-    CAM and publish the live document as the current snapshot.  Call
-    after mutating a backend's signs behind the engine's back (e.g.
-    driving {!Annotator} directly on {!backend}). *)
+    CAM, re-check that the document lies on the schema's paths and
+    publish the live document as the current snapshot.  Call after
+    mutating a backend's signs behind the engine's back (e.g. driving
+    {!Annotator} directly on {!backend}). *)
 
 (** {1 Sign epochs and crash recovery} *)
 

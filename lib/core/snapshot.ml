@@ -1,17 +1,26 @@
 module Tree = Xmlac_xml.Tree
+module Ast = Xmlac_xpath.Ast
+module Schema_match = Xmlac_xpath.Schema_match
 module Metrics = Xmlac_util.Metrics
 module Fault = Xmlac_util.Fault
-module Iset = Set.Make (Int)
 
-(* A memoized decision keeps the sorted ids of the query's answers —
-   for a granted decision the very list it grants.  A CAM lookup reads
-   an answer and its ancestors, so carry-forward into the next epoch's
-   snapshot walks those ancestors in the old view when it needs them;
-   a rewrite-lane entry keeps no answers, because it read no
-   annotation. *)
-type memo = { answers : int list; decision : Requester.decision }
+(* A memoized decision.  On the materialized lane it keeps the sorted
+   ids of the query's answers — for a granted decision the very list
+   it grants — because a CAM lookup reads an answer and its ancestors,
+   and carry-forward must show the epoch wrote none of them.  A
+   rewrite-lane entry read no annotation and keeps no answers
+   ([None]).  The parsed query feeds the structural carry test. *)
+type memo = {
+  expr : Ast.expr;
+  answers : int list option;
+  decision : Requester.decision;
+}
 
 let memo_capacity = 256
+
+(* Query footprints are cached by query text across snapshots; the
+   cache is emptied when it reaches this size. *)
+let footprint_capacity = 8 * memo_capacity
 
 type t = {
   epoch : int;
@@ -24,15 +33,19 @@ type t = {
   policy : Policy.t;
   role_cams : (string, Cam.t) Hashtbl.t;
       (* Per-role maps over the frozen bitmaps, built lazily on the
-         first request naming each role (or carried from the previous
-         snapshot when the epoch touched no bitmap); guarded by
-         [lock]. *)
+         first request naming each role or patched from the previous
+         snapshot's; guarded by [lock]. *)
   memos : (string, memo) Hashtbl.t;
   order : string Queue.t;
       (* The memo table, bounded at [memo_capacity] and evicted in
          insertion order; [order] holds exactly the keys of [memos].
          The epoch is fixed for the snapshot's lifetime, so entries
          never go stale.  Guarded by [lock]. *)
+  mutable footprints : (string, Schema_match.footprint) Hashtbl.t;
+      (* Schema footprints of memoized queries, keyed by query text and
+         bounded at [footprint_capacity].  Handed on to the next
+         snapshot of a continuous chain; only [capture], which the
+         single writer runs, reads or writes it. *)
   metrics : Metrics.t;
   lock : Mutex.t;
       (* Guards [role_cams], [memos] and [order]; the rest is frozen.
@@ -61,59 +74,139 @@ let remember t key m =
   end;
   Hashtbl.replace t.memos key m
 
-(* Whether no answer in [answers], nor any ancestor of one in [doc],
-   is in [changed]. *)
-let untouched ~changed doc answers =
-  let rec clean (n : Tree.node) =
-    (not (Iset.mem n.Tree.id changed))
-    && match Tree.parent n with Some p -> clean p | None -> true
-  in
-  List.for_all
-    (fun id -> match Tree.find doc id with Some n -> clean n | None -> false)
-    answers
+(* Memoized decisions and per-role maps survive into the next snapshot
+   when the epoch provably cannot have moved them.  One rule covers
+   every epoch.  A materialized-lane entry carries when
 
-(* Decisions and per-role maps survive into the next snapshot when the
-   epoch's change set provably cannot have moved them:
+   - the epoch is non-structural, or the entry's schema footprint and
+     the update's are both non-empty and disjoint — the test the
+     [Overlap] trigger applies to rules (paper §5.3), so an insert or
+     delete there cannot add, remove or requalify an answer;
+   - and the epoch wrote no answer and no ancestor of one, so every
+     CAM lookup the decision made reads the same signs.
 
-   - any entry dies on a structural epoch (insert/delete/value writes
-     can move answer sets without touching previously read ids);
-   - a materialized-lane entry additionally dies when the change set
-     holds one of its answers or an ancestor of one (a sign or bitmap
-     write there can flip an effective sign the decision read);
-   - a rewrite-lane entry keeps no answers, so it survives any
-     non-structural epoch;
-   - the per-role maps survive iff the epoch touched neither structure
-     nor any bitmap.
+   A rewrite-lane entry read the policy's scopes, which any structural
+   change may move, so it carries across non-structural epochs only.
+   A structural epoch captured without [footprint] (recovery, refresh)
+   drops every entry.  The per-role maps are patched: the written ids
+   are re-derived (deleted ones lose their entries) in a copy of each.
 
    All of it is gated on provenance: the captured view must be the
    very next generation of the same tree family as [prev]'s, under
    the same (physically equal) policy — otherwise the tree-level
    change set does not describe the gap between the two snapshots and
    the new snapshot simply starts cold (correct, just slower). *)
-let carry_forward ~prev ~stats t =
+let carry_forward ~prev ~stats ~footprint t =
   let continuous =
     Tree.family prev.doc = Tree.family t.doc
     && stats.Tree.frozen_gen = prev.gen + 1
     && prev.policy == t.policy
   in
-  if continuous && not stats.Tree.structural then begin
-    let changed = Iset.of_list stats.Tree.changed in
-    let carried = ref 0 in
-    with_lock prev.lock (fun () ->
-        Queue.iter
-          (fun key ->
-            let m = Hashtbl.find prev.memos key in
-            if Iset.is_empty changed || untouched ~changed prev.doc m.answers
-            then begin
-              remember t key m;
-              incr carried
-            end)
-          prev.order;
-        if not stats.Tree.bits_touched then
-          Hashtbl.iter
-            (fun role c -> Hashtbl.replace t.role_cams role c)
-            prev.role_cams);
-    if !carried > 0 then Metrics.add t.metrics "snapshot.cache.carried" !carried
+  if continuous then begin
+    let entries, roles =
+      with_lock prev.lock (fun () ->
+          ( Queue.fold (fun acc k -> (k, Hashtbl.find prev.memos k) :: acc) []
+              prev.order
+            |> List.rev,
+            Hashtbl.fold (fun r c acc -> (r, c) :: acc) prev.role_cams [] ))
+    in
+    let changed = stats.Tree.changed in
+    (* The nodes whose CAM lookup may read a written sign or bitmap:
+       every written node of the old view and its whole subtree.  A
+       walk stops at marked nodes, whose subtrees are marked already.
+       Built on first need: a capture with no materialized entry to
+       check skips it. *)
+    let dirty =
+      lazy
+        (let marked = Hashtbl.create 64 in
+         let rec mark (n : Tree.node) =
+           if not (Hashtbl.mem marked n.Tree.id) then begin
+             Hashtbl.replace marked n.Tree.id ();
+             List.iter mark (Tree.children n)
+           end
+         in
+         List.iter (fun id -> Option.iter mark (Tree.find prev.doc id)) changed;
+         marked)
+    in
+    let update =
+      match footprint with
+      | Some (sg, exprs) when stats.Tree.structural ->
+          Some (sg, Schema_match.footprint sg exprs)
+      | _ -> None
+    in
+    t.footprints <- prev.footprints;
+    let query_footprint sg key m =
+      (* The query text: the memo key past its lane and role prefix. *)
+      let i = String.index key '\x00' + 1 in
+      let query = String.sub key i (String.length key - i) in
+      match Hashtbl.find_opt t.footprints query with
+      | Some fp -> fp
+      | None ->
+          let fp =
+            Schema_match.footprint sg (Xmlac_xpath.Expand.expand ~schema:sg m.expr)
+          in
+          if Hashtbl.length t.footprints >= footprint_capacity then
+            Hashtbl.reset t.footprints;
+          Hashtbl.replace t.footprints query fp;
+          fp
+    in
+    (* Whether the epoch's structural change provably missed [m]'s
+       answer set. *)
+    let missed key m =
+      (not stats.Tree.structural)
+      ||
+      match (m.answers, update) with
+      | None, _ | _, None -> false
+      | Some _, Some (sg, ufp) ->
+          let fp = query_footprint sg key m in
+          not
+            (Schema_match.footprint_is_empty fp
+            || Schema_match.footprint_is_empty ufp
+            || Schema_match.footprints_meet fp ufp)
+    in
+    let clean m =
+      match m.answers with
+      | None -> true
+      | Some answers ->
+          changed = []
+          ||
+          let dirty = Lazy.force dirty in
+          List.for_all (fun id -> not (Hashtbl.mem dirty id)) answers
+    in
+    let carried = ref 0 and by_footprint = ref 0 and by_written = ref 0 in
+    let kept =
+      List.filter_map
+        (fun (key, m) ->
+          if not (missed key m) then begin
+            incr by_footprint;
+            None
+          end
+          else if clean m then begin
+            incr carried;
+            Some (key, m)
+          end
+          else begin
+            incr by_written;
+            None
+          end)
+        entries
+    in
+    let patched =
+      List.map
+        (fun (role, c) ->
+          let c = Cam.freeze c in
+          ignore (Cam.apply_changes c t.doc ~changed);
+          (role, c))
+        roles
+    in
+    with_lock t.lock (fun () ->
+        List.iter (fun (key, m) -> remember t key m) kept;
+        List.iter (fun (role, c) -> Hashtbl.replace t.role_cams role c) patched);
+    let count name n = if n > 0 then Metrics.add t.metrics name n in
+    count "snapshot.cache.carried" !carried;
+    count "snapshot.cache.dropped.footprint" !by_footprint;
+    count "snapshot.cache.dropped.written" !by_written;
+    count "snapshot.role_cam_patches" (List.length patched)
   end
 
 let make ~epoch ~doc ~gen ~stats ~cam ~annotated ~bits_annotated ~policy
@@ -131,19 +224,22 @@ let make ~epoch ~doc ~gen ~stats ~cam ~annotated ~bits_annotated ~policy
     role_cams = Hashtbl.create 4;
     memos = Hashtbl.create 64;
     order = Queue.create ();
+    footprints = Hashtbl.create 64;
     metrics;
     lock = Mutex.create ();
     pins = 0;
   }
 
-let capture ?(annotated = true) ?(bits_annotated = true) ?prev ~epoch ~policy
-    ~cam ~metrics doc =
+let capture ?(annotated = true) ?(bits_annotated = true) ?prev ?footprint
+    ~epoch ~policy ~cam ~metrics doc =
   let view, stats = Tree.freeze doc in
   let t =
     make ~epoch ~doc:view ~gen:stats.Tree.frozen_gen ~stats:(Some stats) ~cam
       ~annotated ~bits_annotated ~policy ~metrics
   in
-  (match prev with Some p -> carry_forward ~prev:p ~stats t | None -> ());
+  (match prev with
+  | Some p -> carry_forward ~prev:p ~stats ~footprint t
+  | None -> ());
   t
 
 let capture_full ?(annotated = true) ?(bits_annotated = true) ~epoch ~policy
@@ -211,7 +307,7 @@ let materialized_decision ?subject t expr =
         | Some n -> Cam.lookup cam n = Tree.Plus
         | None -> false)
   in
-  { answers; decision = d }
+  { expr; answers = Some answers; decision = d }
 
 (* The rewrite lane over the frozen state: compile the request against
    the frozen policy and evaluate the granted/residue pair on the
@@ -227,7 +323,7 @@ let rewritten_decision ?subject t expr =
       Requester.decide ~ids:answer.Rewrite.granted_ids
         ~accessible:(fun _ -> true)
   in
-  { answers = []; decision = d }
+  { expr; answers = None; decision = d }
 
 let request ?subject ?lane ?(live = false) t query =
   let lane, _reason = resolve_lane ?subject ?lane t in

@@ -20,10 +20,15 @@
     {!capture} freezes the live tree in O(1) ({!Xmlac_xml.Tree.freeze})
     instead of deep-copying it: consecutive snapshots share every node
     record the intervening epoch did not touch, the CAM's persistent
-    entry map is shared wholesale, and memoized decisions plus
-    per-role maps are {e carried forward} whenever the epoch's change
-    set provably cannot have moved them.  Publish cost is therefore
-    O(nodes changed in the epoch), not O(document), and a thousand
+    entry map is shared wholesale, memoized decisions are {e carried
+    forward} whenever the epoch provably cannot have moved them, and
+    per-role maps are patched at the written ids.  A decision carries
+    when the epoch's change set holds none of its answers nor their
+    ancestors and, for a structural epoch, the paper's §5.3 schema
+    test (the one the [Overlap] trigger applies to rules) shows the
+    update missed the query.  Publish cost is therefore O(nodes
+    changed in the epoch) plus one pass over the bounded memo, not
+    O(document), and a thousand
     pinned epochs of a large document cost little more than one copy
     plus the sum of their change sets.  The registry accounts the
     sharing at {e segment} granularity (records displaced per epoch,
@@ -69,6 +74,7 @@ val capture :
   ?annotated:bool ->
   ?bits_annotated:bool ->
   ?prev:t ->
+  ?footprint:Xmlac_xml.Schema_graph.t * Xmlac_xpath.Ast.expr list ->
   epoch:int ->
   policy:Policy.t ->
   cam:Cam.t ->
@@ -82,13 +88,27 @@ val capture :
     [cam] (valid for the view because entries are keyed by node id).
 
     [prev] (normally the registry's current snapshot) enables
-    carry-forward: after a non-structural epoch, memoized decisions
-    none of whose answers (nor their ancestors in [prev]'s view) the
-    epoch touched, rewrite-lane decisions, and — when no bitmap was
-    written — the per-role maps migrate into the new snapshot instead
-    of cold-starting.
-    Carry is gated on provenance (same tree family, exactly the next
-    generation, physically equal policy) and silently skipped
+    carry-forward.  [footprint] is the structural epoch's update, as
+    the trigger saw it: the schema and the expressions locating the
+    nodes the epoch inserted or deleted (the grafted roots and their
+    descendants for an insert, the deleted roots for a delete).  Only
+    a caller that knows the document lies on the schema's paths
+    ({!Xmlac_xml.Schema_graph.covers}) may pass it.  A memoized
+    materialized-lane decision migrates into the new snapshot when
+
+    {ul
+    {- the epoch is non-structural, or its query's footprint (the root
+       paths its {!Xmlac_xpath.Expand} members select) and the
+       update's are both non-empty and share no path; and}
+    {- the epoch's change set (the ids it wrote) holds none of its
+       answers nor any ancestor of one in [prev]'s view.}}
+
+    A rewrite-lane decision migrates across non-structural epochs
+    only; a structural epoch without [footprint] (recovery, refresh)
+    carries no decision.  Every per-role map of [prev] is patched
+    into the new snapshot by {!Cam.apply_changes} over the change
+    set.  Carry is gated on provenance (same tree family, exactly the
+    next generation, physically equal policy) and silently skipped
     otherwise.
 
     [annotated] / [bits_annotated] (both default [true]) record
@@ -97,8 +117,13 @@ val capture :
     never-annotated frozen document through the rewrite lane instead
     of its default-sign CAM.  [metrics] receives the snapshot's
     lifetime counters ([snapshot.captures], [snapshot.cache.*],
-    [snapshot.role_cam_builds], [snapshot.cache.carried], and those
-    {!request} counts).
+    [snapshot.role_cam_builds], and those {!request} counts).  Carry
+    counts once per capture: [snapshot.cache.carried],
+    [snapshot.cache.dropped.footprint] (the structural test failed, or
+    a rewrite-lane entry met a structural epoch),
+    [snapshot.cache.dropped.written] (an answer or an ancestor was
+    written) and [snapshot.role_cam_patches] (per-role maps
+    patched).
     @raise Invalid_argument when [doc] is itself a frozen view. *)
 
 val capture_full :

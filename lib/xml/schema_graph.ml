@@ -5,6 +5,7 @@ type t = {
   parents : (string, string list) Hashtbl.t;
   reach : (string, SS.t) Hashtbl.t; (* proper descendants per type *)
   recursive : bool;
+  paths : string list list;  (* [root_paths]; empty on a recursive DTD *)
 }
 
 let compute_parents dtd =
@@ -48,6 +49,18 @@ let compute_reach dtd =
   done;
   reach
 
+(* Every label path from the root type down, preorder.  Terminates
+   only on a non-recursive DTD. *)
+let enumerate_paths dtd =
+  let acc = ref [] in
+  let rec go path ty =
+    let path = path @ [ ty ] in
+    acc := path :: !acc;
+    List.iter (go path) (Dtd.child_types dtd ty)
+  in
+  go [] (Dtd.root dtd);
+  List.rev !acc
+
 let build dtd =
   let parents = compute_parents dtd in
   let reach = compute_reach dtd in
@@ -56,7 +69,10 @@ let build dtd =
       (fun ty -> SS.mem ty (Hashtbl.find reach ty))
       (Dtd.element_types dtd)
   in
-  { dtd; parents; reach; recursive }
+  (* Enumerated once: the trigger and the snapshot footprints match
+     against them on every mutation. *)
+  let paths = if recursive then [] else enumerate_paths dtd in
+  { dtd; parents; reach; recursive; paths }
 
 let dtd t = t.dtd
 let is_recursive t = t.recursive
@@ -75,14 +91,22 @@ let require_non_recursive t who =
 
 let root_paths t =
   require_non_recursive t "Schema_graph.root_paths";
-  let acc = ref [] in
-  let rec go path ty =
-    let path = path @ [ ty ] in
-    acc := path :: !acc;
-    List.iter (go path) (Dtd.child_types t.dtd ty)
+  t.paths
+
+(* Every edge on a node's root path is a DTD edge exactly when its
+   label path is a root path; below [n] it suffices to check each
+   parent-child edge once. *)
+let covers t (n : Tree.node) =
+  let rec edges (p : Tree.node) =
+    let allowed = Dtd.child_types t.dtd p.Tree.name in
+    List.for_all
+      (fun (c : Tree.node) -> List.mem c.Tree.name allowed && edges c)
+      p.Tree.children
   in
-  go [] (Dtd.root t.dtd);
-  List.rev !acc
+  (match Tree.parent n with
+  | None -> String.equal n.Tree.name (Dtd.root t.dtd)
+  | Some p -> List.mem n.Tree.name (Dtd.child_types t.dtd p.Tree.name))
+  && edges n
 
 let paths_to t target =
   List.filter

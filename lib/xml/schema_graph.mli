@@ -28,7 +28,19 @@ val reachable : t -> src:string -> dst:string -> bool
 
 val root_paths : t -> string list list
 (** All label paths from the root type down to every type, each path
-    including both endpoints ([[["hospital"]; ["hospital"; "dept"]; ...]]). *)
+    including both endpoints ([[["hospital"]; ["hospital"; "dept"]; ...]]).
+    Enumerated once, at {!build}; the order is fixed, so an index into
+    the list names a path. *)
+
+val covers : t -> Tree.node -> bool
+(** [covers t n]: given that [n]'s parent (if any) sits at a label
+    path of {!root_paths}, whether every node of [n]'s subtree does
+    too — that is, whether each parent-child edge from [n]'s parent
+    down is a DTD child edge ([n] itself must be the DTD root when it
+    has no parent).  Occurrence constraints are not checked.
+    [covers t (Tree.root doc)] says the whole document lies on the
+    schema's paths, which is what the schema-level overlap tests
+    assume of the documents they reason about. *)
 
 val paths_to : t -> string -> string list list
 (** Root paths ending at the given type. *)

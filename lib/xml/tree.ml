@@ -34,16 +34,15 @@ type node = {
 }
 
 (* Per-generation write accounting, reset at every freeze: the ids
-   touched (the epoch's change set), records born, records displaced
-   per birth generation (the chunk-refcount feed of the snapshot
-   registry), and the coarse change-kind flags downstream carry
-   decisions key on. *)
+   written (the epoch's change set — a path copy alone writes nothing),
+   records born, records displaced per birth generation (the
+   chunk-refcount feed of the snapshot registry), and the coarse
+   change-kind flag downstream carry decisions key on. *)
 type delta = {
   mutable changed : unit Imap.t;
   mutable born : int;
   mutable displaced : int Imap.t;
   mutable structural : bool;
-  mutable bits_touched : bool;
 }
 
 type freeze_stats = {
@@ -52,7 +51,6 @@ type freeze_stats = {
   born : int;
   displaced : (int * int) list;
   structural : bool;
-  bits_touched : bool;
 }
 
 type t = {
@@ -78,7 +76,6 @@ let empty_delta () =
     born = 0;
     displaced = Imap.empty;
     structural = false;
-    bits_touched = false;
   }
 
 let touch t id = t.delta.changed <- Imap.add id () t.delta.changed
@@ -156,7 +153,6 @@ let rec privatize t (n : node) =
           List.map (fun c -> if c.id = n.id then fresh else c) p.children
     | None -> t.root_node <- fresh);
     t.index <- Imap.add n.id fresh t.index;
-    touch t n.id;
     fresh
   end
 
@@ -294,7 +290,6 @@ let set_bits t n b =
   if not (Option.equal Bitset.equal n.bits b) then begin
     let n = privatize t n in
     n.bits <- b;
-    t.delta.bits_touched <- true;
     touch t n.id
   end
 
@@ -317,7 +312,6 @@ let clear_signs t =
 let clear_bits t =
   check_live "Tree.clear_bits" t;
   let ids = fold (fun acc n -> if n.bits <> None then n.id :: acc else acc) [] t in
-  if ids <> [] then t.delta.bits_touched <- true;
   List.iter
     (fun id ->
       match Imap.find_opt id t.index with
@@ -342,7 +336,6 @@ let freeze t =
       born = max 0 d.born;
       displaced = Imap.bindings d.displaced;
       structural = d.structural;
-      bits_touched = d.bits_touched;
     }
   in
   (* The view shares the index map (persistent), the record spine and

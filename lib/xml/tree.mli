@@ -158,7 +158,9 @@ type freeze_stats = {
   frozen_gen : int;  (** Generation the view captured. *)
   changed : int list;
       (** Ids written during the frozen generation (ascending): the
-          epoch's change set.  Includes ids born and ids deleted. *)
+          epoch's change set.  A write is a sign, bitmap or value
+          write, a birth or a deletion.  The ancestors a write merely
+          path-copies are not listed: their slots did not change. *)
   born : int;  (** Records created during the generation. *)
   displaced : (int * int) list;
       (** [(birth_gen, count)]: records superseded or deleted during
@@ -167,7 +169,6 @@ type freeze_stats = {
   structural : bool;
       (** Whether the generation inserted/deleted nodes or changed a
           value (anything that can move query answer sets). *)
-  bits_touched : bool;  (** Whether any role bitmap was written. *)
 }
 
 val freeze : t -> t * freeze_stats

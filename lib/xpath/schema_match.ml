@@ -96,3 +96,26 @@ let overlap sg p q =
   List.exists (fun path -> full_match sg q.steps path) paths_p
 
 let disjoint sg p q = not (overlap sg p q)
+
+(* Ascending indices into [Sg.root_paths]. *)
+type footprint = int array
+
+let footprint sg exprs =
+  let acc = ref [] in
+  List.iteri
+    (fun i path ->
+      if List.exists (fun (e : expr) -> full_match sg e.steps path) exprs then
+        acc := i :: !acc)
+    (Sg.root_paths sg);
+  Array.of_list (List.rev !acc)
+
+let footprint_is_empty fp = Array.length fp = 0
+
+(* A merge over the two ascending arrays. *)
+let footprints_meet a b =
+  let rec go i j =
+    i < Array.length a
+    && j < Array.length b
+    && (a.(i) = b.(j) || if a.(i) < b.(j) then go (i + 1) j else go i (j + 1))
+  in
+  go 0 0

@@ -32,3 +32,23 @@ val overlap : Xmlac_xml.Schema_graph.t -> Ast.expr -> Ast.expr -> bool
 
 val disjoint : Xmlac_xml.Schema_graph.t -> Ast.expr -> Ast.expr -> bool
 (** [not (overlap ...)]; sound. *)
+
+(** {1 Footprints}
+
+    The root paths an expression set can select, as one value, so that
+    a test repeated against many partners costs one merge instead of
+    one schema walk per pair. *)
+
+type footprint
+(** A set of indices into [Schema_graph.root_paths]. *)
+
+val footprint : Xmlac_xml.Schema_graph.t -> Ast.expr list -> footprint
+(** The root paths some member of the list can select — the union of
+    their {!matched_root_paths}.  Two singleton footprints meet exactly
+    when {!overlap} holds of their expressions.  Empty when no member
+    is satisfiable under the schema. *)
+
+val footprint_is_empty : footprint -> bool
+
+val footprints_meet : footprint -> footprint -> bool
+(** Whether the two share a root path. *)

@@ -552,6 +552,153 @@ let cow_equiv_prop =
       true)
 
 (* ------------------------------------------------------------------ *)
+(* Carry across epochs: a memoized materialized decision survives an
+   epoch that wrote outside its answers and their ancestors, and a
+   structural epoch whose update the query's schema footprint misses. *)
+
+let find_named doc name =
+  List.find (fun (n : Tree.node) -> n.Tree.name = name) (Tree.nodes doc)
+
+(* A sign write path-copies the written node's ancestors, the root
+   among them.  Those copies are not writes, so a decision whose
+   answers sit elsewhere must answer from the carried memo. *)
+let test_carry_across_unrelated_write () =
+  Fault.reset ();
+  let eng = annotated_engine () in
+  let misses () = Metrics.counter (Engine.metrics eng) "cache.misses" in
+  let q = "//patient/name" in
+  ignore (Engine.request eng Engine.Native q);
+  let doc = Engine.document eng in
+  let med = find_named doc "med" in
+  let flipped =
+    match med.Tree.sign with Some Tree.Plus -> Tree.Minus | _ -> Tree.Plus
+  in
+  Tree.set_sign doc med (Some flipped);
+  Engine.refresh eng;
+  let before = misses () in
+  let d = Engine.request eng Engine.Native q in
+  Alcotest.(check int) "answered from the carried memo" before (misses ());
+  Alcotest.(check bool) "decision equals the direct read" true
+    (d = Engine.request_direct eng Engine.Native q)
+
+(* Deleting every treatment cannot move the staff records: the two
+   schema footprints share no root path, and the sign repair writes
+   neither [staffinfo] nor an ancestor of it.  The deleted
+   treatments' own query is dropped. *)
+let test_carry_across_structural_epoch () =
+  Fault.reset ();
+  let eng = annotated_engine () in
+  let m = Engine.metrics eng in
+  let misses () = Metrics.counter m "cache.misses" in
+  let carried = "//staffinfo" and moved = "//treatment" in
+  ignore (Engine.request eng Engine.Native carried);
+  ignore (Engine.request eng Engine.Native moved);
+  let dropped = Metrics.counter m "snapshot.cache.dropped.footprint" in
+  ignore (Engine.update eng probe_update);
+  let before = misses () in
+  let d = Engine.request eng Engine.Native carried in
+  Alcotest.(check int) "staff records answered from the memo" before
+    (misses ());
+  Alcotest.(check bool) "carried decision equals the direct read" true
+    (d = Engine.request_direct eng Engine.Native carried);
+  ignore (Engine.request eng Engine.Native moved);
+  Alcotest.(check int) "the treatments were re-evaluated" (before + 1)
+    (misses ());
+  Alcotest.(check bool) "the drop was counted" true
+    (Metrics.counter m "snapshot.cache.dropped.footprint" > dropped)
+
+(* Every carried decision equals a fresh read.  Memos for the
+   anonymous subject and two roles are warmed from a query pool, then a
+   random chain of updates, inserts and re-annotations runs; after each
+   epoch every (subject, query) pair is re-requested — the hits are the
+   carried entries — and compared with [request_direct].  The pool
+   holds queries the schema makes unsatisfiable, and the inserts
+   include elements the DTD lacks: [bogus] as a whole fragment, and
+   below a [treatment] a patient may hold. *)
+let carry_queries =
+  [ "//bogus"; "//patient[bogus]"; "//patient[.//bogus]"; "/hospital/patient";
+    "//treatment"; "//patient/name"; "//staff//name"; "//patient[treatment]" ]
+
+let carry_inserts =
+  [ ("//patients", "<patient><psn>077</psn><name>Ann</name></patient>");
+    ("//patient", "<treatment><regular><med>aspirin</med><bill>1000</bill></regular></treatment>");
+    ("//staffinfo", "<staff><nurse><sid>9</sid><name>Bo</name><phone>1</phone></nurse></staff>");
+    ("//patient", "<bogus/>");
+    ("//patient", "<treatment><bogus/></treatment>") ]
+
+let carry_prop =
+  QCheck2.Test.make ~name:"every carried decision equals request_direct"
+    ~count:40
+    QCheck2.Gen.(pair Helpers.seed_gen Helpers.seed_gen)
+    (fun (doc_seed, op_seed) ->
+      Fault.reset ();
+      let rng = Prng.create ~seed:doc_seed in
+      let doc = Helpers.random_hospital_doc rng in
+      let subjects =
+        Subject.make_exn [ Subject.role "r0"; Subject.role "r1" ]
+      in
+      let policy = Helpers.random_role_policy rng subjects in
+      let queries =
+        carry_queries
+        @ List.init 6 (fun _ ->
+              Pp.expr_to_string (Helpers.random_hospital_expr rng))
+      in
+      let eng = Engine.create ~dtd:W.Hospital.dtd ~policy doc in
+      ignore (Engine.annotate_all eng);
+      ignore (Engine.annotate_subjects_all eng);
+      let m = Engine.metrics eng in
+      let check_all step =
+        List.iter
+          (fun subject ->
+            List.iter
+              (fun q ->
+                let hits = Metrics.counter m "cache.hits" in
+                let d = Engine.request ?subject eng Engine.Native q in
+                let direct = Engine.request_direct ?subject eng Engine.Native q in
+                if d <> direct then
+                  QCheck2.Test.fail_reportf
+                    "after %s, %s%s (%s): %s, direct read %s" step q
+                    (match subject with None -> "" | Some r -> " @" ^ r)
+                    (if Metrics.counter m "cache.hits" > hits then "memo hit"
+                     else "fresh")
+                    (Format.asprintf "%a" Requester.pp d)
+                    (Format.asprintf "%a" Requester.pp direct))
+              queries)
+          [ None; Some "r0"; Some "r1" ]
+      in
+      check_all "annotation";
+      let orng = Prng.create ~seed:op_seed in
+      for _ = 1 to 5 do
+        let step =
+          match Prng.int orng 6 with
+          | 0 | 1 ->
+              let u =
+                if Prng.int orng 3 = 0 then
+                  Prng.choose orng [| "//bogus"; "//treatment" |]
+                else Helpers.random_update orng
+              in
+              ignore (Engine.update eng u);
+              "update " ^ u
+          | 2 | 3 ->
+              let at, xml =
+                List.nth carry_inserts (Prng.int orng (List.length carry_inserts))
+              in
+              ignore
+                (Engine.insert eng ~at
+                   ~fragment:(Xmlac_xml.Xml_parser.parse_exn xml));
+              "insert " ^ xml
+          | 4 ->
+              ignore (Engine.annotate_all eng);
+              "annotate_all"
+          | _ ->
+              ignore (Engine.annotate_subjects_all eng);
+              "annotate_subjects_all"
+        in
+        check_all step
+      done;
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* Pool: scheduling semantics. *)
 
 let test_pool_sequential () =
@@ -703,11 +850,16 @@ let () =
             test_cow_kill_never_corrupts_pinned_neighbor;
           tc "carry checks the answers' ancestors"
             test_carry_checks_answer_ancestors;
+          tc "carry across an unrelated write"
+            test_carry_across_unrelated_write;
+          tc "carry across a structural epoch"
+            test_carry_across_structural_epoch;
         ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest isolation_prop;
           QCheck_alcotest.to_alcotest cow_equiv_prop;
+          QCheck_alcotest.to_alcotest carry_prop;
         ] );
       ( "frontend",
         [

@@ -221,6 +221,25 @@ let test_cam_apply_changes_root () =
   Alcotest.(check bool) "root lookup" true
     (Cam.lookup cam root = Tree.Plus)
 
+(* A deleted id listed in the change set loses its entry, so a copy
+   patched from an epoch's written ids needs no purge. *)
+let test_cam_apply_changes_deleted () =
+  let doc = annotated_sample () in
+  let cam = Cam.build doc ~default:Tree.Minus in
+  let doomed =
+    List.filter (fun (n : Tree.node) -> n.Tree.name = "treatment") (Tree.nodes doc)
+  in
+  let deleted =
+    List.concat_map
+      (fun n -> List.map (fun (d : Tree.node) -> d.Tree.id) (Tree.descendant_or_self n))
+      doomed
+  in
+  let before = Cam.entries cam in
+  List.iter (Tree.delete doc) doomed;
+  ignore (Cam.apply_changes cam doc ~changed:deleted);
+  Alcotest.(check bool) "entries dropped" true (Cam.entries cam < before);
+  check_cam_equals_fresh "apply_changes over deletions = fresh build" cam doc
+
 let test_cam_rebuild_subtree () =
   let doc = annotated_sample () in
   let cam = Cam.build doc ~default:Tree.Minus in
@@ -432,6 +451,7 @@ let () =
         [
           tc "apply_changes" test_cam_apply_changes;
           tc "apply_changes at root" test_cam_apply_changes_root;
+          tc "apply_changes over deletions" test_cam_apply_changes_deleted;
           tc "rebuild_subtree" test_cam_rebuild_subtree;
           tc "purge" test_cam_purge;
         ] );

@@ -110,6 +110,28 @@ let test_tree_graft () =
   Alcotest.(check int) "distinct" (List.length ids)
     (List.length (List.sort_uniq compare ids))
 
+(* The change set of a frozen generation lists written ids only: a
+   sign write path-copies its ancestors, but their slots did not
+   change, so they are not listed; an insert lists the born id, not
+   the parent whose child list it extended; a delete lists the whole
+   deleted subtree. *)
+let test_tree_freeze_change_set () =
+  let doc, root, b, c, d = small_doc () in
+  ignore (Tree.freeze doc);
+  Tree.set_sign doc d (Some Tree.Plus);
+  let _, st = Tree.freeze doc in
+  Alcotest.(check (list int)) "sign write" [ d.Tree.id ] st.Tree.changed;
+  Alcotest.(check bool) "signs only" false st.Tree.structural;
+  let e = Tree.add_child doc c "e" in
+  let _, st = Tree.freeze doc in
+  Alcotest.(check (list int)) "insert" [ e.Tree.id ] st.Tree.changed;
+  Alcotest.(check bool) "insert is structural" true st.Tree.structural;
+  Tree.delete doc b;
+  let _, st = Tree.freeze doc in
+  Alcotest.(check (list int)) "delete" [ b.Tree.id; d.Tree.id ] st.Tree.changed;
+  Alcotest.(check bool) "the root was never written" false
+    (List.mem root.Tree.id st.Tree.changed)
+
 let test_tree_equal_structure () =
   let a, _, _, _, _ = small_doc () in
   let b, _, _, _, _ = small_doc () in
@@ -331,6 +353,24 @@ let test_sg_root_paths_cover_types () =
 let test_sg_max_depth () =
   Alcotest.(check int) "max depth" 7 (Sg.max_depth sg)
 
+let test_sg_covers () =
+  let doc = Xmlac_workload.Hospital.sample_document () in
+  Alcotest.(check bool) "sample lies on the paths" true
+    (Sg.covers sg (Tree.root doc));
+  let patient =
+    List.find (fun (n : Tree.node) -> n.Tree.name = "patient") (Tree.nodes doc)
+  in
+  Alcotest.(check bool) "a subtree on the paths" true (Sg.covers sg patient);
+  (* A declared element at an undeclared position: a [bill] is a DTD
+     type, but never a child of [treatment]. *)
+  let t = Tree.add_child doc patient "treatment" in
+  let bill = Tree.add_child doc t "bill" in
+  Alcotest.(check bool) "misplaced child" false (Sg.covers sg t);
+  Alcotest.(check bool) "misplaced root" false (Sg.covers sg bill);
+  Alcotest.(check bool) "whole document" false (Sg.covers sg (Tree.root doc));
+  Alcotest.(check bool) "wrong root" false
+    (Sg.covers sg (Tree.root (Tree.create ~root_name:"dept")))
+
 let test_sg_rejects_recursive_enumeration () =
   let dtd =
     Dtd.make ~root:"a" [ ("a", Dtd.Seq [ { elem = "a"; occ = Dtd.Star } ]) ]
@@ -387,6 +427,7 @@ let () =
           tc "copy independence" test_tree_copy_independent;
           tc "graft" test_tree_graft;
           tc "structural equality" test_tree_equal_structure;
+          tc "freeze change set" test_tree_freeze_change_set;
         ] );
       ( "serializer",
         [
@@ -428,6 +469,7 @@ let () =
           tc "paths to" test_sg_paths_to;
           tc "root paths cover types" test_sg_root_paths_cover_types;
           tc "max depth" test_sg_max_depth;
+          tc "covers" test_sg_covers;
           tc "recursive enumeration rejected"
             test_sg_rejects_recursive_enumeration;
         ] );

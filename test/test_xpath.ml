@@ -334,6 +334,23 @@ let test_overlap_disjoint () =
   Alcotest.(check bool) "staff vs patient name" false
     (ov "//nurse/name" "//patient/name")
 
+(* Footprints are the overlap test precomputed: two singleton
+   footprints meet exactly when the expressions overlap. *)
+let footprint_overlap_prop =
+  QCheck2.Test.make ~name:"footprints meet iff overlap" ~count:200
+    QCheck2.Gen.int64 (fun seed ->
+      let rng = Prng.create ~seed in
+      let p = Helpers.random_hospital_expr rng in
+      let q =
+        if Prng.int rng 4 = 0 then parse "//patient/bill"
+        else Helpers.random_hospital_expr rng
+      in
+      let fp e = Schema_match.footprint hospital_sg [ e ] in
+      Schema_match.footprints_meet (fp p) (fp q)
+      = Schema_match.overlap hospital_sg p q
+      && Schema_match.footprint_is_empty (fp q)
+         = not (Schema_match.satisfiable hospital_sg q))
+
 (* Disjointness is sound: if schema says disjoint, evaluations never
    intersect on valid documents. *)
 let disjoint_sound_prop =
@@ -476,6 +493,7 @@ let () =
           tc "satisfiability" test_satisfiable;
           tc "overlap/disjoint" test_overlap_disjoint;
           QCheck_alcotest.to_alcotest disjoint_sound_prop;
+          QCheck_alcotest.to_alcotest footprint_overlap_prop;
         ] );
       ( "expand",
         [
