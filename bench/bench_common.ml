@@ -91,7 +91,8 @@ let stores_for document ~default_sign =
 let store_labels = [ "xquery"; "monetsql"; "postgres" ]
 
 let pp_secs s =
-  if s < 1e-4 then Printf.sprintf "%.1f us" (s *. 1e6)
+  if s < 1e-6 then Printf.sprintf "%.1f ns" (s *. 1e9)
+  else if s < 1e-4 then Printf.sprintf "%.1f us" (s *. 1e6)
   else if s < 0.1 then Printf.sprintf "%.2f ms" (s *. 1e3)
   else Printf.sprintf "%.3f s" s
 

@@ -4,6 +4,8 @@
    useful for regressions independently of the sweep harness:
 
    - table3  -> Redundancy-Elimination on the hospital policy
+   - bitset  -> subset / mem on 16-member role sets, the coverage check
+                Redundancy-Elimination runs before every containment test
    - table5  -> shredding a document into an INSERT script
    - fig9    -> executing the INSERT script (row engine)
    - fig10   -> one all-or-nothing request on an annotated store
@@ -33,11 +35,21 @@ let make_tests () =
   let query = List.hd (Xmlac_workload.Queries.response_queries ~n:1 ()) in
   let update = List.hd (Xmlac_workload.Queries.delete_updates ~n:1 ()) in
   let depend = Depend.build ~mode:Depend.Paper policy in
+  (* Equal but separately built, so [subset] scans every word and
+     answers true. *)
+  let roles = Xmlac_util.Bitset.of_list (List.init 16 Fun.id) in
+  let coverage = Xmlac_util.Bitset.of_list (List.init 16 Fun.id) in
   [
     Test.make ~name:"table3/optimize"
       (Staged.stage (fun () ->
            Sys.opaque_identity
              (Optimizer.optimize_policy Xmlac_workload.Hospital.policy)));
+    Test.make ~name:"bitset/subset"
+      (Staged.stage (fun () ->
+           Sys.opaque_identity (Xmlac_util.Bitset.subset coverage roles)));
+    Test.make ~name:"bitset/mem"
+      (Staged.stage (fun () ->
+           Sys.opaque_identity (Xmlac_util.Bitset.mem 15 roles)));
     Test.make ~name:"table5/shred"
       (Staged.stage (fun () ->
            Sys.opaque_identity

@@ -14,8 +14,8 @@
    role.
 
    Expected shape: shared-pass time tracks the distinct-plan count,
-   not the role count — 64 roles cost < 8x one role — and the roaring
-   per-node bitmaps cost about half a byte per role per node.
+   not the role count — 64 roles cost < 8x one role — and the per-node
+   bit vectors cost at most one 8-byte word per 63 roles per node.
 
    A second table times one structural mutation (a delete) on the
    native store with every role's bitmaps materialized, two ways: the
@@ -307,9 +307,9 @@ let run (_cfg : Bench_common.config) =
   print_endline
     "expected shape: shared-pass time tracks distinct plans, not roles (64 \
      roles < 8x one role); per-role loop degrades linearly; bitmaps cost \
-     about half a byte per role per node; the region repair agrees with \
-     the full pass and, from 8 roles on, costs well under half of it (at \
-     one role the two cost about the same).";
+     at most one 8-byte word per 63 roles per node; the region repair \
+     agrees with the full pass and, from 8 roles on, costs well under \
+     half of it (at one role the two cost about the same).";
   if not (List.for_all (fun r -> r.agree) repairs) then begin
     prerr_endline "multirole: region repair disagrees with the full pass";
     exit 1

@@ -119,8 +119,6 @@ let journal_stop j =
   j.active <- false;
   j.entries <- []
 
-let journal_entries j = List.length j.entries
-
 let journaled j b =
   j.restore <- Some b.restore_sign;
   j.restore_bits <- Some b.restore_bits;

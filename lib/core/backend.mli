@@ -155,9 +155,6 @@ val journal_begin : journal -> unit
 val journal_stop : journal -> unit
 (** Stop recording and discard entries — the commit path. *)
 
-val journal_entries : journal -> int
-(** Recorded overwrites (an id written twice counts twice). *)
-
 val rollback : journal -> int
 (** Restores every journaled sign and bitmap, newest first (so an id
     written twice ends at its original value), then deactivates the

@@ -35,9 +35,6 @@ let size t = List.length t.rules
 
 let with_rules t rules = make ~subjects:t.subjects ~ds:t.ds ~cr:t.cr rules
 
-let find_rule t name =
-  List.find_opt (fun r -> String.equal r.Rule.name name) t.rules
-
 (* --- per-subject resolution ---------------------------------------- *)
 
 let unknown_role what role =
@@ -138,19 +135,12 @@ let accessible_id_set ?subject t doc =
   | None -> accessible_id_set_solo t doc
   | Some role -> accessible_id_set_solo (for_subject t role) doc
 
-let accessible_nodes ?subject t doc =
-  let set = accessible_id_set ?subject t doc in
-  List.filter (fun (n : Tree.node) -> Hashtbl.mem set n.Tree.id) (Tree.nodes doc)
-
 let accessible_ids ?subject t doc =
   List.sort Stdlib.compare
     (Hashtbl.fold
        (fun id () acc -> id :: acc)
        (accessible_id_set ?subject t doc)
        [])
-
-let node_accessible ?subject t doc n =
-  Hashtbl.mem (accessible_id_set ?subject t doc) n.Tree.id
 
 let annotate_reference ?subject t doc =
   let set = accessible_id_set ?subject t doc in
@@ -159,29 +149,6 @@ let annotate_reference ?subject t doc =
       Tree.set_sign doc n
         (Some (if Hashtbl.mem set n.Tree.id then Tree.Plus else Tree.Minus)))
     (Tree.nodes doc)
-
-(* Per-node role bitmaps by the specification: every role's Table 2,
-   evaluated independently, gathered node-major.  The executable
-   oracle the shared-pass annotator is tested against. *)
-let accessible_bits_reference t doc =
-  let per_role =
-    List.mapi
-      (fun i role -> (i, accessible_id_set ~subject:role t doc))
-      (roles t)
-  in
-  let tbl = Hashtbl.create 256 in
-  Tree.iter
-    (fun n ->
-      let bits =
-        Bitset.of_list
-          (List.filter_map
-             (fun (i, set) ->
-               if Hashtbl.mem set n.Tree.id then Some i else None)
-             per_role)
-      in
-      Hashtbl.replace tbl n.Tree.id bits)
-    doc;
-  tbl
 
 let pp ppf t =
   Format.fprintf ppf "policy (ds=%s, cr=%s):@."

@@ -44,9 +44,6 @@ val size : t -> int
 val with_rules : t -> Rule.t list -> t
 (** Same [ds]/[cr]/[subjects], different rules. *)
 
-val find_rule : t -> string -> Rule.t option
-(** By display name. *)
-
 (** {1 Per-subject resolution} *)
 
 val resolved_ds : t -> string -> Rule.effect
@@ -83,24 +80,11 @@ val default_bits : t -> Xmlac_util.Bitset.t
     single subject — global [(ds, cr)] over every rule regardless of
     qualifiers, which coincides with the historical behaviour. *)
 
-val accessible_nodes :
-  ?subject:string -> t -> Xmlac_xml.Tree.t -> Xmlac_xml.Tree.node list
-(** [\[\[P\]\](T)], in document order. *)
-
 val accessible_ids : ?subject:string -> t -> Xmlac_xml.Tree.t -> int list
 (** Ascending. *)
-
-val node_accessible :
-  ?subject:string -> t -> Xmlac_xml.Tree.t -> Xmlac_xml.Tree.node -> bool
 
 val annotate_reference : ?subject:string -> t -> Xmlac_xml.Tree.t -> unit
 (** Stamps every node's sign slot with its accessibility — full
     annotation by the specification. *)
-
-val accessible_bits_reference :
-  t -> Xmlac_xml.Tree.t -> (int, Xmlac_util.Bitset.t) Hashtbl.t
-(** Per-node role bitmaps by the specification: every role's Table 2
-    evaluated independently, gathered node-major.  The oracle the
-    shared-pass multi-role annotator is tested against. *)
 
 val pp : Format.formatter -> t -> unit

@@ -67,10 +67,3 @@ let eval_tree doc c =
   | [ granted_ids; residue_ids ] ->
       { granted_ids; blocked = List.length residue_ids }
   | _ -> assert false
-
-let pp_compiled ppf c =
-  (match c.subject with
-  | Some role -> Format.fprintf ppf "as %s:@." role
-  | None -> ());
-  Format.fprintf ppf "granted: %a@.residue: %a" Plan.pp c.granted Plan.pp
-    c.residue

@@ -101,6 +101,3 @@ val eval_tree : Xmlac_xml.Tree.t -> compiled -> answer
 (** Both plans directly over a tree ({!Plan.native_ids_shared}, shared
     scope memo) — the frozen-snapshot path, which has a document but no
     {!Backend.t}. *)
-
-val pp_compiled : Format.formatter -> compiled -> unit
-(** Both plans, one per line — [xmlacctl explain --lane rewrite]. *)

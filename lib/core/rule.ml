@@ -47,8 +47,6 @@ let is_negative r = r.effect = Minus
 
 let scope doc r = Xp.Eval.eval doc r.resource
 
-let in_scope doc r n = Xp.Eval.matches doc r.resource n
-
 let pp ppf r =
   Format.fprintf ppf "%s: %s (%s)" r.name
     (Xp.Pp.expr_to_string r.resource)

@@ -59,8 +59,6 @@ val scope : Xmlac_xml.Tree.t -> t -> Xmlac_xml.Tree.node list
 (** The nodes of the document in the rule's scope:
     [\[\[resource\]\](T)]. *)
 
-val in_scope : Xmlac_xml.Tree.t -> t -> Xmlac_xml.Tree.node -> bool
-
 val pp : Format.formatter -> t -> unit
 (** ["R3: //patient\[treatment\] (-)"]. *)
 

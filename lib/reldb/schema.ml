@@ -42,6 +42,3 @@ let create_table_sql t =
     (String.concat ", " (List.map col t.columns))
 
 type t = table list
-
-let find_table schema name =
-  List.find_opt (fun t -> String.equal t.table_name name) schema

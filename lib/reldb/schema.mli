@@ -34,5 +34,3 @@ val create_table_sql : table -> string
 
 type t = table list
 (** A database schema: tables in creation order. *)
-
-val find_table : t -> string -> table option

@@ -93,14 +93,6 @@ let stmt_to_string = function
       in
       Printf.sprintf "DELETE FROM %s%s;" table w
 
-let pp_query ppf q = Format.pp_print_string ppf (query_to_string q)
-let pp_stmt ppf s = Format.pp_print_string ppf (stmt_to_string s)
-
-let rec select_tables = function
-  | Select s -> List.map (fun r -> r.table) s.from
-  | Union (a, b) | Except (a, b) | Intersect (a, b) ->
-      List.sort_uniq String.compare (select_tables a @ select_tables b)
-
 (* N-ary unions.  The Annotation-Queries compilation and the ShreX
    translation both produce unions of many branches; a left-leaning
    fold hands the executor a degenerate depth-n operator tree.  A

@@ -41,11 +41,6 @@ val eq : scalar -> scalar -> pred
 
 val query_to_string : query -> string
 val stmt_to_string : stmt -> string
-val pp_query : Format.formatter -> query -> unit
-val pp_stmt : Format.formatter -> stmt -> unit
-
-val select_tables : query -> string list
-(** All table names referenced anywhere in the query. *)
 
 val balanced_union : query list -> query option
 (** Combines the queries with UNION into a balanced binary tree

@@ -1,620 +1,187 @@
-(* Roaring-style compressed bitmap over non-negative ints.
+(* Immutable bit vector over the ints in [0, bound).
 
-   The value space is chunked by the high bits (key = v lsr 16); each
-   chunk holds at most 65536 members and is stored in whichever of
-   three container shapes is smallest for its population:
+   Member [v] is bit [v mod Sys.int_size] of word [v / Sys.int_size].
+   The last word is never zero, so two vectors hold the same members
+   exactly when they are structurally equal.  Every operation returns
+   a fresh array (or an input unchanged) and never writes to its
+   inputs. *)
 
-     Arr  — sorted array of low-16 values (sparse chunks),
-     Bmp  — 8 KiB bit array (dense, irregular chunks),
-     Run  — sorted (start, length) runs (dense, contiguous chunks).
+type t = int array
 
-   Binary operations normalize both sides of a chunk to the bit-array
-   form, combine word-wise, then re-compact to the cheapest shape —
-   simple, branch-free, and plenty fast for chunk counts in the tens.
-   The structure is immutable: every operation returns a fresh value
-   and never aliases mutable state with its inputs. *)
+(* Role ids are small; the bound keeps a damaged wire form from
+   making [of_string] allocate a huge vector. *)
+let bound = 1 lsl 20
+let w = Sys.int_size
 
-type container =
-  | Arr of int array
-  | Bmp of bytes
-  | Run of (int * int) array
+let check v =
+  if v < 0 || v >= bound then
+    invalid_arg (Printf.sprintf "Bitset: member %d outside [0, %d)" v bound)
 
-type t = (int * container) array (* sorted by chunk key, no empty chunks *)
-
-let chunk_bits = 16
-let chunk_size = 1 lsl chunk_bits (* 65536 *)
-let bmp_bytes = chunk_size / 8 (* 8192 *)
-let arr_max = 4096
-
-let key v = v lsr chunk_bits
-let low v = v land (chunk_size - 1)
+let trim (a : t) : t =
+  let n = ref (Array.length a) in
+  while !n > 0 && a.(!n - 1) = 0 do
+    decr n
+  done;
+  if !n = Array.length a then a else Array.sub a 0 !n
 
 let empty : t = [||]
 let is_empty (t : t) = Array.length t = 0
 
-(* --- container primitives ----------------------------------------- *)
-
-let card_container = function
-  | Arr a -> Array.length a
-  | Run rs -> Array.fold_left (fun acc (_, len) -> acc + len) 0 rs
-  | Bmp b ->
-      let n = ref 0 in
-      Bytes.iter
-        (fun c ->
-          let x = ref (Char.code c) in
-          while !x <> 0 do
-            x := !x land (!x - 1);
-            incr n
-          done)
-        b;
-      !n
-
-let mem_container v = function
-  | Arr a ->
-      let rec bin lo hi =
-        lo < hi
-        &&
-        let mid = (lo + hi) / 2 in
-        let x = a.(mid) in
-        if x = v then true else if x < v then bin (mid + 1) hi else bin lo mid
-      in
-      bin 0 (Array.length a)
-  | Bmp b -> Char.code (Bytes.get b (v lsr 3)) land (1 lsl (v land 7)) <> 0
-  | Run rs ->
-      Array.exists (fun (start, len) -> v >= start && v < start + len) rs
-
-let iter_container f base = function
-  | Arr a -> Array.iter (fun v -> f (base + v)) a
-  | Run rs ->
-      Array.iter
-        (fun (start, len) ->
-          for v = start to start + len - 1 do
-            f (base + v)
-          done)
-        rs
-  | Bmp b ->
-      for byte = 0 to bmp_bytes - 1 do
-        let c = Char.code (Bytes.get b byte) in
-        if c <> 0 then
-          for bit = 0 to 7 do
-            if c land (1 lsl bit) <> 0 then f (base + (byte * 8) + bit)
-          done
-      done
-
-let to_bmp = function
-  | Bmp b -> Bytes.copy b
-  | c ->
-      let b = Bytes.make bmp_bytes '\x00' in
-      iter_container
-        (fun v ->
-          Bytes.set b (v lsr 3)
-            (Char.chr (Char.code (Bytes.get b (v lsr 3)) lor (1 lsl (v land 7)))))
-        0 c;
-      b
-
-(* Count maximal runs of consecutive set bits. *)
-let run_count_of_bmp b =
-  let runs = ref 0 and prev = ref false in
-  for v = 0 to chunk_size - 1 do
-    let set = Char.code (Bytes.get b (v lsr 3)) land (1 lsl (v land 7)) <> 0 in
-    if set && not !prev then incr runs;
-    prev := set
-  done;
-  !runs
-
-(* Re-compact a bit array into the cheapest container; [None] when the
-   chunk is empty.  Shape costs in words: Arr n -> n, Run m -> 2m,
-   Bmp -> 1024. *)
-let compact_bmp b =
-  let card = card_container (Bmp b) in
-  if card = 0 then None
-  else
-    let nruns = run_count_of_bmp b in
-    let cost_arr = if card <= arr_max then card else max_int in
-    let cost_run = 2 * nruns in
-    let cost_bmp = bmp_bytes / 8 in
-    if cost_run <= cost_arr && cost_run <= cost_bmp then begin
-      let rs = Array.make nruns (0, 0) in
-      let i = ref 0 and start = ref (-1) and prev = ref false in
-      for v = 0 to chunk_size - 1 do
-        let set =
-          Char.code (Bytes.get b (v lsr 3)) land (1 lsl (v land 7)) <> 0
-        in
-        if set && not !prev then start := v;
-        if (not set) && !prev then begin
-          rs.(!i) <- (!start, v - !start);
-          incr i
-        end;
-        prev := set
-      done;
-      if !prev then rs.(!i) <- (!start, chunk_size - !start);
-      Some (Run rs)
-    end
-    else if cost_arr <= cost_bmp then begin
-      let a = Array.make card 0 in
-      let i = ref 0 in
-      iter_container
-        (fun v ->
-          a.(!i) <- v;
-          incr i)
-        0 (Bmp b);
-      Some (Arr a)
-    end
-    else Some (Bmp b)
-
-(* --- construction -------------------------------------------------- *)
-
-let of_sorted_unique l : t =
-  (* Group consecutive values by chunk key; each group is already a
-     sorted unique low-value list, so Arr (or its compaction) is
-     immediate. *)
-  let chunks = ref [] in
-  let flush k vals =
-    match vals with
-    | [] -> ()
-    | _ ->
-        let a = Array.of_list (List.rev vals) in
-        let c =
-          if Array.length a <= arr_max then
-            (* Small chunk: Arr, unless it is one dense run. *)
-            let n = Array.length a in
-            if n > 2 && a.(n - 1) - a.(0) = n - 1 then Run [| (a.(0), n) |]
-            else Arr a
-          else
-            match compact_bmp (to_bmp (Arr a)) with
-            | Some c -> c
-            | None -> assert false
-        in
-        chunks := (k, c) :: !chunks
-  in
-  let rec go k vals = function
-    | [] -> flush k vals
-    | v :: rest ->
-        if v < 0 then invalid_arg "Bitset: negative member";
-        let kv = key v in
-        if kv = k then go k (low v :: vals) rest
-        else begin
-          flush k vals;
-          go kv [ low v ] rest
-        end
-  in
-  (match l with
-  | [] -> ()
-  | v :: _ -> go (key (max v 0)) [] l);
-  Array.of_list (List.rev !chunks)
-
-let of_list l = of_sorted_unique (List.sort_uniq Stdlib.compare l)
-let singleton v = of_list [ v ]
-
-(* --- queries ------------------------------------------------------- *)
-
-let find_chunk (t : t) k =
-  let rec bin lo hi =
-    if lo >= hi then None
-    else
-      let mid = (lo + hi) / 2 in
-      let ck, c = t.(mid) in
-      if ck = k then Some c else if ck < k then bin (mid + 1) hi else bin lo mid
-  in
-  bin 0 (Array.length t)
-
 let mem v (t : t) =
-  v >= 0
-  && match find_chunk t (key v) with
-     | None -> false
-     | Some c -> mem_container (low v) c
-
-let cardinal (t : t) =
-  Array.fold_left (fun acc (_, c) -> acc + card_container c) 0 t
-
-let iter f (t : t) =
-  Array.iter (fun (k, c) -> iter_container f (k * chunk_size) c) t
-
-let fold f (t : t) acc =
-  let acc = ref acc in
-  iter (fun v -> acc := f v !acc) t;
-  !acc
-
-let to_list t = List.rev (fold (fun v acc -> v :: acc) t [])
-
-let choose (t : t) =
-  if is_empty t then None
-  else
-    let k, c = t.(0) in
-    let r = ref None in
-    (try
-       iter_container
-         (fun v ->
-           r := Some v;
-           raise Exit)
-         (k * chunk_size) c
-     with Exit -> ());
-    !r
-
-(* --- set algebra --------------------------------------------------- *)
-
-let bmp_op f x y =
-  let r = Bytes.make bmp_bytes '\x00' in
-  for i = 0 to bmp_bytes - 1 do
-    Bytes.set r i
-      (Char.chr (f (Char.code (Bytes.get x i)) (Char.code (Bytes.get y i)) land 0xFF))
-  done;
-  r
-
-(* Merge-walk over the two sorted chunk arrays.  [keep_left]/[keep_right]
-   say whether an unmatched chunk survives (union/diff keep the left,
-   union keeps the right, intersection keeps neither). *)
-let merge ~keep_left ~keep_right ~combine (a : t) (b : t) : t =
-  let out = ref [] in
-  let push k = function None -> () | Some c -> out := (k, c) :: !out in
-  let la = Array.length a and lb = Array.length b in
-  let i = ref 0 and j = ref 0 in
-  while !i < la || !j < lb do
-    if !j >= lb || (!i < la && fst a.(!i) < fst b.(!j)) then begin
-      let k, c = a.(!i) in
-      if keep_left then push k (Some c);
-      incr i
-    end
-    else if !i >= la || fst b.(!j) < fst a.(!i) then begin
-      let k, c = b.(!j) in
-      if keep_right then push k (Some c);
-      incr j
-    end
-    else begin
-      let k, ca = a.(!i) and _, cb = b.(!j) in
-      push k (combine ca cb);
-      incr i;
-      incr j
-    end
-  done;
-  Array.of_list (List.rev !out)
-
-let union a b =
-  merge ~keep_left:true ~keep_right:true
-    ~combine:(fun ca cb -> compact_bmp (bmp_op ( lor ) (to_bmp ca) (to_bmp cb)))
-    a b
-
-let inter a b =
-  merge ~keep_left:false ~keep_right:false
-    ~combine:(fun ca cb -> compact_bmp (bmp_op ( land ) (to_bmp ca) (to_bmp cb)))
-    a b
-
-let diff a b =
-  merge ~keep_left:true ~keep_right:false
-    ~combine:(fun ca cb ->
-      compact_bmp (bmp_op (fun x y -> x land lnot y) (to_bmp ca) (to_bmp cb)))
-    a b
-
-(* --- single-member update fast paths ------------------------------- *)
-
-(* [add]/[remove] are the per-node stamp primitives of multi-role
-   annotation (one call per node per role), so they must not pay the
-   generic binary-op cost of expanding a chunk to an 8 KiB bit array
-   and re-compacting.  Instead they patch the one affected container:
-   sorted insert/delete for Arr, a bit flip for Bmp, run
-   extension/splitting for Run.  Unchanged inputs are returned as-is —
-   values are immutable, so sharing is safe (the merge walk already
-   shares unmatched containers). *)
-
-type update = Unchanged | Replaced of container | Emptied
-
-let arr_insert_at a i v =
-  let n = Array.length a in
-  let out = Array.make (n + 1) 0 in
-  Array.blit a 0 out 0 i;
-  out.(i) <- v;
-  Array.blit a i out (i + 1) (n - i);
-  out
-
-let arr_delete_at a i =
-  let n = Array.length a in
-  let out = Array.make (n - 1) 0 in
-  Array.blit a 0 out 0 i;
-  Array.blit a (i + 1) out i (n - 1 - i);
-  out
-
-let lower_bound a v =
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if a.(mid) < v then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length a)
-
-let bmp_nonempty b =
-  let r = ref false in
-  (try
-     for i = 0 to bmp_bytes - 1 do
-       if Bytes.get b i <> '\x00' then begin
-         r := true;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  !r
-
-let add_container v = function
-  | Arr a ->
-      let i = lower_bound a v in
-      if i < Array.length a && a.(i) = v then Unchanged
-      else if Array.length a < arr_max then Replaced (Arr (arr_insert_at a i v))
-      else
-        (* Sparse shape overflows: densify once. *)
-        let b = to_bmp (Arr a) in
-        Bytes.set b (v lsr 3)
-          (Char.chr (Char.code (Bytes.get b (v lsr 3)) lor (1 lsl (v land 7))));
-        (match compact_bmp b with Some c -> Replaced c | None -> assert false)
-  | Bmp b ->
-      if Char.code (Bytes.get b (v lsr 3)) land (1 lsl (v land 7)) <> 0 then
-        Unchanged
-      else begin
-        let b = Bytes.copy b in
-        Bytes.set b (v lsr 3)
-          (Char.chr (Char.code (Bytes.get b (v lsr 3)) lor (1 lsl (v land 7))));
-        Replaced (Bmp b)
-      end
-  | Run rs ->
-      if mem_container v (Run rs) then Unchanged
-      else begin
-        (* Extend an adjacent run (coalescing when the gap closes) or
-           insert a fresh length-1 run, keeping starts sorted. *)
-        let out = ref [] and placed = ref false in
-        let push (s, l) =
-          match !out with
-          | (ps, pl) :: rest when ps + pl = s -> out := (ps, pl + l) :: rest
-          | _ -> out := (s, l) :: !out
-        in
-        Array.iter
-          (fun (s, l) ->
-            if (not !placed) && v < s then begin
-              push (v, 1);
-              placed := true
-            end;
-            push (s, l))
-          rs;
-        if not !placed then push (v, 1);
-        Replaced (Run (Array.of_list (List.rev !out)))
-      end
-
-let remove_container v = function
-  | Arr a ->
-      let i = lower_bound a v in
-      if i >= Array.length a || a.(i) <> v then Unchanged
-      else if Array.length a = 1 then Emptied
-      else Replaced (Arr (arr_delete_at a i))
-  | Bmp b ->
-      if Char.code (Bytes.get b (v lsr 3)) land (1 lsl (v land 7)) = 0 then
-        Unchanged
-      else begin
-        let b = Bytes.copy b in
-        Bytes.set b (v lsr 3)
-          (Char.chr
-             (Char.code (Bytes.get b (v lsr 3)) land lnot (1 lsl (v land 7))));
-        if bmp_nonempty b then Replaced (Bmp b) else Emptied
-      end
-  | Run rs ->
-      if not (mem_container v (Run rs)) then Unchanged
-      else begin
-        let out = ref [] in
-        Array.iter
-          (fun (s, l) ->
-            if v < s || v >= s + l then out := (s, l) :: !out
-            else begin
-              (* Shrink or split the run around [v]. *)
-              if v > s then out := (s, v - s) :: !out;
-              if v < s + l - 1 then out := (v + 1, s + l - 1 - v) :: !out
-            end)
-          rs;
-        match List.rev !out with
-        | [] -> Emptied
-        | runs -> Replaced (Run (Array.of_list runs))
-      end
-
-let chunk_lower_bound (t : t) k =
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if fst t.(mid) < k then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length t)
+  v >= 0 && v / w < Array.length t && t.(v / w) land (1 lsl (v mod w)) <> 0
 
 let add v (t : t) =
-  if v < 0 then invalid_arg "Bitset: negative member";
-  let k = key v and lv = low v in
-  let n = Array.length t in
-  let i = chunk_lower_bound t k in
-  if i < n && fst t.(i) = k then
-    match add_container lv (snd t.(i)) with
-    | Unchanged -> t
-    | Replaced c ->
-        let out = Array.copy t in
-        out.(i) <- (k, c);
-        out
-    | Emptied -> assert false
+  check v;
+  if mem v t then t
   else begin
-    let out = Array.make (n + 1) (k, Arr [| lv |]) in
-    Array.blit t 0 out 0 i;
-    Array.blit t i out (i + 1) (n - i);
+    let out = Array.make (max (Array.length t) ((v / w) + 1)) 0 in
+    Array.blit t 0 out 0 (Array.length t);
+    out.(v / w) <- out.(v / w) lor (1 lsl (v mod w));
     out
   end
 
 let remove v (t : t) =
-  if v < 0 then invalid_arg "Bitset: negative member";
-  let k = key v and lv = low v in
-  let n = Array.length t in
-  let i = chunk_lower_bound t k in
-  if i >= n || fst t.(i) <> k then t
-  else
-    match remove_container lv (snd t.(i)) with
-    | Unchanged -> t
-    | Replaced c ->
-        let out = Array.copy t in
-        out.(i) <- (k, c);
-        out
-    | Emptied ->
-        let out = Array.make (n - 1) (0, Arr [||]) in
-        Array.blit t 0 out 0 i;
-        Array.blit t (i + 1) out i (n - 1 - i);
-        out
+  check v;
+  if not (mem v t) then t
+  else begin
+    let out = Array.copy t in
+    out.(v / w) <- out.(v / w) land lnot (1 lsl (v mod w));
+    trim out
+  end
+
+let of_list l : t =
+  List.iter check l;
+  let words = List.fold_left (fun n v -> max n ((v / w) + 1)) 0 l in
+  let out = Array.make words 0 in
+  List.iter (fun v -> out.(v / w) <- out.(v / w) lor (1 lsl (v mod w))) l;
+  out
+
+let union (a : t) (b : t) : t =
+  let a, b = if Array.length a >= Array.length b then (a, b) else (b, a) in
+  let out = Array.copy a in
+  Array.iteri (fun i x -> out.(i) <- out.(i) lor x) b;
+  out
+
+let inter (a : t) (b : t) : t =
+  trim
+    (Array.init (min (Array.length a) (Array.length b)) (fun i ->
+         a.(i) land b.(i)))
+
+let diff (a : t) (b : t) : t =
+  trim
+    (Array.mapi
+       (fun i x -> if i < Array.length b then x land lnot b.(i) else x)
+       a)
 
 let equal (a : t) (b : t) =
-  (* Containers are not canonical across construction paths (Arr vs Run
-     for the same members), so compare by membership via diff. *)
-  cardinal a = cardinal b && is_empty (diff a b)
+  Array.length a = Array.length b && Array.for_all2 Int.equal a b
 
-let subset a b = is_empty (diff a b)
+let subset (a : t) (b : t) =
+  let rec from i =
+    i >= Array.length a || (a.(i) land lnot b.(i) = 0 && from (i + 1))
+  in
+  Array.length a <= Array.length b && from 0
 
-(* --- memory accounting --------------------------------------------- *)
+let cardinal (t : t) =
+  let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1)) in
+  Array.fold_left (fun n x -> n + popcount x) 0 t
 
-(* Approximate heap bytes of the compressed representation: container
-   payloads only, one word per Arr member, two per Run, 8 KiB per Bmp,
-   plus 3 words of per-chunk bookkeeping. *)
-let memory_bytes (t : t) =
-  let w = Sys.word_size / 8 in
-  Array.fold_left
-    (fun acc (_, c) ->
-      acc + (3 * w)
-      +
-      match c with
-      | Arr a -> Array.length a * w
-      | Run rs -> 2 * Array.length rs * w
-      | Bmp _ -> bmp_bytes)
-    0 t
+let iter f (t : t) =
+  Array.iteri
+    (fun i x ->
+      if x <> 0 then
+        for b = 0 to w - 1 do
+          if x land (1 lsl b) <> 0 then f ((i * w) + b)
+        done)
+    t
+
+let fold f t acc =
+  let acc = ref acc in
+  iter (fun v -> acc := f v !acc) t;
+  !acc
+
+let to_list t = List.rev (fold List.cons t [])
+
+let choose t =
+  let exception Found of int in
+  match iter (fun v -> raise (Found v)) t with
+  | () -> None
+  | exception Found v -> Some v
+
+let memory_bytes (t : t) = Array.length t * (Sys.word_size / 8)
 
 (* --- serialization ------------------------------------------------- *)
 
 (* Printable, self-validating wire form for WAL records and the
    relational bits column:
 
-     RB1|<chunks>            e.g.  RB1|0:A0003.0005|1:R0000+0010
+     RB1|<chunks>            e.g.  RB1|0:A0003.0005|1:A0010
 
-   per chunk: hex key, ':', shape tag, payload — Arr values separated
-   by '.', Run (start+length) pairs by '.', Bmp as raw hex.  All
-   numbers are 4-digit lowercase hex.  Deserialization re-validates
-   ordering and bounds and fails loudly on any deviation. *)
+   Members are grouped by their high bits (v lsr 16); each group is
+   its hex key, ':', the shape tag 'A' and the low 16 bits of each
+   member as 4-digit lowercase hex, ascending and separated by '.'.
+   Deserialization re-validates ordering and bounds and fails loudly
+   on any deviation. *)
 
-let hex4 v = Printf.sprintf "%04x" v
-
-let to_string (t : t) =
+let to_string t =
   let buf = Buffer.create 64 in
   Buffer.add_string buf "RB1";
-  Array.iter
-    (fun (k, c) ->
-      Buffer.add_char buf '|';
-      Buffer.add_string buf (Printf.sprintf "%x:" k);
-      match c with
-      | Arr a ->
-          Buffer.add_char buf 'A';
-          Array.iteri
-            (fun i v ->
-              if i > 0 then Buffer.add_char buf '.';
-              Buffer.add_string buf (hex4 v))
-            a
-      | Run rs ->
-          Buffer.add_char buf 'R';
-          Array.iteri
-            (fun i (s, len) ->
-              if i > 0 then Buffer.add_char buf '.';
-              Buffer.add_string buf (hex4 s);
-              Buffer.add_char buf '+';
-              Buffer.add_string buf (hex4 len))
-            rs
-      | Bmp b ->
-          Buffer.add_char buf 'B';
-          Bytes.iter
-            (fun ch -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code ch)))
-            b)
+  let key = ref (-1) in
+  iter
+    (fun v ->
+      if v lsr 16 <> !key then begin
+        key := v lsr 16;
+        Printf.bprintf buf "|%x:A%04x" !key (v land 0xffff)
+      end
+      else Printf.bprintf buf ".%04x" (v land 0xffff))
     t;
   Buffer.contents buf
 
 let corrupt fmt =
-  Printf.ksprintf (fun m -> failwith ("Bitset.of_string: corrupt bitmap: " ^ m)) fmt
+  Printf.ksprintf
+    (fun m -> failwith ("Bitset.of_string: corrupt bitmap: " ^ m))
+    fmt
 
 let parse_hex what s =
   match int_of_string_opt ("0x" ^ s) with
   | Some v when v >= 0 -> v
   | _ -> corrupt "bad %s %S" what s
 
+(* Strictly ascending, so neither a key nor a member repeats. *)
+let rec ascending what = function
+  | a :: (b :: _ as rest) ->
+      if a >= b then corrupt "%s out of order" what else ascending what rest
+  | _ -> ()
+
 let parse_chunk part =
   match String.index_opt part ':' with
   | None -> corrupt "chunk %S lacks a key" part
   | Some i ->
       let k = parse_hex "chunk key" (String.sub part 0 i) in
+      if k >= bound lsr 16 then corrupt "chunk key %x out of range" k;
       let body = String.sub part (i + 1) (String.length part - i - 1) in
       if body = "" then corrupt "chunk %x has no shape" k;
+      if body.[0] <> 'A' then corrupt "unknown shape %C" body.[0];
       let payload = String.sub body 1 (String.length body - 1) in
-      let container =
-        match body.[0] with
-        | 'A' ->
-            let vals =
-              List.map (parse_hex "member") (String.split_on_char '.' payload)
-            in
-            List.iter
-              (fun v -> if v >= chunk_size then corrupt "member %x overflows" v)
-              vals;
-            let rec sorted = function
-              | a :: (b :: _ as rest) ->
-                  if a >= b then corrupt "unsorted array chunk" else sorted rest
-              | _ -> ()
-            in
-            sorted vals;
-            if vals = [] then corrupt "empty array chunk";
-            Arr (Array.of_list vals)
-        | 'R' ->
-            let runs =
-              List.map
-                (fun r ->
-                  match String.split_on_char '+' r with
-                  | [ s; l ] ->
-                      let s = parse_hex "run start" s
-                      and l = parse_hex "run length" l in
-                      if l < 1 || s + l > chunk_size then
-                        corrupt "run %x+%x out of bounds" s l;
-                      (s, l)
-                  | _ -> corrupt "bad run %S" r)
-                (String.split_on_char '.' payload)
-            in
-            let rec disjoint = function
-              | (s1, l1) :: ((s2, _) :: _ as rest) ->
-                  if s1 + l1 >= s2 then corrupt "overlapping runs"
-                  else disjoint rest
-              | _ -> ()
-            in
-            disjoint runs;
-            if runs = [] then corrupt "empty run chunk";
-            Run (Array.of_list runs)
-        | 'B' ->
-            if String.length payload <> 2 * bmp_bytes then
-              corrupt "bitmap chunk has %d hex digits" (String.length payload);
-            let b = Bytes.make bmp_bytes '\x00' in
-            for i = 0 to bmp_bytes - 1 do
-              Bytes.set b i
-                (Char.chr (parse_hex "bitmap byte" (String.sub payload (2 * i) 2)))
-            done;
-            if card_container (Bmp b) = 0 then corrupt "empty bitmap chunk";
-            Bmp b
-        | c -> corrupt "unknown shape %C" c
+      let members =
+        List.map
+          (fun s ->
+            let low = parse_hex "member" s in
+            if low > 0xffff then corrupt "member %x overflows" low;
+            (k lsl 16) lor low)
+          (String.split_on_char '.' payload)
       in
-      (k, container)
+      ascending "members" members;
+      (k, members)
 
 let of_string s =
   match String.split_on_char '|' s with
   | magic :: chunks ->
       if magic <> "RB1" then corrupt "bad magic %S" magic;
-      let parsed = List.map parse_chunk chunks in
-      let rec keys_sorted = function
-        | (k1, _) :: ((k2, _) :: _ as rest) ->
-            if k1 >= k2 then corrupt "chunk keys out of order"
-            else keys_sorted rest
-        | _ -> ()
-      in
-      keys_sorted parsed;
-      (Array.of_list parsed : t)
+      let chunks = List.map parse_chunk chunks in
+      ascending "chunk keys" (List.map fst chunks);
+      of_list (List.concat_map snd chunks)
   | [] -> corrupt "empty input"
-
-(* --- printing ------------------------------------------------------ *)
 
 let pp ppf t =
   let n = cardinal t in

@@ -1,12 +1,10 @@
-(** Roaring-style compressed bitmaps over non-negative ints.
+(** Sets of small non-negative ints, stored as a plain bit vector.
 
-    The multi-subject engine's workhorse representation: per-node
-    {e role} sets (which roles may access this node) and per-role
-    {e id} sets (which nodes a role may access) are both values of
-    this one type.  The value space is chunked by the high bits; each
-    chunk is stored as a sorted array (sparse), an 8 KiB bit array
-    (dense) or a run list (contiguous), whichever is smallest —
-    the classic Roaring container scheme.
+    The multi-subject engine's role sets: per-node role bitmaps (which
+    roles may access this node) and the per-rule role coverage the
+    policy optimizer compares before each containment test.  Members
+    are ints in 0 .. 2{^20}-1; a set costs one machine word per
+    [Sys.int_size] ids up to its largest member.
 
     Values are immutable: every operation returns a fresh bitmap and
     never aliases mutable state with its inputs, so bitmaps can be
@@ -17,15 +15,16 @@ type t
 val empty : t
 val is_empty : t -> bool
 
-val singleton : int -> t
-(** @raise Invalid_argument on a negative member. *)
-
 val of_list : int list -> t
 (** Duplicates are collapsed; order is irrelevant.
-    @raise Invalid_argument on a negative member. *)
+    @raise Invalid_argument on a member outside 0 .. 2{^20}-1. *)
 
 val add : int -> t -> t
+(** @raise Invalid_argument on a member outside 0 .. 2{^20}-1. *)
+
 val remove : int -> t -> t
+(** @raise Invalid_argument on a member outside 0 .. 2{^20}-1. *)
+
 val mem : int -> t -> bool
 
 val union : t -> t -> t
@@ -33,9 +32,6 @@ val inter : t -> t -> t
 val diff : t -> t -> t
 
 val equal : t -> t -> bool
-(** Extensional equality — container shapes may differ between equal
-    bitmaps (an array chunk and a run chunk can hold the same
-    members). *)
 
 val subset : t -> t -> bool
 (** [subset a b] is whether every member of [a] is in [b]. *)
@@ -55,8 +51,8 @@ val choose : t -> int option
 (** Smallest member, if any. *)
 
 val memory_bytes : t -> int
-(** Approximate heap footprint of the compressed representation —
-    what the multirole bench reports as bitmap bytes/node. *)
+(** Bytes of the bit vector's words, without the block header — what
+    the multirole bench reports as bitmap bytes/node. *)
 
 val to_string : t -> string
 (** Printable, self-validating wire form — safe inside SQL string

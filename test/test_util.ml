@@ -227,8 +227,9 @@ let test_bitset_shapes () =
       Alcotest.(check int) "round-trip cardinal" (Bitset.cardinal b)
         (Bitset.cardinal b'))
     [ run; bmp; arr; Bitset.union run bmp; Bitset.empty ];
-  Alcotest.(check bool) "memory compresses runs" true
-    (Bitset.memory_bytes run < Bitset.memory_bytes bmp)
+  Alcotest.(check bool) "16-member role set costs at most two words" true
+    (Bitset.memory_bytes (Bitset.of_list (List.init 16 Fun.id))
+    <= 2 * (Sys.word_size / 8))
 
 let test_bitset_corrupt () =
   List.iter
@@ -246,6 +247,8 @@ let test_bitset_corrupt () =
       "RB1|0:R0005+0000";  (* zero-length run *)
       "RB1|0:Rfff0+0020";  (* run overflows chunk *)
       "RB1|0:A";           (* empty payload *)
+      "RB1|10:A0000";      (* member at the 2^20 bound *)
+      "RB1|0:A0001|0:A0002";  (* repeated chunk key *)
     ]
 
 let bitset_algebra_qcheck =
@@ -270,6 +273,28 @@ let bitset_serialize_qcheck =
     (fun xs ->
       let b = Bitset.of_list xs in
       Bitset.equal b (Bitset.of_string (Bitset.to_string b)))
+
+let bitset_update_qcheck =
+  (* Random add/remove chains agree with Set.Make(Int); removing the
+     largest member leaves a value equal to one built without it. *)
+  let op = QCheck2.Gen.(pair bool (0 -- 5_000)) in
+  QCheck2.Test.make ~name:"bitset add/remove chains agree with Set" ~count:200
+    QCheck2.Gen.(list_size (0 -- 100) op)
+    (fun ops ->
+      let b, s =
+        List.fold_left
+          (fun (b, s) (is_add, v) ->
+            if is_add then (Bitset.add v b, ISet.add v s)
+            else (Bitset.remove v b, ISet.remove v s))
+          (Bitset.empty, ISet.empty) ops
+      in
+      Bitset.to_list b = ISet.elements s
+      &&
+      match ISet.max_elt_opt s with
+      | None -> Bitset.equal b Bitset.empty
+      | Some top ->
+          Bitset.equal (Bitset.remove top b)
+            (Bitset.of_list (ISet.elements (ISet.remove top s))))
 
 (* ------------------------------------------------------------------ *)
 (* Timing *)
@@ -327,6 +352,7 @@ let () =
           tc "corrupt wire forms rejected" test_bitset_corrupt;
           QCheck_alcotest.to_alcotest bitset_algebra_qcheck;
           QCheck_alcotest.to_alcotest bitset_serialize_qcheck;
+          QCheck_alcotest.to_alcotest bitset_update_qcheck;
         ] );
       ( "timing",
         [ tc "time" test_timing_time; tc "pp_seconds" test_timing_pp ] );
