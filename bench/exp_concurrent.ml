@@ -71,7 +71,7 @@ let run (_cfg : Bench_common.config) =
             Engine.create ~dtd:Xmlac_workload.Xmark.dtd ~policy
               (Bench_common.doc factor)
           in
-          ignore (Engine.annotate_all eng);
+          ignore (Engine.annotate eng);
           let serve = S.create eng in
           let pool = Pool.create ~domains:(readers + 1) () in
           let sessions =

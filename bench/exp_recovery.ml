@@ -1,13 +1,19 @@
 (* Crash recovery: epoch rollback/roll-forward cost at every fault
    point a mutating operation crosses, against the naive alternative
-   of re-annotating every store from scratch.
+   of re-annotating the store from scratch.
 
    Not a paper artifact — this measures the durability extension
-   (sign epochs + WAL truncation + undo journals).  For each fault
-   point the update path crosses, a fresh engine is crashed there
-   (counted trigger, first hit), recovered, and the recovery time is
-   compared with the full re-annotation baseline on the same
-   document/policy.
+   (sign epochs + undo journals).  For each fault point the update
+   path crosses, a fresh engine is crashed there (counted trigger,
+   first hit), recovered, and the recovery time is compared with the
+   full re-annotation baseline on the same document/policy.
+
+   A gate as well as a measurement: every recovered engine must match
+   an uncrashed twin that applied the same update — state digest,
+   anonymous and per-role accessible sets — or the run exits 1.  (A
+   kill before the epoch opens leaves the update unapplied and the
+   epoch counter unmoved; that engine must match an uncrashed twin
+   without the update.)
 
    Expected shape: recovery is bounded by the crashed epoch's own
    footprint (journal entries + affected region), so it beats full
@@ -33,37 +39,43 @@ let run (_cfg : Bench_common.config) =
   let policy = Bench_common.mid_coverage_policy factor in
   let make () =
     let eng =
-      Engine.create ~mirrored:true ~dtd:Xmlac_workload.Xmark.dtd ~policy
+      Engine.create ~dtd:Xmlac_workload.Xmark.dtd ~policy
         (Bench_common.doc factor)
     in
-    let _ = Engine.annotate_all eng in
+    let _ = Engine.annotate eng in
     eng
   in
-  (* Pick the first delete update that triggers rules, so the crashed
-     epoch has real sign writes to roll back or redo. *)
+  let roles = Policy.roles policy in
+  let state eng =
+    ( Engine.state_checksum eng,
+      Engine.accessible eng,
+      List.map (Engine.accessible_subject eng) roles )
+  in
+  (* Pick a delete update whose epoch has real work to finish: it must
+     move the accessible sets, so the twin check can tell a completed
+     roll-forward from an abandoned one, and preferably rewrites signs
+     (journal entries to roll back).  Each candidate is scored on a
+     fresh engine. *)
   let update =
     let candidates =
       List.map Xmlac_xpath.Pp.expr_to_string
         (Xmlac_workload.Queries.delete_updates ~n:10 ())
     in
-    let eng = make () in
-    (* Prefer an update that actually rewrites signs (its epoch has
-       journal entries to roll back); fall back to one that merely
-       triggers rules. *)
+    let pre = state (make ()) in
     let scored =
       List.map
         (fun u ->
-          match List.assoc_opt Engine.Native (Engine.update eng u) with
-          | Some s ->
-              (u, List.length s.Reannotator.changed, s.Reannotator.affected)
-          | None -> (u, 0, 0))
+          let eng = make () in
+          let s = List.assoc Engine.Native (Engine.update eng u) in
+          (u, s.Reannotator.changed <> [], state eng <> pre))
         candidates
     in
-    match List.find_opt (fun (_, changed, _) -> changed > 0) scored with
-    | Some (u, _, _) -> u
+    let pick p = Option.map (fun (u, _, _) -> u) (List.find_opt p scored) in
+    match pick (fun (_, rewrites, moves) -> rewrites && moves) with
+    | Some u -> u
     | None -> (
-        match List.find_opt (fun (_, _, affected) -> affected > 0) scored with
-        | Some (u, _, _) -> u
+        match pick (fun (_, _, moves) -> moves) with
+        | Some u -> u
         | None -> List.hd candidates)
   in
   (* Scout run: enumerate the fault points this update crosses. *)
@@ -79,12 +91,13 @@ let run (_cfg : Bench_common.config) =
       (Fault.registered ())
   in
   (* Baseline: apply the update cleanly, then re-annotate everything
-     from scratch — what recovery would cost without epochs. *)
-  let baseline =
-    let eng = make () in
-    let _ = Engine.update eng update in
-    snd (Timing.time (fun () -> ignore (Engine.annotate_all eng)))
-  in
+     from scratch — what recovery would cost without epochs.  The
+     updated engine is also the uncrashed twin every recovery is
+     checked against. *)
+  let twin = make () in
+  let _ = Engine.update twin update in
+  let baseline = snd (Timing.time (fun () -> ignore (Engine.annotate twin))) in
+  let post = state twin and pre = state (make ()) in
   let eng0 = make () in
   Printf.printf
     "document: %d nodes (factor %s); update %s crosses %d fault points\n"
@@ -95,14 +108,15 @@ let run (_cfg : Bench_common.config) =
   let t =
     Tabular.create
       ~headers:
-        [ "fault point"; "direction"; "wal dropped"; "signs rolled back";
-          "recover"; "vs full" ]
+        [ "fault point"; "direction"; "signs rolled back"; "recover";
+          "vs full"; "matches twin" ]
   in
   let summary = ref [] in
   List.iter
     (fun pt ->
       Fault.reset ();
       let eng = make () in
+      let e0 = Engine.sign_epoch eng in
       Fault.arm pt (Fault.After 1);
       let crashed =
         match Engine.update eng update with
@@ -111,18 +125,18 @@ let run (_cfg : Bench_common.config) =
       in
       if not crashed then Fault.reset ();
       let r, elapsed = Timing.time (fun () -> Engine.recover eng) in
-      let lockstep = Engine.consistent eng in
-      summary := (pt, r, elapsed, lockstep) :: !summary;
+      let matches =
+        state eng = if Engine.sign_epoch eng > e0 then post else pre
+      in
+      summary := (pt, r, elapsed, matches) :: !summary;
       Tabular.add_row t
         [
           pt;
           direction_label r.Engine.direction;
-          string_of_int r.Engine.wal_dropped;
           string_of_int r.Engine.signs_rolled_back;
           Format.asprintf "%a" Timing.pp_seconds elapsed;
-          Printf.sprintf "%.1fx%s"
-            (baseline /. Float.max elapsed 1e-9)
-            (if lockstep then "" else " DIVERGED");
+          Printf.sprintf "%.1fx" (baseline /. Float.max elapsed 1e-9);
+          (if matches then "yes" else "DIVERGED");
         ])
     points;
   Tabular.print t;
@@ -130,17 +144,26 @@ let run (_cfg : Bench_common.config) =
   print_endline "summary:";
   Printf.printf "  recovery.baseline: full_reannotate_s=%.6f\n" baseline;
   List.iter
-    (fun (pt, (r : Engine.recovery), elapsed, lockstep) ->
+    (fun (pt, (r : Engine.recovery), elapsed, matches) ->
       Printf.printf
-        "  recovery.%s: direction=%s wal_dropped=%d signs_rolled_back=%d \
-         time_s=%.6f speedup=%.1f lockstep=%b\n"
+        "  recovery.%s: direction=%s signs_rolled_back=%d time_s=%.6f \
+         speedup=%.1f matches_twin=%b\n"
         pt
         (direction_label r.Engine.direction)
-        r.Engine.wal_dropped r.Engine.signs_rolled_back elapsed
+        r.Engine.signs_rolled_back elapsed
         (baseline /. Float.max elapsed 1e-9)
-        lockstep)
+        matches)
     (List.rev !summary);
   print_endline
-    "expected shape: every recovery ends in lockstep; recovery beats full \
-     re-annotation on every point.";
-  Fault.reset ()
+    "expected shape: every recovery matches the uncrashed twin; recovery \
+     beats full re-annotation on every point.";
+  Fault.reset ();
+  match List.filter (fun (_, _, _, matches) -> not matches) !summary with
+  | [] -> ()
+  | diverged ->
+      List.iter
+        (fun (pt, _, _, _) ->
+          Printf.printf "ASSERTION FAILED: recovery after a crash at %s \
+                         differs from the uncrashed twin\n" pt)
+        (List.rev diverged);
+      exit 1

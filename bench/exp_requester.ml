@@ -7,8 +7,6 @@
    several rounds on the native store against (a) the paper's
    requester (per-node sign reads, no memo) and (b) Engine.request
    (the current snapshot: CAM-checked accessibility, bounded memo).
-   The relational stores answer Engine.request uncached, so only the
-   native store has a fast lane to measure.
 
    Expected shape: the fast lane wins >= 5x on a repeated workload
    (rounds 2..n are pure memo hits); incremental CAM maintenance
@@ -35,7 +33,7 @@ let run (cfg : Bench_common.config) =
          ())
   in
   let eng = Engine.create ~dtd:Xmlac_workload.Xmark.dtd ~policy doc in
-  let _ = Engine.annotate_all eng in
+  let _ = Engine.annotate eng in
   Printf.printf "document: %d nodes (factor %s); %d queries x %d rounds\n"
     (Tree.size (Engine.document eng))
     (Bench_common.pp_factor factor)

@@ -229,8 +229,8 @@ let carry_table () =
   let eng =
     Engine.create ~dtd:Xmlac_workload.Xmark.dtd ~policy:(carry_policy doc) doc
   in
-  ignore (Engine.annotate_all eng);
-  ignore (Engine.annotate_subjects_all eng);
+  ignore (Engine.annotate eng);
+  ignore (Engine.annotate_subjects eng);
   let queries =
     Xmlac_workload.Queries.response_queries ~n:carry_queries ~seed:20090101L ()
     |> List.map Xmlac_xpath.Pp.expr_to_string

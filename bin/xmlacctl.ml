@@ -26,6 +26,7 @@ module Session = Xmlac_serve.Session
 module Pool = Xmlac_serve.Pool
 module Repl = Xmlac_replicate.Replicate
 module Timing = Xmlac_util.Timing
+module Wal = Xmlac_reldb.Wal
 
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("xmlacctl: " ^ m); exit 1) fmt
 
@@ -379,18 +380,46 @@ let explain policy_path dtd_name doc_path raw requests subjects lane =
   | [], _ -> ()
   | _ :: _, None -> die "--request needs --doc to build an engine"
   | queries, Some doc ->
-      let eng =
-        Engine.create ~mirrored:true ~optimize:(not raw) ~dtd ~policy doc
-      in
+      let eng = Engine.create ~optimize:(not raw) ~dtd ~policy doc in
       List.iter (fun role -> ignore (role_bit (Engine.policy eng) role)) subjects;
-      (* A forced rewrite lane leaves the store cold on purpose — the
+      (* The paper's relational stores, shredded beside the engine and
+         journaled through their own WALs: each annotation pass the
+         engine commits runs on them too, framed under the engine's
+         sign epoch. *)
+      let relational =
+        List.map
+          (fun engine ->
+            let db, b =
+              Rel_backend.load (Engine.mapping eng) (Engine.policy eng) engine
+                doc
+            in
+            let w = Wal.create () in
+            Xmlac_reldb.Database.set_wal db (Some w);
+            (b, w))
+          [ Xmlac_reldb.Table.Row; Xmlac_reldb.Table.Column ]
+      in
+      let framed pass =
+        let epoch = Engine.sign_epoch eng in
+        List.iter
+          (fun (b, w) ->
+            Wal.begin_epoch w epoch;
+            pass b;
+            Wal.commit_epoch w epoch)
+          relational
+      in
+      (* A forced rewrite lane leaves the stores cold on purpose — the
          whole point is answering with zero sign or bitmap reads. *)
       (match lane with
       | Rewrite.Rewrite -> ()
       | _ ->
-          let _ = Engine.annotate_all eng in
+          let _ = Engine.annotate eng in
+          framed (fun b -> ignore (Annotator.annotate_with_plan b (Engine.plan eng)));
           if subjects <> [] then begin
-            let _, stats = List.hd (Engine.annotate_subjects_all eng) in
+            let stats = Engine.annotate_subjects eng in
+            framed (fun b ->
+                ignore
+                  (Annotator.annotate_subjects ~schema:(Engine.schema_graph eng)
+                     b (Engine.policy eng)));
             Printf.printf
               "subjects: %d role(s), %d distinct plan(s), %d shared\n"
               stats.Annotator.roles stats.Annotator.distinct_plans
@@ -398,7 +427,7 @@ let explain policy_path dtd_name doc_path raw requests subjects lane =
           end);
       print_endline "requester fast lane:";
       Format.printf "  %a@." Cam.pp (Engine.cam eng);
-      let resolved, why = Engine.resolve_lane ~lane eng Engine.Native in
+      let resolved, why = Engine.resolve_lane ~lane eng in
       Printf.printf "  lane              %s (%s)\n"
         (Rewrite.lane_to_string resolved) why;
       let m = Engine.metrics eng in
@@ -456,52 +485,43 @@ let explain policy_path dtd_name doc_path raw requests subjects lane =
       Printf.printf "  sign epoch        %d (committed)\n"
         (Engine.sign_epoch eng);
       List.iter
-        (fun kind ->
-          match Engine.wal eng kind with
-          | None -> ()
-          | Some w ->
-              Printf.printf "  %-10s wal    %d records, %d bytes, checksum %08lx\n"
-                (Engine.backend_kind_to_string kind)
-                (Xmlac_reldb.Wal.records w)
-                (Xmlac_reldb.Wal.bytes_logged w)
-                (Xmlac_reldb.Wal.checksum w))
-        Engine.all_backend_kinds;
+        (fun ((b : Backend.t), w) ->
+          Printf.printf "  %-10s wal    %d records, %d bytes, checksum %08lx\n"
+            b.Backend.name (Wal.records w) (Wal.bytes_logged w) (Wal.checksum w))
+        relational;
       Format.printf "  %a@." Snapshot.pp_registry (Engine.snapshots eng);
       Printf.printf "  stale denials     %d\n"
         (Xmlac_util.Metrics.counter m Xmlac_util.Metrics.stale_snapshot_denials);
       (* The state digest the epoch shipper frames (a follower
          recomputes it after every applied frame), and each relational
-         WAL's committed-epoch ledger read through its epoch cursor. *)
+         store's committed-epoch ledger read through its WAL's epoch
+         cursor. *)
       print_endline "replication:";
       Printf.printf "  state digest      %08lx (follower verifies per applied epoch)\n"
         (Engine.state_checksum eng);
       List.iter
-        (fun kind ->
-          match Engine.wal eng kind with
-          | None -> ()
-          | Some w ->
-              let ledger =
-                List.rev
-                  (Xmlac_reldb.Wal.fold_epochs w
-                     (fun acc ~epoch ~records:_ ->
-                       (epoch, Xmlac_reldb.Wal.epoch_checksum w epoch) :: acc)
-                     [])
-              in
-              Printf.printf "  %-10s ledger %d shippable epoch(s)%s\n"
-                (Engine.backend_kind_to_string kind)
-                (List.length ledger)
-                (match ledger with
-                | [] -> ""
-                | _ ->
-                    ": "
-                    ^ String.concat ", "
-                        (List.map
-                           (fun (e, sum) ->
-                             match sum with
-                             | Some sum -> Printf.sprintf "%d:%08lx" e sum
-                             | None -> Printf.sprintf "%d:?" e)
-                           ledger)))
-        Engine.all_backend_kinds;
+        (fun ((b : Backend.t), w) ->
+          let ledger =
+            List.rev
+              (Wal.fold_epochs w
+                 (fun acc ~epoch ~records:_ ->
+                   (epoch, Wal.epoch_checksum w epoch) :: acc)
+                 [])
+          in
+          Printf.printf "  %-10s ledger %d shippable epoch(s)%s\n"
+            b.Backend.name (List.length ledger)
+            (match ledger with
+            | [] -> ""
+            | _ ->
+                ": "
+                ^ String.concat ", "
+                    (List.map
+                       (fun (e, sum) ->
+                         match sum with
+                         | Some sum -> Printf.sprintf "%d:%08lx" e sum
+                         | None -> Printf.sprintf "%d:?" e)
+                       ledger)))
+        relational;
       Format.printf "@[<v 2>  metrics:@,%a@]@."
         Xmlac_util.Metrics.pp (Engine.metrics eng)
 
@@ -549,8 +569,9 @@ let recover_run policy_path dtd_name doc_path update_expr kill_at kill_after
   | Some s -> Fault.set_seed (Int64.of_int s)
   | None -> Option.iter Fault.set_seed (Fault.env_seed ()));
   Fault.reset ();
-  let eng = Engine.create ~mirrored:true ~dtd ~policy doc in
-  let _ = Engine.annotate_all eng in
+  let eng = Engine.create ~dtd ~policy doc in
+  let _ = Engine.annotate eng in
+  let e0 = Engine.sign_epoch eng in
   (* Arm only now, so the setup annotation runs to completion and the
      crash lands inside the update epoch. *)
   (match kill_at with
@@ -574,22 +595,29 @@ let recover_run policy_path dtd_name doc_path update_expr kill_at kill_after
   in
   if not crashed then Fault.reset ();
   let r, recover_t = Timing.time (fun () -> Engine.recover eng) in
-  Printf.printf "recovery: direction %s, wal entries dropped %d, signs rolled back %d\n"
+  Printf.printf "recovery: direction %s, signs rolled back %d\n"
     (match r.Engine.direction with
     | `None -> "none"
     | `Back -> "backward"
     | `Forward -> "forward")
-    r.Engine.wal_dropped r.Engine.signs_rolled_back;
-  Printf.printf "sign epoch now %d; stores %s\n" (Engine.sign_epoch eng)
-    (if Engine.consistent eng then "in lockstep" else "DIVERGED");
-  (* The baseline recovery would be: redo the whole annotation from
-     scratch.  Time it on a twin so the speedup is visible. *)
-  let twin = Engine.create ~mirrored:true ~dtd ~policy doc in
-  let full_t = snd (Timing.time (fun () -> Engine.annotate_all twin)) in
+    r.Engine.signs_rolled_back;
+  (* The oracle: a twin that never crashed.  Its full annotation is
+     also the baseline recovery is timed against; it then runs the
+     update iff the recovered engine committed it (a kill before the
+     epoch opened leaves nothing to recover). *)
+  let twin = Engine.create ~dtd ~policy doc in
+  let full_t = snd (Timing.time (fun () -> Engine.annotate twin)) in
+  let committed = Engine.sign_epoch eng > e0 in
+  if committed then ignore (Engine.update twin update_expr);
+  let matches = Engine.state_checksum eng = Engine.state_checksum twin in
+  Printf.printf "sign epoch now %d; state %s the uncrashed twin (%s)\n"
+    (Engine.sign_epoch eng)
+    (if matches then "matches" else "DIVERGED from")
+    (if committed then "post-update" else "pre-update");
   Format.printf "recover took %a; full re-annotation baseline %a (%.1fx)@."
     Timing.pp_seconds recover_t Timing.pp_seconds full_t
     (full_t /. Float.max recover_t 1e-9);
-  if not (Engine.consistent eng) then exit 4
+  if not matches then exit 4
 
 let recover_cmd =
   let policy_path =
@@ -604,13 +632,13 @@ let recover_cmd =
          & info [ "doc" ] ~doc:"Document to build the engine over.")
   in
   let update_expr =
-    Arg.(value & opt string "//*[3]"
+    Arg.(required & opt (some string) None
          & info [ "update" ] ~doc:"Delete update to crash mid-flight.")
   in
   let kill_at =
     Arg.(value & opt (some string) None
          & info [ "kill-at" ]
-             ~doc:"Fault point to arm (e.g. row.set_sign, wal.append); \
+             ~doc:"Fault point to arm (e.g. native.set_sign, cam.repair); \
                    default arms every point probabilistically.")
   in
   let kill_after =
@@ -631,7 +659,8 @@ let recover_cmd =
     (Cmd.info "recover"
        ~doc:"Crash a mutating epoch at a deterministic fault point, then run \
              epoch recovery and report its cost against full re-annotation \
-             (exit code 4 if the stores end up diverged).")
+             (exit code 4 if the recovered state differs from an uncrashed \
+             twin's).")
     Term.(const recover_run $ policy_path $ dtd_name $ doc_path $ update_expr
           $ kill_at $ kill_after $ prob $ fault_seed)
 
@@ -644,14 +673,14 @@ let health_run policy_path dtd_name doc_path requests fault_rate seed
   let doc = load_doc doc_path in
   Fault.reset ();
   Fault.set_seed (Int64.of_int seed);
-  let eng = Engine.create ~mirrored:true ~dtd ~policy doc in
-  let _ = Engine.annotate_all eng in
+  let eng = Engine.create ~dtd ~policy doc in
+  let _ = Engine.annotate eng in
   let config =
     { Serve.default_config with Serve.deadline_ticks; max_retries = retries }
   in
   let serve = Serve.create ~config eng in
   (* A deterministic probe workload: the policy's own rule resources,
-     round-robin over the three backends. *)
+     round-robin. *)
   let queries =
     match
       List.map
@@ -661,7 +690,6 @@ let health_run policy_path dtd_name doc_path requests fault_rate seed
     | [] -> [| "//*" |]
     | qs -> Array.of_list qs
   in
-  let kinds = Array.of_list Engine.all_backend_kinds in
   let granted = ref 0
   and denied = ref 0
   and degraded = ref 0
@@ -669,33 +697,29 @@ let health_run policy_path dtd_name doc_path requests fault_rate seed
   for step = 0 to requests - 1 do
     (* auto-recovery disarms the registry: re-arm every step *)
     if fault_rate > 0.0 then Fault.arm_all_transient ~prob:fault_rate;
-    let kind = kinds.(step mod Array.length kinds) in
     let q = queries.(step mod Array.length queries) in
-    match Serve.request serve kind q with
+    match Serve.request serve Engine.Native q with
     | Ok r ->
         if r.Serve.served = Serve.Degraded then incr degraded;
         if Requester.is_granted r.Serve.decision then incr granted
         else incr denied
     | Error _ -> incr errors
   done;
-  (* quiet phase: the faults stop; every breaker must re-close within
+  (* quiet phase: the faults stop; the breaker must re-close within
      cooldown + probes admitted calls *)
   Fault.disarm_all ();
   let bcfg = config.Serve.breaker in
   let budget = bcfg.Breaker.cooldown + bcfg.Breaker.probes in
-  Array.iter
-    (fun kind ->
-      let br = Serve.breaker serve kind in
-      let i = ref 0 in
-      while Breaker.state br <> Breaker.Closed && !i < budget do
-        ignore (Serve.request serve kind queries.(!i mod Array.length queries));
-        incr i
-      done)
-    kinds;
+  let br = Serve.breaker serve in
+  let i = ref 0 in
+  while Breaker.state br <> Breaker.Closed && !i < budget do
+    ignore
+      (Serve.request serve Engine.Native queries.(!i mod Array.length queries));
+    incr i
+  done;
   Printf.printf
-    "probe: %d request(s) round-robin over %d backends, fault rate %.2f, %d \
-     quer%s\n"
-    requests (Array.length kinds) fault_rate (Array.length queries)
+    "probe: %d request(s) to the native store, fault rate %.2f, %d quer%s\n"
+    requests fault_rate (Array.length queries)
     (if Array.length queries = 1 then "y" else "ies");
   let m = Engine.metrics eng in
   Printf.printf
@@ -806,9 +830,9 @@ let serve_run policy_path dtd_name doc_path readers requests churn update_expr
   let dtd = load_dtd dtd_name in
   let doc = load_doc doc_path in
   Fault.reset ();
-  let eng = Engine.create ~mirrored:true ~dtd ~policy doc in
-  let _ = Engine.annotate_all eng in
-  if Policy.role_count policy > 0 then ignore (Engine.annotate_subjects_all eng);
+  let eng = Engine.create ~dtd ~policy doc in
+  let _ = Engine.annotate eng in
+  if Policy.role_count policy > 0 then ignore (Engine.annotate_subjects eng);
   let serve = Serve.create eng in
   let pool = Pool.create ?domains () in
   let queries =

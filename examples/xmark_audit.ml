@@ -5,7 +5,7 @@
    relational engines, shows the SQL that the ShreX translation
    produces for the policy rules, annotates everything, and
    cross-checks the three stores against each other and against the
-   reference semantics.
+   reference semantics, exiting 1 on any disagreement.
 
    Run with: dune exec examples/xmark_audit.exe *)
 
@@ -32,8 +32,12 @@ let () =
   let doc = W.Xmark.generate ~factor:0.02 () in
   Printf.printf "auction site: %d nodes\n" (Xmlac_xml.Tree.size doc);
 
-  let eng =
-    Engine.create ~mirrored:true ~dtd:W.Xmark.dtd ~policy:audit_policy doc
+  let eng = Engine.create ~dtd:W.Xmark.dtd ~policy:audit_policy doc in
+  let stores =
+    List.map
+      (fun engine ->
+        snd (Rel_backend.load (Engine.mapping eng) (Engine.policy eng) engine doc))
+      [ Xmlac_reldb.Table.Row; Xmlac_reldb.Table.Column ]
   in
   (match Engine.optimizer_report eng with
   | Some r ->
@@ -62,27 +66,39 @@ let () =
 
   (* Annotate and audit the stores. *)
   print_newline ();
+  let show_annotation name stats =
+    Printf.printf "annotated %-10s: %d/%d nodes accessible (%.1f%%)\n" name
+      stats.Annotator.marked stats.Annotator.total
+      (100.0 *. Annotator.coverage stats)
+  in
+  show_annotation "native" (Engine.annotate eng);
   List.iter
-    (fun (kind, stats) ->
-      Printf.printf "annotated %-10s: %d/%d nodes accessible (%.1f%%)\n"
-        (Engine.backend_kind_to_string kind)
-        stats.Annotator.marked stats.Annotator.total
-        (100.0 *. Annotator.coverage stats))
-    (Engine.annotate_all eng);
-  Printf.printf "stores agree: %b\n" (Engine.consistent eng);
+    (fun b ->
+      show_annotation b.Backend.name
+        (Annotator.annotate_with_plan b (Engine.plan eng)))
+    stores;
+  let ds = Policy.ds (Engine.policy eng) in
+  let agree =
+    List.for_all
+      (fun b -> Backend.accessible_ids b ~default:ds = Engine.accessible eng)
+      stores
+  in
+  Printf.printf "stores agree: %b\n" agree;
   let reference =
     Policy.accessible_ids (Engine.policy eng) (Engine.document eng)
   in
-  Printf.printf "matches reference semantics: %b\n"
-    (reference = Engine.accessible eng Engine.Native);
+  let matches = reference = Engine.accessible eng in
+  Printf.printf "matches reference semantics: %b\n" matches;
+  if not (agree && matches) then exit 1;
 
   (* What the auditor can and cannot do. *)
   print_endline "\naudit requests (column-store backend):";
+  let column = List.nth stores 1 in
   List.iter
     (fun q ->
       Printf.printf "  %-34s -> %s\n" q
         (Format.asprintf "%a" Requester.pp
-           (Engine.request eng Engine.Column_sql q)))
+           (Requester.request_string column ~default:ds q)))
     [
       "//open_auction/bidder/increase";
       "//closed_auction/price";

@@ -41,8 +41,8 @@ let accessible_ids_role t ~default ~role =
    fault point between writes, so a counted trigger kills the simulated
    process with a genuinely partial multi-row update — the paper's
    inconsistent-materialization hazard made reproducible. *)
-let with_faults ~prefix b =
-  let pt op = Fault.point (prefix ^ "." ^ op) in
+let with_faults b =
+  let pt op = Fault.point ("native." ^ op) in
   {
     b with
     eval_ids =

@@ -118,14 +118,14 @@ val accessible_ids_role : t -> default:Xmlac_util.Bitset.t -> role:int -> int li
 
 (** {1 Fault injection} *)
 
-val with_faults : prefix:string -> t -> t
+val with_faults : t -> t
 (** Threads the mutating operations through fault points named
-    [<prefix>.set_sign] and [<prefix>.set_bits] (hit once {e per node}
+    [native.set_sign] and [native.set_bits] (hit once {e per node}
     stamped — [set_bits_batch] included, whose crossing granularity
     follows its per-node write granularity — so counted triggers land
     mid-write),
-    [<prefix>.reset_signs], [<prefix>.reset_bits] and
-    [<prefix>.delete]; [eval_ids] crosses [<prefix>.eval] once per
+    [native.reset_signs], [native.reset_bits] and
+    [native.delete]; [eval_ids] crosses [native.eval] once per
     query — as does each plan of an [eval_plans] batch, before the
     wrapped store runs the whole batch — the read-path site transient
     triggers use to fail a request without corrupting state.  Other

@@ -1,17 +1,15 @@
 (** The assembled system of Figure 3: optimizer + annotator +
-    reannotator + requester over a native XML store, optionally
-    mirrored into two relational stores.
+    reannotator + requester over a native XML store.
 
     [create] keeps a private native copy ("MonetDB/XQuery") of the
     source document, optimizes the policy and precomputes the rule
     dependency graph — the complete [Overlap] one ({!Depend.mode}), so
     every repair of signs and role bitmaps coincides with annotating
     from scratch.  The CAM, snapshots, the rewrite lane and every
-    reader use the native store alone.  The paper (Section 6) compares
-    it with two relational stores; an engine created [~mirrored:true]
-    also shreds the document into a row-engine ("PostgreSQL") and a
-    column-engine ("MonetDB/SQL") database and applies every mutation
-    to all three, so their annotations can be compared ({!consistent}).
+    reader use this one store.  The paper's comparison with the
+    relational stores (Section 6) drives {!Annotator} and
+    {!Reannotator} over {!Rel_backend} directly; the engine holds no
+    relational copy.
 
     {2 One read path}
 
@@ -27,65 +25,58 @@
     moved.  Document updates repair the CAM {e incrementally} from the
     re-annotator's changed-id report ([Reannotator.stats.changed]),
     with a full rebuild as fallback ({!cam_check} verifies the
-    incremental map against a fresh build).  The relational stores
-    answer uncached, from their own signs, bitmaps or rewritten plans.
-    Counters in {!Xmlac_util.Metrics} — memo hits/misses, CAM lookups
+    incremental map against a fresh build).  Counters in {!Xmlac_util.Metrics} — memo hits/misses, CAM lookups
     and touched entries — are surfaced by [xmlacctl explain
     --request] and the [exp_requester] bench.
 
     {2 Sign epochs and crash recovery}
 
     Every mutating operation — {!annotate}, {!update}, {!insert} — runs
-    as an atomic {e sign epoch}: begin markers are framed into every
-    relational WAL ({!Xmlac_reldb.Wal.begin_epoch}), per-backend undo
-    journals record the previous sign of every node written
-    ({!Backend.journaled}), and only a successful operation commits the
-    epoch and advances {!sign_epoch}.  The stores' write paths are
-    threaded through deterministic fault points
-    ({!Xmlac_util.Fault.point}: [native.set_sign], [row.set_sign],
-    [wal.append], [cam.repair], …); when an armed point fires, the
+    as an atomic {e sign epoch}: an undo journal records the previous
+    sign of every node written ({!Backend.journaled}), and only a
+    successful operation commits the epoch and advances {!sign_epoch}.
+    The store's write paths are threaded through deterministic fault
+    points ({!Xmlac_util.Fault.point}: [native.set_sign],
+    [native.delete], [cam.repair], …); when an armed point fires, the
     resulting {!Xmlac_util.Fault.Crash} escapes the operation and
     leaves the epoch open — a simulated kill.  {!recover} then plays
-    the restart: truncate every WAL to its last committed epoch, roll
-    every store's partial sign writes back through the journals, and
-    either stop there (sign-only operations land on the pre-operation
-    materialization) or re-apply the structural mutation and re-run the
-    repair from the stashed {!Reannotator.prepared} state (structural
-    operations land on the post-operation materialization).  Either
-    way every held store lands on the same state, the CAM is rebuilt
-    and the recovered epoch is published as the current snapshot, and the
-    epoch counter never runs backwards — an aborted epoch's number is
-    consumed. *)
+    the restart: roll the partial sign writes back through the
+    journal, and either stop there (sign-only operations land on the
+    pre-operation materialization) or finish the structural mutation
+    and re-run the repair from the stashed {!Reannotator.prepared}
+    state (structural operations land on the post-operation
+    materialization).  Either way the CAM is rebuilt and the recovered
+    epoch is published as the current snapshot, and the epoch counter
+    never runs backwards — an aborted epoch's number is consumed. *)
 
-type backend_kind = Native | Row_sql | Column_sql
+(** {2 Kept for the benchmark harness}
+
+    [perfbench/] compiles against a wider surface than the engine
+    needs: {!backend_kind}, {!all_backend_kinds}, {!wal}, the kind
+    argument of {!backend}, {!request} and {!request_direct}, and the
+    per-kind lists {!annotate_all}, {!annotate_subjects_all},
+    {!update} and {!insert} return.  They stay only for it and go once
+    it stops reading them. *)
+
+type backend_kind = Native
+(** The one store an engine holds. *)
 
 val backend_kind_to_string : backend_kind -> string
 
 val all_backend_kinds : backend_kind list
-(** Every kind, held or not; {!kinds} lists an engine's own. *)
+(** [[Native]]. *)
 
 type t
 
 val create :
   ?optimize:bool ->
-  ?mirrored:bool ->
   dtd:Xmlac_xml.Dtd.t ->
   policy:Policy.t ->
   Xmlac_xml.Tree.t ->
   t
 (** [optimize] (default [true]) runs redundancy elimination first.
-    [mirrored] (default [false]) also builds the row and column stores,
-    each with its own WAL, and applies every mutation to them too.
     The source document is copied; the caller's tree is not
     touched. *)
-
-val kinds : t -> backend_kind list
-(** The stores this engine holds: [[Native]], or all three kinds when
-    created [~mirrored:true].  Operations that read or write one named
-    store ({!annotate}, {!request}, {!backend}, {!accessible}, …)
-    raise [Invalid_argument] naming a store that is not held; the
-    [*_all] operations, {!consistent} and {!state_checksum} cover the
-    held stores only. *)
 
 val policy : t -> Policy.t
 (** The (possibly optimized) policy in force. *)
@@ -111,23 +102,21 @@ val backend : t -> backend_kind -> Backend.t
 val document : t -> Xmlac_xml.Tree.t
 (** The native store's live document. *)
 
-val annotate : t -> backend_kind -> Annotator.stats
-(** Full annotation of one store; bumps the {!epoch} and, for the
-    native store, rebuilds the CAM. *)
+val annotate : t -> Annotator.stats
+(** Full annotation; bumps the {!epoch} and rebuilds the CAM. *)
 
 val annotate_all : t -> (backend_kind * Annotator.stats) list
-(** {!annotate} on every held store, native first. *)
+(** [[(Native, annotate t)]]. *)
 
-val annotate_subjects : t -> backend_kind -> Annotator.subjects_stats
-(** The multi-subject shared pass ({!Annotator.annotate_subjects}) on
-    one store: every role's accessibility materialized as per-node
-    bitmaps in one annotation epoch.  Bumps the {!epoch}.  Crash-safe
-    like {!annotate}: a killed pass is
-    rolled back through the bitmap journal, never leaving a partial
-    bitmap visible. *)
+val annotate_subjects : t -> Annotator.subjects_stats
+(** The multi-subject shared pass ({!Annotator.annotate_subjects}):
+    every role's accessibility materialized as per-node bitmaps in one
+    annotation epoch.  Bumps the {!epoch}.  Crash-safe like
+    {!annotate}: a killed pass is rolled back through the bitmap
+    journal, never leaving a partial bitmap visible. *)
 
 val annotate_subjects_all : t -> (backend_kind * Annotator.subjects_stats) list
-(** {!annotate_subjects} on every held store, native first. *)
+(** [[(Native, annotate_subjects t)]]. *)
 
 val request :
   ?subject:string ->
@@ -151,29 +140,24 @@ val request :
     [~lane] (default {!Rewrite.Auto}) selects: [Auto] picks the
     materialized lane iff the layer the request would read — signs for
     the anonymous subject, role bitmaps for a named one — has a
-    committed annotation epoch on this store ({!resolve_lane} reports
-    the choice and why).
+    committed annotation epoch ({!resolve_lane} reports the choice and
+    why).
 
-    {!Native} requests are answered by {!Snapshot.request} on the
+    Requests are answered by {!Snapshot.request} on the
     {!current_snapshot}: the last committed epoch, never an open one.
     The snapshot checks accessibility against its frozen CAM (a lazily
     built per-role CAM for [~subject]) and memoizes the decision under
     the effective lane; hits and misses are counted as [cache.hits] /
     [cache.misses], and a miss crosses the [native.eval] fault point
-    once.  {!Row_sql} and {!Column_sql} requests are not cached: the
-    materialized lane reads the store's own signs or bitmaps (as
-    {!request_direct} does), the rewrite lane evaluates the compiled
-    plans through the store.  Every evaluation is tallied as
-    [lane.materialized] or [lane.rewrite].
+    once.  Every evaluation is tallied as [lane.materialized] or
+    [lane.rewrite].
     @raise Invalid_argument on a malformed query (naming the
-    expression and error position), an unknown role or a store that is
-    not held. *)
+    expression and error position) or an unknown role. *)
 
 val resolve_lane :
   ?subject:string ->
   ?lane:Rewrite.lane ->
   t ->
-  backend_kind ->
   Rewrite.lane * string
 (** The lane {!request} would answer through, with the reason
     ("forced", "annotated store", "never-annotated store") — what
@@ -188,22 +172,20 @@ val request_direct :
     @raise Invalid_argument like {!request}. *)
 
 val update : t -> string -> (backend_kind * Reannotator.stats) list
-(** Applies a delete update (XPath string) to every held store and
-    re-annotates each partially — signs, and the role bitmaps of every
-    store an {!annotate_subjects} epoch has materialized, both over
-    the affected region only ({!Reannotator.finish}); bumps the
-    {!epoch} and repairs the CAM incrementally from the native store's
-    changed-id report. *)
+(** Applies a delete update (XPath string) and re-annotates partially —
+    signs, and the role bitmaps once an {!annotate_subjects} epoch has
+    materialized them, both over the affected region only
+    ({!Reannotator.finish}); bumps the {!epoch} and repairs the CAM
+    incrementally from the changed-id report.  The list holds the one
+    [Native] entry. *)
 
 val insert :
   t -> at:string -> fragment:Xmlac_xml.Tree.t ->
   (backend_kind * Reannotator.stats) list
-(** Grafts a copy of [fragment] under every node selected by [at] in
-    every held store (relational mirrors copy the native store's fresh
-    universal ids, so the stores stay comparable) and partially
-    re-annotates each, role bitmaps included, as {!update} does.  The
-    trigger treats the insertion points —
-    [at/<fragment-root>] — as the update expression.  Bumps the
+(** Grafts a copy of [fragment] under every node selected by [at] and
+    partially re-annotates, role bitmaps included, as {!update} does.
+    The trigger treats the insertion points — [at/<fragment-root>] —
+    as the update expression.  Bumps the
     {!epoch}; the CAM entries of the changed nodes and of the grafted
     subtrees are rebuilt incrementally.  Nothing validates the
     fragment against the DTD; a graft whose nodes do not all sit at
@@ -217,20 +199,12 @@ val insert :
     can re-read it.  The caller must not mutate [fragment] after the
     call (re-using it as the source of further inserts is fine). *)
 
-val consistent : t -> bool
-(** Whether every held store currently materializes the same
-    accessible node set — the cross-store invariant the tests lean on.
-    Trivially [true] on an engine that is not [~mirrored]. *)
+val accessible : t -> int list
+(** The anonymous subject's accessible ids off the store's signs. *)
 
-val accessible : t -> backend_kind -> int list
-
-val accessible_subject : t -> backend_kind -> string -> int list
+val accessible_subject : t -> string -> int list
 (** One role's accessible ids off the store's effective bitmaps.
     @raise Invalid_argument on an unknown role. *)
-
-val consistent_subjects : t -> bool
-(** {!consistent}, per role: every declared role's accessible set
-    agrees across the held stores' bitmap layers. *)
 
 (** {1 Read-path observability} *)
 
@@ -275,10 +249,8 @@ val open_epoch : t -> int option
     {!recover} first. *)
 
 val wal : t -> backend_kind -> Xmlac_reldb.Wal.t option
-(** The write-ahead log attached to a relational store: [None] for
-    {!Native}, which is journaled in memory instead, and for a store
-    the engine does not hold.  Exposed for the durability tests and
-    [xmlacctl explain]. *)
+(** Always [None]: the native store is journaled in memory, not
+    through a WAL.  Stays only for [perfbench/]. *)
 
 (** {1 MVCC snapshots}
 
@@ -319,20 +291,15 @@ type recovery = {
           pre-epoch materialization.  [`Forward]: a structural
           operation was re-applied and its repair re-run.  [`None]:
           there was nothing to do. *)
-  wal_dropped : int;  (** WAL entries truncated across every WAL. *)
   signs_rolled_back : int;
       (** Journal entries replayed (partial writes undone). *)
-  repaired : backend_kind list;
-      (** The held stores whose repair was re-driven (roll-forward
-          only). *)
 }
 
 val recover : t -> recovery
 (** The simulated restart after a {!Xmlac_util.Fault.Crash}: clears
     the fault registry's kill state and every armed trigger
-    ({!Xmlac_util.Fault.recover}), truncates every WAL to its last
-    committed epoch ({!Xmlac_reldb.Wal.recover}), rolls partial sign
-    writes back through the undo journals, and resolves the open epoch
+    ({!Xmlac_util.Fault.recover}), rolls partial sign writes back
+    through the undo journal, and resolves the open epoch
     as described in the module preamble — backwards for {!annotate},
     forwards for {!update} / {!insert}.  Restores the annotation
     tracking, bumps the request {!epoch}, rebuilds the CAM and
@@ -348,8 +315,8 @@ val recover : t -> recovery
     operation travels to replicas as an {!op} — a logical,
     deterministic description replayed through the replica's own
     engine entry points, so a shipped epoch inherits the full sign
-    epoch machinery above: journaled writes, WAL framing, and
-    crash recovery that lands strictly pre- or post-epoch. *)
+    epoch machinery above: journaled writes and crash recovery that
+    lands strictly pre- or post-epoch. *)
 
 (** One mutating operation: the engine records the one an open epoch
     is attempting (recovery finishes or abandons it), and replication
@@ -360,8 +327,8 @@ type op =
           the leader ships for an epoch its own crash recovery rolled
           back, keeping replicas aligned without replaying an
           operation that never took effect. *)
-  | Op_annotate of backend_kind
-  | Op_annotate_subjects of backend_kind
+  | Op_annotate
+  | Op_annotate_subjects
   | Op_update of string
   | Op_insert of { at : string; fragment : Xmlac_xml.Tree.t }
       (** The fragment is reconstructed from serialized XML on the
@@ -386,10 +353,10 @@ val set_read_only : t -> bool -> unit
 
 val state_checksum : t -> int32
 (** Deterministic digest of the enforcement-relevant materialization:
-    the anonymous and every declared role's accessible id set on every
-    held store, computed in one {!Backend.t.iter_live} pass per store
-    with no string building.  Two engines holding the same stores with
-    equal accessible sets digest equal.  Engine-local epoch counters
+    the anonymous and every declared role's accessible id set,
+    computed in one {!Backend.t.iter_live} pass with no string
+    building.  Two engines with equal accessible sets digest equal.
+    Engine-local epoch counters
     are excluded, so a replica whose own crash recoveries consumed
     extra epoch numbers still digests equal once its answers converge
     on the leader's — this is the divergence check shipped with every

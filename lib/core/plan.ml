@@ -314,8 +314,6 @@ let node_to_string =
            ~on_restrict:(fun _ _ -> assert false (* fused by simplify *))
            p))
 
-let pp_node ppf n = Format.pp_print_string ppf (node_to_string n)
-
 let pp ppf t =
   Format.fprintf ppf "mark %s: %s"
     (Rule.effect_to_string t.mark)

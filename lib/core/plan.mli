@@ -181,7 +181,6 @@ val explain :
 (** Rewrites the plan and instruments every stage; [doc_name] (default
     ["doc"]) only affects the generated XQuery text. *)
 
-val pp_node : Format.formatter -> node -> unit
 val pp : Format.formatter -> t -> unit
 (** ["mark +: (//a union //b) except (//c)"]. *)
 

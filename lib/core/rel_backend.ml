@@ -205,3 +205,11 @@ let make mapping db : Backend.t =
         List.iter (fun id -> f id (sign_of id) (bits_of id)) (live_ids ()));
     node_count = (fun () -> Db.total_tuples db);
   }
+
+let load mapping policy engine doc =
+  let db = Db.create engine in
+  ignore
+    (Shred.load mapping
+       ~default_sign:(Rule.effect_to_string (Policy.ds policy))
+       ~default_bits:(Policy.default_bits policy) db doc);
+  (db, make mapping db)

@@ -13,24 +13,14 @@ type t = {
 let epoch f = f.epoch
 let state_sum f = f.state_sum
 
-let kind_to_tag = function
-  | Engine.Native -> "native"
-  | Engine.Row_sql -> "row"
-  | Engine.Column_sql -> "column"
-
-let kind_of_tag = function
-  | "native" -> Some Engine.Native
-  | "row" -> Some Engine.Row_sql
-  | "column" -> Some Engine.Column_sql
-  | _ -> None
-
 (* One printable-prefix byte selects the op; the rest is the op's own
-   encoding.  Inserts frame the target path length-prefixed so the
-   serialized fragment can contain anything. *)
+   encoding.  The annotation ops keep the wire format's store tag
+   ("A native", "S native").  Inserts frame the target path
+   length-prefixed so the serialized fragment can contain anything. *)
 let payload_of_op = function
   | Engine.Op_noop -> "N"
-  | Engine.Op_annotate k -> "A " ^ kind_to_tag k
-  | Engine.Op_annotate_subjects k -> "S " ^ kind_to_tag k
+  | Engine.Op_annotate -> "A native"
+  | Engine.Op_annotate_subjects -> "S native"
   | Engine.Op_update q -> "U " ^ q
   | Engine.Op_insert { at; fragment } ->
       Printf.sprintf "I %d\x00%s%s" (String.length at) at
@@ -38,18 +28,13 @@ let payload_of_op = function
 
 let op_of_payload s =
   let body () = String.sub s 2 (String.length s - 2) in
-  let kind tag k =
-    match kind_of_tag tag with
-    | Some kd -> Ok (k kd)
-    | None -> Error (Printf.sprintf "unknown backend tag %S" tag)
-  in
   if s = "N" then Ok Engine.Op_noop
+  else if s = "A native" then Ok Engine.Op_annotate
+  else if s = "S native" then Ok Engine.Op_annotate_subjects
   else if String.length s < 2 || s.[1] <> ' ' then
     Error "malformed frame payload"
   else
     match s.[0] with
-    | 'A' -> kind (body ()) (fun k -> Engine.Op_annotate k)
-    | 'S' -> kind (body ()) (fun k -> Engine.Op_annotate_subjects k)
     | 'U' -> Ok (Engine.Op_update (body ()))
     | 'I' -> (
         let b = body () in

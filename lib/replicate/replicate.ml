@@ -149,8 +149,8 @@ let frame_committed t op =
 
 let run_leader_op eng = function
   | Engine.Op_noop -> invalid_arg "Replicate.apply: Op_noop"
-  | Engine.Op_annotate k -> ignore (Engine.annotate eng k)
-  | Engine.Op_annotate_subjects k -> ignore (Engine.annotate_subjects eng k)
+  | Engine.Op_annotate -> ignore (Engine.annotate eng)
+  | Engine.Op_annotate_subjects -> ignore (Engine.annotate_subjects eng)
   | Engine.Op_update q -> ignore (Engine.update eng q)
   | Engine.Op_insert { at; fragment } ->
       ignore (Engine.insert eng ~at ~fragment)
@@ -220,18 +220,8 @@ let apply t op =
 
 let update t q = apply t (Engine.Op_update q)
 let insert t ~at ~fragment = apply t (Engine.Op_insert { at; fragment })
-let annotate t kind = apply t (Engine.Op_annotate kind)
-
-(* One epoch per store the leader holds, stopping at the first error. *)
-let apply_each t op =
-  List.fold_left
-    (fun acc k -> match acc with Ok () -> apply t (op k) | e -> e)
-    (Ok ()) (Engine.kinds (leader t).eng)
-
-let annotate_all t = apply_each t (fun k -> Engine.Op_annotate k)
-
-let annotate_subjects_all t =
-  apply_each t (fun k -> Engine.Op_annotate_subjects k)
+let annotate_all t = apply t Engine.Op_annotate
+let annotate_subjects_all t = apply t Engine.Op_annotate_subjects
 
 (* The chaos transport: per-frame drop / duplicate / reorder /
    torn-frame draws from the seeded generator, plus an explicit

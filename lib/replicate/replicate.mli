@@ -7,7 +7,10 @@
 
     Every committed leader epoch becomes one {!Frame}: the epoch's
     logical operation, a payload checksum and the leader's post-epoch
-    state digest ({!Xmlac_core.Engine.state_checksum}).  Followers
+    state digest ({!Xmlac_core.Engine.state_checksum}).  Annotation
+    epochs still travel as [A native] / [S native]: the store tag
+    dates from engines that held several stores, and keeping it keeps
+    the wire bytes unchanged.  Followers
     apply frames strictly in stream order through
     {!Xmlac_core.Engine.apply_replica}, so every applied epoch runs
     under the full sign-epoch machinery: journaled writes and a crash
@@ -74,9 +77,8 @@ val create :
 (** A cluster over one document: node 0 is the leader, nodes
     [1..followers] (default 2) are read-only replicas built from the
     same inputs, so universal node ids line up across the cluster by
-    construction.  Each node owns a default (native-only) engine and
-    a {!Xmlac_serve.Serve} layer; cross-store checks belong to a
-    mirrored {!Xmlac_core.Engine} built directly. *)
+    construction.  Each node owns an {!Xmlac_core.Engine} and a
+    {!Xmlac_serve.Serve} layer. *)
 
 (** {1 Leader mutations}
 
@@ -93,15 +95,11 @@ val update : t -> string -> (unit, Serve.error) result
 val insert :
   t -> at:string -> fragment:Xmlac_xml.Tree.t -> (unit, Serve.error) result
 
-val annotate : t -> Engine.backend_kind -> (unit, Serve.error) result
-(** Fails with a [Fatal] error on a store the leader does not hold —
-    every store but [Native]. *)
-
 val annotate_all : t -> (unit, Serve.error) result
-(** One epoch per store the leader holds: one epoch, on the native
-    store. *)
+(** One annotation epoch ([Op_annotate]). *)
 
 val annotate_subjects_all : t -> (unit, Serve.error) result
+(** One shared-pass bitmap epoch ([Op_annotate_subjects]). *)
 
 (** {1 Shipping} *)
 

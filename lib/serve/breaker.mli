@@ -1,14 +1,14 @@
-(** Per-backend circuit breaker: closed → open → half-open.
+(** Circuit breaker: closed → open → half-open.
 
-    The serve layer gives each backend one breaker and feeds it the
-    outcome of every {e live} call.  While enough recent calls fail
-    (error rate over a sliding outcome window), the breaker {e trips}
-    open and the backend is taken out of the live path — requests are
-    answered from the degradation snapshot instead, so a flapping
-    store cannot drag every caller through its timeouts.  After a
-    cooldown the breaker admits probe calls (half-open); a run of
-    consecutive successes closes it again, any probe failure re-opens
-    it.
+    The serve layer guards the engine's store with one breaker and
+    feeds it the outcome of every {e live} call.  While enough recent
+    calls fail (error rate over a sliding outcome window), the breaker
+    {e trips} open and the store is taken out of the live path —
+    requests are answered from the degradation snapshot instead, so a
+    flapping store cannot drag every caller through its timeouts.
+    After a cooldown the breaker admits probe calls (half-open); a run
+    of consecutive successes closes it again, any probe failure
+    re-opens it.
 
     Everything is counted in {e calls}, not wall time, so the state
     machine is deterministic under the seeded fault schedules the soak

@@ -67,11 +67,11 @@ type mutation_outcome =
 type t = {
   eng : Engine.t;
   config : config;
-  breakers : (Engine.backend_kind * Breaker.t) list;
+  breaker : Breaker.t;
   rng : Prng.t;
   mutable queue : mutation list;  (* oldest first; bounded, tiny *)
   (* The layer's pinned MVCC snapshot — the engine's versioned view of
-     the last epoch this layer saw commit.  While a breaker is open,
+     the last epoch this layer saw commit.  While the breaker is open,
      requests are answered deny-by-default from it.  It is only
      trusted while its epoch still equals the engine's committed epoch
      — mutations re-pin on commit and nothing commits while degraded,
@@ -85,18 +85,12 @@ let create ?(config = default_config) eng =
   if config.max_retries < 0 then invalid_arg "Serve.create: max_retries < 0";
   if config.queue_capacity < 0 then
     invalid_arg "Serve.create: queue_capacity < 0";
-  let metrics = Engine.metrics eng in
-  let breakers =
-    List.map
-      (fun kind ->
-        let name = Engine.backend_kind_to_string kind in
-        (kind, Breaker.create ~metrics ~name config.breaker))
-      (Engine.kinds eng)
-  in
   {
     eng;
     config;
-    breakers;
+    breaker =
+      Breaker.create ~metrics:(Engine.metrics eng) ~name:"native"
+        config.breaker;
     rng = Prng.create ~seed:config.seed;
     queue = [];
     snapshot = Engine.pin_snapshot eng;
@@ -104,7 +98,7 @@ let create ?(config = default_config) eng =
 
 let engine t = t.eng
 let config t = t.config
-let breaker t kind = List.assoc kind t.breakers
+let breaker t = t.breaker
 let metrics t = Engine.metrics t.eng
 let queued t = List.length t.queue
 let snapshot t = t.snapshot
@@ -149,29 +143,23 @@ let error_of_exn = typed_error
 
 (* ---------- self-healing ---------- *)
 
-(* A fault between the two [Wal.begin_epoch] calls leaves one WAL
-   with an open epoch while the engine never registered an open
-   operation — a wedge that would make every later [begin_epoch]
-   refuse.  Recovery truncates it away. *)
-let wal_dangling t =
-  Engine.open_epoch t.eng = None
-  && List.exists
-       (fun kind ->
-         match Engine.wal t.eng kind with
-         | Some w -> Xmlac_reldb.Wal.open_epoch w <> None
-         | None -> false)
-       Engine.all_backend_kinds
+(* A fault between a commit and its snapshot publish leaves the
+   engine's current snapshot one epoch behind: live reads would answer
+   the previous epoch. *)
+let snapshot_lags t =
+  Snapshot.current_epoch (Engine.snapshots t.eng)
+  <> Some (Engine.sign_epoch t.eng)
 
 (* If a previous call crashed mid-epoch (or poisoned the fault
-   registry's kill state, or left a WAL epoch dangling), nothing works
+   registry's kill state, or interrupted a publish), nothing works
    until recovery runs — play the restart before touching the
-   engine. *)
+   engine.  Recovery republishes a lagging snapshot. *)
 let heal t =
-  if Engine.open_epoch t.eng <> None || Fault.killed () || wal_dangling t
-  then begin
+  let lags = snapshot_lags t in
+  if Engine.open_epoch t.eng <> None || Fault.killed () || lags then begin
     Metrics.incr (metrics t) "serve.auto_recoveries";
     let r = Engine.recover t.eng in
-    if r.Engine.recovered_epoch <> None then refresh_snapshot t
+    if r.Engine.recovered_epoch <> None || lags then refresh_snapshot t
   end
 
 (* ---------- requests ---------- *)
@@ -250,17 +238,17 @@ let snapshot_request ?subject ?lane t snap query =
 let degraded_request ?subject ?lane t query =
   snapshot_request_as ~served:Degraded ?subject ?lane t t.snapshot query
 
-let live_request ?subject ?lane t kind br query =
+let live_request ?subject ?lane t query =
   let m = metrics t in
+  let br = t.breaker in
   let attempts = ref 0 in
   match
-    Deadline.with_budget
-      ~label:("request." ^ Engine.backend_kind_to_string kind)
+    Deadline.with_budget ~label:"request.native"
       ?ticks:t.config.deadline_ticks ?seconds:t.config.deadline_seconds
       (fun () ->
         let rec go n =
           attempts := n;
-          try Engine.request ?subject ?lane t.eng kind query
+          try Engine.request ?subject ?lane t.eng Engine.Native query
           with Fault.Transient _ when n <= t.config.max_retries ->
             Metrics.incr m "serve.retries";
             backoff t n;
@@ -290,54 +278,28 @@ let refused t ~counter ~site message =
   Metrics.incr (metrics t) counter;
   Error { class_ = Fatal; site; attempts = 0; message }
 
-let request ?subject ?lane t kind query =
+let request ?subject ?lane t Engine.Native query =
   Metrics.time (metrics t) "serve.request" (fun () ->
       match Requester.parse_or_fail query with
       | exception Invalid_argument msg ->
           refused t ~counter:"serve.parse_errors" ~site:"parse" msg
       | _expr -> (
           (* Checked up front so the degraded path cannot trip over a
-             bad role or store either. *)
-          match (subject, List.assoc_opt kind t.breakers) with
-          | Some role, _ when not (known_role t role) ->
+             bad role either. *)
+          match subject with
+          | Some role when not (known_role t role) ->
               refused t ~counter:"serve.unknown_roles" ~site:"subject"
                 (Printf.sprintf "unknown role %S" role)
-          | _, None ->
-              refused t ~counter:"serve.unknown_stores" ~site:"store"
-                (Printf.sprintf "the engine does not hold the %s store"
-                   (Engine.backend_kind_to_string kind))
-          | _, Some br -> (
+          | _ -> (
               heal t;
-              match Breaker.admit br with
+              match Breaker.admit t.breaker with
               | `Reject -> degraded_request ?subject ?lane t query
-              | `Admit -> live_request ?subject ?lane t kind br query)))
+              | `Admit -> live_request ?subject ?lane t query)))
 
 (* ---------- mutations ---------- *)
 
-let some_breaker_open t =
-  List.exists (fun (_, br) -> Breaker.state br = Breaker.Open) t.breakers
-
-let record_all t ~ok =
-  List.iter (fun (_, br) -> Breaker.record br ~ok) t.breakers
-
-(* Attribute a failure to the backend its fault site names; a site
-   that names no backend (wal, cam, ...) counts against all of them —
-   the mutation path crosses every store. *)
-let record_failure t site =
-  let prefixed p =
-    let p = p ^ "." in
-    String.length site >= String.length p
-    && String.sub site 0 (String.length p) = p
-  in
-  let kind =
-    if prefixed "native" then Some Engine.Native
-    else if prefixed "row" then Some Engine.Row_sql
-    else if prefixed "column" then Some Engine.Column_sql
-    else None
-  in
-  match kind with
-  | Some k -> Breaker.record (breaker t k) ~ok:false
-  | None -> record_all t ~ok:false
+let breaker_open t = Breaker.state t.breaker = Breaker.Open
+let record t ~ok = Breaker.record t.breaker ~ok
 
 let enqueue t mu =
   let m = metrics t in
@@ -364,8 +326,8 @@ let apply_mutation t = function
 let run_mutation t mu =
   let m = metrics t in
   let rec go n =
-    (* A retried attempt may follow a fault that left a WAL epoch
-       dangling; clear it before applying again. *)
+    (* A retried attempt may follow a fault that poisoned the
+       registry; clear it before applying again. *)
     heal t;
     (* The committed epoch as of this attempt: a fault raised {e after}
        the epoch advanced past it (e.g. at the snapshot-publish points)
@@ -377,7 +339,7 @@ let run_mutation t mu =
         (fun () -> apply_mutation t mu)
     with
     | stats ->
-        record_all t ~ok:true;
+        record t ~ok:true;
         refresh_snapshot t;
         Ok (Applied stats)
     | exception exn -> (
@@ -396,7 +358,7 @@ let run_mutation t mu =
             || Engine.sign_epoch t.eng > committed0
           then begin
             Metrics.incr m "serve.recovered_mutations";
-            record_failure t err.site;
+            record t ~ok:false;
             Ok Recovered
           end
           else if err.class_ = Transient && n <= t.config.max_retries then begin
@@ -405,7 +367,7 @@ let run_mutation t mu =
             go (n + 1)
           end
           else begin
-            record_failure t err.site;
+            record t ~ok:false;
             Metrics.incr m "serve.errors";
             Metrics.incr m
               ("serve.errors." ^ error_class_to_string err.class_);
@@ -415,11 +377,12 @@ let run_mutation t mu =
         else if Engine.sign_epoch t.eng > committed0 then begin
           (* Transient fault past the commit point: the epoch is
              durable, only the snapshot publish was interrupted.
-             Re-pinning repairs the layer's view; retrying would apply
-             the mutation twice. *)
+             Healing republishes it and re-pins the layer's view;
+             retrying would apply the mutation twice. *)
           Metrics.incr m "serve.recovered_mutations";
+          heal t;
           refresh_snapshot t;
-          record_failure t err.site;
+          record t ~ok:false;
           Ok Recovered
         end
         else if err.class_ = Transient && n <= t.config.max_retries then begin
@@ -429,7 +392,7 @@ let run_mutation t mu =
           go (n + 1)
         end
         else begin
-          record_failure t err.site;
+          record t ~ok:false;
           Metrics.incr m "serve.errors";
           Metrics.incr m ("serve.errors." ^ error_class_to_string err.class_);
           Error err
@@ -440,7 +403,7 @@ let run_mutation t mu =
 let mutate t mu =
   Metrics.time (metrics t) "serve.mutate" (fun () ->
       heal t;
-      if some_breaker_open t then enqueue t mu else run_mutation t mu)
+      if breaker_open t then enqueue t mu else run_mutation t mu)
 
 let update t q = mutate t (Update q)
 let insert t ~at ~fragment = mutate t (Insert { at; fragment })
@@ -448,7 +411,7 @@ let insert t ~at ~fragment = mutate t (Insert { at; fragment })
 let drain t =
   heal t;
   let rec go acc =
-    if some_breaker_open t then List.rev acc
+    if breaker_open t then List.rev acc
     else
       match t.queue with
       | [] -> List.rev acc
@@ -462,7 +425,7 @@ let drain t =
 (* ---------- health ---------- *)
 
 type health = {
-  breakers : (Engine.backend_kind * Breaker.state) list;
+  breaker : Breaker.state;
   trips : int;
   open_epoch : int option;
   queued_mutations : int;
@@ -474,16 +437,15 @@ type health = {
 }
 
 let health (t : t) =
-  let states = List.map (fun (k, br) -> (k, Breaker.state br)) t.breakers in
+  let state = Breaker.state t.breaker in
   {
-    breakers = states;
-    trips = List.fold_left (fun acc (_, br) -> acc + Breaker.trips br) 0
-        t.breakers;
+    breaker = state;
+    trips = Breaker.trips t.breaker;
     open_epoch = Engine.open_epoch t.eng;
     queued_mutations = List.length t.queue;
     snapshot_epoch = Snapshot.epoch t.snapshot;
     committed_epoch = Engine.sign_epoch t.eng;
-    degraded = List.exists (fun (_, s) -> s <> Breaker.Closed) states;
+    degraded = state <> Breaker.Closed;
     stale_snapshot_denials =
       Metrics.counter (metrics t) Metrics.stale_snapshot_denials;
     pinned_snapshots = Snapshot.live (Engine.snapshots t.eng);
@@ -493,12 +455,8 @@ let healthy h =
   (not h.degraded) && h.open_epoch = None && h.queued_mutations = 0
 
 let pp_health ppf h =
-  List.iter
-    (fun (k, s) ->
-      Format.fprintf ppf "breaker %-10s %s@."
-        (Engine.backend_kind_to_string k)
-        (Breaker.state_to_string s))
-    h.breakers;
+  Format.fprintf ppf "breaker native     %s@."
+    (Breaker.state_to_string h.breaker);
   Format.fprintf ppf "trips       %d@." h.trips;
   Format.fprintf ppf "open epoch  %s@."
     (match h.open_epoch with None -> "none" | Some e -> string_of_int e);

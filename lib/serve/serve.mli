@@ -13,8 +13,9 @@
     {- {e retries}: transient faults ({!Xmlac_util.Fault.Transient})
        are retried with jittered exponential backoff, bounded by
        [max_retries];}
-    {- {e circuit breaking + fail-closed degradation}: each backend
-       owns a {!Breaker}; while one is open its requests are answered
+    {- {e circuit breaking + fail-closed degradation}: the engine's
+       store is guarded by one {!Breaker}; while it is open requests
+       are answered
        {e deny-by-default} from the layer's pinned
        {!Xmlac_core.Snapshot} of the committed materialization, and
        mutations queue (bounded) or are rejected.  A degraded answer
@@ -25,8 +26,8 @@
     Since the MVCC refactor the layer is also the concurrent front
     end's toolbox: {!snapshot_request} answers from {e any} pinned
     snapshot — the {!Session} read path — under the same deadline and
-    retry machinery, without ever touching the live stores or the
-    breakers, so worker domains running pinned reads can never block
+    retry machinery, without ever touching the live store or the
+    breaker, so worker domains running pinned reads can never block
     on (or be corrupted by) the writer's next epoch.
 
     The layer also self-heals: if a fault killed the process mid-epoch
@@ -93,15 +94,13 @@ val default_config : config
 type t
 
 val create : ?config:config -> Engine.t -> t
-(** Wraps an engine: one breaker per store the engine holds
-    ({!Engine.kinds}; named after the store, metrics mirrored into the
-    engine's registry), and pins
-    the engine's current MVCC snapshot as the degradation view. *)
+(** Wraps an engine: one breaker over its store (named ["native"],
+    metrics mirrored into the engine's registry), and pins the
+    engine's current MVCC snapshot as the degradation view. *)
 
 val engine : t -> Engine.t
 val config : t -> config
-val breaker : t -> Engine.backend_kind -> Breaker.t
-(** @raise Not_found for a store the engine does not hold. *)
+val breaker : t -> Breaker.t
 
 val snapshot : t -> Xmlac_core.Snapshot.t
 (** The layer's pinned snapshot — the last committed epoch this layer
@@ -131,13 +130,13 @@ val request :
   Engine.backend_kind ->
   string ->
   (reply, error) result
-(** The resilient request path.  Parse errors, unknown [~subject]
-    roles and stores the engine does not hold return a [Fatal] error
-    (sites ["parse"], ["subject"], ["store"]; counted as
-    [serve.parse_errors], [serve.unknown_roles],
-    [serve.unknown_stores]) without consulting a breaker — they say
-    nothing about backend health.  A
-    closed/half-open breaker admits the call: it runs under the
+(** The resilient request path.  Parse errors and unknown [~subject]
+    roles return a [Fatal] error (sites ["parse"], ["subject"];
+    counted as [serve.parse_errors], [serve.unknown_roles]) without
+    consulting the breaker — they say nothing about backend health.
+    The kind argument stays only for [perfbench/]
+    ({!Engine.backend_kind}).  A closed/half-open breaker admits the
+    call: it runs under the
     configured deadline with transient retries, and its outcome feeds
     the breaker.  An open breaker rejects it and the reply is served
     [Degraded] from the snapshot: the decision is the all-or-nothing
@@ -170,7 +169,7 @@ val snapshot_request :
 (** The session read path: answer [query] from [snap] — typically one
     the caller pinned with {!Engine.pin_snapshot} — under the
     configured deadline, with transient retries.  Never consults the
-    engine, the live stores or the breakers: full fidelity at the
+    engine, the live store or the breaker: full fidelity at the
     snapshot's epoch, zero blocking on the writer, and no staleness
     check — an old pinned snapshot {e is} the version the session
     asked to read.  Parse errors and unknown roles surface as [Fatal]
@@ -196,7 +195,7 @@ type mutation_outcome =
           length after enqueue. *)
 
 val mutate : t -> mutation -> (mutation_outcome, error) result
-(** Applies the mutation through every store.  While any breaker is
+(** Applies the mutation through the engine.  While the breaker is
     open the mutation is queued (or rejected once [queue_capacity] is
     reached) — the degradation snapshot stays coherent with the
     committed epoch precisely because nothing commits while degraded.
@@ -213,8 +212,8 @@ val insert :
 val queued : t -> int
 
 val drain : t -> (mutation * (mutation_outcome, error) result) list
-(** Replays queued mutations in order once no breaker is open.
-    Stops early (leaving the rest queued) if a breaker re-opens
+(** Replays queued mutations in order once the breaker is not open.
+    Stops early (leaving the rest queued) if the breaker re-opens
     mid-drain; a mutation that fails for its own reasons is reported
     and {e not} re-queued.  Returns the attempted mutations with
     their outcomes; empty while still degraded. *)
@@ -222,13 +221,13 @@ val drain : t -> (mutation * (mutation_outcome, error) result) list
 (** {1 Health} *)
 
 type health = {
-  breakers : (Engine.backend_kind * Breaker.state) list;
-  trips : int;  (** Lifetime trips across all breakers. *)
+  breaker : Breaker.state;
+  trips : int;  (** Lifetime trips of the breaker. *)
   open_epoch : int option;
   queued_mutations : int;
   snapshot_epoch : int;  (** Committed epoch the pinned snapshot captures. *)
   committed_epoch : int;
-  degraded : bool;  (** Some breaker is not closed. *)
+  degraded : bool;  (** The breaker is not closed. *)
   stale_snapshot_denials : int;
       (** Lifetime degraded requests blanket-denied because the pinned
           snapshot trailed the committed epoch
@@ -240,7 +239,7 @@ type health = {
 
 val health : t -> health
 val healthy : health -> bool
-(** All breakers closed, no open epoch, queue empty. *)
+(** Breaker closed, no open epoch, queue empty. *)
 
 val pp_health : Format.formatter -> health -> unit
 (** Deterministic, time-free — safe for golden CLI transcripts. *)

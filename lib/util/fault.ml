@@ -177,7 +177,4 @@ let hits name =
   with_lock (fun () ->
       Option.value (Hashtbl.find_opt registry name) ~default:0)
 
-let total_hits () =
-  with_lock (fun () -> Hashtbl.fold (fun _ n acc -> acc + n) registry 0)
-
 let transient_fires () = with_lock (fun () -> !transient_count)

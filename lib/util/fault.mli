@@ -114,8 +114,6 @@ val registered : unit -> string list
 val hits : string -> int
 (** Times the named point was passed (0 if never). *)
 
-val total_hits : unit -> int
-
 val transient_fires : unit -> int
 (** Transient faults raised since the last {!reset} — the injected
     error count the resilience bench reports alongside its latency

@@ -1,12 +1,10 @@
 type align = Left | Right
 
-type row = Cells of string list | Rule
-
 type t = {
   headers : string list;
   ncols : int;
   mutable aligns : align list;
-  mutable rows : row list; (* reversed *)
+  mutable rows : string list list; (* reversed *)
 }
 
 let create ~headers =
@@ -25,17 +23,13 @@ let add_row t cells =
     if n = t.ncols then cells
     else cells @ List.init (t.ncols - n) (fun _ -> "")
   in
-  t.rows <- Cells cells :: t.rows
-
-let add_separator t = t.rows <- Rule :: t.rows
+  t.rows <- cells :: t.rows
 
 let render t =
   let rows = List.rev t.rows in
   let widths = Array.of_list (List.map String.length t.headers) in
-  let measure = function
-    | Rule -> ()
-    | Cells cs ->
-        List.iteri (fun i c -> widths.(i) <- max widths.(i) (String.length c)) cs
+  let measure cs =
+    List.iteri (fun i c -> widths.(i) <- max widths.(i) (String.length c)) cs
   in
   List.iter measure rows;
   let buf = Buffer.create 256 in
@@ -64,7 +58,7 @@ let render t =
   emit_rule ();
   emit_cells t.headers;
   emit_rule ();
-  List.iter (function Rule -> emit_rule () | Cells cs -> emit_cells cs) rows;
+  List.iter emit_cells rows;
   emit_rule ();
   Buffer.contents buf
 

@@ -20,9 +20,6 @@ val add_row : t -> string list -> unit
 (** Rows shorter than the header count are padded with empty cells;
     longer rows raise [Invalid_argument]. *)
 
-val add_separator : t -> unit
-(** Inserts a horizontal rule between the surrounding rows. *)
-
 val render : t -> string
 (** The table as a string, newline-terminated. *)
 

@@ -9,24 +9,6 @@ let time f =
   let t1 = now () in
   (x, t1 -. t0)
 
-let time_n ~n f =
-  assert (n >= 1);
-  let t0 = now () in
-  for _ = 1 to n do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  let t1 = now () in
-  (t1 -. t0) /. float_of_int n
-
-let repeat_until ~min_runs ~min_seconds f =
-  let t0 = now () in
-  let runs = ref 0 in
-  while !runs < min_runs || now () -. t0 < min_seconds do
-    ignore (Sys.opaque_identity (f ()));
-    incr runs
-  done;
-  (now () -. t0) /. float_of_int !runs
-
 let percentile samples ~p =
   if Array.length samples = 0 then invalid_arg "Timing.percentile: empty";
   if p < 0.0 || p > 100.0 then invalid_arg "Timing.percentile: p outside [0,100]";

@@ -19,13 +19,5 @@ val time : (unit -> 'a) -> 'a * float
 (** [time f] runs [f ()] and returns its result with the elapsed wall
     time in seconds. *)
 
-val time_n : n:int -> (unit -> 'a) -> float
-(** [time_n ~n f] runs [f] [n] times and returns the mean elapsed time
-    per run, in seconds. [n] must be >= 1. *)
-
-val repeat_until : min_runs:int -> min_seconds:float -> (unit -> 'a) -> float
-(** Runs [f] at least [min_runs] times and until [min_seconds] of total
-    runtime have elapsed, returning the mean time per run. *)
-
 val pp_seconds : Format.formatter -> float -> unit
 (** Human-friendly duration: ns/us/ms/s with 3 significant digits. *)

@@ -72,8 +72,6 @@ let map_to_list f t =
 
 let to_list t = map_to_list Fun.id t
 
-let to_array t = Array.sub t.data 0 t.len
-
 let of_list ~dummy xs =
   let t = create ~dummy () in
   List.iter (push t) xs;

@@ -31,7 +31,6 @@ val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val exists : ('a -> bool) -> 'a t -> bool
 val map_to_list : ('a -> 'b) -> 'a t -> 'b list
 val to_list : 'a t -> 'a list
-val to_array : 'a t -> 'a array
 val of_list : dummy:'a -> 'a list -> 'a t
 
 val filter_in_place : ('a -> bool) -> 'a t -> unit

@@ -157,8 +157,6 @@ let node_count_estimate ~factor =
   + (scaled factor base_closed * 12)
   + (scaled factor base_categories * 3)
 
-let standard_factors = [ 0.0001; 0.001; 0.01; 0.1; 1.0; 2.0; 10.0 ]
-
 let pick rng pool = Prng.choose_list rng pool
 
 let date rng =

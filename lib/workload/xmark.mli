@@ -26,6 +26,3 @@ val value_pool : string -> string list
     generator's own distributions — feeds value predicates in
     {!Xmlac_xpath.Qgen} so that generated queries actually select
     something. *)
-
-val standard_factors : float list
-(** The paper's Table 5 ladder: 0.0001, 0.001, 0.01, 0.1, 1, 2, 10. *)

@@ -128,5 +128,3 @@ let paths_between t ~src ~dst =
 
 let max_depth t =
   List.fold_left (fun m p -> max m (List.length p)) 0 (root_paths t)
-
-let type_exists t ty = Dtd.declares t.dtd ty

@@ -53,5 +53,3 @@ val paths_between : t -> src:string -> dst:string -> string list list
 
 val max_depth : t -> int
 (** Length of the longest root path (number of nodes). *)
-
-val type_exists : t -> string -> bool

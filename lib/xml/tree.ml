@@ -7,8 +7,6 @@ let sign_of_string = function
   | "-" -> Some Minus
   | _ -> None
 
-let pp_sign ppf s = Format.pp_print_string ppf (sign_to_string s)
-
 module Bitset = Xmlac_util.Bitset
 module Imap = Map.Make (Int)
 

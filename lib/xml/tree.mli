@@ -37,7 +37,6 @@ type sign = Plus | Minus
 
 val sign_to_string : sign -> string
 val sign_of_string : string -> sign option
-val pp_sign : Format.formatter -> sign -> unit
 
 type node = private {
   id : int;  (** Document-unique identifier, assigned at creation. *)

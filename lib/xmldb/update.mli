@@ -26,5 +26,5 @@ val insert_nodes :
   fragment:Xmlac_xml.Tree.t ->
   Xmlac_xml.Tree.node list
 (** Like {!insert}, returning the freshly grafted subtree roots — the
-    engine mirrors exactly these nodes (same universal ids) into the
-    relational stores. *)
+    nodes a relational store shredded from the same document takes in
+    with {!Xmlac_shrex.Shred.insert_subtree} (same universal ids). *)

@@ -60,8 +60,6 @@ and equal_qual q1 q2 =
 
 let equal_expr e1 e2 = equal_path e1.steps e2.steps
 
-let compare_expr e1 e2 = Stdlib.compare e1 e2
-
 let rec path_size p = List.fold_left (fun acc s -> acc + step_size s) 0 p
 
 and step_size s =

@@ -50,8 +50,6 @@ val cmp_holds : cmp -> string -> string -> bool
 val equal_expr : expr -> expr -> bool
 (** Structural (syntactic) equality, qualifier order significant. *)
 
-val compare_expr : expr -> expr -> int
-
 val size : expr -> int
 (** Number of steps, including those inside qualifiers. *)
 

@@ -52,4 +52,3 @@ let pp_expr ppf (e : expr) =
 
 let to_string pp x = Format.asprintf "%a" pp x
 let expr_to_string = to_string pp_expr
-let path_to_string = to_string pp_path

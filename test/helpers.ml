@@ -124,6 +124,146 @@ let hospital_roles_policy =
         deny @staff //patient[treatment]\n\
         allow @doctor //treatment\n")
 
+(* ------------------------------------------------------------------ *)
+(* The paper's store comparison (Section 6), outside the engine: one
+   op script replayed on a default engine and on a row and a column
+   store driven through [Annotator] / [Reannotator] directly — no WAL,
+   no recovery.  [cross_disagreement] compares the stores' anonymous
+   and per-role accessible sets with the engine's. *)
+
+type cross_op =
+  | Annotate
+  | Annotate_subjects
+  | Update of string
+  | Insert of { at : string; fragment : Tree.t }
+
+type cross = {
+  eng : Xmlac_core.Engine.t;
+  (* The engine's document, replayed: an insert grafts here first and
+     the relational stores copy the fresh universal ids, which match
+     the engine's because both sides start from copies of one tree. *)
+  replica : Tree.t;
+  stores : (Xmlac_reldb.Database.t * Xmlac_core.Backend.t) list;
+  mutable bits : bool;  (* an [Annotate_subjects] has run *)
+}
+
+let cross_stores ?optimize ~dtd ~policy doc =
+  let open Xmlac_core in
+  let eng = Engine.create ?optimize ~dtd ~policy doc in
+  let load = Rel_backend.load (Engine.mapping eng) (Engine.policy eng) in
+  {
+    eng;
+    replica = Tree.copy doc;
+    stores =
+      [ load Xmlac_reldb.Table.Row doc; load Xmlac_reldb.Table.Column doc ];
+    bits = false;
+  }
+
+(* One op on an engine alone. *)
+let engine_apply eng op =
+  let open Xmlac_core in
+  match op with
+  | Annotate -> ignore (Engine.annotate eng)
+  | Annotate_subjects -> ignore (Engine.annotate_subjects eng)
+  | Update q -> ignore (Engine.update eng q)
+  | Insert { at; fragment } -> ignore (Engine.insert eng ~at ~fragment)
+
+let cross_apply c op =
+  let open Xmlac_core in
+  let eng = c.eng in
+  engine_apply eng op;
+  let policy = Engine.policy eng and schema = Engine.schema_graph eng in
+  let each f = List.iter (fun (db, b) -> f db b) c.stores in
+  (* The engine's repair cycle, on each relational store. *)
+  let restructure ~touched apply =
+    each (fun db b ->
+        let p =
+          Reannotator.prepare ~schema ~bits:c.bits b (Engine.depend eng)
+            ~touched
+        in
+        let deleted_roots = apply db b in
+        ignore
+          (Reannotator.finish ~schema b (Engine.depend eng) p ~deleted_roots))
+  in
+  match op with
+  | Annotate ->
+      each (fun _ b ->
+          ignore (Annotator.annotate_with_plan b (Engine.plan eng)))
+  | Annotate_subjects ->
+      c.bits <- true;
+      each (fun _ b -> ignore (Annotator.annotate_subjects ~schema b policy))
+  | Update q ->
+      let e = parse q in
+      ignore (Xmlac_xmldb.Update.delete c.replica e);
+      restructure ~touched:[ e ] (fun _ b -> b.Backend.delete_update e)
+  | Insert { at; fragment } ->
+      let at_expr = parse at in
+      let root_name = (Tree.root fragment).Tree.name in
+      let root_path =
+        Xp.Ast.{ steps = at_expr.steps @ [ step Child (Name root_name) ] }
+      in
+      let touched =
+        [ root_path;
+          Xp.Ast.{ steps = root_path.steps @ [ step Descendant Wildcard ] } ]
+      in
+      let roots =
+        Xmlac_xmldb.Update.insert_nodes c.replica ~at:at_expr ~fragment
+      in
+      restructure ~touched (fun db _ ->
+          List.iter
+            (fun root ->
+              ignore
+                (Xmlac_shrex.Shred.insert_subtree (Engine.mapping eng)
+                   ~default_sign:(Rule.effect_to_string (Policy.ds policy))
+                   ~default_bits:(Policy.default_bits policy) db root))
+            roots;
+          List.length roots)
+
+(* [None] when both relational stores materialize the engine's
+   anonymous and per-role accessible sets, else the first difference. *)
+let cross_disagreement c =
+  let open Xmlac_core in
+  let policy = Engine.policy c.eng in
+  let differs (_, b) =
+    if
+      Backend.accessible_ids b ~default:(Policy.ds policy)
+      <> Engine.accessible c.eng
+    then Some (b.Backend.name ^ ": anonymous accessible set differs")
+    else
+      List.find_map
+        (fun role ->
+          let role_idx =
+            Option.get (Subject.index (Policy.subjects policy) role)
+          in
+          if
+            Backend.accessible_ids_role b ~default:(Policy.default_bits policy)
+              ~role:role_idx
+            <> Engine.accessible_subject c.eng role
+          then
+            Some
+              (Printf.sprintf "%s: %s's accessible set differs" b.Backend.name
+                 role)
+          else None)
+        (Policy.roles policy)
+  in
+  List.find_map differs c.stores
+
+let check_cross msg c =
+  match cross_disagreement c with
+  | None -> ()
+  | Some diff -> Alcotest.failf "%s: %s" msg diff
+
+(* The all-or-nothing decision of every store on one query: the
+   engine's, then each relational store's off its own signs. *)
+let cross_decisions c query =
+  let open Xmlac_core in
+  let default = Policy.ds (Engine.policy c.eng) in
+  ("native", Engine.request c.eng Engine.Native query)
+  :: List.map
+       (fun (_, b) ->
+         (b.Backend.name, Requester.request b ~default (parse query)))
+       c.stores
+
 (* Alcotest checkers. *)
 let int_list = Alcotest.(list int)
 let string_list = Alcotest.(list string)

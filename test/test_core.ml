@@ -731,17 +731,17 @@ let test_requester_pp () =
 (* Engine facade *)
 
 let test_engine_end_to_end () =
-  let eng =
-    Engine.create ~mirrored:true ~dtd:W.Hospital.dtd
-      ~policy:W.Hospital.policy (tiny_doc ())
+  let c =
+    Helpers.cross_stores ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
+      (tiny_doc ())
   in
-  let _ = Engine.annotate_all eng in
-  Alcotest.(check bool) "consistent" true (Engine.consistent eng);
-  Alcotest.(check int) "optimized to 5" 5 (Policy.size (Engine.policy eng));
-  let _ = Engine.update eng "//patient/treatment" in
-  Alcotest.(check bool) "consistent after update" true (Engine.consistent eng);
+  Helpers.cross_apply c Helpers.Annotate;
+  Helpers.check_cross "consistent" c;
+  Alcotest.(check int) "optimized to 5" 5 (Policy.size (Engine.policy c.eng));
+  Helpers.cross_apply c (Helpers.Update "//patient/treatment");
+  Helpers.check_cross "consistent after update" c;
   Alcotest.(check bool) "patients visible" true
-    (Requester.is_granted (Engine.request eng Engine.Native "//patient"))
+    (Requester.is_granted (Engine.request c.eng Engine.Native "//patient"))
 
 let test_engine_no_optimize () =
   let eng =
@@ -752,13 +752,13 @@ let test_engine_no_optimize () =
   Alcotest.(check bool) "no report" true (Engine.optimizer_report eng = None)
 
 let test_engine_overlap_mode () =
-  let eng =
-    Engine.create ~mirrored:true ~dtd:W.Hospital.dtd
-      ~policy:W.Hospital.policy (tiny_doc ())
+  let c =
+    Helpers.cross_stores ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
+      (tiny_doc ())
   in
-  let _ = Engine.annotate_all eng in
-  let _ = Engine.update eng "//treatment" in
-  Alcotest.(check bool) "consistent" true (Engine.consistent eng)
+  Helpers.cross_apply c Helpers.Annotate;
+  Helpers.cross_apply c (Helpers.Update "//treatment");
+  Helpers.check_cross "consistent" c
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -1306,15 +1306,15 @@ let test_unsatisfiable_rule_harmless () =
 let test_update_wipes_scope () =
   (* Deleting every patient leaves consistent stores and a vacuous
      grant on //patient. *)
-  let eng =
-    Engine.create ~mirrored:true ~dtd:W.Hospital.dtd
-      ~policy:W.Hospital.policy (tiny_doc ())
+  let c =
+    Helpers.cross_stores ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
+      (tiny_doc ())
   in
-  let _ = Engine.annotate_all eng in
-  let _ = Engine.update eng "//patient" in
-  Alcotest.(check bool) "consistent" true (Engine.consistent eng);
+  Helpers.cross_apply c Helpers.Annotate;
+  Helpers.cross_apply c (Helpers.Update "//patient");
+  Helpers.check_cross "consistent" c;
   Alcotest.(check bool) "vacuous grant" true
-    (Requester.is_granted (Engine.request eng Engine.Native "//patient"))
+    (Requester.is_granted (Engine.request c.eng Engine.Native "//patient"))
 
 let test_untriggering_update () =
   (* An update unrelated to every rule must not change any sign. *)
@@ -1362,18 +1362,17 @@ let test_requester_after_full_delete_of_rule_scope () =
   | Requester.Granted _ -> Alcotest.fail "bill should stay denied"
 
 let test_double_update_idempotent_consistency () =
-  let eng =
-    Engine.create ~mirrored:true ~dtd:W.Hospital.dtd
-      ~policy:W.Hospital.policy (tiny_doc ())
+  let c =
+    Helpers.cross_stores ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
+      (tiny_doc ())
   in
-  let _ = Engine.annotate_all eng in
-  let _ = Engine.update eng "//treatment" in
+  Helpers.cross_apply c Helpers.Annotate;
+  Helpers.cross_apply c (Helpers.Update "//treatment");
   (* The second identical update deletes nothing. *)
-  let stats = Engine.update eng "//treatment" in
-  List.iter
-    (fun (_, s) -> Alcotest.(check int) "nothing left" 0 s.Reannotator.deleted_roots)
-    stats;
-  Alcotest.(check bool) "still consistent" true (Engine.consistent eng)
+  let before = Tree.size (Engine.document c.eng) in
+  Helpers.cross_apply c (Helpers.Update "//treatment");
+  Alcotest.(check int) "nothing left" before (Tree.size (Engine.document c.eng));
+  Helpers.check_cross "still consistent" c
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in

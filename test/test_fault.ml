@@ -120,13 +120,13 @@ let test_wal_log_after_crash_fails_loudly () =
 
 (* ------------------------------------------------------------------ *)
 (* Engine fixtures: every engine in a test is built over the same
-   document value so universal ids line up across twins.  [~mirrored]
-   picks the three-store engine or the default, native-only one. *)
+   document value so universal ids line up across twins. *)
 
-let hospital_fixture ~mirrored () =
-  let doc = W.Hospital.sample_document () in
+let hospital_doc = W.Hospital.sample_document ()
+
+let hospital_fixture () =
   fun () ->
-    Engine.create ~mirrored ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy doc
+    Engine.create ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy hospital_doc
 
 let treatment_fragment () =
   let frag = Tree.create ~root_name:"treatment" in
@@ -135,8 +135,7 @@ let treatment_fragment () =
   ignore (Tree.add_child frag reg ~value:"120" "bill");
   frag
 
-let accessible_sets eng =
-  List.map (fun k -> (k, Engine.accessible eng k)) (Engine.kinds eng)
+let accessible_sets = Engine.accessible
 
 (* Kill on the first, a middle, and the last hit of a point. *)
 let kill_offsets hits =
@@ -147,13 +146,13 @@ let kill_offsets hits =
 (* The deterministic sweep: scout the operation once to learn every
    fault point it crosses (and how often), then for each point and a
    few kill offsets build a fresh engine, crash there, recover, and
-   check the atomicity contract — each held store lands extensionally
-   on the pre- or the post-operation materialization, never a mix; the
-   epoch counter never runs backwards; the fast lane is coherent.
-   [structural] marks operations whose single epoch spans every held
-   store (recovery rolls them forward together). *)
-let crash_sweep ?(crosses = []) ~name ~make_engine ~prep ~op ~structural
-    ~sets () =
+   check the atomicity contract — the store lands extensionally on the
+   pre- or the post-operation materialization, never a mix; the epoch
+   counter never runs backwards; the fast lane is coherent.  The pre
+   and post sets come from fault-free twin engines, or from [oracle]
+   when given. *)
+let crash_sweep ?(crosses = []) ?oracle ~name ~make_engine ~prep ~op ~sets ()
+    =
   Fault.reset ();
   let scout = make_engine () in
   prep scout;
@@ -173,13 +172,17 @@ let crash_sweep ?(crosses = []) ~name ~make_engine ~prep ~op ~structural
       Alcotest.(check bool) (name ^ ": crosses " ^ pt) true
         (List.mem_assoc pt crossed))
     crosses;
-  let pre_twin = make_engine () in
-  prep pre_twin;
-  let pre = sets pre_twin in
-  let post_twin = make_engine () in
-  prep post_twin;
-  op post_twin;
-  let post = sets post_twin in
+  let pre, post =
+    match oracle with
+    | Some oracle -> oracle ()
+    | None ->
+        let pre_twin = make_engine () in
+        prep pre_twin;
+        let post_twin = make_engine () in
+        prep post_twin;
+        op post_twin;
+        (sets pre_twin, sets post_twin)
+  in
   List.iter
     (fun (pt, hits) ->
       List.iter
@@ -204,133 +207,104 @@ let crash_sweep ?(crosses = []) ~name ~make_engine ~prep ~op ~structural
                 (Engine.sign_epoch eng)
           | None -> ());
           let now = sets eng in
-          let sides =
-            List.map
-              (fun kind ->
-                let got = List.assoc kind now in
-                if got = List.assoc kind pre then `Pre
-                else if got = List.assoc kind post then `Post
-                else
-                  Alcotest.failf "%s: %s store is neither pre nor post" ctx
-                    (Engine.backend_kind_to_string kind))
-              (Engine.kinds eng)
-          in
-          if structural then begin
-            Alcotest.(check bool) (ctx ^ ": stores recovered together") true
-              (List.for_all (( = ) (List.hd sides)) sides);
-            Alcotest.(check bool) (ctx ^ ": lockstep") true
-              (Engine.consistent eng)
-          end;
+          if now <> pre && now <> post then
+            Alcotest.failf "%s: the store is neither pre nor post" ctx;
           Alcotest.(check bool) (ctx ^ ": CAM coherent") true
             (Engine.cam_check eng))
         (kill_offsets hits))
     crossed;
   Fault.reset ()
 
-let annotate_all eng = ignore (Engine.annotate_all eng)
+let annotate eng = ignore (Engine.annotate eng)
+let accessible_subject_sets eng =
+  List.map
+    (fun role -> (role, Engine.accessible_subject eng role))
+    (Policy.roles (Engine.policy eng))
 
-(* Every sweep runs on the mirrored engine and on the default one. *)
-let sweep_name name ~mirrored =
-  if mirrored then name else name ^ " (native only)"
+let all_subject_sets eng = (Engine.accessible eng, accessible_subject_sets eng)
 
-let test_crash_sweep_annotate ~mirrored () =
-  crash_sweep ~name:(sweep_name "annotate" ~mirrored)
-    ~make_engine:(hospital_fixture ~mirrored ())
-    ~prep:(fun _ -> ())
-    ~op:annotate_all ~structural:false ~sets:accessible_sets ()
+(* One sweep over the hospital document, its setup and operation given
+   as cross-store ops.  [~relational:true] takes the pre and post sets
+   from twins checked against the row and column stores replaying the
+   same ops through [Annotator] / [Reannotator] — an implementation
+   independent of the engine's; [~relational:false] from plain twin
+   engines. *)
+let sweep ?crosses ~relational ~name ~policy ~prep ~op ~sets () =
+  let oracle () =
+    let c = Helpers.cross_stores ~dtd:W.Hospital.dtd ~policy hospital_doc in
+    let checked step =
+      Helpers.check_cross (name ^ " oracle, " ^ step) c;
+      sets c.eng
+    in
+    List.iter (Helpers.cross_apply c) prep;
+    let pre = checked "pre" in
+    Helpers.cross_apply c op;
+    (pre, checked "post")
+  in
+  crash_sweep ?crosses
+    ?oracle:(if relational then Some oracle else None)
+    ~name ~sets
+    ~make_engine:(fun () ->
+      Engine.create ~dtd:W.Hospital.dtd ~policy hospital_doc)
+    ~prep:(fun eng -> List.iter (Helpers.engine_apply eng) prep)
+    ~op:(fun eng -> Helpers.engine_apply eng op)
+    ()
 
-let test_crash_sweep_update ~mirrored () =
-  crash_sweep ~name:(sweep_name "update" ~mirrored)
-    ~make_engine:(hospital_fixture ~mirrored ())
-    ~prep:annotate_all
-    ~op:(fun eng -> ignore (Engine.update eng "//patient/treatment"))
-    ~structural:true ~sets:accessible_sets ()
+let test_crash_sweep_annotate ~relational () =
+  sweep ~relational ~name:"annotate" ~policy:W.Hospital.policy ~prep:[]
+    ~op:Helpers.Annotate ~sets:Engine.accessible ()
 
-let test_crash_sweep_insert ~mirrored () =
-  crash_sweep ~name:(sweep_name "insert" ~mirrored)
-    ~make_engine:(hospital_fixture ~mirrored ())
-    ~prep:annotate_all
-    ~op:(fun eng ->
-      ignore
-        (Engine.insert eng
-           ~at:"//patient[psn = \"099\"]"
-           ~fragment:(treatment_fragment ())))
-    ~structural:true ~sets:accessible_sets ()
+let test_crash_sweep_update ~relational () =
+  sweep ~relational ~name:"update" ~policy:W.Hospital.policy
+    ~prep:[ Helpers.Annotate ] ~op:(Helpers.Update "//patient/treatment")
+    ~sets:Engine.accessible ()
+
+let insert_099 =
+  Helpers.Insert
+    { at = "//patient[psn = \"099\"]"; fragment = treatment_fragment () }
+
+let test_crash_sweep_insert ~relational () =
+  sweep ~relational ~name:"insert" ~policy:W.Hospital.policy
+    ~prep:[ Helpers.Annotate ] ~op:insert_099 ~sets:Engine.accessible ()
 
 (* Multi-role epochs: a killed [annotate_subjects] epoch must never
-   commit a partial bitmap — after recovery every store's per-role
-   accessible sets are extensionally the pre- or the post-annotation
+   commit a partial bitmap — after recovery the per-role accessible
+   sets are extensionally the pre- or the post-annotation
    materialization, never a mix of roles. *)
 
-let hospital_roles_fixture ~mirrored () =
-  let doc = W.Hospital.sample_document () in
-  let policy = Lazy.force Helpers.hospital_roles_policy in
-  fun () -> Engine.create ~mirrored ~dtd:W.Hospital.dtd ~policy doc
+let roles_policy = Lazy.force Helpers.hospital_roles_policy
 
-let accessible_subject_sets eng =
-  let roles = Policy.roles (Engine.policy eng) in
-  List.map
-    (fun k ->
-      ( k,
-        List.map (fun role -> (role, Engine.accessible_subject eng k role)) roles
-      ))
-    (Engine.kinds eng)
-
-let test_crash_sweep_annotate_subjects ~mirrored () =
-  crash_sweep ~name:(sweep_name "annotate-subjects" ~mirrored)
-    ~make_engine:(hospital_roles_fixture ~mirrored ())
-    ~prep:(fun _ -> ())
-    ~op:(fun eng -> ignore (Engine.annotate_subjects_all eng))
-    ~structural:false ~sets:accessible_subject_sets ()
+let test_crash_sweep_annotate_subjects ~relational () =
+  sweep ~relational ~name:"annotate-subjects" ~policy:roles_policy ~prep:[]
+    ~op:Helpers.Annotate_subjects ~sets:accessible_subject_sets ()
 
 (* Structural epochs over materialized bitmaps: the mutation repairs
    the role bitmaps over its affected region inside the same epoch, so
    a crash at any point of that repair — each per-node bitmap stamp
-   included — must recover every store to the pre- or post-mutation
+   included — must recover the store to the pre- or post-mutation
    state for the anonymous subject and for every role at once. *)
 
-let bitmapped eng =
-  annotate_all eng;
-  ignore (Engine.annotate_subjects_all eng)
+let bitmapped = [ Helpers.Annotate; Helpers.Annotate_subjects ]
 
-let all_subject_sets eng =
-  List.map
-    (fun (k, roles) -> (k, (Engine.accessible eng k, roles)))
-    (accessible_subject_sets eng)
+let test_crash_sweep_update_bits ~relational () =
+  sweep ~crosses:[ "native.set_bits" ] ~relational ~name:"update with bitmaps"
+    ~policy:roles_policy ~prep:bitmapped
+    ~op:(Helpers.Update "//patient/treatment") ~sets:all_subject_sets ()
 
-(* Every held store's per-node bitmap stamp. *)
-let bit_stamps ~mirrored =
-  if mirrored then [ "native.set_bits"; "row.set_bits"; "column.set_bits" ]
-  else [ "native.set_bits" ]
+let test_crash_sweep_insert_bits ~relational () =
+  sweep ~crosses:[ "native.set_bits" ] ~relational ~name:"insert with bitmaps"
+    ~policy:roles_policy ~prep:bitmapped ~op:insert_099
+    ~sets:all_subject_sets ()
 
-let test_crash_sweep_update_bits ~mirrored () =
-  crash_sweep ~crosses:(bit_stamps ~mirrored)
-    ~name:(sweep_name "update with bitmaps" ~mirrored)
-    ~make_engine:(hospital_roles_fixture ~mirrored ())
-    ~prep:bitmapped
-    ~op:(fun eng -> ignore (Engine.update eng "//patient/treatment"))
-    ~structural:true ~sets:all_subject_sets ()
-
-let test_crash_sweep_insert_bits ~mirrored () =
-  crash_sweep ~crosses:(bit_stamps ~mirrored)
-    ~name:(sweep_name "insert with bitmaps" ~mirrored)
-    ~make_engine:(hospital_roles_fixture ~mirrored ())
-    ~prep:bitmapped
-    ~op:(fun eng ->
-      ignore
-        (Engine.insert eng
-           ~at:"//patient[psn = \"099\"]"
-           ~fragment:(treatment_fragment ())))
-    ~structural:true ~sets:all_subject_sets ()
-
-(* The ISSUE's coverage floor: the mutating paths cross named points
-   spanning the WAL, relational sign UPDATEs, native sign stamping,
-   structural applies, CAM repair — and one replication round crosses
-   the transport's ship/receive/apply/acknowledge points. *)
+(* The coverage floor: the mutating paths cross named points spanning
+   native sign stamping, structural applies, CAM repair, snapshot
+   publication — one replication round crosses the transport's
+   ship/receive/apply/acknowledge points, and one framed WAL epoch its
+   append, torn-append, begin and commit points. *)
 let test_fault_point_coverage () =
   Fault.reset ();
-  let eng = (hospital_fixture ~mirrored:true ()) () in
-  annotate_all eng;
+  let eng = (hospital_fixture ()) () in
+  annotate eng;
   ignore (Engine.update eng "//patient/treatment");
   ignore
     (Engine.insert eng ~at:"//patient[psn = \"099\"]"
@@ -345,15 +319,18 @@ let test_fault_point_coverage () =
   | Ok () -> ()
   | Error _ -> Alcotest.fail "coverage cluster update failed");
   ignore (Repl.sync cluster);
+  let w = Wal.create () in
+  Wal.begin_epoch w 1;
+  Wal.log w "UPDATE";
+  Wal.commit_epoch w 1;
   let reg = Fault.registered () in
   List.iter
     (fun p ->
       Alcotest.(check bool) ("point crossed: " ^ p) true (List.mem p reg))
     [
       "wal.append"; "wal.append.torn"; "wal.begin"; "wal.commit";
-      "native.set_sign"; "row.set_sign"; "column.set_sign";
-      "native.delete"; "row.delete"; "column.delete";
-      "native.insert"; "row.insert"; "column.insert"; "cam.repair";
+      "epoch.begin"; "native.set_sign"; "native.delete"; "native.insert";
+      "cam.repair";
       "rewrite.compile";
       "snapshot.publish"; "snapshot.share"; "snapshot.reclaim"; "snapshot.gc";
       "repl.ship"; "repl.recv"; "repl.apply"; "repl.ack";
@@ -376,23 +353,20 @@ let test_registered_sorted () =
   Fault.reset ()
 
 (* A killed rewrite-lane request dies before the store is touched: no
-   epoch moves, no WAL record lands, no sign changes, and — because a
+   epoch moves, no sign changes, and — because a
    compile failure says nothing about backend health — the breaker
    never hears about it.  The layer's next call self-heals and serves
    the same request live. *)
 let test_rewrite_compile_kill_isolated () =
   Fault.reset ();
-  let eng = (hospital_fixture ~mirrored:true ()) () in
+  let eng = (hospital_fixture ()) () in
   (* Never annotated: the auto lane routes every request to rewrite. *)
   let layer = Serve.create eng in
   let observe () =
     ( Engine.sign_epoch eng,
       Engine.epoch eng,
       Engine.open_epoch eng,
-      accessible_sets eng,
-      List.map
-        (fun k -> (k, Option.map Wal.records (Engine.wal eng k)))
-        Engine.all_backend_kinds )
+      accessible_sets eng )
   in
   let before = observe () in
   Fault.arm "rewrite.compile" (Fault.After 1);
@@ -414,7 +388,7 @@ let test_rewrite_compile_kill_isolated () =
         (r.Serve.served = Serve.Live)
   | Error e ->
       Alcotest.failf "healed request failed: %s" e.Serve.message);
-  Alcotest.(check bool) "stores, epochs and WALs untouched" true
+  Alcotest.(check bool) "store and epochs untouched" true
     (observe () = before);
   Fault.reset ()
 
@@ -422,11 +396,11 @@ let test_rewrite_compile_kill_isolated () =
    point refuses loudly. *)
 let test_open_epoch_guard () =
   Fault.reset ();
-  let eng = (hospital_fixture ~mirrored:true ()) () in
-  annotate_all eng;
-  Fault.arm "wal.commit" (Fault.After 1);
+  let eng = (hospital_fixture ()) () in
+  annotate eng;
+  Fault.arm "cam.repair" (Fault.After 1);
   (match Engine.update eng "//patient/treatment" with
-  | _ -> Alcotest.fail "armed commit did not crash"
+  | _ -> Alcotest.fail "armed CAM repair did not crash"
   | exception Fault.Crash _ -> ());
   Alcotest.(check bool) "epoch left open" true (Engine.open_epoch eng <> None);
   Fault.recover ();
@@ -439,8 +413,9 @@ let test_open_epoch_guard () =
   let r = Engine.recover eng in
   Alcotest.(check bool) "rolled forward" true (r.Engine.direction = `Forward);
   let _ = Engine.update eng "//nurse" in
-  Alcotest.(check bool) "mutating again after recovery" true
-    (Engine.consistent eng);
+  Alcotest.(check Helpers.int_list) "mutating again after recovery"
+    (Policy.accessible_ids (Engine.policy eng) (Engine.document eng))
+    (Engine.accessible eng);
   Fault.reset ()
 
 (* A native read while an epoch is open (the writer was killed after
@@ -449,14 +424,15 @@ let test_open_epoch_guard () =
    tree. *)
 let test_open_epoch_reads_committed () =
   Fault.reset ();
-  let eng = (hospital_fixture ~mirrored:true ()) () in
-  annotate_all eng;
+  let eng = (hospital_fixture ()) () in
+  annotate eng;
   let q = "//patient/treatment" in
   let committed = Engine.request_direct eng Engine.Native q in
-  (* The row store's delete follows the native store's in [update]. *)
-  Fault.arm "row.delete" (Fault.After 1);
+  (* The CAM repair follows the delete and the sign repair in
+     [update]. *)
+  Fault.arm "cam.repair" (Fault.After 1);
   (match Engine.update eng q with
-  | _ -> Alcotest.fail "armed delete did not crash"
+  | _ -> Alcotest.fail "armed CAM repair did not crash"
   | exception Fault.Crash _ -> ());
   Fault.recover ();
   Alcotest.(check bool) "epoch left open" true (Engine.open_epoch eng <> None);
@@ -477,11 +453,11 @@ let test_open_epoch_reads_committed () =
    may race a caller that already recovered.) *)
 let test_recover_idempotent () =
   Fault.reset ();
-  let eng = (hospital_fixture ~mirrored:true ()) () in
-  annotate_all eng;
-  Fault.arm "wal.commit" (Fault.After 1);
+  let eng = (hospital_fixture ()) () in
+  annotate eng;
+  Fault.arm "cam.repair" (Fault.After 1);
   (match Engine.update eng "//patient/treatment" with
-  | _ -> Alcotest.fail "armed commit did not crash"
+  | _ -> Alcotest.fail "armed CAM repair did not crash"
   | exception Fault.Crash _ -> ());
   let r1 = Engine.recover eng in
   Alcotest.(check bool) "first recovery resolved the epoch" true
@@ -491,7 +467,6 @@ let test_recover_idempotent () =
     ( Engine.sign_epoch eng,
       Engine.epoch eng,
       Metrics.counter m "recovery.runs",
-      Metrics.counter m "recovery.wal_dropped",
       accessible_sets eng )
   in
   let before = observe () in
@@ -499,50 +474,48 @@ let test_recover_idempotent () =
   Alcotest.(check bool) "second recovery reports nothing to do" true
     (r2.Engine.direction = `None
     && r2.Engine.recovered_epoch = None
-    && r2.Engine.wal_dropped = 0
     && r2.Engine.signs_rolled_back = 0);
   Alcotest.(check bool) "no observable movement" true (before = observe ());
   Fault.reset ()
 
 (* ------------------------------------------------------------------ *)
-(* The divergence path: external sign mutation, refresh, relational
-   requests reading their own signs, and re-annotation restoring
-   lockstep. *)
+(* The divergence path: external sign mutation, refresh, requests
+   reading the installed signs, and re-annotation restoring the
+   policy's. *)
 
 let test_divergence_bypass_and_restore () =
   Fault.reset ();
-  let eng = (hospital_fixture ~mirrored:true ()) () in
-  annotate_all eng;
+  let eng = (hospital_fixture ()) () in
+  annotate eng;
   let q = "//patient/name" in
   Alcotest.(check bool) "fixture grants the query" true
-    (Requester.is_granted (Engine.request eng Engine.Row_sql q));
-  (* Mutate the row store's signs behind the engine's back, then
-     declare the divergence. *)
-  let row = Engine.backend eng Engine.Row_sql in
+    (Requester.is_granted (Engine.request eng Engine.Native q));
+  (* Mutate the store's signs behind the engine's back, then declare
+     the divergence. *)
+  let store = Engine.backend eng Engine.Native in
   let name_ids = Helpers.ids (Engine.document eng) q in
   Alcotest.(check bool) "fixture has names" true (name_ids <> []);
-  ignore (row.Backend.set_sign_ids name_ids Tree.Minus);
+  ignore (store.Backend.set_sign_ids name_ids Tree.Minus);
   Engine.refresh eng;
-  let d = Engine.request eng Engine.Row_sql q in
-  Alcotest.(check bool) "diverged request reads the store's own signs" false
+  let d = Engine.request eng Engine.Native q in
+  Alcotest.(check bool) "diverged request reads the installed signs" false
     (Requester.is_granted d);
   Alcotest.(check bool) "matches the direct path" true
-    (d = Engine.request_direct eng Engine.Row_sql q);
-  (* Native requests read the native signs throughout. *)
-  let dn = Engine.request eng Engine.Native q in
-  Alcotest.(check bool) "native still granted" true (Requester.is_granted dn);
-  (* Re-annotating all stores restores lockstep. *)
-  annotate_all eng;
-  let d' = Engine.request eng Engine.Row_sql q in
+    (d = Engine.request_direct eng Engine.Native q);
+  (* Re-annotating restores the policy's signs. *)
+  annotate eng;
+  let d' = Engine.request eng Engine.Native q in
   Alcotest.(check bool) "re-annotation undid the mutation" true
     (Requester.is_granted d');
-  Alcotest.(check bool) "stores agree" true (Engine.consistent eng)
+  Alcotest.(check Helpers.int_list) "signs match the policy"
+    (Policy.accessible_ids (Engine.policy eng) (Engine.document eng))
+    (Engine.accessible eng)
 
 (* ------------------------------------------------------------------ *)
 (* The atomicity property: random document, random policy, random
    update, probabilistic crash schedule (seeded, and mixed with
    XMLAC_FAULT_SEED so the CI matrix exercises distinct schedules).
-   After recovery every store is extensionally at the pre- or the
+   After recovery the store is extensionally at the pre- or the
    post-update materialization — never a mix. *)
 
 let random_policy rng doc =
@@ -570,11 +543,9 @@ let atomicity_prop =
       let doc = Helpers.random_hospital_doc rng in
       let policy = random_policy rng doc in
       let update = Helpers.random_update rng in
-      let make () =
-        Engine.create ~mirrored:true ~dtd:W.Hospital.dtd ~policy doc
-      in
+      let make () = Engine.create ~dtd:W.Hospital.dtd ~policy doc in
       let eng = make () in
-      annotate_all eng;
+      annotate eng;
       let e0 = Engine.sign_epoch eng in
       Fault.set_seed
         (Int64.logxor fault_seed
@@ -588,21 +559,14 @@ let atomicity_prop =
       if crashed then ignore (Engine.recover eng) else Fault.reset ();
       if Engine.sign_epoch eng < e0 then
         QCheck2.Test.fail_report "sign epoch ran backwards";
-      if not (Engine.consistent eng) then
-        QCheck2.Test.fail_report "stores out of lockstep after recovery";
       (* Twin oracles, faults disarmed. *)
       let pre_twin = make () in
-      annotate_all pre_twin;
-      let pre = accessible_sets pre_twin in
+      annotate pre_twin;
       let post_twin = make () in
-      annotate_all post_twin;
+      annotate post_twin;
       ignore (Engine.update post_twin update);
-      let post = accessible_sets post_twin in
-      List.for_all
-        (fun kind ->
-          let got = Engine.accessible eng kind in
-          got = List.assoc kind pre || got = List.assoc kind post)
-        Engine.all_backend_kinds)
+      let got = Engine.accessible eng in
+      got = Engine.accessible pre_twin || got = Engine.accessible post_twin)
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -620,27 +584,27 @@ let () =
         [ tc "append after crash fails loudly" test_wal_log_after_crash_fails_loudly ] );
       ( "crash sweeps",
         [
-          tc "annotate epochs" (test_crash_sweep_annotate ~mirrored:true);
-          tc "update epoch" (test_crash_sweep_update ~mirrored:true);
-          tc "insert epoch" (test_crash_sweep_insert ~mirrored:true);
+          tc "annotate epochs" (test_crash_sweep_annotate ~relational:true);
+          tc "update epoch" (test_crash_sweep_update ~relational:true);
+          tc "insert epoch" (test_crash_sweep_insert ~relational:true);
           tc "multi-role epoch"
-            (test_crash_sweep_annotate_subjects ~mirrored:true);
+            (test_crash_sweep_annotate_subjects ~relational:true);
           tc "annotate epochs, native only"
-            (test_crash_sweep_annotate ~mirrored:false);
+            (test_crash_sweep_annotate ~relational:false);
           tc "update epoch, native only"
-            (test_crash_sweep_update ~mirrored:false);
+            (test_crash_sweep_update ~relational:false);
           tc "insert epoch, native only"
-            (test_crash_sweep_insert ~mirrored:false);
+            (test_crash_sweep_insert ~relational:false);
           tc "multi-role epoch, native only"
-            (test_crash_sweep_annotate_subjects ~mirrored:false);
+            (test_crash_sweep_annotate_subjects ~relational:false);
           tc "update epoch with bitmaps"
-            (test_crash_sweep_update_bits ~mirrored:true);
+            (test_crash_sweep_update_bits ~relational:true);
           tc "insert epoch with bitmaps"
-            (test_crash_sweep_insert_bits ~mirrored:true);
+            (test_crash_sweep_insert_bits ~relational:true);
           tc "update epoch with bitmaps, native only"
-            (test_crash_sweep_update_bits ~mirrored:false);
+            (test_crash_sweep_update_bits ~relational:false);
           tc "insert epoch with bitmaps, native only"
-            (test_crash_sweep_insert_bits ~mirrored:false);
+            (test_crash_sweep_insert_bits ~relational:false);
           tc "fault point coverage" test_fault_point_coverage;
           tc "registry listing sorted" test_registered_sorted;
           tc "rewrite compile kill isolated" test_rewrite_compile_kill_isolated;

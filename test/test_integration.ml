@@ -7,67 +7,56 @@ module Prng = Xmlac_util.Prng
 module W = Xmlac_workload
 
 (* ------------------------------------------------------------------ *)
-(* Scenario 1: the paper's motivating walk-through, verbatim. *)
+(* Scenario 1: the paper's motivating walk-through, verbatim, on the
+   engine and on both relational stores. *)
 
 let test_paper_walkthrough () =
-  let eng =
-    Engine.create ~mirrored:true ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
+  let c =
+    Helpers.cross_stores ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
       (W.Hospital.sample_document ())
   in
   (* Optimization reproduces Table 3. *)
   Alcotest.(check (list string)) "Table 3"
     W.Hospital.optimized_rule_names
-    (List.map (fun r -> r.Rule.name) (Policy.rules (Engine.policy eng)));
-  let _ = Engine.annotate_all eng in
-  Alcotest.(check bool) "stores agree" true (Engine.consistent eng);
+    (List.map (fun r -> r.Rule.name) (Policy.rules (Engine.policy c.eng)));
+  Helpers.cross_apply c Helpers.Annotate;
+  Helpers.check_cross "annotated" c;
+  let granted store q =
+    List.iter
+      (fun (name, d) ->
+        Alcotest.(check bool) (Printf.sprintf "%s: %s" name q) store
+          (Requester.is_granted d))
+      (Helpers.cross_decisions c q)
+  in
   (* Patients one and two are inaccessible (R3 overrides R1), the third
      accessible; names are accessible (R2). *)
-  List.iter
-    (fun kind ->
-      Alcotest.(check bool) "patients denied" false
-        (Requester.is_granted (Engine.request eng kind "//patient"));
-      Alcotest.(check bool) "third patient" true
-        (Requester.is_granted
-           (Engine.request eng kind "//patient[psn = \"099\"]"));
-      Alcotest.(check bool) "names granted" true
-        (Requester.is_granted (Engine.request eng kind "//patient/name"));
-      Alcotest.(check bool) "experimental denied" false
-        (Requester.is_granted
-           (Engine.request eng kind "//patient[.//experimental]")))
-    Engine.all_backend_kinds;
+  granted false "//patient";
+  granted true "//patient[psn = \"099\"]";
+  granted true "//patient/name";
+  granted false "//patient[.//experimental]";
   (* Delete treatments: R3/R5 no longer apply, R1 resurfaces. *)
-  let stats = Engine.update eng "//patient/treatment" in
-  List.iter
-    (fun (_, s) ->
-      Alcotest.(check bool) "some rules triggered" true
-        (s.Reannotator.triggered <> []))
-    stats;
-  Alcotest.(check bool) "still consistent" true (Engine.consistent eng);
-  List.iter
-    (fun kind ->
-      Alcotest.(check bool) "patients now granted" true
-        (Requester.is_granted (Engine.request eng kind "//patient")))
-    Engine.all_backend_kinds
+  Helpers.cross_apply c (Helpers.Update "//patient/treatment");
+  Helpers.check_cross "after the update" c;
+  granted true "//patient"
 
 (* ------------------------------------------------------------------ *)
 (* Scenario 2: XMark with a coverage policy; queries and updates keep
-   all stores in lockstep. *)
+   the relational stores in lockstep with the engine. *)
 
 let test_xmark_lockstep () =
   let doc = W.Xmark.generate ~factor:0.005 () in
   let policy = W.Coverage.policy_for_target ~doc ~target:0.5 in
-  let eng = Engine.create ~mirrored:true ~dtd:W.Xmark.dtd ~policy doc in
-  let _ = Engine.annotate_all eng in
-  Alcotest.(check bool) "annotated consistently" true (Engine.consistent eng);
+  let c = Helpers.cross_stores ~dtd:W.Xmark.dtd ~policy doc in
+  Helpers.cross_apply c Helpers.Annotate;
+  Helpers.check_cross "annotated" c;
   (* A few queries decided identically everywhere. *)
   List.iter
     (fun q ->
-      let answers =
+      match
         List.map
-          (fun kind -> Requester.is_granted (Engine.request eng kind q))
-          Engine.all_backend_kinds
-      in
-      match answers with
+          (fun (_, d) -> Requester.is_granted d)
+          (Helpers.cross_decisions c q)
+      with
       | [ a; b; c ] ->
           Alcotest.(check bool) ("agree on " ^ q) true (a = b && b = c)
       | _ -> assert false)
@@ -76,36 +65,30 @@ let test_xmark_lockstep () =
   (* Three delete updates, staying consistent throughout. *)
   List.iter
     (fun u ->
-      let _ = Engine.update eng u in
-      Alcotest.(check bool) ("consistent after " ^ u) true
-        (Engine.consistent eng))
+      Helpers.cross_apply c (Helpers.Update u);
+      Helpers.check_cross ("after " ^ u) c)
     [ "//watches"; "//bidder"; "//person[creditcard]" ]
 
 (* ------------------------------------------------------------------ *)
 (* Scenario 3: partial re-annotation equals reference semantics after a
-   sequence of updates, on every backend. *)
+   sequence of updates, on every store. *)
 
 let test_update_sequence_reference () =
   let doc = W.Hospital.generate ~departments:3 ~patients_per_dept:8 () in
   let policy = Optimizer.optimize_policy W.Hospital.policy in
-  let eng =
-    Engine.create ~mirrored:true ~dtd:W.Hospital.dtd
-      ~policy:W.Hospital.policy (Tree.copy doc)
+  let c =
+    Helpers.cross_stores ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy doc
   in
-  let _ = Engine.annotate_all eng in
+  Helpers.cross_apply c Helpers.Annotate;
   let reference = Tree.copy doc in
   List.iter
     (fun u ->
-      let _ = Engine.update eng u in
+      Helpers.cross_apply c (Helpers.Update u);
       ignore (Xmlac_xmldb.Update.delete reference (Helpers.parse u));
-      let expected = Policy.accessible_ids policy reference in
-      List.iter
-        (fun kind ->
-          Alcotest.(check Helpers.int_list)
-            (Engine.backend_kind_to_string kind ^ " after " ^ u)
-            expected
-            (Engine.accessible eng kind))
-        Engine.all_backend_kinds)
+      Alcotest.(check Helpers.int_list) ("native after " ^ u)
+        (Policy.accessible_ids policy reference)
+        (Engine.accessible c.eng);
+      Helpers.check_cross ("relational after " ^ u) c)
     [ "//regular"; "//patient[.//experimental]"; "//staffinfo/staff" ]
 
 (* ------------------------------------------------------------------ *)
@@ -118,7 +101,7 @@ let test_annotation_round_trip () =
     Engine.create ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
       (W.Hospital.sample_document ())
   in
-  let _ = Engine.annotate eng Engine.Native in
+  let _ = Engine.annotate eng in
   let xml = Xmlac_xml.Serializer.to_string (Engine.document eng) in
   let reparsed = Xmlac_xml.Xml_parser.parse_exn xml in
   (* Universal ids are not serialized, so compare the annotated shape
@@ -127,11 +110,11 @@ let test_annotation_round_trip () =
     (Tree.equal_annotated (Engine.document eng) reparsed);
   let backend = Xml_backend.make reparsed in
   Alcotest.(check int) "accessible count preserved"
-    (List.length (Engine.accessible eng Engine.Native))
+    (List.length (Engine.accessible eng))
     (List.length (Backend.accessible_ids backend ~default:Rule.Minus))
 
 (* ------------------------------------------------------------------ *)
-(* Scenario 5: all four (ds, cr) configurations stay cross-backend
+(* Scenario 5: all four (ds, cr) configurations stay cross-store
    consistent on a random document. *)
 
 let test_all_configurations_consistent () =
@@ -147,19 +130,18 @@ let test_all_configurations_consistent () =
             Rule.parse "//staff" Rule.Minus;
           ]
       in
-      let eng =
-        Engine.create ~mirrored:true ~optimize:false ~dtd:W.Hospital.dtd ~policy
-          (Tree.copy doc)
+      let c =
+        Helpers.cross_stores ~optimize:false ~dtd:W.Hospital.dtd ~policy doc
       in
-      let _ = Engine.annotate_all eng in
-      Alcotest.(check bool)
-        (Printf.sprintf "ds=%s cr=%s consistent"
-           (Rule.effect_to_string ds) (Rule.effect_to_string cr))
-        true (Engine.consistent eng);
+      Helpers.cross_apply c Helpers.Annotate;
+      Helpers.check_cross
+        (Printf.sprintf "ds=%s cr=%s" (Rule.effect_to_string ds)
+           (Rule.effect_to_string cr))
+        c;
       (* And equal to the reference semantics. *)
       Alcotest.(check Helpers.int_list) "matches reference"
-        (Policy.accessible_ids policy (Engine.document eng))
-        (Engine.accessible eng Engine.Native))
+        (Policy.accessible_ids policy (Engine.document c.eng))
+        (Engine.accessible c.eng))
     [ (Rule.Minus, Rule.Minus); (Rule.Minus, Rule.Plus);
       (Rule.Plus, Rule.Minus); (Rule.Plus, Rule.Plus) ]
 
@@ -181,9 +163,9 @@ let fuzz_prop =
               (if Prng.bool rng then Rule.Plus else Rule.Minus))
       in
       let policy = Policy.make ~ds:Rule.Minus ~cr:Rule.Minus rules in
-      let eng = Engine.create ~mirrored:true ~dtd:W.Hospital.dtd ~policy doc in
-      let _ = Engine.annotate_all eng in
-      let ok = ref (Engine.consistent eng) in
+      let c = Helpers.cross_stores ~dtd:W.Hospital.dtd ~policy doc in
+      Helpers.cross_apply c Helpers.Annotate;
+      let ok = ref (Helpers.cross_disagreement c = None) in
       for _ = 1 to 3 do
         let e = Helpers.random_hospital_expr rng in
         (match e.Xmlac_xpath.Ast.steps with
@@ -191,8 +173,9 @@ let fuzz_prop =
         | [ { Xmlac_xpath.Ast.test = Xmlac_xpath.Ast.Wildcard; _ } ] ->
             ()
         | _ ->
-            let _ = Engine.update eng (Xmlac_xpath.Pp.expr_to_string e) in
-            if not (Engine.consistent eng) then ok := false)
+            Helpers.cross_apply c
+              (Helpers.Update (Xmlac_xpath.Pp.expr_to_string e));
+            if Helpers.cross_disagreement c <> None then ok := false)
       done;
       !ok)
 
@@ -222,113 +205,39 @@ let treatment_fragment ~med ~bill =
   frag
 
 let test_insert_keeps_stores_lockstep () =
-  let eng =
-    Engine.create ~mirrored:true ~dtd:W.Hospital.dtd
-      ~policy:W.Hospital.policy (W.Hospital.sample_document ())
+  let c =
+    Helpers.cross_stores ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
+      (W.Hospital.sample_document ())
   in
-  let _ = Engine.annotate_all eng in
+  let eng = c.eng in
+  Helpers.cross_apply c Helpers.Annotate;
   (* Give the treatment-less patient a regular treatment: rule R3
      (//patient[treatment], deny) must kick in and flip that patient to
      inaccessible. *)
   let before = Engine.request eng Engine.Native "//patient[psn = \"099\"]" in
   Alcotest.(check bool) "accessible before" true (Requester.is_granted before);
-  let stats =
-    Engine.insert eng ~at:"//patient[psn = \"099\"]"
-      ~fragment:(treatment_fragment ~med:"aspirin" ~bill:"120")
-  in
-  List.iter
-    (fun (kind, s) ->
-      Alcotest.(check int)
-        (Engine.backend_kind_to_string kind ^ " grafts")
-        1 s.Reannotator.deleted_roots)
-    stats;
-  Alcotest.(check bool) "stores agree after insert" true (Engine.consistent eng);
+  Helpers.cross_apply c
+    (Helpers.Insert
+       {
+         at = "//patient[psn = \"099\"]";
+         fragment = treatment_fragment ~med:"aspirin" ~bill:"120";
+       });
+  Alcotest.(check int) "one graft" 1
+    (List.length
+       (Helpers.ids (Engine.document eng)
+          "//patient[psn = \"099\"]/treatment"));
+  Helpers.check_cross "after insert" c;
   (* The annotations match the reference semantics of the updated
      document. *)
   Alcotest.(check Helpers.int_list) "matches reference"
     (Policy.accessible_ids (Engine.policy eng) (Engine.document eng))
-    (Engine.accessible eng Engine.Native);
+    (Engine.accessible eng);
   let after = Engine.request eng Engine.Native "//patient[psn = \"099\"]" in
   Alcotest.(check bool) "inaccessible after (R3)" false
     (Requester.is_granted after);
   (* And the document is still schema-valid everywhere. *)
   Alcotest.(check bool) "valid" true
     (Xmlac_xml.Dtd.is_valid W.Hospital.dtd (Engine.document eng))
-
-let test_insert_multiple_targets_relational_mirror () =
-  let doc = W.Hospital.generate ~seed:3L ~departments:2 ~patients_per_dept:4 () in
-  let eng =
-    Engine.create ~mirrored:true ~dtd:W.Hospital.dtd
-      ~policy:W.Hospital.policy doc
-  in
-  let _ = Engine.annotate_all eng in
-  let frag = Tree.create ~root_name:"staff" in
-  let d = Tree.add_child frag (Tree.root frag) "nurse" in
-  ignore (Tree.add_child frag d ~value:"S9" "sid");
-  ignore (Tree.add_child frag d ~value:"new nurse" "name");
-  ignore (Tree.add_child frag d ~value:"555-0000" "phone");
-  let stats = Engine.insert eng ~at:"//staffinfo" ~fragment:frag in
-  List.iter
-    (fun (kind, s) ->
-      Alcotest.(check int)
-        (Engine.backend_kind_to_string kind ^ " grafts")
-        2 s.Reannotator.deleted_roots)
-    stats;
-  Alcotest.(check bool) "consistent" true (Engine.consistent eng);
-  (* The relational stores really contain the new tuples, with the
-     native store's ids. *)
-  let native = Engine.backend eng Engine.Native in
-  let row = Engine.backend eng Engine.Row_sql in
-  Alcotest.(check Helpers.int_list) "nurse ids mirrored"
-    (native.Backend.eval_ids (Helpers.parse "//nurse"))
-    (row.Backend.eval_ids (Helpers.parse "//nurse"))
-
-let test_insert_then_delete_round () =
-  let eng =
-    Engine.create ~mirrored:true ~dtd:W.Hospital.dtd
-      ~policy:W.Hospital.policy (W.Hospital.sample_document ())
-  in
-  let _ = Engine.annotate_all eng in
-  let _ =
-    Engine.insert eng ~at:"//patient[psn = \"099\"]"
-      ~fragment:(treatment_fragment ~med:"celecoxib" ~bill:"90")
-  in
-  let _ = Engine.update eng "//treatment" in
-  Alcotest.(check bool) "consistent after round trip" true
-    (Engine.consistent eng);
-  Alcotest.(check Helpers.int_list) "matches reference"
-    (Policy.accessible_ids (Engine.policy eng) (Engine.document eng))
-    (Engine.accessible eng Engine.Native)
-
-(* ------------------------------------------------------------------ *)
-(* The default engine holds the native store only; the mirrored engine
-   is the three-store harness.  Same script on both: the native answers
-   must not depend on whether the mirrors ride along. *)
-
-let test_default_holds_native_only () =
-  let eng =
-    Engine.create ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
-      (W.Hospital.sample_document ())
-  in
-  Alcotest.(check bool) "kinds = [Native]" true
-    (Engine.kinds eng = [ Engine.Native ]);
-  Alcotest.(check bool) "no row WAL" true
-    (Engine.wal eng Engine.Row_sql = None);
-  (match Engine.annotate eng Engine.Row_sql with
-  | _ -> Alcotest.fail "annotated a store the engine does not hold"
-  | exception Invalid_argument msg ->
-      Alcotest.(check bool) "names the store" true
-        (Helpers.contains msg "row-sql"));
-  Alcotest.(check (option int)) "no epoch opened" None (Engine.open_epoch eng);
-  (match Engine.request eng Engine.Column_sql "//patient" with
-  | _ -> Alcotest.fail "requested a store the engine does not hold"
-  | exception Invalid_argument _ -> ());
-  Alcotest.(check int) "annotate_all covers the held store" 1
-    (List.length (Engine.annotate_all eng));
-  let stats = Engine.update eng "//patient/treatment" in
-  Alcotest.(check bool) "update reports the native store only" true
-    (List.map fst stats = [ Engine.Native ]);
-  Alcotest.(check bool) "held stores agree" true (Engine.consistent eng)
 
 let staff_fragment () =
   let frag = Tree.create ~root_name:"staff" in
@@ -338,79 +247,105 @@ let staff_fragment () =
   ignore (Tree.add_child frag d ~value:"555-0000" "phone");
   frag
 
-let mirrored_harness_prop =
+let test_insert_multiple_targets_relational_mirror () =
+  let doc = W.Hospital.generate ~seed:3L ~departments:2 ~patients_per_dept:4 () in
+  let c =
+    Helpers.cross_stores ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy doc
+  in
+  Helpers.cross_apply c Helpers.Annotate;
+  let nurses () = Helpers.ids (Engine.document c.eng) "//nurse" in
+  let before = List.length (nurses ()) in
+  Helpers.cross_apply c
+    (Helpers.Insert { at = "//staffinfo"; fragment = staff_fragment () });
+  Alcotest.(check int) "two grafts" (before + 2) (List.length (nurses ()));
+  Helpers.check_cross "after insert" c;
+  (* The relational stores really contain the new tuples, with the
+     native store's ids. *)
+  List.iter
+    (fun (_, (b : Backend.t)) ->
+      Alcotest.(check Helpers.int_list) (b.Backend.name ^ " nurse ids mirrored")
+        (nurses ())
+        (List.sort compare (b.Backend.eval_ids (Helpers.parse "//nurse"))))
+    c.stores
+
+let test_insert_then_delete_round () =
+  let c =
+    Helpers.cross_stores ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
+      (W.Hospital.sample_document ())
+  in
+  Helpers.cross_apply c Helpers.Annotate;
+  Helpers.cross_apply c
+    (Helpers.Insert
+       {
+         at = "//patient[psn = \"099\"]";
+         fragment = treatment_fragment ~med:"celecoxib" ~bill:"90";
+       });
+  Helpers.cross_apply c (Helpers.Update "//treatment");
+  Helpers.check_cross "after round trip" c;
+  Alcotest.(check Helpers.int_list) "matches reference"
+    (Policy.accessible_ids (Engine.policy c.eng) (Engine.document c.eng))
+    (Engine.accessible c.eng)
+
+(* ------------------------------------------------------------------ *)
+(* The engine holds the native store only; the kind-shaped surface
+   that remains reports that one store. *)
+
+let test_default_holds_native_only () =
+  let eng =
+    Engine.create ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
+      (W.Hospital.sample_document ())
+  in
+  Alcotest.(check bool) "all_backend_kinds = [Native]" true
+    (Engine.all_backend_kinds = [ Engine.Native ]);
+  Alcotest.(check bool) "no WAL" true (Engine.wal eng Engine.Native = None);
+  Alcotest.(check (option int)) "no epoch opened" None (Engine.open_epoch eng);
+  Alcotest.(check int) "annotate_all covers the one store" 1
+    (List.length (Engine.annotate_all eng));
+  let stats = Engine.update eng "//patient/treatment" in
+  Alcotest.(check bool) "update reports the native store only" true
+    (List.map fst stats = [ Engine.Native ])
+
+(* The paper's store comparison as a property: random update/insert
+   scripts (with annotation passes mixed in) replayed on the engine and
+   on the row and column stores keep every anonymous and per-role
+   accessible set equal. *)
+let cross_store_prop =
   QCheck2.Test.make
-    ~name:"mirrored harness = default engine on the native store" ~count:25
-    QCheck2.Gen.int64 (fun seed ->
+    ~name:"row and column stores = default engine over random scripts"
+    ~count:25 QCheck2.Gen.int64 (fun seed ->
       let rng = Prng.create ~seed in
       let doc = Helpers.random_hospital_doc rng in
       let policy =
         Helpers.random_role_policy rng (Helpers.random_subjects rng)
       in
-      let queries =
-        List.init 3 (fun _ ->
-            Xmlac_xpath.Pp.expr_to_string (Helpers.random_hospital_expr rng))
-      in
-      let make ~mirrored =
-        Engine.create ~mirrored ~dtd:W.Hospital.dtd ~policy doc
-      in
-      let def = make ~mirrored:false and twin = make ~mirrored:true in
-      let roles = Policy.roles (Engine.policy def) in
-      let subjects = None :: List.map Option.some roles in
+      let c = Helpers.cross_stores ~dtd:W.Hospital.dtd ~policy doc in
       let check step =
-        let fail fmt = QCheck2.Test.fail_reportf ("after %s: " ^^ fmt) step in
-        List.iter
-          (fun q ->
-            List.iter
-              (fun subject ->
-                List.iter
-                  (fun lane ->
-                    let ask eng =
-                      Engine.request ?subject ~lane eng Engine.Native q
-                    in
-                    if ask def <> ask twin then
-                      fail "decisions differ on %s (%s, %s)" q
-                        (Option.value subject ~default:"anonymous")
-                        (Rewrite.lane_to_string lane))
-                  [ Rewrite.Materialized; Rewrite.Rewrite ])
-              subjects)
-          queries;
-        if Engine.accessible def Engine.Native
-           <> Engine.accessible twin Engine.Native
-        then fail "accessible sets differ";
-        List.iter
-          (fun role ->
-            if Engine.accessible_subject def Engine.Native role
-               <> Engine.accessible_subject twin Engine.Native role
-            then fail "accessible sets differ for %s" role)
-          roles;
-        if not (Engine.consistent twin) then fail "twin out of lockstep";
-        if not (Engine.consistent_subjects twin) then
-          fail "twin bitmaps out of lockstep"
+        match Helpers.cross_disagreement c with
+        | None -> ()
+        | Some diff -> QCheck2.Test.fail_reportf "after %s: %s" step diff
       in
       check "create";
-      for _ = 1 to 4 do
-        let step, run =
+      for _ = 1 to 5 do
+        let op =
           match Prng.int rng 4 with
-          | 0 -> ("annotate", fun eng -> ignore (Engine.annotate_all eng))
-          | 1 ->
-              ( "annotate_subjects",
-                fun eng -> ignore (Engine.annotate_subjects_all eng) )
-          | 2 ->
-              let q = Helpers.random_update rng in
-              ("update " ^ q, fun eng -> ignore (Engine.update eng q))
+          | 0 -> Helpers.Annotate
+          | 1 -> Helpers.Annotate_subjects
+          | 2 -> Helpers.Update (Helpers.random_update rng)
           | _ ->
               let at, fragment =
                 if Prng.bool rng then
                   ("//patient", treatment_fragment ~med:"aspirin" ~bill:"120")
                 else ("//staffinfo", staff_fragment ())
               in
-              ( "insert at " ^ at,
-                fun eng -> ignore (Engine.insert eng ~at ~fragment) )
+              Helpers.Insert { at; fragment }
         in
-        run def;
-        run twin;
-        check step
+        Helpers.cross_apply c op;
+        check
+          (match op with
+          | Helpers.Annotate -> "annotate"
+          | Annotate_subjects -> "annotate_subjects"
+          | Update q -> "update " ^ q
+          | Insert { at; _ } -> "insert at " ^ at)
       done;
       true)
 
@@ -432,35 +367,25 @@ let repair_oracle_prop =
         Helpers.random_role_policy rng (Helpers.random_subjects rng)
       in
       let def = Engine.create ~dtd:W.Hospital.dtd ~policy doc in
-      let twin = Engine.create ~mirrored:true ~dtd:W.Hospital.dtd ~policy doc in
       let roles = Policy.roles (Engine.policy def) in
       let check step =
         let fail fmt = QCheck2.Test.fail_reportf ("after %s: " ^^ fmt) step in
+        if
+          Engine.accessible def
+          <> Policy.accessible_ids (Engine.policy def) (Engine.document def)
+        then fail "anonymous signs differ from the policy";
         List.iter
-          (fun (name, eng) ->
-            if
-              Engine.accessible eng Engine.Native
-              <> Policy.accessible_ids (Engine.policy eng) (Engine.document eng)
-            then fail "%s engine: anonymous signs differ from the policy" name;
-            List.iter
-              (fun role ->
-                let want =
-                  Policy.accessible_ids ~subject:role (Engine.policy eng)
-                    (Engine.document eng)
-                in
-                if Engine.accessible_subject eng Engine.Native role <> want
-                then fail "%s engine: %s's bitmaps differ from the policy" name
-                    role)
-              roles)
-          [ ("default", def); ("mirrored", twin) ];
-        if not (Engine.consistent_subjects twin) then
-          fail "twin bitmaps out of lockstep"
+          (fun role ->
+            let want =
+              Policy.accessible_ids ~subject:role (Engine.policy def)
+                (Engine.document def)
+            in
+            if Engine.accessible_subject def role <> want then
+              fail "%s's bitmaps differ from the policy" role)
+          roles
       in
-      List.iter
-        (fun eng ->
-          ignore (Engine.annotate_all eng);
-          ignore (Engine.annotate_subjects_all eng))
-        [ def; twin ];
+      ignore (Engine.annotate def);
+      ignore (Engine.annotate_subjects def);
       check "annotate_subjects";
       for _ = 1 to 4 + Prng.int rng 3 do
         let step, run =
@@ -477,7 +402,6 @@ let repair_oracle_prop =
               fun eng -> ignore (Engine.insert eng ~at ~fragment) )
         in
         run def;
-        run twin;
         check step
       done;
       true)
@@ -488,8 +412,8 @@ let bitmapped_engine () =
       ~policy:(Lazy.force Helpers.hospital_roles_policy)
       (W.Hospital.sample_document ())
   in
-  ignore (Engine.annotate_all eng);
-  ignore (Engine.annotate_subjects_all eng);
+  ignore (Engine.annotate eng);
+  ignore (Engine.annotate_subjects eng);
   eng
 
 (* Per-node bitmap writes on the native store so far: its backend
@@ -576,7 +500,7 @@ let test_bits_repair_stays_in_region () =
     (fun role ->
       Alcotest.(check Helpers.int_list) (role ^ " matches the policy")
         (Policy.accessible_ids ~subject:role policy (Engine.document eng))
-        (Engine.accessible_subject eng Engine.Native role))
+        (Engine.accessible_subject eng role))
     (Policy.roles policy)
 
 let () =
@@ -592,7 +516,7 @@ let () =
       ( "default engine",
         [
           tc "holds the native store only" test_default_holds_native_only;
-          QCheck_alcotest.to_alcotest mirrored_harness_prop;
+          QCheck_alcotest.to_alcotest cross_store_prop;
         ] );
       ( "bitmap repair",
         [

@@ -23,12 +23,12 @@ module Pool = Xmlac_serve.Pool
 let make_engine =
   let doc = lazy (W.Hospital.sample_document ()) in
   fun () ->
-    Engine.create ~mirrored:true ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
+    Engine.create ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
       (Lazy.force doc)
 
 let annotated_engine () =
   let eng = make_engine () in
-  ignore (Engine.annotate_all eng);
+  ignore (Engine.annotate eng);
   eng
 
 (* Control queries whose decisions move when treatments are deleted. *)
@@ -109,7 +109,7 @@ let test_engine_publishes_on_commit () =
   let reg = Engine.snapshots eng in
   Alcotest.(check (option int)) "epoch 0 published at create" (Some 0)
     (Snapshot.current_epoch reg);
-  ignore (Engine.annotate_all eng);
+  ignore (Engine.annotate eng);
   Alcotest.(check (option int)) "commit republishes"
     (Some (Engine.sign_epoch eng))
     (Snapshot.current_epoch reg);
@@ -135,20 +135,16 @@ let test_pinned_reader_isolation () =
   Fault.reset ();
   let eng = annotated_engine () in
   let pinned = Engine.pin_snapshot eng in
-  (* Before: the snapshot agrees with the live engine on every
-     backend (they all materialize the same committed epoch). *)
+  (* Before: the snapshot agrees with the live engine (both read the
+     same committed epoch). *)
   let before = transcript pinned in
   List.iter
-    (fun kind ->
-      List.iter
-        (fun q ->
-          Alcotest.(check string)
-            (Printf.sprintf "snapshot = live %s on %s"
-               (Engine.backend_kind_to_string kind) q)
-            (Format.asprintf "%a" Requester.pp (Engine.request eng kind q))
-            (Format.asprintf "%a" Requester.pp (Snapshot.request pinned q)))
-        probe_queries)
-    Engine.all_backend_kinds;
+    (fun q ->
+      Alcotest.(check string) ("snapshot = live on " ^ q)
+        (Format.asprintf "%a" Requester.pp
+           (Engine.request eng Engine.Native q))
+        (Format.asprintf "%a" Requester.pp (Snapshot.request pinned q)))
+    probe_queries;
   (* After: the writer commits epoch N+1; the pinned transcript is
      byte-identical while the live one moved. *)
   ignore (Engine.update eng probe_update);
@@ -238,7 +234,7 @@ let test_cow_sharing_and_carry () =
   Alcotest.(check bool) "memoized on the pinned epoch" true
     (Snapshot.cached_decisions s0 >= 1);
   (* Re-annotation rewrites signs but no structure. *)
-  ignore (Engine.annotate_all eng);
+  ignore (Engine.annotate eng);
   let s1 = Engine.pin_snapshot eng in
   Alcotest.(check bool) "decision carried before any request" true
     (Snapshot.cached_decisions s1 >= 1);
@@ -403,8 +399,8 @@ let isolation_prop =
       let queries =
         List.init 4 (fun _ -> Pp.expr_to_string (Helpers.random_hospital_expr rng))
       in
-      let eng = Engine.create ~mirrored:true ~dtd:W.Hospital.dtd ~policy doc in
-      ignore (Engine.annotate_all eng);
+      let eng = Engine.create ~dtd:W.Hospital.dtd ~policy doc in
+      ignore (Engine.annotate eng);
       let pinned = Engine.pin_snapshot eng in
       let read () =
         String.concat "\n"
@@ -415,25 +411,20 @@ let isolation_prop =
       in
       let before = read () in
       (* Before: full fidelity — the snapshot answers exactly like the
-         live engine on every backend at the pinned epoch. *)
+         live engine at the pinned epoch. *)
       List.iter
-        (fun kind ->
-          List.iter
-            (fun q ->
-              let live =
-                Format.asprintf "%a" Requester.pp (Engine.request eng kind q)
-              in
-              let snap =
-                Format.asprintf "%a" Requester.pp
-                  (Snapshot.request pinned q)
-              in
-              if live <> snap then
-                QCheck2.Test.fail_reportf
-                  "snapshot diverges from live %s on %s: %s vs %s"
-                  (Engine.backend_kind_to_string kind)
-                  q live snap)
-            queries)
-        Engine.all_backend_kinds;
+        (fun q ->
+          let live =
+            Format.asprintf "%a" Requester.pp
+              (Engine.request eng Engine.Native q)
+          in
+          let snap =
+            Format.asprintf "%a" Requester.pp (Snapshot.request pinned q)
+          in
+          if live <> snap then
+            QCheck2.Test.fail_reportf "snapshot diverges from live on %s: %s vs %s"
+              q live snap)
+        queries;
       (* During: the writer crashes somewhere inside epoch N+1. *)
       Fault.set_seed fault_seed;
       Fault.arm_all ~prob:0.05;
@@ -478,10 +469,10 @@ let cow_equiv_prop =
         List.init 4 (fun _ ->
             Pp.expr_to_string (Helpers.random_hospital_expr rng))
       in
-      let eng = Engine.create ~mirrored:true ~dtd:W.Hospital.dtd ~policy doc in
-      ignore (Engine.annotate_all eng);
+      let eng = Engine.create ~dtd:W.Hospital.dtd ~policy doc in
+      ignore (Engine.annotate eng);
       let roles = Policy.roles policy in
-      if roles <> [] then ignore (Engine.annotate_subjects_all eng);
+      if roles <> [] then ignore (Engine.annotate_subjects eng);
       let subjects = None :: List.map Option.some roles in
       let orng = Prng.create ~seed:op_seed in
       let twin () =
@@ -507,9 +498,9 @@ let cow_equiv_prop =
       for _ = 1 to 3 do
         (match Prng.int orng 3 with
         | 0 -> ignore (Engine.update eng (Helpers.random_update orng))
-        | 1 -> ignore (Engine.annotate_all eng)
+        | 1 -> ignore (Engine.annotate eng)
         | _ ->
-            if roles <> [] then ignore (Engine.annotate_subjects_all eng)
+            if roles <> [] then ignore (Engine.annotate_subjects eng)
             else ignore (Engine.update eng (Helpers.random_update orng)));
         pairs := twin () :: !pairs
       done;
@@ -644,8 +635,8 @@ let carry_prop =
               Pp.expr_to_string (Helpers.random_hospital_expr rng))
       in
       let eng = Engine.create ~dtd:W.Hospital.dtd ~policy doc in
-      ignore (Engine.annotate_all eng);
-      ignore (Engine.annotate_subjects_all eng);
+      ignore (Engine.annotate eng);
+      ignore (Engine.annotate_subjects eng);
       let m = Engine.metrics eng in
       let check_all step =
         List.iter
@@ -688,10 +679,10 @@ let carry_prop =
                    ~fragment:(Xmlac_xml.Xml_parser.parse_exn xml));
               "insert " ^ xml
           | 4 ->
-              ignore (Engine.annotate_all eng);
+              ignore (Engine.annotate eng);
               "annotate_all"
           | _ ->
-              ignore (Engine.annotate_subjects_all eng);
+              ignore (Engine.annotate_subjects eng);
               "annotate_subjects_all"
         in
         check_all step

@@ -134,20 +134,16 @@ let churn t =
     (Repl.insert t ~at:"//patient[psn = \"099\"]"
        ~fragment:(treatment_fragment ()))
 
-let accessible_sets eng =
-  List.map (fun k -> (k, Engine.accessible eng k)) (Engine.kinds eng)
+let accessible_sets = Engine.accessible
 
 let subject_sets eng =
-  let roles = Policy.roles (Engine.policy eng) in
   List.map
-    (fun k ->
-      ( k,
-        List.map (fun r -> (r, Engine.accessible_subject eng k r)) roles ))
-    (Engine.kinds eng)
+    (fun r -> (r, Engine.accessible_subject eng r))
+    (Policy.roles (Engine.policy eng))
 
 (* Byte-identical equivalence between two engines: state digests,
    visible id sets with and without subjects, and decisions on [qs]
-   across every held store, both forced lanes, and every subject. *)
+   across both forced lanes and every subject. *)
 let check_twin_engines ctx leader follower qs =
   Alcotest.(check int32)
     (ctx ^ ": state digests agree")
@@ -165,18 +161,14 @@ let check_twin_engines ctx leader follower qs =
   List.iter
     (fun q ->
       List.iter
-        (fun kind ->
+        (fun lane ->
           List.iter
-            (fun lane ->
-              List.iter
-                (fun subject ->
-                  let dl = Engine.request ?subject ~lane leader kind q in
-                  let df = Engine.request ?subject ~lane follower kind q in
-                  if dl <> df then
-                    Alcotest.failf "%s: decision differs on %s" ctx q)
-                subjects)
-            [ Rewrite.Materialized; Rewrite.Rewrite ])
-        (Engine.kinds leader))
+            (fun subject ->
+              let ask eng = Engine.request ?subject ~lane eng Engine.Native q in
+              if ask leader <> ask follower then
+                Alcotest.failf "%s: decision differs on %s" ctx q)
+            subjects)
+        [ Rewrite.Materialized; Rewrite.Rewrite ])
     qs
 
 let sample_queries =
@@ -236,7 +228,7 @@ let test_follower_refuses_direct_mutation () =
 let test_leader_abort_ships_noop () =
   let t = mk_cluster ~followers:1 () in
   Fault.arm "native.set_sign" (Fault.After 1);
-  (match Repl.annotate t Engine.Native with
+  (match Repl.annotate_all t with
   | Ok () -> Alcotest.fail "armed kill did not surface"
   | Error e ->
       Alcotest.(check bool) "classified fatal" true (e.Serve.class_ = Serve.Fatal));
@@ -246,7 +238,7 @@ let test_leader_abort_ships_noop () =
   (* The kill is process-global: recovery (inside sync's heal) clears
      it, after which the retried operation commits and ships. *)
   Alcotest.(check bool) "noop syncs" true (Repl.sync t);
-  ok "annotate retried" (Repl.annotate t Engine.Native);
+  ok "annotate retried" (Repl.annotate_all t);
   Alcotest.(check bool) "cluster converges" true (Repl.sync t);
   check_twin_engines "after noop" (Repl.leader_engine t) (Repl.engine t 1)
     sample_queries
@@ -488,14 +480,14 @@ let roles_policy =
         deny @staff //patient[treatment]\n\
         allow @doctor //treatment\n")
 
-let digest_engine ?(mirrored = false) () =
+let digest_engine () =
   Fault.reset ();
   let eng =
-    Engine.create ~mirrored ~dtd:W.Hospital.dtd
-      ~policy:(Lazy.force roles_policy) (W.Hospital.sample_document ())
+    Engine.create ~dtd:W.Hospital.dtd ~policy:(Lazy.force roles_policy)
+      (W.Hospital.sample_document ())
   in
-  ignore (Engine.annotate_all eng);
-  ignore (Engine.annotate_subjects_all eng);
+  ignore (Engine.annotate eng);
+  ignore (Engine.annotate_subjects eng);
   eng
 
 let flip = function Tree.Plus -> Tree.Minus | Tree.Minus -> Tree.Plus
@@ -527,15 +519,7 @@ let test_digest_sensitive () =
   check_flip "role bit flip" eng
     ~write:(fun () ->
       ignore (b.Backend.set_bits_ids [ id ] ~role:1 ~value:(not set) ~default))
-    ~undo:(fun () -> b.Backend.restore_bits id bits);
-  (* On a mirrored engine the row store's own signs are digested too. *)
-  let eng = digest_engine ~mirrored:true () in
-  let row = Engine.backend eng Engine.Row_sql in
-  let id = List.nth (row.Backend.live_ids ()) 3 in
-  let eff = Backend.effective_sign row ~default:(Policy.ds policy) id in
-  check_flip "row-store sign flip" eng
-    ~write:(fun () -> ignore (row.Backend.set_sign_ids [ id ] (flip eff)))
-    ~undo:(fun () -> ignore (row.Backend.set_sign_ids [ id ] eff))
+    ~undo:(fun () -> b.Backend.restore_bits id bits)
 
 let test_digest_ignores_epochs () =
   let eng = digest_engine () in
@@ -549,7 +533,7 @@ let test_digest_ignores_epochs () =
   (* A crash mid-annotation, rolled back by recovery: the epoch number
      is consumed, the grants are the pre-epoch ones. *)
   Fault.arm "native.set_sign" (Fault.After 2);
-  (match Engine.annotate eng Engine.Native with
+  (match Engine.annotate eng with
   | _ -> Alcotest.fail "armed kill did not fire"
   | exception Fault.Crash _ -> ());
   let r = Engine.recover eng in
@@ -564,13 +548,13 @@ let test_digest_ignores_epochs () =
   Fault.reset ()
 
 (* Whenever two engines grant the same node sets — anonymously and per
-   role, on every held store — their digests are equal, whatever
+   role — their digests are equal, whatever
    chains of epochs led there.  Engines with unequal sets must digest
    apart (a 32-bit collision would be a 2^-32 accident). *)
 let digest_prop =
   QCheck2.Test.make ~name:"equal accessible sets <-> equal digests" ~count:30
-    QCheck2.Gen.(pair Helpers.seed_gen bool)
-    (fun (seed, mirrored) ->
+    Helpers.seed_gen
+    (fun seed ->
       Fault.reset ();
       let rng = Prng.create ~seed in
       let doc = Helpers.random_hospital_doc rng in
@@ -579,8 +563,8 @@ let digest_prop =
       in
       let updates = List.init 2 (fun _ -> Helpers.random_update rng) in
       let step eng = function
-        | 0 -> ignore (Engine.annotate_all eng)
-        | 1 -> ignore (Engine.annotate_subjects_all eng)
+        | 0 -> ignore (Engine.annotate eng)
+        | 1 -> ignore (Engine.annotate_subjects eng)
         | 2 -> Engine.apply_replica eng Engine.Op_noop
         | 3 ->
             ignore
@@ -589,7 +573,7 @@ let digest_prop =
         | k -> ignore (Engine.update eng (List.nth updates (k - 4)))
       in
       let chain () =
-        let eng = Engine.create ~mirrored ~dtd:W.Hospital.dtd ~policy doc in
+        let eng = Engine.create ~dtd:W.Hospital.dtd ~policy doc in
         for _ = 1 to Prng.int rng 4 do
           step eng (Prng.int rng 6)
         done;
@@ -610,7 +594,7 @@ let digest_prop =
    shipped through a faulty transport (drops, duplicates, reorders,
    torn frames, one follower kill) leaves every follower answering
    byte-identically to the leader — decisions with and without
-   subjects, visible id sets, both lanes, every held store. *)
+   subjects, visible id sets, both lanes. *)
 
 let equivalence_prop =
   QCheck2.Test.make

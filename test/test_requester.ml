@@ -2,7 +2,7 @@
    the bounded snapshot memo, incremental CAM maintenance, and the
    engine-level equivalence of CAM/memo-served decisions with direct
    sign reads — including the qcheck property across random
-   documents, policies and update sequences on all three backends. *)
+   documents, policies and update sequences. *)
 
 open Xmlac_core
 module Tree = Xmlac_xml.Tree
@@ -63,10 +63,10 @@ let test_metrics_hit_rate () =
 
 let hospital_engine () =
   let eng =
-    Engine.create ~mirrored:true ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
+    Engine.create ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
       (W.Hospital.sample_document ())
   in
-  let _ = Engine.annotate_all eng in
+  let _ = Engine.annotate eng in
   eng
 
 let test_memo_hit_and_epoch () =
@@ -285,16 +285,13 @@ let sample_queries =
 
 let check_fast_lane_matches eng label =
   List.iter
-    (fun kind ->
-      List.iter
-        (fun q ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: %s on %s" label q
-               (Engine.backend_kind_to_string kind))
-            true
-            (Engine.request eng kind q = Engine.request_direct eng kind q))
-        sample_queries)
-    Engine.all_backend_kinds
+    (fun q ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s" label q)
+        true
+        (Engine.request eng Engine.Native q
+        = Engine.request_direct eng Engine.Native q))
+    sample_queries
 
 let test_engine_fast_lane_matches_direct () =
   let eng = hospital_engine () in
@@ -332,28 +329,6 @@ let test_engine_insert_maintains_cam () =
     (Engine.cam_check eng);
   check_fast_lane_matches eng "after insert"
 
-let test_engine_divergent_backend_bypasses () =
-  (* Annotate only the native store: relational signs still carry the
-     load-time default, so a relational request must read them, not
-     the native store's CAM.  The materialized lane is forced — the
-     auto lane would (correctly) route the never-annotated relational
-     stores to the rewrite lane. *)
-  let eng =
-    Engine.create ~mirrored:true ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
-      (W.Hospital.sample_document ())
-  in
-  let _ = Engine.annotate eng Engine.Native in
-  let row q = Engine.request ~lane:Rewrite.Materialized eng Engine.Row_sql q in
-  List.iter
-    (fun q ->
-      Alcotest.(check bool) ("row matches direct: " ^ q) true
-        (row q = Engine.request_direct eng Engine.Row_sql q))
-    sample_queries;
-  Alcotest.(check bool) "row decisions differ from the native signs" true
-    (List.exists
-       (fun q -> row q <> Engine.request eng Engine.Native q)
-       sample_queries)
-
 let test_engine_request_parse_error () =
   let eng = hospital_engine () in
   try
@@ -375,8 +350,8 @@ let test_engine_refresh_after_external_mutation () =
 
 (* ------------------------------------------------------------------ *)
 (* The acceptance property: CAM/cache-served decisions are identical
-   to direct sign-read decisions on all three backends, across random
-   documents, policies and update sequences. *)
+   to direct sign-read decisions across random documents, policies and
+   update sequences. *)
 
 let fast_lane_equivalence_prop =
   QCheck2.Test.make
@@ -395,21 +370,18 @@ let fast_lane_equivalence_prop =
       in
       let ds = if Prng.bool rng then Rule.Plus else Rule.Minus in
       let policy = Policy.make ~ds ~cr:Rule.Minus rules in
-      let eng = Engine.create ~mirrored:true ~dtd:W.Hospital.dtd ~policy doc in
-      let _ = Engine.annotate_all eng in
+      let eng = Engine.create ~dtd:W.Hospital.dtd ~policy doc in
+      let _ = Engine.annotate eng in
       let ok = ref true in
       let check_round () =
         for _ = 1 to 2 do
           let q =
             Xmlac_xpath.Pp.expr_to_string (Helpers.random_hospital_expr rng)
           in
-          List.iter
-            (fun kind ->
-              (* Twice: the second answer is served from the cache. *)
-              let direct = Engine.request_direct eng kind q in
-              if Engine.request eng kind q <> direct then ok := false;
-              if Engine.request eng kind q <> direct then ok := false)
-            Engine.all_backend_kinds
+          (* Twice: the second answer is served from the cache. *)
+          let direct = Engine.request_direct eng Engine.Native q in
+          if Engine.request eng Engine.Native q <> direct then ok := false;
+          if Engine.request eng Engine.Native q <> direct then ok := false
         done
       in
       check_round ();
@@ -460,7 +432,6 @@ let () =
           tc "matches direct" test_engine_fast_lane_matches_direct;
           tc "cache hits and epoch" test_engine_cache_hits_and_epoch;
           tc "insert maintains cam" test_engine_insert_maintains_cam;
-          tc "divergent backend bypasses" test_engine_divergent_backend_bypasses;
           tc "parse error via engine" test_engine_request_parse_error;
           tc "refresh after external mutation"
             test_engine_refresh_after_external_mutation;

@@ -132,43 +132,39 @@ let engine_auto_lane_prop =
         List.init 3 (fun _ ->
             Xp.Pp.expr_to_string (Helpers.random_hospital_expr rng))
       in
-      let eng = Engine.create ~mirrored:true ~dtd:W.Hospital.dtd ~policy doc in
+      let eng = Engine.create ~dtd:W.Hospital.dtd ~policy doc in
       let doc = Engine.document eng in
       let ok = ref true in
       let expect a b = if a <> b then ok := false in
       let check_all want_lane =
+        expect (fst (Engine.resolve_lane eng)) want_lane;
         List.iter
-          (fun kind ->
-            expect (fst (Engine.resolve_lane eng kind)) want_lane;
-            List.iter
-              (fun q ->
-                let e = Requester.parse_or_fail q in
-                expect (Engine.request eng kind q) (oracle policy doc e);
-                expect
-                  (Engine.request ~subject:role eng kind q)
-                  (oracle ~subject:role policy doc e);
-                (* Soundness: the forced rewrite lane never disagrees
-                   with whatever lane auto picked. *)
-                expect
-                  (Engine.request ~lane:Rewrite.Rewrite eng kind q)
-                  (Engine.request eng kind q))
-              queries)
-          Engine.all_backend_kinds
+          (fun q ->
+            let e = Requester.parse_or_fail q in
+            let ask ?subject ?lane () =
+              Engine.request ?subject ?lane eng Engine.Native q
+            in
+            expect (ask ()) (oracle policy doc e);
+            expect (ask ~subject:role ()) (oracle ~subject:role policy doc e);
+            (* Soundness: the forced rewrite lane never disagrees with
+               whatever lane auto picked. *)
+            expect (ask ~lane:Rewrite.Rewrite ()) (ask ()))
+          queries
       in
       (* Cold: every layer routes to the rewrite lane. *)
       check_all Rewrite.Rewrite;
       (* Signs committed: anonymous requests flip to materialized, but
          role requests still rewrite — bitmaps were never built. *)
-      let _ = Engine.annotate_all eng in
-      expect (fst (Engine.resolve_lane eng Engine.Native)) Rewrite.Materialized;
+      let _ = Engine.annotate eng in
+      expect (fst (Engine.resolve_lane eng)) Rewrite.Materialized;
       expect
-        (fst (Engine.resolve_lane ~subject:role eng Engine.Native))
+        (fst (Engine.resolve_lane ~subject:role eng))
         Rewrite.Rewrite;
       check_all Rewrite.Materialized |> ignore;
       (* Bitmaps committed too: role requests follow. *)
-      let _ = Engine.annotate_subjects_all eng in
+      let _ = Engine.annotate_subjects eng in
       expect
-        (fst (Engine.resolve_lane ~subject:role eng Engine.Native))
+        (fst (Engine.resolve_lane ~subject:role eng))
         Rewrite.Materialized;
       check_all Rewrite.Materialized;
       !ok)
@@ -298,7 +294,7 @@ let test_forced_lanes_cached_separately () =
     Engine.create ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
       (W.Hospital.sample_document ())
   in
-  let _ = Engine.annotate_all eng in
+  let _ = Engine.annotate eng in
   let q = "//patient" in
   let mat = Engine.request ~lane:Rewrite.Materialized eng Engine.Native q in
   let rw = Engine.request ~lane:Rewrite.Rewrite eng Engine.Native q in

@@ -123,13 +123,19 @@ let test_breaker_machine () =
 let make_engine =
   let doc = lazy (W.Hospital.sample_document ()) in
   fun () ->
-    Engine.create ~mirrored:true ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
+    Engine.create ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
       (Lazy.force doc)
 
 let annotated_engine () =
   let eng = make_engine () in
-  ignore (Engine.annotate_all eng);
+  ignore (Engine.annotate eng);
   eng
+
+(* The store's accessible set equals the policy's on its document. *)
+let check_reference msg eng =
+  Alcotest.(check (list int)) msg
+    (Policy.accessible_ids (Engine.policy eng) (Engine.document eng))
+    (Engine.accessible eng)
 
 let treatment_fragment () =
   let frag = Tree.create ~root_name:"treatment" in
@@ -162,7 +168,7 @@ let test_request_retry () =
   | Error e -> Alcotest.failf "retry did not recover: %s" e.S.message);
   Alcotest.(check int) "retry counted" 1 (Metrics.counter m "serve.retries");
   Alcotest.(check bool) "breaker unharmed" true
-    (B.state (S.breaker serve Engine.Native) = B.Closed);
+    (B.state (S.breaker serve) = B.Closed);
   Fault.reset ()
 
 let test_request_retry_exhaustion () =
@@ -207,58 +213,26 @@ let test_parse_error_skips_breaker () =
       Alcotest.(check int) "never reached the engine" 0 e.S.attempts);
   (* a parse error says nothing about backend health *)
   Alcotest.(check int) "breaker untouched" 0
-    (B.trips (S.breaker serve Engine.Native));
+    (B.trips (S.breaker serve));
   Alcotest.(check int) "counted apart" 1
     (Metrics.counter (Engine.metrics (S.engine serve)) "serve.parse_errors")
-
-(* A store the engine does not hold is a caller-side mistake too: a
-   typed fatal error at site "store", counted apart, and no breaker
-   exists for it to feed. *)
-let test_unheld_store_skips_breakers () =
-  Fault.reset ();
-  let eng =
-    Engine.create ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
-      (W.Hospital.sample_document ())
-  in
-  ignore (Engine.annotate_all eng);
-  let serve = S.create eng in
-  let m = Engine.metrics eng in
-  (match S.request serve Engine.Row_sql "//patient/name" with
-  | Ok _ -> Alcotest.fail "an unheld store answered"
-  | Error e ->
-      Alcotest.(check bool) "fatal" true (e.S.class_ = S.Fatal);
-      Alcotest.(check string) "site" "store" e.S.site;
-      Alcotest.(check int) "never reached the engine" 0 e.S.attempts);
-  Alcotest.(check int) "counted apart" 1
-    (Metrics.counter m "serve.unknown_stores");
-  let h = S.health serve in
-  Alcotest.(check bool) "one breaker, for the native store" true
-    (List.map fst h.S.breakers = [ Engine.Native ]);
-  Alcotest.(check int) "no trips" 0 h.S.trips;
-  Alcotest.(check bool) "layer healthy" false h.S.degraded;
-  (* The held store still answers live. *)
-  match S.request serve Engine.Native "//patient/name" with
-  | Ok r -> Alcotest.(check bool) "native live" true (r.S.served = S.Live)
-  | Error e -> Alcotest.failf "native request failed: %s" e.S.message
 
 (* ------------------------------------------------------------------ *)
 (* Degradation: trip the native breaker, serve from the snapshot. *)
 
-(* Errors enough requests to trip [kind]'s breaker under
-   [tight_breaker] (min_calls failures), using distinct queries so the
-   decision cache cannot short-circuit the armed eval point. *)
-let trip serve kind queries =
+(* Errors enough requests to trip the breaker under [tight_breaker]
+   (min_calls failures), using distinct queries so the decision cache
+   cannot short-circuit the armed eval point. *)
+let trip serve queries =
   List.iter
     (fun q ->
-      Fault.arm_transient
-        (Engine.backend_kind_to_string kind ^ ".eval")
-        (Fault.After 1);
-      match S.request serve kind q with
+      Fault.arm_transient "native.eval" (Fault.After 1);
+      match S.request serve Engine.Native q with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "request %s survived its armed fault" q)
     queries;
   Alcotest.(check bool) "breaker tripped" true
-    (B.state (S.breaker serve kind) = B.Open)
+    (B.state (S.breaker serve) = B.Open)
 
 let test_degraded_fail_closed () =
   Fault.reset ();
@@ -273,7 +247,7 @@ let test_degraded_fail_closed () =
     (Requester.is_granted live_granted);
   Alcotest.(check bool) "fixture denies the other control query" false
     (Requester.is_granted (Engine.request eng Engine.Native q_denied));
-  trip serve Engine.Native [ "//nurse"; "//doctor" ];
+  trip serve [ "//nurse"; "//doctor" ];
   (* degraded answers come from the snapshot and agree with the
      committed materialization *)
   (match S.request serve Engine.Native q_granted with
@@ -287,10 +261,6 @@ let test_degraded_fail_closed () =
       Alcotest.(check bool) "denied stays denied degraded" false
         (Requester.is_granted r.S.decision)
   | Error e -> Alcotest.failf "degraded request errored: %s" e.S.message);
-  (* other backends are unaffected: their breakers are closed *)
-  (match S.request serve Engine.Row_sql q_granted with
-  | Ok r -> Alcotest.(check bool) "row still live" true (r.S.served = S.Live)
-  | Error e -> Alcotest.failf "row request errored: %s" e.S.message);
   (* mutate the engine behind the layer's back: the snapshot is now
      stale and degradation denies everything — fail closed *)
   ignore (Engine.update eng "//patient/treatment");
@@ -309,14 +279,14 @@ let test_degraded_recovers_liveness () =
     { S.default_config with S.max_retries = 0; breaker = tight_breaker }
   in
   let serve = S.create ~config (annotated_engine ()) in
-  trip serve Engine.Native [ "//nurse"; "//doctor" ];
+  trip serve [ "//nurse"; "//doctor" ];
   (* faults stop; within cooldown + probes calls the breaker re-closes *)
   let budget = tight_breaker.B.cooldown + tight_breaker.B.probes in
   let closed = ref false in
   for _ = 1 to budget do
     if not !closed then begin
       ignore (S.request serve Engine.Native "//patient/name");
-      closed := B.state (S.breaker serve Engine.Native) = B.Closed
+      closed := B.state (S.breaker serve) = B.Closed
     end
   done;
   Alcotest.(check bool) "re-closed within cooldown + probes" true !closed;
@@ -337,7 +307,7 @@ let test_queue_and_drain () =
     }
   in
   let serve = S.create ~config (annotated_engine ()) in
-  trip serve Engine.Native [ "//nurse"; "//doctor" ];
+  trip serve [ "//nurse"; "//doctor" ];
   (match S.update serve "//patient/treatment" with
   | Ok (S.Queued 1) -> ()
   | _ -> Alcotest.fail "first degraded mutation did not queue");
@@ -362,7 +332,7 @@ let test_queue_and_drain () =
     ignore (S.request serve Engine.Native "//patient/name")
   done;
   Alcotest.(check bool) "closed again" true
-    (B.state (S.breaker serve Engine.Native) = B.Closed);
+    (B.state (S.breaker serve) = B.Closed);
   let drained = S.drain serve in
   Alcotest.(check int) "both replayed" 2 (List.length drained);
   List.iter
@@ -374,8 +344,7 @@ let test_queue_and_drain () =
       | Error e -> Alcotest.failf "drained mutation failed: %s" e.S.message)
     drained;
   Alcotest.(check int) "queue empty" 0 (S.queued serve);
-  Alcotest.(check bool) "stores in lockstep after replay" true
-    (Engine.consistent (S.engine serve));
+  check_reference "signs match the policy after replay" (S.engine serve);
   Alcotest.(check bool) "healthy again" true (S.healthy (S.health serve))
 
 let test_mutation_recovered_forward () =
@@ -385,22 +354,15 @@ let test_mutation_recovered_forward () =
   (* the twin receives the same mutation fault-free *)
   let twin = annotated_engine () in
   ignore (Engine.update twin "//patient/treatment");
-  Fault.arm_transient "wal.commit" (Fault.After 1);
+  Fault.arm_transient "cam.repair" (Fault.After 1);
   (match S.update serve "//patient/treatment" with
   | Ok S.Recovered -> ()
   | Ok _ -> Alcotest.fail "mid-epoch fault should surface as Recovered"
   | Error e -> Alcotest.failf "mutation not recovered: %s" e.S.message);
   Alcotest.(check bool) "no epoch left open" true
     (Engine.open_epoch eng = None);
-  Alcotest.(check bool) "lockstep" true (Engine.consistent eng);
-  List.iter
-    (fun kind ->
-      Alcotest.(check (list int))
-        ("rolled forward to the post state: "
-        ^ Engine.backend_kind_to_string kind)
-        (Engine.accessible twin kind)
-        (Engine.accessible eng kind))
-    Engine.all_backend_kinds;
+  Alcotest.(check (list int)) "rolled forward to the post state"
+    (Engine.accessible twin) (Engine.accessible eng);
   (* the snapshot followed the commit: a degraded answer would agree *)
   Alcotest.(check int) "snapshot refreshed" (Engine.sign_epoch eng)
     (S.health serve).S.snapshot_epoch;
@@ -409,16 +371,44 @@ let test_mutation_recovered_forward () =
 let test_mutation_retry_before_epoch () =
   Fault.reset ();
   let serve = S.create (annotated_engine ()) in
-  (* fire inside the second WAL's begin: the engine has not opened its
-     epoch yet, one WAL has — the retry must first heal the dangling
-     epoch, then apply cleanly *)
-  Fault.arm_transient "wal.begin" (Fault.After 2);
+  (* fire just before the epoch opens: nothing to recover, so the
+     layer retries and applies cleanly *)
+  Fault.arm_transient "epoch.begin" (Fault.After 1);
   (match S.update serve "//patient/treatment" with
   | Ok (S.Applied _) -> ()
   | Ok _ -> Alcotest.fail "pre-epoch fault should be retried to Applied"
   | Error e -> Alcotest.failf "retry did not recover: %s" e.S.message);
-  Alcotest.(check bool) "lockstep" true
-    (Engine.consistent (S.engine serve));
+  Alcotest.(check int) "one retry" 1
+    (Metrics.counter (Engine.metrics (S.engine serve)) "serve.retries");
+  check_reference "signs match the policy" (S.engine serve);
+  Alcotest.(check bool) "healthy" true (S.healthy (S.health serve));
+  Fault.reset ()
+
+(* A transient at the publish point lands after the commit: the
+   mutation is durable but the engine's current snapshot still shows
+   the previous epoch.  The next call must republish before answering
+   live, or it would grant from the stale epoch. *)
+let test_publish_fault_heals_snapshot () =
+  Fault.reset ();
+  let eng = annotated_engine () in
+  let serve = S.create eng in
+  let q = "//patient" in
+  Alcotest.(check bool) "fixture denies the patients" false
+    (granted (S.request serve Engine.Native q));
+  Fault.arm_transient "snapshot.publish" (Fault.After 1);
+  (match S.update serve "//patient/treatment" with
+  | Ok S.Recovered -> ()
+  | Ok _ -> Alcotest.fail "post-commit fault should surface as Recovered"
+  | Error e -> Alcotest.failf "mutation failed: %s" e.S.message);
+  (match S.request serve Engine.Native q with
+  | Ok r ->
+      Alcotest.(check bool) "served live" true (r.S.served = S.Live);
+      Alcotest.(check bool) "answers the committed epoch" true
+        (r.S.decision = Engine.request_direct eng Engine.Native q)
+  | Error e -> Alcotest.failf "request failed: %s" e.S.message);
+  Alcotest.(check (option int)) "current snapshot caught up"
+    (Some (Engine.sign_epoch eng))
+    (Snapshot.current_epoch (Engine.snapshots eng));
   Alcotest.(check bool) "healthy" true (S.healthy (S.health serve));
   Fault.reset ()
 
@@ -469,13 +459,11 @@ let run_against_twin ~serve ~twin ~rng ~rate ~steps =
       if committed (S.mutate serve mu) then sync mu
     end
     else begin
-      let kind = Prng.choose rng [| Engine.Native; Engine.Row_sql;
-                                    Engine.Column_sql |] in
       let q = Prng.choose rng queries_pool in
-      match S.request serve kind q with
+      match S.request serve Engine.Native q with
       | Ok { S.decision = Requester.Granted ids; _ } ->
           Fault.disarm_all ();
-          (match Engine.request twin kind q with
+          (match Engine.request twin Engine.Native q with
           | Requester.Granted ids' when ids' = ids -> ()
           | _ -> incr wrong)
       | Ok { S.decision = Requester.Denied _; _ } | Error _ -> ()
@@ -496,13 +484,11 @@ let fail_closed_prop =
       let rng = Prng.create ~seed in
       let doc = Helpers.random_hospital_doc rng in
       let policy = W.Hospital.policy in
-      let make () =
-        Engine.create ~mirrored:true ~dtd:W.Hospital.dtd ~policy doc
-      in
+      let make () = Engine.create ~dtd:W.Hospital.dtd ~policy doc in
       let eng = make () in
-      ignore (Engine.annotate_all eng);
+      ignore (Engine.annotate eng);
       let twin = make () in
-      ignore (Engine.annotate_all twin);
+      ignore (Engine.annotate twin);
       let config =
         { S.default_config with S.max_retries = 1; breaker = tight_breaker }
       in
@@ -511,19 +497,14 @@ let fail_closed_prop =
       Fault.reset ();
       if wrong > 0 then
         QCheck2.Test.fail_reportf "%d wrong grants under faults" wrong;
-      if not (Engine.consistent eng) then
-        QCheck2.Test.fail_report "stores out of lockstep after the run";
-      List.for_all
-        (fun kind ->
-          Engine.accessible eng kind = Engine.accessible twin kind)
-        Engine.all_backend_kinds)
+      Engine.accessible eng = Engine.accessible twin)
 
 (* ------------------------------------------------------------------ *)
 (* The deterministic chaos soak the CI job replays: interleaved
-   requests, mutations and recoveries at fault rate 0.05 across all
-   three backends, then a quiet phase asserting liveness — every
-   breaker re-closes within cooldown + probes calls once the faults
-   stop — and final lockstep with the fault-free twin. *)
+   requests, mutations and recoveries at fault rate 0.05, then a quiet
+   phase asserting liveness — the breaker re-closes within cooldown +
+   probes calls once the faults stop — and final agreement with the
+   fault-free twin. *)
 
 let soak_breaker =
   { B.window = 8; min_calls = 4; threshold = 0.5; cooldown = 4; probes = 2 }
@@ -536,13 +517,12 @@ let test_soak () =
   let rng = Prng.create ~seed in
   let doc = W.Hospital.sample_document () in
   let make () =
-    Engine.create ~mirrored:true ~dtd:W.Hospital.dtd
-      ~policy:W.Hospital.policy doc
+    Engine.create ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy doc
   in
   let eng = make () in
-  ignore (Engine.annotate_all eng);
+  ignore (Engine.annotate eng);
   let twin = make () in
-  ignore (Engine.annotate_all twin);
+  ignore (Engine.annotate twin);
   let config =
     { S.default_config with S.max_retries = 1; breaker = soak_breaker }
   in
@@ -554,19 +534,13 @@ let test_soak () =
   (* quiet phase: liveness *)
   Fault.disarm_all ();
   let budget = soak_breaker.B.cooldown + soak_breaker.B.probes in
-  List.iter
-    (fun kind ->
-      let br = S.breaker serve kind in
-      let i = ref 0 in
-      while B.state br <> B.Closed && !i < budget do
-        ignore (S.request serve kind (Prng.choose rng queries_pool));
-        incr i
-      done;
-      Alcotest.(check bool)
-        ("breaker re-closes: " ^ Engine.backend_kind_to_string kind)
-        true
-        (B.state br = B.Closed))
-    Engine.all_backend_kinds;
+  let br = S.breaker serve in
+  let i = ref 0 in
+  while B.state br <> B.Closed && !i < budget do
+    ignore (S.request serve Engine.Native (Prng.choose rng queries_pool));
+    incr i
+  done;
+  Alcotest.(check bool) "breaker re-closes" true (B.state br = B.Closed);
   (* drain whatever the quiet phase can replay, then compare *)
   Fault.disarm_all ();
   List.iter
@@ -580,16 +554,8 @@ let test_soak () =
               ignore (Engine.insert twin ~at ~fragment))
       | _ -> ())
     (S.drain serve);
-  Alcotest.(check bool) "lockstep after the storm" true
-    (Engine.consistent eng);
-  List.iter
-    (fun kind ->
-      Alcotest.(check (list int))
-        ("accessible set matches the fault-free twin: "
-        ^ Engine.backend_kind_to_string kind)
-        (Engine.accessible twin kind)
-        (Engine.accessible eng kind))
-    Engine.all_backend_kinds;
+  Alcotest.(check (list int)) "accessible set matches the fault-free twin"
+    (Engine.accessible twin) (Engine.accessible eng);
   Alcotest.(check bool) "healthy at the end" true
     (S.healthy (S.health serve));
   Fault.reset ()
@@ -613,8 +579,6 @@ let () =
             test_request_retry_exhaustion;
           tc "deadline expiry is a typed timeout" test_request_timeout;
           tc "parse errors bypass the breaker" test_parse_error_skips_breaker;
-          tc "unheld stores bypass the breakers"
-            test_unheld_store_skips_breakers;
         ] );
       ( "degradation",
         [
@@ -627,6 +591,8 @@ let () =
           tc "queue while degraded, drain when healthy" test_queue_and_drain;
           tc "mid-epoch fault recovers forward" test_mutation_recovered_forward;
           tc "pre-epoch fault heals and retries" test_mutation_retry_before_epoch;
+          tc "post-commit publish fault heals the snapshot"
+            test_publish_fault_heals_snapshot;
         ] );
       ( "properties", [ QCheck_alcotest.to_alcotest fail_closed_prop ] );
       ( "soak", [ tc "deterministic chaos soak" test_soak ] );
