@@ -5,9 +5,10 @@
    in place; this measures the MVCC extension's publish path.  Each
    ladder rung materializes an annotated xmark document and its CAM,
    then commits [epochs] sign epochs of a fixed [change_set] size,
-   publishing every epoch through a registry twice: once with
-   [Snapshot.capture_full] (a deep copy, O(document)) and once with
-   [Snapshot.capture] (an O(1) freeze plus O(changed) accounting).
+   publishing every epoch through a registry twice: once capturing a
+   [Tree.copy] of the document (a deep copy, O(document)) and once
+   capturing the live tree itself (an O(1) freeze plus O(changed)
+   change-set bookkeeping).
 
    Expected shape: full-copy publish grows linearly with the document
    while COW publish stays flat — the hard assertion below demands
@@ -98,7 +99,7 @@ let run_lane ~cow factor =
                 ?prev:(Snapshot.current reg)
                 ~epoch:e ~policy ~cam ~metrics doc
             else
-              Snapshot.capture_full ~epoch:e ~policy ~cam ~metrics doc
+              Snapshot.capture ~epoch:e ~policy ~cam ~metrics (Tree.copy doc)
           in
           Snapshot.publish reg snap)
     in
@@ -130,7 +131,6 @@ let pinned_history factor n =
     pins := Snapshot.pin reg :: !pins
   done;
   let cow_bytes = live_bytes () - before in
-  let shared = Snapshot.shared_records reg in
   (* Per-copy weight from 8 retained deep copies. *)
   let probe = 8 in
   let before_full = live_bytes () in
@@ -143,7 +143,7 @@ let pinned_history factor n =
   copies := [];
   let live = Snapshot.live reg in
   List.iter (fun p -> Snapshot.unpin reg p) !pins;
-  (cow_bytes, per_copy * n, shared, live, Format.asprintf "%a" Snapshot.pp_sharing reg)
+  (cow_bytes, per_copy * n, live)
 
 (* --- carry across structural epochs ---------------------------------- *)
 
@@ -314,18 +314,15 @@ let run (_cfg : Bench_common.config) =
 
   (* Pinned history on the largest rung. *)
   let largest = List.nth ladder (List.length ladder - 1) in
-  let cow_bytes, full_estimate, shared, live, sharing =
-    pinned_history largest pinned_target
-  in
+  let cow_bytes, full_estimate, live = pinned_history largest pinned_target in
   Printf.printf
     "\npinned history: %d pinned epochs on factor %s -> %d live snapshots, \
-     %s resident (deep copies would need ~%s); %d shared records held\n%s\n"
+     %s resident (deep copies would need ~%s)\n"
     pinned_target
     (Bench_common.pp_factor largest)
     live
     (Bench_common.pp_bytes (max cow_bytes 0))
-    (Bench_common.pp_bytes full_estimate)
-    shared sharing;
+    (Bench_common.pp_bytes full_estimate);
 
   (* Carry across structural epochs, against the exact ceiling. *)
   let carry = carry_table () in
@@ -368,9 +365,8 @@ let run (_cfg : Bench_common.config) =
         (pct full 50.0 /. pct cow 50.0))
     rows;
   Printf.printf
-    "  snapshot.pinned: epochs=%d cow_bytes=%d full_estimate_bytes=%d \
-     shared_records=%d\n"
-    pinned_target (max cow_bytes 0) full_estimate shared;
+    "  snapshot.pinned: epochs=%d cow_bytes=%d full_estimate_bytes=%d\n"
+    pinned_target (max cow_bytes 0) full_estimate;
   Printf.printf
     "  snapshot.carry: entries=%d carried=%d unchanged=%d wrong=%d\n"
     total.entries total.carried total.unchanged total.wrong;

@@ -5,7 +5,6 @@ module Fault = Xmlac_util.Fault
 
 type backend_kind = Native
 
-let backend_kind_to_string Native = "native"
 let all_backend_kinds = [ Native ]
 
 (* One mutating operation: what an open sign epoch is attempting (so
@@ -23,7 +22,6 @@ type open_op = {
   op : op;
   saved_annotated : bool;
   saved_bits_annotated : bool;
-  saved_divergent : bool;
   mutable prepared : Reannotator.prepared option;
       (** Pre-mutation repair state (signs, and bitmaps where they are
           materialized), stashed just before the structural apply —
@@ -42,7 +40,6 @@ type recovery = {
 
 type t = {
   policy : Policy.t;
-  original_policy : Policy.t;
   report : Optimizer.report option;
   mapping : Xmlac_shrex.Mapping.t;
   sg : Sg.t;
@@ -59,10 +56,8 @@ type t = {
      [bits_annotated] record committed sign and bitmap annotation
      epochs, which decide the auto lane. *)
   mutable cam : Cam.t;
-  mutable epoch : int;
   mutable annotated : bool;
   mutable bits_annotated : bool;
-  mutable divergent : bool;
   (* Sign epochs: [sign_epoch] is the last committed epoch (monotone,
      never reused downward); [open_op] is the uncommitted one a crash
      may have left behind. *)
@@ -106,10 +101,8 @@ let publish_snapshot ?footprint t =
         (match footprint with
         | Some exprs when t.on_schema -> Some (t.sg, exprs)
         | _ -> None)
-      ~epoch:t.sign_epoch ~policy:t.policy ~cam:t.cam
-      ~annotated:(t.annotated || t.divergent)
-      ~bits_annotated:(t.bits_annotated || t.divergent)
-      ~metrics:t.metrics t.doc
+      ~epoch:t.sign_epoch ~policy:t.policy ~cam:t.cam ~annotated:t.annotated
+      ~bits_annotated:t.bits_annotated ~metrics:t.metrics t.doc
   in
   Snapshot.publish t.snapshots snap
 
@@ -119,7 +112,6 @@ let schema_covers sg doc =
 let create ?(optimize = true) ~dtd ~policy doc =
   let mapping = Xmlac_shrex.Mapping.of_dtd dtd in
   let sg = Xmlac_shrex.Mapping.schema_graph mapping in
-  let original_policy = policy in
   let report, policy =
     if optimize then
       let r = Optimizer.optimize policy in
@@ -132,7 +124,6 @@ let create ?(optimize = true) ~dtd ~policy doc =
   let t =
   {
     policy;
-    original_policy;
     report;
     mapping;
     sg;
@@ -147,10 +138,8 @@ let create ?(optimize = true) ~dtd ~policy doc =
     journal;
     metrics;
     cam = Cam.build native_doc ~default:(Policy.ds policy);
-    epoch = 0;
     annotated = false;
     bits_annotated = false;
-    divergent = false;
     sign_epoch = 0;
     open_op = None;
     snapshots = Snapshot.create_registry ~metrics ();
@@ -166,7 +155,6 @@ let create ?(optimize = true) ~dtd ~policy doc =
   t
 
 let policy t = t.policy
-let original_policy t = t.original_policy
 let optimizer_report t = t.report
 let mapping t = t.mapping
 let schema_graph t = t.sg
@@ -174,7 +162,7 @@ let depend t = t.depend
 let plan t = t.plan
 let metrics t = t.metrics
 let cam t = t.cam
-let epoch t = t.epoch
+let epoch t = t.sign_epoch
 let sign_epoch t = t.sign_epoch
 let open_epoch t = Option.map (fun o -> o.num) t.open_op
 let snapshots t = t.snapshots
@@ -196,8 +184,6 @@ let explain ?(with_doc = true) t =
     (Plan.of_policy t.policy)
 
 let document t = t.doc
-
-let bump_epoch t = t.epoch <- t.epoch + 1
 
 let role_index t role =
   match Subject.index (Policy.subjects t.policy) role with
@@ -242,18 +228,6 @@ let cam_check t =
   end;
   ok
 
-let refresh t =
-  bump_epoch t;
-  t.divergent <- true;
-  t.annotated <- false;
-  t.bits_annotated <- false;
-  t.on_schema <- schema_covers t.sg t.doc;
-  rebuild_cam t;
-  (* The signs moved behind the engine's back; the current snapshot no
-     longer reflects them.  Republish under the same sign epoch —
-     already-pinned readers keep their (now historical) version. *)
-  publish_snapshot t
-
 (* --- sign epochs --------------------------------------------------- *)
 
 (* Every mutating operation runs inside a sign epoch: [begin_op] arms
@@ -282,7 +256,6 @@ let begin_op t op =
       op;
       saved_annotated = t.annotated;
       saved_bits_annotated = t.bits_annotated;
-      saved_divergent = t.divergent;
       prepared = None;
       applied = false;
       new_roots = [];
@@ -309,9 +282,7 @@ let commit_op ?footprint t o =
 let annotate t =
   let o = begin_op t Op_annotate in
   let stats = Annotator.annotate_with_plan t.backend t.plan in
-  bump_epoch t;
   t.annotated <- true;
-  t.divergent <- false;
   t.cam <- Cam.build t.doc ~default:(Policy.ds t.policy);
   commit_op t o;
   stats
@@ -324,7 +295,6 @@ let annotate_subjects t =
     Metrics.time t.metrics "annotate.subjects" (fun () ->
         Annotator.annotate_subjects ~schema:t.sg t.backend t.policy)
   in
-  bump_epoch t;
   t.bits_annotated <- true;
   commit_op t o;
   stats
@@ -357,13 +327,6 @@ let resolve_lane ?subject ?(lane = Rewrite.Auto) t =
   | Rewrite.Auto ->
       if lane_annotated ?subject t then
         (Rewrite.Materialized, "annotated store")
-      else if t.divergent then
-        (* [refresh] declared the signs mutated behind the engine's
-           back: the store {e is} materialized (the CAM was rebuilt
-           from whatever is there), the engine just cannot vouch for a
-           committed annotation epoch — serve what the operator
-           installed, not the policy recompilation. *)
-        (Rewrite.Materialized, "diverged store")
       else (Rewrite.Rewrite, "never-annotated store")
 
 let request ?subject ?lane t Native query =
@@ -453,7 +416,6 @@ let mutate t op =
   let step = structural t op in
   let o = begin_op t op in
   let stats = restructure t o step in
-  bump_epoch t;
   (* Repair the CAM from the changed-id report plus the roots of
      freshly grafted subtrees. *)
   maintain_cam t ~changed:stats.Reannotator.changed
@@ -497,7 +459,6 @@ let recover t =
       let signs_rolled_back = Backend.rollback t.journal in
       t.annotated <- o.saved_annotated;
       t.bits_annotated <- o.saved_bits_annotated;
-      t.divergent <- o.saved_divergent;
       let direction =
         match o.op with
         | Op_annotate | Op_annotate_subjects | Op_noop ->
@@ -516,7 +477,6 @@ let recover t =
       (* The epoch number is consumed either way — the counter never
          runs backwards, even across an aborted epoch. *)
       close_op t o;
-      bump_epoch t;
       rebuild_cam t;
       (* The recovered epoch is committed; publish it like any other.
          Readers pinned through the crash keep their pre-crash

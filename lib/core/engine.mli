@@ -52,16 +52,14 @@
 (** {2 Kept for the benchmark harness}
 
     [perfbench/] compiles against a wider surface than the engine
-    needs: {!backend_kind}, {!all_backend_kinds}, {!wal}, the kind
-    argument of {!backend}, {!request} and {!request_direct}, and the
-    per-kind lists {!annotate_all}, {!annotate_subjects_all},
+    needs: {!backend_kind}, {!all_backend_kinds}, {!wal}, {!epoch},
+    the kind argument of {!backend}, {!request} and {!request_direct},
+    and the per-kind lists {!annotate_all}, {!annotate_subjects_all},
     {!update} and {!insert} return.  They stay only for it and go once
     it stops reading them. *)
 
 type backend_kind = Native
 (** The one store an engine holds. *)
-
-val backend_kind_to_string : backend_kind -> string
 
 val all_backend_kinds : backend_kind list
 (** [[Native]]. *)
@@ -81,7 +79,6 @@ val create :
 val policy : t -> Policy.t
 (** The (possibly optimized) policy in force. *)
 
-val original_policy : t -> Policy.t
 val optimizer_report : t -> Optimizer.report option
 val mapping : t -> Xmlac_shrex.Mapping.t
 val schema_graph : t -> Xmlac_xml.Schema_graph.t
@@ -103,7 +100,7 @@ val document : t -> Xmlac_xml.Tree.t
 (** The native store's live document. *)
 
 val annotate : t -> Annotator.stats
-(** Full annotation; bumps the {!epoch} and rebuilds the CAM. *)
+(** Full annotation in one sign epoch; rebuilds the CAM. *)
 
 val annotate_all : t -> (backend_kind * Annotator.stats) list
 (** [[(Native, annotate t)]]. *)
@@ -111,7 +108,7 @@ val annotate_all : t -> (backend_kind * Annotator.stats) list
 val annotate_subjects : t -> Annotator.subjects_stats
 (** The multi-subject shared pass ({!Annotator.annotate_subjects}):
     every role's accessibility materialized as per-node bitmaps in one
-    annotation epoch.  Bumps the {!epoch}.  Crash-safe like
+    annotation epoch.  Crash-safe like
     {!annotate}: a killed pass is rolled back through the bitmap
     journal, never leaving a partial bitmap visible. *)
 
@@ -175,7 +172,7 @@ val update : t -> string -> (backend_kind * Reannotator.stats) list
 (** Applies a delete update (XPath string) and re-annotates partially —
     signs, and the role bitmaps once an {!annotate_subjects} epoch has
     materialized them, both over the affected region only
-    ({!Reannotator.finish}); bumps the {!epoch} and repairs the CAM
+    ({!Reannotator.finish}), in one sign epoch, and repairs the CAM
     incrementally from the changed-id report.  The list holds the one
     [Native] entry. *)
 
@@ -185,8 +182,7 @@ val insert :
 (** Grafts a copy of [fragment] under every node selected by [at] and
     partially re-annotates, role bitmaps included, as {!update} does.
     The trigger treats the insertion points — [at/<fragment-root>] —
-    as the update expression.  Bumps the
-    {!epoch}; the CAM entries of the changed nodes and of the grafted
+    as the update expression.  The CAM entries of the changed nodes and of the grafted
     subtrees are rebuilt incrementally.  Nothing validates the
     fragment against the DTD; a graft whose nodes do not all sit at
     schema root paths ({!Xmlac_xml.Schema_graph.covers}) ends the
@@ -219,21 +215,14 @@ val cam : t -> Cam.t
 (** The engine's live CAM over the native store's signs. *)
 
 val epoch : t -> int
-(** Version counter of the materialized state; bumped by {!annotate},
-    {!update}, {!insert}, {!refresh} and an open-epoch {!recover}. *)
+(** {!sign_epoch} under its older name; stays only for
+    [perfbench/]. *)
 
 val cam_check : t -> bool
 (** The checked fallback: compares the incrementally maintained CAM
     against a fresh build.  Returns [true] when they agree; on
     disagreement repairs the engine by installing the fresh map
     (counted as [cam.check_failures]) and returns [false]. *)
-
-val refresh : t -> unit
-(** Re-read the native store wholesale: bump the epoch, rebuild the
-    CAM, re-check that the document lies on the schema's paths and
-    publish the live document as the current snapshot.  Call after
-    mutating a backend's signs behind the engine's back (e.g. driving
-    {!Annotator} directly on {!backend}). *)
 
 (** {1 Sign epochs and crash recovery} *)
 
@@ -260,7 +249,7 @@ val wal : t -> backend_kind -> Xmlac_reldb.Wal.t option
     the current snapshot and answer from it without ever blocking on
     (or being corrupted by) the writer's next epoch; unpinned old
     snapshots are reclaimed.  Publication happens only {e between}
-    epochs ([create], commit, {!recover}, {!refresh}), so a pinned
+    epochs ([create], commit, {!recover}), so a pinned
     snapshot can never expose a partial epoch. *)
 
 val snapshots : t -> Snapshot.registry
@@ -274,7 +263,7 @@ val current_snapshot : t -> Snapshot.t
 val pin_snapshot : t -> Snapshot.t
 (** Pin and return the current snapshot; the caller owes exactly one
     {!unpin_snapshot}.  While pinned it survives any number of later
-    commits, recoveries and refreshes, byte-identically. *)
+    commits and recoveries, byte-identically. *)
 
 val unpin_snapshot : t -> Snapshot.t -> unit
 (** Release one pin; a retired snapshot is reclaimed when its last
@@ -302,7 +291,7 @@ val recover : t -> recovery
     through the undo journal, and resolves the open epoch
     as described in the module preamble — backwards for {!annotate},
     forwards for {!update} / {!insert}.  Restores the annotation
-    tracking, bumps the request {!epoch}, rebuilds the CAM and
+    tracking, consumes the open epoch's number, rebuilds the CAM and
     publishes the recovered epoch, so reads are coherent with the
     recovered signs.
     Safe to call when nothing crashed (reports [`None]), and

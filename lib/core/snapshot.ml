@@ -24,9 +24,8 @@ let footprint_capacity = 8 * memo_capacity
 
 type t = {
   epoch : int;
-  doc : Tree.t;  (* frozen COW view (or a deep copy from [capture_full]) *)
-  gen : int;  (* the generation the view froze; -1 for deep copies *)
-  stats : Tree.freeze_stats option;  (* change-set accounting; COW only *)
+  doc : Tree.t;  (* frozen COW view *)
+  gen : int;  (* the generation the view froze *)
   cam : Cam.t;  (* frozen single-subject map *)
   annotated : bool;  (* signs had a committed annotation epoch at capture *)
   bits_annotated : bool;  (* ... and likewise the role bitmaps *)
@@ -87,8 +86,8 @@ let remember t key m =
 
    A rewrite-lane entry read the policy's scopes, which any structural
    change may move, so it carries across non-structural epochs only.
-   A structural epoch captured without [footprint] (recovery, refresh)
-   drops every entry.  The per-role maps are patched: the written ids
+   A structural epoch captured without [footprint] (recovery) drops
+   every entry.  The per-role maps are patched: the written ids
    are re-derived (deleted ones lose their entries) in a copy of each.
 
    All of it is gated on provenance: the captured view must be the
@@ -209,43 +208,32 @@ let carry_forward ~prev ~stats ~footprint t =
     count "snapshot.role_cam_patches" (List.length patched)
   end
 
-let make ~epoch ~doc ~gen ~stats ~cam ~annotated ~bits_annotated ~policy
-    ~metrics =
-  Metrics.incr metrics "snapshot.captures";
-  {
-    epoch;
-    doc;
-    gen;
-    stats;
-    cam = Cam.freeze cam;
-    annotated;
-    bits_annotated;
-    policy;
-    role_cams = Hashtbl.create 4;
-    memos = Hashtbl.create 64;
-    order = Queue.create ();
-    footprints = Hashtbl.create 64;
-    metrics;
-    lock = Mutex.create ();
-    pins = 0;
-  }
-
 let capture ?(annotated = true) ?(bits_annotated = true) ?prev ?footprint
     ~epoch ~policy ~cam ~metrics doc =
   let view, stats = Tree.freeze doc in
+  Metrics.incr metrics "snapshot.captures";
   let t =
-    make ~epoch ~doc:view ~gen:stats.Tree.frozen_gen ~stats:(Some stats) ~cam
-      ~annotated ~bits_annotated ~policy ~metrics
+    {
+      epoch;
+      doc = view;
+      gen = stats.Tree.frozen_gen;
+      cam = Cam.freeze cam;
+      annotated;
+      bits_annotated;
+      policy;
+      role_cams = Hashtbl.create 4;
+      memos = Hashtbl.create 64;
+      order = Queue.create ();
+      footprints = Hashtbl.create 64;
+      metrics;
+      lock = Mutex.create ();
+      pins = 0;
+    }
   in
   (match prev with
   | Some p -> carry_forward ~prev:p ~stats ~footprint t
   | None -> ());
   t
-
-let capture_full ?(annotated = true) ?(bits_annotated = true) ~epoch ~policy
-    ~cam ~metrics doc =
-  make ~epoch ~doc:(Tree.copy doc) ~gen:(-1) ~stats:None ~cam ~annotated
-    ~bits_annotated ~policy ~metrics
 
 let epoch t = t.epoch
 let document t = t.doc
@@ -253,7 +241,6 @@ let cam t = t.cam
 let annotated t = t.annotated
 let bits_annotated t = t.bits_annotated
 let pins t = t.pins
-let cow t = t.stats <> None
 let cached_decisions t = with_lock t.lock (fun () -> Hashtbl.length t.memos)
 
 let resolve_lane ?subject ?(lane = Rewrite.Auto) t =
@@ -362,32 +349,12 @@ let request ?subject ?lane ?(live = false) t query =
 
 (* --- registry ------------------------------------------------------ *)
 
-(* Shared-chunk accounting.  Successive COW snapshots of one tree
-   family share node records; a record born in generation [born_gen]
-   and displaced (superseded or deleted) while generation [died_gen]
-   was being written is referenced exactly by the frozen views of
-   generations [born_gen, died_gen - 1].  [publish] records each
-   epoch's displaced records as such a segment; a reclaim triggers a
-   [gc] pass that releases every segment no live snapshot generation
-   falls inside.  The accounting is authoritative for observability
-   and the bench's memory assertions — the actual freeing is the OCaml
-   GC's, which collects a record exactly when the last view sharing it
-   is reclaimed, so a crash between the reclaim and the sweep can
-   never corrupt a pinned neighbor (it merely leaves advisory counts
-   behind, rebuilt at the next publish). *)
-type segment = { born_gen : int; died_gen : int; seg_count : int }
-
 type registry = {
   mutable current_snap : t option;
   mutable retired_snaps : t list;  (* pinned old snapshots, newest first *)
   mutable published_count : int;
   mutable reclaimed_count : int;
   mutable max_retired_count : int;
-  mutable seg_family : int option;  (* tree family the segments describe *)
-  mutable segments : segment list;
-  mutable shared_total : int;  (* lifetime records entering segments *)
-  mutable freed_total : int;  (* lifetime records released by gc *)
-  mutable gc_passes : int;
   reg_metrics : Metrics.t;
   reg_lock : Mutex.t;
 }
@@ -399,78 +366,14 @@ let create_registry ~metrics () =
     published_count = 0;
     reclaimed_count = 0;
     max_retired_count = 0;
-    seg_family = None;
-    segments = [];
-    shared_total = 0;
-    freed_total = 0;
-    gc_passes = 0;
     reg_metrics = metrics;
     reg_lock = Mutex.create ();
   }
-
-(* Must run under [reg_lock]. *)
-let record_segments_locked reg snap =
-  match snap.stats with
-  | None -> ()
-  | Some (st : Tree.freeze_stats) ->
-      let fam = Tree.family snap.doc in
-      if reg.seg_family <> Some fam then begin
-        (* A different document family shares nothing with the old
-           segments; they can never be referenced again. *)
-        reg.segments <- [];
-        reg.seg_family <- Some fam
-      end;
-      List.iter
-        (fun (born, count) ->
-          if count > 0 then begin
-            reg.segments <-
-              { born_gen = born; died_gen = st.Tree.frozen_gen;
-                seg_count = count }
-              :: reg.segments;
-            reg.shared_total <- reg.shared_total + count
-          end)
-        st.Tree.displaced
-
-(* Release segments no live snapshot generation needs.  Crossed on
-   every reclaim-triggered pass — freed or not — so the crash sweeps
-   deterministically cover the [snapshot.gc] point. *)
-let gc reg =
-  let freed =
-    with_lock reg.reg_lock (fun () ->
-        let live =
-          (match reg.current_snap with Some s -> [ s ] | None -> [])
-          @ reg.retired_snaps
-        in
-        let live_gens =
-          List.filter_map
-            (fun s ->
-              if s.stats <> None && reg.seg_family = Some (Tree.family s.doc)
-              then Some s.gen
-              else None)
-            live
-        in
-        let needed seg =
-          List.exists
-            (fun g -> seg.born_gen <= g && g < seg.died_gen)
-            live_gens
-        in
-        let keep, drop = List.partition needed reg.segments in
-        reg.segments <- keep;
-        reg.gc_passes <- reg.gc_passes + 1;
-        let n = List.fold_left (fun a s -> a + s.seg_count) 0 drop in
-        reg.freed_total <- reg.freed_total + n;
-        n)
-  in
-  if freed > 0 then Metrics.add reg.reg_metrics "snapshot.chunks_freed" freed;
-  Fault.point "snapshot.gc"
 
 let publish reg snap =
   (* Crash here = the epoch committed but its snapshot never became
      current; [Engine.recover]'s idempotent path republishes. *)
   Fault.point "snapshot.publish";
-  (* Crash between here and the swap leaves at most advisory sharing
-     counts behind — never a dangling shared record. *)
-  Fault.point "snapshot.share";
   let freed =
     with_lock reg.reg_lock (fun () ->
         let freed =
@@ -481,7 +384,6 @@ let publish reg snap =
               reg.retired_snaps <- old :: reg.retired_snaps;
               0
         in
-        record_segments_locked reg snap;
         reg.current_snap <- Some snap;
         reg.published_count <- reg.published_count + 1;
         reg.reclaimed_count <- reg.reclaimed_count + freed;
@@ -492,8 +394,7 @@ let publish reg snap =
   Metrics.incr reg.reg_metrics "snapshot.publishes";
   if freed > 0 then begin
     Metrics.add reg.reg_metrics "snapshot.reclaims" freed;
-    Fault.point "snapshot.reclaim";
-    gc reg
+    Fault.point "snapshot.reclaim"
   end
 
 let current reg = with_lock reg.reg_lock (fun () -> reg.current_snap)
@@ -533,8 +434,7 @@ let unpin reg snap =
   Metrics.incr reg.reg_metrics "snapshot.unpins";
   if freed then begin
     Metrics.incr reg.reg_metrics "snapshot.reclaims";
-    Fault.point "snapshot.reclaim";
-    gc reg
+    Fault.point "snapshot.reclaim"
   end
 
 let live reg =
@@ -550,14 +450,6 @@ let reclaimed reg = with_lock reg.reg_lock (fun () -> reg.reclaimed_count)
 
 let max_retired reg =
   with_lock reg.reg_lock (fun () -> reg.max_retired_count)
-
-let shared_records reg =
-  with_lock reg.reg_lock (fun () ->
-      List.fold_left (fun a s -> a + s.seg_count) 0 reg.segments)
-
-let shared_total reg = with_lock reg.reg_lock (fun () -> reg.shared_total)
-let freed_total reg = with_lock reg.reg_lock (fun () -> reg.freed_total)
-let gc_passes reg = with_lock reg.reg_lock (fun () -> reg.gc_passes)
 
 let pp_registry ppf reg =
   let cur, cur_pins, ret, pub, rec_, lag =
@@ -576,22 +468,3 @@ let pp_registry ppf reg =
     cur_pins
     (if cur_pins = 1 then "" else "s")
     ret pub rec_ lag
-
-let pp_sharing ppf reg =
-  let segs, held, shared, freed, passes =
-    with_lock reg.reg_lock (fun () ->
-        ( List.length reg.segments,
-          List.fold_left (fun a s -> a + s.seg_count) 0 reg.segments,
-          reg.shared_total,
-          reg.freed_total,
-          reg.gc_passes ))
-  in
-  Format.fprintf ppf
-    "sharing: %d segment%s holding %d displaced record%s, %d shared lifetime, \
-     %d freed, %d gc pass%s"
-    segs
-    (if segs = 1 then "" else "s")
-    held
-    (if held = 1 then "" else "s")
-    shared freed passes
-    (if passes = 1 then "" else "es")

@@ -28,15 +28,12 @@
     test (the one the [Overlap] trigger applies to rules) shows the
     update missed the query.  Publish cost is therefore O(nodes
     changed in the epoch) plus one pass over the bounded memo, not
-    O(document), and a thousand
-    pinned epochs of a large document cost little more than one copy
-    plus the sum of their change sets.  The registry accounts the
-    sharing at {e segment} granularity (records displaced per epoch,
-    grouped by birth generation): a reclaim triggers a gc pass that
-    retires every segment no live snapshot generation needs.  The
-    accounting is advisory — the OCaml GC performs the actual freeing
-    exactly when the last sharing view is dropped — so a crash in the
-    publish or gc path can never corrupt a pinned neighbor.
+    O(document), and a thousand pinned epochs of a large document cost
+    little more than one copy plus the sum of their change sets.  No
+    registry bookkeeping tracks what is shared: the OCaml GC frees a
+    record exactly when the last view holding it is dropped, so a
+    crash in the publish or reclaim path can never corrupt a pinned
+    neighbor.
 
     The MVCC invariants (DESIGN.md §10):
 
@@ -59,13 +56,11 @@
     A snapshot is safe to share across OCaml domains: the document
     view and the single-subject map are frozen at capture, and the two
     mutable members (the per-role map table and the memo) are guarded
-    by a private mutex.  Registry operations cross the
-    fault points [snapshot.publish] (before the new snapshot is
-    installed), [snapshot.share] (before the epoch's shared-segment
-    accounting is recorded), [snapshot.reclaim] (after an old snapshot
-    is dropped) and [snapshot.gc] (after each reclaim-triggered
-    segment sweep), so the crash sweeps can kill the writer at every
-    sharing boundary and verify pinned readers never notice. *)
+    by a private mutex.  Registry operations cross the fault points
+    [snapshot.publish] (before the new snapshot is installed) and
+    [snapshot.reclaim] (after an old snapshot is dropped), so the
+    crash sweeps can kill the writer on both sides of a publish and
+    verify pinned readers never notice. *)
 
 type t
 (** One immutable snapshot of a committed epoch. *)
@@ -104,8 +99,8 @@ val capture :
        answers nor any ancestor of one in [prev]'s view.}}
 
     A rewrite-lane decision migrates across non-structural epochs
-    only; a structural epoch without [footprint] (recovery, refresh)
-    carries no decision.  Every per-role map of [prev] is patched
+    only; a structural epoch without [footprint] (recovery) carries no
+    decision.  Every per-role map of [prev] is patched
     into the new snapshot by {!Cam.apply_changes} over the change
     set.  Carry is gated on provenance (same tree family, exactly the
     next generation, physically equal policy) and silently skipped
@@ -124,22 +119,12 @@ val capture :
     [snapshot.cache.dropped.written] (an answer or an ancestor was
     written) and [snapshot.role_cam_patches] (per-role maps
     patched).
-    @raise Invalid_argument when [doc] is itself a frozen view. *)
 
-val capture_full :
-  ?annotated:bool ->
-  ?bits_annotated:bool ->
-  epoch:int ->
-  policy:Policy.t ->
-  cam:Cam.t ->
-  metrics:Xmlac_util.Metrics.t ->
-  Xmlac_xml.Tree.t ->
-  t
-(** The pre-sharing capture: a deep [Tree.copy] of the document,
-    O(nodes), sharing nothing with the live tree or other snapshots.
-    Kept as the equivalence baseline ([test_mvcc]'s COW ≡ full-copy
-    property, the [exp_snapshot] bench's full-copy lane); the engine
-    always uses {!capture}. *)
+    A capture of a fresh {!Xmlac_xml.Tree.copy} with no [prev] shares
+    no record with any other snapshot and carries nothing: the
+    full-copy baseline the tests and the snapshot bench compare
+    against.
+    @raise Invalid_argument when [doc] is itself a frozen view. *)
 
 val epoch : t -> int
 (** The committed [sign_epoch] this snapshot captures. *)
@@ -160,10 +145,6 @@ val bits_annotated : t -> bool
 
 val pins : t -> int
 (** Current pin count (readers holding this snapshot). *)
-
-val cow : t -> bool
-(** Whether this snapshot shares structure ({!capture}) rather than
-    owning a deep copy ({!capture_full}). *)
 
 val memo_capacity : int
 (** The bound on a snapshot's memo (256); the oldest entry is evicted
@@ -216,8 +197,7 @@ val request :
 
     The engine owns one registry; it holds the {e current} snapshot
     (the latest committed epoch) plus any {e retired} ones still kept
-    alive by pins, and the shared-segment accounting for the COW
-    snapshots of the current tree family. *)
+    alive by pins. *)
 
 type registry
 
@@ -228,10 +208,8 @@ val create_registry : metrics:Xmlac_util.Metrics.t -> unit -> registry
 val publish : registry -> t -> unit
 (** Install [t] as the current snapshot.  The previous current is
     reclaimed immediately when unpinned, and retired (kept for its
-    readers) otherwise.  Records the epoch's displaced records as
-    shared segments.  Crosses [snapshot.publish] then
-    [snapshot.share] before the swap, and [snapshot.reclaim] plus a
-    [snapshot.gc] sweep after a reclaim, all outside the registry
+    readers) otherwise.  Crosses [snapshot.publish] before the swap
+    and [snapshot.reclaim] after a reclaim, both outside the registry
     lock. *)
 
 val current : registry -> t option
@@ -246,8 +224,8 @@ val pin : registry -> t
 val unpin : registry -> t -> unit
 (** Release one pin.  A retired snapshot whose pin count reaches zero
     is reclaimed on the spot (the invariant: reclaim only at refcount
-    0, and only of non-current snapshots), followed by a
-    [snapshot.gc] segment sweep.
+    0, and only of non-current snapshots), crossing
+    [snapshot.reclaim].
     @raise Invalid_argument when [t] is not pinned. *)
 
 (** {1 Observability}
@@ -271,24 +249,6 @@ val max_retired : registry -> int
 (** High-water mark of the retired list — the reclaim lag: how far
     readers have trailed the writer at worst. *)
 
-val shared_records : registry -> int
-(** Displaced records currently held by live segments — the COW
-    overhead beyond one document: what pinned history costs over and
-    above the current tree. *)
-
-val shared_total : registry -> int
-(** Lifetime records recorded into segments at publish. *)
-
-val freed_total : registry -> int
-(** Lifetime records released by gc sweeps. *)
-
-val gc_passes : registry -> int
-(** Reclaim-triggered segment sweeps run. *)
-
 val pp_registry : Format.formatter -> registry -> unit
 (** Deterministic one-line summary (no addresses, no times) — safe
     for golden CLI transcripts. *)
-
-val pp_sharing : Format.formatter -> registry -> unit
-(** Deterministic one-line summary of the segment accounting (live
-    segments, records held, lifetime shared/freed, gc passes). *)

@@ -50,7 +50,6 @@ let make ~root decls =
 let root t = t.root
 let element_types t = t.order
 let content t name = Hashtbl.find t.decls name
-let declares t name = Hashtbl.mem t.decls name
 
 let child_types t name =
   match Hashtbl.find_opt t.decls name with

@@ -38,8 +38,6 @@ val element_types : t -> string list
 val content : t -> string -> content
 (** @raise Not_found for undeclared types. *)
 
-val declares : t -> string -> bool
-
 val child_types : t -> string -> string list
 (** Element types that may appear as children, in declaration order. *)
 

@@ -32,22 +32,17 @@ type node = {
 }
 
 (* Per-generation write accounting, reset at every freeze: the ids
-   written (the epoch's change set — a path copy alone writes nothing),
-   records born, records displaced per birth generation (the
-   chunk-refcount feed of the snapshot registry), and the coarse
-   change-kind flag downstream carry decisions key on. *)
+   written (the epoch's change set — a path copy alone writes nothing)
+   and the coarse change-kind flag downstream carry decisions key
+   on. *)
 type delta = {
   mutable changed : unit Imap.t;
-  mutable born : int;
-  mutable displaced : int Imap.t;
   mutable structural : bool;
 }
 
 type freeze_stats = {
   frozen_gen : int;
   changed : int list;
-  born : int;
-  displaced : (int * int) list;
   structural : bool;
 }
 
@@ -71,8 +66,6 @@ let new_family () =
 let empty_delta () =
   {
     changed = Imap.empty;
-    born = 0;
-    displaced = Imap.empty;
     structural = false;
   }
 
@@ -90,7 +83,6 @@ let fresh_node t ~name ~value ~parent =
   in
   t.index <- Imap.add id n t.index;
   t.node_count <- t.node_count + 1;
-  t.delta.born <- t.delta.born + 1;
   touch t id;
   n
 
@@ -124,9 +116,6 @@ let resolve name t (n : node) =
   | Some c -> c
   | None -> invalid_arg name
 
-let bump_displaced (d : delta) g = d.displaced <- Imap.update g
-    (function None -> Some 1 | Some c -> Some (c + 1)) d.displaced
-
 (* Path-copy: make the node's current record private to the current
    generation.  The parent chain is privatized first (resolved by id —
    a shared record's parent pointer can itself be displaced), then the
@@ -144,7 +133,6 @@ let rec privatize t (n : node) =
           | None -> assert false)
     in
     let fresh = { n with gen = t.gen; parent = parent' } in
-    bump_displaced t.delta n.gen;
     (match parent' with
     | Some p ->
         p.children <-
@@ -199,8 +187,6 @@ let delete t node =
         (fun n ->
           t.index <- Imap.remove n.id t.index;
           t.node_count <- t.node_count - 1;
-          if n.gen = t.gen then t.delta.born <- t.delta.born - 1
-          else bump_displaced t.delta n.gen;
           touch t n.id)
         node;
       t.delta.structural <- true;
@@ -331,8 +317,6 @@ let freeze t =
     {
       frozen_gen = t.gen;
       changed = List.rev (Imap.fold (fun id () acc -> id :: acc) d.changed []);
-      born = max 0 d.born;
-      displaced = Imap.bindings d.displaced;
       structural = d.structural;
     }
   in

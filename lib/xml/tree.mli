@@ -160,11 +160,6 @@ type freeze_stats = {
           epoch's change set.  A write is a sign, bitmap or value
           write, a birth or a deletion.  The ancestors a write merely
           path-copies are not listed: their slots did not change. *)
-  born : int;  (** Records created during the generation. *)
-  displaced : (int * int) list;
-      (** [(birth_gen, count)]: records superseded or deleted during
-          the generation, grouped by the generation that created them —
-          the snapshot registry's shared-chunk accounting feed. *)
   structural : bool;
       (** Whether the generation inserted/deleted nodes or changed a
           value (anything that can move query answer sets). *)
@@ -186,8 +181,8 @@ val generation : t -> int
 val family : t -> int
 (** Process-unique identifier shared by a tree and every view frozen
     from it; [copy] starts a new family.  Two trees share structure
-    only within one family, so snapshot-sharing accounting keys on
-    it. *)
+    only within one family, so snapshot carry-forward requires the
+    captured view to be of its predecessor's family. *)
 
 (** {1 Copying and comparison} *)
 

@@ -37,8 +37,6 @@ and pp_qual ppf = function
       Format.fprintf ppf "%a %s %a" pp_rel p (cmp_to_string op) pp_const d
   | And (a, b) -> Format.fprintf ppf "%a and %a" pp_qual a pp_qual b
 
-let pp_path ppf p = pp_rel ppf p
-
 let pp_expr ppf (e : expr) =
   (* Absolute expressions always start with a separator. *)
   match e.steps with

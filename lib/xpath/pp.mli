@@ -4,7 +4,6 @@
     {!Parser.parse}. *)
 
 val pp_expr : Format.formatter -> Ast.expr -> unit
-val pp_path : Format.formatter -> Ast.path -> unit
 val pp_qual : Format.formatter -> Ast.qual -> unit
 
 val expr_to_string : Ast.expr -> string

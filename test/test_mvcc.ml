@@ -183,7 +183,7 @@ let test_crash_sweep_pinned_readers () =
   List.iter
     (fun p ->
       Alcotest.(check bool) ("sweep covers " ^ p) true (List.mem p points))
-    [ "snapshot.publish"; "snapshot.share"; "snapshot.reclaim"; "snapshot.gc" ];
+    [ "snapshot.publish"; "snapshot.reclaim" ];
   List.iter
     (fun point ->
       Fault.reset ();
@@ -213,18 +213,14 @@ let test_crash_sweep_pinned_readers () =
   Fault.reset ()
 
 (* ------------------------------------------------------------------ *)
-(* Structural sharing: published snapshots are COW views, memoized
-   decisions carry across a non-structural epoch, and the registry's
-   segment accounting drains to zero once no live generation needs the
-   displaced records. *)
+(* Carry-forward: memoized decisions survive a non-structural epoch.
+   Record sharing between a frozen view and the live tree is checked
+   at the tree level ([test_xml]'s freeze change set). *)
 
-let test_cow_sharing_and_carry () =
+let test_memo_carried_across_sign_epoch () =
   Fault.reset ();
   let eng = annotated_engine () in
-  let reg = Engine.snapshots eng in
   let s0 = Engine.pin_snapshot eng in
-  Alcotest.(check bool) "published snapshots share structure" true
-    (Snapshot.cow s0);
   (* Memoize a rewrite-lane decision: it reads no annotation, so the
      next non-structural epoch must carry it instead of recomputing. *)
   let d0 =
@@ -241,23 +237,34 @@ let test_cow_sharing_and_carry () =
   Alcotest.(check string) "carried decision is the epoch's own answer" d0
     (Format.asprintf "%a" Requester.pp
        (Snapshot.request ~lane:Rewrite.Rewrite s1 "//nurse"));
-  (* A structural epoch displaces shared records; the registry holds
-     them as segments while pinned generations still need them. *)
-  ignore (Engine.update eng probe_update);
-  Alcotest.(check bool) "displaced records recorded at publish" true
-    (Snapshot.shared_total reg > 0);
-  Alcotest.(check bool) "pinned history keeps segments live" true
-    (Snapshot.shared_records reg > 0);
   Engine.unpin_snapshot eng s0;
-  Engine.unpin_snapshot eng s1;
-  Alcotest.(check bool) "reclaim triggered gc sweeps" true
-    (Snapshot.gc_passes reg >= 1);
-  Alcotest.(check int) "no live generation needs the old segments" 0
-    (Snapshot.shared_records reg);
-  Alcotest.(check int) "every shared record accounted freed"
-    (Snapshot.shared_total reg) (Snapshot.freed_total reg);
-  Alcotest.(check bool) "sharing summary renders" true
-    (String.length (Format.asprintf "%a" Snapshot.pp_sharing reg) > 0)
+  Engine.unpin_snapshot eng s1
+
+(* A standalone registry over a private copy of an annotated engine's
+   document, published the way the engine publishes: [publish ()]
+   captures the copy's current state against the current snapshot,
+   with a CAM built over it.  [fresh ()] captures a deep copy of that
+   state with no [prev] — nothing carried — as the reference.  The
+   tests write signs on the copy directly, as an epoch would. *)
+let standalone eng =
+  let policy = Engine.policy eng and metrics = Metrics.create () in
+  let doc = Tree.copy (Engine.document eng) in
+  let reg = Snapshot.create_registry ~metrics () in
+  let capture ?prev ~metrics doc =
+    Snapshot.capture ?prev ~epoch:(Snapshot.published reg) ~policy
+      ~cam:(Cam.build doc ~default:(Policy.ds policy)) ~metrics doc
+  in
+  let publish () =
+    Snapshot.publish reg (capture ?prev:(Snapshot.current reg) ~metrics doc);
+    Option.get (Snapshot.current reg)
+  in
+  let fresh () = capture ~metrics:(Metrics.create ()) (Tree.copy doc) in
+  let misses () = Metrics.counter metrics "snapshot.cache.misses" in
+  (doc, publish, fresh, misses)
+
+let flip_sign doc (n : Tree.node) =
+  Tree.set_sign doc n
+    (Some (match n.Tree.sign with Some Tree.Plus -> Tree.Minus | _ -> Tree.Plus))
 
 (* Carry-forward reads ancestors too: a materialized memo whose
    answers the epoch left alone, but one of whose answers' ancestors
@@ -265,39 +272,34 @@ let test_cow_sharing_and_carry () =
    snapshot is, which shows carry-forward ran at all. *)
 let test_carry_checks_answer_ancestors () =
   Fault.reset ();
-  let eng = annotated_engine () in
-  let m = Engine.metrics eng in
-  let misses () = Metrics.counter m "cache.misses" in
+  let doc, publish, fresh, misses = standalone (annotated_engine ()) in
   let q = "//patient/name" and control = "//nurse" in
-  let d0 = Engine.request eng Engine.Native q in
-  ignore (Engine.request ~lane:Rewrite.Rewrite eng Engine.Native control);
-  let doc = Engine.document eng in
+  let s0 = publish () in
+  let d0 = Snapshot.request s0 q in
+  ignore (Snapshot.request ~lane:Rewrite.Rewrite s0 control);
   let name_ids = Helpers.ids doc q in
   let patient =
     match Option.bind (Tree.find doc (List.hd name_ids)) Tree.parent with
     | Some p -> Option.get (Tree.find doc p.Tree.id)
     | None -> Alcotest.fail "a name without a patient"
   in
-  let flipped =
-    match patient.Tree.sign with Some Tree.Plus -> Tree.Minus | _ -> Tree.Plus
-  in
-  Tree.set_sign doc patient (Some flipped);
-  Engine.refresh eng;
+  flip_sign doc patient;
+  let s1 = publish () in
   let before = misses () in
-  ignore (Engine.request ~lane:Rewrite.Rewrite eng Engine.Native control);
+  ignore (Snapshot.request ~lane:Rewrite.Rewrite s1 control);
   Alcotest.(check int) "rewrite-lane memo carried" before (misses ());
-  let d1 = Engine.request eng Engine.Native q in
+  let d1 = Snapshot.request s1 q in
   Alcotest.(check int) "memo over a changed ancestor not carried" (before + 1)
     (misses ());
-  Alcotest.(check bool) "decision equals the direct read" true
-    (d1 = Engine.request_direct eng Engine.Native q);
+  Alcotest.(check bool) "decision equals a fresh capture's" true
+    (d1 = Snapshot.request (fresh ()) q);
   Alcotest.(check bool) "the answers themselves were untouched" true
     (d1 = d0)
 
 (* ------------------------------------------------------------------ *)
 (* A killed COW publish must never corrupt a pinned neighbor.  The
-   writer dies inside the sharing machinery — publish, segment
-   recording, reclaim, gc sweep — while a reader pins an older view
+   writer dies inside the registry — before the publish swap or after
+   a reclaim — while a reader pins an older view
    that shares records with both the corpse and the survivor.  The
    neighbor is checked two ways: its decision transcript (memoized)
    and a fresh structural walk over every node's effective sign, which
@@ -320,8 +322,8 @@ let test_cow_kill_never_corrupts_pinned_neighbor () =
       Fault.reset ();
       let eng = annotated_engine () in
       (* Pin epoch N, then commit N+1 unpinned, so the next publish
-         reclaims N+1 on the spot — the reclaim is what pulls the gc
-         sweep into the victim update's path. *)
+         reclaims N+1 on the spot — the reclaim is what puts
+         [snapshot.reclaim] on the victim update's path. *)
       let neighbor = Engine.pin_snapshot eng in
       let before = transcript neighbor in
       let before_sig = view_signature neighbor in
@@ -349,7 +351,7 @@ let test_cow_kill_never_corrupts_pinned_neighbor () =
         (Printf.sprintf "neighbor records intact after recovery from %s" point)
         before_sig (view_signature neighbor);
       Engine.unpin_snapshot eng neighbor)
-    [ "snapshot.publish"; "snapshot.share"; "snapshot.reclaim"; "snapshot.gc" ]
+    [ "snapshot.publish"; "snapshot.reclaim" ]
 
 (* ------------------------------------------------------------------ *)
 (* The qcheck property: random documents, policies and updates —
@@ -478,13 +480,13 @@ let cow_equiv_prop =
       let twin () =
         let cow = Engine.pin_snapshot eng in
         let full =
-          Snapshot.capture_full
+          Snapshot.capture
             ~annotated:(Snapshot.annotated cow)
             ~bits_annotated:(Snapshot.bits_annotated cow)
             ~epoch:(Engine.sign_epoch eng) ~policy:(Engine.policy eng)
             ~cam:(Engine.cam eng)
             ~metrics:(Metrics.create ())
-            (Engine.document eng)
+            (Tree.copy (Engine.document eng))
         in
         (* Reading through the COW side now populates its memo cache,
            so the engine's next publish exercises carry-forward on
@@ -506,10 +508,11 @@ let cow_equiv_prop =
       done;
       List.iter
         (fun (cow, full) ->
-          if not (Snapshot.cow cow) then
+          let family s = Tree.family (Snapshot.document s) in
+          if family cow <> Tree.family (Engine.document eng) then
             QCheck2.Test.fail_report "engine snapshot does not share structure";
-          if Snapshot.cow full then
-            QCheck2.Test.fail_report "capture_full claims sharing";
+          if family full = family cow then
+            QCheck2.Test.fail_report "full-copy twin shares structure";
           if Snapshot.epoch cow <> Snapshot.epoch full then
             QCheck2.Test.fail_report "twins disagree on their epoch";
           (* Visible node set and every effective sign. *)
@@ -555,22 +558,16 @@ let find_named doc name =
    answers sit elsewhere must answer from the carried memo. *)
 let test_carry_across_unrelated_write () =
   Fault.reset ();
-  let eng = annotated_engine () in
-  let misses () = Metrics.counter (Engine.metrics eng) "cache.misses" in
+  let doc, publish, fresh, misses = standalone (annotated_engine ()) in
   let q = "//patient/name" in
-  ignore (Engine.request eng Engine.Native q);
-  let doc = Engine.document eng in
-  let med = find_named doc "med" in
-  let flipped =
-    match med.Tree.sign with Some Tree.Plus -> Tree.Minus | _ -> Tree.Plus
-  in
-  Tree.set_sign doc med (Some flipped);
-  Engine.refresh eng;
+  ignore (Snapshot.request (publish ()) q);
+  flip_sign doc (find_named doc "med");
+  let s1 = publish () in
   let before = misses () in
-  let d = Engine.request eng Engine.Native q in
+  let d = Snapshot.request s1 q in
   Alcotest.(check int) "answered from the carried memo" before (misses ());
-  Alcotest.(check bool) "decision equals the direct read" true
-    (d = Engine.request_direct eng Engine.Native q)
+  Alcotest.(check bool) "decision equals a fresh capture's" true
+    (d = Snapshot.request (fresh ()) q)
 
 (* Deleting every treatment cannot move the staff records: the two
    schema footprints share no root path, and the sign repair writes
@@ -835,8 +832,8 @@ let () =
         ] );
       ( "sharing",
         [
-          tc "cow capture, carry-forward, segment gc"
-            test_cow_sharing_and_carry;
+          tc "memo carried across a sign-only epoch"
+            test_memo_carried_across_sign_epoch;
           tc "killed publish never corrupts a pinned neighbor"
             test_cow_kill_never_corrupts_pinned_neighbor;
           tc "carry checks the answers' ancestors"

@@ -338,16 +338,6 @@ let test_engine_request_parse_error () =
     Alcotest.(check bool) "names the query" true
       (Helpers.contains msg "//patient[")
 
-let test_engine_refresh_after_external_mutation () =
-  let eng = hospital_engine () in
-  (* Mutate behind the engine's back, then refresh the fast lane. *)
-  let warm = Engine.request eng Engine.Native "//patient" in
-  ignore warm;
-  (Engine.backend eng Engine.Native).Backend.reset_signs
-    ~default:(Policy.ds (Engine.policy eng));
-  Engine.refresh eng;
-  check_fast_lane_matches eng "after refresh"
-
 (* ------------------------------------------------------------------ *)
 (* The acceptance property: CAM/cache-served decisions are identical
    to direct sign-read decisions across random documents, policies and
@@ -433,8 +423,6 @@ let () =
           tc "cache hits and epoch" test_engine_cache_hits_and_epoch;
           tc "insert maintains cam" test_engine_insert_maintains_cam;
           tc "parse error via engine" test_engine_request_parse_error;
-          tc "refresh after external mutation"
-            test_engine_refresh_after_external_mutation;
           QCheck_alcotest.to_alcotest fast_lane_equivalence_prop;
         ] );
     ]

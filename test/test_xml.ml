@@ -114,11 +114,21 @@ let test_tree_graft () =
    sign write path-copies its ancestors, but their slots did not
    change, so they are not listed; an insert lists the born id, not
    the parent whose child list it extended; a delete lists the whole
-   deleted subtree. *)
+   deleted subtree.  The write path-copies only the written node and
+   its ancestors: the view frozen before it keeps every other record
+   physically shared with the live tree. *)
 let test_tree_freeze_change_set () =
   let doc, root, b, c, d = small_doc () in
-  ignore (Tree.freeze doc);
+  let view, _ = Tree.freeze doc in
   Tree.set_sign doc d (Some Tree.Plus);
+  let shared (n : Tree.node) =
+    Option.get (Tree.find view n.Tree.id) == Option.get (Tree.find doc n.Tree.id)
+  in
+  Alcotest.(check bool) "untouched record shared" true (shared c);
+  List.iter
+    (fun (n : Tree.node) ->
+      Alcotest.(check bool) (n.Tree.name ^ " path-copied") false (shared n))
+    [ d; b; root ];
   let _, st = Tree.freeze doc in
   Alcotest.(check (list int)) "sign write" [ d.Tree.id ] st.Tree.changed;
   Alcotest.(check bool) "signs only" false st.Tree.structural;
