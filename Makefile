@@ -55,6 +55,13 @@ bench-concurrent:
 bench-rewrite:
 	dune exec bench/main.exe -- -e rewrite
 
+# Evaluator: Eval vs the pre/size index on a frozen XMark f=0.1 view
+# over the repo benchmark's query pool — index build ms, then per-query
+# mean/p50/p99 us and minor words.  Exits non-zero if any answer
+# differs.
+bench-eval:
+	dune exec bench/main.exe -- -e eval
+
 # Snapshot publication: full-copy vs COW publish p50/p99 across a
 # document ladder, plus 1000 pinned epochs of retained history.
 # Exits non-zero if COW publish is not sublinear in document size,
@@ -107,4 +114,4 @@ quickstart:
 clean:
 	dune clean
 
-.PHONY: all test ci soak bench bench-full bench-multirole bench-concurrent bench-rewrite bench-snapshot bench-replication soak-replication perfbench-smoke doc loc quickstart clean
+.PHONY: all test ci soak bench bench-full bench-multirole bench-concurrent bench-rewrite bench-eval bench-snapshot bench-replication soak-replication perfbench-smoke doc loc quickstart clean

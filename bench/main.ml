@@ -26,6 +26,7 @@ type experiment =
   | Concurrent
   | Snapshot
   | Replication
+  | Eval
   | Micro
   | All
 
@@ -46,6 +47,7 @@ let experiment_of_string = function
   | "concurrent" -> Ok Concurrent
   | "snapshot" -> Ok Snapshot
   | "replication" -> Ok Replication
+  | "eval" -> Ok Eval
   | "micro" -> Ok Micro
   | "all" -> Ok All
   | s -> Error (`Msg (Printf.sprintf "unknown experiment %S" s))
@@ -72,6 +74,7 @@ let experiment_conv =
           | Concurrent -> "concurrent"
           | Snapshot -> "snapshot"
           | Replication -> "replication"
+          | Eval -> "eval"
           | Micro -> "micro"
           | All -> "all") )
 
@@ -92,6 +95,7 @@ let run_one cfg = function
   | Concurrent -> Exp_concurrent.run cfg
   | Snapshot -> Exp_snapshot.run cfg
   | Replication -> Exp_replication.run cfg
+  | Eval -> Exp_eval.run ()
   | Micro -> Exp_micro.run ()
   | All ->
       Exp_table3.run ();
@@ -110,6 +114,7 @@ let run_one cfg = function
       Exp_concurrent.run cfg;
       Exp_snapshot.run cfg;
       Exp_replication.run cfg;
+      Exp_eval.run ();
       Exp_micro.run ()
 
 let main experiments full updates factors =
@@ -138,7 +143,7 @@ let experiments_arg =
   let doc =
     "Experiment to run: table3, table5, fig9, fig10, fig11, fig12, ablation, \
      ablation-plan, requester, rewrite, multirole, recovery, resilience, \
-     concurrent, snapshot, replication, micro or all \
+     concurrent, snapshot, replication, eval, micro or all \
      (repeatable)."
   in
   Arg.(value & opt_all experiment_conv [] & info [ "e"; "experiment" ] ~doc)

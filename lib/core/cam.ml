@@ -78,6 +78,20 @@ let lookup t (n : Tree.node) =
   in
   up n
 
+(* The same walk over positions of another encoding of the document:
+   [id] names the node at a position, [parent] steps up (negative past
+   the root). *)
+let lookup_at t ~id ~parent pos =
+  Xmlac_util.Deadline.checkpoint ();
+  let rec up p =
+    if p < 0 then t.default
+    else
+      match Imap.find_opt (id p) t.map with
+      | Some s -> s
+      | None -> up (parent p)
+  in
+  up pos
+
 let default t = t.default
 let entries t = Imap.cardinal t.map
 let node_count t = t.node_count

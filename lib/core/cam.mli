@@ -57,6 +57,14 @@ val lookup : t -> Xmlac_xml.Tree.node -> Xmlac_xml.Tree.sign
     Crosses one {!Xmlac_util.Deadline.checkpoint} per call, so lookups
     under a serve-layer budget time out cooperatively. *)
 
+val lookup_at : t -> id:(int -> int) -> parent:(int -> int) -> int -> Xmlac_xml.Tree.sign
+(** {!lookup} over the positions of another encoding of the same
+    document, such as the preorder ranks of an
+    {!Xmlac_xpath.Index}: [id p] is the node id at position [p] and
+    [parent p] its parent's position, negative at the root.  Walks
+    parent positions instead of node records, with the same single
+    {!Xmlac_util.Deadline.checkpoint}. *)
+
 val default : t -> Xmlac_xml.Tree.sign
 
 val entries : t -> int

@@ -210,40 +210,45 @@ let equiv ?schema a b =
 
 let ids_of_table tbl = Hashtbl.fold (fun id () s -> Ids.add id s) tbl Ids.empty
 
-let rec eval_node_memo memo doc = function
+(* [scope] evaluates one XPath to its id set; [memo], when given,
+   shares each distinct XPath's (by printed form) answer across the
+   plans of one batch. *)
+let rec eval_node_memo memo scope = function
   | Empty -> Ids.empty
   | Scope e -> (
       match memo with
-      | None -> ids_of_table (Xp.Eval.node_set doc e)
+      | None -> scope e
       | Some tbl -> (
           let key = Xp.Pp.expr_to_string e in
           match Hashtbl.find_opt tbl key with
           | Some s -> s
           | None ->
-              let s = ids_of_table (Xp.Eval.node_set doc e) in
+              let s = scope e in
               Hashtbl.replace tbl key s;
               s))
   | Union ps ->
       List.fold_left
-        (fun acc p -> Ids.union acc (eval_node_memo memo doc p))
+        (fun acc p -> Ids.union acc (eval_node_memo memo scope p))
         Ids.empty ps
   | Except (a, b) ->
-      Ids.diff (eval_node_memo memo doc a) (eval_node_memo memo doc b)
+      Ids.diff (eval_node_memo memo scope a) (eval_node_memo memo scope b)
   | Intersect (a, b) ->
-      Ids.inter (eval_node_memo memo doc a) (eval_node_memo memo doc b)
-  | Restrict (s, p) -> Ids.inter s (eval_node_memo memo doc p)
+      Ids.inter (eval_node_memo memo scope a) (eval_node_memo memo scope b)
+  | Restrict (s, p) -> Ids.inter s (eval_node_memo memo scope p)
 
-let eval_node doc p = eval_node_memo None doc p
+let tree_scope doc e = ids_of_table (Xp.Eval.node_set doc e)
 
-let eval_native doc t = eval_node doc t.query
+let eval_native doc t = eval_node_memo None (tree_scope doc) t.query
 let native_ids doc t = Ids.elements (eval_native doc t)
 
 (* One scope memo across a batch of plans: role plans from one policy
    share most of their scopes, so each distinct XPath evaluates once
    per document no matter how many roles reference it. *)
-let native_ids_shared doc ts =
+let ids_shared scope ts =
   let memo = Some (Hashtbl.create 32) in
-  List.map (fun t -> Ids.elements (eval_node_memo memo doc t.query)) ts
+  List.map (fun t -> Ids.elements (eval_node_memo memo scope t.query)) ts
+
+let native_ids_shared doc ts = ids_shared (tree_scope doc) ts
 
 (* --- relational lowering ------------------------------------------ *)
 

@@ -134,6 +134,11 @@ val native_ids_shared : Xmlac_xml.Tree.t -> t list -> int list list
     matter how many plans reference it — the native store's half of the
     multi-role shared annotation pass. *)
 
+val ids_shared : (Xmlac_xpath.Ast.expr -> Ids.t) -> t list -> int list list
+(** {!native_ids_shared} over any scope evaluator: [scope e] is the id
+    set of one XPath.  Frozen snapshots pass their
+    {!Xmlac_xpath.Index}. *)
+
 val split_restriction : t -> Ids.t option * t
 (** Peels top-level restrictions off the query (intersecting nested
     ones); the remaining plan is [Restrict]-free at the root and

@@ -62,8 +62,8 @@ let eval (b : Backend.t) c =
       { granted_ids; blocked = List.length residue_ids }
   | _ -> assert false
 
-let eval_tree doc c =
-  match Plan.native_ids_shared doc [ c.granted; c.residue ] with
+let eval_scopes scope c =
+  match Plan.ids_shared scope [ c.granted; c.residue ] with
   | [ granted_ids; residue_ids ] ->
       { granted_ids; blocked = List.length residue_ids }
   | _ -> assert false

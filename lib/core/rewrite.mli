@@ -97,7 +97,7 @@ val eval : Backend.t -> compiled -> answer
     bitmap read.  Each plan crosses the backend's [<prefix>.eval]
     fault point like any other evaluation. *)
 
-val eval_tree : Xmlac_xml.Tree.t -> compiled -> answer
-(** Both plans directly over a tree ({!Plan.native_ids_shared}, shared
-    scope memo) — the frozen-snapshot path, which has a document but no
+val eval_scopes : (Xmlac_xpath.Ast.expr -> Plan.Ids.t) -> compiled -> answer
+(** Both plans over a scope evaluator ({!Plan.ids_shared}, shared scope
+    memo) — the frozen-snapshot path, which has a document index but no
     {!Backend.t}. *)

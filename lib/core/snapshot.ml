@@ -1,5 +1,6 @@
 module Tree = Xmlac_xml.Tree
 module Ast = Xmlac_xpath.Ast
+module Index = Xmlac_xpath.Index
 module Schema_match = Xmlac_xpath.Schema_match
 module Metrics = Xmlac_util.Metrics
 module Fault = Xmlac_util.Fault
@@ -27,6 +28,12 @@ type t = {
   doc : Tree.t;  (* frozen COW view *)
   gen : int;  (* the generation the view froze *)
   cam : Cam.t;  (* frozen single-subject map *)
+  index : Index.t option Atomic.t;
+      (* The view's pre/size index, built by the first miss that needs
+         it and published by compare-and-set, so concurrent first
+         misses agree on one index without taking [lock].  The slot
+         itself is shared along a run of non-structural epochs, whose
+         views all have the same nodes, names and values. *)
   annotated : bool;  (* signs had a committed annotation epoch at capture *)
   bits_annotated : bool;  (* ... and likewise the role bitmaps *)
   policy : Policy.t;
@@ -212,12 +219,25 @@ let capture ?(annotated = true) ?(bits_annotated = true) ?prev ?footprint
     ~epoch ~policy ~cam ~metrics doc =
   let view, stats = Tree.freeze doc in
   Metrics.incr metrics "snapshot.captures";
+  (* A sign-only epoch leaves the encoding where it was, so the next
+     view takes over its predecessor's index slot, built or not. *)
+  let index =
+    match prev with
+    | Some p
+      when Tree.family p.doc = Tree.family view
+           && stats.Tree.frozen_gen = p.gen + 1
+           && not stats.Tree.structural ->
+        Metrics.incr metrics "snapshot.index_shared";
+        p.index
+    | _ -> Atomic.make None
+  in
   let t =
     {
       epoch;
       doc = view;
       gen = stats.Tree.frozen_gen;
       cam = Cam.freeze cam;
+      index;
       annotated;
       bits_annotated;
       policy;
@@ -237,6 +257,19 @@ let capture ?(annotated = true) ?(bits_annotated = true) ?prev ?footprint
 
 let epoch t = t.epoch
 let document t = t.doc
+
+(* A losing racer drops its own build and takes the published one. *)
+let index t =
+  match Atomic.get t.index with
+  | Some i -> i
+  | None ->
+      let i = Index.build t.doc in
+      if Atomic.compare_and_set t.index None (Some i) then begin
+        Metrics.incr t.metrics "snapshot.index_builds";
+        i
+      end
+      else Option.get (Atomic.get t.index)
+
 let cam t = t.cam
 let annotated t = t.annotated
 let bits_annotated t = t.bits_annotated
@@ -275,34 +308,45 @@ let role_cam t role =
       Metrics.incr t.metrics "snapshot.role_cam_builds";
       c
 
-(* The materialized lane over the frozen state: evaluate on the frozen
-   tree, check accessibility against the frozen (per-role) CAM. *)
+(* The materialized lane over the frozen state: evaluate on the view's
+   index, then check each answer against the frozen (per-role) CAM by
+   walking the index's parent ranks. *)
 let materialized_decision ?subject t expr =
   let cam =
     match subject with
     | None -> t.cam
     | Some role -> with_lock t.lock (fun () -> role_cam t role)
   in
-  let answers =
-    List.map (fun (n : Tree.node) -> n.Tree.id) (Xmlac_xpath.Eval.eval t.doc expr)
-    |> List.sort_uniq compare
-  in
-  Metrics.add t.metrics "cam.lookups" (List.length answers);
+  let idx = index t in
+  let ranks = Index.eval idx expr in
+  Metrics.add t.metrics "cam.lookups" (Array.length ranks);
+  let id = Index.id idx and parent = Index.parent idx in
+  let ids = Array.map id ranks in
+  Array.sort Int.compare ids;
+  let answers = Array.to_list ids in
   let d =
-    Requester.decide ~ids:answers ~accessible:(fun id ->
-        match Tree.find t.doc id with
-        | Some n -> Cam.lookup cam n = Tree.Plus
-        | None -> false)
+    match
+      Requester.decide ~ids:(Array.to_list ranks) ~accessible:(fun r ->
+          Cam.lookup_at cam ~id ~parent r = Tree.Plus)
+    with
+    | Requester.Granted _ -> Requester.Granted answers
+    | denied -> denied
   in
   { expr; answers = Some answers; decision = d }
 
 (* The rewrite lane over the frozen state: compile the request against
    the frozen policy and evaluate the granted/residue pair on the
-   frozen tree — no CAM, no sign, no bitmap, so a never-annotated
+   view's index — no CAM, no sign, no bitmap, so a never-annotated
    frozen document still answers the true policy decision. *)
 let rewritten_decision ?subject t expr =
   let compiled = Rewrite.compile ?subject t.policy expr in
-  let answer = Rewrite.eval_tree t.doc compiled in
+  let idx = index t in
+  let scope e =
+    Array.fold_left
+      (fun s r -> Plan.Ids.add (Index.id idx r) s)
+      Plan.Ids.empty (Index.eval idx e)
+  in
+  let answer = Rewrite.eval_scopes scope compiled in
   let d =
     if answer.Rewrite.blocked > 0 then
       Requester.Denied { blocked = answer.Rewrite.blocked }

@@ -5,10 +5,12 @@
     blocks the read path.  This module breaks that coupling: every
     committed [sign_epoch] becomes an {e immutable versioned snapshot}
     — a frozen copy-on-write view of the document, a frozen {!Cam}
-    over its signs, lazily built per-role maps over its bitmaps, and a
-    private bounded memo of decisions, all keyed by the epoch that
-    committed them.  The engine's own native reads go through the
-    current snapshot too, so every reader shares one read path.  Readers {e pin} a snapshot (refcounted) and answer requests
+    over its signs, lazily built per-role maps over its bitmaps, a
+    lazily built pre/size index of the view ({!Xmlac_xpath.Index},
+    which every read miss evaluates on), and a private bounded memo of
+    decisions, all keyed by the epoch that committed them.  The
+    engine's own native reads go through the current snapshot too, so
+    every reader shares one read path.  Readers {e pin} a snapshot (refcounted) and answer requests
     from it for as long as they like while the engine builds the next
     epoch against its own working set; a snapshot is {e reclaimed}
     (its references dropped, so the GC frees its private records) only
@@ -22,7 +24,10 @@
     record the intervening epoch did not touch, the CAM's persistent
     entry map is shared wholesale, memoized decisions are {e carried
     forward} whenever the epoch provably cannot have moved them, and
-    per-role maps are patched at the written ids.  A decision carries
+    per-role maps are patched at the written ids.  A non-structural
+    epoch hands its predecessor's index on as well (see {!index}); a
+    structural one leaves its first miss to build a new one, so no
+    capture ever builds an index.  A decision carries
     when the epoch's change set holds none of its answers nor their
     ancestors and, for a structural epoch, the paper's §5.3 schema
     test (the one the [Overlap] trigger applies to rules) shows the
@@ -54,9 +59,10 @@
        keep the records they froze.}}
 
     A snapshot is safe to share across OCaml domains: the document
-    view and the single-subject map are frozen at capture, and the two
-    mutable members (the per-role map table and the memo) are guarded
-    by a private mutex.  Registry operations cross the fault points
+    view and the single-subject map are frozen at capture, the index
+    is published once through an atomic slot and read-only after, and
+    the two other mutable members (the per-role map table and the
+    memo) are guarded by a private mutex.  Registry operations cross the fault points
     [snapshot.publish] (before the new snapshot is installed) and
     [snapshot.reclaim] (after an old snapshot is dropped), so the
     crash sweeps can kill the writer on both sides of a publish and
@@ -106,13 +112,19 @@ val capture :
     next generation, physically equal policy) and silently skipped
     otherwise.
 
+    The index slot is handed on under provenance alone (same tree
+    family, exactly the next generation) when the epoch is
+    non-structural, counting [snapshot.index_shared]; policy
+    equality does not matter, since the index holds no annotation.
+
     [annotated] / [bits_annotated] (both default [true]) record
     whether the frozen signs / role bitmaps carried a committed
     annotation epoch at capture — {!request}'s auto lane routes a
     never-annotated frozen document through the rewrite lane instead
     of its default-sign CAM.  [metrics] receives the snapshot's
     lifetime counters ([snapshot.captures], [snapshot.cache.*],
-    [snapshot.role_cam_builds], and those {!request} counts).  Carry
+    [snapshot.role_cam_builds], [snapshot.index_builds],
+    [snapshot.index_shared], and those {!request} counts).  Carry
     counts once per capture: [snapshot.cache.carried],
     [snapshot.cache.dropped.footprint] (the structural test failed, or
     a rewrite-lane entry met a structural epoch),
@@ -135,6 +147,18 @@ val document : t -> Xmlac_xml.Tree.t
 
 val cam : t -> Cam.t
 (** The frozen single-subject accessibility map. *)
+
+val index : t -> Xmlac_xpath.Index.t
+(** The frozen view's pre/size index ({!Xmlac_xpath.Index}), which
+    every {!request} miss evaluates on.  Built on first use, never by
+    {!capture}: the first miss (or call) builds it and publishes it
+    with a compare-and-set, so concurrent first misses on several
+    domains all use one index (a loser's duplicate build is dropped)
+    and [snapshot.index_builds] counts each index once.  A capture
+    whose epoch is continuous with [prev] (same tree family, next
+    generation) and non-structural takes over [prev]'s index slot,
+    built or still empty, and counts [snapshot.index_shared]: a
+    sign-only epoch moves no node, name or value. *)
 
 val annotated : t -> bool
 (** Whether the frozen signs carried a committed annotation epoch at
@@ -167,21 +191,24 @@ val request :
   string ->
   Requester.decision
 (** [request ?subject t query] answers the all-or-nothing request
-    from the snapshot alone: evaluate [query] on the frozen document,
-    check accessibility against the frozen CAM ([?subject]: a lazily
-    built per-role map over the frozen bitmaps), and memoize the
-    decision in the snapshot's memo (keyed by the effective lane).
-    Full fidelity at the snapshot's epoch and never touches the live
-    stores, so it cannot block on (or be blocked by) the writer.
-    Crosses {!Xmlac_util.Deadline.checkpoint}s through [Cam.lookup],
-    so it honours a caller-installed budget.
+    from the snapshot alone: evaluate [query] on the frozen document's
+    {!index} (built by the first miss), check accessibility against
+    the frozen CAM ([?subject]: a lazily built per-role map over the
+    frozen bitmaps) by walking the index's parent ranks
+    ({!Cam.lookup_at}), and memoize the decision in the snapshot's memo
+    (keyed by the effective lane).  The answers are the ones
+    {!Xmlac_xpath.Eval.eval} gives on the frozen view.  Full fidelity
+    at the snapshot's epoch and never touches the live stores, so it
+    cannot block on (or be blocked by) the writer.  Crosses
+    {!Xmlac_util.Deadline.checkpoint}s through [Requester.decide] and
+    [Cam.lookup_at], so it honours a caller-installed budget.
 
     [~lane] (default {!Rewrite.Auto}) selects the enforcement lane as
     in {!Engine.request}: [Auto] picks the materialized lane iff the
     layer the request reads was annotated at capture
     ({!resolve_lane}); the rewrite lane compiles the request against
-    the frozen policy and evaluates it on the frozen tree with no
-    sign or bitmap read — how cold documents are served from pinned
+    the frozen policy and evaluates its scopes on the frozen view's
+    index with no sign or bitmap read — how cold documents are served from pinned
     sessions.
 
     A miss counts [lane.materialized] or [lane.rewrite] (and

@@ -25,11 +25,14 @@ let cmp_to_string = function
   | Gt -> ">"
   | Ge -> ">="
 
-let cmp_holds op v d =
+let cmp_holds_parsed op v d ~num =
   let c =
-    match (float_of_string_opt v, float_of_string_opt d) with
-    | Some x, Some y -> compare x y
-    | _ -> String.compare v d
+    match num with
+    | Some y -> (
+        match float_of_string_opt v with
+        | Some x -> compare x y
+        | None -> String.compare v d)
+    | None -> String.compare v d
   in
   match op with
   | Eq -> c = 0
@@ -38,6 +41,8 @@ let cmp_holds op v d =
   | Le -> c <= 0
   | Gt -> c > 0
   | Ge -> c >= 0
+
+let cmp_holds op v d = cmp_holds_parsed op v d ~num:(float_of_string_opt d)
 
 let rec equal_path p1 p2 =
   match (p1, p2) with

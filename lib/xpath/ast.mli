@@ -47,6 +47,11 @@ val cmp_holds : cmp -> string -> string -> bool
     [d]: numerically when both parse as numbers, lexicographically
     otherwise. *)
 
+val cmp_holds_parsed : cmp -> string -> string -> num:float option -> bool
+(** {!cmp_holds} with the constant's numeric reading given
+    ([num = float_of_string_opt d]), for a caller that compares many
+    values against one constant. *)
+
 val equal_expr : expr -> expr -> bool
 (** Structural (syntactic) equality, qualifier order significant. *)
 

@@ -3,9 +3,11 @@ module Tree = Xmlac_xml.Tree
 
 (* Node sets stay in document order.  Steps stream over the tree
    (children lists / preorder subtree walks) instead of materializing
-   descendant lists, qualifiers are evaluated with early exit, and a
-   per-step seen-set removes the duplicates that nested context nodes
-   would otherwise produce. *)
+   descendant lists, and qualifiers are evaluated with early exit.
+   A step's result travels with a flag saying whether one of its nodes
+   may lie below another ("nested").  Only a descendant step can make a
+   nested set, and only a nested context needs the extra work that
+   keeps the next step in document order and free of duplicates. *)
 
 let test_ok test (n : Tree.node) =
   match test with Wildcard -> true | Name l -> String.equal l n.Tree.name
@@ -49,26 +51,77 @@ and exists_rel (n : Tree.node) (p : path) accept =
          false
        with Found -> true)
 
-(* One step applied to a context list (document order in, document
-   order out). *)
-let select_step context (s : step) =
-  let out = ref [] in
-  let seen = Hashtbl.create 64 in
-  let consider (c : Tree.node) =
-    if test_ok s.test c && not (Hashtbl.mem seen c.Tree.id) then begin
-      Hashtbl.replace seen c.Tree.id ();
-      if List.for_all (qual_ok c) s.quals then out := c :: !out
-    end
-  in
+(* A nested context, split by nesting.  [tops] are the contexts with no
+   context above them, in document order.  [below] maps the child of a
+   context that leads down to further contexts to those contexts, the
+   ones whose nearest context ancestor it is, in document order.  One
+   parent walk per context, stopping at the first context above it. *)
+let nesting context =
+  let ctx = Hashtbl.create 64 in
+  List.iter (fun (n : Tree.node) -> Hashtbl.replace ctx n.Tree.id ()) context;
+  let below = Hashtbl.create 16 and tops = ref [] in
   List.iter
     (fun (n : Tree.node) ->
-      match s.axis with
-      | Child -> List.iter consider n.Tree.children
-      | Descendant -> iter_descendants consider n)
+      let rec up (m : Tree.node) =
+        match Tree.parent m with
+        | None -> tops := n :: !tops
+        | Some p when Hashtbl.mem ctx p.Tree.id ->
+            let under =
+              Option.value ~default:[] (Hashtbl.find_opt below m.Tree.id)
+            in
+            Hashtbl.replace below m.Tree.id (n :: under)
+        | Some p -> up p
+      in
+      up n)
     context;
-  List.rev !out
+  (List.rev !tops, below)
 
-let select_path context p = List.fold_left select_step context p
+(* One step applied to a context list (document order in, document
+   order out).  A child step over nested contexts expands each context
+   nested below a child right after that child, so the children of an
+   inner context come out before the outer context's next child.  A
+   descendant step walks only the outermost contexts, whose subtrees
+   are disjoint, so it needs no seen-set. *)
+let select_step (context, nested) (s : step) =
+  let out = ref [] in
+  let keep (c : Tree.node) = test_ok s.test c && List.for_all (qual_ok c) s.quals in
+  match s.axis with
+  | Child ->
+      let consider c = if keep c then out := c :: !out in
+      (if not nested then
+         List.iter (fun (n : Tree.node) -> List.iter consider n.Tree.children) context
+       else
+         let tops, below = nesting context in
+         let rec expand (n : Tree.node) =
+           List.iter
+             (fun (c : Tree.node) ->
+               consider c;
+               match Hashtbl.find_opt below c.Tree.id with
+               | Some inner -> List.iter expand (List.rev inner)
+               | None -> ())
+             n.Tree.children
+         in
+         List.iter expand tops);
+      (List.rev !out, nested)
+  | Descendant ->
+      let nested_out = ref false in
+      let rec walk inside = function
+        | [] -> ()
+        | (c : Tree.node) :: siblings ->
+            let selected = keep c in
+            if selected then begin
+              if inside then nested_out := true;
+              out := c :: !out
+            end;
+            walk (inside || selected) c.Tree.children;
+            walk inside siblings
+      in
+      List.iter
+        (fun (n : Tree.node) -> walk false n.Tree.children)
+        (if nested then fst (nesting context) else context);
+      (List.rev !out, !nested_out)
+
+let select_path context p = fst (List.fold_left select_step context p)
 
 (* Absolute evaluation starts from the virtual document node, whose
    only child is the root element and whose descendants are every node
@@ -83,17 +136,14 @@ let eval t (e : expr) =
           test_ok first.test n && List.for_all (qual_ok n) first.quals
         in
         match first.axis with
-        | Child -> if matching root then [ root ] else []
+        | Child -> ((if matching root then [ root ] else []), false)
         | Descendant ->
-            let out = ref [] in
-            let consider n = if matching n then out := n :: !out in
-            consider root;
-            iter_descendants consider root;
-            List.rev !out
+            let under, nested = select_step ([ root ], false) first in
+            if matching root then (root :: under, under <> []) else (under, nested)
       in
       select_path initial rest
 
-let eval_rel _t context p = select_path [ context ] p
+let eval_rel _t context p = select_path ([ context ], false) p
 
 let matches t e (n : Tree.node) =
   List.exists (fun (m : Tree.node) -> m.Tree.id = n.Tree.id) (eval t e)

@@ -2,7 +2,15 @@
 
     [\[\[p\]\](T)] in the paper's notation: the set of nodes obtained by
     evaluating the absolute expression [p] on the root of [T].  Node
-    sets are returned deduplicated, in document (preorder) order. *)
+    sets are returned deduplicated, in document (preorder) order, also
+    when a step's context nodes nest: the children of an inner context
+    come out before the enclosing context's next child.
+
+    This evaluator walks the tree and needs no index, so it serves
+    trees that are still being written: updates, rule scopes, plan
+    evaluation and the native backend.  Frozen snapshot views are read
+    through {!Index} instead, which the tests hold to this module's
+    answers, list for list. *)
 
 val eval : Xmlac_xml.Tree.t -> Ast.expr -> Xmlac_xml.Tree.node list
 (** Evaluate an absolute expression on a document. *)

@@ -687,6 +687,129 @@ let carry_prop =
       true)
 
 (* ------------------------------------------------------------------ *)
+(* The snapshot's document index: built by the first miss, never by a
+   capture, and shared along sign-only epochs. *)
+
+module Index = Xmlac_xpath.Index
+module Eval = Xmlac_xpath.Eval
+
+let builds eng = Metrics.counter (Engine.metrics eng) "snapshot.index_builds"
+let shared eng = Metrics.counter (Engine.metrics eng) "snapshot.index_shared"
+
+let test_index_built_on_first_miss () =
+  Fault.reset ();
+  let eng = annotated_engine () in
+  ignore (Engine.update eng "//patient/psn");
+  ignore (Engine.insert eng ~at:"//patients"
+    ~fragment:(Xmlac_xml.Xml_parser.parse_exn "<patient><name>Ann</name></patient>"));
+  Alcotest.(check int) "captures and publishes build nothing" 0 (builds eng);
+  ignore (Engine.update eng probe_update);
+  Alcotest.(check int) "a structural epoch builds nothing either" 0 (builds eng);
+  ignore (Engine.request eng Engine.Native "//patient/name");
+  Alcotest.(check int) "its first miss builds once" 1 (builds eng);
+  ignore (Engine.request eng Engine.Native "//nurse");
+  ignore (Engine.request eng Engine.Native ~lane:Rewrite.Rewrite "//staff//name");
+  Alcotest.(check int) "later misses on either lane reuse it" 1 (builds eng)
+
+let test_index_shared_across_annotate () =
+  Fault.reset ();
+  let eng = annotated_engine () in
+  ignore (Engine.update eng probe_update);
+  let s0 = Engine.pin_snapshot eng in
+  ignore (Engine.request eng Engine.Native "//patient/name");
+  let shared0 = shared eng in
+  ignore (Engine.annotate eng);
+  let s1 = Engine.pin_snapshot eng in
+  Alcotest.(check int) "the annotate epoch took the slot over" (shared0 + 1)
+    (shared eng);
+  Alcotest.(check bool) "one index for both views" true
+    (Snapshot.index s1 == Snapshot.index s0);
+  ignore (Engine.request eng Engine.Native "//nurse");
+  Alcotest.(check int) "no second build" 1 (builds eng);
+  ignore (Engine.update eng "//patient/psn");
+  ignore (Engine.request eng Engine.Native "//dept");
+  Alcotest.(check int) "the next structural epoch builds its own" 2 (builds eng);
+  Engine.unpin_snapshot eng s0;
+  Engine.unpin_snapshot eng s1
+
+(* An index handed on across sign-only epochs still answers exactly as
+   [Eval] on the later view, and the later snapshot's decisions equal
+   those of a cold capture of the same state. *)
+let index_reuse_prop =
+  QCheck2.Test.make ~name:"reused index = Eval on the later view" ~count:60
+    Helpers.seed_gen (fun seed ->
+      Fault.reset ();
+      let rng = Prng.create ~seed in
+      let doc = Helpers.random_hospital_doc rng in
+      let policy =
+        Helpers.random_role_policy rng (Subject.make_exn [ Subject.role "r0" ])
+      in
+      let eng = Engine.create ~dtd:W.Hospital.dtd ~policy doc in
+      ignore (Engine.annotate eng);
+      let exprs = List.init 6 (fun _ -> Helpers.random_hospital_expr rng) in
+      let queries = List.map Pp.expr_to_string exprs in
+      let doc, publish, fresh, _ = standalone eng in
+      let s0 = publish () in
+      ignore (Snapshot.index s0);
+      let nodes = Array.of_list (Tree.nodes doc) in
+      for _ = 1 to 1 + Prng.int rng 3 do
+        flip_sign doc (Prng.choose rng nodes)
+      done;
+      let s1 = publish () and cold = fresh () in
+      let view = Snapshot.document s1 in
+      let same e =
+        List.map (fun (n : Tree.node) -> n.Tree.id) (Eval.eval view e)
+        = Array.to_list
+            (Array.map (Index.id (Snapshot.index s1))
+               (Index.eval (Snapshot.index s1) e))
+      in
+      Snapshot.index s1 == Snapshot.index s0
+      && List.for_all same exprs
+      && List.for_all
+           (fun q -> Snapshot.request s1 q = Snapshot.request cold q)
+           queries)
+
+(* Readers on several domains missing on a fresh snapshot at once: one
+   index is published, and every decision equals the direct read. *)
+let test_concurrent_first_misses () =
+  Fault.reset ();
+  let eng =
+    Engine.create ~dtd:W.Hospital.dtd
+      ~policy:(Lazy.force Helpers.hospital_roles_policy)
+      (W.Hospital.sample_document ())
+  in
+  ignore (Engine.annotate eng);
+  ignore (Engine.annotate_subjects eng);
+  ignore (Engine.update eng probe_update);
+  let snap = Engine.pin_snapshot eng in
+  let queries =
+    [ "//patient/name"; "//nurse"; "//treatment"; "//patient/psn"; "//staff//name";
+      "//*"; "//patient[treatment]"; "/hospital/dept" ]
+  in
+  (* The oracle runs first, on this domain: it reads the live store. *)
+  let subject k = if k mod 2 = 0 then None else Some "doctor" in
+  let direct =
+    List.map
+      (fun subject ->
+        List.map (fun q -> Engine.request_direct ?subject eng Engine.Native q) queries)
+      [ subject 0; subject 1 ]
+  in
+  let pool = Pool.create ~domains:4 () in
+  let reader k () =
+    let lane = if k mod 3 = 0 then Rewrite.Rewrite else Rewrite.Materialized in
+    List.filter
+      (fun (q, d) -> Snapshot.request ?subject:(subject k) ~lane snap q <> d)
+      (List.combine queries (List.nth direct (k mod 2)))
+    |> List.length
+  in
+  let wrong = Pool.parallel pool (List.init 8 reader) in
+  Pool.shutdown pool;
+  Engine.unpin_snapshot eng snap;
+  Alcotest.(check int) "every decision equals request_direct" 0
+    (List.fold_left ( + ) 0 wrong);
+  Alcotest.(check int) "one index published" 1 (builds eng)
+
+(* ------------------------------------------------------------------ *)
 (* Pool: scheduling semantics. *)
 
 let test_pool_sequential () =
@@ -842,6 +965,14 @@ let () =
             test_carry_across_unrelated_write;
           tc "carry across a structural epoch"
             test_carry_across_structural_epoch;
+        ] );
+      ( "index",
+        [
+          tc "built on the first miss, never at capture"
+            test_index_built_on_first_miss;
+          tc "shared across an annotate epoch" test_index_shared_across_annotate;
+          tc "concurrent first misses" test_concurrent_first_misses;
+          QCheck_alcotest.to_alcotest index_reuse_prop;
         ] );
       ( "properties",
         [

@@ -539,30 +539,40 @@ module Reference = struct
         end)
       nodes
 
-  let rec select_path context p = List.fold_left select_step context p
+  (* Every step's result is a set in document order: deduplicated,
+     then sorted by preorder rank. *)
+  let in_preorder rank nodes =
+    List.sort
+      (fun (a : Tree.node) (b : Tree.node) ->
+        Int.compare (Hashtbl.find rank a.Tree.id) (Hashtbl.find rank b.Tree.id))
+      (dedup nodes)
 
-  and select_step context s =
+  let rec select_path rank context p = List.fold_left (select_step rank) context p
+
+  and select_step rank context s =
     let candidates =
       match s.axis with
       | Child -> List.concat_map Tree.children context
       | Descendant -> List.concat_map Tree.descendants context
     in
-    dedup candidates
+    in_preorder rank candidates
     |> List.filter (test_ok s.test)
-    |> List.filter (fun n -> List.for_all (qual_ok n) s.quals)
+    |> List.filter (fun n -> List.for_all (qual_ok rank n) s.quals)
 
-  and qual_ok n = function
-    | Exists p -> select_path [ n ] p <> []
+  and qual_ok rank n = function
+    | Exists p -> select_path rank [ n ] p <> []
     | Value (p, op, d) ->
         List.exists
           (fun (m : Tree.node) ->
             match m.Tree.value with
             | Some v -> cmp_holds op v d
             | None -> false)
-          (select_path [ n ] p)
-    | And (a, b) -> qual_ok n a && qual_ok n b
+          (select_path rank [ n ] p)
+    | And (a, b) -> qual_ok rank n a && qual_ok rank n b
 
   let eval t (e : expr) =
+    let rank = Hashtbl.create 64 in
+    Tree.iter (fun n -> Hashtbl.replace rank n.Tree.id (Hashtbl.length rank)) t;
     match e.steps with
     | [] -> [ Tree.root t ]
     | first :: rest ->
@@ -574,10 +584,11 @@ module Reference = struct
           in
           List.filter
             (fun n ->
-              test_ok first.test n && List.for_all (qual_ok n) first.quals)
+              test_ok first.test n
+              && List.for_all (qual_ok rank n) first.quals)
             candidates
         in
-        select_path initial rest
+        select_path rank initial rest
 end
 
 let ids_of nodes = List.map (fun (n : Tree.node) -> n.Tree.id) nodes
@@ -607,6 +618,7 @@ let test_eval_matches_reference_fixed () =
       "//patient"; "//patient[treatment]/name"; "//patient[.//experimental]";
       "//*"; "//dept/*"; "/hospital//bill"; "//bill[. > 1000]";
       "//patient[psn and name]"; "//name"; "/hospital/dept/patients/patient";
+      "//*/*";
     ]
 
 let () =
@@ -616,6 +628,116 @@ let () =
         [
           Alcotest.test_case "fixed cases" `Quick test_eval_matches_reference_fixed;
           QCheck_alcotest.to_alcotest eval_matches_reference_prop;
+        ] );
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* The pre/size index — appended suite.  Its answers are compared with
+   [Eval]'s as exact lists: the same nodes in the same (document)
+   order.  Documents are frozen views after random chains of grafts
+   and deletes, where grafted ids no longer follow document order. *)
+
+module Index = Xmlac_xpath.Index
+
+let index_ids idx e = Array.to_list (Array.map (Index.id idx) (Index.eval idx e))
+
+let fragments =
+  List.map Xmlac_xml.Xml_parser.parse_exn
+    [ "<patient><psn>077</psn><name>Ann</name></patient>";
+      "<treatment><regular><med>aspirin</med><bill>1000</bill></regular></treatment>";
+      "<staff><nurse><sid>9</sid><name>Bo</name><phone>1</phone></nurse></staff>";
+      "<name>Cy</name>"; "<patients><patient><name>Di</name></patient></patients>" ]
+
+(* [steps] random grafts and deletes on [doc], each in its own
+   generation, then a frozen view of the result. *)
+let churned_view rng doc ~steps =
+  for _ = 1 to steps do
+    let nodes = Array.of_list (Tree.nodes doc) in
+    let n = Prng.choose rng nodes in
+    if Prng.bool rng && n.Tree.parent <> None then Tree.delete doc n
+    else if n.Tree.value = None then
+      ignore (Tree.graft doc n (Prng.choose_list rng fragments));
+    (* Earlier views keep the old records: later writes path-copy. *)
+    ignore (Tree.freeze doc)
+  done;
+  fst (Tree.freeze doc)
+
+(* A random expression with some steps widened to [*] or to the
+   descendant axis, qualifier paths included: off-schema queries whose
+   contexts nest and whose qualifiers reach past a context's subtree
+   in document order. *)
+let rec loosen_path rng p = List.map (loosen_step rng) p
+
+and loosen_step rng (s : Ast.step) =
+  let test = if Prng.int rng 4 = 0 then Ast.Wildcard else s.Ast.test in
+  let axis = if Prng.int rng 3 = 0 then Ast.Descendant else s.Ast.axis in
+  { Ast.axis; test; quals = List.map (loosen_qual rng) s.Ast.quals }
+
+and loosen_qual rng = function
+  | Ast.Exists p -> Ast.Exists (loosen_path rng p)
+  | Ast.Value (p, op, d) -> Ast.Value (loosen_path rng p, op, d)
+  | Ast.And (a, b) -> Ast.And (loosen_qual rng a, loosen_qual rng b)
+
+let random_index_expr rng =
+  let e = Helpers.random_hospital_expr rng in
+  if Prng.bool rng then e else Ast.absolute (loosen_path rng e.Ast.steps)
+
+let index_disagreement doc exprs =
+  let idx = Index.build doc in
+  List.find_opt (fun e -> ids_of (Eval.eval doc e) <> index_ids idx e) exprs
+
+let index_matches_eval_prop =
+  QCheck2.Test.make ~name:"index = Eval on churned views" ~count:200
+    QCheck2.Gen.int64 (fun seed ->
+      let rng = Prng.create ~seed in
+      let doc = Helpers.random_hospital_doc rng in
+      let exprs = List.init 8 (fun _ -> random_index_expr rng) in
+      let view = churned_view rng doc ~steps:(Prng.int rng 6) in
+      match index_disagreement view exprs with
+      | None -> true
+      | Some e ->
+          QCheck2.Test.fail_reportf "%s: Eval %s, index %s" (Pp.expr_to_string e)
+            (String.concat "," (List.map string_of_int (ids_of (Eval.eval view e))))
+            (String.concat ","
+               (List.map string_of_int (index_ids (Index.build view) e))))
+
+let test_index_fixed_cases () =
+  let doc = Helpers.hospital_doc () in
+  let idx = Index.build doc in
+  Alcotest.(check int) "every node indexed" (Tree.size doc) (Index.length idx);
+  Alcotest.(check int) "root has no parent" (-1) (Index.parent idx 0);
+  List.iter
+    (fun q ->
+      let e = parse q in
+      Alcotest.(check (list int)) q (ids_of (Eval.eval doc e)) (index_ids idx e))
+    [ "//patient"; "//patient[treatment]/name"; "//patient[.//experimental]";
+      "//*"; "//*/*"; "//dept/*"; "/hospital//bill"; "//bill[. > 1000]";
+      "//patient[psn and name]"; "//name"; "/hospital/dept/patients/patient";
+      "//nosuch"; "//patient[nosuch]"; "/nosuch//name"; "//*[*]/*";
+      "//*//*/name"; "/*"; "//patient/*[. = \"042\"]" ]
+
+(* The benchmark's document family and query pool: XMark, with the
+   schema-guided response queries, before and after churn. *)
+let test_index_xmark () =
+  let doc = Xmlac_workload.Xmark.generate ~factor:0.02 () in
+  let exprs = Xmlac_workload.Queries.response_queries ~n:400 ~seed:20090101L () in
+  let check label view =
+    match index_disagreement view exprs with
+    | None -> ()
+    | Some e -> Alcotest.failf "%s: %s differs" label (Pp.expr_to_string e)
+  in
+  check "fresh" (fst (Tree.freeze doc));
+  check "churned" (churned_view (Prng.create ~seed:5L) doc ~steps:20)
+
+let () =
+  let tc name f = Alcotest.test_case name `Quick f in
+  Alcotest.run ~and_exit:false "xpath-index"
+    [
+      ( "index",
+        [
+          tc "fixed cases" test_index_fixed_cases;
+          tc "xmark response queries" test_index_xmark;
+          QCheck_alcotest.to_alcotest index_matches_eval_prop;
         ] );
     ]
 
@@ -760,3 +882,4 @@ let () =
           QCheck_alcotest.to_alcotest schema_optimizer_prop;
         ] );
     ]
+
