@@ -638,7 +638,7 @@ let recover_cmd =
   let kill_at =
     Arg.(value & opt (some string) None
          & info [ "kill-at" ]
-             ~doc:"Fault point to arm (e.g. native.set_sign, cam.repair); \
+             ~doc:"Fault point to arm (e.g. native.set_sign, epoch.commit); \
                    default arms every point probabilistically.")
   in
   let kill_after =

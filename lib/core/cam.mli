@@ -8,16 +8,15 @@
     compact labeling the paper cites as the more sophisticated way to
     store annotations.
 
-    Since PR 2 the CAM is also the requester's hot-path index
-    ({!Engine.request}): the engine owns one map over the native
-    store's signs and maintains it {e incrementally} — after partial
-    re-annotation (Section 5.3) only the entries of the nodes whose
-    sign actually changed (plus their children, whose change-point
-    status depends on the parent) are recomputed, so maintenance cost
-    follows the affected region, not the document.  The invariant
-    maintained throughout: a node carries an entry iff its effective
-    sign differs from its parent's effective sign (the root's
-    reference sign being [default]). *)
+    The CAM is the requester's hot-path index ({!Engine.request}).
+    Snapshots own every map: a {!Snapshot.t} builds one over its
+    frozen signs (or one role's bitmap bit) on the first read that
+    needs it, and the next epoch's snapshot patches a copy with
+    {!apply_changes} at the ids the epoch wrote — after partial
+    re-annotation (Section 5.3) only the nodes whose sign changed and
+    their children are recomputed.  The invariant: a node carries an
+    entry iff its effective sign differs from its parent's effective
+    sign (the root's reference sign being [default]). *)
 
 type t
 
@@ -45,8 +44,8 @@ val build_role :
 
 val freeze : t -> t
 (** An O(1) frozen copy: the entry map is persistent, so the copy
-    shares it by reference and later incremental maintenance on either
-    side leaves the other untouched.  Entries are keyed by node id and
+    shares it by reference and a later patch on either side leaves the
+    other untouched.  Entries are keyed by node id and
     {!lookup} walks the parent chain of the node it is handed, so the
     copy answers for any tree with the same ids and parent chains — in
     particular the COW view an MVCC snapshot captures. *)
@@ -71,8 +70,8 @@ val entries : t -> int
 (** Stored sign changes. *)
 
 val node_count : t -> int
-(** Document size at build time (kept current by the incremental
-    maintenance operations). *)
+(** Document size at build time (kept current by the maintenance
+    operations). *)
 
 val compression_ratio : t -> float
 (** [entries / node_count]; small is good — 1.0 means the map
@@ -80,20 +79,19 @@ val compression_ratio : t -> float
 
 (** {1 Incremental maintenance}
 
-    All three operations return how many nodes (or entries) they
-    examined — the engine's [cam.touched] counter, which the
-    [exp_requester] bench checks against the re-annotator's affected
-    region. *)
+    Each operation returns how many nodes (or entries) it examined.
+    Snapshots use {!apply_changes} alone; {!rebuild_subtree} and
+    {!purge} stay only for [perfbench/]'s traced replay and the
+    tests. *)
 
 val apply_changes : t -> Xmlac_xml.Tree.t -> changed:int list -> int
-(** [apply_changes t doc ~changed] repairs the map after the sign
-    slots of the nodes in [changed] were rewritten in place.  A sign
-    write at [n] can only move the change points at [n] itself and at
-    [n]'s children, so exactly those entries are recomputed; an id no
-    longer present in [doc] loses its entry (a deleted node's
-    descendants are dropped only if listed too; {!purge} sweeps
-    everything).  Returns the number of distinct live nodes
-    examined. *)
+(** [apply_changes t doc ~changed] repairs the map after the nodes in
+    [changed] were written (annotation writes and births).  A write at
+    [n] can only move the change points at [n] itself and at [n]'s
+    children, so exactly those entries are recomputed; an id no longer
+    present in [doc] loses its entry (a deleted node's descendants
+    only if listed too, as a {!Xmlac_xml.Tree.freeze} change set lists
+    them).  Returns the number of distinct live nodes examined. *)
 
 val rebuild_subtree : t -> Xmlac_xml.Tree.t -> root:int -> int
 (** Recomputes every entry in the subtree rooted at id [root]
@@ -109,7 +107,7 @@ val purge : t -> Xmlac_xml.Tree.t -> int
     correctness repair; O(entries).  Returns how many were dropped. *)
 
 val equal : t -> t -> bool
-(** Same default and identical entry sets — the checked-fallback test:
-    an incrementally maintained map must equal a fresh {!build}. *)
+(** Same default and identical entry sets: the tests' check that a
+    patched map equals a fresh {!build}. *)
 
 val pp : Format.formatter -> t -> unit

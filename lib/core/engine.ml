@@ -27,7 +27,6 @@ type open_op = {
           materialized), stashed just before the structural apply —
           recovery's roll-forward input. *)
   mutable applied : bool;  (** Whether the structural mutation completed. *)
-  mutable new_roots : Tree.node list;  (** Grafted roots (insert only). *)
 }
 
 type direction = [ `None | `Back | `Forward ]
@@ -51,11 +50,8 @@ type t = {
   backend : Backend.t;
   journal : Backend.journal;
   metrics : Metrics.t;
-  (* A CAM over the native store's signs, maintained incrementally;
-     every published snapshot freezes it.  [annotated] and
-     [bits_annotated] record committed sign and bitmap annotation
-     epochs, which decide the auto lane. *)
-  mutable cam : Cam.t;
+  (* [annotated] and [bits_annotated] record committed sign and bitmap
+     annotation epochs, which decide the auto lane. *)
   mutable annotated : bool;
   mutable bits_annotated : bool;
   (* Sign epochs: [sign_epoch] is the last committed epoch (monotone,
@@ -84,24 +80,18 @@ type t = {
    epoch — so a reader can never pin partial state. *)
 let publish_snapshot ?footprint t =
   let snap =
-    (* The annotation flags describe the native tree being frozen —
-       that is what snapshot requests read — so [Snapshot.request]'s
-       auto lane can route a never-annotated frozen document through
-       the rewrite lane instead of its default-sign CAM.  [prev] (the
-       outgoing snapshot) feeds carry-forward: the capture compares
-       the tree-level change set against it and migrates still-valid
-       memoized decisions and patched per-role maps instead of
-       cold-starting.  [footprint] is a structural epoch's trigger
-       input, the same update expressions the [Overlap] trigger tested
-       the rules against; it is passed only while the document lies on
-       the schema's paths, the premise of that test.  The capture
-       itself is an O(changed) [Tree.freeze], not a copy. *)
+    (* The annotation flags decide the snapshot's auto lane.  [prev]
+       (the outgoing snapshot) feeds carry-forward: still-valid memos
+       migrate and its maps are patched.  [footprint] is a structural
+       epoch's trigger input, passed only while the document lies on
+       the schema's paths, the premise of the [Overlap] test.  The
+       capture itself is an O(changed) [Tree.freeze], not a copy. *)
     Snapshot.capture ?prev:(Snapshot.current t.snapshots)
       ?footprint:
         (match footprint with
         | Some exprs when t.on_schema -> Some (t.sg, exprs)
         | _ -> None)
-      ~epoch:t.sign_epoch ~policy:t.policy ~cam:t.cam ~annotated:t.annotated
+      ~epoch:t.sign_epoch ~policy:t.policy ~annotated:t.annotated
       ~bits_annotated:t.bits_annotated ~metrics:t.metrics t.doc
   in
   Snapshot.publish t.snapshots snap
@@ -137,7 +127,6 @@ let create ?(optimize = true) ~dtd ~policy doc =
         (Backend.journaled journal (Xml_backend.make native_doc));
     journal;
     metrics;
-    cam = Cam.build native_doc ~default:(Policy.ds policy);
     annotated = false;
     bits_annotated = false;
     sign_epoch = 0;
@@ -161,7 +150,6 @@ let schema_graph t = t.sg
 let depend t = t.depend
 let plan t = t.plan
 let metrics t = t.metrics
-let cam t = t.cam
 let epoch t = t.sign_epoch
 let sign_epoch t = t.sign_epoch
 let open_epoch t = Option.map (fun o -> o.num) t.open_op
@@ -175,6 +163,7 @@ let current_snapshot t =
 let pin_snapshot t = Snapshot.pin t.snapshots
 let unpin_snapshot t snap = Snapshot.unpin t.snapshots snap
 
+let cam t = Snapshot.cam (current_snapshot t)
 let backend t Native = t.backend
 let wal _ Native = None
 
@@ -192,41 +181,6 @@ let role_index t role =
       invalid_arg
         (Printf.sprintf "Engine: unknown role %S (declared: %s)" role
            (String.concat ", " (Policy.roles t.policy)))
-
-let rebuild_cam t =
-  Metrics.incr t.metrics "cam.full_rebuilds";
-  t.cam <- Cam.build t.doc ~default:(Policy.ds t.policy)
-
-(* Incremental CAM maintenance from the re-annotator's changed-id
-   report (plus the roots of freshly grafted subtrees); any failure
-   falls back to a full rebuild, counted so the bench can see it. *)
-let maintain_cam t ~changed ~roots =
-  Fault.point "cam.repair";
-  Metrics.time t.metrics "cam.maintain" (fun () ->
-      match
-        let touched = Cam.apply_changes t.cam t.doc ~changed in
-        let touched =
-          List.fold_left
-            (fun acc root -> acc + Cam.rebuild_subtree t.cam t.doc ~root)
-            touched roots
-        in
-        let purged = Cam.purge t.cam t.doc in
-        (touched, purged)
-      with
-      | touched, purged ->
-          Metrics.add t.metrics "cam.touched" touched;
-          Metrics.add t.metrics "cam.purged" purged
-      | exception (Fault.Crash _ as e) -> raise e
-      | exception _ -> rebuild_cam t)
-
-let cam_check t =
-  let fresh = Cam.build t.doc ~default:(Policy.ds t.policy) in
-  let ok = Cam.equal t.cam fresh in
-  if not ok then begin
-    Metrics.incr t.metrics "cam.check_failures";
-    t.cam <- fresh
-  end;
-  ok
 
 (* --- sign epochs --------------------------------------------------- *)
 
@@ -258,7 +212,6 @@ let begin_op t op =
       saved_bits_annotated = t.bits_annotated;
       prepared = None;
       applied = false;
-      new_roots = [];
     }
   in
   t.open_op <- Some o;
@@ -272,6 +225,9 @@ let close_op t o =
   t.open_op <- None
 
 let commit_op ?footprint t o =
+  (* The last point inside the epoch: the operation's writes are all
+     done, and a crash here leaves them for recovery to resolve. *)
+  Fault.point "epoch.commit";
   close_op t o;
   Metrics.incr t.metrics "epoch.commits";
   (* The epoch is durable; freeze it for readers.  A crash past this
@@ -283,7 +239,6 @@ let annotate t =
   let o = begin_op t Op_annotate in
   let stats = Annotator.annotate_with_plan t.backend t.plan in
   t.annotated <- true;
-  t.cam <- Cam.build t.doc ~default:(Policy.ds t.policy);
   commit_op t o;
   stats
 
@@ -314,20 +269,10 @@ let role_sign t b idx id =
 
 (* --- lane selection ------------------------------------------------ *)
 
-(* Whether the materialized layer a request would read — signs for the
-   anonymous subject, role bitmaps for a named one — has a committed
-   annotation epoch. *)
-let lane_annotated ?subject t =
-  match subject with None -> t.annotated | Some _ -> t.bits_annotated
-
-let resolve_lane ?subject ?(lane = Rewrite.Auto) t =
-  match lane with
-  | Rewrite.Materialized -> (Rewrite.Materialized, "forced")
-  | Rewrite.Rewrite -> (Rewrite.Rewrite, "forced")
-  | Rewrite.Auto ->
-      if lane_annotated ?subject t then
-        (Rewrite.Materialized, "annotated store")
-      else (Rewrite.Rewrite, "never-annotated store")
+(* The snapshot's resolver: a request reads the current snapshot, whose
+   flags are the last published epoch's, not the live ones. *)
+let resolve_lane ?subject ?lane t =
+  Snapshot.resolve_lane ?subject ?lane (current_snapshot t)
 
 let request ?subject ?lane t Native query =
   (* Validate the role up front so every path reports it alike. *)
@@ -346,14 +291,14 @@ let request_direct ?subject t Native query =
       Requester.request_via ~sign:(role_sign t b (role_index t role)) b expr
 
 (* A structural operation's trigger input and its mutation of the
-   store, returning the count of subtree roots it deleted or grafted;
-   an insert records the fresh roots.  Parses eagerly, so a malformed
-   expression raises before any epoch opens. *)
+   store, returning the count of subtree roots it deleted or grafted.
+   Parses eagerly, so a malformed expression raises before any epoch
+   opens. *)
 let structural t op =
   match op with
   | Op_update query ->
       let expr = Xmlac_xpath.Parser.parse_exn query in
-      ([ expr ], fun _ -> t.backend.Backend.delete_update expr)
+      ([ expr ], fun () -> t.backend.Backend.delete_update expr)
   | Op_insert { at; fragment } ->
       let at_expr = Xmlac_xpath.Parser.parse_exn at in
       (* The trigger treats the insertion points — the grafted roots
@@ -369,15 +314,16 @@ let structural t op =
             { steps = root_path.steps @ [ step Descendant Wildcard ] } ]
       in
       ( touched,
-        fun o ->
+        fun () ->
           Fault.point "native.insert";
-          o.new_roots <-
-            Xmlac_xmldb.Update.insert_nodes t.doc ~at:at_expr ~fragment;
+          let roots =
+            Xmlac_xmldb.Update.insert_nodes t.doc ~at:at_expr ~fragment
+          in
           (* Nothing validates an insert against the DTD; a graft off
              the schema's paths ends the structural carry for good. *)
-          if not (List.for_all (Sg.covers t.sg) o.new_roots) then
+          if not (List.for_all (Sg.covers t.sg) roots) then
             t.on_schema <- false;
-          List.length o.new_roots )
+          List.length roots )
   | Op_noop | Op_annotate | Op_annotate_subjects ->
       invalid_arg "Engine: not a structural operation"
 
@@ -405,7 +351,7 @@ let restructure t o (touched, apply) =
   let deleted_roots =
     if o.applied then 0
     else begin
-      let n = apply o in
+      let n = apply () in
       o.applied <- true;
       n
     end
@@ -416,10 +362,6 @@ let mutate t op =
   let step = structural t op in
   let o = begin_op t op in
   let stats = restructure t o step in
-  (* Repair the CAM from the changed-id report plus the roots of
-     freshly grafted subtrees. *)
-  maintain_cam t ~changed:stats.Reannotator.changed
-    ~roots:(List.map (fun (n : Tree.node) -> n.Tree.id) o.new_roots);
   commit_op ~footprint:(fst step) t o;
   [ (Native, stats) ]
 
@@ -443,12 +385,11 @@ let recover t =
       (* Nothing was in flight: the crash (if any) hit outside an
          epoch and left no partial state.  This makes recover
          idempotent — a second call after a completed recovery finds
-         no open epoch, so it leaves every counter, the request epoch
-         and the CAM untouched.  One exception: a crash that hit after
+         no open epoch, so it leaves every counter and the request
+         epoch untouched.  One exception: a crash that hit after
          commit but before the snapshot publish leaves the registry an
          epoch behind.  Republishing is invisible to every other
-         observable (epoch, counters, CAM), so recover stays
-         idempotent. *)
+         observable (epoch, counters), so recover stays idempotent. *)
       if Snapshot.current_epoch t.snapshots <> Some t.sign_epoch then
         publish_snapshot t;
       { recovered_epoch = None; direction = `None; signs_rolled_back = 0 }
@@ -477,7 +418,6 @@ let recover t =
       (* The epoch number is consumed either way — the counter never
          runs backwards, even across an aborted epoch. *)
       close_op t o;
-      rebuild_cam t;
       (* The recovered epoch is committed; publish it like any other.
          Readers pinned through the crash keep their pre-crash
          snapshot untouched. *)

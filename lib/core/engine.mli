@@ -5,8 +5,8 @@
     source document, optimizes the policy and precomputes the rule
     dependency graph — the complete [Overlap] one ({!Depend.mode}), so
     every repair of signs and role bitmaps coincides with annotating
-    from scratch.  The CAM, snapshots, the rewrite lane and every
-    reader use this one store.  The paper's comparison with the
+    from scratch.  Snapshots, the rewrite lane and every reader use
+    this one store.  The paper's comparison with the
     relational stores (Section 6) drives {!Annotator} and
     {!Reannotator} over {!Rel_backend} directly; the engine holds no
     relational copy.
@@ -14,19 +14,19 @@
     {2 One read path}
 
     The paper's requester (Section 4) reads the materialized sign of
-    every selected node on every call.  The engine instead keeps a
-    {!Cam} over the native store's signs — O(depth) lookups against a
-    map whose size follows the sign {e changes}, not the document —
-    and publishes every committed epoch as an immutable {!Snapshot.t}
-    that freezes the document and the CAM.  A native {!request} reads
-    the current snapshot, which memoizes its decisions, so a query
-    repeated between updates costs one hash lookup; the snapshot of
-    the next epoch carries forward the decisions the epoch cannot have
-    moved.  Document updates repair the CAM {e incrementally} from the
-    re-annotator's changed-id report ([Reannotator.stats.changed]),
-    with a full rebuild as fallback ({!cam_check} verifies the
-    incremental map against a fresh build).  Counters in {!Xmlac_util.Metrics} — memo hits/misses, CAM lookups
-    and touched entries — are surfaced by [xmlacctl explain
+    every selected node on every call.  The engine instead publishes
+    every committed epoch as an immutable {!Snapshot.t} that freezes
+    the document, and a native {!request} reads the current snapshot.
+    The snapshot checks signs through a {!Cam} — O(depth) lookups
+    against a map whose size follows the sign {e changes}, not the
+    document — and memoizes its decisions, so a query repeated between
+    updates costs one hash lookup.  The engine keeps no map: a
+    snapshot builds each one on the first read that needs it, and the
+    next epoch's snapshot patches it at the ids the epoch wrote and
+    carries forward the decisions the epoch cannot have moved (the
+    paper's Section 5.3 re-annotation touches only those nodes).
+    Counters in {!Xmlac_util.Metrics} — memo hits/misses, CAM lookups,
+    map builds and patches — are surfaced by [xmlacctl explain
     --request] and the [exp_requester] bench.
 
     {2 Sign epochs and crash recovery}
@@ -37,7 +37,7 @@
     successful operation commits the epoch and advances {!sign_epoch}.
     The store's write paths are threaded through deterministic fault
     points ({!Xmlac_util.Fault.point}: [native.set_sign],
-    [native.delete], [cam.repair], …); when an armed point fires, the
+    [native.delete], [epoch.commit], …); when an armed point fires, the
     resulting {!Xmlac_util.Fault.Crash} escapes the operation and
     leaves the epoch open — a simulated kill.  {!recover} then plays
     the restart: roll the partial sign writes back through the
@@ -45,8 +45,8 @@
     pre-operation materialization) or finish the structural mutation
     and re-run the repair from the stashed {!Reannotator.prepared}
     state (structural operations land on the post-operation
-    materialization).  Either way the CAM is rebuilt and the recovered
-    epoch is published as the current snapshot, and the epoch counter
+    materialization).  Either way the recovered epoch is published as
+    the current snapshot, and the epoch counter
     never runs backwards — an aborted epoch's number is consumed. *)
 
 (** {2 Kept for the benchmark harness}
@@ -100,7 +100,7 @@ val document : t -> Xmlac_xml.Tree.t
 (** The native store's live document. *)
 
 val annotate : t -> Annotator.stats
-(** Full annotation in one sign epoch; rebuilds the CAM. *)
+(** Full annotation in one sign epoch. *)
 
 val annotate_all : t -> (backend_kind * Annotator.stats) list
 (** [[(Native, annotate t)]]. *)
@@ -142,8 +142,8 @@ val request :
 
     Requests are answered by {!Snapshot.request} on the
     {!current_snapshot}: the last committed epoch, never an open one.
-    The snapshot checks accessibility against its frozen CAM (a lazily
-    built per-role CAM for [~subject]) and memoizes the decision under
+    The snapshot checks accessibility against its CAM over the frozen
+    signs (a role's over its bitmap bit for [~subject]) and memoizes the decision under
     the effective lane; hits and misses are counted as [cache.hits] /
     [cache.misses], and a miss crosses the [native.eval] fault point
     once.  Every evaluation is tallied as [lane.materialized] or
@@ -156,9 +156,12 @@ val resolve_lane :
   ?lane:Rewrite.lane ->
   t ->
   Rewrite.lane * string
-(** The lane {!request} would answer through, with the reason
-    ("forced", "annotated store", "never-annotated store") — what
-    [xmlacctl explain] prints.  Never returns {!Rewrite.Auto}. *)
+(** {!Snapshot.resolve_lane} on the {!current_snapshot}: the lane
+    {!request} would answer through, with the reason ("forced",
+    "annotated store", "never-annotated store") — what [xmlacctl
+    explain] prints.  It reads the annotation flags of the last
+    published epoch, as {!request} does.  Never returns
+    {!Rewrite.Auto}. *)
 
 val request_direct :
   ?subject:string -> t -> backend_kind -> string -> Requester.decision
@@ -172,8 +175,7 @@ val update : t -> string -> (backend_kind * Reannotator.stats) list
 (** Applies a delete update (XPath string) and re-annotates partially —
     signs, and the role bitmaps once an {!annotate_subjects} epoch has
     materialized them, both over the affected region only
-    ({!Reannotator.finish}), in one sign epoch, and repairs the CAM
-    incrementally from the changed-id report.  The list holds the one
+    ({!Reannotator.finish}), in one sign epoch.  The list holds the one
     [Native] entry. *)
 
 val insert :
@@ -182,8 +184,7 @@ val insert :
 (** Grafts a copy of [fragment] under every node selected by [at] and
     partially re-annotates, role bitmaps included, as {!update} does.
     The trigger treats the insertion points — [at/<fragment-root>] —
-    as the update expression.  The CAM entries of the changed nodes and of the grafted
-    subtrees are rebuilt incrementally.  Nothing validates the
+    as the update expression.  Nothing validates the
     fragment against the DTD; a graft whose nodes do not all sit at
     schema root paths ({!Xmlac_xml.Schema_graph.covers}) ends the
     carrying of memoized decisions across later structural epochs,
@@ -207,22 +208,19 @@ val accessible_subject : t -> string -> int list
 val metrics : t -> Xmlac_util.Metrics.t
 (** Counters and stage timings shared by the engine, its snapshots and
     the serving layer: [cache.hits], [cache.misses], [cam.lookups],
-    [lane.materialized], [lane.rewrite], [cam.touched], [cam.purged],
-    [cam.full_rebuilds], the [snapshot.*] counters; stage
-    [cam.maintain]. *)
+    [lane.materialized], [lane.rewrite], [epoch.commits], the
+    [snapshot.*] counters ([snapshot.cam_builds] and
+    [snapshot.cam_patches] among them); stage
+    [annotate.subjects]. *)
 
 val cam : t -> Cam.t
-(** The engine's live CAM over the native store's signs. *)
+(** {!Snapshot.cam} of the {!current_snapshot}: the anonymous map over
+    the last committed epoch's signs, built on this call if no read
+    has needed it yet. *)
 
 val epoch : t -> int
 (** {!sign_epoch} under its older name; stays only for
     [perfbench/]. *)
-
-val cam_check : t -> bool
-(** The checked fallback: compares the incrementally maintained CAM
-    against a fresh build.  Returns [true] when they agree; on
-    disagreement repairs the engine by installing the fresh map
-    (counted as [cam.check_failures]) and returns [false]. *)
 
 (** {1 Sign epochs and crash recovery} *)
 

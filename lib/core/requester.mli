@@ -7,7 +7,7 @@
 
     The decision is deliberately split from the sign source: {!decide}
     works on any accessibility oracle, so the same all-or-nothing rule
-    serves direct sign reads ({!request}), the engine's CAM fast lane
+    serves direct sign reads ({!request}), the snapshots' CAM fast lane
     ({!Engine.request}) and the property tests that pin the two
     against each other. *)
 

@@ -27,7 +27,6 @@ type t = {
   epoch : int;
   doc : Tree.t;  (* frozen COW view *)
   gen : int;  (* the generation the view froze *)
-  cam : Cam.t;  (* frozen single-subject map *)
   index : Index.t option Atomic.t;
       (* The view's pre/size index, built by the first miss that needs
          it and published by compare-and-set, so concurrent first
@@ -37,10 +36,11 @@ type t = {
   annotated : bool;  (* signs had a committed annotation epoch at capture *)
   bits_annotated : bool;  (* ... and likewise the role bitmaps *)
   policy : Policy.t;
-  role_cams : (string, Cam.t) Hashtbl.t;
-      (* Per-role maps over the frozen bitmaps, built lazily on the
-         first request naming each role or patched from the previous
-         snapshot's; guarded by [lock]. *)
+  cams : (string option, Cam.t) Hashtbl.t;
+      (* The accessibility maps over the view, keyed by subject: [None]
+         over the signs, [Some role] over that role's bitmap bit.  Each
+         is built by the first request that reads it or patched from
+         the previous snapshot's; guarded by [lock]. *)
   memos : (string, memo) Hashtbl.t;
   order : string Queue.t;
       (* The memo table, bounded at [memo_capacity] and evicted in
@@ -54,7 +54,7 @@ type t = {
          single writer runs, reads or writes it. *)
   metrics : Metrics.t;
   lock : Mutex.t;
-      (* Guards [role_cams], [memos] and [order]; the rest is frozen.
+      (* Guards [cams], [memos] and [order]; the rest is frozen.
          The pin count is guarded by the owning registry's lock
          instead, so pin/publish/reclaim are atomic with respect to
          each other. *)
@@ -80,9 +80,9 @@ let remember t key m =
   end;
   Hashtbl.replace t.memos key m
 
-(* Memoized decisions and per-role maps survive into the next snapshot
-   when the epoch provably cannot have moved them.  One rule covers
-   every epoch.  A materialized-lane entry carries when
+(* Memoized decisions survive into the next snapshot when the epoch
+   provably cannot have moved them.  One rule covers every epoch.  A
+   materialized-lane entry carries when
 
    - the epoch is non-structural, or the entry's schema footprint and
      the update's are both non-empty and disjoint — the test the
@@ -94,8 +94,10 @@ let remember t key m =
    A rewrite-lane entry read the policy's scopes, which any structural
    change may move, so it carries across non-structural epochs only.
    A structural epoch captured without [footprint] (recovery) drops
-   every entry.  The per-role maps are patched: the written ids
+   every entry.  Every map [prev] built is patched: the written ids
    are re-derived (deleted ones lose their entries) in a copy of each.
+   The change set lists every birth, every deleted node and every
+   sign or bitmap write, so that is the whole repair.
 
    All of it is gated on provenance: the captured view must be the
    very next generation of the same tree family as [prev]'s, under
@@ -109,12 +111,12 @@ let carry_forward ~prev ~stats ~footprint t =
     && prev.policy == t.policy
   in
   if continuous then begin
-    let entries, roles =
+    let entries, cams =
       with_lock prev.lock (fun () ->
           ( Queue.fold (fun acc k -> (k, Hashtbl.find prev.memos k) :: acc) []
               prev.order
             |> List.rev,
-            Hashtbl.fold (fun r c acc -> (r, c) :: acc) prev.role_cams [] ))
+            Hashtbl.fold (fun s c acc -> (s, c) :: acc) prev.cams [] ))
     in
     let changed = stats.Tree.changed in
     (* The nodes whose CAM lookup may read a written sign or bitmap:
@@ -199,24 +201,24 @@ let carry_forward ~prev ~stats ~footprint t =
     in
     let patched =
       List.map
-        (fun (role, c) ->
+        (fun (subject, c) ->
           let c = Cam.freeze c in
           ignore (Cam.apply_changes c t.doc ~changed);
-          (role, c))
-        roles
+          (subject, c))
+        cams
     in
     with_lock t.lock (fun () ->
         List.iter (fun (key, m) -> remember t key m) kept;
-        List.iter (fun (role, c) -> Hashtbl.replace t.role_cams role c) patched);
+        List.iter (fun (subject, c) -> Hashtbl.replace t.cams subject c) patched);
     let count name n = if n > 0 then Metrics.add t.metrics name n in
     count "snapshot.cache.carried" !carried;
     count "snapshot.cache.dropped.footprint" !by_footprint;
     count "snapshot.cache.dropped.written" !by_written;
-    count "snapshot.role_cam_patches" (List.length patched)
+    count "snapshot.cam_patches" (List.length patched)
   end
 
 let capture ?(annotated = true) ?(bits_annotated = true) ?prev ?footprint
-    ~epoch ~policy ~cam ~metrics doc =
+    ?cam:_ ~epoch ~policy ~metrics doc =
   let view, stats = Tree.freeze doc in
   Metrics.incr metrics "snapshot.captures";
   (* A sign-only epoch leaves the encoding where it was, so the next
@@ -236,12 +238,11 @@ let capture ?(annotated = true) ?(bits_annotated = true) ?prev ?footprint
       epoch;
       doc = view;
       gen = stats.Tree.frozen_gen;
-      cam = Cam.freeze cam;
       index;
       annotated;
       bits_annotated;
       policy;
-      role_cams = Hashtbl.create 4;
+      cams = Hashtbl.create 4;
       memos = Hashtbl.create 64;
       order = Queue.create ();
       footprints = Hashtbl.create 64;
@@ -270,7 +271,6 @@ let index t =
       end
       else Option.get (Atomic.get t.index)
 
-let cam t = t.cam
 let annotated t = t.annotated
 let bits_annotated t = t.bits_annotated
 let pins t = t.pins
@@ -284,39 +284,44 @@ let resolve_lane ?subject ?(lane = Rewrite.Auto) t =
       let ann =
         match subject with None -> t.annotated | Some _ -> t.bits_annotated
       in
-      if ann then (Rewrite.Materialized, "annotated at capture")
-      else (Rewrite.Rewrite, "never annotated at capture")
+      if ann then (Rewrite.Materialized, "annotated store")
+      else (Rewrite.Rewrite, "never-annotated store")
 
-(* One role's view of the frozen bitmaps.  Built under the lock: a
-   duplicate build racing outside it would be harmless but wasted, and
-   [Cam.build_role] crosses no checkpoints or fault points, so nothing
-   can raise mid-build except allocation failure. *)
-let role_cam t role =
-  match Hashtbl.find_opt t.role_cams role with
-  | Some c -> c
-  | None ->
-      let idx =
-        match Subject.index (Policy.subjects t.policy) role with
-        | Some i -> i
-        | None -> invalid_arg ("Snapshot.request: unknown role " ^ role)
-      in
-      let c =
-        Cam.build_role t.doc ~role:idx
-          ~default:(Policy.resolved_ds t.policy role)
-      in
-      Hashtbl.replace t.role_cams role c;
-      Metrics.incr t.metrics "snapshot.role_cam_builds";
-      c
+(* The subject's map over the view.  Built under the lock: a duplicate
+   build racing outside it would be harmless but wasted, and
+   [Cam.build]/[Cam.build_role] cross no checkpoints or fault points,
+   so nothing can raise mid-build except allocation failure. *)
+let subject_cam t subject =
+  with_lock t.lock (fun () ->
+      match Hashtbl.find_opt t.cams subject with
+      | Some c -> c
+      | None ->
+          let c, counter =
+            match subject with
+            | None ->
+                ( Cam.build t.doc ~default:(Policy.ds t.policy),
+                  "snapshot.cam_builds" )
+            | Some role ->
+                let idx =
+                  match Subject.index (Policy.subjects t.policy) role with
+                  | Some i -> i
+                  | None -> invalid_arg ("Snapshot.request: unknown role " ^ role)
+                in
+                ( Cam.build_role t.doc ~role:idx
+                    ~default:(Policy.resolved_ds t.policy role),
+                  "snapshot.role_cam_builds" )
+          in
+          Hashtbl.replace t.cams subject c;
+          Metrics.incr t.metrics counter;
+          c)
+
+let cam t = subject_cam t None
 
 (* The materialized lane over the frozen state: evaluate on the view's
-   index, then check each answer against the frozen (per-role) CAM by
-   walking the index's parent ranks. *)
+   index, then check each answer against the subject's map by walking
+   the index's parent ranks. *)
 let materialized_decision ?subject t expr =
-  let cam =
-    match subject with
-    | None -> t.cam
-    | Some role -> with_lock t.lock (fun () -> role_cam t role)
-  in
+  let cam = subject_cam t subject in
   let idx = index t in
   let ranks = Index.eval idx expr in
   Metrics.add t.metrics "cam.lookups" (Array.length ranks);

@@ -4,9 +4,9 @@
     but ties it to the mutable sign/bitmap store, so a mutation epoch
     blocks the read path.  This module breaks that coupling: every
     committed [sign_epoch] becomes an {e immutable versioned snapshot}
-    — a frozen copy-on-write view of the document, a frozen {!Cam}
-    over its signs, lazily built per-role maps over its bitmaps, a
-    lazily built pre/size index of the view ({!Xmlac_xpath.Index},
+    — a frozen copy-on-write view of the document, lazily built
+    accessibility maps ({!Cam}) over its signs and each role's bitmap
+    bit, a lazily built pre/size index of the view ({!Xmlac_xpath.Index},
     which every read miss evaluates on), and a private bounded memo of
     decisions, all keyed by the epoch that committed them.  The
     engine's own native reads go through the current snapshot too, so
@@ -21,10 +21,11 @@
 
     {!capture} freezes the live tree in O(1) ({!Xmlac_xml.Tree.freeze})
     instead of deep-copying it: consecutive snapshots share every node
-    record the intervening epoch did not touch, the CAM's persistent
-    entry map is shared wholesale, memoized decisions are {e carried
-    forward} whenever the epoch provably cannot have moved them, and
-    per-role maps are patched at the written ids.  A non-structural
+    record the intervening epoch did not touch, memoized decisions are
+    {e carried forward} whenever the epoch provably cannot have moved
+    them, and every accessibility map the previous snapshot built is
+    patched at the written ids.  The snapshots are the maps' only
+    owner: the engine keeps none.  A non-structural
     epoch hands its predecessor's index on as well (see {!index}); a
     structural one leaves its first miss to build a new one, so no
     capture ever builds an index.  A decision carries
@@ -59,10 +60,10 @@
        keep the records they froze.}}
 
     A snapshot is safe to share across OCaml domains: the document
-    view and the single-subject map are frozen at capture, the index
-    is published once through an atomic slot and read-only after, and
-    the two other mutable members (the per-role map table and the
-    memo) are guarded by a private mutex.  Registry operations cross the fault points
+    view is frozen at capture, the index is published once through an
+    atomic slot and read-only after, and the two other mutable members
+    (the map table and the memo) are guarded by a private mutex.
+    Registry operations cross the fault points
     [snapshot.publish] (before the new snapshot is installed) and
     [snapshot.reclaim] (after an old snapshot is dropped), so the
     crash sweeps can kill the writer on both sides of a publish and
@@ -76,17 +77,17 @@ val capture :
   ?bits_annotated:bool ->
   ?prev:t ->
   ?footprint:Xmlac_xml.Schema_graph.t * Xmlac_xpath.Ast.expr list ->
+  ?cam:Cam.t ->
   epoch:int ->
   policy:Policy.t ->
-  cam:Cam.t ->
   metrics:Xmlac_util.Metrics.t ->
   Xmlac_xml.Tree.t ->
   t
-(** [capture ~epoch ~policy ~cam ~metrics doc] freezes the committed
+(** [capture ~epoch ~policy ~metrics doc] freezes the committed
     materialization: an O(1) {!Xmlac_xml.Tree.freeze} of [doc] (signs
     and bitmaps included — [doc] moves to its next generation and
-    path-copies on its next writes) and an O(1) {!Cam.freeze} of
-    [cam] (valid for the view because entries are keyed by node id).
+    path-copies on its next writes).  [cam] is ignored; it stays
+    only because [perfbench/] passes one.
 
     [prev] (normally the registry's current snapshot) enables
     carry-forward.  [footprint] is the structural epoch's update, as
@@ -106,9 +107,10 @@ val capture :
 
     A rewrite-lane decision migrates across non-structural epochs
     only; a structural epoch without [footprint] (recovery) carries no
-    decision.  Every per-role map of [prev] is patched
-    into the new snapshot by {!Cam.apply_changes} over the change
-    set.  Carry is gated on provenance (same tree family, exactly the
+    decision.  Every map [prev] built (see {!cam}) is patched into the
+    new snapshot by {!Cam.apply_changes} over the change set, which
+    lists every birth, deletion and sign or bitmap write.  Carry is
+    gated on provenance (same tree family, exactly the
     next generation, physically equal policy) and silently skipped
     otherwise.
 
@@ -123,14 +125,15 @@ val capture :
     never-annotated frozen document through the rewrite lane instead
     of its default-sign CAM.  [metrics] receives the snapshot's
     lifetime counters ([snapshot.captures], [snapshot.cache.*],
-    [snapshot.role_cam_builds], [snapshot.index_builds],
+    [snapshot.cam_builds], [snapshot.role_cam_builds],
+    [snapshot.index_builds],
     [snapshot.index_shared], and those {!request} counts).  Carry
     counts once per capture: [snapshot.cache.carried],
     [snapshot.cache.dropped.footprint] (the structural test failed, or
     a rewrite-lane entry met a structural epoch),
     [snapshot.cache.dropped.written] (an answer or an ancestor was
-    written) and [snapshot.role_cam_patches] (per-role maps
-    patched).
+    written) and [snapshot.cam_patches] (maps patched, anonymous and
+    per-role alike).
 
     A capture of a fresh {!Xmlac_xml.Tree.copy} with no [prev] shares
     no record with any other snapshot and carries nothing: the
@@ -146,7 +149,11 @@ val document : t -> Xmlac_xml.Tree.t
     [Invalid_argument]. *)
 
 val cam : t -> Cam.t
-(** The frozen single-subject accessibility map. *)
+(** The anonymous subject's map over the frozen signs.  Like each
+    role's map over its bitmap bit, it is built by the first request
+    (or call) that reads it, under the snapshot's lock, unless
+    {!capture} patched it from [prev]'s; a build counts
+    [snapshot.cam_builds] ([snapshot.role_cam_builds] for a role's). *)
 
 val index : t -> Xmlac_xpath.Index.t
 (** The frozen view's pre/size index ({!Xmlac_xpath.Index}), which
@@ -180,8 +187,9 @@ val cached_decisions : t -> int
 val resolve_lane :
   ?subject:string -> ?lane:Rewrite.lane -> t -> Rewrite.lane * string
 (** The lane {!request} would answer through, with the reason
-    ("forced", "annotated at capture", "never annotated at capture").
-    Never returns {!Rewrite.Auto}. *)
+    ("forced", "annotated store", "never-annotated store"), read off
+    the annotation flags at capture.  Never returns
+    {!Rewrite.Auto}. *)
 
 val request :
   ?subject:string ->
@@ -193,8 +201,8 @@ val request :
 (** [request ?subject t query] answers the all-or-nothing request
     from the snapshot alone: evaluate [query] on the frozen document's
     {!index} (built by the first miss), check accessibility against
-    the frozen CAM ([?subject]: a lazily built per-role map over the
-    frozen bitmaps) by walking the index's parent ranks
+    the subject's map ({!cam}, or a role's over its bitmap bit) by
+    walking the index's parent ranks
     ({!Cam.lookup_at}), and memoize the decision in the snapshot's memo
     (keyed by the effective lane).  The answers are the ones
     {!Xmlac_xpath.Eval.eval} gives on the frozen view.  Full fidelity

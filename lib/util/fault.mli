@@ -4,7 +4,7 @@
     tested against.  This module gives the whole system one
     seed-addressable registry of {e fault points}: a mutating code path
     calls {!point} with a stable name ("wal.append", "row.set_sign",
-    "cam.repair", ...), which is a no-op in production but — when the
+    "epoch.commit", ...), which is a no-op in production but — when the
     point is {e armed} — raises {!Crash} there, simulating the process
     dying mid-operation.  Tests and the [exp_recovery] bench arm points
     with counted triggers (die on the [n]-th hit, which reaches the

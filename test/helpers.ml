@@ -264,6 +264,15 @@ let cross_decisions c query =
          (b.Backend.name, Requester.request b ~default (parse query)))
        c.stores
 
+(* Whether the current snapshot's anonymous map equals a fresh build
+   over the engine's document — the map a patch chain must reproduce.
+   Meaningful between epochs, when the live document is the
+   snapshot's. *)
+let cam_coherent eng =
+  let open Xmlac_core in
+  Cam.equal (Engine.cam eng)
+    (Cam.build (Engine.document eng) ~default:(Policy.ds (Engine.policy eng)))
+
 (* Alcotest checkers. *)
 let int_list = Alcotest.(list int)
 let string_list = Alcotest.(list string)

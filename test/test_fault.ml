@@ -189,6 +189,9 @@ let crash_sweep ?(crosses = []) ?oracle ~name ~make_engine ~prep ~op ~sets ()
           Fault.reset ();
           let eng = make_engine () in
           prep eng;
+          (* Build the current snapshot's map, so the recovered epoch's
+             is patched from it rather than built fresh. *)
+          ignore (Engine.cam eng);
           let e0 = Engine.sign_epoch eng in
           Fault.arm pt (Fault.After k);
           (match op eng with
@@ -209,7 +212,7 @@ let crash_sweep ?(crosses = []) ?oracle ~name ~make_engine ~prep ~op ~sets ()
           if now <> pre && now <> post then
             Alcotest.failf "%s: the store is neither pre nor post" ctx;
           Alcotest.(check bool) (ctx ^ ": CAM coherent") true
-            (Engine.cam_check eng))
+            (Helpers.cam_coherent eng))
         (kill_offsets hits))
     crossed;
   Fault.reset ()
@@ -329,7 +332,7 @@ let test_fault_point_coverage () =
     [
       "wal.append"; "wal.append.torn"; "wal.begin"; "wal.commit";
       "epoch.begin"; "native.set_sign"; "native.delete"; "native.insert";
-      "cam.repair";
+      "epoch.commit";
       "rewrite.compile";
       "snapshot.publish"; "snapshot.reclaim";
       "repl.ship"; "repl.recv"; "repl.apply"; "repl.ack";
@@ -397,9 +400,9 @@ let test_open_epoch_guard () =
   Fault.reset ();
   let eng = (hospital_fixture ()) () in
   annotate eng;
-  Fault.arm "cam.repair" (Fault.After 1);
+  Fault.arm "epoch.commit" (Fault.After 1);
   (match Engine.update eng "//patient/treatment" with
-  | _ -> Alcotest.fail "armed CAM repair did not crash"
+  | _ -> Alcotest.fail "armed commit point did not crash"
   | exception Fault.Crash _ -> ());
   Alcotest.(check bool) "epoch left open" true (Engine.open_epoch eng <> None);
   Fault.recover ();
@@ -427,11 +430,11 @@ let test_open_epoch_reads_committed () =
   annotate eng;
   let q = "//patient/treatment" in
   let committed = Engine.request_direct eng Engine.Native q in
-  (* The CAM repair follows the delete and the sign repair in
+  (* The commit point follows the delete and the sign repair in
      [update]. *)
-  Fault.arm "cam.repair" (Fault.After 1);
+  Fault.arm "epoch.commit" (Fault.After 1);
   (match Engine.update eng q with
-  | _ -> Alcotest.fail "armed CAM repair did not crash"
+  | _ -> Alcotest.fail "armed commit point did not crash"
   | exception Fault.Crash _ -> ());
   Fault.recover ();
   Alcotest.(check bool) "epoch left open" true (Engine.open_epoch eng <> None);
@@ -454,9 +457,9 @@ let test_recover_idempotent () =
   Fault.reset ();
   let eng = (hospital_fixture ()) () in
   annotate eng;
-  Fault.arm "cam.repair" (Fault.After 1);
+  Fault.arm "epoch.commit" (Fault.After 1);
   (match Engine.update eng "//patient/treatment" with
-  | _ -> Alcotest.fail "armed CAM repair did not crash"
+  | _ -> Alcotest.fail "armed commit point did not crash"
   | exception Fault.Crash _ -> ());
   let r1 = Engine.recover eng in
   Alcotest.(check bool) "first recovery resolved the epoch" true

@@ -298,7 +298,7 @@ let test_engine_fast_lane_matches_direct () =
   check_fast_lane_matches eng "after annotate";
   let _ = Engine.update eng "//patient/treatment" in
   check_fast_lane_matches eng "after update";
-  Alcotest.(check bool) "cam consistent" true (Engine.cam_check eng)
+  Alcotest.(check bool) "cam consistent" true (Helpers.cam_coherent eng)
 
 let test_engine_cache_hits_and_epoch () =
   let eng = hospital_engine () in
@@ -324,9 +324,11 @@ let test_engine_insert_maintains_cam () =
   let reg = Tree.add_child frag (Tree.root frag) "regular" in
   ignore (Tree.add_child frag reg ~value:"aspirin" "med");
   ignore (Tree.add_child frag reg ~value:"120" "bill");
+  (* Reads first, so the insert's snapshot patches their map. *)
+  check_fast_lane_matches eng "before insert";
   let _ = Engine.insert eng ~at:"//patient[psn = \"099\"]" ~fragment:frag in
   Alcotest.(check bool) "cam consistent after insert" true
-    (Engine.cam_check eng);
+    (Helpers.cam_coherent eng);
   check_fast_lane_matches eng "after insert"
 
 let test_engine_request_parse_error () =
@@ -340,8 +342,10 @@ let test_engine_request_parse_error () =
 
 (* ------------------------------------------------------------------ *)
 (* The acceptance property: CAM/cache-served decisions are identical
-   to direct sign-read decisions across random documents, policies and
-   update sequences. *)
+   to direct sign-read decisions across random documents, role
+   policies and update and insert sequences.  Each round reads as the
+   anonymous subject and as every role, so the next epoch's snapshot
+   patches both kinds of map. *)
 
 let fast_lane_equivalence_prop =
   QCheck2.Test.make
@@ -349,42 +353,44 @@ let fast_lane_equivalence_prop =
     ~count:30 Helpers.seed_gen (fun seed ->
       let rng = Prng.create ~seed in
       let doc = Helpers.random_hospital_doc rng in
-      let rules =
-        List.init
-          (1 + Prng.int rng 5)
-          (fun i ->
-            Rule.make
-              ~name:(Printf.sprintf "Q%d" i)
-              ~resource:(Helpers.random_hospital_expr rng)
-              (if Prng.bool rng then Rule.Plus else Rule.Minus))
+      let policy =
+        Helpers.random_role_policy rng (Helpers.random_subjects rng)
       in
-      let ds = if Prng.bool rng then Rule.Plus else Rule.Minus in
-      let policy = Policy.make ~ds ~cr:Rule.Minus rules in
       let eng = Engine.create ~dtd:W.Hospital.dtd ~policy doc in
       let _ = Engine.annotate eng in
+      let _ = Engine.annotate_subjects eng in
+      let subjects =
+        None :: List.map Option.some (Policy.roles (Engine.policy eng))
+      in
       let ok = ref true in
       let check_round () =
         for _ = 1 to 2 do
           let q =
             Xmlac_xpath.Pp.expr_to_string (Helpers.random_hospital_expr rng)
           in
-          (* Twice: the second answer is served from the cache. *)
-          let direct = Engine.request_direct eng Engine.Native q in
-          if Engine.request eng Engine.Native q <> direct then ok := false;
-          if Engine.request eng Engine.Native q <> direct then ok := false
-        done
+          List.iter
+            (fun subject ->
+              (* Twice: the second answer is served from the cache. *)
+              let direct = Engine.request_direct ?subject eng Engine.Native q in
+              if Engine.request ?subject eng Engine.Native q <> direct then
+                ok := false;
+              if Engine.request ?subject eng Engine.Native q <> direct then
+                ok := false)
+            subjects
+        done;
+        if not (Helpers.cam_coherent eng) then ok := false
       in
       check_round ();
-      for _ = 1 to 2 do
-        let e = Helpers.random_hospital_expr rng in
-        (match e.Xmlac_xpath.Ast.steps with
-        | [ { Xmlac_xpath.Ast.test = Xmlac_xpath.Ast.Name "hospital"; _ } ]
-        | [ { Xmlac_xpath.Ast.test = Xmlac_xpath.Ast.Wildcard; _ } ] ->
-            ()
-        | _ -> ignore (Engine.update eng (Xmlac_xpath.Pp.expr_to_string e)));
+      for i = 1 to 4 do
+        (if i mod 2 = 0 then begin
+           let fragment = Tree.create ~root_name:"treatment" in
+           let reg = Tree.add_child fragment (Tree.root fragment) "regular" in
+           ignore (Tree.add_child fragment reg ~value:"aspirin" "med");
+           ignore (Engine.insert eng ~at:"//patient" ~fragment)
+         end
+         else ignore (Engine.update eng (Helpers.random_update rng)));
         check_round ()
       done;
-      if not (Engine.cam_check eng) then ok := false;
       !ok)
 
 let () =

@@ -304,6 +304,30 @@ let test_forced_lanes_cached_separately () =
     (Xmlac_util.Metrics.counter m "lane.rewrite" > 0
     && Xmlac_util.Metrics.counter m "lane.materialized" > 0)
 
+(* A crash at [snapshot.publish] in [annotate] commits the signs but
+   leaves the cold epoch current, so a request still rewrites.  The
+   reported lane must be the one the request takes. *)
+let test_lane_after_publish_crash () =
+  let module Fault = Xmlac_util.Fault in
+  Fault.reset ();
+  let eng =
+    Engine.create ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
+      (W.Hospital.sample_document ())
+  in
+  Fault.arm "snapshot.publish" (Fault.After 1);
+  (match Engine.annotate eng with
+  | _ -> Alcotest.fail "armed publish did not crash"
+  | exception Fault.Crash _ -> ());
+  Fault.recover ();
+  let m = Engine.metrics eng in
+  let rewrites = Xmlac_util.Metrics.counter m "lane.rewrite" in
+  ignore (Engine.request eng Engine.Native "//patient");
+  Alcotest.(check int) "the request rewrote" (rewrites + 1)
+    (Xmlac_util.Metrics.counter m "lane.rewrite");
+  Alcotest.(check bool) "resolve_lane reports the rewrite lane" true
+    (Engine.resolve_lane eng = (Rewrite.Rewrite, "never-annotated store"));
+  Fault.reset ()
+
 let () =
   Alcotest.run ~and_exit:false "rewrite lane"
     [
@@ -331,5 +355,7 @@ let () =
           Alcotest.test_case "lane string round trip" `Quick test_lane_strings;
           Alcotest.test_case "forced lanes cached separately" `Quick
             test_forced_lanes_cached_separately;
+          Alcotest.test_case "lane after publish crash" `Quick
+            test_lane_after_publish_crash;
         ] );
     ]

@@ -354,7 +354,7 @@ let test_mutation_recovered_forward () =
   (* the twin receives the same mutation fault-free *)
   let twin = annotated_engine () in
   ignore (Engine.update twin "//patient/treatment");
-  Fault.arm_transient "cam.repair" (Fault.After 1);
+  Fault.arm_transient "epoch.commit" (Fault.After 1);
   (match S.update serve "//patient/treatment" with
   | Ok S.Recovered -> ()
   | Ok _ -> Alcotest.fail "mid-epoch fault should surface as Recovered"
