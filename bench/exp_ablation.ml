@@ -5,10 +5,10 @@
    schema-level overlap, trading some extra triggered rules (hence
    re-annotation work) for provable equivalence with full annotation.
    This experiment quantifies both sides: triggered-rule counts,
-   re-annotation time, and whether each mode's result matches the
-   reference semantics on the updated document.  Overlap is the
-   engine's trigger, so the run exits non-zero when its row does not
-   match. *)
+   re-annotation time on the native store, and whether each mode's
+   result matches the reference semantics on the updated document in
+   every store.  Overlap is the engine's trigger, so the run exits
+   non-zero when its row does not match in any store. *)
 
 module Tabular = Xmlac_util.Tabular
 module Timing = Xmlac_util.Timing
@@ -39,22 +39,31 @@ let run (cfg : Bench_common.config) =
         let triggered = ref 0 and elapsed = ref 0.0 and correct = ref true in
         List.iter
           (fun update ->
-            let working = Tree.copy doc in
-            let backend = Xml_backend.make working in
-            let _ = Annotator.annotate backend policy in
-            let stats, dt =
-              Timing.time (fun () ->
-                  Reannotator.reannotate ~schema:Bench_common.schema_graph
-                    backend depend ~update)
-            in
-            triggered := !triggered + List.length stats.Reannotator.triggered;
-            elapsed := !elapsed +. dt;
             let reference = Tree.copy doc in
             ignore (Xmlac_xmldb.Update.delete reference update);
-            if
-              Policy.accessible_ids policy reference
-              <> Backend.accessible_ids backend ~default:(Policy.ds policy)
-            then correct := false)
+            let expected = Policy.accessible_ids policy reference in
+            List.iter
+              (fun (s : Bench_common.store) ->
+                let backend = s.Bench_common.backend in
+                let _ = Annotator.annotate backend policy in
+                let stats, dt =
+                  Timing.time (fun () ->
+                      Reannotator.reannotate ~schema:Bench_common.schema_graph
+                        backend depend ~update)
+                in
+                (* Only the native store is timed; every store is
+                   checked. *)
+                if s.Bench_common.label = "xquery" then begin
+                  triggered :=
+                    !triggered + List.length stats.Reannotator.triggered;
+                  elapsed := !elapsed +. dt
+                end;
+                if
+                  expected
+                  <> Backend.accessible_ids backend ~default:(Policy.ds policy)
+                then correct := false)
+              (Bench_common.stores_for doc
+                 ~default_sign:(Rule.effect_to_string (Policy.ds policy))))
           updates;
         let n = float_of_int (List.length updates) in
         Tabular.add_row t
@@ -74,8 +83,9 @@ let run (cfg : Bench_common.config) =
   in
   Tabular.print t;
   Printf.printf
-    "(factor %s, %d updates; overlap triggers more rules but is provably \
-     complete)\n"
+    "(factor %s, %d updates; reannot timed on xquery, matches checked on \
+     xquery/monetsql/postgres; overlap triggers more rules but is \
+     provably complete)\n"
     (Bench_common.pp_factor factor)
     (List.length updates);
   (* Second ablation: pure vs schema-aware redundancy elimination, on

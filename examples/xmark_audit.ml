@@ -57,12 +57,11 @@ let () =
     (Xmlac_reldb.Sql.query_to_string
        (Xmlac_shrex.Translate.translate_string (Engine.mapping eng)
           "//person[creditcard]/profile"));
-  let q = Annotation_query.build (Engine.policy eng) in
+  let plan = Plan.of_policy (Engine.policy eng) in
   print_endline "\nannotation query (XQuery form):";
   Printf.printf "  %s\n"
     (String.concat "\n  "
-       (String.split_on_char '\n'
-          (Annotation_query.to_xquery_string ~doc_name:"xmark" q)));
+       (String.split_on_char '\n' (Plan.to_xquery ~doc_name:"xmark" plan)));
 
   (* Annotate and audit the stores. *)
   print_newline ();

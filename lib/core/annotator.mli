@@ -19,8 +19,8 @@ val annotate :
     the ablation baseline. *)
 
 val annotate_with_plan : Backend.t -> Plan.t -> stats
-(** Same, but with a pre-built (possibly rewritten or restricted)
-    plan — the engine's cached-plan entry point. *)
+(** Same, but with a pre-built (possibly rewritten) plan — the
+    engine's cached-plan entry point. *)
 
 val coverage : stats -> float
 (** Fraction of nodes carrying the non-default sign, in [0, 1] — the

@@ -11,7 +11,6 @@ type t = {
   reset_signs : default:Tree.sign -> unit;
   sign_of : int -> Tree.sign option;
   restore_sign : int -> Tree.sign option -> unit;
-  set_bits_ids : int list -> role:int -> value:bool -> default:Bitset.t -> int;
   set_bits_batch : (int * (int * bool) list) list -> default:Bitset.t -> int;
   reset_bits : default:Bitset.t -> unit;
   bits_of : int -> Bitset.t option;
@@ -69,13 +68,6 @@ let with_faults b =
       (fun ~default ->
         pt "reset_signs";
         b.reset_signs ~default);
-    set_bits_ids =
-      (fun ids ~role ~value ~default ->
-        List.fold_left
-          (fun acc id ->
-            pt "set_bits";
-            acc + b.set_bits_ids [ id ] ~role ~value ~default)
-          0 ids);
     set_bits_batch =
       (fun edits ~default ->
         (* One crossing per node, not per (node, role): the batch's
@@ -143,13 +135,6 @@ let journaled j b =
       (fun ~default ->
         if j.active then List.iter record (b.live_ids ());
         b.reset_signs ~default);
-    set_bits_ids =
-      (fun ids ~role ~value ~default ->
-        List.fold_left
-          (fun acc id ->
-            record_bits id;
-            acc + b.set_bits_ids [ id ] ~role ~value ~default)
-          0 ids);
     set_bits_batch =
       (fun edits ~default ->
         (* One pre-image per touched node covers every role edit the

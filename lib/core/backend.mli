@@ -11,10 +11,10 @@
     Two annotation representations coexist.  The single-subject sign
     ("+"/"-") is the paper's original materialization.  The
     multi-subject role {e bitmap} ({!Xmlac_util.Bitset}) stores, per
-    node, the set of role bit indices with access; [set_bits_ids]
-    stamps one role's slice of every bitmap in an id set, which is how
-    the shared annotation pass fans a plan answer out to the roles that
-    share the plan.
+    node, the set of role bit indices with access; [set_bits_batch]
+    writes every role edit of a node at once, which is how the shared
+    annotation pass fans each plan answer out to the roles that share
+    the plan.
 
     {2 Crash safety}
 
@@ -35,13 +35,14 @@ type t = {
       (** Ids selected by an expression, ascending. *)
   eval_plan : Plan.t -> int list;
       (** Ids in the annotation plan's answer, ascending — the plan is
-          lowered to the backend's own algebra (SQL with balanced
-          unions relationally, id-set algebra natively), with any
-          [Plan.Restrict] applied as a semijoin on the
-          answer. *)
+          lowered to the backend's own algebra: one SQL query with
+          balanced unions relationally, id-set algebra natively.  The
+          annotator's whole-document pass; the reannotator evaluates
+          scopes through [eval_ids] instead. *)
   eval_plans : Plan.t list -> int list list;
-      (** A batch of plans in one pass, in order.  The native store
-          shares a scope memo across the batch
+      (** A batch of plans in one pass, in order — the shared
+          multi-role annotation pass and the rewrite lane.  The native
+          store shares a scope memo across the batch
           ({!Plan.native_ids_shared}) so each distinct XPath evaluates
           once; relationally each plan is one SQL query.  Answers match
           [List.map eval_plan] exactly. *)
@@ -58,24 +59,19 @@ type t = {
           with [sign_of] — including [None], which natively clears the
           annotation.  No-op on a missing node; relationally [None] is
           unrepresentable for a live row and is skipped. *)
-  set_bits_ids : int list -> role:int -> value:bool -> default:Xmlac_util.Bitset.t -> int;
-      (** Stamps one role's bit to [value] in the bitmap of each given
-          node; ids no longer present are skipped; returns how many
-          were stamped.  A node without an explicit bitmap starts from
-          [default] (the policy's {!Policy.default_bits}) — the native
-          store materializes the bitmap on first touch, the relational
-          store always has an explicit [b] column. *)
   set_bits_batch :
     (int * (int * bool) list) list -> default:Xmlac_util.Bitset.t -> int;
       (** [set_bits_batch [(id, [(role, value); ...]); ...] ~default]
           applies every role-bit edit of a node in one write: the
-          node's bitmap is read (or started from [default]) once, all
-          its role bits flipped, and the result stored — one
-          serialization per touched node instead of one per (node,
-          role), which is what makes thousands of roles affordable on
-          the relational stores.  Ids no longer present are skipped.
-          Returns the number of (node, role) edits applied — the same
-          count a [set_bits_ids] loop would report. *)
+          node's bitmap is read (or started from [default], the
+          policy's {!Policy.default_bits}) once, all its role bits
+          flipped, and the result stored — one serialization per
+          touched node instead of one per (node, role), which is what
+          makes thousands of roles affordable on the relational stores.
+          The native store materializes a bitmap on first touch; the
+          relational store always has an explicit [b] column.  Ids no
+          longer present are skipped.  Returns the number of (node,
+          role) edits applied. *)
   reset_bits : default:Xmlac_util.Bitset.t -> unit;
       (** Returns every node's bitmap to the unannotated/default state:
           natively erases them all (compact representation),
@@ -121,9 +117,8 @@ val accessible_ids_role : t -> default:Xmlac_util.Bitset.t -> role:int -> int li
 val with_faults : t -> t
 (** Threads the mutating operations through fault points named
     [native.set_sign] and [native.set_bits] (hit once {e per node}
-    stamped — [set_bits_batch] included, whose crossing granularity
-    follows its per-node write granularity — so counted triggers land
-    mid-write),
+    stamped — [set_bits_batch]'s crossing granularity follows its
+    per-node write granularity — so counted triggers land mid-write),
     [native.reset_signs], [native.reset_bits] and
     [native.delete]; [eval_ids] crosses [native.eval] once per
     query — as does each plan of an [eval_plans] batch, before the
@@ -144,7 +139,7 @@ val journal : unit -> journal
 
 val journaled : journal -> t -> t
 (** Wraps the backend so [set_sign_ids] / [reset_signs] record each
-    overwritten [(id, prior sign)] and [set_bits_ids] / [reset_bits]
+    overwritten [(id, prior sign)] and [set_bits_batch] / [reset_bits]
     each overwritten [(id, prior bitmap)] into the journal while it is
     active.  Compose {e inside} {!with_faults} so a write interrupted
     by a fault is neither journaled nor applied. *)

@@ -12,7 +12,6 @@ type node =
   | Union of node list
   | Except of node * node
   | Intersect of node * node
-  | Restrict of Ids.t * node
 
 type t = { query : node; mark : Rule.effect; default : Rule.effect }
 
@@ -37,15 +36,12 @@ let of_policy policy =
 
 let of_rules policy rules = of_policy (Policy.with_rules policy rules)
 
-let restrict ids t = { t with query = Restrict (ids, t.query) }
-
 (* --- inspection --------------------------------------------------- *)
 
 let rec size_node = function
   | Empty | Scope _ -> 1
   | Union ps -> List.fold_left (fun n p -> n + size_node p) 1 ps
   | Except (a, b) | Intersect (a, b) -> 1 + size_node a + size_node b
-  | Restrict (_, p) -> 1 + size_node p
 
 let size t = size_node t.query
 
@@ -55,7 +51,6 @@ let scopes t =
     | Scope e -> e :: acc
     | Union ps -> List.fold_left go acc ps
     | Except (a, b) | Intersect (a, b) -> go (go acc a) b
-    | Restrict (_, p) -> go acc p
   in
   List.rev (go [] t.query)
 
@@ -68,7 +63,6 @@ let rec equal_node a b =
   | Except (a1, b1), Except (a2, b2) | Intersect (a1, b1), Intersect (a2, b2)
     ->
       equal_node a1 a2 && equal_node b1 b2
-  | Restrict (s1, p1), Restrict (s2, p2) -> Ids.equal s1 s2 && equal_node p1 p2
   | _ -> false
 
 (* --- rewriting ---------------------------------------------------- *)
@@ -94,13 +88,6 @@ let rec simplify = function
       match (simplify a, simplify b) with
       | Empty, _ | _, Empty -> Empty
       | a, b -> Intersect (a, b))
-  | Restrict (s, p) -> (
-      if Ids.is_empty s then Empty
-      else
-        match simplify p with
-        | Empty -> Empty
-        | Restrict (s', p') -> Restrict (Ids.inter s s', p')
-        | p -> Restrict (s, p))
 
 (* Within one union front, [Scope p] is absorbed when some sibling
    [Scope q] contains it; ties between equivalent scopes keep the
@@ -140,7 +127,6 @@ let absorb ?schema query =
     | Union ps -> Union (absorb_front (List.map go ps))
     | Except (a, b) -> Except (go a, go b)
     | Intersect (a, b) -> Intersect (go a, go b)
-    | Restrict (s, p) -> Restrict (s, go p)
   in
   go query
 
@@ -151,7 +137,6 @@ let prune sg query =
     | Union ps -> Union (List.map go ps)
     | Except (a, b) -> Except (go a, go b)
     | Intersect (a, b) -> Intersect (go a, go b)
-    | Restrict (s, p) -> Restrict (s, go p)
   in
   go query
 
@@ -201,7 +186,6 @@ let equiv ?schema a b =
     | Except (a1, b1), Except (a2, b2) | Intersect (a1, b1), Intersect (a2, b2)
       ->
         go a1 a2 && go b1 b2
-    | Restrict (s1, p1), Restrict (s2, p2) -> Ids.equal s1 s2 && go p1 p2
     | _ -> false
   in
   go a.query b.query
@@ -210,56 +194,32 @@ let equiv ?schema a b =
 
 let ids_of_table tbl = Hashtbl.fold (fun id () s -> Ids.add id s) tbl Ids.empty
 
-(* [scope] evaluates one XPath to its id set; [memo], when given,
-   shares each distinct XPath's (by printed form) answer across the
-   plans of one batch. *)
-let rec eval_node_memo memo scope = function
-  | Empty -> Ids.empty
-  | Scope e -> (
-      match memo with
-      | None -> scope e
-      | Some tbl -> (
-          let key = Xp.Pp.expr_to_string e in
-          match Hashtbl.find_opt tbl key with
-          | Some s -> s
-          | None ->
-              let s = scope e in
-              Hashtbl.replace tbl key s;
-              s))
-  | Union ps ->
-      List.fold_left
-        (fun acc p -> Ids.union acc (eval_node_memo memo scope p))
-        Ids.empty ps
-  | Except (a, b) ->
-      Ids.diff (eval_node_memo memo scope a) (eval_node_memo memo scope b)
-  | Intersect (a, b) ->
-      Ids.inter (eval_node_memo memo scope a) (eval_node_memo memo scope b)
-  | Restrict (s, p) -> Ids.inter s (eval_node_memo memo scope p)
+(* [scope] evaluates one XPath to its id set; the set algebra runs on
+   those. *)
+let eval scope t =
+  let rec go = function
+    | Empty -> Ids.empty
+    | Scope e -> scope e
+    | Union ps -> List.fold_left (fun acc p -> Ids.union acc (go p)) Ids.empty ps
+    | Except (a, b) -> Ids.diff (go a) (go b)
+    | Intersect (a, b) -> Ids.inter (go a) (go b)
+  in
+  go t.query
 
 let tree_scope doc e = ids_of_table (Xp.Eval.node_set doc e)
 
-let eval_native doc t = eval_node_memo None (tree_scope doc) t.query
-let native_ids doc t = Ids.elements (eval_native doc t)
+let native_ids doc t = Ids.elements (eval (tree_scope doc) t)
 
 (* One scope memo across a batch of plans: role plans from one policy
    share most of their scopes, so each distinct XPath evaluates once
    per document no matter how many roles reference it. *)
 let ids_shared scope ts =
-  let memo = Some (Hashtbl.create 32) in
-  List.map (fun t -> Ids.elements (eval_node_memo memo scope t.query)) ts
+  let scope = Rule.memo_resource scope in
+  List.map (fun t -> Ids.elements (eval scope t)) ts
 
 let native_ids_shared doc ts = ids_shared (tree_scope doc) ts
 
 (* --- relational lowering ------------------------------------------ *)
-
-let split_restriction t =
-  let rec go acc = function
-    | Restrict (s, p) ->
-        go (Some (match acc with None -> s | Some a -> Ids.inter a s)) p
-    | p -> (acc, p)
-  in
-  let restriction, query = go None t.query in
-  (restriction, { t with query })
 
 let to_sql mapping t =
   let rec go = function
@@ -277,52 +237,34 @@ let to_sql mapping t =
         | Some q -> q)
     | Except (a, b) -> Sql.Except (go a, go b)
     | Intersect (a, b) -> Sql.Intersect (go a, go b)
-    | Restrict _ ->
-        invalid_arg "Plan.to_sql: Restrict has no relational form"
   in
   go t.query
 
 (* --- xquery lowering ---------------------------------------------- *)
 
-let rec xq_node ~on_restrict = function
+let rec xq_node = function
   | Empty | Union [] -> "()"
   | Scope e -> Xp.Pp.expr_to_string e
-  | Union ps -> String.concat " union " (List.map (xq_atom ~on_restrict) ps)
-  | Except (a, b) ->
-      xq_atom ~on_restrict a ^ " except " ^ xq_atom ~on_restrict b
-  | Intersect (a, b) ->
-      xq_atom ~on_restrict a ^ " intersect " ^ xq_atom ~on_restrict b
-  | Restrict (s, p) -> on_restrict s p
+  | Union ps -> String.concat " union " (List.map xq_atom ps)
+  | Except (a, b) -> xq_atom a ^ " except " ^ xq_atom b
+  | Intersect (a, b) -> xq_atom a ^ " intersect " ^ xq_atom b
 
-and xq_atom ~on_restrict p =
+and xq_atom p =
   match p with
-  | Empty | Scope _ | Union [] | Restrict _ -> xq_node ~on_restrict p
-  | Union _ | Except _ | Intersect _ -> "(" ^ xq_node ~on_restrict p ^ ")"
+  | Empty | Scope _ | Union [] -> xq_node p
+  | Union _ | Except _ | Intersect _ -> "(" ^ xq_node p ^ ")"
 
 let to_xquery ~doc_name t =
-  let body =
-    xq_node
-      ~on_restrict:(fun _ _ ->
-        invalid_arg "Plan.to_xquery: Restrict has no XQuery form")
-      t.query
-  in
   Printf.sprintf "for $n in doc(\"%s\")(%s)\nreturn xmlac:annotate($n, \"%s\")"
-    doc_name body
+    doc_name (xq_node t.query)
     (Rule.effect_to_string t.mark)
 
 (* --- printing ----------------------------------------------------- *)
 
-let node_to_string =
-  xq_node ~on_restrict:(fun s p ->
-      Printf.sprintf "restrict{%d}(%s)" (Ids.cardinal s)
-        (xq_node
-           ~on_restrict:(fun _ _ -> assert false (* fused by simplify *))
-           p))
-
 let pp ppf t =
   Format.fprintf ppf "mark %s: %s"
     (Rule.effect_to_string t.mark)
-    (node_to_string t.query)
+    (xq_node t.query)
 
 (* --- explain ------------------------------------------------------ *)
 
@@ -341,13 +283,14 @@ let explain ?schema ?mapping ?doc ?(doc_name = "doc") t =
   let (rewritten, trace), rewrite_s =
     Timing.time (fun () -> rewrite_trace ?schema t)
   in
-  let _, core = split_restriction rewritten in
-  let xquery, xquery_s = Timing.time (fun () -> to_xquery ~doc_name core) in
+  let xquery, xquery_s =
+    Timing.time (fun () -> to_xquery ~doc_name rewritten)
+  in
   let sql, sql_timing =
     match mapping with
     | None -> (None, [])
     | Some m ->
-        let q, s = Timing.time (fun () -> to_sql m core) in
+        let q, s = Timing.time (fun () -> to_sql m rewritten) in
         (Some q, [ ("lower:sql", s) ])
   in
   let scope_counts, answer_size, native_timing =
@@ -360,7 +303,9 @@ let explain ?schema ?mapping ?doc ?(doc_name = "doc") t =
               (Xp.Pp.expr_to_string e, Hashtbl.length (Xp.Eval.node_set d e)))
             (scopes rewritten)
         in
-        let answer, s = Timing.time (fun () -> eval_native d rewritten) in
+        let answer, s =
+          Timing.time (fun () -> eval (tree_scope d) rewritten)
+        in
         (counts, Some (Ids.cardinal answer), [ ("eval:native", s) ])
   in
   {

@@ -3,22 +3,25 @@
     Annotation-Queries (Section 5.2, Figure 5) compiles a policy into
     one set-algebraic query over the scopes of its rules, and partial
     re-annotation (Section 5.3) runs the same query restricted to the
-    triggered rules and the affected region.  This module makes that
-    query a first-class object — built once from either entry point,
-    rewritten by analysis passes, and lowered to each store's own
-    algebra — instead of a flat record every layer re-interprets by
-    hand.
+    triggered rules.  This module makes that query a first-class
+    object — built once from either entry point, rewritten by analysis
+    passes, and lowered to each store's own algebra — instead of a flat
+    record every layer re-interprets by hand.
 
     The pipeline is
 
     {v policy / triggered rules
-        |  of_policy / of_rules (+ restrict)
+        |  of_policy / of_rules
         v
       plan IR  --rewrite-->  smaller plan IR
         |
-        +-- native_ids   (id-set algebra over the XML tree)
+        +-- eval         (id-set algebra over any scope evaluator;
+        |                 native_ids: over the XML tree)
         +-- to_sql       (ShreX translation, balanced n-ary unions)
         +-- to_xquery    (executable FLWOR text for Xmldb.Xquery) v}
+
+    The reannotator intersects {!eval}'s answer with its region itself,
+    so the IR has no node for a materialized id set.
 
     Rewrites only ever shrink the query ({e fewer} scopes to evaluate,
     {e smaller} lowered artifacts) and preserve its answer: scope
@@ -41,12 +44,6 @@ type node =
   | Union of node list  (** N-ary union; [Union \[\]] = [Empty]. *)
   | Except of node * node
   | Intersect of node * node
-  | Restrict of Ids.t * node
-      (** Intersection with a materialized id set — the reannotator's
-          affected region.  Only the native lowering can evaluate it
-          in-store; relational and XQuery consumers peel it off with
-          {!split_restriction} and apply it as a semijoin on the
-          answer. *)
 
 type t = {
   query : node;
@@ -65,9 +62,6 @@ val of_rules : Policy.t -> Rule.t list -> t
 (** The restricted compilation of Section 5.3: same [ds]/[cr], only
     the given (triggered) rules.  [of_rules p (Policy.rules p)] is
     [of_policy p]. *)
-
-val restrict : Ids.t -> t -> t
-(** Wraps the query in a [Restrict] node on the given id set. *)
 
 (** {1 Inspection} *)
 
@@ -96,7 +90,7 @@ val simplify : node -> node
 (** Union flattening into n-ary form, empty elimination
     ([Union \[\] = Empty], [Except (Empty, _) = Empty],
     [Except (p, Empty) = p], [Intersect] with [Empty] = [Empty]),
-    singleton-union unwrapping, and fusion of nested restrictions. *)
+    and singleton-union unwrapping. *)
 
 val absorb : ?schema:Xmlac_xml.Schema_graph.t -> node -> node
 (** Containment-based scope absorption: inside every union, a scope
@@ -120,44 +114,38 @@ val rewrite_trace : ?schema:Xmlac_xml.Schema_graph.t -> t -> t * pass_stat list
 
 (** {1 Lowerings} *)
 
-val eval_native : Xmlac_xml.Tree.t -> t -> Ids.t
-(** Direct evaluation over the native store: each scope materializes
-    its id set through {!Xmlac_xpath.Eval.node_set} and the set
-    algebra runs on those — no document scan. *)
+val eval : (Xmlac_xpath.Ast.expr -> Ids.t) -> t -> Ids.t
+(** [eval scope t] runs the plan's set algebra over [scope e], the id
+    set of one XPath.  Pass a memoized [scope]
+    ({!Rule.memo_resource}) to share scope answers across plans. *)
 
 val native_ids : Xmlac_xml.Tree.t -> t -> int list
-(** {!eval_native} as an ascending list. *)
+(** {!eval} over the native store, ascending: each scope materializes
+    its id set through {!Xmlac_xpath.Eval.node_set} — no document
+    scan. *)
 
 val native_ids_shared : Xmlac_xml.Tree.t -> t list -> int list list
 (** Evaluates a batch of plans over one document with a shared scope
-    memo: each distinct XPath (by printed form) is evaluated once no
-    matter how many plans reference it — the native store's half of the
-    multi-role shared annotation pass. *)
+    memo: each distinct XPath is evaluated once no matter how many
+    plans reference it — the native store's half of the multi-role
+    shared annotation pass. *)
 
 val ids_shared : (Xmlac_xpath.Ast.expr -> Ids.t) -> t list -> int list list
 (** {!native_ids_shared} over any scope evaluator: [scope e] is the id
-    set of one XPath.  Frozen snapshots pass their
-    {!Xmlac_xpath.Index}. *)
-
-val split_restriction : t -> Ids.t option * t
-(** Peels top-level restrictions off the query (intersecting nested
-    ones); the remaining plan is [Restrict]-free at the root and
-    lowerable to SQL/XQuery, with the returned set to be applied to
-    the answer. *)
+    set of one XPath, memoized across the batch through
+    {!Rule.memo_resource} (structurally equal resources share one
+    evaluation).  Frozen snapshots pass their {!Xmlac_xpath.Index}. *)
 
 val to_sql : Xmlac_shrex.Mapping.t -> t -> Xmlac_reldb.Sql.query
 (** ShreX-translated scopes combined with balanced n-ary UNIONs (the
     translation's own branches are flattened into the same front) and
     EXCEPT / INTERSECT.  [Empty] lowers to
-    {!Xmlac_shrex.Translate.empty}.
-    @raise Invalid_argument on a remaining [Restrict] — call
-    {!split_restriction} first. *)
+    {!Xmlac_shrex.Translate.empty}. *)
 
 val to_xquery : doc_name:string -> t -> string
 (** Executable FLWOR text for the {!Xmlac_xmldb.Xquery} fragment:
     [for $n in doc("...")(...) return xmlac:annotate($n, mark)], with
-    [()] for [Empty] so every plan round-trips through the parser.
-    @raise Invalid_argument on a remaining [Restrict]. *)
+    [()] for [Empty] so every plan round-trips through the parser. *)
 
 (** {1 Explain} *)
 
@@ -165,7 +153,7 @@ type explain = {
   raw : t;
   rewritten : t;
   trace : pass_stat list;
-  xquery : string;  (** Lowered FLWOR text (restriction peeled). *)
+  xquery : string;  (** Lowered FLWOR text. *)
   sql : Xmlac_reldb.Sql.query option;  (** When a mapping is supplied. *)
   scope_counts : (string * int) list;
       (** Per-scope node counts of the rewritten plan, when a document

@@ -10,17 +10,15 @@ type stats = {
 (* Scope evaluation through the backend, once per distinct resource:
    role policies repeat a resource under many qualifiers.  One
    evaluator serves one document state — before the update, or after
-   it. *)
-let scopes (backend : Backend.t) = Rule.memo_resource backend.Backend.eval_ids
+   it — and every verdict in that state reads its scopes from it. *)
+let scopes (backend : Backend.t) =
+  Rule.memo_resource (fun e -> Plan.Ids.of_list (backend.Backend.eval_ids e))
 
 (* Union of the rules' scope id sets — this feeds the affected-region
    computation before and after the update. *)
 let scope_union scope rules =
   List.fold_left
-    (fun acc (r : Rule.t) ->
-      List.fold_left
-        (fun acc id -> Plan.Ids.add id acc)
-        acc (scope r.Rule.resource))
+    (fun acc (r : Rule.t) -> Plan.Ids.union acc (scope r.Rule.resource))
     Plan.Ids.empty rules
 
 (* The pre-mutation half: the triggered rules and their scopes before
@@ -40,42 +38,39 @@ let prepare ?schema ?(bits = false) (backend : Backend.t) depend ~touched =
   { trig; rules; pre = scope_union (scopes backend) rules; bits }
 
 (* The bitmap layer's repair over [live]: every role projection of the
-   triggered rules, restricted to the region — identical projections
-   share one plan, and all plans run in one batch — then one batched
-   write of exactly the role bits that disagree with the verdict. *)
-let repair_bits (backend : Backend.t) policy rules live =
+   triggered rules, evaluated over the post-update [scope] memo and
+   intersected with the region — identical projections share one
+   evaluation — then one batched write of exactly the role bits that
+   disagree with the verdict. *)
+let repair_bits (backend : Backend.t) scope policy rules live =
   if Plan.Ids.is_empty live then []
   else begin
     let triggered = Policy.with_rules policy rules in
-    let groups = ref [] (* (projection, plan, member roles), reversed *) in
-    List.iteri
-      (fun role name ->
-        let p = Policy.for_subject triggered name in
-        match
-          List.find_opt
-            (fun (q, _, _) -> Annotator.same_projection p q)
-            !groups
-        with
-        | Some (_, _, members) -> members := role :: !members
-        | None ->
-            groups :=
-              (p, Plan.restrict live (Plan.of_policy p), ref [ role ])
-              :: !groups)
-      (Policy.roles policy);
-    let groups = List.rev !groups in
-    let answers =
-      backend.Backend.eval_plans (List.map (fun (_, plan, _) -> plan) groups)
-    in
-    (* Per role bit: the region nodes its plan marks, and whether the
-       mark grants. *)
+    (* Per role bit: the region nodes its projection marks, and
+       whether the mark grants. *)
     let verdict =
       Array.make (Policy.role_count policy) (Plan.Ids.empty, false)
     in
-    List.iter2
-      (fun (_, (plan : Plan.t), members) answer ->
-        let v = (Plan.Ids.of_list answer, plan.Plan.mark = Rule.Plus) in
-        List.iter (fun role -> verdict.(role) <- v) !members)
-      groups answers;
+    let groups = ref [] (* (projection, verdict) *) in
+    List.iteri
+      (fun role name ->
+        let p = Policy.for_subject triggered name in
+        verdict.(role) <-
+          (match
+             List.find_opt
+               (fun (q, _) -> Annotator.same_projection p q)
+               !groups
+           with
+          | Some (_, v) -> v
+          | None ->
+              let plan = Plan.of_policy p in
+              let v =
+                ( Plan.Ids.inter live (Plan.eval scope plan),
+                  plan.Plan.mark = Rule.Plus )
+              in
+              groups := (p, v) :: !groups;
+              v))
+      (Policy.roles policy);
     let default = Policy.default_bits policy in
     let batch =
       Plan.Ids.fold
@@ -100,20 +95,21 @@ let repair_bits (backend : Backend.t) policy rules live =
    and bitmap writes of a crashed attempt have been rolled back. *)
 let finish ?schema (backend : Backend.t) depend p ~deleted_roots =
   let policy = Depend.policy depend in
+  (* One scope memo for the post-update document: the region, the sign
+     verdict and every role-bit verdict read their scopes from it. *)
+  let scope = scopes backend in
   (* Scopes after — nodes that may have entered scope — joined with the
      scopes before.  Pre-update scopes may reference deleted nodes;
      restrict the affected region to the nodes still stored. *)
   let live =
     Plan.Ids.filter backend.Backend.has_node
-      (Plan.Ids.union p.pre (scope_union (scopes backend) p.rules))
+      (Plan.Ids.union p.pre (scope_union scope p.rules))
   in
   (* The restricted Annotation-Queries plan of Section 5.3: the
-     triggered rules' compilation, rewritten, intersected with the
-     affected region, evaluated in the backend's own algebra. *)
-  let plan =
-    Plan.restrict live (Plan.rewrite ?schema (Plan.of_rules policy p.rules))
-  in
-  let answer = Plan.Ids.of_list (backend.Backend.eval_plan plan) in
+     triggered rules' compilation, rewritten, evaluated over the memo
+     and intersected with the affected region. *)
+  let plan = Plan.rewrite ?schema (Plan.of_rules policy p.rules) in
+  let answer = Plan.Ids.inter live (Plan.eval scope plan) in
   (* Partition the surviving affected region into nodes to mark with
      the non-default sign and nodes to reset to the default, touching
      only "the nodes whose access permission changed due to the
@@ -133,7 +129,7 @@ let finish ?schema (backend : Backend.t) depend p ~deleted_roots =
   let _ = backend.Backend.set_sign_ids to_default default in
   let marked = backend.Backend.set_sign_ids to_mark mark_sign in
   let bits_changed =
-    if p.bits then repair_bits backend policy p.rules live else []
+    if p.bits then repair_bits backend scope policy p.rules live else []
   in
   {
     triggered = Trigger.all p.trig;

@@ -5,10 +5,14 @@
     {e before} and {e after} applying the update (before: nodes that
     may fall out of scope; after: nodes that may enter it); rebuild the
     annotation plan {e restricted to the triggered rules}
-    ({!Plan.of_rules}, rewritten, wrapped in a {!Plan.restrict} on the
-    surviving affected region) and evaluate it through the backend;
-    then touch only the affected nodes whose effective sign disagrees
-    with the plan's verdict.
+    ({!Plan.of_rules}, rewritten), evaluate it with {!Plan.eval} over
+    the post-update scope sets and intersect the answer with the
+    surviving affected region; then touch only the affected nodes
+    whose effective sign disagrees with the plan's verdict.
+
+    Each triggered resource goes through {!Backend.t.eval_ids} once per
+    document state ({!Rule.memo_resource}); the region, the sign
+    verdict and every role-bit verdict derive from those scope sets.
 
     Every other node keeps its annotation untouched — that asymmetry is
     where the speedup over full annotation comes from.  With an
@@ -24,10 +28,11 @@ type stats = {
   deleted_roots : int;  (** Subtree roots removed by the update. *)
   marked : int;  (** Nodes stamped with the non-default sign. *)
   changed : int list;
-      (** The ids whose sign was actually rewritten (both directions) —
-          a subset of the affected region, reported so downstream
-          indexes ({!Cam.apply_changes} in the engine) can repair
-          themselves incrementally instead of rebuilding. *)
+      (** The ids whose sign was actually rewritten (both directions),
+          in the order written — a subset of the affected region,
+          reported for callers and benches.  The snapshots' CAMs do not
+          need it: they repair themselves from the frozen tree's own
+          change set ({!Snapshot}). *)
   bits_changed : int list;
       (** The ids whose role bitmap was rewritten, ascending — empty
           unless the repair was prepared with [~bits:true].  Every one
@@ -66,13 +71,15 @@ val finish :
   prepared ->
   deleted_roots:int ->
   stats
-(** The post-mutation half: post-update scopes, the restricted
-    annotation plan, and the sign writes; then, if prepared with
-    [~bits:true], the bitmap repair — every role's projection of the
-    triggered rules ({!Policy.for_subject}), restricted to the
-    affected region, identical projections evaluated once, all in one
-    {!Backend.t.eval_plans} batch, and exactly the role bits that
-    disagree written in one {!Backend.t.set_bits_batch}.  Idempotent
+(** The post-mutation half: the post-update scopes, one memo of them
+    for this document state, the restricted annotation plan evaluated
+    over that memo ({!Plan.eval}), and the sign writes; then, if
+    prepared with [~bits:true], the bitmap repair — every role's
+    projection of the triggered rules ({!Policy.for_subject}),
+    evaluated over the same memo and intersected with the affected
+    region, identical projections evaluated once, and exactly the role
+    bits that disagree written in one {!Backend.t.set_bits_batch}.
+    No plan goes through {!Backend.t.eval_plan}.  Idempotent
     given the same [prepared] and document state — recovery re-runs it
     after rolling back any partial sign and bitmap writes of a crashed
     attempt. *)

@@ -68,16 +68,7 @@ let read_bits table id =
 
 let make mapping db : Backend.t =
   let engine = Db.engine db in
-  let eval_plan p =
-    (* The relational algebra has no literal id-set operand, so a
-       Restrict becomes a semijoin on the answer of the residual
-       query. *)
-    let restriction, core = Plan.split_restriction p in
-    let ids = Executor.query_ids db (Plan.to_sql mapping core) in
-    match restriction with
-    | None -> ids
-    | Some s -> List.filter (fun id -> Plan.Ids.mem id s) ids
-  in
+  let eval_plan p = Executor.query_ids db (Plan.to_sql mapping p) in
   let sign_of id =
     match Shred.node_table mapping db id with
     | None -> None
@@ -124,31 +115,11 @@ let make mapping db : Backend.t =
         match s with
         | None -> ()
         | Some sign -> ignore (set_sign_ids mapping db [ id ] sign));
-    set_bits_ids =
-      (fun ids ~role ~value ~default ->
-        let updated = ref 0 in
-        List.iter
-          (fun id ->
-            match Shred.node_table mapping db id with
-            | None -> ()
-            | Some table ->
-                let base =
-                  match read_bits table id with
-                  | Some b -> b
-                  | None -> default
-                in
-                let bits =
-                  if value then Bitset.add role base
-                  else Bitset.remove role base
-                in
-                updated := !updated + write_bits db table id bits)
-          ids;
-        !updated);
     set_bits_batch =
       (fun edits ~default ->
         (* The batched stamp: one row read and one serialized UPDATE
            per touched node, however many roles the epoch flips on
-           it — [set_bits_ids] pays both per (node, role). *)
+           it. *)
         let applied = ref 0 in
         List.iter
           (fun (id, role_edits) ->

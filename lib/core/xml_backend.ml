@@ -41,26 +41,11 @@ let make doc : Backend.t =
         match Tree.find doc id with
         | Some n -> Tree.set_sign doc n s
         | None -> ());
-    set_bits_ids =
-      (fun ids ~role ~value ~default ->
-        List.fold_left
-          (fun count id ->
-            match Tree.find doc id with
-            | Some n ->
-                (* Unannotated nodes materialize their bitmap from the
-                   default on first touch. *)
-                let base = Option.value n.Tree.bits ~default in
-                let bits =
-                  if value then Bitset.add role base
-                  else Bitset.remove role base
-                in
-                Tree.set_bits doc n (Some bits);
-                count + 1
-            | None -> count)
-          0 ids);
     set_bits_batch =
       (fun edits ~default ->
-        (* All of a node's role edits fold into one bitmap write. *)
+        (* All of a node's role edits fold into one bitmap write;
+           unannotated nodes materialize their bitmap from the default
+           on first touch. *)
         List.fold_left
           (fun acc (id, role_edits) ->
             match (Tree.find doc id, role_edits) with

@@ -27,8 +27,7 @@
 
     Set operators associate left with equal precedence (parenthesize,
     as the generated queries do).  This is what lets the output of
-    [Xmlac_core.Annotation_query.to_xquery_string] be executed, not
-    just displayed. *)
+    [Xmlac_core.Plan.to_xquery] be executed, not just displayed. *)
 
 type action = Return | Annotate of Xmlac_xml.Tree.sign
 

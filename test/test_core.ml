@@ -173,18 +173,8 @@ let optimizer_preserves_semantics_prop =
       Policy.accessible_ids p doc = Policy.accessible_ids p' doc)
 
 (* ------------------------------------------------------------------ *)
-(* Annotation queries *)
-
-let test_annotation_query_shapes () =
-  let check ds cr shape mark =
-    let q = Annotation_query.build (mk_policy ds cr) in
-    Alcotest.(check bool) "shape" true (q.Annotation_query.shape = shape);
-    Alcotest.(check bool) "mark" true (q.Annotation_query.mark = mark)
-  in
-  check Rule.Minus Rule.Minus Annotation_query.Except Rule.Plus;
-  check Rule.Minus Rule.Plus Annotation_query.Single Rule.Plus;
-  check Rule.Plus Rule.Minus Annotation_query.Single Rule.Minus;
-  check Rule.Plus Rule.Plus Annotation_query.Except Rule.Minus
+(* Annotation queries: Figure 5's compilation ({!Plan.of_policy})
+   evaluated natively, printed as XQuery and lowered to SQL. *)
 
 let test_annotation_query_eval_matches_semantics () =
   (* For deny-default policies, the query's answer is exactly the
@@ -193,21 +183,14 @@ let test_annotation_query_eval_matches_semantics () =
   List.iter
     (fun cr ->
       let p = mk_policy Rule.Minus cr in
-      let q = Annotation_query.build p in
-      let answer =
-        List.sort compare
-          (List.map
-             (fun (n : Tree.node) -> n.Tree.id)
-             (Annotation_query.eval_native doc q))
-      in
       Alcotest.(check (list int)) "query = semantics"
         (Policy.accessible_ids p doc)
-        answer)
+        (Plan.native_ids doc (Plan.of_policy p)))
     [ Rule.Plus; Rule.Minus ]
 
 let test_annotation_query_xquery_form () =
-  let q = Annotation_query.build (Optimizer.optimize_policy W.Hospital.policy) in
-  let s = Annotation_query.to_xquery_string ~doc_name:"xmlgen" q in
+  let plan = Plan.of_policy (Optimizer.optimize_policy W.Hospital.policy) in
+  let s = Plan.to_xquery ~doc_name:"xmlgen" plan in
   let contains needle =
     let rec go i =
       i + String.length needle <= String.length s
@@ -226,8 +209,7 @@ let test_annotation_query_sql_runs () =
   let db = Db.create Table.Row in
   ignore (Xmlac_shrex.Shred.load mapping ~default_sign:"-" db doc);
   let p = Optimizer.optimize_policy W.Hospital.policy in
-  let q = Annotation_query.build p in
-  let sql = Annotation_query.to_sql mapping q in
+  let sql = Plan.to_sql mapping (Plan.of_policy p) in
   Alcotest.(check (list int)) "sql answer = semantics"
     (Policy.accessible_ids p doc)
     (Xmlac_reldb.Executor.query_ids db sql)
@@ -265,13 +247,7 @@ let test_plan_simplify () =
   Alcotest.(check bool) "except empty lhs" true
     (Plan.simplify (Plan.Except (Plan.Empty, a)) = Plan.Empty);
   Alcotest.(check bool) "intersect empty" true
-    (Plan.simplify (Plan.Intersect (a, Plan.Empty)) = Plan.Empty);
-  (* Nested restrictions fuse by intersection. *)
-  let s12 = Plan.Ids.of_list [ 1; 2 ] and s23 = Plan.Ids.of_list [ 2; 3 ] in
-  Alcotest.(check bool) "restrict fusion" true
-    (Plan.equal_node
-       (Plan.Restrict (Plan.Ids.singleton 2, a))
-       (Plan.simplify (Plan.Restrict (s12, Plan.Restrict (s23, a)))))
+    (Plan.simplify (Plan.Intersect (a, Plan.Empty)) = Plan.Empty)
 
 let test_plan_absorb () =
   let narrow = Plan.Scope (parse "//patient[treatment]") in
@@ -324,34 +300,6 @@ let test_plan_prune_and_rewrite () =
   Alcotest.(check (list int)) "same answer"
     (Plan.native_ids doc plan)
     (Plan.native_ids doc rewritten)
-
-let test_plan_restrict () =
-  let doc = tiny_doc () in
-  let plan = Plan.of_policy (mk_policy Rule.Minus Rule.Plus) in
-  let all = Plan.eval_native doc plan in
-  let some = Plan.Ids.of_list [ Plan.Ids.min_elt all ] in
-  let restricted = Plan.restrict some plan in
-  Alcotest.(check (list int)) "native restrict"
-    (Plan.Ids.elements some)
-    (Plan.native_ids doc restricted);
-  (* split_restriction peels (and fuses) the id sets off the query. *)
-  let peeled, core = Plan.split_restriction (Plan.restrict some restricted) in
-  Alcotest.(check bool) "peeled" true (peeled = Some some);
-  Alcotest.(check bool) "core restrict-free" true
-    (Plan.equal_node plan.Plan.query core.Plan.query);
-  (* SQL refuses an unpeeled restriction. *)
-  (try
-     ignore (Plan.to_sql mapping restricted);
-     Alcotest.fail "to_sql accepted a Restrict"
-   with Invalid_argument _ -> ());
-  (* The relational backends apply it as a semijoin. *)
-  List.iter
-    (fun (backend : Backend.t) ->
-      Alcotest.(check (list int))
-        (backend.Backend.name ^ " restricted answer")
-        (Plan.Ids.elements some)
-        (backend.Backend.eval_plan restricted))
-    (backends_for doc ~default_sign:"-")
 
 let test_plan_sql_balanced () =
   (* Eight single-table scopes: the flattened union front has eight
@@ -649,6 +597,65 @@ let test_full_reannotate_baseline () =
         (Backend.accessible_ids backend ~default:(Policy.ds p)))
     (backends_for doc ~default_sign:"-")
 
+let test_reannotate_one_evaluation_per_state () =
+  (* Section 5.3 evaluates the triggered scopes before and after the
+     update.  The region, the sign verdict and every role-bit verdict
+     all read one scope memo per document state: each triggered
+     resource crosses [eval_ids] exactly once before and once after,
+     and no whole-plan evaluation runs. *)
+  let policy = Lazy.force Helpers.hospital_roles_policy in
+  let depend = Depend.build ~mode:(Depend.Overlap hospital_sg) policy in
+  let update = parse "//patient/treatment" in
+  List.iter
+    (fun (store : Backend.t) ->
+      ignore (Annotator.annotate store policy);
+      ignore (Annotator.annotate_subjects store policy);
+      let counts = Hashtbl.create 8 in
+      let counting =
+        {
+          store with
+          Backend.eval_ids =
+            (fun e ->
+              Hashtbl.replace counts e
+                (1 + Option.value ~default:0 (Hashtbl.find_opt counts e));
+              store.Backend.eval_ids e);
+          eval_plan = (fun _ -> Alcotest.fail "eval_plan called");
+          eval_plans = (fun _ -> Alcotest.fail "eval_plans called");
+        }
+      in
+      let evaluated () =
+        let l = List.of_seq (Hashtbl.to_seq counts) in
+        Hashtbl.reset counts;
+        List.sort compare
+          (List.map (fun (e, n) -> (Xmlac_xpath.Pp.expr_to_string e, n)) l)
+      in
+      let p =
+        Reannotator.prepare ~schema:hospital_sg ~bits:true counting depend
+          ~touched:[ update ]
+      in
+      let before = evaluated () in
+      let deleted_roots = store.Backend.delete_update update in
+      let stats =
+        Reannotator.finish ~schema:hospital_sg counting depend p
+          ~deleted_roots
+      in
+      let after = evaluated () in
+      let rules = Array.of_list (Policy.rules policy) in
+      let expected =
+        List.sort_uniq compare
+          (List.map
+             (fun i ->
+               (Xmlac_xpath.Pp.expr_to_string rules.(i).Rule.resource, 1))
+             stats.Reannotator.triggered)
+      in
+      let name = store.Backend.name in
+      Alcotest.(check bool) (name ^ " triggered") true (expected <> []);
+      Alcotest.(check (list (pair string int))) (name ^ " before") expected
+        before;
+      Alcotest.(check (list (pair string int))) (name ^ " after") expected
+        after)
+    (backends_for (tiny_doc ()) ~default_sign:"-")
+
 (* The headline property: with the Overlap-mode dependency graph,
    partial re-annotation coincides with annotating the updated document
    from scratch — for random documents, random policies and random
@@ -783,7 +790,6 @@ let () =
         ] );
       ( "annotation query",
         [
-          tc "Figure 5 shapes" test_annotation_query_shapes;
           tc "answer = semantics (deny)" test_annotation_query_eval_matches_semantics;
           tc "xquery form" test_annotation_query_xquery_form;
           tc "sql form runs" test_annotation_query_sql_runs;
@@ -794,7 +800,6 @@ let () =
           tc "simplify" test_plan_simplify;
           tc "absorb" test_plan_absorb;
           tc "prune and rewrite" test_plan_prune_and_rewrite;
-          tc "restrict" test_plan_restrict;
           tc "balanced sql unions" test_plan_sql_balanced;
           tc "engine explain" test_engine_explain;
           QCheck_alcotest.to_alcotest plan_cross_backend_prop;
@@ -824,6 +829,8 @@ let () =
         [
           tc "paper scenario" test_reannotate_paper_scenario;
           tc "full baseline" test_full_reannotate_baseline;
+          tc "one scope evaluation per state"
+            test_reannotate_one_evaluation_per_state;
           QCheck_alcotest.to_alcotest reannotation_correct_prop;
         ] );
       ( "requester",

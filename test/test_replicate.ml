@@ -518,7 +518,7 @@ let test_digest_sensitive () =
   let set = Xmlac_util.Bitset.mem 1 (Backend.effective_bits b ~default id) in
   check_flip "role bit flip" eng
     ~write:(fun () ->
-      ignore (b.Backend.set_bits_ids [ id ] ~role:1 ~value:(not set) ~default))
+      ignore (b.Backend.set_bits_batch [ (id, [ (1, not set) ]) ] ~default))
     ~undo:(fun () -> b.Backend.restore_bits id bits)
 
 let test_digest_ignores_epochs () =

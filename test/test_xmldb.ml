@@ -229,7 +229,7 @@ let test_xq_annotate () =
     (List.length (Tree.signed doc Tree.Minus))
 
 let test_xq_paper_annotation_query_executes () =
-  (* The exact text Annotation_query generates for the optimized
+  (* The exact text Plan.to_xquery generates for the optimized
      Table 1 policy must parse, run, and reproduce the reference
      annotation. *)
   let store = xq_store () in
@@ -237,8 +237,8 @@ let test_xq_paper_annotation_query_executes () =
   let policy =
     Xmlac_core.Optimizer.optimize_policy Xmlac_workload.Hospital.policy
   in
-  let q = Xmlac_core.Annotation_query.build policy in
-  let text = Xmlac_core.Annotation_query.to_xquery_string ~doc_name:"hospital" q in
+  let plan = Xmlac_core.Plan.of_policy policy in
+  let text = Xmlac_core.Plan.to_xquery ~doc_name:"hospital" plan in
   (match Xquery.run store text with
   | Ok (Xquery.Annotated n) ->
       Alcotest.(check int) "five accessible" 5 n
@@ -280,15 +280,15 @@ let test_xq_degenerate_query_roundtrips () =
   let no_grants =
     Xmlac_core.Policy_io.parse_exn "default deny\nconflict deny\ndeny //patient\n"
   in
-  let q = Xmlac_core.Annotation_query.build no_grants in
   let text =
-    Xmlac_core.Annotation_query.to_xquery_string ~doc_name:"hospital" q
+    Xmlac_core.Plan.to_xquery ~doc_name:"hospital"
+      (Xmlac_core.Plan.of_policy no_grants)
   in
   (match Xquery.run store text with
   | Ok (Xquery.Annotated n) -> Alcotest.(check int) "nothing marked" 0 n
   | Ok (Xquery.Nodes _) -> Alcotest.fail "expected annotation"
   | Error m -> Alcotest.failf "generated text did not run: %s" m);
-  (* Same via the plan printer for a rule-less policy. *)
+  (* The same for a rule-less policy. *)
   let rule_less = Xmlac_core.Policy_io.parse_exn "default deny\nconflict deny\n" in
   let plan = Xmlac_core.Plan.of_policy rule_less in
   let text = Xmlac_core.Plan.to_xquery ~doc_name:"hospital" plan in
