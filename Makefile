@@ -55,10 +55,11 @@ bench-concurrent:
 bench-rewrite:
 	dune exec bench/main.exe -- -e rewrite
 
-# Evaluator: Eval vs the pre/size index on a frozen XMark f=0.1 view
-# over the repo benchmark's query pool — index build ms, then per-query
-# mean/p50/p99 us and minor words.  Exits non-zero if any answer
-# differs.
+# Read miss stages on an annotated frozen XMark f=0.1 view over the
+# repo benchmark's query pool: Eval vs the pre/size index (index build
+# ms, then per-query mean/p50/p99 us and minor words), and a CAM walk
+# vs the rank-space check over each query's answers (the same
+# figures).  Exits non-zero if any answer or verdict differs.
 bench-eval:
 	dune exec bench/main.exe -- -e eval
 

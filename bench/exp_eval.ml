@@ -1,19 +1,30 @@
-(* Evaluator bench: the tree-walking [Eval] against the pre/size
-   [Index] on the frozen view a snapshot read misses on.
+(* Evaluator bench: the two stages of a snapshot read miss on the
+   frozen view it misses on.
 
    Inputs are the repo benchmark's (perfbench/inputs.ml): XMark at
-   f = 0.1 and its query pool, 2,000 schema-guided response queries
-   drawn with seed 20090101, printed and deduplicated (1,911 distinct).
+   f = 0.1, annotated under its 50 %-coverage policy, and its query
+   pool, 2,000 schema-guided response queries drawn with seed
+   20090101, printed and deduplicated (1,911 distinct).
 
+   Evaluation: the tree-walking [Eval] against the pre/size [Index].
    Output: the index build time, then per-query mean / p50 / p99 in
    microseconds and the minor words allocated per query, for each
    evaluator.  Every query's answer must be the same id list from
-   both; the experiment exits 1 on any difference. *)
+   both.
+
+   Accessibility check, over each query's answers: a CAM walk from
+   each answer's record found by id (the check before rank-space
+   reads), against [Snapshot.accessible] on the answers' ranks.
+   Output: per-query mean / p50 / p99 in microseconds for each.  Every
+   answer must get the same verdict from both.
+
+   The experiment exits 1 on any differing answer or verdict. *)
 
 module Tree = Xmlac_xml.Tree
 module Timing = Xmlac_util.Timing
 module Tabular = Xmlac_util.Tabular
 module Xp = Xmlac_xpath
+open Xmlac_core
 
 let factor = 0.1
 let pool_size = 2000
@@ -24,7 +35,12 @@ let pool_seed = 20090101L
 let reps = 5
 let builds = 11
 
-let measure f =
+(* A rank-space check takes well under a microsecond on most queries,
+   so the check stage repeats more to stay above the clock's
+   resolution. *)
+let check_reps = 20
+
+let measure ?(reps = reps) f =
   let words = Gc.minor_words () in
   let (), elapsed =
     Timing.time (fun () ->
@@ -35,9 +51,43 @@ let measure f =
   let per = float_of_int reps in
   (elapsed /. per *. 1e6, (Gc.minor_words () -. words) /. per)
 
+let mean a = Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
+
+let print_table ~first rows =
+  let t =
+    Tabular.create
+      ~headers:[ first; "mean us"; "p50 us"; "p99 us"; "minor words/query" ]
+  in
+  List.iter
+    (fun (label, us, words) ->
+      Tabular.add_row t
+        [ label;
+          Printf.sprintf "%.1f" (mean us);
+          Printf.sprintf "%.1f" (Timing.percentile us ~p:50.0);
+          Printf.sprintf "%.1f" (Timing.percentile us ~p:99.0);
+          Printf.sprintf "%.0f" (mean words) ])
+    rows;
+  Tabular.print t
+
+(* Prints the tally and the differing queries; whether any differ. *)
+let report what n differ =
+  Printf.printf "%s: %d agree, %d differ\n" what (n - List.length differ)
+    (List.length differ);
+  List.iter
+    (fun e -> Printf.printf "  differs: %s\n" (Xp.Pp.expr_to_string e))
+    (List.rev differ);
+  differ <> []
+
 let run () =
-  Bench_common.section "Evaluator: Eval vs the pre/size index on a frozen view";
-  let view = fst (Tree.freeze (Xmlac_workload.Xmark.generate ~factor ())) in
+  Bench_common.section
+    "Read miss: Eval vs the pre/size index, CAM walk vs rank-space check";
+  let policy = Bench_common.mid_coverage_policy factor in
+  let eng =
+    Engine.create ~dtd:Xmlac_workload.Xmark.dtd ~policy (Bench_common.doc factor)
+  in
+  ignore (Engine.annotate eng);
+  let snap = Engine.current_snapshot eng in
+  let view = Snapshot.document snap in
   let queries =
     Xmlac_workload.Queries.response_queries ~n:pool_size ~seed:pool_seed ()
     |> List.map Xp.Pp.expr_to_string
@@ -55,7 +105,7 @@ let run () =
   Printf.printf "index build: %.2f ms (median of %d)\n"
     (Timing.percentile build_ms ~p:50.0)
     builds;
-  let idx = Xp.Index.build view in
+  let idx = Snapshot.index snap in
   let eval_ids e = List.map (fun (m : Tree.node) -> m.Tree.id) (Xp.Eval.eval view e) in
   let index_ids e = Array.to_list (Array.map (Xp.Index.id idx) (Xp.Index.eval idx e)) in
   let differ = ref [] in
@@ -71,26 +121,40 @@ let run () =
       index_us.(i) <- us;
       index_words.(i) <- w)
     queries;
-  let mean a = Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a) in
-  let t =
-    Tabular.create
-      ~headers:[ "evaluator"; "mean us"; "p50 us"; "p99 us"; "minor words/query" ]
-  in
-  List.iter
-    (fun (label, us, words) ->
-      Tabular.add_row t
-        [ label;
-          Printf.sprintf "%.1f" (mean us);
-          Printf.sprintf "%.1f" (Timing.percentile us ~p:50.0);
-          Printf.sprintf "%.1f" (Timing.percentile us ~p:99.0);
-          Printf.sprintf "%.0f" (mean words) ])
+  print_table ~first:"evaluator"
     [ ("eval", eval_us, eval_words); ("index", index_us, index_words) ];
-  Tabular.print t;
-  Printf.printf "answers: %d agree, %d differ\n" (n - List.length !differ)
-    (List.length !differ);
-  if !differ <> [] then begin
-    List.iter
-      (fun e -> Printf.printf "  differs: %s\n" (Xp.Pp.expr_to_string e))
-      (List.rev !differ);
-    exit 1
-  end
+  let answers_differ = report "answers" n !differ in
+  (* The check stage, on the answers the index gives. *)
+  let cam = Cam.build view ~default:(Policy.ds policy) in
+  let cam_walk id =
+    match Tree.find view id with
+    | Some node -> Cam.lookup cam node = Tree.Plus
+    | None -> false
+  in
+  let rank_check = Snapshot.accessible snap in
+  let differ = ref [] in
+  let cam_us = Array.make n 0.0 and cam_words = Array.make n 0.0 in
+  let rank_us = Array.make n 0.0 and rank_words = Array.make n 0.0 in
+  Array.iteri
+    (fun i e ->
+      let ranks = Array.to_list (Xp.Index.eval idx e) in
+      let ids = List.map (Xp.Index.id idx) ranks in
+      if List.map cam_walk ids <> List.map rank_check ranks then
+        differ := e :: !differ;
+      let us, w =
+        measure ~reps:check_reps (fun () ->
+            Requester.decide ~ids ~accessible:cam_walk)
+      in
+      cam_us.(i) <- us;
+      cam_words.(i) <- w;
+      let us, w =
+        measure ~reps:check_reps (fun () ->
+            Requester.decide ~ids:ranks ~accessible:rank_check)
+      in
+      rank_us.(i) <- us;
+      rank_words.(i) <- w)
+    queries;
+  print_table ~first:"check"
+    [ ("cam walk", cam_us, cam_words); ("rank space", rank_us, rank_words) ];
+  let verdicts_differ = report "check verdicts" n !differ in
+  if answers_differ || verdicts_differ then exit 1

@@ -1,5 +1,4 @@
 module Tree = Xmlac_xml.Tree
-module Imap = Map.Make (Int)
 
 type t = {
   default : Tree.sign;
@@ -7,9 +6,39 @@ type t = {
       (** The annotation this map indexes — the node's sign slot for the
           classic single-subject map, one role's bitmap slice for a
           per-role map. *)
-  mutable map : Tree.sign Imap.t;  (** Sign-change points only. *)
+  mutable map : Bytes.t;
+      (** Sign-change points only, one byte per node id: [none] where
+          there is no entry; ids past the end have none. *)
+  mutable entries : int;
   mutable node_count : int;
 }
+
+let none = '\000'
+let code = function Tree.Plus -> '+' | Tree.Minus -> '-'
+
+let find t id =
+  if id >= Bytes.length t.map then None
+  else
+    match Bytes.get t.map id with
+    | '+' -> Some Tree.Plus
+    | '-' -> Some Tree.Minus
+    | _ -> None
+
+(* Sets the byte at [id], growing the map by doubling and keeping
+   [entries] current. *)
+let store t id c =
+  let len = Bytes.length t.map in
+  if id >= len && c <> none then begin
+    let m = Bytes.make (max (id + 1) (2 * len)) none in
+    Bytes.blit t.map 0 m 0 len;
+    t.map <- m
+  end;
+  if id < Bytes.length t.map then begin
+    let old = Bytes.get t.map id in
+    if (old = none) <> (c = none) then
+      t.entries <- (if c = none then t.entries - 1 else t.entries + 1);
+    Bytes.set t.map id c
+  end
 
 let effective t (n : Tree.node) =
   match t.read n with Some s -> s | None -> t.default
@@ -18,8 +47,7 @@ let effective t (n : Tree.node) =
    an entry exists exactly where the effective sign flips. *)
 let refresh_entry t inherited (n : Tree.node) =
   let eff = effective t n in
-  if eff <> inherited then t.map <- Imap.add n.Tree.id eff t.map
-  else t.map <- Imap.remove n.Tree.id t.map
+  store t n.Tree.id (if eff <> inherited then code eff else none)
 
 (* Resolved through the document index: a COW node's raw [parent]
    pointer can reference a displaced record whose annotation slots are
@@ -32,14 +60,17 @@ let parent_effective t doc (n : Tree.node) =
 let sign_slot (n : Tree.node) = n.Tree.sign
 
 let build_with doc ~default ~read =
-  let t = { default; read; map = Imap.empty; node_count = Tree.size doc } in
+  let t =
+    { default; read; map = Bytes.make (Tree.size doc) none; entries = 0;
+      node_count = Tree.size doc }
+  in
   (* Preorder walk carrying the parent's effective sign: record an
      entry exactly where the effective sign flips.  Effective follows
      the store's model — the node's explicit annotation, or the
      default. *)
   let rec go inherited (n : Tree.node) =
     let eff = effective t n in
-    if eff <> inherited then t.map <- Imap.add n.Tree.id eff t.map;
+    if eff <> inherited then store t n.Tree.id (code eff);
     List.iter (go eff) n.Tree.children
   in
   go default (Tree.root doc);
@@ -57,43 +88,18 @@ let build_role doc ~role ~default =
       | Some b ->
           Some (if Xmlac_util.Bitset.mem role b then Tree.Plus else Tree.Minus))
 
-(* Entries are keyed by node id and [lookup] walks the parent chain of
-   the node it is handed — so a frozen copy answers for any tree whose
-   ids and parent chains match the one it was built from, in
-   particular the COW view a snapshot captures.  The entry map is a
-   persistent [Map], so freezing shares it by reference in O(1);
-   maintenance on either side rebinds its own [map] field and never
-   disturbs the other. *)
-let freeze t =
-  { default = t.default; read = t.read; map = t.map;
-    node_count = t.node_count }
-
 let lookup t (n : Tree.node) =
   Xmlac_util.Deadline.checkpoint ();
   let rec up (m : Tree.node) =
-    match Imap.find_opt m.Tree.id t.map with
+    match find t m.Tree.id with
     | Some s -> s
     | None -> (
         match Tree.parent m with Some p -> up p | None -> t.default)
   in
   up n
 
-(* The same walk over positions of another encoding of the document:
-   [id] names the node at a position, [parent] steps up (negative past
-   the root). *)
-let lookup_at t ~id ~parent pos =
-  Xmlac_util.Deadline.checkpoint ();
-  let rec up p =
-    if p < 0 then t.default
-    else
-      match Imap.find_opt (id p) t.map with
-      | Some s -> s
-      | None -> up (parent p)
-  in
-  up pos
-
 let default t = t.default
-let entries t = Imap.cardinal t.map
+let entries t = t.entries
 let node_count t = t.node_count
 
 let compression_ratio t =
@@ -117,7 +123,7 @@ let apply_changes t doc ~changed =
   List.iter
     (fun id ->
       match Tree.find doc id with
-      | None -> t.map <- Imap.remove id t.map  (* deleted *)
+      | None -> store t id none  (* deleted *)
       | Some n ->
           refresh (parent_effective t doc n) n;
           List.iter (refresh (effective t n)) n.Tree.children)
@@ -140,18 +146,23 @@ let rebuild_subtree t doc ~root =
       !count
 
 let purge t doc =
-  let dead =
-    Imap.fold
-      (fun id _ acc ->
-        match Tree.find doc id with None -> id :: acc | Some _ -> acc)
-      t.map []
-  in
-  List.iter (fun id -> t.map <- Imap.remove id t.map) dead;
+  let dead = ref 0 in
+  Bytes.iteri
+    (fun id c ->
+      if c <> none && Tree.find doc id = None then begin
+        store t id none;
+        incr dead
+      end)
+    t.map;
   t.node_count <- Tree.size doc;
-  List.length dead
+  !dead
 
 let equal a b =
-  a.default = b.default && Imap.equal (fun (x : Tree.sign) y -> x = y) a.map b.map
+  let rec same id =
+    id >= max (Bytes.length a.map) (Bytes.length b.map)
+    || (find a id = find b id && same (id + 1))
+  in
+  a.default = b.default && same 0
 
 let pp ppf t =
   Format.fprintf ppf "cam: %d entr%s over %d nodes (ratio %.3f, default %s)"

@@ -6,17 +6,16 @@
     only at nodes whose {e effective} sign differs from their parent's;
     a lookup walks up to the nearest recorded ancestor.  This is the
     compact labeling the paper cites as the more sophisticated way to
-    store annotations.
+    store annotations.  The entries are kept in one byte per node id,
+    so a build allocates one string and nothing per entry.
 
-    The CAM is the requester's hot-path index ({!Engine.request}).
-    Snapshots own every map: a {!Snapshot.t} builds one over its
-    frozen signs (or one role's bitmap bit) on the first read that
-    needs it, and the next epoch's snapshot patches a copy with
-    {!apply_changes} at the ids the epoch wrote — after partial
-    re-annotation (Section 5.3) only the nodes whose sign changed and
-    their children are recomputed.  The invariant: a node carries an
-    entry iff its effective sign differs from its parent's effective
-    sign (the root's reference sign being [default]). *)
+    No read path uses it: a snapshot read miss checks each answer's
+    own record ({!Snapshot.accessible}), and {!lookup} returns exactly
+    that record's effective sign, since entries sit where the
+    effective sign flips.  {!Snapshot.cam} builds one for inspection
+    (the CLI, the benches, the tests).  The invariant: a node carries
+    an entry iff its effective sign differs from its parent's
+    effective sign (the root's reference sign being [default]). *)
 
 type t
 
@@ -42,27 +41,11 @@ val build_role :
     node inherits [default] (the role's resolved default
     semantics). *)
 
-val freeze : t -> t
-(** An O(1) frozen copy: the entry map is persistent, so the copy
-    shares it by reference and a later patch on either side leaves the
-    other untouched.  Entries are keyed by node id and
-    {!lookup} walks the parent chain of the node it is handed, so the
-    copy answers for any tree with the same ids and parent chains — in
-    particular the COW view an MVCC snapshot captures. *)
-
 val lookup : t -> Xmlac_xml.Tree.node -> Xmlac_xml.Tree.sign
 (** Effective sign of a node of the document the map was built from.
     O(depth) worst case; O(1) when the node itself carries an entry.
     Crosses one {!Xmlac_util.Deadline.checkpoint} per call, so lookups
     under a serve-layer budget time out cooperatively. *)
-
-val lookup_at : t -> id:(int -> int) -> parent:(int -> int) -> int -> Xmlac_xml.Tree.sign
-(** {!lookup} over the positions of another encoding of the same
-    document, such as the preorder ranks of an
-    {!Xmlac_xpath.Index}: [id p] is the node id at position [p] and
-    [parent p] its parent's position, negative at the root.  Walks
-    parent positions instead of node records, with the same single
-    {!Xmlac_util.Deadline.checkpoint}. *)
 
 val default : t -> Xmlac_xml.Tree.sign
 
@@ -80,9 +63,8 @@ val compression_ratio : t -> float
 (** {1 Incremental maintenance}
 
     Each operation returns how many nodes (or entries) it examined.
-    Snapshots use {!apply_changes} alone; {!rebuild_subtree} and
-    {!purge} stay only for [perfbench/]'s traced replay and the
-    tests. *)
+    They stay only for [perfbench/]'s traced replay, the snapshot
+    bench and the tests. *)
 
 val apply_changes : t -> Xmlac_xml.Tree.t -> changed:int list -> int
 (** [apply_changes t doc ~changed] repairs the map after the nodes in

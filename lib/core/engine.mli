@@ -209,14 +209,14 @@ val metrics : t -> Xmlac_util.Metrics.t
 (** Counters and stage timings shared by the engine, its snapshots and
     the serving layer: [cache.hits], [cache.misses], [cam.lookups],
     [lane.materialized], [lane.rewrite], [epoch.commits], the
-    [snapshot.*] counters ([snapshot.cam_builds] and
-    [snapshot.cam_patches] among them); stage
+    [snapshot.*] counters ([snapshot.index_builds] and
+    [snapshot.record_builds] among them); stage
     [annotate.subjects]. *)
 
 val cam : t -> Cam.t
 (** {!Snapshot.cam} of the {!current_snapshot}: the anonymous map over
-    the last committed epoch's signs, built on this call if no read
-    has needed it yet. *)
+    the last committed epoch's signs, built afresh on each call.  No
+    read consults it; it is for inspection. *)
 
 val epoch : t -> int
 (** {!sign_epoch} under its older name; stays only for

@@ -4,10 +4,11 @@ module Index = Xmlac_xpath.Index
 module Schema_match = Xmlac_xpath.Schema_match
 module Metrics = Xmlac_util.Metrics
 module Fault = Xmlac_util.Fault
+module Deadline = Xmlac_util.Deadline
 
 (* A memoized decision.  On the materialized lane it keeps the sorted
    ids of the query's answers — for a granted decision the very list
-   it grants — because a CAM lookup reads an answer and its ancestors,
+   it grants — because the check reads each answer's own annotation,
    and carry-forward must show the epoch wrote none of them.  A
    rewrite-lane entry read no annotation and keeps no answers
    ([None]).  The parsed query feeds the structural carry test. *)
@@ -33,14 +34,14 @@ type t = {
          misses agree on one index without taking [lock].  The slot
          itself is shared along a run of non-structural epochs, whose
          views all have the same nodes, names and values. *)
+  records : Tree.node array option Atomic.t;
+      (* The view's node records by preorder rank, in [index]'s order:
+         what a materialized miss reads each answer's annotation from.
+         Built and published like [index], but never shared: a
+         sign-only epoch's view holds new records for what it wrote. *)
   annotated : bool;  (* signs had a committed annotation epoch at capture *)
   bits_annotated : bool;  (* ... and likewise the role bitmaps *)
   policy : Policy.t;
-  cams : (string option, Cam.t) Hashtbl.t;
-      (* The accessibility maps over the view, keyed by subject: [None]
-         over the signs, [Some role] over that role's bitmap bit.  Each
-         is built by the first request that reads it or patched from
-         the previous snapshot's; guarded by [lock]. *)
   memos : (string, memo) Hashtbl.t;
   order : string Queue.t;
       (* The memo table, bounded at [memo_capacity] and evicted in
@@ -54,7 +55,7 @@ type t = {
          single writer runs, reads or writes it. *)
   metrics : Metrics.t;
   lock : Mutex.t;
-      (* Guards [cams], [memos] and [order]; the rest is frozen.
+      (* Guards [memos] and [order]; the rest is frozen.
          The pin count is guarded by the owning registry's lock
          instead, so pin/publish/reclaim are atomic with respect to
          each other. *)
@@ -88,16 +89,14 @@ let remember t key m =
      the update's are both non-empty and disjoint — the test the
      [Overlap] trigger applies to rules (paper §5.3), so an insert or
      delete there cannot add, remove or requalify an answer;
-   - and the epoch wrote no answer and no ancestor of one, so every
-     CAM lookup the decision made reads the same signs.
+   - and the epoch wrote no answer, so every answer's own annotation —
+     all the check read — is unchanged.  The change set lists every
+     birth, every deleted node and every sign or bitmap write.
 
    A rewrite-lane entry read the policy's scopes, which any structural
    change may move, so it carries across non-structural epochs only.
    A structural epoch captured without [footprint] (recovery) drops
-   every entry.  Every map [prev] built is patched: the written ids
-   are re-derived (deleted ones lose their entries) in a copy of each.
-   The change set lists every birth, every deleted node and every
-   sign or bitmap write, so that is the whole repair.
+   every entry.
 
    All of it is gated on provenance: the captured view must be the
    very next generation of the same tree family as [prev]'s, under
@@ -111,30 +110,20 @@ let carry_forward ~prev ~stats ~footprint t =
     && prev.policy == t.policy
   in
   if continuous then begin
-    let entries, cams =
+    let entries =
       with_lock prev.lock (fun () ->
-          ( Queue.fold (fun acc k -> (k, Hashtbl.find prev.memos k) :: acc) []
-              prev.order
-            |> List.rev,
-            Hashtbl.fold (fun s c acc -> (s, c) :: acc) prev.cams [] ))
+          Queue.fold (fun acc k -> (k, Hashtbl.find prev.memos k) :: acc) []
+            prev.order
+          |> List.rev)
     in
     let changed = stats.Tree.changed in
-    (* The nodes whose CAM lookup may read a written sign or bitmap:
-       every written node of the old view and its whole subtree.  A
-       walk stops at marked nodes, whose subtrees are marked already.
-       Built on first need: a capture with no materialized entry to
+    (* Built on first need: a capture with no materialized entry to
        check skips it. *)
-    let dirty =
+    let written =
       lazy
-        (let marked = Hashtbl.create 64 in
-         let rec mark (n : Tree.node) =
-           if not (Hashtbl.mem marked n.Tree.id) then begin
-             Hashtbl.replace marked n.Tree.id ();
-             List.iter mark (Tree.children n)
-           end
-         in
-         List.iter (fun id -> Option.iter mark (Tree.find prev.doc id)) changed;
-         marked)
+        (let w = Hashtbl.create (List.length changed) in
+         List.iter (fun id -> Hashtbl.replace w id ()) changed;
+         w)
     in
     let update =
       match footprint with
@@ -178,8 +167,8 @@ let carry_forward ~prev ~stats ~footprint t =
       | Some answers ->
           changed = []
           ||
-          let dirty = Lazy.force dirty in
-          List.for_all (fun id -> not (Hashtbl.mem dirty id)) answers
+          let written = Lazy.force written in
+          List.for_all (fun id -> not (Hashtbl.mem written id)) answers
     in
     let carried = ref 0 and by_footprint = ref 0 and by_written = ref 0 in
     let kept =
@@ -199,22 +188,11 @@ let carry_forward ~prev ~stats ~footprint t =
           end)
         entries
     in
-    let patched =
-      List.map
-        (fun (subject, c) ->
-          let c = Cam.freeze c in
-          ignore (Cam.apply_changes c t.doc ~changed);
-          (subject, c))
-        cams
-    in
-    with_lock t.lock (fun () ->
-        List.iter (fun (key, m) -> remember t key m) kept;
-        List.iter (fun (subject, c) -> Hashtbl.replace t.cams subject c) patched);
+    with_lock t.lock (fun () -> List.iter (fun (key, m) -> remember t key m) kept);
     let count name n = if n > 0 then Metrics.add t.metrics name n in
     count "snapshot.cache.carried" !carried;
     count "snapshot.cache.dropped.footprint" !by_footprint;
-    count "snapshot.cache.dropped.written" !by_written;
-    count "snapshot.cam_patches" (List.length patched)
+    count "snapshot.cache.dropped.written" !by_written
   end
 
 let capture ?(annotated = true) ?(bits_annotated = true) ?prev ?footprint
@@ -239,10 +217,10 @@ let capture ?(annotated = true) ?(bits_annotated = true) ?prev ?footprint
       doc = view;
       gen = stats.Tree.frozen_gen;
       index;
+      records = Atomic.make None;
       annotated;
       bits_annotated;
       policy;
-      cams = Hashtbl.create 4;
       memos = Hashtbl.create 64;
       order = Queue.create ();
       footprints = Hashtbl.create 64;
@@ -287,53 +265,67 @@ let resolve_lane ?subject ?(lane = Rewrite.Auto) t =
       if ann then (Rewrite.Materialized, "annotated store")
       else (Rewrite.Rewrite, "never-annotated store")
 
-(* The subject's map over the view.  Built under the lock: a duplicate
-   build racing outside it would be harmless but wasted, and
-   [Cam.build]/[Cam.build_role] cross no checkpoints or fault points,
-   so nothing can raise mid-build except allocation failure. *)
-let subject_cam t subject =
-  with_lock t.lock (fun () ->
-      match Hashtbl.find_opt t.cams subject with
-      | Some c -> c
-      | None ->
-          let c, counter =
-            match subject with
-            | None ->
-                ( Cam.build t.doc ~default:(Policy.ds t.policy),
-                  "snapshot.cam_builds" )
-            | Some role ->
-                let idx =
-                  match Subject.index (Policy.subjects t.policy) role with
-                  | Some i -> i
-                  | None -> invalid_arg ("Snapshot.request: unknown role " ^ role)
-                in
-                ( Cam.build_role t.doc ~role:idx
-                    ~default:(Policy.resolved_ds t.policy role),
-                  "snapshot.role_cam_builds" )
-          in
-          Hashtbl.replace t.cams subject c;
-          Metrics.incr t.metrics counter;
-          c)
+let cam t = Cam.build t.doc ~default:(Policy.ds t.policy)
 
-let cam t = subject_cam t None
+(* The view's records by rank: [Tree.iter] walks the same preorder as
+   [Index.build], and a sign-only epoch (which may hand the index on)
+   moves no node.  Published like [index]. *)
+let records t =
+  match Atomic.get t.records with
+  | Some a -> a
+  | None ->
+      let n = Index.length (index t) in
+      let a = Array.make n (Tree.root t.doc) and next = ref 0 in
+      Tree.iter
+        (fun node ->
+          a.(!next) <- node;
+          incr next)
+        t.doc;
+      assert (!next = n);
+      if Atomic.compare_and_set t.records None (Some a) then begin
+        Metrics.incr t.metrics "snapshot.record_builds";
+        a
+      end
+      else Option.get (Atomic.get t.records)
+
+(* A node's effective sign (or role bit) is its own annotation, else
+   the default: the value a CAM lookup rebuilds by walking up to the
+   nearest sign change, read off the record directly. *)
+let accessible ?subject t =
+  let plus =
+    match subject with
+    | None ->
+        let default = Policy.ds t.policy in
+        fun (n : Tree.node) -> Option.value n.Tree.sign ~default = Tree.Plus
+    | Some role ->
+        let bit =
+          match Subject.index (Policy.subjects t.policy) role with
+          | Some i -> i
+          | None -> invalid_arg ("Snapshot.request: unknown role " ^ role)
+        in
+        let default = Policy.resolved_ds t.policy role = Tree.Plus in
+        fun n ->
+          match n.Tree.bits with
+          | Some b -> Xmlac_util.Bitset.mem bit b
+          | None -> default
+  in
+  let recs = records t in
+  fun r ->
+    Deadline.checkpoint ();
+    plus recs.(r)
 
 (* The materialized lane over the frozen state: evaluate on the view's
-   index, then check each answer against the subject's map by walking
-   the index's parent ranks. *)
+   index, then check each answer rank's own record. *)
 let materialized_decision ?subject t expr =
-  let cam = subject_cam t subject in
+  let accessible = accessible ?subject t in
   let idx = index t in
   let ranks = Index.eval idx expr in
   Metrics.add t.metrics "cam.lookups" (Array.length ranks);
-  let id = Index.id idx and parent = Index.parent idx in
-  let ids = Array.map id ranks in
+  let ids = Array.map (Index.id idx) ranks in
   Array.sort Int.compare ids;
   let answers = Array.to_list ids in
   let d =
-    match
-      Requester.decide ~ids:(Array.to_list ranks) ~accessible:(fun r ->
-          Cam.lookup_at cam ~id ~parent r = Tree.Plus)
-    with
+    match Requester.decide ~ids:(Array.to_list ranks) ~accessible with
     | Requester.Granted _ -> Requester.Granted answers
     | denied -> denied
   in

@@ -4,10 +4,11 @@
     but ties it to the mutable sign/bitmap store, so a mutation epoch
     blocks the read path.  This module breaks that coupling: every
     committed [sign_epoch] becomes an {e immutable versioned snapshot}
-    — a frozen copy-on-write view of the document, lazily built
-    accessibility maps ({!Cam}) over its signs and each role's bitmap
-    bit, a lazily built pre/size index of the view ({!Xmlac_xpath.Index},
-    which every read miss evaluates on), and a private bounded memo of
+    — a frozen copy-on-write view of the document, a lazily built
+    pre/size index of the view ({!Xmlac_xpath.Index}, which every read
+    miss evaluates on), a lazily built array of the view's node records
+    in the index's rank order (which a materialized miss reads each
+    answer's sign or role bit from), and a private bounded memo of
     decisions, all keyed by the epoch that committed them.  The
     engine's own native reads go through the current snapshot too, so
     every reader shares one read path.  Readers {e pin} a snapshot (refcounted) and answer requests
@@ -23,14 +24,12 @@
     instead of deep-copying it: consecutive snapshots share every node
     record the intervening epoch did not touch, memoized decisions are
     {e carried forward} whenever the epoch provably cannot have moved
-    them, and every accessibility map the previous snapshot built is
-    patched at the written ids.  The snapshots are the maps' only
-    owner: the engine keeps none.  A non-structural
+    them.  A non-structural
     epoch hands its predecessor's index on as well (see {!index}); a
     structural one leaves its first miss to build a new one, so no
-    capture ever builds an index.  A decision carries
-    when the epoch's change set holds none of its answers nor their
-    ancestors and, for a structural epoch, the paper's §5.3 schema
+    capture ever builds an index or a record array.  A decision carries
+    when the epoch's change set holds none of its answers and, for a
+    structural epoch, the paper's §5.3 schema
     test (the one the [Overlap] trigger applies to rules) shows the
     update missed the query.  Publish cost is therefore O(nodes
     changed in the epoch) plus one pass over the bounded memo, not
@@ -60,9 +59,9 @@
        keep the records they froze.}}
 
     A snapshot is safe to share across OCaml domains: the document
-    view is frozen at capture, the index is published once through an
-    atomic slot and read-only after, and the two other mutable members
-    (the map table and the memo) are guarded by a private mutex.
+    view is frozen at capture, the index and the record array are each
+    published once through an atomic slot and read-only after, and the
+    memo is guarded by a private mutex.
     Registry operations cross the fault points
     [snapshot.publish] (before the new snapshot is installed) and
     [snapshot.reclaim] (after an old snapshot is dropped), so the
@@ -102,14 +101,13 @@ val capture :
     {- the epoch is non-structural, or its query's footprint (the root
        paths its {!Xmlac_xpath.Expand} members select) and the
        update's are both non-empty and share no path; and}
-    {- the epoch's change set (the ids it wrote) holds none of its
-       answers nor any ancestor of one in [prev]'s view.}}
+    {- the epoch's change set (the ids it wrote: every birth, deletion
+       and sign or bitmap write) holds none of its answers — the check
+       read nothing else ({!accessible}).}}
 
     A rewrite-lane decision migrates across non-structural epochs
     only; a structural epoch without [footprint] (recovery) carries no
-    decision.  Every map [prev] built (see {!cam}) is patched into the
-    new snapshot by {!Cam.apply_changes} over the change set, which
-    lists every birth, deletion and sign or bitmap write.  Carry is
+    decision.  Carry is
     gated on provenance (same tree family, exactly the
     next generation, physically equal policy) and silently skipped
     otherwise.
@@ -118,22 +116,21 @@ val capture :
     family, exactly the next generation) when the epoch is
     non-structural, counting [snapshot.index_shared]; policy
     equality does not matter, since the index holds no annotation.
+    The record array is never handed on: the new view holds new
+    records for every node the epoch wrote.
 
     [annotated] / [bits_annotated] (both default [true]) record
     whether the frozen signs / role bitmaps carried a committed
     annotation epoch at capture — {!request}'s auto lane routes a
     never-annotated frozen document through the rewrite lane instead
-    of its default-sign CAM.  [metrics] receives the snapshot's
+    of its default signs.  [metrics] receives the snapshot's
     lifetime counters ([snapshot.captures], [snapshot.cache.*],
-    [snapshot.cam_builds], [snapshot.role_cam_builds],
-    [snapshot.index_builds],
-    [snapshot.index_shared], and those {!request} counts).  Carry
+    [snapshot.index_builds], [snapshot.index_shared],
+    [snapshot.record_builds], and those {!request} counts).  Carry
     counts once per capture: [snapshot.cache.carried],
     [snapshot.cache.dropped.footprint] (the structural test failed, or
-    a rewrite-lane entry met a structural epoch),
-    [snapshot.cache.dropped.written] (an answer or an ancestor was
-    written) and [snapshot.cam_patches] (maps patched, anonymous and
-    per-role alike).
+    a rewrite-lane entry met a structural epoch) and
+    [snapshot.cache.dropped.written] (an answer was written).
 
     A capture of a fresh {!Xmlac_xml.Tree.copy} with no [prev] shares
     no record with any other snapshot and carries nothing: the
@@ -149,11 +146,9 @@ val document : t -> Xmlac_xml.Tree.t
     [Invalid_argument]. *)
 
 val cam : t -> Cam.t
-(** The anonymous subject's map over the frozen signs.  Like each
-    role's map over its bitmap bit, it is built by the first request
-    (or call) that reads it, under the snapshot's lock, unless
-    {!capture} patched it from [prev]'s; a build counts
-    [snapshot.cam_builds] ([snapshot.role_cam_builds] for a role's). *)
+(** The anonymous subject's map over the frozen signs, built afresh by
+    each call and kept nowhere: {!request} never reads one.  For
+    inspection only (the CLI, the benches, the tests). *)
 
 val index : t -> Xmlac_xpath.Index.t
 (** The frozen view's pre/size index ({!Xmlac_xpath.Index}), which
@@ -166,6 +161,20 @@ val index : t -> Xmlac_xpath.Index.t
     generation) and non-structural takes over [prev]'s index slot,
     built or still empty, and counts [snapshot.index_shared]: a
     sign-only epoch moves no node, name or value. *)
+
+val accessible : ?subject:string -> t -> int -> bool
+(** [accessible ?subject t] is the check a materialized {!request}
+    miss applies to each answer: whether the node at a rank of
+    {!index} is accessible to [subject] (default: the anonymous
+    subject).  It reads the node's own record — its sign, else the
+    policy's default semantics; for a role, its bitmap bit, else the
+    role's resolved default — with no walk up the tree, which is the
+    value {!Cam.lookup} returns on a map of the same view.  The first
+    call on a snapshot builds its rank-to-record array (one preorder
+    walk of the view, publishing by compare-and-set like {!index} and
+    counting [snapshot.record_builds]).  Each application crosses one
+    {!Xmlac_util.Deadline.checkpoint}.
+    @raise Invalid_argument on an unknown role. *)
 
 val annotated : t -> bool
 (** Whether the frozen signs carried a committed annotation epoch at
@@ -200,16 +209,14 @@ val request :
   Requester.decision
 (** [request ?subject t query] answers the all-or-nothing request
     from the snapshot alone: evaluate [query] on the frozen document's
-    {!index} (built by the first miss), check accessibility against
-    the subject's map ({!cam}, or a role's over its bitmap bit) by
-    walking the index's parent ranks
-    ({!Cam.lookup_at}), and memoize the decision in the snapshot's memo
+    {!index} (built by the first miss), check each answer with
+    {!accessible}, and memoize the decision in the snapshot's memo
     (keyed by the effective lane).  The answers are the ones
     {!Xmlac_xpath.Eval.eval} gives on the frozen view.  Full fidelity
     at the snapshot's epoch and never touches the live stores, so it
     cannot block on (or be blocked by) the writer.  Crosses
     {!Xmlac_util.Deadline.checkpoint}s through [Requester.decide] and
-    [Cam.lookup_at], so it honours a caller-installed budget.
+    {!accessible}, so it honours a caller-installed budget.
 
     [~lane] (default {!Rewrite.Auto}) selects the enforcement lane as
     in {!Engine.request}: [Auto] picks the materialized lane iff the
@@ -220,8 +227,8 @@ val request :
     sessions.
 
     A miss counts [lane.materialized] or [lane.rewrite] (and
-    [cam.lookups] on the materialized lane) and crosses one fault
-    point before evaluating.  A pinned read (the default) counts
+    [cam.lookups], the answers checked, on the materialized lane) and
+    crosses one fault point before evaluating.  A pinned read (the default) counts
     [snapshot.cache.hits] / [snapshot.cache.misses] and crosses
     [snapshot.read]; [~live:true] — {!Engine.request} on the native
     store — counts [cache.hits] / [cache.misses] and crosses

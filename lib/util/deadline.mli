@@ -6,7 +6,7 @@
     enforce that is cooperatively.  A caller installs a {e budget}
     around a unit of work with {!with_budget}; the hot loops of the
     request path ({!Xmlac_core.Requester.decide} per selected node,
-    {!Xmlac_core.Cam.lookup} or {!Xmlac_core.Cam.lookup_at} per walk)
+    {!Xmlac_core.Snapshot.accessible} per checked answer)
     call {!checkpoint}, which is a single mutable-cell read when no
     budget is installed and raises {!Expired} once the budget runs
     out.

@@ -19,7 +19,6 @@ module Tree = Xmlac_xml.Tree
 type t = {
   ids : int array;  (* rank -> node id *)
   size : int array;  (* rank -> number of proper descendants *)
-  parent : int array;  (* rank -> parent's rank, -1 at the root *)
   name : int array;  (* rank -> interned name *)
   value : string option array;  (* rank -> leaf value *)
   codes : (string, int) Hashtbl.t;  (* name -> interned name *)
@@ -29,14 +28,13 @@ type t = {
 let build doc =
   let n = Tree.size doc in
   let ids = Array.make n 0 and size = Array.make n 0 in
-  let parent = Array.make n (-1) and name = Array.make n 0 in
+  let name = Array.make n 0 in
   let value = Array.make n None and codes = Hashtbl.create 64 in
   let next = ref 0 in
-  let rec go up (node : Tree.node) =
+  let rec go (node : Tree.node) =
     let r = !next in
     incr next;
     ids.(r) <- node.Tree.id;
-    parent.(r) <- up;
     value.(r) <- node.Tree.value;
     (name.(r) <-
        match Hashtbl.find_opt codes node.Tree.name with
@@ -45,10 +43,10 @@ let build doc =
            let c = Hashtbl.length codes in
            Hashtbl.add codes node.Tree.name c;
            c);
-    List.iter (go r) node.Tree.children;
+    List.iter go node.Tree.children;
     size.(r) <- !next - r - 1
   in
-  go (-1) (Tree.root doc);
+  go (Tree.root doc);
   let counts = Array.make (Hashtbl.length codes) 0 in
   Array.iter (fun c -> counts.(c) <- counts.(c) + 1) name;
   let postings = Array.map (fun k -> Array.make k 0) counts in
@@ -58,11 +56,10 @@ let build doc =
       postings.(c).(counts.(c)) <- r;
       counts.(c) <- counts.(c) + 1)
     name;
-  { ids; size; parent; name; value; codes; postings }
+  { ids; size; name; value; codes; postings }
 
 let length t = Array.length t.ids
 let id t r = t.ids.(r)
-let parent t r = t.parent.(r)
 
 (* --- compiled expressions --------------------------------------------- *)
 

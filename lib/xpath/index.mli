@@ -2,8 +2,8 @@
     (a frozen {!Xmlac_xml.Tree} view), and an XPath evaluator over it.
 
     Nodes are numbered by their preorder {e rank}.  The index keeps,
-    per rank, the node's id, subtree size, parent rank, interned name
-    and leaf value, plus per-name postings (the ranks carrying each
+    per rank, the node's id, subtree size, interned name and leaf
+    value, plus per-name postings (the ranks carrying each
     name, ascending).  A subtree is the rank interval
     [(r, r + size r\]], so:
 
@@ -26,7 +26,7 @@
 type t
 
 val build : Xmlac_xml.Tree.t -> t
-(** One preorder walk of the document: O(n) time and about six words
+(** One preorder walk of the document: O(n) time and about five words
     per node. *)
 
 val eval : t -> Ast.expr -> int array
@@ -40,5 +40,3 @@ val length : t -> int
 val id : t -> int -> int
 (** The node id at a rank. *)
 
-val parent : t -> int -> int
-(** The parent's rank; negative at the root. *)

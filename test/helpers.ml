@@ -264,14 +264,42 @@ let cross_decisions c query =
          (b.Backend.name, Requester.request b ~default (parse query)))
        c.stores
 
-(* Whether the current snapshot's anonymous map equals a fresh build
-   over the engine's document — the map a patch chain must reproduce.
-   Meaningful between epochs, when the live document is the
-   snapshot's. *)
-let cam_coherent eng =
+(* Whether a snapshot's rank-space check ([Snapshot.accessible])
+   gives, at every rank of its index and for the anonymous subject and
+   every role of [policy], the verdict of [Cam.lookup] on a fresh map
+   of [doc] (default: the snapshot's own view), found by id. *)
+let rank_check_coherent ~policy ?doc snap =
   let open Xmlac_core in
-  Cam.equal (Engine.cam eng)
-    (Cam.build (Engine.document eng) ~default:(Policy.ds (Engine.policy eng)))
+  let doc = Option.value doc ~default:(Snapshot.document snap) in
+  let idx = Snapshot.index snap in
+  let n = Xp.Index.length idx in
+  let verdicts subject =
+    let cam =
+      match subject with
+      | None -> Cam.build doc ~default:(Policy.ds policy)
+      | Some role ->
+          Cam.build_role doc
+            ~role:(Option.get (Subject.index (Policy.subjects policy) role))
+            ~default:(Policy.resolved_ds policy role)
+    in
+    let check = Snapshot.accessible ?subject snap in
+    List.for_all
+      (fun r ->
+        match Tree.find doc (Xp.Index.id idx r) with
+        | Some node -> check r = (Cam.lookup cam node = Tree.Plus)
+        | None -> false)
+      (List.init n Fun.id)
+  in
+  Tree.size doc = n
+  && List.for_all verdicts (None :: List.map Option.some (Policy.roles policy))
+
+(* The same over the engine's current snapshot against its live
+   document, which also shows the snapshot holds the live state.
+   Meaningful between epochs. *)
+let snapshot_coherent eng =
+  let open Xmlac_core in
+  rank_check_coherent ~policy:(Engine.policy eng) ~doc:(Engine.document eng)
+    (Engine.current_snapshot eng)
 
 (* Alcotest checkers. *)
 let int_list = Alcotest.(list int)

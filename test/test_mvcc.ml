@@ -266,11 +266,12 @@ let flip_sign doc (n : Tree.node) =
   Tree.set_sign doc n
     (Some (match n.Tree.sign with Some Tree.Plus -> Tree.Minus | _ -> Tree.Plus))
 
-(* Carry-forward reads ancestors too: a materialized memo whose
-   answers the epoch left alone, but one of whose answers' ancestors
-   changed sign, must not be carried.  A rewrite-lane memo of the same
-   snapshot is, which shows carry-forward ran at all. *)
-let test_carry_checks_answer_ancestors () =
+(* Carry-forward tests the answers alone, since the check reads each
+   answer's own record: a materialized memo carries across an epoch
+   that changed the sign of an ancestor of its answers, and not across
+   one that changed the sign of an answer.  A rewrite-lane memo of the
+   same snapshot carries too, which shows carry-forward ran at all. *)
+let test_carry_checks_answers_not_ancestors () =
   Fault.reset ();
   let doc, publish, fresh, misses = standalone (annotated_engine ()) in
   let q = "//patient/name" and control = "//nurse" in
@@ -289,12 +290,19 @@ let test_carry_checks_answer_ancestors () =
   ignore (Snapshot.request ~lane:Rewrite.Rewrite s1 control);
   Alcotest.(check int) "rewrite-lane memo carried" before (misses ());
   let d1 = Snapshot.request s1 q in
-  Alcotest.(check int) "memo over a changed ancestor not carried" (before + 1)
+  Alcotest.(check int) "memo over a changed ancestor carried" before
     (misses ());
   Alcotest.(check bool) "decision equals a fresh capture's" true
     (d1 = Snapshot.request (fresh ()) q);
   Alcotest.(check bool) "the answers themselves were untouched" true
-    (d1 = d0)
+    (d1 = d0);
+  flip_sign doc (Option.get (Tree.find doc (List.hd name_ids)));
+  let s2 = publish () in
+  let d2 = Snapshot.request s2 q in
+  Alcotest.(check int) "memo over a changed answer not carried" (before + 1)
+    (misses ());
+  Alcotest.(check bool) "its decision equals a fresh capture's" true
+    (d2 = Snapshot.request (fresh ()) q)
 
 (* ------------------------------------------------------------------ *)
 (* A killed COW publish must never corrupt a pinned neighbor.  The
@@ -769,6 +777,111 @@ let index_reuse_prop =
            (fun q -> Snapshot.request s1 q = Snapshot.request cold q)
            queries)
 
+(* ------------------------------------------------------------------ *)
+(* The rank-space check: each answer's verdict is read off its own
+   record in the snapshot's rank-to-record array. *)
+
+(* The first annotation is a sign-only epoch that flips signs: before
+   it, every node reads the default.  Its snapshot takes the index slot
+   over but must build its own record array, and the snapshot pinned
+   before it must keep reading its own unsigned records.  The new
+   snapshot misses first, so an array handed along with the index
+   would reach the pinned one. *)
+let test_records_not_shared_across_sign_epoch () =
+  Fault.reset ();
+  let eng = make_engine () in
+  let m = Engine.metrics eng in
+  let record_builds () = Metrics.counter m "snapshot.record_builds" in
+  let q = "//patient/name" and lane = Rewrite.Materialized in
+  let s0 = Engine.pin_snapshot eng in
+  let cold0 =
+    Snapshot.capture ~epoch:(Snapshot.epoch s0) ~policy:(Engine.policy eng)
+      ~metrics:(Metrics.create ()) (Tree.copy (Snapshot.document s0))
+  in
+  ignore (Snapshot.request ~lane:Rewrite.Rewrite s0 "//nurse");
+  let shared0 = shared eng in
+  ignore (Engine.annotate eng);
+  let s1 = Engine.pin_snapshot eng in
+  Alcotest.(check int) "the annotate epoch shared the index slot" (shared0 + 1)
+    (shared eng);
+  Alcotest.(check bool) "one index for both views" true
+    (Snapshot.index s1 == Snapshot.index s0);
+  Alcotest.(check int) "no array built yet" 0 (record_builds ());
+  let d1 = Snapshot.request ~lane s1 q in
+  Alcotest.(check bool) "the new snapshot sees the new signs" true
+    (d1 = Engine.request_direct eng Engine.Native q);
+  let d0 = Snapshot.request ~lane s0 q in
+  Alcotest.(check bool) "the pinned snapshot keeps its decision" true
+    (d0 = Snapshot.request ~lane cold0 q);
+  Alcotest.(check bool) "the epoch moved the decision" true (d0 <> d1);
+  Alcotest.(check int) "each snapshot built its own array" 2 (record_builds ());
+  Engine.unpin_snapshot eng s0;
+  Engine.unpin_snapshot eng s1
+
+(* The rank-space check equals the CAM oracle — [Cam.lookup] on a
+   fresh map of the snapshot's own view — at every rank, for the
+   anonymous subject and every role, on the current snapshot and on
+   one pinned epochs earlier, across random role policies, subject
+   annotation, updates and inserts.  The pinned snapshot's verdicts
+   must also stay what they were when it was current. *)
+let rank_check_prop =
+  QCheck2.Test.make ~name:"rank-space check = CAM oracle" ~count:30
+    QCheck2.Gen.(pair Helpers.seed_gen Helpers.seed_gen)
+    (fun (doc_seed, op_seed) ->
+      Fault.reset ();
+      let rng = Prng.create ~seed:doc_seed in
+      let doc = Helpers.random_hospital_doc rng in
+      let policy =
+        Helpers.random_role_policy rng (Helpers.random_subjects rng)
+      in
+      let eng = Engine.create ~dtd:W.Hospital.dtd ~policy doc in
+      ignore (Engine.annotate eng);
+      ignore (Engine.annotate_subjects eng);
+      let policy = Engine.policy eng in
+      let subjects = None :: List.map Option.some (Policy.roles policy) in
+      let verdicts snap =
+        let n = Index.length (Snapshot.index snap) in
+        List.map
+          (fun subject ->
+            let check = Snapshot.accessible ?subject snap in
+            List.init n check)
+          subjects
+      in
+      let coherent step snap =
+        if not (Helpers.rank_check_coherent ~policy snap) then
+          QCheck2.Test.fail_reportf "after %s, epoch %d differs from the oracle"
+            step (Snapshot.epoch snap)
+      in
+      let pinned = Engine.pin_snapshot eng in
+      let pinned_verdicts = verdicts pinned in
+      let orng = Prng.create ~seed:op_seed in
+      for _ = 1 to 4 do
+        let step =
+          match Prng.int orng 5 with
+          | 0 | 1 ->
+              let u = Helpers.random_update orng in
+              ignore (Engine.update eng u);
+              "update " ^ u
+          | 2 | 3 ->
+              let at, xml =
+                List.nth carry_inserts (Prng.int orng (List.length carry_inserts))
+              in
+              ignore
+                (Engine.insert eng ~at
+                   ~fragment:(Xmlac_xml.Xml_parser.parse_exn xml));
+              "insert " ^ xml
+          | _ ->
+              ignore (Engine.annotate_subjects eng);
+              "annotate_subjects"
+        in
+        coherent step (Engine.current_snapshot eng);
+        coherent step pinned;
+        if verdicts pinned <> pinned_verdicts then
+          QCheck2.Test.fail_reportf "after %s, the pinned verdicts moved" step
+      done;
+      Engine.unpin_snapshot eng pinned;
+      true)
+
 (* Readers on several domains missing on a fresh snapshot at once: one
    index is published, and every decision equals the direct read. *)
 let test_concurrent_first_misses () =
@@ -959,8 +1072,8 @@ let () =
             test_memo_carried_across_sign_epoch;
           tc "killed publish never corrupts a pinned neighbor"
             test_cow_kill_never_corrupts_pinned_neighbor;
-          tc "carry checks the answers' ancestors"
-            test_carry_checks_answer_ancestors;
+          tc "carry checks answers, not ancestors"
+            test_carry_checks_answers_not_ancestors;
           tc "carry across an unrelated write"
             test_carry_across_unrelated_write;
           tc "carry across a structural epoch"
@@ -973,6 +1086,12 @@ let () =
           tc "shared across an annotate epoch" test_index_shared_across_annotate;
           tc "concurrent first misses" test_concurrent_first_misses;
           QCheck_alcotest.to_alcotest index_reuse_prop;
+        ] );
+      ( "rank check",
+        [
+          tc "record array not shared across a sign epoch"
+            test_records_not_shared_across_sign_epoch;
+          QCheck_alcotest.to_alcotest rank_check_prop;
         ] );
       ( "properties",
         [

@@ -298,7 +298,8 @@ let test_engine_fast_lane_matches_direct () =
   check_fast_lane_matches eng "after annotate";
   let _ = Engine.update eng "//patient/treatment" in
   check_fast_lane_matches eng "after update";
-  Alcotest.(check bool) "cam consistent" true (Helpers.cam_coherent eng)
+  Alcotest.(check bool) "rank check = CAM oracle" true
+    (Helpers.snapshot_coherent eng)
 
 let test_engine_cache_hits_and_epoch () =
   let eng = hospital_engine () in
@@ -309,14 +310,31 @@ let test_engine_cache_hits_and_epoch () =
   Alcotest.(check bool) "same decision" true (d1 = d2);
   Alcotest.(check int) "one miss" 1 (Metrics.counter m "cache.misses");
   Alcotest.(check int) "one hit" 1 (Metrics.counter m "cache.hits");
+  ignore (Engine.request eng Engine.Native "//patient");
   let e0 = Engine.epoch eng in
-  let _ = Engine.update eng "//patient/treatment" in
+  (* Deleting the treatments flips the signs of the patients that held
+     one: the names' parents, not the names. *)
+  let stats =
+    List.assoc Engine.Native (Engine.update eng "//patient/treatment")
+  in
   Alcotest.(check bool) "epoch bumped" true (Engine.epoch eng > e0);
+  let writes q =
+    List.exists
+      (fun id -> List.mem id stats.Reannotator.changed)
+      (Helpers.ids (Engine.document eng) q)
+  in
+  Alcotest.(check bool) "a patient was written, no name" true
+    (writes "//patient" && not (writes "//patient/name"));
   let d3 = Engine.request eng Engine.Native "//patient/name" in
-  Alcotest.(check int) "update forces recompute" 2
+  Alcotest.(check int) "an ancestor write carries" 2
+    (Metrics.counter m "cache.misses");
+  Alcotest.(check bool) "carried decision matches direct" true
+    (d3 = Engine.request_direct eng Engine.Native "//patient/name");
+  let d4 = Engine.request eng Engine.Native "//patient" in
+  Alcotest.(check int) "an answer write forces recompute" 3
     (Metrics.counter m "cache.misses");
   Alcotest.(check bool) "fresh decision matches direct" true
-    (d3 = Engine.request_direct eng Engine.Native "//patient/name")
+    (d4 = Engine.request_direct eng Engine.Native "//patient")
 
 let test_engine_insert_maintains_cam () =
   let eng = hospital_engine () in
@@ -324,11 +342,11 @@ let test_engine_insert_maintains_cam () =
   let reg = Tree.add_child frag (Tree.root frag) "regular" in
   ignore (Tree.add_child frag reg ~value:"aspirin" "med");
   ignore (Tree.add_child frag reg ~value:"120" "bill");
-  (* Reads first, so the insert's snapshot patches their map. *)
+  (* Reads first, so the insert's snapshot has memos to carry or drop. *)
   check_fast_lane_matches eng "before insert";
   let _ = Engine.insert eng ~at:"//patient[psn = \"099\"]" ~fragment:frag in
-  Alcotest.(check bool) "cam consistent after insert" true
-    (Helpers.cam_coherent eng);
+  Alcotest.(check bool) "rank check = CAM oracle after insert" true
+    (Helpers.snapshot_coherent eng);
   check_fast_lane_matches eng "after insert"
 
 let test_engine_request_parse_error () =
@@ -341,11 +359,12 @@ let test_engine_request_parse_error () =
       (Helpers.contains msg "//patient[")
 
 (* ------------------------------------------------------------------ *)
-(* The acceptance property: CAM/cache-served decisions are identical
+(* The acceptance property: snapshot-served decisions are identical
    to direct sign-read decisions across random documents, role
    policies and update and insert sequences.  Each round reads as the
-   anonymous subject and as every role, so the next epoch's snapshot
-   patches both kinds of map. *)
+   anonymous subject and as every role, and checks the current
+   snapshot's rank-space check against the CAM oracle for all of
+   them. *)
 
 let fast_lane_equivalence_prop =
   QCheck2.Test.make
@@ -378,7 +397,7 @@ let fast_lane_equivalence_prop =
                 ok := false)
             subjects
         done;
-        if not (Helpers.cam_coherent eng) then ok := false
+        if not (Helpers.snapshot_coherent eng) then ok := false
       in
       check_round ();
       for i = 1 to 4 do

@@ -705,7 +705,6 @@ let test_index_fixed_cases () =
   let doc = Helpers.hospital_doc () in
   let idx = Index.build doc in
   Alcotest.(check int) "every node indexed" (Tree.size doc) (Index.length idx);
-  Alcotest.(check int) "root has no parent" (-1) (Index.parent idx 0);
   List.iter
     (fun q ->
       let e = parse q in
