@@ -7,8 +7,12 @@
    This experiment quantifies both sides: triggered-rule counts,
    re-annotation time on the native store, and whether each mode's
    result matches the reference semantics on the updated document in
-   every store.  Overlap is the engine's trigger, so the run exits
-   non-zero when its row does not match in any store. *)
+   every store.  Besides the generated deletes, the updates delete
+   credit cards, which lifts the policy's [//person[creditcard]/profile]
+   denial from surviving profiles, so a repair that writes nothing
+   cannot match.  Overlap is the engine's trigger, so the run exits
+   non-zero when its row does not match in any store, or when no update
+   changes the accessibility of a surviving node. *)
 
 module Tabular = Xmlac_util.Tabular
 module Timing = Xmlac_util.Timing
@@ -26,22 +30,49 @@ let run (cfg : Bench_common.config) =
   let updates =
     let all = Xmlac_workload.Queries.delete_updates () in
     List.filteri (fun i _ -> i < cfg.Bench_common.updates) all
+    @ List.map Xmlac_xpath.Parser.parse_exn
+        [ "//person/creditcard"; "//person[address]/creditcard" ]
+  in
+  (* Each update with the reference: the updated document and its
+     accessible ids. *)
+  let references =
+    List.map
+      (fun update ->
+        let reference = Tree.copy doc in
+        ignore (Xmlac_xmldb.Update.delete reference update);
+        (update, reference, Policy.accessible_ids policy reference))
+      updates
+  in
+  (* Surviving nodes whose accessibility the updates change: the
+     signs a correct repair must rewrite. *)
+  let flips =
+    let before = Policy.accessible_ids policy doc in
+    List.fold_left
+      (fun acc (_, reference, after) ->
+        let lost =
+          List.filter
+            (fun id ->
+              Tree.find reference id <> None && not (List.mem id after))
+            before
+        in
+        let gained = List.filter (fun id -> not (List.mem id before)) after in
+        acc + List.length lost + List.length gained)
+      0 references
   in
   let t =
     Tabular.create
       ~headers:
-        [ "mode"; "avg triggered"; "avg reannot"; "matches reference" ]
+        [ "mode"; "avg triggered"; "avg region"; "avg reannot";
+          "matches reference" ]
   in
   let matches =
     List.map
       (fun (mode_label, mode) ->
         let depend = Depend.build ~mode policy in
-        let triggered = ref 0 and elapsed = ref 0.0 and correct = ref true in
+        let triggered = ref 0 and region = ref 0 and elapsed = ref 0.0 in
+        let correct = ref true in
         List.iter
-          (fun update ->
-            let reference = Tree.copy doc in
-            ignore (Xmlac_xmldb.Update.delete reference update);
-            let expected = Policy.accessible_ids policy reference in
+          (fun (update, _, expected) ->
             List.iter
               (fun (s : Bench_common.store) ->
                 let backend = s.Bench_common.backend in
@@ -56,6 +87,7 @@ let run (cfg : Bench_common.config) =
                 if s.Bench_common.label = "xquery" then begin
                   triggered :=
                     !triggered + List.length stats.Reannotator.triggered;
+                  region := !region + stats.Reannotator.affected;
                   elapsed := !elapsed +. dt
                 end;
                 if
@@ -64,7 +96,7 @@ let run (cfg : Bench_common.config) =
                 then correct := false)
               (Bench_common.stores_for doc
                  ~default_sign:(Rule.effect_to_string (Policy.ds policy))))
-          updates;
+          references;
         let n = float_of_int (List.length updates) in
         Tabular.add_row t
           [
@@ -72,6 +104,7 @@ let run (cfg : Bench_common.config) =
             Printf.sprintf "%.1f / %d"
               (float_of_int !triggered /. n)
               (Policy.size policy);
+            Printf.sprintf "%.1f" (float_of_int !region /. n);
             Bench_common.pp_secs (!elapsed /. n);
             (if !correct then "yes" else "NO");
           ];
@@ -83,11 +116,11 @@ let run (cfg : Bench_common.config) =
   in
   Tabular.print t;
   Printf.printf
-    "(factor %s, %d updates; reannot timed on xquery, matches checked on \
-     xquery/monetsql/postgres; overlap triggers more rules but is \
-     provably complete)\n"
+    "(factor %s, %d updates flipping %d surviving nodes; region and \
+     reannot on xquery, matches checked on xquery/monetsql/postgres; \
+     overlap triggers more rules but is provably complete)\n"
     (Bench_common.pp_factor factor)
-    (List.length updates);
+    (List.length updates) flips;
   (* Second ablation: pure vs schema-aware redundancy elimination, on
      policies salted with redundancy only the DTD can prove. *)
   Bench_common.section "Ablation: pure vs schema-aware optimizer";
@@ -119,6 +152,10 @@ let run (cfg : Bench_common.config) =
         fun p -> Optimizer.optimize_policy ~schema:Bench_common.schema_graph p );
     ];
   Tabular.print t2;
+  if flips = 0 then begin
+    prerr_endline "ablation: no update changes a surviving node's access";
+    exit 1
+  end;
   if not (List.assoc "overlap" matches) then begin
     prerr_endline "ablation: the overlap trigger does not match the reference";
     exit 1

@@ -14,7 +14,9 @@
 
    Accessibility check, over each query's answers: a CAM walk from
    each answer's record found by id (the check before rank-space
-   reads), against [Snapshot.accessible] on the answers' ranks.
+   reads), decided by [Requester.decide] over the id list, against
+   [Snapshot.accessible] on the answers' rank array, counted by
+   [Requester.count_blocked] as a snapshot read miss counts it.
    Output: per-query mean / p50 / p99 in microseconds for each.  Every
    answer must get the same verdict from both.
 
@@ -137,10 +139,10 @@ let run () =
   let rank_us = Array.make n 0.0 and rank_words = Array.make n 0.0 in
   Array.iteri
     (fun i e ->
-      let ranks = Array.to_list (Xp.Index.eval idx e) in
-      let ids = List.map (Xp.Index.id idx) ranks in
-      if List.map cam_walk ids <> List.map rank_check ranks then
-        differ := e :: !differ;
+      let ranks = Xp.Index.eval idx e in
+      let ids = List.map (Xp.Index.id idx) (Array.to_list ranks) in
+      if List.map cam_walk ids <> List.map rank_check (Array.to_list ranks)
+      then differ := e :: !differ;
       let us, w =
         measure ~reps:check_reps (fun () ->
             Requester.decide ~ids ~accessible:cam_walk)
@@ -149,7 +151,7 @@ let run () =
       cam_words.(i) <- w;
       let us, w =
         measure ~reps:check_reps (fun () ->
-            Requester.decide ~ids:ranks ~accessible:rank_check)
+            Requester.count_blocked ranks ~accessible:rank_check)
       in
       rank_us.(i) <- us;
       rank_words.(i) <- w)

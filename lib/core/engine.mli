@@ -174,8 +174,9 @@ val request_direct :
 val update : t -> string -> (backend_kind * Reannotator.stats) list
 (** Applies a delete update (XPath string) and re-annotates partially —
     signs, and the role bitmaps once an {!annotate_subjects} epoch has
-    materialized them, both over the affected region only
-    ({!Reannotator.finish}), in one sign epoch.  The list holds the one
+    materialized them, both over the nodes whose membership in some
+    triggered scope moved ({!Reannotator.finish}), in one sign
+    epoch.  The list holds the one
     [Native] entry. *)
 
 val insert :

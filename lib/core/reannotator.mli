@@ -1,49 +1,66 @@
 (** Partial re-annotation after a document update (Section 5.3).
 
     The full pipeline: run {!Trigger} to find the rules whose scopes
-    the update may change; take the union of those rules' scopes both
-    {e before} and {e after} applying the update (before: nodes that
-    may fall out of scope; after: nodes that may enter it); rebuild the
-    annotation plan {e restricted to the triggered rules}
-    ({!Plan.of_rules}, rewritten), evaluate it with {!Plan.eval} over
-    the post-update scope sets and intersect the answer with the
-    surviving affected region; then touch only the affected nodes
-    whose effective sign disagrees with the plan's verdict.
+    the update may change; evaluate each distinct triggered resource's
+    scope {e before} and {e after} applying the update; take as the
+    region R the stored nodes whose membership in some triggered scope
+    moved — the union over triggered resources r of
+    pre{_r} △ post{_r}; rebuild the annotation plan {e restricted to
+    the triggered rules} ({!Plan.of_rules}, rewritten) and evaluate it
+    with {!Plan.eval} over the post-update scopes intersected with R;
+    then touch only the region nodes whose effective sign disagrees
+    with the plan's verdict.
 
     Each triggered resource goes through {!Backend.t.eval_ids} once per
     document state ({!Rule.memo_resource}); the region, the sign
     verdict and every role-bit verdict derive from those scope sets.
 
+    Why R suffices, with an [Overlap]-mode dependency graph — the one
+    {!Engine} builds:
+    - a node's sign, and each of its role bits, is a function only of
+      which rules' scopes hold it, together with ds/cr (Table 2);
+    - the [Overlap] trigger is complete: no untriggered rule's scope
+      changes under the update;
+    - a stored node outside R is in exactly the triggered scopes it was
+      in before, hence in exactly the same scopes overall, so its
+      annotation — correct before the update — stays correct;
+    - deleted nodes are filtered out of R;
+    - an inserted node in no triggered scope is outside R and in no
+      other scope either; it reads as the default, because grafts are
+      unannotated ({!Xmlac_xml.Tree.graft}, {!Xmlac_shrex.Shred}).
+
     Every other node keeps its annotation untouched — that asymmetry is
-    where the speedup over full annotation comes from.  With an
-    [Overlap]-mode dependency graph — the one {!Engine} builds — the
-    result provably coincides with annotating from scratch; the
-    published [Paper] mode, kept as a named ablation, coincides on the
-    paper's policy classes only (the property tests pin both claims
-    down). *)
+    where the speedup over full annotation comes from.  With the
+    [Overlap] graph the result provably coincides with annotating from
+    scratch; the published [Paper] mode, kept as a named ablation,
+    coincides on the paper's policy classes only (the property tests
+    pin both claims down). *)
 
 type stats = {
   triggered : int list;  (** Triggered rule indices (with dependencies). *)
-  affected : int;  (** Affected nodes still live after the update. *)
+  affected : int;
+      (** |R|: the stored nodes whose membership in some triggered
+          scope moved — the only nodes the repair reads or writes. *)
   deleted_roots : int;  (** Subtree roots removed by the update. *)
   marked : int;  (** Nodes stamped with the non-default sign. *)
   changed : int list;
       (** The ids whose sign was actually rewritten (both directions),
-          in the order written — a subset of the affected region,
-          reported for callers and benches.  The snapshots' CAMs do not
-          need it: they repair themselves from the frozen tree's own
-          change set ({!Snapshot}). *)
+          in the order written — a subset of R, reported for callers
+          and benches.  Snapshots do not need it: a snapshot reads
+          each node's own record, and carries memos over the frozen
+          tree's own change set ({!Snapshot}). *)
   bits_changed : int list;
       (** The ids whose role bitmap was rewritten, ascending — empty
-          unless the repair was prepared with [~bits:true].  Every one
-          lies in the affected region: the triggered rules' scopes
-          before or after the update. *)
+          unless the repair was prepared with [~bits:true].  A subset
+          of R. *)
 }
 
 type prepared
-(** The pre-mutation half of a repair: the triggered rules and the
-    union of their scopes {e before} the update.  Computing it is
-    side-effect free, so the engine stashes it in its open-epoch
+(** The pre-mutation half of a repair: the triggered rules and each
+    distinct triggered resource's scope {e before} the update (one id
+    set per resource, not their union: the region needs each
+    resource's own pre{_r} to compare with its post{_r}).  Computing
+    it is side-effect free, so the engine stashes it in its open-epoch
     record — after a crash between the mutation and the repair,
     {!finish} can be re-run from the stashed value even though the
     pre-update document no longer exists ({!Engine.recover}'s
@@ -60,8 +77,8 @@ val prepare :
     called {e before} the mutation is applied to this backend.
 
     [~bits:true] (default [false]) asks {!finish} to repair the role
-    bitmaps too, over the same triggered rules and affected region as
-    the signs.  Only an [Overlap] graph makes that repair coincide
+    bitmaps too, over the same triggered rules and region R as the
+    signs.  Only an [Overlap] graph makes that repair coincide
     with the full shared pass ({!Annotator.annotate_subjects}). *)
 
 val finish :
@@ -72,14 +89,18 @@ val finish :
   deleted_roots:int ->
   stats
 (** The post-mutation half: the post-update scopes, one memo of them
-    for this document state, the restricted annotation plan evaluated
-    over that memo ({!Plan.eval}), and the sign writes; then, if
-    prepared with [~bits:true], the bitmap repair — every role's
-    projection of the triggered rules ({!Policy.for_subject}),
-    evaluated over the same memo and intersected with the affected
-    region, identical projections evaluated once, and exactly the role
-    bits that disagree written in one {!Backend.t.set_bits_batch}.
-    No plan goes through {!Backend.t.eval_plan}.  Idempotent
+    for this document state, and from it the region R; then the
+    restricted annotation plan evaluated ({!Plan.eval}) over that memo
+    with every scope intersected with R — intersection distributes
+    over union, except and intersect, so this is the plan's whole
+    answer restricted to R without the whole-document set algebra —
+    and the sign writes; then, if prepared with [~bits:true], the
+    bitmap repair — every role's projection of the triggered rules
+    ({!Policy.for_subject}), evaluated over the same R-restricted memo,
+    identical projections evaluated once, and exactly the role bits of
+    R's nodes that disagree written in one {!Backend.t.set_bits_batch}.
+    An empty R reads and writes nothing.  No plan goes through
+    {!Backend.t.eval_plan}.  Idempotent
     given the same [prepared] and document state — recovery re-runs it
     after rolling back any partial sign and bitmap writes of a crashed
     attempt. *)

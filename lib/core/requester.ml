@@ -8,15 +8,15 @@ type decision =
 (* One deadline checkpoint per selected node: the serve layer's
    cooperative timeout fires inside the accessibility sweep, so a
    request over a huge answer set cannot blow its budget silently. *)
+let blocked ~accessible n id =
+  Deadline.checkpoint ();
+  if accessible id then n else n + 1
+
+let count_blocked ranks ~accessible =
+  Array.fold_left (blocked ~accessible) 0 ranks
+
 let decide ~ids ~accessible =
-  let blocked =
-    List.length
-      (List.filter
-         (fun id ->
-           Deadline.checkpoint ();
-           not (accessible id))
-         ids)
-  in
+  let blocked = List.fold_left (blocked ~accessible) 0 ids in
   if blocked = 0 then Granted ids else Denied { blocked }
 
 let request_via ~sign (backend : Backend.t) expr =

@@ -325,9 +325,9 @@ let materialized_decision ?subject t expr =
   Array.sort Int.compare ids;
   let answers = Array.to_list ids in
   let d =
-    match Requester.decide ~ids:(Array.to_list ranks) ~accessible with
-    | Requester.Granted _ -> Requester.Granted answers
-    | denied -> denied
+    match Requester.count_blocked ranks ~accessible with
+    | 0 -> Requester.Granted answers
+    | blocked -> Requester.Denied { blocked }
   in
   { expr; answers = Some answers; decision = d }
 

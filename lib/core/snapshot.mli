@@ -215,8 +215,10 @@ val request :
     {!Xmlac_xpath.Eval.eval} gives on the frozen view.  Full fidelity
     at the snapshot's epoch and never touches the live stores, so it
     cannot block on (or be blocked by) the writer.  Crosses
-    {!Xmlac_util.Deadline.checkpoint}s through [Requester.decide] and
-    {!accessible}, so it honours a caller-installed budget.
+    {!Xmlac_util.Deadline.checkpoint}s through
+    [Requester.count_blocked] (or [Requester.decide] on the rewrite
+    lane) and {!accessible}, so it honours a caller-installed
+    budget.
 
     [~lane] (default {!Rewrite.Auto}) selects the enforcement lane as
     in {!Engine.request}: [Auto] picks the materialized lane iff the

@@ -194,10 +194,11 @@ let delete t node =
          is still the spine of older frozen views. *)
       if node.gen = t.gen then node.parent <- None
 
+(* A graft starts unannotated: whatever signs or bitmaps the fragment
+   carries belong to another document, and the repair that follows
+   stamps only the nodes some triggered scope reaches. *)
 let rec copy_into t parent src =
   let n = fresh_node t ~name:src.name ~value:src.value ~parent:(Some parent) in
-  n.sign <- src.sign;
-  n.bits <- src.bits;
   parent.children <- parent.children @ [ n ];
   List.iter (fun c -> ignore (copy_into t n c)) src.children;
   n

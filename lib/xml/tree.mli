@@ -83,7 +83,9 @@ val delete : t -> node -> unit
 val graft : t -> node -> t -> node
 (** [graft doc parent fragment] deep-copies the root of document
     [fragment] (and its subtree) under [parent], assigning fresh ids in
-    [doc]; returns the new child. *)
+    [doc]; returns the new child.  The copies are unannotated: the
+    fragment's signs and role bitmaps are not copied, so every grafted
+    node reads as the default until something stamps it. *)
 
 (** {1 Access} *)
 

@@ -656,6 +656,86 @@ let test_reannotate_one_evaluation_per_state () =
         after)
     (backends_for (tiny_doc ()) ~default_sign:"-")
 
+(* The repair region is exactly the stored nodes whose membership in
+   some triggered scope moved — the union over triggered rules of
+   pre △ post — and every sign and role bit the repair writes lies in
+   it.  One delete (staff regain untreated patients) and one insert (a
+   treatment under the untreated patient) on the native store, each
+   region recomputed with [Rule.scope] on copies of the document taken
+   before and after. *)
+let test_reannotate_region_is_symmetric_difference () =
+  let policy = Lazy.force Helpers.hospital_roles_policy in
+  let depend = Depend.build ~mode:(Depend.Overlap hospital_sg) policy in
+  let rules = Array.of_list (Policy.rules policy) in
+  let doc = tiny_doc () in
+  let store = Xml_backend.make doc in
+  ignore (Annotator.annotate store policy);
+  ignore (Annotator.annotate_subjects store policy);
+  let scope_ids d r =
+    List.map (fun (n : Tree.node) -> n.Tree.id) (Rule.scope d r)
+  in
+  let check label touched apply =
+    let p =
+      Reannotator.prepare ~schema:hospital_sg ~bits:true store depend
+        ~touched:(List.map parse touched)
+    in
+    let before = Tree.copy doc in
+    let deleted_roots = apply () in
+    let stats =
+      Reannotator.finish ~schema:hospital_sg store depend p ~deleted_roots
+    in
+    let moved =
+      List.concat_map
+        (fun i ->
+          let pre = scope_ids before rules.(i)
+          and post = scope_ids doc rules.(i) in
+          List.filter (fun id -> not (List.mem id post)) pre
+          @ List.filter (fun id -> not (List.mem id pre)) post)
+        stats.Reannotator.triggered
+      |> List.filter (fun id -> Tree.find doc id <> None)
+      |> List.sort_uniq compare
+    in
+    Alcotest.(check bool) (label ^ ": some membership moved") true
+      (moved <> []);
+    Alcotest.(check int) (label ^ ": affected = |region|") (List.length moved)
+      stats.Reannotator.affected;
+    List.iter
+      (fun (what, ids) ->
+        List.iter
+          (fun id ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %s node %d lies in the region" label what id)
+              true (List.mem id moved))
+          ids)
+      [ ("sign-changed", stats.Reannotator.changed);
+        ("bits-changed", stats.Reannotator.bits_changed) ];
+    Alcotest.(check bool) (label ^ ": some bitmap rewritten") true
+      (stats.Reannotator.bits_changed <> []);
+    Alcotest.(check Helpers.int_list) (label ^ ": signs match the policy")
+      (Policy.accessible_ids policy doc)
+      (Backend.accessible_ids store ~default:(Policy.ds policy));
+    List.iter
+      (fun role ->
+        Alcotest.(check Helpers.int_list)
+          (Printf.sprintf "%s: %s bits match the policy" label role)
+          (Policy.accessible_ids ~subject:role policy doc)
+          (Backend.accessible_ids_role store
+             ~default:(Policy.default_bits policy)
+             ~role:(Option.get (Subject.index (Policy.subjects policy) role))))
+      (Policy.roles policy)
+  in
+  let update = parse "//patient/treatment" in
+  check "delete" [ "//patient/treatment" ] (fun () ->
+      store.Backend.delete_update update);
+  let at = "//patient[psn = \"099\"]" in
+  let fragment = Tree.create ~root_name:"treatment" in
+  ignore (Tree.add_child fragment (Tree.root fragment) ~value:"aspirin" "med");
+  check "insert"
+    [ at ^ "/treatment"; at ^ "/treatment//*" ]
+    (fun () ->
+      List.length
+        (Xmlac_xmldb.Update.insert_nodes doc ~at:(parse at) ~fragment))
+
 (* The headline property: with the Overlap-mode dependency graph,
    partial re-annotation coincides with annotating the updated document
    from scratch — for random documents, random policies and random
@@ -831,6 +911,8 @@ let () =
           tc "full baseline" test_full_reannotate_baseline;
           tc "one scope evaluation per state"
             test_reannotate_one_evaluation_per_state;
+          tc "region is the scope symmetric difference"
+            test_reannotate_region_is_symmetric_difference;
           QCheck_alcotest.to_alcotest reannotation_correct_prop;
         ] );
       ( "requester",

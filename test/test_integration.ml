@@ -464,7 +464,7 @@ let test_bits_repair_stays_in_region () =
   let policy = Engine.policy eng in
   let rules = overlap_triggered eng [ update ] in
   let scopes () =
-    List.concat_map
+    List.map
       (fun (r : Rule.t) ->
         Helpers.ids (Engine.document eng)
           (Xmlac_xpath.Pp.expr_to_string r.Rule.resource))
@@ -472,7 +472,16 @@ let test_bits_repair_stays_in_region () =
   in
   let pre = scopes () and before = raw_bits eng and stamps = bit_stamps () in
   let s = native_stats (Engine.update eng update) in
-  let region = pre @ scopes () in
+  (* The moved region: per triggered rule, the nodes that entered or
+     left its scope. *)
+  let region =
+    List.concat
+      (List.map2
+         (fun pre post ->
+           List.filter (fun id -> not (List.mem id post)) pre
+           @ List.filter (fun id -> not (List.mem id pre)) post)
+         pre (scopes ()))
+  in
   let rewritten = s.Reannotator.bits_changed in
   Alcotest.(check bool) "the deletion rewrote some bitmaps" true
     (rewritten <> []);
@@ -482,7 +491,7 @@ let test_bits_repair_stays_in_region () =
   List.iter
     (fun id ->
       Alcotest.(check bool)
-        (Printf.sprintf "rewritten node %d lies in a triggered scope" id)
+        (Printf.sprintf "rewritten node %d moved in a triggered scope" id)
         true (List.mem id region))
     rewritten;
   (* And the report is complete: no other surviving node's bitmap
@@ -503,6 +512,36 @@ let test_bits_repair_stays_in_region () =
         (Engine.accessible_subject eng role))
     (Policy.roles policy)
 
+(* A fragment's own annotations belong to another document: grafted
+   nodes start unannotated, so a node no triggered scope reaches reads
+   as the default instead of keeping the fragment's grant. *)
+let test_insert_drops_fragment_annotations () =
+  let eng = bitmapped_engine () in
+  let policy = Engine.policy eng in
+  let all_roles =
+    Xmlac_util.Bitset.of_list (List.init (Policy.role_count policy) Fun.id)
+  in
+  let fragment = Tree.create ~root_name:"treatment" in
+  let regular = Tree.add_child fragment (Tree.root fragment) "regular" in
+  ignore (Tree.add_child fragment regular ~value:"aspirin" "med");
+  ignore (Tree.add_child fragment regular ~value:"120" "bill");
+  Tree.iter
+    (fun n ->
+      Tree.set_sign fragment n (Some Tree.Plus);
+      Tree.set_bits fragment n (Some all_roles))
+    fragment;
+  ignore (Engine.insert eng ~at:"//patient[psn = \"099\"]" ~fragment);
+  let doc = Engine.document eng in
+  Alcotest.(check Helpers.int_list) "anonymous matches the policy"
+    (Policy.accessible_ids policy doc)
+    (Engine.accessible eng);
+  List.iter
+    (fun role ->
+      Alcotest.(check Helpers.int_list) (role ^ " matches the policy")
+        (Policy.accessible_ids ~subject:role policy doc)
+        (Engine.accessible_subject eng role))
+    (Policy.roles policy)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "integration-insert"
@@ -512,6 +551,7 @@ let () =
           tc "lockstep and R3 flip" test_insert_keeps_stores_lockstep;
           tc "multiple targets mirrored" test_insert_multiple_targets_relational_mirror;
           tc "insert then delete" test_insert_then_delete_round;
+          tc "grafts start unannotated" test_insert_drops_fragment_annotations;
         ] );
       ( "default engine",
         [
