@@ -39,7 +39,6 @@ let run (cfg : Bench_common.config) =
     (Tree.size (Engine.document eng))
     (Bench_common.pp_factor factor)
     (List.length queries) rounds;
-  Format.printf "%a@." Cam.pp (Engine.cam eng);
   let total = List.length queries * rounds in
   let replay req =
     let _, elapsed =
@@ -100,7 +99,6 @@ let run (cfg : Bench_common.config) =
     "update %s: affected region %d node(s); %d memo(s) carried; re-reading \
      the workload built %d record array(s)\n"
     update affected carried built;
-  Format.printf "%a@." Cam.pp (Engine.cam eng);
 
   (* Machine-readable block for the CI artifact. *)
   print_endline "summary:";

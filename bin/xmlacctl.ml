@@ -26,7 +26,6 @@ module Session = Xmlac_serve.Session
 module Pool = Xmlac_serve.Pool
 module Repl = Xmlac_replicate.Replicate
 module Timing = Xmlac_util.Timing
-module Wal = Xmlac_reldb.Wal
 
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("xmlacctl: " ^ m); exit 1) fmt
 
@@ -373,7 +372,7 @@ let explain policy_path dtd_name doc_path raw requests subjects lane =
   (* The read path, exercised live: each --request query is answered
      twice through an engine (cold, then memoized by the current
      snapshot) — for the anonymous subject and for every --subject
-     role — then the memo and CAM counters and the metrics are
+     role — then the memo and checked-answer counters and the metrics are
      dumped.  Per-role figures are the counter movement across that
      role's requests. *)
   match (requests, doc) with
@@ -382,51 +381,20 @@ let explain policy_path dtd_name doc_path raw requests subjects lane =
   | queries, Some doc ->
       let eng = Engine.create ~optimize:(not raw) ~dtd ~policy doc in
       List.iter (fun role -> ignore (role_bit (Engine.policy eng) role)) subjects;
-      (* The paper's relational stores, shredded beside the engine and
-         journaled through their own WALs: each annotation pass the
-         engine commits runs on them too, framed under the engine's
-         sign epoch. *)
-      let relational =
-        List.map
-          (fun engine ->
-            let db, b =
-              Rel_backend.load (Engine.mapping eng) (Engine.policy eng) engine
-                doc
-            in
-            let w = Wal.create () in
-            Xmlac_reldb.Database.set_wal db (Some w);
-            (b, w))
-          [ Xmlac_reldb.Table.Row; Xmlac_reldb.Table.Column ]
-      in
-      let framed pass =
-        let epoch = Engine.sign_epoch eng in
-        List.iter
-          (fun (b, w) ->
-            Wal.begin_epoch w epoch;
-            pass b;
-            Wal.commit_epoch w epoch)
-          relational
-      in
-      (* A forced rewrite lane leaves the stores cold on purpose — the
+      (* A forced rewrite lane leaves the store cold on purpose — the
          whole point is answering with zero sign or bitmap reads. *)
       (match lane with
       | Rewrite.Rewrite -> ()
       | _ ->
           let _ = Engine.annotate eng in
-          framed (fun b -> ignore (Annotator.annotate_with_plan b (Engine.plan eng)));
           if subjects <> [] then begin
             let stats = Engine.annotate_subjects eng in
-            framed (fun b ->
-                ignore
-                  (Annotator.annotate_subjects ~schema:(Engine.schema_graph eng)
-                     b (Engine.policy eng)));
             Printf.printf
               "subjects: %d role(s), %d distinct plan(s), %d shared\n"
               stats.Annotator.roles stats.Annotator.distinct_plans
               stats.Annotator.shared_plans
           end);
       print_endline "requester fast lane:";
-      Format.printf "  %a@." Cam.pp (Engine.cam eng);
       let resolved, why = Engine.resolve_lane ~lane eng in
       Printf.printf "  lane              %s (%s)\n"
         (Rewrite.lane_to_string resolved) why;
@@ -435,7 +403,7 @@ let explain policy_path dtd_name doc_path raw requests subjects lane =
       let per_role = Hashtbl.create 8 in
       let tally role f =
         let hits = c "cache.hits" and misses = c "cache.misses"
-        and lookups = c "cam.lookups" in
+        and checked = c "snapshot.answers_checked" in
         let d = f () in
         let h, mi, l =
           Option.value (Hashtbl.find_opt per_role role) ~default:(0, 0, 0)
@@ -443,7 +411,7 @@ let explain policy_path dtd_name doc_path raw requests subjects lane =
         Hashtbl.replace per_role role
           ( h + c "cache.hits" - hits,
             mi + c "cache.misses" - misses,
-            l + c "cam.lookups" - lookups );
+            l + c "snapshot.answers_checked" - checked );
         d
       in
       List.iter
@@ -469,12 +437,12 @@ let explain policy_path dtd_name doc_path raw requests subjects lane =
       in
       List.iter
         (fun role ->
-          let hits, misses, lookups =
+          let hits, misses, checked =
             Option.value (Hashtbl.find_opt per_role role) ~default:(0, 0, 0)
           in
           Printf.printf
-            "  as %-12s cache %d hit(s) / %d miss(es) (rate %s), cam lookups %d\n"
-            role hits misses (rate hits misses) lookups)
+            "  as %-12s cache %d hit(s) / %d miss(es) (rate %s), answers checked %d\n"
+            role hits misses (rate hits misses) checked)
         subjects;
       Printf.printf "  decision cache    %d/%d entries in the epoch %d snapshot, hit rate %s\n"
         (Snapshot.cached_decisions (Engine.current_snapshot eng))
@@ -484,44 +452,14 @@ let explain policy_path dtd_name doc_path raw requests subjects lane =
       print_endline "durability:";
       Printf.printf "  sign epoch        %d (committed)\n"
         (Engine.sign_epoch eng);
-      List.iter
-        (fun ((b : Backend.t), w) ->
-          Printf.printf "  %-10s wal    %d records, %d bytes, checksum %08lx\n"
-            b.Backend.name (Wal.records w) (Wal.bytes_logged w) (Wal.checksum w))
-        relational;
       Format.printf "  %a@." Snapshot.pp_registry (Engine.snapshots eng);
       Printf.printf "  stale denials     %d\n"
         (Xmlac_util.Metrics.counter m Xmlac_util.Metrics.stale_snapshot_denials);
       (* The state digest the epoch shipper frames (a follower
-         recomputes it after every applied frame), and each relational
-         store's committed-epoch ledger read through its WAL's epoch
-         cursor. *)
+         recomputes it after every applied frame). *)
       print_endline "replication:";
       Printf.printf "  state digest      %08lx (follower verifies per applied epoch)\n"
         (Engine.state_checksum eng);
-      List.iter
-        (fun ((b : Backend.t), w) ->
-          let ledger =
-            List.rev
-              (Wal.fold_epochs w
-                 (fun acc ~epoch ~records:_ ->
-                   (epoch, Wal.epoch_checksum w epoch) :: acc)
-                 [])
-          in
-          Printf.printf "  %-10s ledger %d shippable epoch(s)%s\n"
-            b.Backend.name (List.length ledger)
-            (match ledger with
-            | [] -> ""
-            | _ ->
-                ": "
-                ^ String.concat ", "
-                    (List.map
-                       (fun (e, sum) ->
-                         match sum with
-                         | Some sum -> Printf.sprintf "%d:%08lx" e sum
-                         | None -> Printf.sprintf "%d:?" e)
-                       ledger)))
-        relational;
       Format.printf "@[<v 2>  metrics:@,%a@]@."
         Xmlac_util.Metrics.pp (Engine.metrics eng)
 
@@ -543,7 +481,7 @@ let explain_cmd =
          & info [ "request" ]
              ~doc:"Also run this XPath request twice (cold, memoized) \
                    through the engine's fast lane and report its metrics — \
-                   memo hits, CAM lookups. Needs --doc. Repeatable.")
+                   memo hits, answers checked. Needs --doc. Repeatable.")
   in
   let subjects =
     Arg.(value & opt_all string []

@@ -17,16 +17,16 @@
     every selected node on every call.  The engine instead publishes
     every committed epoch as an immutable {!Snapshot.t} that freezes
     the document, and a native {!request} reads the current snapshot.
-    The snapshot checks signs through a {!Cam} — O(depth) lookups
-    against a map whose size follows the sign {e changes}, not the
-    document — and memoizes its decisions, so a query repeated between
-    updates costs one hash lookup.  The engine keeps no map: a
-    snapshot builds each one on the first read that needs it, and the
-    next epoch's snapshot patches it at the ids the epoch wrote and
-    carries forward the decisions the epoch cannot have moved (the
-    paper's Section 5.3 re-annotation touches only those nodes).
-    Counters in {!Xmlac_util.Metrics} — memo hits/misses, CAM lookups,
-    map builds and patches — are surfaced by [xmlacctl explain
+    A miss evaluates the query on the snapshot's pre/size index and
+    checks each answer in rank space ({!Snapshot.accessible}): the
+    answer's own record — its sign, or its role bit for a subject —
+    else the default, with no walk up the tree.  The snapshot memoizes
+    its decisions, so a query repeated between updates costs one hash
+    lookup, and the next epoch's snapshot carries forward the
+    decisions the epoch cannot have moved (the paper's Section 5.3
+    re-annotation touches only those nodes).  Counters in
+    {!Xmlac_util.Metrics} — memo hits/misses, answers checked, index
+    and record-array builds — are surfaced by [xmlacctl explain
     --request] and the [exp_requester] bench.
 
     {2 Sign epochs and crash recovery}
@@ -53,7 +53,8 @@
 
     [perfbench/] compiles against a wider surface than the engine
     needs: {!backend_kind}, {!all_backend_kinds}, {!wal}, {!epoch},
-    the kind argument of {!backend}, {!request} and {!request_direct},
+    {!cam}, the kind argument of {!backend}, {!request} and
+    {!request_direct},
     and the per-kind lists {!annotate_all}, {!annotate_subjects_all},
     {!update} and {!insert} return.  They stay only for it and go once
     it stops reading them. *)
@@ -142,8 +143,9 @@ val request :
 
     Requests are answered by {!Snapshot.request} on the
     {!current_snapshot}: the last committed epoch, never an open one.
-    The snapshot checks accessibility against its CAM over the frozen
-    signs (a role's over its bitmap bit for [~subject]) and memoizes the decision under
+    A miss checks each answer's frozen sign (its bitmap bit for
+    [~subject]) in rank space ({!Snapshot.accessible}) and the
+    snapshot memoizes the decision under
     the effective lane; hits and misses are counted as [cache.hits] /
     [cache.misses], and a miss crosses the [native.eval] fault point
     once.  Every evaluation is tallied as [lane.materialized] or
@@ -166,7 +168,7 @@ val resolve_lane :
 val request_direct :
   ?subject:string -> t -> backend_kind -> string -> Requester.decision
 (** The paper's requester: per-node sign (or per-role bit) reads
-    through the backend, no CAM, no memo.  The baseline the
+    through the backend, no index, no memo.  The baseline the
     [exp_requester] bench and the equivalence property compare
     {!request} against.
     @raise Invalid_argument like {!request}. *)
@@ -208,16 +210,16 @@ val accessible_subject : t -> string -> int list
 
 val metrics : t -> Xmlac_util.Metrics.t
 (** Counters and stage timings shared by the engine, its snapshots and
-    the serving layer: [cache.hits], [cache.misses], [cam.lookups],
+    the serving layer: [cache.hits], [cache.misses],
     [lane.materialized], [lane.rewrite], [epoch.commits], the
-    [snapshot.*] counters ([snapshot.index_builds] and
-    [snapshot.record_builds] among them); stage
-    [annotate.subjects]. *)
+    [snapshot.*] counters ([snapshot.answers_checked],
+    [snapshot.index_builds] and [snapshot.record_builds] among them);
+    stage [annotate.subjects]. *)
 
 val cam : t -> Cam.t
 (** {!Snapshot.cam} of the {!current_snapshot}: the anonymous map over
     the last committed epoch's signs, built afresh on each call.  No
-    read consults it; it is for inspection. *)
+    read consults it; it stays only for [perfbench/]. *)
 
 val epoch : t -> int
 (** {!sign_epoch} under its older name; stays only for
@@ -290,9 +292,9 @@ val recover : t -> recovery
     through the undo journal, and resolves the open epoch
     as described in the module preamble — backwards for {!annotate},
     forwards for {!update} / {!insert}.  Restores the annotation
-    tracking, consumes the open epoch's number, rebuilds the CAM and
-    publishes the recovered epoch, so reads are coherent with the
-    recovered signs.
+    tracking, consumes the open epoch's number and publishes the
+    recovered epoch, so reads are coherent with the recovered
+    signs.
     Safe to call when nothing crashed (reports [`None]), and
     {e idempotent}: a second call after a completed recovery is a pure
     no-op — no epoch bump, no counter movement. *)

@@ -320,7 +320,7 @@ let materialized_decision ?subject t expr =
   let accessible = accessible ?subject t in
   let idx = index t in
   let ranks = Index.eval idx expr in
-  Metrics.add t.metrics "cam.lookups" (Array.length ranks);
+  Metrics.add t.metrics "snapshot.answers_checked" (Array.length ranks);
   let ids = Array.map (Index.id idx) ranks in
   Array.sort Int.compare ids;
   let answers = Array.to_list ids in

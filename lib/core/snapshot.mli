@@ -229,8 +229,9 @@ val request :
     sessions.
 
     A miss counts [lane.materialized] or [lane.rewrite] (and
-    [cam.lookups], the answers checked, on the materialized lane) and
-    crosses one fault point before evaluating.  A pinned read (the default) counts
+    [snapshot.answers_checked], the answers checked, on the
+    materialized lane) and crosses one fault point before evaluating.
+    A pinned read (the default) counts
     [snapshot.cache.hits] / [snapshot.cache.misses] and crosses
     [snapshot.read]; [~live:true] — {!Engine.request} on the native
     store — counts [cache.hits] / [cache.misses] and crosses

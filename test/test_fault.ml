@@ -112,7 +112,6 @@ let test_wal_log_after_crash_fails_loudly () =
       Alcotest.(check bool) "explains itself" true
         (Helpers.contains msg "simulated crash"));
   Fault.recover ();
-  let _ = Wal.recover w in
   Wal.log w "alive again";
   Alcotest.(check int) "only surviving records" 2 (Wal.records w);
   Fault.reset ()
@@ -296,10 +295,10 @@ let test_crash_sweep_insert_bits ~relational () =
     ~sets:all_subject_sets ()
 
 (* The coverage floor: the mutating paths cross named points spanning
-   native sign stamping, structural applies, CAM repair, snapshot
-   publication — one replication round crosses the transport's
-   ship/receive/apply/acknowledge points, and one framed WAL epoch its
-   append, torn-append, begin and commit points. *)
+   native sign stamping, structural applies, snapshot publication —
+   one replication round crosses the transport's
+   ship/receive/apply/acknowledge points, and one WAL append its
+   append point. *)
 let test_fault_point_coverage () =
   Fault.reset ();
   let eng = (hospital_fixture ()) () in
@@ -318,16 +317,13 @@ let test_fault_point_coverage () =
   | Ok () -> ()
   | Error _ -> Alcotest.fail "coverage cluster update failed");
   ignore (Repl.sync cluster);
-  let w = Wal.create () in
-  Wal.begin_epoch w 1;
-  Wal.log w "UPDATE";
-  Wal.commit_epoch w 1;
+  Wal.log (Wal.create ()) "UPDATE";
   let reg = Fault.registered () in
   List.iter
     (fun p ->
       Alcotest.(check bool) ("point crossed: " ^ p) true (List.mem p reg))
     [
-      "wal.append"; "wal.append.torn"; "wal.begin"; "wal.commit";
+      "wal.append";
       "epoch.begin"; "native.set_sign"; "native.delete"; "native.insert";
       "epoch.commit";
       "rewrite.compile";

@@ -53,8 +53,8 @@ let transcript ?subject snap =
 
 let capture_of eng =
   Snapshot.capture ~epoch:(Engine.sign_epoch eng)
-    ~policy:(Engine.policy eng) ~cam:(Engine.cam eng)
-    ~metrics:(Engine.metrics eng) (Engine.document eng)
+    ~policy:(Engine.policy eng) ~metrics:(Engine.metrics eng)
+    (Engine.document eng)
 
 let test_registry_lifecycle () =
   Fault.reset ();
@@ -242,17 +242,17 @@ let test_memo_carried_across_sign_epoch () =
 
 (* A standalone registry over a private copy of an annotated engine's
    document, published the way the engine publishes: [publish ()]
-   captures the copy's current state against the current snapshot,
-   with a CAM built over it.  [fresh ()] captures a deep copy of that
-   state with no [prev] — nothing carried — as the reference.  The
-   tests write signs on the copy directly, as an epoch would. *)
+   captures the copy's current state against the current snapshot.
+   [fresh ()] captures a deep copy of that state with no [prev] —
+   nothing carried — as the reference.  The tests write signs on the
+   copy directly, as an epoch would. *)
 let standalone eng =
   let policy = Engine.policy eng and metrics = Metrics.create () in
   let doc = Tree.copy (Engine.document eng) in
   let reg = Snapshot.create_registry ~metrics () in
   let capture ?prev ~metrics doc =
-    Snapshot.capture ?prev ~epoch:(Snapshot.published reg) ~policy
-      ~cam:(Cam.build doc ~default:(Policy.ds policy)) ~metrics doc
+    Snapshot.capture ?prev ~epoch:(Snapshot.published reg) ~policy ~metrics
+      doc
   in
   let publish () =
     Snapshot.publish reg (capture ?prev:(Snapshot.current reg) ~metrics doc);
@@ -492,7 +492,6 @@ let cow_equiv_prop =
             ~annotated:(Snapshot.annotated cow)
             ~bits_annotated:(Snapshot.bits_annotated cow)
             ~epoch:(Engine.sign_epoch eng) ~policy:(Engine.policy eng)
-            ~cam:(Engine.cam eng)
             ~metrics:(Metrics.create ())
             (Tree.copy (Engine.document eng))
         in

@@ -503,10 +503,7 @@ let test_wal_counters () =
   Alcotest.(check int) "bytes" 11 (Wal.bytes_logged wal);
   let sum = Wal.checksum wal in
   Wal.log wal "more";
-  Alcotest.(check bool) "checksum evolves" true (Wal.checksum wal <> sum);
-  Wal.reset wal;
-  Alcotest.(check int) "reset records" 0 (Wal.records wal);
-  Alcotest.(check int) "reset bytes" 0 (Wal.bytes_logged wal)
+  Alcotest.(check bool) "checksum evolves" true (Wal.checksum wal <> sum)
 
 let test_wal_order_sensitive () =
   let a = Wal.create () and b = Wal.create () in
@@ -542,56 +539,6 @@ let test_wal_update_journaled () =
   in
   Alcotest.(check int) "update journaled" 1 (Wal.records wal)
 
-(* --- epoch framing, replay and recovery --------------------------- *)
-
-module Fault = Xmlac_util.Fault
-
-let test_wal_replay_round_trip () =
-  Fault.reset ();
-  let wal = Wal.create () in
-  Wal.log wal "outside";
-  Wal.begin_epoch wal 1;
-  Wal.log wal "a";
-  Wal.log wal "b";
-  Wal.commit_epoch wal 1;
-  Alcotest.(check (option int)) "committed" (Some 1) (Wal.last_committed wal);
-  let seen = ref [] in
-  let n = Wal.replay wal (fun r -> seen := r :: !seen) in
-  Alcotest.(check int) "replayed count" 3 n;
-  Alcotest.(check (list string)) "replayed oldest first"
-    [ "outside"; "a"; "b" ] (List.rev !seen);
-  (* Replay is read-only. *)
-  Alcotest.(check int) "records untouched" 3 (Wal.records wal);
-  (* Records of an open epoch are not replayed... *)
-  Wal.begin_epoch wal 2;
-  Wal.log wal "uncommitted";
-  Alcotest.(check int) "open epoch skipped" 3
-    (Wal.replay wal (fun _ -> ()));
-  (* ...and recovery drops them (Begin + record). *)
-  Alcotest.(check int) "dropped" 2 (Wal.recover wal);
-  Alcotest.(check (option int)) "epoch closed" None (Wal.open_epoch wal);
-  Alcotest.(check int) "surviving records" 3 (Wal.records wal)
-
-let test_wal_torn_final_record_dropped () =
-  Fault.reset ();
-  let wal = Wal.create () in
-  Wal.log wal "good";
-  let sum = Wal.checksum wal in
-  let bytes = Wal.bytes_logged wal in
-  Fault.arm "wal.append.torn" (Fault.After 1);
-  (match Wal.log wal "torn" with
-  | () -> Alcotest.fail "torn point did not fire"
-  | exception Fault.Crash _ -> ());
-  (* The torn entry is in the log but its frame never completed. *)
-  Alcotest.(check int) "torn entry retained pre-recovery" 2
-    (List.length (Wal.entries wal));
-  Fault.recover ();
-  Alcotest.(check int) "recovery drops the torn record" 1 (Wal.recover wal);
-  Alcotest.(check int) "records" 1 (Wal.records wal);
-  Alcotest.(check int) "bytes rewound" bytes (Wal.bytes_logged wal);
-  Alcotest.(check int32) "checksum rewound" sum (Wal.checksum wal);
-  Fault.reset ()
-
 let test_wal_checksum_catches_loss_and_reorder () =
   (* Two logs that saw the same multiset of records but in different
      orders, or one missing a record, disagree on the checksum — the
@@ -607,37 +554,6 @@ let test_wal_checksum_catches_loss_and_reorder () =
   Alcotest.(check int) "same count" nfull nre;
   Alcotest.(check bool) "reorder detected" true (full <> reordered);
   Alcotest.(check bool) "loss detected" true (full <> lost)
-
-let test_wal_reset_clears_everything_together () =
-  let wal = Wal.create () in
-  Wal.begin_epoch wal 5;
-  Wal.log wal "payload";
-  Wal.reset wal;
-  Alcotest.(check int) "records" 0 (Wal.records wal);
-  Alcotest.(check int) "bytes" 0 (Wal.bytes_logged wal);
-  Alcotest.(check int) "entries" 0 (List.length (Wal.entries wal));
-  Alcotest.(check (option int)) "open epoch" None (Wal.open_epoch wal);
-  Alcotest.(check (option int)) "last committed" None (Wal.last_committed wal);
-  let fresh = Wal.create () in
-  Alcotest.(check int32) "checksum back to initial" (Wal.checksum fresh)
-    (Wal.checksum wal);
-  (* A reset log accumulates identically to a fresh one. *)
-  Wal.log wal "again";
-  Wal.log fresh "again";
-  Alcotest.(check int32) "same trajectory after reset" (Wal.checksum fresh)
-    (Wal.checksum wal)
-
-let test_wal_epoch_nesting_rejected () =
-  let wal = Wal.create () in
-  Wal.begin_epoch wal 1;
-  (match Wal.begin_epoch wal 2 with
-  | () -> Alcotest.fail "nested begin accepted"
-  | exception Invalid_argument _ -> ());
-  (match Wal.commit_epoch wal 9 with
-  | () -> Alcotest.fail "mismatched commit accepted"
-  | exception Invalid_argument _ -> ());
-  Wal.commit_epoch wal 1;
-  Alcotest.(check (option int)) "committed" (Some 1) (Wal.last_committed wal)
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -656,12 +572,7 @@ let () =
           tc "order sensitive" test_wal_order_sensitive;
           tc "row vs column journaling" test_wal_journaling_row_vs_column;
           tc "updates journaled" test_wal_update_journaled;
-          tc "replay round trip" test_wal_replay_round_trip;
-          tc "torn final record dropped" test_wal_torn_final_record_dropped;
           tc "checksum catches loss and reorder"
             test_wal_checksum_catches_loss_and_reorder;
-          tc "reset clears everything together"
-            test_wal_reset_clears_everything_together;
-          tc "epoch nesting rejected" test_wal_epoch_nesting_rejected;
         ] );
     ]

@@ -1,109 +1,18 @@
-(* Replication: the WAL's epoch cursor, the epoch shipper and follower
-   apply loop under chaos transport, kill sweeps over every repl.*
-   fault point, promotion after leader kill, and the cross-node
+(* Replication: the epoch shipper and follower apply loop under chaos
+   transport, kill sweeps over every repl.* fault point, promotion
+   after leader kill, and the cross-node
    equivalence property — every follower answers byte-identically to
    the leader after a random committed epoch chain shipped through a
    faulty transport. *)
 
 open Xmlac_core
 module Tree = Xmlac_xml.Tree
-module Wal = Xmlac_reldb.Wal
 module Fault = Xmlac_util.Fault
 module Prng = Xmlac_util.Prng
 module Metrics = Xmlac_util.Metrics
 module W = Xmlac_workload
 module Serve = Xmlac_serve.Serve
 module Repl = Xmlac_replicate.Replicate
-
-(* ------------------------------------------------------------------ *)
-(* Satellite: the WAL epoch cursor. *)
-
-let test_fold_epochs () =
-  let w = Wal.create () in
-  Wal.log w "base";
-  Wal.begin_epoch w 1;
-  Wal.log w "a";
-  Wal.log w "b";
-  Wal.commit_epoch w 1;
-  Wal.begin_epoch w 2;
-  Wal.log w "c";
-  Wal.commit_epoch w 2;
-  Wal.begin_epoch w 3;
-  Wal.log w "d" (* epoch 3 never commits *);
-  let epochs =
-    Wal.fold_epochs w
-      (fun acc ~epoch ~records -> (epoch, records) :: acc)
-      []
-    |> List.rev
-  in
-  Alcotest.(check (list (pair int (list string))))
-    "committed epochs only, base image excluded"
-    [ (1, [ "a"; "b" ]); (2, [ "c" ]) ]
-    epochs;
-  let from1 =
-    Wal.fold_epochs ~from:1 w
-      (fun acc ~epoch ~records:_ -> epoch :: acc)
-      []
-  in
-  Alcotest.(check (list int)) "cursor seeks past epoch 1" [ 2 ] from1;
-  Alcotest.(check (option (list string)))
-    "seek-by-epoch" (Some [ "a"; "b" ]) (Wal.epoch_records w 1);
-  Alcotest.(check (option (list string)))
-    "open epoch invisible" None (Wal.epoch_records w 3);
-  Alcotest.(check bool) "epoch checksum matches the record batch" true
-    (Wal.epoch_checksum w 1
-    = Some (List.fold_left Wal.adler32 1l [ "a"; "b" ]));
-  Alcotest.(check (option int32)) "no checksum for an open epoch" None
-    (Wal.epoch_checksum w 3);
-  (* replay shares the cursor: base image + committed epoch records. *)
-  let seen = ref [] in
-  let n = Wal.replay w (fun s -> seen := s :: !seen) in
-  Alcotest.(check int) "replay count" 4 n;
-  Alcotest.(check (list string))
-    "replay order" [ "base"; "a"; "b"; "c" ] (List.rev !seen)
-
-(* Satellite regression: recovery truncation is idempotent under a
-   double crash.  A crash mid-truncation leaves some shorter
-   uncommitted suffix; recovering from any such intermediate state
-   must land on the same committed prefix as the uninterrupted
-   truncation, and a second recover must be a no-op. *)
-let test_double_crash_truncation_idempotent () =
-  Fault.reset ();
-  let tail = [ "t1"; "t2"; "t3" ] in
-  (* [mk k]: committed epoch 1 plus the first [k] records of an
-     uncommitted epoch-2 tail — the states a truncation interrupted
-     after dropping [3 - k] entries steps through. *)
-  let mk k =
-    let w = Wal.create () in
-    Wal.begin_epoch w 1;
-    Wal.log w "keep";
-    Wal.commit_epoch w 1;
-    Wal.begin_epoch w 2;
-    List.iteri (fun i r -> if i < k then Wal.log w r) tail;
-    w
-  in
-  let reference = mk 3 in
-  ignore (Wal.recover reference);
-  let observe w =
-    (Wal.entries w, Wal.records w, Wal.checksum w, Wal.open_epoch w,
-     Wal.fold_epochs w (fun acc ~epoch ~records -> (epoch, records) :: acc) [])
-  in
-  let expected = observe reference in
-  for k = 0 to 3 do
-    let w = mk k in
-    ignore (Wal.recover w);
-    Alcotest.(check bool)
-      (Printf.sprintf "partial truncation (%d tail entries left) converges" k)
-      true
-      (observe w = expected);
-    Alcotest.(check int)
-      (Printf.sprintf "second recover after %d-entry tail is a no-op" k)
-      0 (Wal.recover w);
-    Alcotest.(check bool)
-      (Printf.sprintf "no movement after double recover (%d)" k)
-      true
-      (observe w = expected)
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Cluster fixtures. *)
@@ -675,13 +584,6 @@ let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "replicate"
     [
-      ( "wal cursor",
-        [
-          tc "fold_epochs / seek-by-epoch / replay share one cursor"
-            test_fold_epochs;
-          tc "double-crash truncation idempotent"
-            test_double_crash_truncation_idempotent;
-        ] );
       ( "stream",
         [
           tc "ship, apply, converge, serve" test_basic_convergence;
