@@ -59,7 +59,10 @@ bench-rewrite:
 # repo benchmark's query pool: Eval vs the pre/size index (index build
 # ms, then per-query mean/p50/p99 us and minor words), and a CAM walk
 # vs the rank-space check over each query's answers (the same
-# figures).  Exits non-zero if any answer or verdict differs.
+# figures).  Then the repair's scope stage: every rule scope of the
+# repo benchmark's 16-role policy on the live document, through the
+# native backend with Eval and with a live index.  Exits non-zero if
+# any answer, verdict or scope differs.
 bench-eval:
 	dune exec bench/main.exe -- -e eval
 

@@ -1,5 +1,6 @@
 (* Evaluator bench: the two stages of a snapshot read miss on the
-   frozen view it misses on.
+   frozen view it misses on, and the repair's scope stage on the live
+   document.
 
    Inputs are the repo benchmark's (perfbench/inputs.ml): XMark at
    f = 0.1, annotated under its 50 %-coverage policy, and its query
@@ -20,7 +21,16 @@
    Output: per-query mean / p50 / p99 in microseconds for each.  Every
    answer must get the same verdict from both.
 
-   The experiment exits 1 on any differing answer or verdict. *)
+   Repair scopes, on the live (unfrozen) document of an engine under
+   the repo benchmark's 16-role policy (its coverage rules plus one
+   qualified allow per role; every rule after optimization): each
+   rule's scope through the native backend's [eval_ids], once walking
+   the tree with [Eval] (an empty index slot) and once joined on an
+   index of the live document.  Output: the live index build time,
+   then per-scope mean / p50 / p99 in microseconds and the minor words
+   per scope.  Every scope must give the same id list both ways.
+
+   The experiment exits 1 on any differing answer, verdict or scope. *)
 
 module Tree = Xmlac_xml.Tree
 module Timing = Xmlac_util.Timing
@@ -53,12 +63,32 @@ let measure ?(reps = reps) f =
   let per = float_of_int reps in
   (elapsed /. per *. 1e6, (Gc.minor_words () -. words) /. per)
 
+(* The repo benchmark's role scopes (perfbench/inputs.ml). *)
+let role_scopes =
+  [ "//emailaddress"; "//person[creditcard]/emailaddress"; "//phone"; "//interest";
+    "//payment"; "//location"; "//current"; "//open_auction[type = \"Featured\"]/current" ]
+
+let roles = 16
+
+let role_policy () =
+  let base = Bench_common.mid_coverage_policy factor in
+  let name i = Printf.sprintf "r%d" i in
+  let subjects = Subject.make_exn (List.init roles (fun i -> Subject.role (name i))) in
+  let qualified =
+    List.init roles (fun i ->
+        Rule.parse ~name:(Printf.sprintf "q%d" i) ~subjects:[ name i ]
+          (List.nth role_scopes (i mod List.length role_scopes))
+          Rule.Plus)
+  in
+  Policy.make ~subjects ~ds:(Policy.ds base) ~cr:(Policy.cr base)
+    (Policy.rules base @ qualified)
+
 let mean a = Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
 
-let print_table ~first rows =
+let print_table ?(per = "query") ~first rows =
   let t =
     Tabular.create
-      ~headers:[ first; "mean us"; "p50 us"; "p99 us"; "minor words/query" ]
+      ~headers:[ first; "mean us"; "p50 us"; "p99 us"; "minor words/" ^ per ]
   in
   List.iter
     (fun (label, us, words) ->
@@ -159,4 +189,45 @@ let run () =
   print_table ~first:"check"
     [ ("cam walk", cam_us, cam_words); ("rank space", rank_us, rank_words) ];
   let verdicts_differ = report "check verdicts" n !differ in
-  if answers_differ || verdicts_differ then exit 1
+  (* The repair's scope stage, on a live document. *)
+  let eng =
+    Engine.create ~dtd:Xmlac_workload.Xmark.dtd ~policy:(role_policy ())
+      (Bench_common.doc factor)
+  in
+  ignore (Engine.annotate eng);
+  ignore (Engine.annotate_subjects eng);
+  let live = Engine.document eng in
+  let scopes =
+    Array.of_list (List.map (fun r -> r.Rule.resource) (Policy.rules (Engine.policy eng)))
+  in
+  let n = Array.length scopes in
+  Printf.printf "repair scopes: %d rules of the %d-role policy, on the live document
+" n
+    roles;
+  let build_ms =
+    Array.init builds (fun _ ->
+        1e3 *. snd (Timing.time (fun () -> Xp.Index.build live)))
+  in
+  Printf.printf "live index build: %.2f ms (median of %d)
+"
+    (Timing.percentile build_ms ~p:50.0)
+    builds;
+  let walk = Xml_backend.make live in
+  let indexed = Xml_backend.make ~index:(ref (Some (Xp.Index.build live))) live in
+  let differ = ref [] in
+  let walk_us = Array.make n 0.0 and walk_words = Array.make n 0.0 in
+  let index_us = Array.make n 0.0 and index_words = Array.make n 0.0 in
+  Array.iteri
+    (fun i e ->
+      if walk.Backend.eval_ids e <> indexed.Backend.eval_ids e then differ := e :: !differ;
+      let us, w = measure (fun () -> walk.Backend.eval_ids e) in
+      walk_us.(i) <- us;
+      walk_words.(i) <- w;
+      let us, w = measure (fun () -> indexed.Backend.eval_ids e) in
+      index_us.(i) <- us;
+      index_words.(i) <- w)
+    scopes;
+  print_table ~per:"scope" ~first:"repair scope"
+    [ ("eval", walk_us, walk_words); ("index", index_us, index_words) ];
+  let scopes_differ = report "repair scopes" n !differ in
+  if answers_differ || verdicts_differ || scopes_differ then exit 1

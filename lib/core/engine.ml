@@ -46,7 +46,9 @@ type t = {
   plan : Plan.t;
   doc : Tree.t;
   (* The native store over [doc], fault-wrapped and journaled, and its
-     undo journal. *)
+     undo journal.  [index] is the backend's live index slot: while it
+     describes [doc], repair scopes evaluate on it. *)
+  index : Xmlac_xpath.Index.t option ref;
   backend : Backend.t;
   journal : Backend.journal;
   metrics : Metrics.t;
@@ -78,15 +80,16 @@ type t = {
    it as the current snapshot.  Called only between epochs (after
    [commit_op], at creation, after recovery) — never inside an open
    epoch — so a reader can never pin partial state. *)
-let publish_snapshot ?footprint t =
+let publish_snapshot ?footprint ?index t =
   let snap =
     (* The annotation flags decide the snapshot's auto lane.  [prev]
        (the outgoing snapshot) feeds carry-forward: still-valid memos
-       migrate and its maps are patched.  [footprint] is a structural
-       epoch's trigger input, passed only while the document lies on
-       the schema's paths, the premise of the [Overlap] test.  The
-       capture itself is an O(changed) [Tree.freeze], not a copy. *)
-    Snapshot.capture ?prev:(Snapshot.current t.snapshots)
+       migrate.  [footprint] is a structural epoch's trigger input,
+       passed only while the document lies on the schema's paths, the
+       premise of the [Overlap] test.  [index] is the repair's
+       post-update index, which the snapshot takes over.  The capture
+       itself is an O(changed) [Tree.freeze], not a copy. *)
+    Snapshot.capture ?prev:(Snapshot.current t.snapshots) ?index
       ?footprint:
         (match footprint with
         | Some exprs when t.on_schema -> Some (t.sg, exprs)
@@ -109,6 +112,7 @@ let create ?(optimize = true) ~dtd ~policy doc =
     else (None, policy)
   in
   let native_doc = Tree.copy doc in
+  let index = ref None in
   let journal = Backend.journal () in
   let metrics = Metrics.create () in
   let t =
@@ -122,9 +126,10 @@ let create ?(optimize = true) ~dtd ~policy doc =
     depend = Depend.build ~mode:(Depend.Overlap sg) policy;
     plan = Plan.rewrite ~schema:sg (Plan.of_policy policy);
     doc = native_doc;
+    index;
     backend =
       Backend.with_faults
-        (Backend.journaled journal (Xml_backend.make native_doc));
+        (Backend.journaled journal (Xml_backend.make ~index native_doc));
     journal;
     metrics;
     annotated = false;
@@ -224,7 +229,7 @@ let close_op t o =
   t.sign_epoch <- o.num;
   t.open_op <- None
 
-let commit_op ?footprint t o =
+let commit_op ?footprint ?index t o =
   (* The last point inside the epoch: the operation's writes are all
      done, and a crash here leaves them for recovery to resolve. *)
   Fault.point "epoch.commit";
@@ -233,7 +238,7 @@ let commit_op ?footprint t o =
   (* The epoch is durable; freeze it for readers.  A crash past this
      point (the snapshot.publish fault) leaves the registry one epoch
      behind — recovery's idempotent path republishes. *)
-  publish_snapshot ?footprint t
+  publish_snapshot ?footprint ?index t
 
 let annotate t =
   let o = begin_op t Op_annotate in
@@ -335,8 +340,33 @@ let structural t op =
    roll-forward resumes from what the crashed attempt recorded; its
    partial sign and bitmap writes were rolled back, so the repair
    recomputes them from the inputs the uninterrupted operation
-   used. *)
+   used.
+
+   The scopes evaluate on a pre/size index only on demand.  When
+   readers evaluated on the current snapshot's index and it still
+   describes the document, the repair adopts it for the pre-update
+   scopes and builds the post-update index right after the apply.
+   Without that demand the repair builds nothing: its scopes use the
+   slot while it still describes the document (recovery after a crash
+   that followed the build) and walk the tree otherwise, so an engine
+   nobody reads never builds an index.  Returns the repair's stats
+   and the slot's index if it describes the repaired document, which
+   the epoch's snapshot takes over. *)
+let live_index t =
+  match !(t.index) with
+  | Some i when Xmlac_xpath.Index.describes i t.doc -> Some i
+  | _ -> None
+
 let restructure t o (touched, apply) =
+  let demanded =
+    match Snapshot.read_index (current_snapshot t) with
+    | Some i when Xmlac_xpath.Index.describes i t.doc ->
+        Metrics.incr t.metrics "repair.index_adopted";
+        Some i
+    | _ -> None
+  in
+  (* A reader's index replaces the slot's; a stale one is dropped. *)
+  t.index := (if Option.is_some demanded then demanded else live_index t);
   let prepared =
     match o.prepared with
     | Some p -> p
@@ -356,13 +386,20 @@ let restructure t o (touched, apply) =
       n
     end
   in
-  Reannotator.finish ~schema:t.sg t.backend t.depend prepared ~deleted_roots
+  if Option.is_some demanded && Option.is_none (live_index t) then begin
+    t.index := Some (Xmlac_xpath.Index.build t.doc);
+    Metrics.incr t.metrics "repair.index_builds"
+  end;
+  let stats =
+    Reannotator.finish ~schema:t.sg t.backend t.depend prepared ~deleted_roots
+  in
+  (stats, live_index t)
 
 let mutate t op =
   let step = structural t op in
   let o = begin_op t op in
-  let stats = restructure t o step in
-  commit_op ~footprint:(fst step) t o;
+  let stats, index = restructure t o step in
+  commit_op ~footprint:(fst step) ?index t o;
   [ (Native, stats) ]
 
 let update t query = mutate t (Op_update query)
@@ -400,20 +437,19 @@ let recover t =
       let signs_rolled_back = Backend.rollback t.journal in
       t.annotated <- o.saved_annotated;
       t.bits_annotated <- o.saved_bits_annotated;
-      let direction =
+      let direction, index =
         match o.op with
         | Op_annotate | Op_annotate_subjects | Op_noop ->
             (* Annotation-only operation: the rollback above already
                restored the pre-epoch materialization — signs and
                bitmaps both. *)
-            `Back
+            (`Back, None)
         | Op_update _ | Op_insert _ ->
             (* Structural operation: the mutation may or may not have
                been applied; finishing it and re-running the repair —
                signs, and bitmaps where materialized — lands on the
                post-operation state. *)
-            ignore (restructure t o (structural t o.op));
-            `Forward
+            (`Forward, snd (restructure t o (structural t o.op)))
       in
       (* The epoch number is consumed either way — the counter never
          runs backwards, even across an aborted epoch. *)
@@ -421,7 +457,7 @@ let recover t =
       (* The recovered epoch is committed; publish it like any other.
          Readers pinned through the crash keep their pre-crash
          snapshot untouched. *)
-      publish_snapshot t;
+      publish_snapshot ?index t;
       Metrics.add t.metrics "recovery.signs_rolled_back" signs_rolled_back;
       { recovered_epoch = Some o.num; direction; signs_rolled_back }
 

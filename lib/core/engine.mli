@@ -29,6 +29,22 @@
     and record-array builds — are surfaced by [xmlacctl explain
     --request] and the [exp_requester] bench.
 
+    {2 One index per document shape}
+
+    A structural repair ({!update}, {!insert}) evaluates its triggered
+    scopes before and after the mutation.  The native backend
+    evaluates them by staircase joins on a pre/size index
+    ({!Xmlac_xpath.Index}) while its one live index slot describes the
+    document ({!Xmlac_xpath.Index.describes}: same family and
+    {!Xmlac_xml.Tree.shape}), and walks the tree otherwise.  The slot
+    follows demand.  When readers evaluated on the current snapshot's
+    index ({!Snapshot.read_index}) and it describes the document, the
+    repair adopts it for the pre-update scopes ([repair.index_adopted])
+    and builds the post-update index right after the mutation
+    ([repair.index_builds]).  The epoch's snapshot takes that index
+    over, so its first miss builds nothing.  An engine nobody reads
+    builds no index at all, and no option or flag changes the rule.
+
     {2 Sign epochs and crash recovery}
 
     Every mutating operation — {!annotate}, {!update}, {!insert} — runs
@@ -213,8 +229,12 @@ val metrics : t -> Xmlac_util.Metrics.t
     the serving layer: [cache.hits], [cache.misses],
     [lane.materialized], [lane.rewrite], [epoch.commits], the
     [snapshot.*] counters ([snapshot.answers_checked],
-    [snapshot.index_builds] and [snapshot.record_builds] among them);
-    stage [annotate.subjects]. *)
+    [snapshot.index_builds] — read-side builds only — and
+    [snapshot.record_builds] among them);
+    [repair.index_adopted] (structural repairs that adopted a reader's
+    index of the document's shape for their pre-update scopes) and
+    [repair.index_builds] (post-update indexes those repairs built and
+    handed to their epoch's snapshot); stage [annotate.subjects]. *)
 
 val cam : t -> Cam.t
 (** {!Snapshot.cam} of the {!current_snapshot}: the anonymous map over

@@ -208,6 +208,11 @@ let eval scope t =
 
 let tree_scope doc e = ids_of_table (Xp.Eval.node_set doc e)
 
+let index_scope idx e =
+  Array.fold_left
+    (fun s r -> Ids.add (Xp.Index.id idx r) s)
+    Ids.empty (Xp.Index.eval idx e)
+
 let native_ids doc t = Ids.elements (eval (tree_scope doc) t)
 
 (* One scope memo across a batch of plans: role plans from one policy
@@ -216,8 +221,6 @@ let native_ids doc t = Ids.elements (eval (tree_scope doc) t)
 let ids_shared scope ts =
   let scope = Rule.memo_resource scope in
   List.map (fun t -> Ids.elements (eval scope t)) ts
-
-let native_ids_shared doc ts = ids_shared (tree_scope doc) ts
 
 (* --- relational lowering ------------------------------------------ *)
 

@@ -15,8 +15,9 @@
         v
       plan IR  --rewrite-->  smaller plan IR
         |
-        +-- eval         (id-set algebra over any scope evaluator;
-        |                 native_ids: over the XML tree)
+        +-- eval         (id-set algebra over any scope evaluator:
+        |                 tree_scope walks the XML tree, index_scope
+        |                 joins on its pre/size index)
         +-- to_sql       (ShreX translation, balanced n-ary unions)
         +-- to_xquery    (executable FLWOR text for Xmldb.Xquery) v}
 
@@ -119,22 +120,26 @@ val eval : (Xmlac_xpath.Ast.expr -> Ids.t) -> t -> Ids.t
     set of one XPath.  Pass a memoized [scope]
     ({!Rule.memo_resource}) to share scope answers across plans. *)
 
-val native_ids : Xmlac_xml.Tree.t -> t -> int list
-(** {!eval} over the native store, ascending: each scope materializes
-    its id set through {!Xmlac_xpath.Eval.node_set} — no document
-    scan. *)
+val tree_scope : Xmlac_xml.Tree.t -> Xmlac_xpath.Ast.expr -> Ids.t
+(** One scope's id set by walking the tree
+    ({!Xmlac_xpath.Eval.node_set}): the native store's evaluator when
+    no index of the document's current shape is at hand. *)
 
-val native_ids_shared : Xmlac_xml.Tree.t -> t list -> int list list
-(** Evaluates a batch of plans over one document with a shared scope
-    memo: each distinct XPath is evaluated once no matter how many
-    plans reference it — the native store's half of the multi-role
-    shared annotation pass. *)
+val index_scope : Xmlac_xpath.Index.t -> Xmlac_xpath.Ast.expr -> Ids.t
+(** One scope's id set by a staircase join on a pre/size index: frozen
+    snapshots, and the native store while its index describes the
+    document ({!Xmlac_xpath.Index.describes}). *)
+
+val native_ids : Xmlac_xml.Tree.t -> t -> int list
+(** {!eval} over {!tree_scope}, ascending. *)
 
 val ids_shared : (Xmlac_xpath.Ast.expr -> Ids.t) -> t list -> int list list
-(** {!native_ids_shared} over any scope evaluator: [scope e] is the id
-    set of one XPath, memoized across the batch through
-    {!Rule.memo_resource} (structurally equal resources share one
-    evaluation).  Frozen snapshots pass their {!Xmlac_xpath.Index}. *)
+(** Evaluates a batch of plans, in order, with a shared scope memo:
+    [scope e] is the id set of one XPath, memoized across the batch
+    through {!Rule.memo_resource}, so each distinct resource evaluates
+    once no matter how many plans reference it — the native store's
+    half of the multi-role shared annotation pass, and the rewrite
+    lane's granted/residue pair. *)
 
 val to_sql : Xmlac_shrex.Mapping.t -> t -> Xmlac_reldb.Sql.query
 (** ShreX-translated scopes combined with balanced n-ary UNIONs (the

@@ -11,29 +11,43 @@ module Deadline = Xmlac_util.Deadline
    it grants — because the check reads each answer's own annotation,
    and carry-forward must show the epoch wrote none of them.  A
    rewrite-lane entry read no annotation and keeps no answers
-   ([None]).  The parsed query feeds the structural carry test. *)
+   ([None]).  The query, as text and parsed, feeds the structural
+   carry test; [footprint] keeps its schema footprint once that test
+   computed it.  Only the writer (carry-forward) sets it, and a carried
+   memo takes it along. *)
 type memo = {
+  query : string;
   expr : Ast.expr;
   answers : int list option;
   decision : Requester.decision;
+  mutable footprint : Schema_match.footprint option;
 }
 
 let memo_capacity = 256
 
-(* Query footprints are cached by query text across snapshots; the
-   cache is emptied when it reaches this size. *)
+(* Footprints of recently memoized queries, by query text: a memo a
+   reader created since the last structural capture finds its query's
+   footprint here when another memo (another subject, or an evicted
+   entry) already computed it.  Emptied when it reaches this size. *)
 let footprint_capacity = 8 * memo_capacity
+
+(* A snapshot's index slot.  [Handed] holds the index the writer built
+   after the epoch's structural write; [Read] one a reader has
+   evaluated on, built or taken over — the demand the writer's next
+   repair follows. *)
+type index_slot = Unbuilt | Handed of Index.t | Read of Index.t
 
 type t = {
   epoch : int;
   doc : Tree.t;  (* frozen COW view *)
   gen : int;  (* the generation the view froze *)
-  index : Index.t option Atomic.t;
-      (* The view's pre/size index, built by the first miss that needs
-         it and published by compare-and-set, so concurrent first
-         misses agree on one index without taking [lock].  The slot
-         itself is shared along a run of non-structural epochs, whose
-         views all have the same nodes, names and values. *)
+  index : index_slot Atomic.t;
+      (* The view's pre/size index, handed over at capture or built by
+         the first miss that needs it and published by compare-and-set,
+         so concurrent first misses agree on one index without taking
+         [lock].  The slot itself is shared along a run of
+         non-structural epochs, whose views all have the same nodes,
+         names and values. *)
   records : Tree.node array option Atomic.t;
       (* The view's node records by preorder rank, in [index]'s order:
          what a materialized miss reads each answer's annotation from.
@@ -49,8 +63,7 @@ type t = {
          The epoch is fixed for the snapshot's lifetime, so entries
          never go stale.  Guarded by [lock]. *)
   mutable footprints : (string, Schema_match.footprint) Hashtbl.t;
-      (* Schema footprints of memoized queries, keyed by query text and
-         bounded at [footprint_capacity].  Handed on to the next
+      (* Bounded at [footprint_capacity] and handed on to the next
          snapshot of a continuous chain; only [capture], which the
          single writer runs, reads or writes it. *)
   metrics : Metrics.t;
@@ -117,14 +130,6 @@ let carry_forward ~prev ~stats ~footprint t =
           |> List.rev)
     in
     let changed = stats.Tree.changed in
-    (* Built on first need: a capture with no materialized entry to
-       check skips it. *)
-    let written =
-      lazy
-        (let w = Hashtbl.create (List.length changed) in
-         List.iter (fun id -> Hashtbl.replace w id ()) changed;
-         w)
-    in
     let update =
       match footprint with
       | Some (sg, exprs) when stats.Tree.structural ->
@@ -132,49 +137,60 @@ let carry_forward ~prev ~stats ~footprint t =
       | _ -> None
     in
     t.footprints <- prev.footprints;
-    let query_footprint sg key m =
-      (* The query text: the memo key past its lane and role prefix. *)
-      let i = String.index key '\x00' + 1 in
-      let query = String.sub key i (String.length key - i) in
-      match Hashtbl.find_opt t.footprints query with
+    let query_footprint sg m =
+      match m.footprint with
       | Some fp -> fp
       | None ->
           let fp =
-            Schema_match.footprint sg (Xmlac_xpath.Expand.expand ~schema:sg m.expr)
+            match Hashtbl.find_opt t.footprints m.query with
+            | Some fp -> fp
+            | None ->
+                let fp =
+                  Schema_match.footprint sg
+                    (Xmlac_xpath.Expand.expand ~schema:sg m.expr)
+                in
+                if Hashtbl.length t.footprints >= footprint_capacity then
+                  Hashtbl.reset t.footprints;
+                Hashtbl.replace t.footprints m.query fp;
+                fp
           in
-          if Hashtbl.length t.footprints >= footprint_capacity then
-            Hashtbl.reset t.footprints;
-          Hashtbl.replace t.footprints query fp;
+          m.footprint <- Some fp;
           fp
     in
     (* Whether the epoch's structural change provably missed [m]'s
        answer set. *)
-    let missed key m =
+    let missed m =
       (not stats.Tree.structural)
       ||
       match (m.answers, update) with
       | None, _ | _, None -> false
       | Some _, Some (sg, ufp) ->
-          let fp = query_footprint sg key m in
+          let fp = query_footprint sg m in
           not
             (Schema_match.footprint_is_empty fp
             || Schema_match.footprint_is_empty ufp
             || Schema_match.footprints_meet fp ufp)
     in
+    (* Both lists ascend, so one merge shows whether they share an
+       id. *)
+    let rec disjoint (a : int list) (b : int list) =
+      match (a, b) with
+      | [], _ | _, [] -> true
+      | x :: a', y :: b' ->
+          if x < y then disjoint a' b
+          else if y < x then disjoint a b'
+          else false
+    in
     let clean m =
       match m.answers with
       | None -> true
-      | Some answers ->
-          changed = []
-          ||
-          let written = Lazy.force written in
-          List.for_all (fun id -> not (Hashtbl.mem written id)) answers
+      | Some answers -> disjoint answers changed
     in
     let carried = ref 0 and by_footprint = ref 0 and by_written = ref 0 in
     let kept =
       List.filter_map
         (fun (key, m) ->
-          if not (missed key m) then begin
+          if not (missed m) then begin
             incr by_footprint;
             None
           end
@@ -196,20 +212,21 @@ let carry_forward ~prev ~stats ~footprint t =
   end
 
 let capture ?(annotated = true) ?(bits_annotated = true) ?prev ?footprint
-    ?cam:_ ~epoch ~policy ~metrics doc =
+    ?index ?cam:_ ~epoch ~policy ~metrics doc =
   let view, stats = Tree.freeze doc in
   Metrics.incr metrics "snapshot.captures";
-  (* A sign-only epoch leaves the encoding where it was, so the next
-     view takes over its predecessor's index slot, built or not. *)
   let index =
-    match prev with
-    | Some p
+    match (index, prev) with
+    | Some i, _ when Index.describes i view -> Atomic.make (Handed i)
+    (* A sign-only epoch leaves the encoding where it was, so the next
+       view takes over its predecessor's index slot, built or not. *)
+    | _, Some p
       when Tree.family p.doc = Tree.family view
            && stats.Tree.frozen_gen = p.gen + 1
            && not stats.Tree.structural ->
         Metrics.incr metrics "snapshot.index_shared";
         p.index
-    | _ -> Atomic.make None
+    | _ -> Atomic.make Unbuilt
   in
   let t =
     {
@@ -238,16 +255,22 @@ let epoch t = t.epoch
 let document t = t.doc
 
 (* A losing racer drops its own build and takes the published one. *)
-let index t =
+let rec index t =
   match Atomic.get t.index with
-  | Some i -> i
-  | None ->
+  | Read i -> i
+  | Handed i as slot ->
+      ignore (Atomic.compare_and_set t.index slot (Read i));
+      i
+  | Unbuilt ->
       let i = Index.build t.doc in
-      if Atomic.compare_and_set t.index None (Some i) then begin
+      if Atomic.compare_and_set t.index Unbuilt (Read i) then begin
         Metrics.incr t.metrics "snapshot.index_builds";
         i
       end
-      else Option.get (Atomic.get t.index)
+      else index t
+
+let read_index t =
+  match Atomic.get t.index with Read i -> Some i | Unbuilt | Handed _ -> None
 
 let annotated t = t.annotated
 let bits_annotated t = t.bits_annotated
@@ -321,15 +344,13 @@ let materialized_decision ?subject t expr =
   let idx = index t in
   let ranks = Index.eval idx expr in
   Metrics.add t.metrics "snapshot.answers_checked" (Array.length ranks);
-  let ids = Array.map (Index.id idx) ranks in
-  Array.sort Int.compare ids;
-  let answers = Array.to_list ids in
+  let answers = Array.to_list (Index.ids idx ranks) in
   let d =
     match Requester.count_blocked ranks ~accessible with
     | 0 -> Requester.Granted answers
     | blocked -> Requester.Denied { blocked }
   in
-  { expr; answers = Some answers; decision = d }
+  (Some answers, d)
 
 (* The rewrite lane over the frozen state: compile the request against
    the frozen policy and evaluate the granted/residue pair on the
@@ -337,13 +358,7 @@ let materialized_decision ?subject t expr =
    frozen document still answers the true policy decision. *)
 let rewritten_decision ?subject t expr =
   let compiled = Rewrite.compile ?subject t.policy expr in
-  let idx = index t in
-  let scope e =
-    Array.fold_left
-      (fun s r -> Plan.Ids.add (Index.id idx r) s)
-      Plan.Ids.empty (Index.eval idx e)
-  in
-  let answer = Rewrite.eval_scopes scope compiled in
+  let answer = Rewrite.eval_scopes (Plan.index_scope (index t)) compiled in
   let d =
     if answer.Rewrite.blocked > 0 then
       Requester.Denied { blocked = answer.Rewrite.blocked }
@@ -351,7 +366,7 @@ let rewritten_decision ?subject t expr =
       Requester.decide ~ids:answer.Rewrite.granted_ids
         ~accessible:(fun _ -> true)
   in
-  { expr; answers = None; decision = d }
+  (None, d)
 
 let request ?subject ?lane ?(live = false) t query =
   let lane, _reason = resolve_lane ?subject ?lane t in
@@ -376,7 +391,7 @@ let request ?subject ?lane ?(live = false) t query =
          transient faults into live and pinned reads (retry tests, the
          chaos soak) without touching the stores. *)
       Fault.point fault;
-      let m =
+      let answers, decision =
         match lane with
         | Rewrite.Rewrite ->
             Metrics.incr t.metrics "lane.rewrite";
@@ -385,8 +400,9 @@ let request ?subject ?lane ?(live = false) t query =
             Metrics.incr t.metrics "lane.materialized";
             materialized_decision ?subject t expr
       in
+      let m = { query; expr; answers; decision; footprint = None } in
       with_lock t.lock (fun () -> remember t key m);
-      m.decision
+      decision
 
 (* --- registry ------------------------------------------------------ *)
 

@@ -4,9 +4,10 @@
     but ties it to the mutable sign/bitmap store, so a mutation epoch
     blocks the read path.  This module breaks that coupling: every
     committed [sign_epoch] becomes an {e immutable versioned snapshot}
-    — a frozen copy-on-write view of the document, a lazily built
-    pre/size index of the view ({!Xmlac_xpath.Index}, which every read
-    miss evaluates on), a lazily built array of the view's node records
+    — a frozen copy-on-write view of the document, a pre/size index of
+    the view ({!Xmlac_xpath.Index}, which every read miss evaluates on;
+    handed over by the writer or built by the first miss), a lazily
+    built array of the view's node records
     in the index's rank order (which a materialized miss reads each
     answer's sign or role bit from), and a private bounded memo of
     decisions, all keyed by the epoch that committed them.  The
@@ -25,9 +26,11 @@
     record the intervening epoch did not touch, memoized decisions are
     {e carried forward} whenever the epoch provably cannot have moved
     them.  A non-structural
-    epoch hands its predecessor's index on as well (see {!index}); a
-    structural one leaves its first miss to build a new one, so no
-    capture ever builds an index or a record array.  A decision carries
+    epoch hands its predecessor's index on as well (see {!index}).  A
+    structural one takes over the index the engine's repair built
+    after its structural write, when readers demanded the previous
+    one ({!read_index}); otherwise its first miss builds one.  No
+    capture builds an index or a record array.  A decision carries
     when the epoch's change set holds none of its answers and, for a
     structural epoch, the paper's §5.3 schema
     test (the one the [Overlap] trigger applies to rules) shows the
@@ -76,6 +79,7 @@ val capture :
   ?bits_annotated:bool ->
   ?prev:t ->
   ?footprint:Xmlac_xml.Schema_graph.t * Xmlac_xpath.Ast.expr list ->
+  ?index:Xmlac_xpath.Index.t ->
   ?cam:Cam.t ->
   epoch:int ->
   policy:Policy.t ->
@@ -110,14 +114,21 @@ val capture :
     decision.  Carry is
     gated on provenance (same tree family, exactly the
     next generation, physically equal policy) and silently skipped
-    otherwise.
+    otherwise.  A memo keeps its query's schema footprint once carry
+    has computed it, so a carried decision is never footprinted
+    twice.
 
-    The index slot is handed on under provenance alone (same tree
-    family, exactly the next generation) when the epoch is
-    non-structural, counting [snapshot.index_shared]; policy
-    equality does not matter, since the index holds no annotation.
-    The record array is never handed on: the new view holds new
-    records for every node the epoch wrote.
+    [index], when it {!Xmlac_xpath.Index.describes} the captured view
+    (same family, no structural write since it was built), becomes
+    the new snapshot's index: its first miss builds nothing and
+    [snapshot.index_builds] does not move.  An index that does not
+    describe the view is ignored.  Otherwise the index slot is handed
+    on under provenance alone (same tree family, exactly the next
+    generation) when the epoch is non-structural, counting
+    [snapshot.index_shared]; policy equality does not matter, since
+    the index holds no annotation.  The record array is never handed
+    on: the new view holds new records for every node the epoch
+    wrote.
 
     [annotated] / [bits_annotated] (both default [true]) record
     whether the frozen signs / role bitmaps carried a committed
@@ -152,15 +163,24 @@ val cam : t -> Cam.t
 
 val index : t -> Xmlac_xpath.Index.t
 (** The frozen view's pre/size index ({!Xmlac_xpath.Index}), which
-    every {!request} miss evaluates on.  Built on first use, never by
-    {!capture}: the first miss (or call) builds it and publishes it
-    with a compare-and-set, so concurrent first misses on several
+    every {!request} miss evaluates on.  Either {!capture} was handed
+    it ([?index]), or the first miss (or call) builds it and publishes
+    it with a compare-and-set, so concurrent first misses on several
     domains all use one index (a loser's duplicate build is dropped)
-    and [snapshot.index_builds] counts each index once.  A capture
-    whose epoch is continuous with [prev] (same tree family, next
-    generation) and non-structural takes over [prev]'s index slot,
-    built or still empty, and counts [snapshot.index_shared]: a
-    sign-only epoch moves no node, name or value. *)
+    and [snapshot.index_builds] counts each read-side build once.  A
+    capture whose epoch is continuous with [prev] (same tree family,
+    next generation) and non-structural takes over [prev]'s index
+    slot, built or still empty, and counts [snapshot.index_shared]: a
+    sign-only epoch moves no node, name or value.  Every call marks
+    the index as read (see {!read_index}). *)
+
+val read_index : t -> Xmlac_xpath.Index.t option
+(** The snapshot's index if a reader has evaluated on it — built it,
+    or called {!index} on one {!capture} was handed — and [None]
+    otherwise, without building anything.  The engine's demand test:
+    its next structural repair evaluates on this index and builds the
+    successor's only when it is [Some]
+    ({!Engine.update}). *)
 
 val accessible : ?subject:string -> t -> int -> bool
 (** [accessible ?subject t] is the check a materialized {!request}

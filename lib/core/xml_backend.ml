@@ -2,16 +2,31 @@ module Tree = Xmlac_xml.Tree
 module Xp = Xmlac_xpath
 module Bitset = Xmlac_util.Bitset
 
-let make doc : Backend.t =
+let make ?(index = ref None) doc : Backend.t =
+  (* The slot's index while it describes the document; after a
+     structural write the evaluators fall back to walking the tree. *)
+  let live () =
+    match !index with
+    | Some i when Xp.Index.describes i doc -> Some i
+    | _ -> None
+  in
   let eval_ids e =
-    List.sort Stdlib.compare
-      (List.map (fun (n : Tree.node) -> n.Tree.id) (Xp.Eval.eval doc e))
+    match live () with
+    | Some i -> Array.to_list (Xp.Index.ids i (Xp.Index.eval i e))
+    | None ->
+        List.sort Stdlib.compare
+          (List.map (fun (n : Tree.node) -> n.Tree.id) (Xp.Eval.eval doc e))
+  in
+  let scope () =
+    match live () with
+    | Some i -> Plan.index_scope i
+    | None -> Plan.tree_scope doc
   in
   {
     Backend.name = "xquery";
     eval_ids;
-    eval_plan = (fun p -> Plan.native_ids doc p);
-    eval_plans = (fun ps -> Plan.native_ids_shared doc ps);
+    eval_plan = (fun p -> Plan.Ids.elements (Plan.eval (scope ()) p));
+    eval_plans = (fun ps -> Plan.ids_shared (scope ()) ps);
     set_sign_ids =
       (fun ids sign ->
         List.fold_left

@@ -54,6 +54,7 @@ type t = {
   mutable gen : int;
   mutable frozen_view : bool;
   fam : int;
+  mutable shape : int;
   mutable delta : delta;
 }
 
@@ -70,6 +71,12 @@ let empty_delta () =
   }
 
 let touch t id = t.delta.changed <- Imap.add id () t.delta.changed
+
+(* The four writes that can move an answer set (add, value, delete,
+   graft) mark the delta structural and bump [shape]. *)
+let restructured t =
+  t.delta.structural <- true;
+  t.shape <- t.shape + 1
 
 let check_live name t =
   if t.frozen_view then invalid_arg (name ^ ": tree is a frozen snapshot view")
@@ -93,7 +100,7 @@ let dummy_node =
 let create ~root_name =
   let t =
     { next_id = 0; index = Imap.empty; root_node = dummy_node; node_count = 0;
-      gen = 0; frozen_view = false; fam = new_family ();
+      gen = 0; frozen_view = false; fam = new_family (); shape = 0;
       delta = empty_delta () }
   in
   let root = fresh_node t ~name:root_name ~value:None ~parent:None in
@@ -104,6 +111,7 @@ let root t = t.root_node
 let generation t = t.gen
 let frozen t = t.frozen_view
 let family t = t.fam
+let shape t = t.shape
 
 let mem t (n : node) = n.fam = t.fam && Imap.mem n.id t.index
 
@@ -150,7 +158,7 @@ let add_child t parent ?value name =
   let parent = privatize t parent in
   let n = fresh_node t ~name ~value ~parent:(Some parent) in
   parent.children <- parent.children @ [ n ];
-  t.delta.structural <- true;
+  restructured t;
   n
 
 let set_value t node v =
@@ -163,7 +171,7 @@ let set_value t node v =
     node.value <- v;
     (* Values feed query predicates, so a value write invalidates
        structure-derived carry the same way an insert does. *)
-    t.delta.structural <- true;
+    restructured t;
     touch t node.id
   end
 
@@ -189,7 +197,7 @@ let delete t node =
           t.node_count <- t.node_count - 1;
           touch t n.id)
         node;
-      t.delta.structural <- true;
+      restructured t;
       (* Only a private record may be detached in place; a shared one
          is still the spine of older frozen views. *)
       if node.gen = t.gen then node.parent <- None
@@ -209,7 +217,7 @@ let graft t parent fragment =
   if parent.value <> None then
     invalid_arg "Tree.graft: parent holds a text value";
   let parent = privatize t parent in
-  t.delta.structural <- true;
+  restructured t;
   copy_into t parent fragment.root_node
 
 let find t id = Imap.find_opt id t.index
@@ -334,7 +342,7 @@ let copy t =
   let t' =
     { next_id = t.next_id; index = Imap.empty; root_node = dummy_node;
       node_count = 0; gen = 0; frozen_view = false; fam = new_family ();
-      delta = empty_delta () }
+      shape = 0; delta = empty_delta () }
   in
   let rec dup parent src =
     let n =

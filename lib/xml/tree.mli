@@ -186,6 +186,15 @@ val family : t -> int
     only within one family, so snapshot carry-forward requires the
     captured view to be of its predecessor's family. *)
 
+val shape : t -> int
+(** A counter of the tree's structural writes: {!add_child},
+    {!set_value} (when the value changes), {!delete} and {!graft} each
+    bump it; sign and bitmap writes and {!freeze} do not.  A frozen
+    view keeps the value the tree had at freeze.  Within one
+    {!family}, two trees with the same shape have the same nodes,
+    names, values and document order, so a structure derived from one
+    (the XPath library's pre/size index) describes the other. *)
+
 (** {1 Copying and comparison} *)
 
 val copy : t -> t

@@ -7,10 +7,14 @@
     come out before the enclosing context's next child.
 
     This evaluator walks the tree and needs no index, so it serves
-    trees that are still being written: updates, rule scopes, plan
-    evaluation and the native backend.  Frozen snapshot views are read
-    through {!Index} instead, which the tests hold to this module's
-    answers, list for list. *)
+    trees that are still being written: the [Xmlac_xmldb] store,
+    update and XQuery layers, the plan explainer's counts, the
+    reference oracles ([Rule.scope]), and the native backend's
+    fallback — a repair scope or plan whose document has no
+    {!Index} of its current shape.  Frozen snapshot views, and the
+    live tree between structural writes once readers demand an index,
+    are read through {!Index} instead, which the tests and the
+    evaluator bench hold to this module's answers, list for list. *)
 
 val eval : Xmlac_xml.Tree.t -> Ast.expr -> Xmlac_xml.Tree.node list
 (** Evaluate an absolute expression on a document. *)

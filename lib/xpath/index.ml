@@ -23,26 +23,51 @@ type t = {
   value : string option array;  (* rank -> leaf value *)
   codes : (string, int) Hashtbl.t;  (* name -> interned name *)
   postings : int array array;  (* interned name -> its ranks, ascending *)
+  fam : int;  (* the indexed tree's family ... *)
+  shape : int;  (* ... and its shape at build *)
 }
 
+(* Names are interned through a table, but a document repeats the
+   same name sequences (every [person] subtree opens with the same
+   children), so the name that followed a code last time is tried
+   first: [follows.(c)] holds it with its code (-1 while unknown). *)
 let build doc =
   let n = Tree.size doc in
   let ids = Array.make n 0 and size = Array.make n 0 in
   let name = Array.make n 0 in
   let value = Array.make n None and codes = Hashtbl.create 64 in
+  let follows = ref (Array.make 64 ("", -1)) and prev = ref 0 in
+  let intern s =
+    let c =
+      match Hashtbl.find_opt codes s with
+      | Some c -> c
+      | None ->
+          let c = Hashtbl.length codes in
+          Hashtbl.add codes s c;
+          let f = !follows in
+          if c >= Array.length f then begin
+            follows := Array.make (2 * c) ("", -1);
+            Array.blit f 0 !follows 0 (Array.length f)
+          end;
+          c
+    in
+    !follows.(!prev) <- (s, c);
+    c
+  in
   let next = ref 0 in
   let rec go (node : Tree.node) =
     let r = !next in
     incr next;
     ids.(r) <- node.Tree.id;
-    value.(r) <- node.Tree.value;
-    (name.(r) <-
-       match Hashtbl.find_opt codes node.Tree.name with
-       | Some c -> c
-       | None ->
-           let c = Hashtbl.length codes in
-           Hashtbl.add codes node.Tree.name c;
-           c);
+    (match node.Tree.value with None -> () | v -> value.(r) <- v);
+    let s = node.Tree.name in
+    let c =
+      match !follows.(!prev) with
+      | p, c when c >= 0 && (p == s || String.equal p s) -> c
+      | _ -> intern s
+    in
+    name.(r) <- c;
+    prev := c;
     List.iter go node.Tree.children;
     size.(r) <- !next - r - 1
   in
@@ -56,10 +81,24 @@ let build doc =
       postings.(c).(counts.(c)) <- r;
       counts.(c) <- counts.(c) + 1)
     name;
-  { ids; size; name; value; codes; postings }
+  { ids; size; name; value; codes; postings; fam = Tree.family doc;
+    shape = Tree.shape doc }
 
+let describes t doc = t.fam = Tree.family doc && t.shape = Tree.shape doc
 let length t = Array.length t.ids
 let id t r = t.ids.(r)
+
+(* Ids are handed out in document order and only grafts break it, so
+   the ids of ascending ranks usually ascend already and one scan
+   spares the sort. *)
+let ids t ranks =
+  let a = Array.map (fun r -> t.ids.(r)) ranks in
+  let k = ref 1 in
+  while !k < Array.length a && a.(!k - 1) < a.(!k) do
+    incr k
+  done;
+  if !k < Array.length a then Array.stable_sort Int.compare a;
+  a
 
 (* --- compiled expressions --------------------------------------------- *)
 

@@ -354,7 +354,25 @@ let cross_store_prop =
    repairs both over its affected region only, and the repair must say
    exactly what the policy says.  The engine's own oracle
    ([request_direct]) reads the same signs and bitmaps, so the
-   reference semantics is the only check that can see them drift. *)
+   reference semantics is the only check that can see them drift.
+
+   Reads between mutations decide how the repair evaluates its scopes:
+   on the pre/size index a reader demanded, or by walking the tree.
+   The property reads after the first annotation and after a random
+   half of the mutations, so a run covers the index path at least once
+   and usually the walk too. *)
+
+let counter eng name = Xmlac_util.Metrics.counter (Engine.metrics eng) name
+
+let random_request rng eng roles =
+  let subject =
+    if roles = [] || Prng.bool rng then None
+    else Some (Prng.choose_list rng roles)
+  in
+  let q = Xmlac_xpath.Pp.expr_to_string (Helpers.random_hospital_expr rng) in
+  if Engine.request ?subject eng Engine.Native q
+     <> Engine.request_direct ?subject eng Engine.Native q
+  then QCheck2.Test.fail_reportf "request %s differs from the direct read" q
 
 let repair_oracle_prop =
   QCheck2.Test.make
@@ -384,9 +402,15 @@ let repair_oracle_prop =
               fail "%s's bitmaps differ from the policy" role)
           roles
       in
+      let read () =
+        for _ = 1 to 1 + Prng.int rng 3 do
+          random_request rng def roles
+        done
+      in
       ignore (Engine.annotate def);
       ignore (Engine.annotate_subjects def);
       check "annotate_subjects";
+      read ();
       for _ = 1 to 4 + Prng.int rng 3 do
         let step, run =
           if Prng.bool rng then
@@ -402,8 +426,11 @@ let repair_oracle_prop =
               fun eng -> ignore (Engine.insert eng ~at ~fragment) )
         in
         run def;
-        check step
+        check step;
+        if Prng.bool rng then read ()
       done;
+      if counter def "repair.index_adopted" = 0 then
+        QCheck2.Test.fail_report "no repair ran on a read index";
       true)
 
 let bitmapped_engine () =
@@ -415,6 +442,58 @@ let bitmapped_engine () =
   ignore (Engine.annotate eng);
   ignore (Engine.annotate_subjects eng);
   eng
+
+(* A crash inside an insert epoch that follows a read, at [site]:
+   before the graft ([native.insert]) or after the whole repair
+   ([epoch.commit]).  Recovery must land on the reference signs and
+   bitmaps, and the recovered snapshot must hold an index handed over
+   by the repair that answers as [Eval] does on its view. *)
+let test_crash_after_read site () =
+  let module Fault = Xmlac_util.Fault in
+  Fault.reset ();
+  let eng = bitmapped_engine () in
+  ignore (Engine.request eng Engine.Native "//patient/name");
+  Fault.arm site (Fault.After 1);
+  (match
+     Engine.insert eng ~at:"//patient"
+       ~fragment:(treatment_fragment ~med:"aspirin" ~bill:"120")
+   with
+  | _ -> Alcotest.fail "the insert did not crash"
+  | exception Fault.Crash s -> Alcotest.(check string) "crash site" site s);
+  ignore (Engine.recover eng);
+  Fault.reset ();
+  let policy = Engine.policy eng and doc = Engine.document eng in
+  Alcotest.(check Helpers.int_list) "signs = reference"
+    (Policy.accessible_ids policy doc) (Engine.accessible eng);
+  List.iter
+    (fun role ->
+      Alcotest.(check Helpers.int_list) (role ^ "'s bitmaps = reference")
+        (Policy.accessible_ids ~subject:role policy doc)
+        (Engine.accessible_subject eng role))
+    (Policy.roles policy);
+  let snap = Engine.current_snapshot eng in
+  Alcotest.(check int) "one post-update index built" 1
+    (counter eng "repair.index_builds");
+  Alcotest.(check bool) "no reader took it yet" true
+    (Snapshot.read_index snap = None);
+  let builds = counter eng "snapshot.index_builds" in
+  let idx = Snapshot.index snap and view = Snapshot.document snap in
+  List.iter
+    (fun q ->
+      let e = Xmlac_xpath.Parser.parse_exn q in
+      Alcotest.(check Helpers.int_list) ("index = Eval: " ^ q)
+        (List.map (fun (n : Tree.node) -> n.Tree.id) (Xmlac_xpath.Eval.eval view e))
+        (Array.to_list (Array.map (Xmlac_xpath.Index.id idx) (Xmlac_xpath.Index.eval idx e))))
+    [ "//patient/name"; "//treatment"; "//patient[treatment]/psn"; "//regular/med";
+      "//*"; "/hospital/dept//name" ];
+  Alcotest.(check int) "handed over, not built by a reader" builds
+    (counter eng "snapshot.index_builds");
+  List.iter
+    (fun q ->
+      Alcotest.(check bool) ("request = direct: " ^ q) true
+        (Engine.request eng Engine.Native q
+        = Engine.request_direct eng Engine.Native q))
+    [ "//patient/name"; "//treatment"; "//regular" ]
 
 (* Per-node bitmap writes on the native store so far: its backend
    crosses this fault point once per node stamped. *)
@@ -565,5 +644,9 @@ let () =
             test_untriggered_insert_keeps_bitmaps;
           tc "rewritten bitmaps lie in the triggered scopes"
             test_bits_repair_stays_in_region;
+          tc "crash at native.insert after a read"
+            (test_crash_after_read "native.insert");
+          tc "crash at epoch.commit after a read"
+            (test_crash_after_read "epoch.commit");
         ] );
     ]

@@ -694,29 +694,79 @@ let carry_prop =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* The snapshot's document index: built by the first miss, never by a
-   capture, and shared along sign-only epochs. *)
+(* The snapshot's document index: never built by a capture, shared
+   along sign-only epochs, and handed from the repair to the next
+   structural epoch's snapshot only when readers demanded the last
+   one. *)
 
 module Index = Xmlac_xpath.Index
 module Eval = Xmlac_xpath.Eval
 
-let builds eng = Metrics.counter (Engine.metrics eng) "snapshot.index_builds"
-let shared eng = Metrics.counter (Engine.metrics eng) "snapshot.index_shared"
+let counter name eng = Metrics.counter (Engine.metrics eng) name
+let builds = counter "snapshot.index_builds"
+let shared = counter "snapshot.index_shared"
+let repair_builds = counter "repair.index_builds"
+let adopted = counter "repair.index_adopted"
 
+let insert_patient eng =
+  ignore
+    (Engine.insert eng ~at:"//patients"
+       ~fragment:
+         (Xmlac_xml.Xml_parser.parse_exn "<patient><name>Ann</name></patient>"))
+
+(* Whether [snap]'s index answers [q] as [Eval] does on its view. *)
+let index_agrees snap q =
+  let e = Xmlac_xpath.Parser.parse_exn q and idx = Snapshot.index snap in
+  Array.to_list (Array.map (Index.id idx) (Index.eval idx e))
+  = List.map (fun (n : Tree.node) -> n.Tree.id) (Eval.eval (Snapshot.document snap) e)
+
+(* An engine nobody reads builds no index: not at capture, not in the
+   repair.  Its first miss builds one. *)
 let test_index_built_on_first_miss () =
   Fault.reset ();
   let eng = annotated_engine () in
   ignore (Engine.update eng "//patient/psn");
-  ignore (Engine.insert eng ~at:"//patients"
-    ~fragment:(Xmlac_xml.Xml_parser.parse_exn "<patient><name>Ann</name></patient>"));
-  Alcotest.(check int) "captures and publishes build nothing" 0 (builds eng);
+  insert_patient eng;
   ignore (Engine.update eng probe_update);
-  Alcotest.(check int) "a structural epoch builds nothing either" 0 (builds eng);
+  Alcotest.(check int) "captures and publishes build nothing" 0 (builds eng);
+  Alcotest.(check int) "unread structural epochs build nothing either" 0
+    (repair_builds eng);
+  Alcotest.(check int) "and adopt nothing" 0 (adopted eng);
   ignore (Engine.request eng Engine.Native "//patient/name");
   Alcotest.(check int) "its first miss builds once" 1 (builds eng);
   ignore (Engine.request eng Engine.Native "//nurse");
   ignore (Engine.request eng Engine.Native ~lane:Rewrite.Rewrite "//staff//name");
   Alcotest.(check int) "later misses on either lane reuse it" 1 (builds eng)
+
+(* After a read, the next structural epoch's repair adopts the read
+   index and its snapshot holds the post-update index before any
+   miss.  A structural epoch nobody read between hands nothing on. *)
+let test_index_handed_after_read () =
+  Fault.reset ();
+  let eng = annotated_engine () in
+  ignore (Engine.request eng Engine.Native "//patient/name");
+  ignore (Engine.update eng "//patient/psn");
+  Alcotest.(check int) "the repair adopted the read index" 1 (adopted eng);
+  Alcotest.(check int) "and built the post-update one" 1 (repair_builds eng);
+  let snap = Engine.current_snapshot eng in
+  Alcotest.(check bool) "not yet read" true (Snapshot.read_index snap = None);
+  ignore (Engine.request eng Engine.Native "//nurse");
+  Alcotest.(check int) "its first miss builds nothing" 1 (builds eng);
+  Alcotest.(check bool) "the miss marked it read" true
+    (Option.is_some (Snapshot.read_index snap));
+  List.iter
+    (fun q ->
+      Alcotest.(check bool) ("handed index = Eval: " ^ q) true
+        (index_agrees snap q))
+    probe_queries;
+  insert_patient eng;
+  Alcotest.(check int) "read again: adopted again" 2 (adopted eng);
+  Alcotest.(check int) "and built again" 2 (repair_builds eng);
+  ignore (Engine.update eng probe_update);
+  Alcotest.(check int) "unread: nothing adopted" 2 (adopted eng);
+  Alcotest.(check int) "and nothing built" 2 (repair_builds eng);
+  ignore (Engine.request eng Engine.Native "//dept");
+  Alcotest.(check int) "so the next miss builds" 2 (builds eng)
 
 let test_index_shared_across_annotate () =
   Fault.reset ();
@@ -735,7 +785,9 @@ let test_index_shared_across_annotate () =
   Alcotest.(check int) "no second build" 1 (builds eng);
   ignore (Engine.update eng "//patient/psn");
   ignore (Engine.request eng Engine.Native "//dept");
-  Alcotest.(check int) "the next structural epoch builds its own" 2 (builds eng);
+  Alcotest.(check int) "the next structural epoch takes the repair's index"
+    1 (builds eng);
+  Alcotest.(check int) "which the repair built" 1 (repair_builds eng);
   Engine.unpin_snapshot eng s0;
   Engine.unpin_snapshot eng s1
 
@@ -894,6 +946,7 @@ let test_concurrent_first_misses () =
   ignore (Engine.annotate_subjects eng);
   ignore (Engine.update eng probe_update);
   let snap = Engine.pin_snapshot eng in
+  Alcotest.(check int) "nothing was handed over" 0 (repair_builds eng);
   let queries =
     [ "//patient/name"; "//nurse"; "//treatment"; "//patient/psn"; "//staff//name";
       "//*"; "//patient[treatment]"; "/hospital/dept" ]
@@ -1082,6 +1135,8 @@ let () =
         [
           tc "built on the first miss, never at capture"
             test_index_built_on_first_miss;
+          tc "handed to the next structural epoch after a read"
+            test_index_handed_after_read;
           tc "shared across an annotate epoch" test_index_shared_across_annotate;
           tc "concurrent first misses" test_concurrent_first_misses;
           QCheck_alcotest.to_alcotest index_reuse_prop;

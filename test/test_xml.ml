@@ -142,6 +142,46 @@ let test_tree_freeze_change_set () =
   Alcotest.(check bool) "the root was never written" false
     (List.mem root.Tree.id st.Tree.changed)
 
+(* [shape] moves with exactly the writes that can move an answer set,
+   and a frozen view keeps the value it froze: an index built on the
+   view still describes the live tree until the next structural
+   write. *)
+let test_tree_shape () =
+  let doc, root, b, c, d = small_doc () in
+  let moved what f =
+    let before = Tree.shape doc in
+    f ();
+    Alcotest.(check bool) what true (Tree.shape doc > before)
+  in
+  let kept what f =
+    let before = Tree.shape doc in
+    f ();
+    Alcotest.(check int) what before (Tree.shape doc)
+  in
+  kept "a sign write" (fun () -> Tree.set_sign doc c (Some Tree.Plus));
+  kept "a bitmap write" (fun () ->
+      Tree.set_bits doc c (Some (Xmlac_util.Bitset.of_list [ 1 ])));
+  kept "an unchanged value" (fun () -> Tree.set_value doc d (Some "x"));
+  let view, _ = Tree.freeze doc in
+  kept "a freeze" ignore;
+  Alcotest.(check int) "the view froze the shape" (Tree.shape doc)
+    (Tree.shape view);
+  let idx = Xmlac_xpath.Index.build view in
+  Alcotest.(check bool) "a view's index describes the live tree" true
+    (Xmlac_xpath.Index.describes idx doc);
+  moved "a value write" (fun () -> Tree.set_value doc d (Some "y"));
+  Alcotest.(check bool) "until a structural write" false
+    (Xmlac_xpath.Index.describes idx doc);
+  Alcotest.(check bool) "the view keeps its shape" true
+    (Xmlac_xpath.Index.describes idx view);
+  moved "an add" (fun () -> ignore (Tree.add_child doc c "e"));
+  moved "a delete" (fun () -> Tree.delete doc b);
+  let frag, _, _, _, _ = small_doc () in
+  moved "a graft" (fun () -> ignore (Tree.graft doc root frag));
+  Alcotest.(check bool) "another family's index describes nothing here"
+    false
+    (Xmlac_xpath.Index.describes (Xmlac_xpath.Index.build frag) doc)
+
 let test_tree_equal_structure () =
   let a, _, _, _, _ = small_doc () in
   let b, _, _, _, _ = small_doc () in
@@ -438,6 +478,7 @@ let () =
           tc "graft" test_tree_graft;
           tc "structural equality" test_tree_equal_structure;
           tc "freeze change set" test_tree_freeze_change_set;
+          tc "shape" test_tree_shape;
         ] );
       ( "serializer",
         [
