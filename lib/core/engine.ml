@@ -461,6 +461,27 @@ let recover t =
       Metrics.add t.metrics "recovery.signs_rolled_back" signs_rolled_back;
       { recovered_epoch = Some o.num; direction; signs_rolled_back }
 
+type outcome = Committed | Aborted | Untouched
+
+(* The one place that decides what an interrupted call left behind.
+   The restart runs when a crash or fault left residue: an open epoch,
+   the registry's kill, or a commit whose publish never landed.  The
+   serving layer calls this before every request, so the path without
+   residue only reads state and returns a constant pair. *)
+let settle t ~since =
+  if
+    Option.is_some t.open_op || Fault.killed ()
+    || Snapshot.epoch (current_snapshot t) <> t.sign_epoch
+  then
+    let r = recover t in
+    ( true,
+      match r.direction with
+      | `Forward -> Committed
+      | `Back -> Aborted
+      | `None -> if t.sign_epoch > since then Committed else Untouched )
+  else if t.sign_epoch > since then (false, Committed)
+  else (false, Untouched)
+
 let accessible t =
   Backend.accessible_ids t.backend ~default:(Policy.ds t.policy)
 

@@ -63,7 +63,9 @@
     state (structural operations land on the post-operation
     materialization).  Either way the recovered epoch is published as
     the current snapshot, and the epoch counter
-    never runs backwards — an aborted epoch's number is consumed. *)
+    never runs backwards — an aborted epoch's number is consumed.
+    What an interrupted call became is {!settle}'s to say, nobody
+    else's: the serving layer and replication only map its outcome. *)
 
 (** {2 Kept for the benchmark harness}
 
@@ -318,6 +320,22 @@ val recover : t -> recovery
     Safe to call when nothing crashed (reports [`None]), and
     {e idempotent}: a second call after a completed recovery is a pure
     no-op — no epoch bump, no counter movement. *)
+
+(** What became of the epoch an interrupted call may have opened:
+    [Committed] — rolled forward, or the fault struck after the commit
+    (at the snapshot publish, say); [Aborted] — rolled back, its
+    number consumed; [Untouched] — none was opened. *)
+type outcome = Committed | Aborted | Untouched
+
+val settle : t -> since:int -> bool * outcome
+(** The one crash-outcome rule.  [since] is the {!sign_epoch} read
+    before the interrupted call.  Plays the restart ({!recover}) iff a
+    fault left residue — an open epoch, a kill
+    ({!Xmlac_util.Fault.killed}), or a current snapshot behind
+    {!sign_epoch} — and returns whether it did, with the outcome of
+    the epoch after [since].  Afterwards no epoch is open and the
+    current snapshot is the committed epoch.  Without residue it only
+    reads state: no allocation, no counter. *)
 
 (** {1 Replication}
 

@@ -130,11 +130,15 @@ let set_partitioned t id flag = (node t id).partitioned <- flag
 (* ---------- leader side: framing and shipping ---------- *)
 
 let backoff t n =
-  let cap =
-    min t.config.backoff_max_s
-      (t.config.backoff_base_s *. (2.0 ** float_of_int (n - 1)))
-  in
-  t.config.sleep (Prng.float t.rng (max cap 1e-9))
+  Serve.backoff ~sleep:t.config.sleep ~base_s:t.config.backoff_base_s
+    ~max_s:t.config.backoff_max_s t.rng n
+
+(* What an interrupted leader op or frame apply became, settled by the
+   node's engine ({!Engine.settle}); a restart counts per node. *)
+let settle t eng ~since =
+  let restarted, outcome = Engine.settle eng ~since in
+  if restarted then Metrics.incr t.metrics "repl.node_restarts";
+  outcome
 
 let frame_committed t op =
   let ld = leader t in
@@ -144,6 +148,7 @@ let frame_committed t op =
   t.committed <- epoch;
   ld.applied <- epoch;
   ld.state_sum <- Frame.state_sum f;
+  Serve.refresh_snapshot ld.serve;
   Metrics.incr t.metrics "repl.framed";
   if op = Engine.Op_noop then Metrics.incr t.metrics "repl.noops"
 
@@ -168,7 +173,11 @@ let apply t op =
   else begin
     let eng = leader_engine t in
     let rec go n =
-      let e0 = Engine.sign_epoch eng in
+      (* As in [Serve], an attempt first settles what an earlier call
+         left behind: a kill that the serving view's re-pin contained
+         must not fail this op. *)
+      ignore (settle t eng ~since:(Engine.sign_epoch eng));
+      let since = Engine.sign_epoch eng in
       match run_leader_op eng op with
       | () ->
           frame_committed t op;
@@ -187,33 +196,16 @@ let apply t op =
               Error err
             end
           in
-          if Engine.open_epoch eng <> None || Fault.killed () then begin
-            Metrics.incr t.metrics "repl.node_restarts";
-            let r = Engine.recover eng in
-            match (r.Engine.recovered_epoch, r.Engine.direction) with
-            | Some _, `Forward ->
-                (* The structural mutation committed under recovery:
-                   frame the op itself. *)
-                frame_committed t op;
-                Ok ()
-            | Some _, _ ->
-                (* The epoch aborted but its number is consumed:
-                   replicas must consume it too. *)
-                frame_committed t Engine.Op_noop;
-                retry ()
-            | None, _ ->
-                if Engine.sign_epoch eng > e0 then begin
-                  (* Crash after commit, before publish: durable. *)
-                  frame_committed t op;
-                  Ok ()
-                end
-                else retry ()
-          end
-          else if Engine.sign_epoch eng > e0 then begin
-            frame_committed t op;
-            Ok ()
-          end
-          else retry ())
+          match settle t eng ~since with
+          | Engine.Committed ->
+              frame_committed t op;
+              Ok ()
+          | Engine.Aborted ->
+              (* The epoch's number is consumed: replicas must consume
+                 it too. *)
+              frame_committed t Engine.Op_noop;
+              retry ()
+          | Engine.Untouched -> retry ())
     in
     go 1
   end
@@ -319,6 +311,7 @@ let finish_applied ?(ack = true) t n f =
   n.state_sum <- Frame.state_sum f;
   n.inflight <- None;
   n.reships <- 0;
+  Serve.refresh_snapshot n.serve;
   Metrics.incr t.metrics "repl.applied";
   if ack then begin
     (* The epoch is already durable locally; a transient here only
@@ -337,8 +330,8 @@ let apply_frame t n f =
       request_reship t n
   | Ok op ->
       let rec attempt k =
-        n.inflight <- Some (Frame.epoch f, Engine.sign_epoch n.eng);
-        let e0 = Engine.sign_epoch n.eng in
+        let since = Engine.sign_epoch n.eng in
+        n.inflight <- Some (Frame.epoch f, since);
         match Engine.apply_replica n.eng op with
         | () -> finish_applied t n f
         | exception (Fault.Crash _ as exn) ->
@@ -348,34 +341,18 @@ let apply_frame t n f =
             raise exn
         | exception exn -> (
             let err = Serve.error_of_exn ~attempts:k exn in
-            let committed_anyway r =
-              match r with
-              | Some rr ->
-                  rr.Engine.direction = `Forward
-                  || rr.Engine.recovered_epoch = None
-                     && Engine.sign_epoch n.eng > e0
-              | None -> Engine.sign_epoch n.eng > e0
-            in
-            let recovery =
-              if Engine.open_epoch n.eng <> None || Fault.killed () then begin
-                Metrics.incr t.metrics "repl.node_restarts";
-                Some (Engine.recover n.eng)
-              end
-              else None
-            in
-            if committed_anyway recovery then finish_applied t n f
-            else if
-              err.Serve.class_ = Serve.Transient && k <= t.config.max_retries
-            then begin
-              Metrics.incr t.metrics "repl.retries";
-              backoff t k;
-              attempt (k + 1)
-            end
-            else begin
-              Metrics.incr t.metrics "repl.rejected";
-              n.inflight <- None;
-              request_reship t n
-            end)
+            match settle t n.eng ~since with
+            | Engine.Committed -> finish_applied t n f
+            | Engine.Aborted | Engine.Untouched
+              when err.Serve.class_ = Serve.Transient
+                   && k <= t.config.max_retries ->
+                Metrics.incr t.metrics "repl.retries";
+                backoff t k;
+                attempt (k + 1)
+            | Engine.Aborted | Engine.Untouched ->
+                Metrics.incr t.metrics "repl.rejected";
+                n.inflight <- None;
+                request_reship t n)
       in
       attempt 1
 
@@ -421,35 +398,34 @@ let deliver t n =
 
 (* The kill flag is process-global, so healing the cluster's first
    node clears it for everyone; a later node's crash can then only be
-   seen in its own residue — an epoch left open, or an [inflight]
-   marker a completed apply would have cleared.  All three trigger the
-   restart protocol. *)
+   seen in its own residue — an epoch left open, a snapshot behind its
+   commit, or an [inflight] marker a completed apply would have
+   cleared.  The engine settles the first two; the marker names the
+   frame whose fate the outcome decides. *)
 let heal_node t n =
-  if Engine.open_epoch n.eng <> None || Fault.killed () || n.inflight <> None
-  then begin
-    Metrics.incr t.metrics "repl.node_restarts";
-    let r = Engine.recover n.eng in
+  let since =
     match n.inflight with
-    | Some (se, e0) ->
-        n.inflight <- None;
-        let committed_anyway =
-          r.Engine.direction = `Forward
-          || (r.Engine.recovered_epoch = None && Engine.sign_epoch n.eng > e0)
-        in
-        if committed_anyway then (
-          match Hashtbl.find_opt t.frames se with
-          | Some f -> finish_applied ~ack:false t n f
-          | None ->
-              (* The stream was truncated under us (promotion of a
-                 shorter tail): this node holds an epoch the new leader
-                 never committed. *)
-              mark_diverged t n)
-        else
-          (* Rolled back: pre-epoch state, the frame will be
-             re-shipped. *)
-          request_reship t n
-    | None -> ()
-  end
+    | Some (_, e0) -> e0
+    | None -> Engine.sign_epoch n.eng
+  in
+  let restarted, outcome = Engine.settle n.eng ~since in
+  if restarted || n.inflight <> None then
+    Metrics.incr t.metrics "repl.node_restarts";
+  match n.inflight with
+  | None -> ()
+  | Some (se, _) -> (
+      n.inflight <- None;
+      match (outcome, Hashtbl.find_opt t.frames se) with
+      | Engine.Committed, Some f -> finish_applied ~ack:false t n f
+      | Engine.Committed, None ->
+          (* The stream was truncated under us (promotion of a shorter
+             tail): this node holds an epoch the new leader never
+             committed. *)
+          mark_diverged t n
+      | (Engine.Aborted | Engine.Untouched), _ ->
+          (* Rolled back, or never opened: pre-epoch state, the frame
+             will be re-shipped. *)
+          request_reship t n)
 
 let heal t =
   List.iter

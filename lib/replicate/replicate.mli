@@ -82,10 +82,14 @@ val create :
 
 (** {1 Leader mutations}
 
-    Each committed operation frames one stream epoch.  A leader-side
-    crash is played as a restart: roll-forward recovery frames the
-    operation itself; a rolled-back epoch frames an [Op_noop] so
-    replicas consume the aborted epoch number too. *)
+    Each committed operation frames one stream epoch.  A failed
+    leader op is settled by {!Engine.settle}: an epoch it reports
+    committed (rolled forward, or faulted after its commit) frames the
+    operation itself; an aborted one frames an [Op_noop], so replicas
+    consume its number too, and the op is retried on a transient.
+    Every frame re-pins the leader's serving view, as every applied
+    frame re-pins a follower's, so no node keeps an old epoch
+    pinned. *)
 
 val apply : t -> Engine.op -> (unit, Serve.error) result
 (** @raise Invalid_argument on [Op_noop] (noops are synthesized
@@ -116,7 +120,7 @@ val pump : t -> unit
     acknowledge (["repl.ack"]), and request re-ship on any gap.  A
     {!Xmlac_util.Fault.Crash} escapes with the killed node's
     [inflight] marker set; the next {!heal} (or {!sync} round)
-    resolves it through {!Engine.recover}. *)
+    resolves it through {!Engine.settle}. *)
 
 val sync : ?rounds:int -> t -> bool
 (** Pump until every reachable follower has applied the full stream or
@@ -125,10 +129,12 @@ val sync : ?rounds:int -> t -> bool
     (partitioned and divergent nodes are excluded — they cannot). *)
 
 val heal : t -> unit
-(** Restart protocol for killed nodes: {!Engine.recover} wherever an
-    epoch is open (or the fault registry holds a kill), then resolve
-    the node's in-flight frame — applied if recovery rolled forward
-    (digest-checked like any apply), re-shipped if it rolled back. *)
+(** Restart protocol for every live node: {!Engine.settle} restarts a
+    node whose epoch is open, whose snapshot lags its commit, or while
+    the fault registry holds a kill; then the node's in-flight frame,
+    if a kill left one, is resolved by the settled outcome — applied
+    if the epoch committed (digest-checked like any apply), re-shipped
+    otherwise. *)
 
 (** {1 Reads} *)
 

@@ -5,7 +5,6 @@ module Prng = Xmlac_util.Prng
 module Tree = Xmlac_xml.Tree
 module Engine = Xmlac_core.Engine
 module Requester = Xmlac_core.Requester
-module Cam = Xmlac_core.Cam
 module Policy = Xmlac_core.Policy
 module Subject = Xmlac_core.Subject
 
@@ -143,24 +142,22 @@ let error_of_exn = typed_error
 
 (* ---------- self-healing ---------- *)
 
-(* A fault between a commit and its snapshot publish leaves the
-   engine's current snapshot one epoch behind: live reads would answer
-   the previous epoch. *)
-let snapshot_lags t =
-  Snapshot.current_epoch (Engine.snapshots t.eng)
-  <> Some (Engine.sign_epoch t.eng)
+(* Settle whatever a previous call left behind ({!Engine.settle}): if
+   it crashed mid-epoch, poisoned the fault registry's kill state or
+   interrupted a publish, nothing works until the restart runs, so
+   play it before touching the engine.  A restart or a commit past
+   [since] moves the engine's current snapshot; the layer's view
+   follows it. *)
+let settle t ~since =
+  let restarted, outcome = Engine.settle t.eng ~since in
+  if restarted then Metrics.incr (metrics t) "serve.auto_recoveries";
+  if
+    (restarted || outcome = Engine.Committed)
+    && t.snapshot != Engine.current_snapshot t.eng
+  then refresh_snapshot t;
+  outcome
 
-(* If a previous call crashed mid-epoch (or poisoned the fault
-   registry's kill state, or interrupted a publish), nothing works
-   until recovery runs — play the restart before touching the
-   engine.  Recovery republishes a lagging snapshot. *)
-let heal t =
-  let lags = snapshot_lags t in
-  if Engine.open_epoch t.eng <> None || Fault.killed () || lags then begin
-    Metrics.incr (metrics t) "serve.auto_recoveries";
-    let r = Engine.recover t.eng in
-    if r.Engine.recovered_epoch <> None || lags then refresh_snapshot t
-  end
+let heal t = ignore (settle t ~since:(Engine.sign_epoch t.eng))
 
 (* ---------- requests ---------- *)
 
@@ -172,12 +169,13 @@ type reply = {
   attempts : int;
 }
 
-let backoff t n =
-  let cap =
-    min t.config.backoff_max_s
-      (t.config.backoff_base_s *. (2.0 ** float_of_int (n - 1)))
-  in
-  t.config.sleep (Prng.float t.rng (max cap 0.0))
+let backoff ~sleep ~base_s ~max_s rng n =
+  let cap = min max_s (base_s *. (2.0 ** float_of_int (n - 1))) in
+  sleep (Prng.float rng (max cap 0.0))
+
+let pause t n =
+  backoff ~sleep:t.config.sleep ~base_s:t.config.backoff_base_s
+    ~max_s:t.config.backoff_max_s t.rng n
 
 (* Deny-by-default answer from the layer's pinned snapshot.  Sound
    because the snapshot is a frozen committed materialization and
@@ -219,7 +217,7 @@ let snapshot_request_as ~served ?subject ?lane t snap query =
             | _ -> Snapshot.request ?subject ?lane snap query
           with Fault.Transient _ when n <= t.config.max_retries ->
             Metrics.incr m "serve.retries";
-            backoff t n;
+            pause t n;
             go (n + 1)
         in
         go 1)
@@ -251,7 +249,7 @@ let live_request ?subject ?lane t query =
           try Engine.request ?subject ?lane t.eng Engine.Native query
           with Fault.Transient _ when n <= t.config.max_retries ->
             Metrics.incr m "serve.retries";
-            backoff t n;
+            pause t n;
             go (n + 1)
         in
         go 1)
@@ -329,10 +327,7 @@ let run_mutation t mu =
     (* A retried attempt may follow a fault that poisoned the
        registry; clear it before applying again. *)
     heal t;
-    (* The committed epoch as of this attempt: a fault raised {e after}
-       the epoch advanced past it (e.g. at the snapshot-publish points)
-       means the mutation is durable and must not be re-applied. *)
-    let committed0 = Engine.sign_epoch t.eng in
+    let since = Engine.sign_epoch t.eng in
     match
       Deadline.with_budget ~label:"mutation" ?ticks:t.config.deadline_ticks
         ?seconds:t.config.deadline_seconds
@@ -344,59 +339,24 @@ let run_mutation t mu =
         Ok (Applied stats)
     | exception exn -> (
         let err = typed_error ~attempts:n exn in
-        if Engine.open_epoch t.eng <> None || Fault.killed () then begin
-          (* The fault interrupted the epoch: play the restart.
-             Structural operations recover by roll-forward — the
-             mutation committed anyway.  A crash that hit after the
-             commit itself (no open epoch, but the counter moved)
-             already has nothing to recover; the same report fits. *)
-          Metrics.incr m "serve.auto_recoveries";
-          let r = Engine.recover t.eng in
-          refresh_snapshot t;
-          if
-            r.Engine.direction = `Forward
-            || Engine.sign_epoch t.eng > committed0
-          then begin
+        match settle t ~since with
+        | Engine.Committed ->
+            (* Rolled forward, or the fault came after the commit: the
+               mutation is durable, and retrying would apply it
+               twice. *)
             Metrics.incr m "serve.recovered_mutations";
             record t ~ok:false;
             Ok Recovered
-          end
-          else if err.class_ = Transient && n <= t.config.max_retries then begin
+        | Engine.Aborted | Engine.Untouched
+          when err.class_ = Transient && n <= t.config.max_retries ->
             Metrics.incr m "serve.retries";
-            backoff t n;
+            pause t n;
             go (n + 1)
-          end
-          else begin
+        | Engine.Aborted | Engine.Untouched ->
             record t ~ok:false;
             Metrics.incr m "serve.errors";
-            Metrics.incr m
-              ("serve.errors." ^ error_class_to_string err.class_);
-            Error err
-          end
-        end
-        else if Engine.sign_epoch t.eng > committed0 then begin
-          (* Transient fault past the commit point: the epoch is
-             durable, only the snapshot publish was interrupted.
-             Healing republishes it and re-pins the layer's view;
-             retrying would apply the mutation twice. *)
-          Metrics.incr m "serve.recovered_mutations";
-          heal t;
-          refresh_snapshot t;
-          record t ~ok:false;
-          Ok Recovered
-        end
-        else if err.class_ = Transient && n <= t.config.max_retries then begin
-          (* Fault before the epoch opened: plain retry. *)
-          Metrics.incr m "serve.retries";
-          backoff t n;
-          go (n + 1)
-        end
-        else begin
-          record t ~ok:false;
-          Metrics.incr m "serve.errors";
-          Metrics.incr m ("serve.errors." ^ error_class_to_string err.class_);
-          Error err
-        end)
+            Metrics.incr m ("serve.errors." ^ error_class_to_string err.class_);
+            Error err)
   in
   go 1
 

@@ -6,7 +6,9 @@
     {- {e deadlines}: each live call runs under a cooperative
        {!Xmlac_util.Deadline} budget (ticks for deterministic tests,
        seconds for wall-clock), checked at the evaluation checkpoints
-       threaded through [Requester] and [Cam];}
+       {!Xmlac_core.Snapshot.request} crosses — [Requester]'s
+       decision loop and the rank-space check
+       {!Xmlac_core.Snapshot.accessible};}
     {- {e typed errors}: raw exceptions never escape — every failure
        is classified ({!error_class}) and returned as data, so callers
        can tell a retryable blip from corrupt storage;}
@@ -30,12 +32,15 @@
     breaker, so worker domains running pinned reads can never block
     on (or be corrupted by) the writer's next epoch.
 
-    The layer also self-heals: if a fault killed the process mid-epoch
-    (open epoch, poisoned fault registry), the next call through the
-    layer runs {!Xmlac_core.Engine.recover} before doing anything
-    else, and a mutation whose recovery rolled {e forward} is reported
-    as {!mutation_outcome.Recovered} — committed, just not on the
-    first try. *)
+    The layer also self-heals: every live request and mutation first lets
+    {!Xmlac_core.Engine.settle} play the restart if a fault left
+    residue (an open epoch, a poisoned fault registry, a snapshot
+    behind its commit), and re-pins its view when that moved the
+    engine's current snapshot.  The engine alone decides what an
+    interrupted mutation became: one it reports [Committed] (rolled
+    forward, or faulted after its commit) is reported as
+    {!mutation_outcome.Recovered} — committed, just not on the first
+    try — and never applied twice. *)
 
 module Engine := Xmlac_core.Engine
 
@@ -66,6 +71,13 @@ val error_of_exn : ?attempts:int -> exn -> error
     failures → [Corrupt], everything else → [Fatal]).  Exposed so
     other resilience layers (replication's ship/apply loops) retry and
     report with the identical taxonomy. *)
+
+val backoff :
+  sleep:(float -> unit) -> base_s:float -> max_s:float ->
+  Xmlac_util.Prng.t -> int -> unit
+(** [sleep]s one jittered delay before retry [n] (1-based): a single
+    draw, uniform below [min max_s (base_s * 2^(n-1))].  Replication's
+    retry loops share it. *)
 
 (** {1 Configuration} *)
 
@@ -139,10 +151,11 @@ val request :
     call: it runs under the
     configured deadline with transient retries, and its outcome feeds
     the breaker.  An open breaker rejects it and the reply is served
-    [Degraded] from the snapshot: the decision is the all-or-nothing
-    rule over the snapshot's CAM when the snapshot still matches the
-    committed epoch, and a blanket denial when it does not —
-    degradation never grants what the live path would deny.
+    [Degraded] from the layer's pinned snapshot: the decision is
+    {!Xmlac_core.Snapshot.request}'s (each answer checked in rank
+    space) when the snapshot still matches the committed epoch, and a
+    blanket denial when it does not — degradation never grants what
+    the live path would deny.
 
     [~lane] (default [Auto]) selects the enforcement lane, live
     ({!Engine.request}) and degraded ({!Xmlac_core.Snapshot.request})
@@ -153,10 +166,10 @@ val request :
     feeds the breaker.
 
     [~subject] answers for one role: live calls go through
-    {!Engine.request}'s subject path, degraded calls through a
-    lazily built per-role CAM over the snapshot's bitmaps — the
-    fail-closed invariant holds per role (blanket denial on a stale
-    snapshot included).  Stale blanket denials are counted under
+    {!Engine.request}'s subject path, degraded calls through
+    {!Xmlac_core.Snapshot.request}'s check of each answer's role bit
+    on the snapshot — the fail-closed invariant holds per role
+    (blanket denial on a stale snapshot included).  Stale blanket denials are counted under
     {!Xmlac_util.Metrics.stale_snapshot_denials}. *)
 
 val snapshot_request :
@@ -188,8 +201,9 @@ type mutation_outcome =
   | Applied of (Engine.backend_kind * Xmlac_core.Reannotator.stats) list
       (** Committed on the live path. *)
   | Recovered
-      (** A fault interrupted the epoch; roll-forward recovery
-          committed the operation anyway. *)
+      (** A fault interrupted the call, and the epoch committed anyway:
+          recovery rolled it forward, or the fault came after the
+          commit. *)
   | Queued of int
       (** Held for {!drain} while degraded; payload is the queue
           length after enqueue. *)
@@ -199,10 +213,11 @@ val mutate : t -> mutation -> (mutation_outcome, error) result
     open the mutation is queued (or rejected once [queue_capacity] is
     reached) — the degradation snapshot stays coherent with the
     committed epoch precisely because nothing commits while degraded.
-    On the live path, transient faults that left no epoch open are
-    retried; faults that interrupted an epoch trigger automatic
-    recovery ([Recovered] when it rolled forward).  A successful
-    mutation refreshes the snapshot. *)
+    On the live path a failed attempt is settled by
+    {!Xmlac_core.Engine.settle}: [Recovered] when the engine reports
+    the epoch committed (rolled forward, or faulted after its commit),
+    a retry when a transient left it aborted or untouched, an error
+    otherwise.  A successful mutation refreshes the snapshot. *)
 
 val update : t -> string -> (mutation_outcome, error) result
 val insert :

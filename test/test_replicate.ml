@@ -50,10 +50,21 @@ let subject_sets eng =
     (fun r -> (r, Engine.accessible_subject eng r))
     (Policy.roles (Engine.policy eng))
 
+(* A node serves the epoch it applied: its current snapshot is its
+   last committed epoch, not one behind it. *)
+let check_serves_applied ctx eng =
+  Alcotest.(check int)
+    (ctx ^ ": current snapshot is the committed epoch")
+    (Engine.sign_epoch eng)
+    (Snapshot.epoch (Engine.current_snapshot eng))
+
 (* Byte-identical equivalence between two engines: state digests,
    visible id sets with and without subjects, and decisions on [qs]
-   across both forced lanes and every subject. *)
+   across both forced lanes and every subject; each engine serves the
+   epoch it applied. *)
 let check_twin_engines ctx leader follower qs =
+  check_serves_applied (ctx ^ " (first)") leader;
+  check_serves_applied (ctx ^ " (second)") follower;
   Alcotest.(check int32)
     (ctx ^ ": state digests agree")
     (Engine.state_checksum leader)
@@ -123,6 +134,20 @@ let test_basic_convergence () =
         (on 1 = d0 && on 2 = d0))
     sample_queries
 
+(* Each node's serving layer re-pins at every commit it frames or
+   applies, so no node keeps an old epoch alive. *)
+let test_no_retired_snapshots () =
+  let t = mk_cluster () in
+  churn t;
+  Alcotest.(check bool) "cluster converges" true (Repl.sync t);
+  List.iter
+    (fun id ->
+      Alcotest.(check int)
+        (Printf.sprintf "node %d holds no retired snapshot" id)
+        0
+        (Snapshot.retired (Engine.snapshots (Repl.engine t id))))
+    (Repl.nodes t)
+
 let test_follower_refuses_direct_mutation () =
   let t = mk_cluster () in
   match Engine.update (Repl.engine t 1) "//patient/treatment" with
@@ -151,6 +176,20 @@ let test_leader_abort_ships_noop () =
   Alcotest.(check bool) "cluster converges" true (Repl.sync t);
   check_twin_engines "after noop" (Repl.leader_engine t) (Repl.engine t 1)
     sample_queries
+
+(* A kill at the reclaim point of the leader's re-pin is contained
+   there, after the op committed; the next op settles it first instead
+   of failing on it. *)
+let test_leader_repin_kill () =
+  let t = mk_cluster ~followers:1 () in
+  ok "annotate" (Repl.annotate_all t);
+  Fault.arm "snapshot.reclaim" (Fault.After 1);
+  ok "update" (Repl.update t "//patient/treatment");
+  Alcotest.(check bool) "the kill fired in the re-pin" true (Fault.killed ());
+  ok "next op" (Repl.update t "//nurse");
+  Alcotest.(check bool) "cluster converges" true (Repl.sync t);
+  check_twin_engines "after the re-pin kill" (Repl.leader_engine t)
+    (Repl.engine t 1) sample_queries
 
 (* ------------------------------------------------------------------ *)
 (* Chaos transport: drops, duplicates, reorders, torn frames. *)
@@ -238,20 +277,25 @@ let kill_offsets hits =
     (fun k -> k >= 1 && k <= hits)
     (List.sort_uniq compare [ 1; (hits + 1) / 2; hits ])
 
+(* The points [run] crosses, with their hit counts. *)
+let points_crossed run =
+  let before = List.map (fun n -> (n, Fault.hits n)) (Fault.registered ()) in
+  run ();
+  List.filter_map
+    (fun n ->
+      let b = Option.value (List.assoc_opt n before) ~default:0 in
+      let d = Fault.hits n - b in
+      if d > 0 then Some (n, d) else None)
+    (Fault.registered ())
+
 let test_follower_kill_sweep () =
   Fault.reset ();
   (* Scout: learn every point one full replication round crosses. *)
   let scout = mk_cluster ~followers:1 () in
   churn scout;
-  let before = List.map (fun n -> (n, Fault.hits n)) (Fault.registered ()) in
-  Alcotest.(check bool) "scout syncs" true (Repl.sync scout);
   let crossed =
-    List.filter_map
-      (fun n ->
-        let b = Option.value (List.assoc_opt n before) ~default:0 in
-        let d = Fault.hits n - b in
-        if d > 0 then Some (n, d) else None)
-      (Fault.registered ())
+    points_crossed (fun () ->
+        Alcotest.(check bool) "scout syncs" true (Repl.sync scout))
   in
   List.iter
     (fun p ->
@@ -297,6 +341,62 @@ let test_follower_kill_sweep () =
           Fault.reset ())
         (kill_offsets hits))
       crossed
+
+let probe_queries =
+  sample_queries
+  @ [ "//regular"; "//patient/treatment/regular"; "//med"; "//bill";
+      "//patient/psn"; "//regular/med" ]
+
+(* Transient sweep: one recoverable fault at each point the leader's
+   ops and a replication round cross.  The fault may land after a
+   commit (at [snapshot.publish]); every node must still end up
+   serving the epoch it applied, and each follower must answer as the
+   leader's committed materialization does. *)
+let test_transient_sweep () =
+  Fault.reset ();
+  let scout = mk_cluster ~followers:1 () in
+  let crossed =
+    points_crossed (fun () ->
+        churn scout;
+        Alcotest.(check bool) "scout syncs" true (Repl.sync scout))
+  in
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) ("sweep covers " ^ p) true
+        (List.mem_assoc p crossed))
+    [ "epoch.commit"; "snapshot.publish"; "repl.apply"; "repl.ack" ];
+  List.iter
+    (fun (pt, hits) ->
+      List.iter
+        (fun k ->
+          let ctx = Printf.sprintf "transient at %s hit %d" pt k in
+          let t = mk_cluster ~followers:1 () in
+          Fault.arm_transient pt (Fault.After k);
+          churn t;
+          Alcotest.(check bool) (ctx ^ ": converges") true
+            (Repl.sync ~rounds:200 t);
+          Alcotest.(check int) (ctx ^ ": fired once") 1
+            (Fault.transient_fires ());
+          Fault.reset ();
+          List.iter
+            (fun id ->
+              check_serves_applied
+                (Printf.sprintf "%s: node %d" ctx id)
+                (Repl.engine t id))
+            (Repl.nodes t);
+          let ld = Repl.leader_engine t in
+          List.iter
+            (fun q ->
+              match Repl.read t ~node:1 q with
+              | Ok r ->
+                  if r.Serve.decision <> Engine.request_direct ld Engine.Native q
+                  then Alcotest.failf "%s: follower read differs on %s" ctx q
+              | Error e ->
+                  Alcotest.failf "%s: follower read on %s: %s" ctx q
+                    e.Serve.message)
+            probe_queries)
+        (kill_offsets hits))
+    crossed
 
 (* ------------------------------------------------------------------ *)
 (* Failover: kill the leader, promote a follower. *)
@@ -587,9 +687,12 @@ let () =
       ( "stream",
         [
           tc "ship, apply, converge, serve" test_basic_convergence;
+          tc "no node keeps a retired snapshot" test_no_retired_snapshots;
           tc "follower refuses direct mutation"
             test_follower_refuses_direct_mutation;
           tc "leader abort ships a noop epoch" test_leader_abort_ships_noop;
+          tc "a kill in the leader's re-pin does not fail the next op"
+            test_leader_repin_kill;
         ] );
       ( "chaos",
         [
@@ -599,7 +702,11 @@ let () =
             test_partition_fails_closed;
         ] );
       ( "kill sweeps",
-        [ tc "follower killed at every apply-path point" test_follower_kill_sweep ] );
+        [
+          tc "follower killed at every apply-path point" test_follower_kill_sweep;
+          tc "transient at every op- and apply-path point"
+            test_transient_sweep;
+        ] );
       ( "failover",
         [
           tc "promote after leader kill" test_promote_after_leader_kill;
