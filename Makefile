@@ -66,6 +66,12 @@ bench-rewrite:
 bench-eval:
 	dune exec bench/main.exe -- -e eval
 
+# Micro-benchmarks: one Bechamel row per table/figure kernel, then one
+# memo-hit read through Snapshot.request, Serve.request (live) and
+# Serve.snapshot_request (pinned) in ns and minor words per call.
+bench-micro:
+	dune exec bench/main.exe -- -e micro
+
 # Snapshot publication: full-copy vs COW publish p50/p99 across a
 # document ladder, plus 1000 pinned epochs of retained history.
 # Exits non-zero if COW publish is not sublinear in document size,
@@ -118,4 +124,4 @@ quickstart:
 clean:
 	dune clean
 
-.PHONY: all test ci soak bench bench-full bench-multirole bench-concurrent bench-rewrite bench-eval bench-snapshot bench-replication soak-replication perfbench-smoke doc loc quickstart clean
+.PHONY: all test ci soak bench bench-full bench-multirole bench-concurrent bench-rewrite bench-eval bench-micro bench-snapshot bench-replication soak-replication perfbench-smoke doc loc quickstart clean

@@ -741,7 +741,9 @@ let health_cmd =
   in
   let retries =
     Arg.(value & opt int 2
-         & info [ "retries" ] ~doc:"Transient retry budget per request.")
+         & info [ "retries" ]
+             ~doc:"Transient retry budget per request, and per replication \
+                   epoch with $(b,--followers).")
   in
   let followers =
     Arg.(value & opt int 0

@@ -14,11 +14,7 @@ let role_to_string = function
 
 type config = {
   lag_threshold : int;
-  max_retries : int;
   max_reship : int;
-  backoff_base_s : float;
-  backoff_max_s : float;
-  sleep : float -> unit;
   seed : int64;
   drop_p : float;
   dup_p : float;
@@ -30,17 +26,13 @@ type config = {
 let default_config =
   {
     lag_threshold = 1;
-    max_retries = 3;
     max_reship = 8;
-    backoff_base_s = 0.005;
-    backoff_max_s = 0.1;
-    sleep = (fun _ -> ());
     seed = 1L;
     drop_p = 0.0;
     dup_p = 0.0;
     reorder_p = 0.0;
     torn_p = 0.0;
-    serve = Serve.default_config;
+    serve = { Serve.default_config with max_retries = 3 };
   }
 
 type node = {
@@ -129,9 +121,12 @@ let set_partitioned t id flag = (node t id).partitioned <- flag
 
 (* ---------- leader side: framing and shipping ---------- *)
 
-let backoff t n =
-  Serve.backoff ~sleep:t.config.sleep ~base_s:t.config.backoff_base_s
-    ~max_s:t.config.backoff_max_s t.rng n
+(* Epoch retries take their budget and backoff from [config.serve]
+   but draw their jitter from the cluster's generator, interleaved
+   with the chaos transport's draws. *)
+let retry t attempt =
+  Serve.retry t.config.serve ~rng:t.rng ~metrics:t.metrics
+    ~counter:"repl.retries" attempt
 
 (* What an interrupted leader op or frame apply became, settled by the
    node's engine ({!Engine.settle}); a restart counts per node. *)
@@ -172,42 +167,34 @@ let apply t op =
   if not t.leader_alive then Error dead_leader_error
   else begin
     let eng = leader_engine t in
-    let rec go n =
-      (* As in [Serve], an attempt first settles what an earlier call
-         left behind: a kill that the serving view's re-pin contained
-         must not fail this op. *)
-      ignore (settle t eng ~since:(Engine.sign_epoch eng));
-      let since = Engine.sign_epoch eng in
-      match run_leader_op eng op with
-      | () ->
-          frame_committed t op;
-          Ok ()
-      | exception exn -> (
-          let err = Serve.error_of_exn ~attempts:n exn in
-          let retry () =
-            if err.Serve.class_ = Serve.Transient && n <= t.config.max_retries
-            then begin
-              Metrics.incr t.metrics "repl.retries";
-              backoff t n;
-              go (n + 1)
-            end
-            else begin
-              Metrics.incr t.metrics "repl.errors";
-              Error err
-            end
-          in
-          match settle t eng ~since with
-          | Engine.Committed ->
+    match
+      retry t (fun n ->
+          (* As in [Serve], an attempt first settles what an earlier
+             call left behind: a kill that the serving view's re-pin
+             contained must not fail this op. *)
+          ignore (settle t eng ~since:(Engine.sign_epoch eng));
+          let since = Engine.sign_epoch eng in
+          match run_leader_op eng op with
+          | () ->
               frame_committed t op;
               Ok ()
-          | Engine.Aborted ->
-              (* The epoch's number is consumed: replicas must consume
-                 it too. *)
-              frame_committed t Engine.Op_noop;
-              retry ()
-          | Engine.Untouched -> retry ())
-    in
-    go 1
+          | exception exn -> (
+              let err = Serve.error_of_exn ~attempts:n exn in
+              match settle t eng ~since with
+              | Engine.Committed ->
+                  frame_committed t op;
+                  Ok ()
+              | Engine.Aborted ->
+                  (* The epoch's number is consumed: replicas must
+                     consume it too. *)
+                  frame_committed t Engine.Op_noop;
+                  Error err
+              | Engine.Untouched -> Error err))
+    with
+    | Ok () as ok -> ok
+    | Error _ as e ->
+        Metrics.incr t.metrics "repl.errors";
+        e
   end
 
 let update t q = apply t (Engine.Op_update q)
@@ -290,7 +277,7 @@ let request_reship t n =
   if n.reships < t.config.max_reship then begin
     n.reships <- n.reships + 1;
     Metrics.incr t.metrics "repl.gap_requests";
-    backoff t n.reships;
+    Serve.backoff t.config.serve t.rng n.reships;
     n.shipped <- n.applied
   end
   else Metrics.incr t.metrics "repl.reship_exhausted"
@@ -328,33 +315,29 @@ let apply_frame t n f =
   | Error _ ->
       Metrics.incr t.metrics "repl.rejected";
       request_reship t n
-  | Ok op ->
-      let rec attempt k =
-        let since = Engine.sign_epoch n.eng in
-        n.inflight <- Some (Frame.epoch f, since);
-        match Engine.apply_replica n.eng op with
-        | () -> finish_applied t n f
-        | exception (Fault.Crash _ as exn) ->
-            (* The node is killed mid-apply: leave [inflight] for
-               [heal] to resolve after the simulated restart.  Until
-               then every read on this node fails closed. *)
-            raise exn
-        | exception exn -> (
-            let err = Serve.error_of_exn ~attempts:k exn in
-            match settle t n.eng ~since with
-            | Engine.Committed -> finish_applied t n f
-            | Engine.Aborted | Engine.Untouched
-              when err.Serve.class_ = Serve.Transient
-                   && k <= t.config.max_retries ->
-                Metrics.incr t.metrics "repl.retries";
-                backoff t k;
-                attempt (k + 1)
-            | Engine.Aborted | Engine.Untouched ->
-                Metrics.incr t.metrics "repl.rejected";
-                n.inflight <- None;
-                request_reship t n)
-      in
-      attempt 1
+  | Ok op -> (
+      match
+        retry t (fun k ->
+            let since = Engine.sign_epoch n.eng in
+            n.inflight <- Some (Frame.epoch f, since);
+            match Engine.apply_replica n.eng op with
+            | () -> Ok ()
+            | exception (Fault.Crash _ as exn) ->
+                (* The node is killed mid-apply: leave [inflight] for
+                   [heal] to resolve after the simulated restart.
+                   Until then every read on this node fails closed. *)
+                raise exn
+            | exception exn -> (
+                let err = Serve.error_of_exn ~attempts:k exn in
+                match settle t n.eng ~since with
+                | Engine.Committed -> Ok ()
+                | Engine.Aborted | Engine.Untouched -> Error err))
+      with
+      | Ok () -> finish_applied t n f
+      | Error _ ->
+          Metrics.incr t.metrics "repl.rejected";
+          n.inflight <- None;
+          request_reship t n)
 
 let deliver t n =
   (* Drain the inbox into the reorder-tolerant stash, integrity-checked

@@ -46,24 +46,24 @@ type config = {
   lag_threshold : int;
       (** Serve follower reads while lag (committed - applied) is at
           most this many epochs; beyond it, blanket-deny. *)
-  max_retries : int;  (** Transient retries per frame apply / leader op. *)
   max_reship : int;
       (** Re-ship requests a follower may make without progress before
           it stops asking ([repl.reship_exhausted]). *)
-  backoff_base_s : float;  (** First retry's maximum jittered backoff. *)
-  backoff_max_s : float;  (** Backoff growth cap. *)
-  sleep : float -> unit;  (** Receives each backoff delay (default no-op). *)
   seed : int64;  (** Seeds transport chaos and backoff jitter. *)
   drop_p : float;  (** Per-frame drop probability. *)
   dup_p : float;  (** Per-frame duplicate probability. *)
   reorder_p : float;  (** Per-frame reorder (swap-newest-two) probability. *)
   torn_p : float;  (** Per-frame torn-payload probability. *)
-  serve : Serve.config;  (** Per-node serving-layer configuration. *)
+  serve : Serve.config;
+      (** Per-node serving-layer configuration.  Its [max_retries],
+          backoff and [sleep] also budget every leader op and frame
+          apply ({!Serve.retry}), with the jitter drawn from [seed]'s
+          generator. *)
 }
 
 val default_config : config
-(** [lag_threshold = 1], 3 retries, 8 re-ships, 5ms/100ms backoff,
-    no-op sleep, seed 1, all chaos probabilities 0. *)
+(** [lag_threshold = 1], 8 re-ships, seed 1, all chaos probabilities
+    0, and [serve] = {!Serve.default_config} with [max_retries = 3]. *)
 
 type t
 

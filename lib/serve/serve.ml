@@ -169,26 +169,40 @@ type reply = {
   attempts : int;
 }
 
-let backoff ~sleep ~base_s ~max_s rng n =
-  let cap = min max_s (base_s *. (2.0 ** float_of_int (n - 1))) in
-  sleep (Prng.float rng (max cap 0.0))
+let backoff config rng n =
+  let cap =
+    min config.backoff_max_s
+      (config.backoff_base_s *. (2.0 ** float_of_int (n - 1)))
+  in
+  config.sleep (Prng.float rng (max cap 0.0))
 
-let pause t n =
-  backoff ~sleep:t.config.sleep ~base_s:t.config.backoff_base_s
-    ~max_s:t.config.backoff_max_s t.rng n
+(* The one retry loop: attempt [n] runs, and a [Transient] error is
+   retried after one jittered pause while [n <= max_retries].  Every
+   other outcome — success, a settled epoch, a fatal error — belongs
+   to the caller. *)
+let rec retry_from config ~rng ~metrics ~counter attempt n =
+  match attempt n with
+  | Error { class_ = Transient; _ } when n <= config.max_retries ->
+      Metrics.incr metrics counter;
+      backoff config rng n;
+      retry_from config ~rng ~metrics ~counter attempt (n + 1)
+  | result -> result
+
+let retry config ~rng ~metrics ~counter attempt =
+  retry_from config ~rng ~metrics ~counter attempt 1
+
+let count_error m err =
+  Metrics.incr m "serve.errors";
+  Metrics.incr m ("serve.errors." ^ error_class_to_string err.class_)
 
 (* Deny-by-default answer from the layer's pinned snapshot.  Sound
    because the snapshot is a frozen committed materialization and
    mutations never commit while degraded; if the epochs disagree
    anyway the snapshot is stale and everything is denied — per role as
    much as for the anonymous subject. *)
-let degraded_decision ?subject ?lane t query =
+let degraded_decision ?subject ?lane t snap query =
   let m = metrics t in
   Metrics.incr m "serve.degraded";
-  (match subject with
-  | Some role -> Metrics.incr m ("serve.degraded." ^ role)
-  | None -> ());
-  let snap = t.snapshot in
   if Snapshot.epoch snap <> Engine.sign_epoch t.eng then begin
     Metrics.incr m "serve.degraded_stale";
     Metrics.incr m Metrics.stale_snapshot_denials;
@@ -196,77 +210,49 @@ let degraded_decision ?subject ?lane t query =
   end
   else Snapshot.request ?subject ?lane snap query
 
-(* Answer from an arbitrary pinned snapshot under the configured
-   deadline, with transient retries — the session read path.  Never
-   consults the engine, the live stores or the breakers: a pinned read
+let read_failed ~served t err =
+  (* A failure while compiling the rewrite lane's plans happens before
+     the store is touched, so — like a parse error — it says nothing
+     about backend health and must not feed the breaker. *)
+  if served = Live && err.site <> "rewrite.compile" then
+    Breaker.record t.breaker ~ok:false;
+  count_error (metrics t) err;
+  Error err
+
+(* The one read path, under the configured deadline with transient
+   retries.  [Live] asks the engine and feeds the breaker; [Degraded]
+   answers from the layer's snapshot [snap] behind the stale check;
+   [Pinned] answers from the caller's [snap] as it is — a pinned read
    cannot block on the writer, and its outcome says nothing about
-   backend health.  [~served] distinguishes the session path (Pinned)
-   from degradation ([degraded_request] below reuses this loop). *)
-let snapshot_request_as ~served ?subject ?lane t snap query =
+   backend health. *)
+let read ~served ?subject ?lane t snap query =
   let m = metrics t in
-  let attempts = ref 0 in
   match
-    Deadline.with_budget ~label:"snapshot"
+    Deadline.with_budget
+      ?label:(if served = Live then Some "request.native" else Some "snapshot")
       ?ticks:t.config.deadline_ticks ?seconds:t.config.deadline_seconds
       (fun () ->
-        let rec go n =
-          attempts := n;
-          try
-            match served with
-            | Degraded -> degraded_decision ?subject ?lane t query
-            | _ -> Snapshot.request ?subject ?lane snap query
-          with Fault.Transient _ when n <= t.config.max_retries ->
-            Metrics.incr m "serve.retries";
-            pause t n;
-            go (n + 1)
-        in
-        go 1)
+        retry t.config ~rng:t.rng ~metrics:m ~counter:"serve.retries"
+          (fun n ->
+            match
+              match served with
+              | Live -> Engine.request ?subject ?lane t.eng Engine.Native query
+              | Degraded -> degraded_decision ?subject ?lane t snap query
+              | Pinned -> Snapshot.request ?subject ?lane snap query
+            with
+            | decision -> Ok { decision; served; attempts = n }
+            | exception exn -> Error (typed_error ~attempts:n exn)))
   with
-  | decision -> Ok { decision; served; attempts = !attempts }
-  | exception exn ->
-      let err = typed_error ~attempts:!attempts exn in
-      Metrics.incr m "serve.errors";
-      Metrics.incr m ("serve.errors." ^ error_class_to_string err.class_);
-      Error err
+  | Ok _ as reply ->
+      if served = Live then Breaker.record t.breaker ~ok:true;
+      reply
+  | Error err -> read_failed ~served t err
+  (* [with_budget] refuses a negative budget before any attempt. *)
+  | exception exn -> read_failed ~served t (typed_error exn)
 
 let snapshot_request ?subject ?lane t snap query =
   Metrics.incr (metrics t) "serve.pinned";
-  snapshot_request_as ~served:Pinned ?subject ?lane t snap query
-
-let degraded_request ?subject ?lane t query =
-  snapshot_request_as ~served:Degraded ?subject ?lane t t.snapshot query
-
-let live_request ?subject ?lane t query =
-  let m = metrics t in
-  let br = t.breaker in
-  let attempts = ref 0 in
-  match
-    Deadline.with_budget ~label:"request.native"
-      ?ticks:t.config.deadline_ticks ?seconds:t.config.deadline_seconds
-      (fun () ->
-        let rec go n =
-          attempts := n;
-          try Engine.request ?subject ?lane t.eng Engine.Native query
-          with Fault.Transient _ when n <= t.config.max_retries ->
-            Metrics.incr m "serve.retries";
-            pause t n;
-            go (n + 1)
-        in
-        go 1)
-  with
-  | decision ->
-      Breaker.record br ~ok:true;
-      Ok { decision; served = Live; attempts = !attempts }
-  | exception exn ->
-      let err = typed_error ~attempts:!attempts exn in
-      (* A failure while compiling the rewrite lane's plans happens
-         before the store is touched, so — like a parse error — it
-         says nothing about backend health and must not feed the
-         breaker. *)
-      if err.site <> "rewrite.compile" then Breaker.record br ~ok:false;
-      Metrics.incr m "serve.errors";
-      Metrics.incr m ("serve.errors." ^ error_class_to_string err.class_);
-      Error err
+  read ~served:Pinned ?subject ?lane t snap query
 
 let known_role t role = Subject.mem (Policy.subjects (Engine.policy t.eng)) role
 
@@ -290,9 +276,12 @@ let request ?subject ?lane t Engine.Native query =
                 (Printf.sprintf "unknown role %S" role)
           | _ -> (
               heal t;
-              match Breaker.admit t.breaker with
-              | `Reject -> degraded_request ?subject ?lane t query
-              | `Admit -> live_request ?subject ?lane t query)))
+              let served =
+                match Breaker.admit t.breaker with
+                | `Reject -> Degraded
+                | `Admit -> Live
+              in
+              read ~served ?subject ?lane t t.snapshot query)))
 
 (* ---------- mutations ---------- *)
 
@@ -323,42 +312,38 @@ let apply_mutation t = function
 
 let run_mutation t mu =
   let m = metrics t in
-  let rec go n =
-    (* A retried attempt may follow a fault that poisoned the
-       registry; clear it before applying again. *)
-    heal t;
-    let since = Engine.sign_epoch t.eng in
-    match
-      Deadline.with_budget ~label:"mutation" ?ticks:t.config.deadline_ticks
-        ?seconds:t.config.deadline_seconds
-        (fun () -> apply_mutation t mu)
-    with
-    | stats ->
-        record t ~ok:true;
-        refresh_snapshot t;
-        Ok (Applied stats)
-    | exception exn -> (
-        let err = typed_error ~attempts:n exn in
-        match settle t ~since with
-        | Engine.Committed ->
-            (* Rolled forward, or the fault came after the commit: the
-               mutation is durable, and retrying would apply it
-               twice. *)
-            Metrics.incr m "serve.recovered_mutations";
-            record t ~ok:false;
-            Ok Recovered
-        | Engine.Aborted | Engine.Untouched
-          when err.class_ = Transient && n <= t.config.max_retries ->
-            Metrics.incr m "serve.retries";
-            pause t n;
-            go (n + 1)
-        | Engine.Aborted | Engine.Untouched ->
-            record t ~ok:false;
-            Metrics.incr m "serve.errors";
-            Metrics.incr m ("serve.errors." ^ error_class_to_string err.class_);
-            Error err)
-  in
-  go 1
+  match
+    retry t.config ~rng:t.rng ~metrics:m ~counter:"serve.retries" (fun n ->
+        (* A retried attempt may follow a fault that poisoned the
+           registry; clear it before applying again. *)
+        heal t;
+        let since = Engine.sign_epoch t.eng in
+        match
+          Deadline.with_budget ~label:"mutation"
+            ?ticks:t.config.deadline_ticks ?seconds:t.config.deadline_seconds
+            (fun () -> apply_mutation t mu)
+        with
+        | stats ->
+            record t ~ok:true;
+            refresh_snapshot t;
+            Ok (Applied stats)
+        | exception exn -> (
+            let err = typed_error ~attempts:n exn in
+            match settle t ~since with
+            | Engine.Committed ->
+                (* Rolled forward, or the fault came after the commit:
+                   the mutation is durable, and retrying would apply it
+                   twice. *)
+                Metrics.incr m "serve.recovered_mutations";
+                record t ~ok:false;
+                Ok Recovered
+            | Engine.Aborted | Engine.Untouched -> Error err))
+  with
+  | Ok _ as outcome -> outcome
+  | Error err ->
+      record t ~ok:false;
+      count_error m err;
+      Error err
 
 let mutate t mu =
   Metrics.time (metrics t) "serve.mutate" (fun () ->

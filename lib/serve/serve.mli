@@ -14,7 +14,7 @@
        can tell a retryable blip from corrupt storage;}
     {- {e retries}: transient faults ({!Xmlac_util.Fault.Transient})
        are retried with jittered exponential backoff, bounded by
-       [max_retries];}
+       [max_retries], by the one loop {!retry};}
     {- {e circuit breaking + fail-closed degradation}: the engine's
        store is guarded by one {!Breaker}; while it is open requests
        are answered
@@ -72,13 +72,6 @@ val error_of_exn : ?attempts:int -> exn -> error
     other resilience layers (replication's ship/apply loops) retry and
     report with the identical taxonomy. *)
 
-val backoff :
-  sleep:(float -> unit) -> base_s:float -> max_s:float ->
-  Xmlac_util.Prng.t -> int -> unit
-(** [sleep]s one jittered delay before retry [n] (1-based): a single
-    draw, uniform below [min max_s (base_s * 2^(n-1))].  Replication's
-    retry loops share it. *)
-
 (** {1 Configuration} *)
 
 type config = {
@@ -102,6 +95,28 @@ type config = {
 val default_config : config
 (** No deadline, [max_retries = 2], base/cap 5ms/100ms, no-op sleep,
     {!Breaker.default_config}, [queue_capacity = 16], seed 1. *)
+
+val backoff : config -> Xmlac_util.Prng.t -> int -> unit
+(** [sleep]s one jittered delay before retry [n] (1-based): a single
+    draw from the generator, uniform below
+    [min backoff_max_s (backoff_base_s * 2^(n-1))]. *)
+
+val retry :
+  config ->
+  rng:Xmlac_util.Prng.t ->
+  metrics:Xmlac_util.Metrics.t ->
+  counter:string ->
+  (int -> ('a, error) result) ->
+  ('a, error) result
+(** The one retry loop of every serving and replication call: runs
+    [attempt n] for [n = 1, 2, …] and retries an [Error] of class
+    [Transient] while [n <= max_retries], counting each retry under
+    [counter] and pausing one {!backoff} drawn from [rng] first.  Any
+    other outcome is returned as it is: the caller keeps what belongs
+    to it — the read paths their breaker feed and stale check, the
+    epoch callers (this layer's mutations, [Replicate]'s leader ops
+    and frame applies) the {!Xmlac_core.Engine.settle}
+    outcome each attempt maps to [Ok] or [Error]. *)
 
 type t
 
@@ -147,11 +162,15 @@ val request :
     counted as [serve.parse_errors], [serve.unknown_roles]) without
     consulting the breaker — they say nothing about backend health.
     The kind argument stays only for [perfbench/]
-    ({!Engine.backend_kind}).  A closed/half-open breaker admits the
-    call: it runs under the
-    configured deadline with transient retries, and its outcome feeds
-    the breaker.  An open breaker rejects it and the reply is served
-    [Degraded] from the layer's pinned snapshot: the decision is
+    ({!Engine.backend_kind}).  Live, degraded and pinned
+    ({!snapshot_request}) calls run one read function: under the
+    configured deadline (site ["request.native"] live, ["snapshot"]
+    otherwise), with transient retries ({!retry}); the modes differ
+    only in the snapshot read, the stale check and whether the
+    outcome feeds the breaker.  A closed/half-open breaker admits the
+    call: it is answered [Live] by {!Engine.request}, and its outcome
+    feeds the breaker.  An open breaker rejects it and the reply is
+    served [Degraded] from the layer's pinned snapshot: the decision is
     {!Xmlac_core.Snapshot.request}'s (each answer checked in rank
     space) when the snapshot still matches the committed epoch, and a
     blanket denial when it does not — degradation never grants what
@@ -180,8 +199,10 @@ val snapshot_request :
   string ->
   (reply, error) result
 (** The session read path: answer [query] from [snap] — typically one
-    the caller pinned with {!Engine.pin_snapshot} — under the
-    configured deadline, with transient retries.  Never consults the
+    the caller pinned with {!Engine.pin_snapshot} — through
+    {!request}'s read function, served [Pinned]: the configured
+    deadline (site ["snapshot"]) and transient retries at the
+    [snapshot.read] fault point.  Never consults the
     engine, the live store or the breaker: full fidelity at the
     snapshot's epoch, zero blocking on the writer, and no staleness
     check — an old pinned snapshot {e is} the version the session

@@ -177,6 +177,30 @@ let test_leader_abort_ships_noop () =
   check_twin_engines "after noop" (Repl.leader_engine t) (Repl.engine t 1)
     sample_queries
 
+(* Retry accounting on both epoch paths.  A transient before the
+   leader's epoch opens is retried into one frame and no noop; one at
+   the follower's apply is retried into one digest-verified apply. *)
+let test_leader_retry () =
+  let t = mk_cluster ~followers:1 () in
+  let m = Repl.metrics t in
+  Fault.arm_transient "epoch.begin" (Fault.After 1);
+  ok "update retried" (Repl.update t "//patient/treatment");
+  Alcotest.(check int) "retry counted" 1 (Metrics.counter m "repl.retries");
+  Alcotest.(check int) "one frame" 1 (Metrics.counter m "repl.framed");
+  Alcotest.(check int) "no noop" 0 (Metrics.counter m "repl.noops")
+
+let test_follower_apply_retry () =
+  let t = mk_cluster ~followers:1 () in
+  let m = Repl.metrics t in
+  ok "update" (Repl.update t "//patient/treatment");
+  Fault.arm_transient "repl.apply" (Fault.After 1);
+  Alcotest.(check bool) "syncs" true (Repl.sync t);
+  Alcotest.(check int) "fired once" 1 (Fault.transient_fires ());
+  Alcotest.(check int) "one apply" 1 (Metrics.counter m "repl.applied");
+  Alcotest.(check int) "retry counted" 1 (Metrics.counter m "repl.retries");
+  Alcotest.(check int) "digest verified" 1
+    (Metrics.counter m "repl.digest_verified")
+
 (* A kill at the reclaim point of the leader's re-pin is contained
    there, after the op committed; the next op settles it first instead
    of failing on it. *)
@@ -691,6 +715,9 @@ let () =
           tc "follower refuses direct mutation"
             test_follower_refuses_direct_mutation;
           tc "leader abort ships a noop epoch" test_leader_abort_ships_noop;
+          tc "a transient leader op retries into one frame" test_leader_retry;
+          tc "a transient follower apply retries into one apply"
+            test_follower_apply_retry;
           tc "a kill in the leader's re-pin does not fail the next op"
             test_leader_repin_kill;
         ] );

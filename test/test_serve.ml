@@ -218,6 +218,65 @@ let test_parse_error_skips_breaker () =
     (Metrics.counter (Engine.metrics (S.engine serve)) "serve.parse_errors")
 
 (* ------------------------------------------------------------------ *)
+(* The pinned read path: retries and timeouts through snapshot_request,
+   none of which may feed the breaker. *)
+
+(* Any outcome recorded against this breaker trips it: the window
+   already holds one failure, and a second outcome reaches [min_calls]
+   at a failure rate of at least one half. *)
+let primed_breaker =
+  { B.window = 2; min_calls = 2; threshold = 0.5; cooldown = 3; probes = 1 }
+
+let pinned_read config query =
+  Fault.reset ();
+  let serve =
+    S.create ~config:{ config with S.breaker = primed_breaker }
+      (annotated_engine ())
+  in
+  B.record (S.breaker serve) ~ok:false;
+  let snap = Engine.pin_snapshot (S.engine serve) in
+  Fault.arm_transient "snapshot.read" (Fault.After 1);
+  let r = S.snapshot_request serve snap query in
+  Fault.reset ();
+  Alcotest.(check int) "the breaker recorded nothing" 0
+    (B.trips (S.breaker serve));
+  (r, Engine.metrics (S.engine serve))
+
+let test_pinned_retry () =
+  let r, m = pinned_read S.default_config "//patient/name" in
+  (match r with
+  | Ok r ->
+      Alcotest.(check bool) "served pinned" true (r.S.served = S.Pinned);
+      Alcotest.(check int) "one retry behind the reply" 2 r.S.attempts
+  | Error e -> Alcotest.failf "retry did not recover: %s" e.S.message);
+  Alcotest.(check int) "retry counted" 1 (Metrics.counter m "serve.retries")
+
+let test_pinned_retry_exhaustion () =
+  let r, _ =
+    pinned_read { S.default_config with S.max_retries = 0 } "//patient/name"
+  in
+  match r with
+  | Ok _ -> Alcotest.fail "no retries budgeted, yet the fault was absorbed"
+  | Error e ->
+      Alcotest.(check bool) "typed transient" true (e.S.class_ = S.Transient);
+      Alcotest.(check string) "site names the fault point" "snapshot.read"
+        e.S.site;
+      Alcotest.(check int) "single attempt" 1 e.S.attempts
+
+let test_pinned_timeout () =
+  let r, _ =
+    pinned_read
+      { S.default_config with S.deadline_ticks = Some 1 }
+      "//patient/name"
+  in
+  match r with
+  | Ok _ -> Alcotest.fail "a one-tick budget granted a multi-node query"
+  | Error e ->
+      Alcotest.(check bool) "classified as timeout" true
+        (e.S.class_ = S.Timeout);
+      Alcotest.(check string) "site names the budget" "snapshot" e.S.site
+
+(* ------------------------------------------------------------------ *)
 (* Degradation: trip the native breaker, serve from the snapshot. *)
 
 (* Errors enough requests to trip the breaker under [tight_breaker]
@@ -579,6 +638,13 @@ let () =
             test_request_retry_exhaustion;
           tc "deadline expiry is a typed timeout" test_request_timeout;
           tc "parse errors bypass the breaker" test_parse_error_skips_breaker;
+        ] );
+      ( "pinned reads",
+        [
+          tc "transient retried behind one pinned reply" test_pinned_retry;
+          tc "retry budget exhausts to a typed error"
+            test_pinned_retry_exhaustion;
+          tc "deadline expiry is a typed timeout" test_pinned_timeout;
         ] );
       ( "degradation",
         [
