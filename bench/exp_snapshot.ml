@@ -19,8 +19,11 @@
    A third table measures carry-forward across structural epochs: per
    mutation kind, how many memoized decisions the snapshot carried
    against how many an exact test would have (the decisions that did
-   not move), and how many carried decisions differ from a direct
-   read — which must be none.
+   not move), how many carried decisions differ from a direct read —
+   which must be none — how many memos the capture examined, and the
+   capture's p50 time.  It runs at two memo sizes, the second about 4x
+   the first, so a capture whose cost follows the table rather than
+   the epoch shows up as a growing time column.
    The bench exits non-zero when any assertion fails, so CI fails
    loudly on a sharing regression or an unsound carry. *)
 
@@ -155,9 +158,13 @@ let pinned_history factor n =
    memo hit is a carried entry, and a pair whose direct read did not
    move is one an exact test would have carried.  [carried <=
    unchanged] is the ceiling; a carried entry that differs from the
-   direct read is a soundness failure. *)
+   direct read is a soundness failure.  [examined] is the capture's
+   [snapshot.cache.examined]; [capture_us] the p50 of its
+   [snapshot.capture] time over [carry_reps] rounds of the same
+   mutation, each after a fresh warm-up. *)
 let carry_factor = 0.1
-let carry_queries = 80
+let carry_sizes = [ 80; 320 ]
+let carry_reps = 5
 
 let carry_policy doc =
   let base = Xmlac_workload.Coverage.policy_for_target ~doc ~target:0.5 in
@@ -222,9 +229,11 @@ type carry_row = {
   carried : int;
   unchanged : int;
   wrong : int;  (* carried entries that differ from the direct read *)
+  examined : int;
+  capture_us : float;
 }
 
-let carry_table () =
+let carry_table n =
   let doc = Bench_common.doc carry_factor in
   let eng =
     Engine.create ~dtd:Xmlac_workload.Xmark.dtd ~policy:(carry_policy doc) doc
@@ -232,7 +241,7 @@ let carry_table () =
   ignore (Engine.annotate eng);
   ignore (Engine.annotate_subjects eng);
   let queries =
-    Xmlac_workload.Queries.response_queries ~n:carry_queries ~seed:20090101L ()
+    Xmlac_workload.Queries.response_queries ~n ~seed:20090101L ()
     |> List.map Xmlac_xpath.Pp.expr_to_string
     |> List.sort_uniq compare
   in
@@ -242,15 +251,33 @@ let carry_table () =
       [ None; Some "r0"; Some "r1" ]
   in
   assert (List.length pairs <= Snapshot.memo_capacity);
-  let hits () = Metrics.counter (Engine.metrics eng) "cache.hits" in
+  let m = Engine.metrics eng in
+  let hits () = Metrics.counter m "cache.hits" in
+  let capture_s () =
+    List.fold_left
+      (fun acc (stage, total, _) -> if stage = "snapshot.capture" then total else acc)
+      0.0 (Metrics.timings m)
+  in
   let direct (subject, q) = Engine.request_direct ?subject eng Engine.Native q in
-  let row mutation apply =
+  let warm () =
     List.iter
       (fun (subject, q) -> ignore (Engine.request ?subject eng Engine.Native q))
-      pairs;
-    let before = List.map direct pairs in
+      pairs
+  in
+  (* The capture time of [apply]'s epoch. *)
+  let timed apply =
+    let t0 = capture_s () in
     apply ();
-    List.fold_left2
+    capture_s () -. t0
+  in
+  let row mutation apply =
+    warm ();
+    let before = List.map direct pairs in
+    let examined = Metrics.counter m "snapshot.cache.examined" in
+    let first = timed apply in
+    let examined = Metrics.counter m "snapshot.cache.examined" - examined in
+    let r =
+      List.fold_left2
       (fun r ((subject, q) as pair) was ->
         let h = hits () in
         let d = Engine.request ?subject eng Engine.Native q in
@@ -262,16 +289,30 @@ let carry_table () =
           unchanged = (r.unchanged + if now = was then 1 else 0);
           wrong = (r.wrong + if hit && d <> now then 1 else 0);
         })
-      { mutation; entries = List.length pairs; carried = 0; unchanged = 0; wrong = 0 }
-      pairs before
+        { mutation; entries = List.length pairs; carried = 0; unchanged = 0;
+          wrong = 0; examined; capture_us = 0.0 }
+        pairs before
+    in
+    (r, first)
   in
+  (* Each kind's insert/delete pair runs [carry_reps] times; the first
+     round fills the row's counts. *)
   List.concat_map
     (fun (kind, at, xml, delete) ->
       let fragment = Xmlac_xml.Xml_parser.parse_exn xml in
-      let inserted =
-        row ("insert " ^ kind) (fun () -> ignore (Engine.insert eng ~at ~fragment))
-      in
-      [ inserted; row ("delete " ^ kind) (fun () -> ignore (Engine.update eng delete)) ])
+      let insert () = ignore (Engine.insert eng ~at ~fragment)
+      and delete () = ignore (Engine.update eng delete) in
+      let ins, t_ins = row ("insert " ^ kind) insert in
+      let del, t_del = row ("delete " ^ kind) delete in
+      let ts_ins = ref [ t_ins ] and ts_del = ref [ t_del ] in
+      for _ = 2 to carry_reps do
+        warm ();
+        ts_ins := timed insert :: !ts_ins;
+        warm ();
+        ts_del := timed delete :: !ts_del
+      done;
+      let p50 ts = pct (Array.of_list ts) 50.0 *. 1e6 in
+      [ { ins with capture_us = p50 !ts_ins }; { del with capture_us = p50 !ts_del } ])
     (carry_mutations doc)
 
 let run (_cfg : Bench_common.config) =
@@ -324,34 +365,46 @@ let run (_cfg : Bench_common.config) =
     (Bench_common.pp_bytes (max cow_bytes 0))
     (Bench_common.pp_bytes full_estimate);
 
-  (* Carry across structural epochs, against the exact ceiling. *)
-  let carry = carry_table () in
-  Printf.printf
-    "\ncarry across structural epochs: factor %s, %d queries x anonymous+2 \
-     roles\n"
-    (Bench_common.pp_factor carry_factor)
-    carry_queries;
-  let ct =
-    Tabular.create
-      ~headers:[ "mutation"; "entries"; "carried"; "unchanged"; "carried/unchanged"; "wrong" ]
-  in
+  (* Carry across structural epochs, against the exact ceiling, at
+     each memo size. *)
   let pct_of a b = if b = 0 then "-" else Printf.sprintf "%.1f%%" (100.0 *. float_of_int a /. float_of_int b) in
-  let total =
-    List.fold_left
-      (fun t r ->
-        { t with entries = t.entries + r.entries; carried = t.carried + r.carried;
-          unchanged = t.unchanged + r.unchanged; wrong = t.wrong + r.wrong })
-      { mutation = "total"; entries = 0; carried = 0; unchanged = 0; wrong = 0 }
-      carry
+  let carries =
+    List.map
+      (fun n ->
+        let carry = carry_table n in
+        let total =
+          List.fold_left
+            (fun t r ->
+              { t with entries = t.entries + r.entries; carried = t.carried + r.carried;
+                unchanged = t.unchanged + r.unchanged; wrong = t.wrong + r.wrong;
+                examined = t.examined + r.examined })
+            { mutation = "total"; entries = 0; carried = 0; unchanged = 0; wrong = 0;
+              examined = 0; capture_us = 0.0 }
+            carry
+        in
+        Printf.printf
+          "\ncarry across structural epochs: factor %s, %d queries x anonymous+2 \
+           roles (%d pairs), memo capacity %d\n"
+          (Bench_common.pp_factor carry_factor)
+          n (List.hd carry).entries Snapshot.memo_capacity;
+        let ct =
+          Tabular.create
+            ~headers:
+              [ "mutation"; "entries"; "carried"; "unchanged"; "carried/unchanged";
+                "wrong"; "examined"; "capture us p50" ]
+        in
+        List.iter
+          (fun r ->
+            Tabular.add_row ct
+              [ r.mutation; string_of_int r.entries; string_of_int r.carried;
+                string_of_int r.unchanged; pct_of r.carried r.unchanged;
+                string_of_int r.wrong; string_of_int r.examined;
+                (if r == total then "-" else Printf.sprintf "%.1f" r.capture_us) ])
+          (carry @ [ total ]);
+        Tabular.print ct;
+        (n, carry, total))
+      carry_sizes
   in
-  List.iter
-    (fun r ->
-      Tabular.add_row ct
-        [ r.mutation; string_of_int r.entries; string_of_int r.carried;
-          string_of_int r.unchanged; pct_of r.carried r.unchanged;
-          string_of_int r.wrong ])
-    (carry @ [ total ]);
-  Tabular.print ct;
 
   (* Machine-readable block for the CI artifact. *)
   print_endline "summary:";
@@ -367,9 +420,14 @@ let run (_cfg : Bench_common.config) =
   Printf.printf
     "  snapshot.pinned: epochs=%d cow_bytes=%d full_estimate_bytes=%d\n"
     pinned_target (max cow_bytes 0) full_estimate;
-  Printf.printf
-    "  snapshot.carry: entries=%d carried=%d unchanged=%d wrong=%d\n"
-    total.entries total.carried total.unchanged total.wrong;
+  List.iter
+    (fun (n, carry, total) ->
+      Printf.printf
+        "  snapshot.carry.q%d: entries=%d carried=%d unchanged=%d wrong=%d \
+         examined=%d capture_p50_us=%.1f\n"
+        n total.entries total.carried total.unchanged total.wrong total.examined
+        (pct (Array.of_list (List.map (fun r -> r.capture_us) carry)) 50.0))
+    carries;
 
   (* Hard assertions: a sharing regression fails the bench run. *)
   let failures = ref [] in
@@ -397,8 +455,15 @@ let run (_cfg : Bench_common.config) =
       if pct cow 50.0 > pct full 50.0 then
         fail "COW publish slower than a deep copy on the largest document"
   | [] -> ());
-  if total.wrong > 0 then
-    fail "%d carried decisions differ from request_direct" total.wrong;
+  List.iter
+    (fun (n, _, total) ->
+      if total.wrong > 0 then
+        fail "%d queries: %d carried decisions differ from request_direct" n
+          total.wrong;
+      if total.carried > total.unchanged then
+        fail "%d queries: %d carried decisions, above the exact ceiling of %d" n
+          total.carried total.unchanged)
+    carries;
   if cow_bytes > full_estimate / 4 then
     fail
       "pinned COW history is not bounded: %d bytes vs %d for deep copies"
@@ -407,7 +472,7 @@ let run (_cfg : Bench_common.config) =
   | [] ->
       print_endline
         "assertions: COW publish sublinear, pinned history bounded, every \
-         carried decision equals request_direct"
+         carried decision equals request_direct, none above the ceiling"
   | fs ->
       List.iter (fun f -> Printf.printf "ASSERTION FAILED: %s\n" f) fs;
       exit 1

@@ -6,30 +6,94 @@ module Metrics = Xmlac_util.Metrics
 module Fault = Xmlac_util.Fault
 module Deadline = Xmlac_util.Deadline
 
-(* A memoized decision.  On the materialized lane it keeps the sorted
-   ids of the query's answers — for a granted decision the very list
-   it grants — because the check reads each answer's own annotation,
-   and carry-forward must show the epoch wrote none of them.  A
-   rewrite-lane entry read no annotation and keeps no answers
-   ([None]).  The query, as text and parsed, feeds the structural
-   carry test; [footprint] keeps its schema footprint once that test
-   computed it.  Only the writer (carry-forward) sets it, and a carried
-   memo takes it along. *)
+module Sg = Xmlac_xml.Schema_graph
+module Smap = Map.Make (String)
+module Imap = Map.Make (Int)
+
+(* A memoized decision.  On the materialized lane it keeps the ids of
+   the query's answers, ascending, because the check reads each
+   answer's own annotation, and carry-forward must show the epoch wrote
+   none of them.  A rewrite-lane entry read no annotation and keeps no
+   answers ([None]).  The query, as text and parsed, feeds the
+   structural carry test.  [stamp] orders eviction and names the memo
+   in its chain's index: stamps only grow along a chain. *)
 type memo = {
+  key : string;
   query : string;
   expr : Ast.expr;
-  answers : int list option;
+  answers : int array option;
   decision : Requester.decision;
-  mutable footprint : Schema_match.footprint option;
+  stamp : int;
 }
 
-let memo_capacity = 256
+let memo_capacity = 1024
 
-(* Footprints of recently memoized queries, by query text: a memo a
-   reader created since the last structural capture finds its query's
-   footprint here when another memo (another subject, or an evicted
-   entry) already computed it.  Emptied when it reaches this size. *)
+(* One snapshot's memo table, as one immutable value: a capture hands
+   its predecessor's table on and removes only what the epoch
+   invalidated, and a pinned snapshot keeps the table it had.  The
+   memos are found by key ([memos]) and by stamp ([order], oldest
+   first: the eviction order).  Those stamped below [indexed] are filed
+   in the chain's index; the rest were remembered since. *)
+type table = {
+  memos : memo Smap.t;
+  order : memo Imap.t;
+  size : int;
+  next : int;
+  indexed : int;
+}
+
+let empty_table next =
+  { memos = Smap.empty; order = Imap.empty; size = 0; next; indexed = next }
+
+let forget tb m =
+  {
+    tb with
+    memos = Smap.remove m.key tb.memos;
+    order = Imap.remove m.stamp tb.order;
+    size = tb.size - 1;
+  }
+
+(* What the snapshots of one continuous chain share, read and written
+   only by [capture], which the single writer runs.
+
+   [footprints] holds the footprints of recently memoized queries, by
+   query text: a memo a reader created since the last capture finds its
+   query's footprint there when another memo (another subject, or a
+   dropped or evicted entry) already computed it.  Emptied when it
+   reaches [footprint_capacity].
+
+   [by_path] is the index of the head table's filed memos: bucket ->
+   stamps.  A bucket is a root path of [schema] (an index into
+   [Schema_graph.root_paths]), holding every filed materialized memo
+   whose query's footprint has that path, or one of
+   [rewrite_bucket] and [unsatisfiable_bucket].  Dropping or evicting
+   a memo leaves its stamps behind; a capture prunes a bucket's stale
+   stamps when it reads the bucket, and every bucket once [filed] (the
+   stamps held) passes [limit]. *)
+type chain = {
+  footprints : (string, Schema_match.footprint) Hashtbl.t;
+  by_path : (int, int list) Hashtbl.t;
+  mutable filed : int;
+  mutable limit : int;
+  mutable schema : Sg.t option;
+}
+
 let footprint_capacity = 8 * memo_capacity
+let rewrite_bucket = -1  (* every rewrite-lane memo *)
+let unsatisfiable_bucket = -2  (* materialized, with an empty footprint *)
+
+let clear_index chain =
+  Hashtbl.reset chain.by_path;
+  chain.filed <- 0
+
+let new_chain () =
+  {
+    footprints = Hashtbl.create 64;
+    by_path = Hashtbl.create 64;
+    filed = 0;
+    limit = 4 * memo_capacity;
+    schema = None;
+  }
 
 (* A snapshot's index slot.  [Handed] holds the index the writer built
    after the epoch's structural write; [Read] one a reader has
@@ -56,22 +120,18 @@ type t = {
   annotated : bool;  (* signs had a committed annotation epoch at capture *)
   bits_annotated : bool;  (* ... and likewise the role bitmaps *)
   policy : Policy.t;
-  memos : (string, memo) Hashtbl.t;
-  order : string Queue.t;
-      (* The memo table, bounded at [memo_capacity] and evicted in
-         insertion order; [order] holds exactly the keys of [memos].
-         The epoch is fixed for the snapshot's lifetime, so entries
-         never go stale.  Guarded by [lock]. *)
-  mutable footprints : (string, Schema_match.footprint) Hashtbl.t;
-      (* Bounded at [footprint_capacity] and handed on to the next
-         snapshot of a continuous chain; only [capture], which the
-         single writer runs, reads or writes it. *)
+  table : table Atomic.t;
+      (* The memo table, bounded at [memo_capacity].  The epoch is
+         fixed for the snapshot's lifetime, so entries never go stale.
+         A hit reads it without a lock; a reader replaces it under
+         [lock]. *)
+  chain : chain;  (* handed on along a continuous chain *)
   metrics : Metrics.t;
   lock : Mutex.t;
-      (* Guards [memos] and [order]; the rest is frozen.
-         The pin count is guarded by the owning registry's lock
-         instead, so pin/publish/reclaim are atomic with respect to
-         each other. *)
+      (* Serializes the readers that add to [table]; the rest is
+         frozen.  The pin count is guarded by the owning registry's
+         lock instead, so pin/publish/reclaim are atomic with respect
+         to each other. *)
   mutable pins : int;
 }
 
@@ -85,14 +145,40 @@ let with_lock lock f =
       Mutex.unlock lock;
       raise e
 
-(* Must run under [t.lock]. *)
-let remember t key m =
-  if not (Hashtbl.mem t.memos key) then begin
-    if Hashtbl.length t.memos >= memo_capacity then
-      Hashtbl.remove t.memos (Queue.take t.order);
-    Queue.add key t.order
-  end;
-  Hashtbl.replace t.memos key m
+(* Must run under [t.lock].  A racing reader that memoized the key
+   first keeps its entry: both computed the same decision. *)
+let remember t m =
+  let tb = Atomic.get t.table in
+  if not (Smap.mem m.key tb.memos) then begin
+    let tb =
+      if tb.size < memo_capacity then tb
+      else forget tb (snd (Imap.min_binding tb.order))
+    in
+    let m = { m with stamp = tb.next } in
+    Atomic.set t.table
+      {
+        tb with
+        memos = Smap.add m.key m tb.memos;
+        order = Imap.add m.stamp m tb.order;
+        size = tb.size + 1;
+        next = tb.next + 1;
+      }
+  end
+
+(* Whether two ascending id arrays share an id: each id of the shorter
+   is binary-searched in the longer. *)
+let share (a : int array) (b : int array) =
+  let small, large =
+    if Array.length a <= Array.length b then (a, b) else (b, a)
+  in
+  let rec mem x lo hi =
+    lo < hi
+    &&
+    let mid = (lo + hi) / 2 in
+    let v = large.(mid) in
+    v = x || if v < x then mem x (mid + 1) hi else mem x lo mid
+  in
+  Array.exists (fun x -> mem x 0 (Array.length large)) small
 
 (* Memoized decisions survive into the next snapshot when the epoch
    provably cannot have moved them.  One rule covers every epoch.  A
@@ -111,122 +197,239 @@ let remember t key m =
    A structural epoch captured without [footprint] (recovery) drops
    every entry.
 
-   All of it is gated on provenance: the captured view must be the
+   The new snapshot starts from its predecessor's table and the carry
+   finds what to remove the way [Depend] finds the rules an update can
+   reach, without visiting the rest.  On the schema's paths every
+   answer of a query sits at a root path of its footprint, so the
+   memos the update's footprint meets are its root paths' buckets,
+   and a written id can only be the answer of a memo in its own root
+   path's bucket, which a binary search on the answers confirms.  The
+   memos remembered since the last capture are not filed yet: they are
+   tested one by one, then filed.  Without [footprint] (the document
+   may be off the schema's paths, or the caller has not said) or when
+   a written node sits off the schema, every memo is tested instead.
+
+   All of it is gated on provenance ([capture] checks it): the
+   captured view must be the
    very next generation of the same tree family as [prev]'s, under
    the same (physically equal) policy — otherwise the tree-level
    change set does not describe the gap between the two snapshots and
    the new snapshot simply starts cold (correct, just slower). *)
 let carry_forward ~prev ~stats ~footprint t =
-  let continuous =
-    Tree.family prev.doc = Tree.family t.doc
-    && stats.Tree.frozen_gen = prev.gen + 1
-    && prev.policy == t.policy
+  let tb = Atomic.get prev.table and chain = t.chain in
+  let structural = stats.Tree.structural and changed = stats.Tree.changed in
+  let query_footprint sg m =
+    match Hashtbl.find_opt chain.footprints m.query with
+    | Some fp -> fp
+    | None ->
+        let fp =
+          Schema_match.footprint sg
+            (Xmlac_xpath.Expand.expand ~schema:sg m.expr)
+        in
+        if Hashtbl.length chain.footprints >= footprint_capacity then
+          Hashtbl.reset chain.footprints;
+        Hashtbl.replace chain.footprints m.query fp;
+        fp
   in
-  if continuous then begin
-    let entries =
-      with_lock prev.lock (fun () ->
-          Queue.fold (fun acc k -> (k, Hashtbl.find prev.memos k) :: acc) []
-            prev.order
-          |> List.rev)
-    in
-    let changed = stats.Tree.changed in
-    let update =
-      match footprint with
-      | Some (sg, exprs) when stats.Tree.structural ->
-          Some (sg, Schema_match.footprint sg exprs)
-      | _ -> None
-    in
-    t.footprints <- prev.footprints;
-    let query_footprint sg m =
-      match m.footprint with
-      | Some fp -> fp
-      | None ->
-          let fp =
-            match Hashtbl.find_opt t.footprints m.query with
-            | Some fp -> fp
-            | None ->
-                let fp =
-                  Schema_match.footprint sg
-                    (Xmlac_xpath.Expand.expand ~schema:sg m.expr)
-                in
-                if Hashtbl.length t.footprints >= footprint_capacity then
-                  Hashtbl.reset t.footprints;
-                Hashtbl.replace t.footprints m.query fp;
-                fp
-          in
-          m.footprint <- Some fp;
-          fp
-    in
-    (* Whether the epoch's structural change provably missed [m]'s
-       answer set. *)
-    let missed m =
-      (not stats.Tree.structural)
-      ||
+  let update =
+    match footprint with
+    | Some (sg, exprs) when structural ->
+        Some (sg, Schema_match.footprint sg exprs)
+    | _ -> None
+  in
+  let dropped = Hashtbl.create 16 in
+  let by_footprint = ref 0 and by_written = ref 0 and examined = ref 0 in
+  let drop counter m =
+    if not (Hashtbl.mem dropped m.stamp) then begin
+      incr counter;
+      Hashtbl.replace dropped m.stamp m
+    end
+  in
+  let meets sg ufp m =
+    let fp = query_footprint sg m in
+    Schema_match.footprint_is_empty fp || Schema_match.footprints_meet fp ufp
+  in
+  (* The rule above, on one memo: drops it, or says it stays.
+     [written m answers] says whether the epoch wrote one of them. *)
+  let test ~written m =
+    incr examined;
+    let why =
       match (m.answers, update) with
-      | None, _ | _, None -> false
-      | Some _, Some (sg, ufp) ->
-          let fp = query_footprint sg m in
-          not
-            (Schema_match.footprint_is_empty fp
-            || Schema_match.footprint_is_empty ufp
-            || Schema_match.footprints_meet fp ufp)
+      | None, _ -> if structural then Some by_footprint else None
+      | Some _, Some (sg, ufp) when meets sg ufp m -> Some by_footprint
+      | Some a, _ -> if written m a then Some by_written else None
     in
-    (* Both lists ascend, so one merge shows whether they share an
-       id. *)
-    let rec disjoint (a : int list) (b : int list) =
-      match (a, b) with
-      | [], _ | _, [] -> true
-      | x :: a', y :: b' ->
-          if x < y then disjoint a' b
-          else if y < x then disjoint a b'
-          else false
-    in
-    let clean m =
-      match m.answers with
+    Option.iter (fun counter -> drop counter m) why;
+    why = None
+  in
+  (* The written ids that were in [prev]'s view (a birth is in no
+     answer), grouped by root path as ascending arrays; [None] when one
+     sits off the schema. *)
+  let groups sg =
+    let g = Hashtbl.create 16 in
+    let on_schema id =
+      match Tree.find prev.doc id with
       | None -> true
-      | Some answers -> disjoint answers changed
+      | Some n -> (
+          match Sg.path_index sg n with
+          | None -> false
+          | Some p ->
+              Hashtbl.replace g p
+                (id :: Option.value (Hashtbl.find_opt g p) ~default:[]);
+              true)
     in
-    let carried = ref 0 and by_footprint = ref 0 and by_written = ref 0 in
-    let kept =
-      List.filter_map
-        (fun (key, m) ->
-          if not (missed m) then begin
-            incr by_footprint;
-            None
-          end
-          else if clean m then begin
-            incr carried;
-            Some (key, m)
-          end
-          else begin
-            incr by_written;
-            None
-          end)
-        entries
+    if List.for_all on_schema changed then
+      Some
+        (Hashtbl.fold
+           (fun p ids acc -> Imap.add p (Array.of_list (List.rev ids)) acc)
+           g Imap.empty)
+    else None
+  in
+  (* A bucket's memos in [tb], its stale stamps pruned. *)
+  let bucket tb p =
+    let stamps = Option.value (Hashtbl.find_opt chain.by_path p) ~default:[] in
+    let ms = List.filter_map (fun s -> Imap.find_opt s tb.order) stamps in
+    let stale = List.length stamps - List.length ms in
+    if stale > 0 then begin
+      chain.filed <- chain.filed - stale;
+      if ms = [] then Hashtbl.remove chain.by_path p
+      else Hashtbl.replace chain.by_path p (List.map (fun m -> m.stamp) ms)
+    end;
+    ms
+  in
+  (* The memos the index names, each visited once, then those not filed
+     yet, which are filed when they stay. *)
+  let indexed sg groups =
+    let tb =
+      match chain.schema with
+      | Some s when s == sg -> tb
+      | _ ->
+          clear_index chain;
+          chain.schema <- Some sg;
+          { tb with indexed = 0 }
     in
-    with_lock t.lock (fun () -> List.iter (fun (key, m) -> remember t key m) kept);
-    let count name n = if n > 0 then Metrics.add t.metrics name n in
-    count "snapshot.cache.carried" !carried;
-    count "snapshot.cache.dropped.footprint" !by_footprint;
-    count "snapshot.cache.dropped.written" !by_written
-  end
+    let seen = Hashtbl.create 16 in
+    let visit f m =
+      if not (Hashtbl.mem dropped m.stamp) then begin
+        if not (Hashtbl.mem seen m.stamp) then begin
+          Hashtbl.replace seen m.stamp ();
+          incr examined
+        end;
+        f m
+      end
+    in
+    Option.iter
+      (fun (_, ufp) ->
+        List.iter
+          (fun p -> List.iter (visit (drop by_footprint)) (bucket tb p))
+          (rewrite_bucket :: unsatisfiable_bucket
+          :: Array.to_list (Schema_match.footprint_paths ufp)))
+      update;
+    Imap.iter
+      (fun p ids ->
+        List.iter
+          (visit (fun m ->
+               match m.answers with
+               | Some a when share a ids -> drop by_written m
+               | _ -> ()))
+          (bucket tb p))
+      groups;
+    let paths m = Schema_match.footprint_paths (query_footprint sg m) in
+    (* Only the written ids on the memo's own root paths can be its
+       answers. *)
+    let written m a =
+      Array.exists
+        (fun p ->
+          match Imap.find_opt p groups with
+          | Some ids -> share a ids
+          | None -> false)
+        (paths m)
+    in
+    Seq.iter
+      (fun (_, m) ->
+        if test ~written m then begin
+          let paths =
+            match m.answers with
+            | None -> [| rewrite_bucket |]
+            | Some _ -> (
+                match paths m with
+                | [||] -> [| unsatisfiable_bucket |]
+                | paths -> paths)
+          in
+          Array.iter
+            (fun p ->
+              let stamps = Hashtbl.find_opt chain.by_path p in
+              Hashtbl.replace chain.by_path p
+                (m.stamp :: Option.value stamps ~default:[]))
+            paths;
+          chain.filed <- chain.filed + Array.length paths
+        end)
+      (Imap.to_seq_from tb.indexed tb.order);
+    { tb with indexed = tb.next }
+  in
+  let drops_all =
+    structural
+    && Option.fold update ~none:true ~some:(fun (_, ufp) ->
+           Schema_match.footprint_is_empty ufp)
+  in
+  let kept =
+    if (not structural) && changed = [] then tb
+    else if drops_all then begin
+      by_footprint := tb.size;
+      clear_index chain;
+      empty_table tb.next
+    end
+    else
+      let kept =
+        match
+          Option.bind footprint (fun (sg, _) ->
+              Option.map (indexed sg) (groups sg))
+        with
+        | Some kept -> kept
+        | None ->
+            let all = Array.of_list changed in
+            Imap.iter
+              (fun _ m -> ignore (test ~written:(fun _ a -> share a all) m))
+              tb.order;
+            tb
+      in
+      Hashtbl.fold (fun _ m tb -> forget tb m) dropped kept
+  in
+  if chain.filed > chain.limit then begin
+    Hashtbl.fold (fun p _ acc -> p :: acc) chain.by_path []
+    |> List.iter (fun p -> ignore (bucket kept p));
+    chain.limit <- max (2 * chain.filed) (4 * memo_capacity)
+  end;
+  Atomic.set t.table kept;
+  let count name n = if n > 0 then Metrics.add t.metrics name n in
+  count "snapshot.cache.carried" kept.size;
+  count "snapshot.cache.examined" !examined;
+  count "snapshot.cache.dropped.footprint" !by_footprint;
+  count "snapshot.cache.dropped.written" !by_written
 
 let capture ?(annotated = true) ?(bits_annotated = true) ?prev ?footprint
     ?index ?cam:_ ~epoch ~policy ~metrics doc =
+  Metrics.time metrics "snapshot.capture" @@ fun () ->
   let view, stats = Tree.freeze doc in
   Metrics.incr metrics "snapshot.captures";
+  (* Whether the view is the very next generation of [p]'s tree. *)
+  let follows p =
+    Tree.family p.doc = Tree.family view && stats.Tree.frozen_gen = p.gen + 1
+  in
   let index =
     match (index, prev) with
     | Some i, _ when Index.describes i view -> Atomic.make (Handed i)
     (* A sign-only epoch leaves the encoding where it was, so the next
        view takes over its predecessor's index slot, built or not. *)
-    | _, Some p
-      when Tree.family p.doc = Tree.family view
-           && stats.Tree.frozen_gen = p.gen + 1
-           && not stats.Tree.structural ->
+    | _, Some p when follows p && not stats.Tree.structural ->
         Metrics.incr metrics "snapshot.index_shared";
         p.index
     | _ -> Atomic.make Unbuilt
+  in
+  let carry =
+    match prev with
+    | Some p when follows p && p.policy == policy -> Some p
+    | _ -> None
   in
   let t =
     {
@@ -238,17 +441,14 @@ let capture ?(annotated = true) ?(bits_annotated = true) ?prev ?footprint
       annotated;
       bits_annotated;
       policy;
-      memos = Hashtbl.create 64;
-      order = Queue.create ();
-      footprints = Hashtbl.create 64;
+      table = Atomic.make (empty_table 0);
+      chain = (match carry with Some p -> p.chain | None -> new_chain ());
       metrics;
       lock = Mutex.create ();
       pins = 0;
     }
   in
-  (match prev with
-  | Some p -> carry_forward ~prev:p ~stats ~footprint t
-  | None -> ());
+  Option.iter (fun prev -> carry_forward ~prev ~stats ~footprint t) carry;
   t
 
 let epoch t = t.epoch
@@ -275,7 +475,7 @@ let read_index t =
 let annotated t = t.annotated
 let bits_annotated t = t.bits_annotated
 let pins t = t.pins
-let cached_decisions t = with_lock t.lock (fun () -> Hashtbl.length t.memos)
+let cached_decisions t = (Atomic.get t.table).size
 
 let resolve_lane ?subject ?(lane = Rewrite.Auto) t =
   match lane with
@@ -344,10 +544,10 @@ let materialized_decision ?subject t expr =
   let idx = index t in
   let ranks = Index.eval idx expr in
   Metrics.add t.metrics "snapshot.answers_checked" (Array.length ranks);
-  let answers = Array.to_list (Index.ids idx ranks) in
+  let answers = Index.ids idx ranks in
   let d =
     match Requester.count_blocked ranks ~accessible with
-    | 0 -> Requester.Granted answers
+    | 0 -> Requester.Granted (Array.to_list answers)
     | blocked -> Requester.Denied { blocked }
   in
   (Some answers, d)
@@ -380,7 +580,7 @@ let request ?subject ?lane ?(live = false) t query =
     if live then ("cache.hits", "cache.misses", "native.eval")
     else ("snapshot.cache.hits", "snapshot.cache.misses", "snapshot.read")
   in
-  match with_lock t.lock (fun () -> Hashtbl.find_opt t.memos key) with
+  match Smap.find_opt key (Atomic.get t.table).memos with
   | Some m ->
       Metrics.incr t.metrics hits;
       m.decision
@@ -400,8 +600,10 @@ let request ?subject ?lane ?(live = false) t query =
             Metrics.incr t.metrics "lane.materialized";
             materialized_decision ?subject t expr
       in
-      let m = { query; expr; answers; decision; footprint = None } in
-      with_lock t.lock (fun () -> remember t key m);
+      let m =
+        { key; query; expr; answers; decision; stamp = 0 }
+      in
+      with_lock t.lock (fun () -> remember t m);
       decision
 
 (* --- registry ------------------------------------------------------ *)

@@ -35,7 +35,7 @@
     structural epoch, the paper's §5.3 schema
     test (the one the [Overlap] trigger applies to rules) shows the
     update missed the query.  Publish cost is therefore O(nodes
-    changed in the epoch) plus one pass over the bounded memo, not
+    changed in the epoch) plus the memos the epoch invalidates, not
     O(document), and a thousand pinned epochs of a large document cost
     little more than one copy plus the sum of their change sets.  No
     registry bookkeeping tracks what is shared: the OCaml GC frees a
@@ -64,7 +64,8 @@
     A snapshot is safe to share across OCaml domains: the document
     view is frozen at capture, the index and the record array are each
     published once through an atomic slot and read-only after, and the
-    memo is guarded by a private mutex.
+    memo is an immutable value in an atomic slot: a hit reads it
+    without a lock, a miss replaces it under a private mutex.
     Registry operations cross the fault points
     [snapshot.publish] (before the new snapshot is installed) and
     [snapshot.reclaim] (after an old snapshot is dropped), so the
@@ -93,13 +94,16 @@ val capture :
     only because [perfbench/] passes one.
 
     [prev] (normally the registry's current snapshot) enables
-    carry-forward.  [footprint] is the structural epoch's update, as
-    the trigger saw it: the schema and the expressions locating the
-    nodes the epoch inserted or deleted (the grafted roots and their
-    descendants for an insert, the deleted roots for a delete).  Only
-    a caller that knows the document lies on the schema's paths
-    ({!Xmlac_xml.Schema_graph.covers}) may pass it.  A memoized
-    materialized-lane decision migrates into the new snapshot when
+    carry-forward.  [footprint] is the schema the document lies on,
+    with the structural epoch's update as the trigger saw it: the
+    expressions locating the nodes the epoch inserted or deleted (the
+    grafted roots and their descendants for an insert, the deleted
+    roots for a delete), or [[]] for an epoch that only wrote signs or
+    bitmaps.  Only a caller that knows every node of the document has
+    sat on the schema's paths ({!Xmlac_xml.Schema_graph.covers}) since
+    the memos it carries were made may pass it, always with the same
+    schema.  A memoized materialized-lane decision migrates into the
+    new snapshot when
 
     {ul
     {- the epoch is non-structural, or its query's footprint (the root
@@ -114,9 +118,21 @@ val capture :
     decision.  Carry is
     gated on provenance (same tree family, exactly the
     next generation, physically equal policy) and silently skipped
-    otherwise.  A memo keeps its query's schema footprint once carry
-    has computed it, so a carried decision is never footprinted
-    twice.
+    otherwise.
+
+    The new snapshot starts from [prev]'s memo as it is and removes
+    only what it drops; a memo either snapshot's readers add later is
+    its own.  With [footprint], the carry finds what to drop through
+    an index of the memos by root path that the snapshots of one chain
+    share: the memos whose footprint meets the update's, and those on
+    the root path of a written node (its label path in [prev]'s view,
+    {!Xmlac_xml.Schema_graph.path_index}), each confirmed by a binary
+    search of its answers.  The memos made since the last capture are
+    tested directly and then filed.  So a capture visits what the
+    epoch invalidates plus the memos made since the last capture, not
+    the whole memo.  Without [footprint], or when a written node is off
+    the schema, every memo is tested; an epoch that wrote nothing hands
+    the memo on untouched.
 
     [index], when it {!Xmlac_xpath.Index.describes} the captured view
     (same family, no structural write since it was built), becomes
@@ -137,10 +153,12 @@ val capture :
     of its default signs.  [metrics] receives the snapshot's
     lifetime counters ([snapshot.captures], [snapshot.cache.*],
     [snapshot.index_builds], [snapshot.index_shared],
-    [snapshot.record_builds], and those {!request} counts).  Carry
-    counts once per capture: [snapshot.cache.carried],
-    [snapshot.cache.dropped.footprint] (the structural test failed, or
-    a rewrite-lane entry met a structural epoch) and
+    [snapshot.record_builds], and those {!request} counts) and times
+    every capture as the [snapshot.capture] stage.  Carry counts once
+    per capture: [snapshot.cache.carried] (the entries the new
+    snapshot holds), [snapshot.cache.examined] (the entries the carry
+    visited), [snapshot.cache.dropped.footprint] (the structural test
+    failed, or a rewrite-lane entry met a structural epoch) and
     [snapshot.cache.dropped.written] (an answer was written).
 
     A capture of a fresh {!Xmlac_xml.Tree.copy} with no [prev] shares
@@ -207,8 +225,8 @@ val pins : t -> int
 (** Current pin count (readers holding this snapshot). *)
 
 val memo_capacity : int
-(** The bound on a snapshot's memo (256); the oldest entry is evicted
-    first. *)
+(** The bound on a snapshot's memo (1,024); the oldest entry is
+    evicted first. *)
 
 val cached_decisions : t -> int
 (** Memoized decisions currently held (carried entries included). *)

@@ -202,7 +202,6 @@ let count_error m err =
    much as for the anonymous subject. *)
 let degraded_decision ?subject ?lane t snap query =
   let m = metrics t in
-  Metrics.incr m "serve.degraded";
   if Snapshot.epoch snap <> Engine.sign_epoch t.eng then begin
     Metrics.incr m "serve.degraded_stale";
     Metrics.incr m Metrics.stale_snapshot_denials;
@@ -227,6 +226,8 @@ let read_failed ~served t err =
    backend health. *)
 let read ~served ?subject ?lane t snap query =
   let m = metrics t in
+  (* Once per request, not per attempt. *)
+  if served = Degraded then Metrics.incr m "serve.degraded";
   match
     Deadline.with_budget
       ?label:(if served = Live then Some "request.native" else Some "snapshot")

@@ -6,6 +6,7 @@ type t = {
   reach : (string, SS.t) Hashtbl.t; (* proper descendants per type *)
   recursive : bool;
   paths : string list list;  (* [root_paths]; empty on a recursive DTD *)
+  path_ids : (string list, int) Hashtbl.t;  (* a path's index in [paths] *)
 }
 
 let compute_parents dtd =
@@ -72,7 +73,9 @@ let build dtd =
   (* Enumerated once: the trigger and the snapshot footprints match
      against them on every mutation. *)
   let paths = if recursive then [] else enumerate_paths dtd in
-  { dtd; parents; reach; recursive; paths }
+  let path_ids = Hashtbl.create 64 in
+  List.iteri (fun i path -> Hashtbl.replace path_ids path i) paths;
+  { dtd; parents; reach; recursive; paths; path_ids }
 
 let dtd t = t.dtd
 let is_recursive t = t.recursive
@@ -92,6 +95,8 @@ let require_non_recursive t who =
 let root_paths t =
   require_non_recursive t "Schema_graph.root_paths";
   t.paths
+
+let path_index t n = Hashtbl.find_opt t.path_ids (Tree.label_path n)
 
 (* Every edge on a node's root path is a DTD edge exactly when its
    label path is a root path; below [n] it suffices to check each

@@ -32,6 +32,11 @@ val root_paths : t -> string list list
     Enumerated once, at {!build}; the order is fixed, so an index into
     the list names a path. *)
 
+val path_index : t -> Tree.node -> int option
+(** The index in {!root_paths} of the node's label path
+    ({!Tree.label_path}); [None] when the node sits off the schema's
+    paths, or the DTD is recursive. *)
+
 val covers : t -> Tree.node -> bool
 (** [covers t n]: given that [n]'s parent (if any) sits at a label
     path of {!root_paths}, whether every node of [n]'s subtree does

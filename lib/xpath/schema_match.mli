@@ -50,5 +50,9 @@ val footprint : Xmlac_xml.Schema_graph.t -> Ast.expr list -> footprint
 
 val footprint_is_empty : footprint -> bool
 
+val footprint_paths : footprint -> int array
+(** The footprint's root paths, as ascending indices into
+    [Schema_graph.root_paths]: a fresh array. *)
+
 val footprints_meet : footprint -> footprint -> bool
 (** Whether the two share a root path. *)

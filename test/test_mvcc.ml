@@ -602,6 +602,141 @@ let test_carry_across_structural_epoch () =
   Alcotest.(check bool) "the drop was counted" true
     (Metrics.counter m "snapshot.cache.dropped.footprint" > dropped)
 
+(* Consecutive snapshots share the memo table by value: a memo a
+   reader makes on a retired, pinned snapshot never answers the newer
+   snapshot, and a memo made on the newer one never answers the pinned
+   one.  Each query's decision moves with the epoch (deleting every
+   treatment), and each snapshot must answer what a direct read gave at
+   its own epoch: [q0] is memoized on the old snapshot before the
+   epoch, [q1] on it after the epoch retired it, [q2] on the new
+   snapshot first. *)
+let test_memo_isolated_across_epochs () =
+  Fault.reset ();
+  let eng = annotated_engine () in
+  let q0 = "//treatment" and q1 = "//med" and q2 = "//patient[treatment]/psn" in
+  let direct q = Engine.request_direct eng Engine.Native q in
+  let pre = List.map direct [ q0; q1; q2 ] in
+  let s0 = Engine.pin_snapshot eng in
+  ignore (Snapshot.request s0 q0);
+  ignore (Engine.update eng probe_update);
+  let post = List.map direct [ q0; q1; q2 ] in
+  List.iter2
+    (fun a b ->
+      Alcotest.(check bool) "the epoch moves every decision" true (a <> b))
+    pre post;
+  let s1 = Engine.current_snapshot eng in
+  let at snap q = Snapshot.request snap q in
+  let check what expected got =
+    Alcotest.(check bool) what true (expected = got)
+  in
+  check "q1 on the retired snapshot" (List.nth pre 1) (at s0 q1);
+  check "q0 on the new snapshot" (List.nth post 0) (at s1 q0);
+  check "q1 on the new snapshot" (List.nth post 1) (at s1 q1);
+  check "q2 on the new snapshot" (List.nth post 2) (at s1 q2);
+  check "q2 on the retired snapshot" (List.nth pre 2) (at s0 q2);
+  check "q0 on the retired snapshot" (List.nth pre 0) (at s0 q0);
+  Engine.unpin_snapshot eng s0
+
+(* Carry costs what the epoch invalidates, counted rather than timed.
+   About a thousand memos are made on a private copy of an annotated
+   engine's document; the first capture after they were made tests
+   and files each of them (a write no memo answers).  Then one epoch
+   runs, [epoch doc], which must drop exactly the [k] memos of
+   [invalidated] and visit [k + neighbours] memos
+   ([snapshot.cache.examined]): the [neighbours] are kept memos that
+   share a written node's root path, which a search of their answers
+   clears.  On the next snapshot every other memo hits ([kept] and the
+   patient lookups that fill the table), and each dropped one misses
+   once and answers what a fresh capture answers. *)
+let proportional_carry ~invalidated ~kept ~neighbours ~epoch =
+  Fault.reset ();
+  let eng = annotated_engine () in
+  let sg = Engine.schema_graph eng and policy = Engine.policy eng in
+  let metrics = Metrics.create () in
+  let count name = Metrics.counter metrics name in
+  let doc = Tree.copy (Engine.document eng) in
+  let prev = ref None in
+  let publish exprs =
+    let s =
+      Snapshot.capture ?prev:!prev ~footprint:(sg, exprs) ~epoch:0 ~policy
+        ~metrics doc
+    in
+    prev := Some s;
+    s
+  in
+  let k = List.length invalidated in
+  let fillers =
+    List.init
+      (1000 - k - List.length kept)
+      (Printf.sprintf "//patient[psn = \"%03d\"]")
+  in
+  let queries = invalidated @ kept @ fillers in
+  let s0 = publish [] in
+  List.iter (fun q -> ignore (Snapshot.request s0 q)) queries;
+  flip_sign doc (find_named doc "dept");
+  let s1 = publish [] in
+  Alcotest.(check int) "every memo carried over an unanswered write"
+    (List.length queries) (Snapshot.cached_decisions s1);
+  let examined = count "snapshot.cache.examined"
+  and dropped () =
+    count "snapshot.cache.dropped.footprint"
+    + count "snapshot.cache.dropped.written"
+  in
+  let dropped0 = dropped () in
+  let s2 = publish (epoch doc) in
+  Alcotest.(check int) "exactly the invalidated memos dropped" k
+    (dropped () - dropped0);
+  Alcotest.(check int) "the capture examined only those and their neighbours"
+    (k + neighbours)
+    (count "snapshot.cache.examined" - examined);
+  let misses = count "snapshot.cache.misses" in
+  let fresh =
+    Snapshot.capture ~epoch:0 ~policy ~metrics:(Metrics.create ())
+      (Tree.copy doc)
+  in
+  List.iter
+    (fun q ->
+      Alcotest.(check bool) ("carried or recomputed: " ^ q) true
+        (Snapshot.request s2 q = Snapshot.request fresh q))
+    queries;
+  Alcotest.(check int) "only the dropped memos missed" k
+    (count "snapshot.cache.misses" - misses)
+
+(* One sign write to a patient name: the five memos answering it go;
+   another patient's name (on the same root path, so examined) and the
+   patient lookups stay. *)
+let test_carry_proportional_sign_write () =
+  let invalidated =
+    [ "//patient/name"; "//name"; "/hospital//patient/name";
+      "//patient[psn]/name"; "//dept/patients/patient/name" ]
+  in
+  proportional_carry ~invalidated
+    ~kept:[ "//patient[psn = \"042\"]/name"; "//patient/psn" ]
+    ~neighbours:1
+    ~epoch:(fun doc ->
+      let name = List.hd (Helpers.ids doc "//patient/name") in
+      List.iter
+        (fun q ->
+          Alcotest.(check bool) (q ^ " answers the written name") true
+            (List.mem name (Helpers.ids doc q)))
+        invalidated;
+      flip_sign doc (Option.get (Tree.find doc name));
+      [])
+
+(* Deleting one treatment: its footprint meets the two treatment
+   lookups, and the deleted [regular] and [med] are answers of two
+   more; [//experimental], on the other patient, stays with the
+   patient lookups. *)
+let test_carry_proportional_structural () =
+  let deleted = "//patient[psn = \"033\"]/treatment" in
+  proportional_carry
+    ~invalidated:[ "//treatment"; "//patient/treatment"; "//regular"; "//med" ]
+    ~kept:[ "//experimental"; "//patient/name" ] ~neighbours:0
+    ~epoch:(fun doc ->
+      let id = List.hd (Helpers.ids doc deleted) in
+      Tree.delete doc (Option.get (Tree.find doc id));
+      [ Xmlac_xpath.Parser.parse_exn deleted ])
+
 (* Every carried decision equals a fresh read.  Memos for the
    anonymous subject and two roles are warmed from a query pool, then a
    random chain of updates, inserts and re-annotations runs; after each
@@ -1130,6 +1265,12 @@ let () =
             test_carry_across_unrelated_write;
           tc "carry across a structural epoch"
             test_carry_across_structural_epoch;
+          tc "memo never answers across epochs"
+            test_memo_isolated_across_epochs;
+          tc "carry in proportion to a sign write"
+            test_carry_proportional_sign_write;
+          tc "carry in proportion to a structural update"
+            test_carry_proportional_structural;
         ] );
       ( "index",
         [

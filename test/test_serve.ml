@@ -332,6 +332,30 @@ let test_degraded_fail_closed () =
     (Metrics.counter (Engine.metrics eng) "serve.degraded_stale" >= 1);
   Fault.reset ()
 
+(* [serve.degraded] counts degraded requests: a degraded read whose
+   snapshot miss hits one transient and succeeds on the retry is one
+   request, answered after two attempts. *)
+let test_degraded_counted_once () =
+  Fault.reset ();
+  let config = { S.default_config with S.breaker = tight_breaker } in
+  let serve = S.create ~config (annotated_engine ()) in
+  let m = Engine.metrics (S.engine serve) in
+  for _ = 1 to tight_breaker.B.min_calls do
+    B.record (S.breaker serve) ~ok:false
+  done;
+  Alcotest.(check bool) "breaker tripped" true
+    (B.state (S.breaker serve) = B.Open);
+  let before = Metrics.counter m "serve.degraded" in
+  Fault.arm_transient "snapshot.read" (Fault.After 1);
+  (match S.request serve Engine.Native "//nurse" with
+  | Ok r ->
+      Alcotest.(check bool) "served degraded" true (r.S.served = S.Degraded);
+      Alcotest.(check int) "one retry behind the reply" 2 r.S.attempts
+  | Error e -> Alcotest.failf "degraded request errored: %s" e.S.message);
+  Fault.reset ();
+  Alcotest.(check int) "counted once" 1
+    (Metrics.counter m "serve.degraded" - before)
+
 let test_degraded_recovers_liveness () =
   Fault.reset ();
   let config =
@@ -651,6 +675,7 @@ let () =
           tc "fail-closed snapshot answers" test_degraded_fail_closed;
           tc "breaker re-closes after faults stop"
             test_degraded_recovers_liveness;
+          tc "a degraded request counts once" test_degraded_counted_once;
         ] );
       ( "mutations",
         [
