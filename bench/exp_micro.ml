@@ -15,7 +15,11 @@
    A second table times one memo-hit read on the hospital fixture
    through Snapshot.request, Serve.request (live) and
    Serve.snapshot_request (pinned) — the serving layer's fixed
-   per-call cost — in ns and minor words per call. *)
+   per-call cost — in ns and minor words per call.  A third times the
+   state digest after a committed epoch on XMark f=0.1 under a
+   sign-only coverage policy: Engine.state_checksum, carried along the
+   snapshot chain, next to the full fold it replaces
+   (Snapshot.fold_digest); the run exits 1 if the two differ. *)
 
 open Bechamel
 open Toolkit
@@ -80,9 +84,36 @@ let make_tests () =
              (Trigger.run ~schema:Bench_common.schema_graph depend ~update)));
   ]
 
-(* Counted with [Gc.minor_words] around a plain loop: OCaml 5's
-   [Gc.quick_stat], which Bechamel's allocation instance reads, only
-   advances at minor collections. *)
+(* One row: [name], then ns and minor words per call of [f] over
+   [calls] calls.  Counted with [Gc.minor_words] around a plain loop:
+   OCaml 5's [Gc.quick_stat], which Bechamel's allocation instance
+   reads, only advances at minor collections. *)
+let row ?(calls = 200_000) name f =
+  (* The first call fills any memo; every timed call hits it. *)
+  ignore (Sys.opaque_identity (f ()));
+  let words = Gc.minor_words () in
+  let (), elapsed =
+    Xmlac_util.Timing.time (fun () ->
+        for _ = 1 to calls do
+          ignore (Sys.opaque_identity (f ()))
+        done)
+  in
+  let per = float_of_int calls in
+  [
+    name;
+    Printf.sprintf "%.1f" (elapsed /. per *. 1e9);
+    Printf.sprintf "%.1f" ((Gc.minor_words () -. words) /. per);
+  ]
+
+let print_rows header rows =
+  let table =
+    Xmlac_util.Tabular.create
+      ~headers:[ header; "ns/call"; "minor words/call" ]
+  in
+  Xmlac_util.Tabular.set_align table Xmlac_util.Tabular.[ Left; Right; Right ];
+  List.iter (Xmlac_util.Tabular.add_row table) rows;
+  Xmlac_util.Tabular.print table
+
 let read_rows () =
   let module W = Xmlac_workload in
   let module S = Xmlac_serve.Serve in
@@ -94,38 +125,39 @@ let read_rows () =
   let serve = S.create eng in
   let snap = Engine.current_snapshot eng in
   let q = "//patient/name" in
-  let calls = 200_000 in
-  let row name f =
-    (* The first call fills the memo; every timed call hits it. *)
-    ignore (Sys.opaque_identity (f ()));
-    let words = Gc.minor_words () in
-    let (), elapsed =
-      Xmlac_util.Timing.time (fun () ->
-          for _ = 1 to calls do
-            ignore (Sys.opaque_identity (f ()))
-          done)
-    in
-    let per = float_of_int calls in
-    [
-      name;
-      Printf.sprintf "%.1f" (elapsed /. per *. 1e9);
-      Printf.sprintf "%.1f" ((Gc.minor_words () -. words) /. per);
-    ]
-  in
-  let table =
-    Xmlac_util.Tabular.create
-      ~headers:[ "memo-hit read"; "ns/call"; "minor words/call" ]
-  in
-  Xmlac_util.Tabular.set_align table Xmlac_util.Tabular.[ Left; Right; Right ];
-  List.iter
-    (Xmlac_util.Tabular.add_row table)
+  print_rows "memo-hit read"
     [
       row "Snapshot.request" (fun () -> Snapshot.request snap q);
       row "Serve.request (live)" (fun () -> S.request serve Engine.Native q);
       row "Serve.snapshot_request (pinned)" (fun () ->
           S.snapshot_request serve snap q);
+    ]
+
+let digest_rows () =
+  let factor = 0.1 in
+  let eng =
+    Engine.create ~dtd:Xmlac_workload.Xmark.dtd
+      ~policy:(Bench_common.mid_coverage_policy factor)
+      (Bench_common.doc factor)
+  in
+  ignore (Engine.annotate eng);
+  let update = List.hd (Xmlac_workload.Queries.delete_updates ~n:1 ()) in
+  ignore (Engine.update eng (Xmlac_xpath.Pp.expr_to_string update));
+  let policy = Engine.policy eng and doc = Engine.document eng in
+  print_rows
+    (Printf.sprintf "state digest, %d nodes" (Tree.size doc))
+    [
+      row "Engine.state_checksum" (fun () -> Engine.state_checksum eng);
+      row ~calls:500 "Snapshot.fold_digest (full fold)" (fun () ->
+          Snapshot.fold_digest policy doc);
     ];
-  Xmlac_util.Tabular.print table
+  let carried = Engine.state_checksum eng
+  and folded = Snapshot.fold_digest policy doc in
+  if carried <> folded then begin
+    Printf.printf "ASSERTION FAILED: state_checksum %08lx, full fold %08lx\n"
+      carried folded;
+    exit 1
+  end
 
 let run () =
   Bench_common.section
@@ -155,4 +187,5 @@ let run () =
       Xmlac_util.Tabular.add_row table [ name; ns ])
     (List.sort (fun (a, _) (b, _) -> String.compare a b) rows);
   Xmlac_util.Tabular.print table;
-  read_rows ()
+  read_rows ();
+  digest_rows ()

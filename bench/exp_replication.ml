@@ -19,7 +19,9 @@
    read off the new leader.  Unbounded lag is the other hard failure:
    a cell whose followers cannot drain to lag 0 after the fault
    schedule stops (or that exhausts its re-ship budget) fails the
-   run. *)
+   run, and so does a cell where a follower diverged or applied an
+   epoch whose recomputed state digest did not match its frame's
+   ([repl.digest_verified] must equal [repl.applied]). *)
 
 module Timing = Xmlac_util.Timing
 module Tabular = Xmlac_util.Tabular
@@ -75,7 +77,7 @@ let run (_cfg : Bench_common.config) =
     Tabular.create
       ~headers:
         [ "readers"; "churn"; "rate"; "lag p50"; "lag p99"; "reads";
-          "degraded"; "reships"; "failover"; "stale" ]
+          "degraded"; "reships"; "digests"; "failover"; "stale" ]
   in
   List.iter (fun readers ->
       List.iter (fun churn ->
@@ -235,6 +237,14 @@ let run (_cfg : Bench_common.config) =
                                 rate))
               in
               let m = Repl.metrics t_cluster in
+              let applied = Metrics.counter m "repl.applied"
+              and verified = Metrics.counter m "repl.digest_verified"
+              and diverged = Metrics.counter m "repl.divergences" in
+              if diverged > 0 || verified <> applied then
+                fail
+                  "DIGEST MISMATCH: %d of %d applied epochs verified, %d \
+                   divergences at readers=%d churn=%d rate=%.2f"
+                  verified applied diverged readers churn rate;
               Tabular.add_row t
                 [
                   string_of_int readers;
@@ -245,6 +255,7 @@ let run (_cfg : Bench_common.config) =
                   string_of_int !reads;
                   string_of_int !degraded;
                   string_of_int (Metrics.counter m "repl.reshipped");
+                  Printf.sprintf "%d/%d" verified applied;
                   Bench_common.pp_secs failover;
                   string_of_int !stale;
                 ];
@@ -260,7 +271,8 @@ let run (_cfg : Bench_common.config) =
   | [] ->
       print_endline
         "assertions: zero stale grants, lag drained to 0 in every cell, \
-         every failover served"
+         every applied epoch digest-verified, no divergence, every failover \
+         served"
   | fs ->
       List.iter (fun f -> Printf.printf "ASSERTION FAILED: %s\n" f)
         (List.rev fs);

@@ -513,40 +513,9 @@ let apply_replica t op =
       | Op_update query -> ignore (update t query)
       | Op_insert { at; fragment } -> ignore (insert t ~at ~fragment))
 
-(* A deterministic digest of the enforcement-relevant materialization:
-   the anonymous accessible set and every declared role's accessible
-   set.  Epoch counters are deliberately excluded — a
-   replica whose crash recovery consumed extra local epoch numbers
-   still converges on the leader's answers, and this digest is the
-   arbiter of that convergence (shipped per frame, re-verified at
-   promotion).
-
-   One pass over [iter_live], folding ints straight into a 32-bit
-   FNV-1a-style running sum.  A node nothing is granted on is skipped,
-   so the digest depends on the accessible sets alone; a granted node
-   contributes its id, then [(granted roles lsl 1) lor anonymous],
-   then each granted role's bit index, between an opening [0] and a
-   closing [-1].  The stream is prefix-free, and each step is a
-   bijection of the running sum, so one changed word always changes
-   the digest. *)
-let state_checksum t =
-  let nroles = Subject.count (Policy.subjects t.policy) in
-  let ds = Policy.ds t.policy and dbits = Policy.default_bits t.policy in
-  let h = ref 0x811c9dc5 in
-  let mix x = h := (!h lxor x) * 0x01000193 land 0xffff_ffff in
-  mix 0;
-  t.backend.Backend.iter_live (fun id sign bits ->
-      let anon = if Option.value sign ~default:ds = Tree.Plus then 1 else 0 in
-      let bits = Option.value bits ~default:dbits in
-      let granted =
-        Xmlac_util.Bitset.fold
-          (fun i n -> if i < nroles then n + 1 else n)
-          bits 0
-      in
-      if anon = 1 || granted > 0 then begin
-        mix id;
-        mix ((granted lsl 1) lor anon);
-        Xmlac_util.Bitset.iter (fun i -> if i < nroles then mix i) bits
-      end);
-  mix (-1);
-  Int32.of_int !h
+(* The current snapshot's digest moved by the live tree's writes
+   since its capture: O(1) between epochs.  Those writes include an
+   open epoch's and any made outside an epoch.  After a commit whose
+   publish faulted the snapshot is no longer the live tree's last
+   freeze, and [Snapshot.digest] folds the tree instead. *)
+let state_checksum t = Snapshot.digest ~live:t.doc (current_snapshot t)

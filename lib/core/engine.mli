@@ -380,12 +380,20 @@ val set_read_only : t -> bool -> unit
     (and {!recover}) still work.  Promotion clears the flag. *)
 
 val state_checksum : t -> int32
-(** Deterministic digest of the enforcement-relevant materialization:
-    the anonymous and every declared role's accessible id set,
-    computed in one {!Backend.t.iter_live} pass with no string
-    building.  Two engines with equal accessible sets digest equal.
-    Engine-local epoch counters
-    are excluded, so a replica whose own crash recoveries consumed
-    extra epoch numbers still digests equal once its answers converge
-    on the leader's — this is the divergence check shipped with every
-    frame and re-verified by promotion. *)
+(** Digest of the enforcement-relevant materialization: the anonymous
+    and every declared role's accessible id set ({!Snapshot.digest}).
+    Two engines with equal accessible sets digest equal.  Engine-local
+    epoch counters are excluded, so a replica whose own crash
+    recoveries consumed extra epoch numbers still digests equal once
+    its answers converge on the leader's — this is the divergence
+    check shipped with every frame and re-verified by promotion.
+
+    It is the current snapshot's digest, which each capture carries
+    along the chain in proportion to what the epoch wrote, moved by
+    the document's writes since that capture: an open epoch's, and
+    any made directly through {!backend}.  So a call between epochs is
+    O(1).  When the current snapshot is not the document's last
+    freeze (a commit whose [snapshot.publish] faulted, until
+    {!recover} republishes) it folds the whole document instead and
+    counts [snapshot.digest_folds].  Either way it equals
+    {!Snapshot.fold_digest} of the policy and {!document}. *)

@@ -171,9 +171,6 @@ let make mapping db : Backend.t =
         List.length ids);
     has_node = (fun id -> Shred.node_table mapping db id <> None);
     live_ids;
-    iter_live =
-      (fun f ->
-        List.iter (fun id -> f id (sign_of id) (bits_of id)) (live_ids ()));
     node_count = (fun () -> Db.total_tuples db);
   }
 

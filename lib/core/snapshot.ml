@@ -14,11 +14,12 @@ module Imap = Map.Make (Int)
    the query's answers, ascending, because the check reads each
    answer's own annotation, and carry-forward must show the epoch wrote
    none of them.  A rewrite-lane entry read no annotation and keeps no
-   answers ([None]).  The query, as text and parsed, feeds the
-   structural carry test.  [stamp] orders eviction and names the memo
-   in its chain's index: stamps only grow along a chain. *)
+   answers ([None]), so [answers] also names the lane.  The query, as
+   text and parsed, feeds the structural carry test.  [stamp] orders
+   eviction and names the memo in its chain's index: stamps only grow
+   along a chain. *)
 type memo = {
-  key : string;
+  subject : string option;
   query : string;
   expr : Ast.expr;
   answers : int array option;
@@ -31,11 +32,12 @@ let memo_capacity = 1024
 (* One snapshot's memo table, as one immutable value: a capture hands
    its predecessor's table on and removes only what the epoch
    invalidated, and a pinned snapshot keeps the table it had.  The
-   memos are found by key ([memos]) and by stamp ([order], oldest
-   first: the eviction order).  Those stamped below [indexed] are filed
-   in the chain's index; the rest were remembered since. *)
+   memos are found by query text ([memos], one memo per lane and
+   subject in a query's list) and by stamp ([order], oldest first: the
+   eviction order).  Those stamped below [indexed] are filed in the
+   chain's index; the rest were remembered since. *)
 type table = {
-  memos : memo Smap.t;
+  memos : memo list Smap.t;
   order : memo Imap.t;
   size : int;
   next : int;
@@ -45,10 +47,31 @@ type table = {
 let empty_table next =
   { memos = Smap.empty; order = Imap.empty; size = 0; next; indexed = next }
 
+let same_subject a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b -> String.equal a b
+  | _ -> false
+
+(* The memo of [query]'s list for one lane and subject.  A hit
+   allocates nothing. *)
+let rec find_memo ~rewrite subject = function
+  | [] -> raise Not_found
+  | m :: ms ->
+      if Option.is_none m.answers = rewrite && same_subject m.subject subject
+      then m
+      else find_memo ~rewrite subject ms
+
 let forget tb m =
+  let memos =
+    match List.filter (fun o -> o.stamp <> m.stamp) (Smap.find m.query tb.memos)
+    with
+    | [] -> Smap.remove m.query tb.memos
+    | ms -> Smap.add m.query ms tb.memos
+  in
   {
     tb with
-    memos = Smap.remove m.key tb.memos;
+    memos;
     order = Imap.remove m.stamp tb.order;
     size = tb.size - 1;
   }
@@ -101,6 +124,70 @@ let new_chain () =
    repair follows. *)
 type index_slot = Unbuilt | Handed of Index.t | Read of Index.t
 
+(* The state digest: a sum mod 2^63 of one term per node (incremental
+   hashing, Bellare & Micciancio, EUROCRYPT 1997), so an epoch moves
+   it by the terms of the ids it wrote.  A node's term reads its id,
+   whether the anonymous subject is granted it and which declared
+   roles are; a node granted to nobody, like an absent one, adds 0, so
+   the sum is a function of the accessible sets alone.  [scale] is
+   what the term reads off the policy, computed once per chain. *)
+type scale = {
+  anonymous : bool;  (* the policy's default sign is [Plus] *)
+  default_bits : Xmlac_util.Bitset.t;
+  roles : int;  (* declared roles: the bits below it count *)
+}
+
+let scale_of policy =
+  {
+    anonymous = Policy.ds policy = Tree.Plus;
+    default_bits = Policy.default_bits policy;
+    roles = Policy.role_count policy;
+  }
+
+(* A bijection of the 63-bit ints: xor-shifts and odd multipliers. *)
+let mix x =
+  let x = (x lxor (x lsr 31)) * 0x1f58476d1ce4e5b9 in
+  let x = (x lxor (x lsr 29)) * 0x14d049bb133111eb in
+  x lxor (x lsr 32)
+
+(* Allocates nothing. *)
+let term s (n : Tree.node) =
+  let anonymous =
+    match n.Tree.sign with
+    | Some Tree.Plus -> true
+    | Some Tree.Minus -> false
+    | None -> s.anonymous
+  in
+  let roles =
+    Xmlac_util.Bitset.hash_below s.roles
+      (match n.Tree.bits with Some b -> b | None -> s.default_bits)
+  in
+  if anonymous || roles <> 0 then
+    mix (mix ((n.Tree.id lsl 1) lor Bool.to_int anonymous) + roles)
+  else 0
+
+let term_of s doc id =
+  match Tree.find doc id with Some n -> term s n | None -> 0
+
+(* What a written id moves the sum by, from [before] to [after]. *)
+let moved s ~before ~after id sum =
+  sum + term_of s after id - term_of s before id
+
+let sum_of s doc =
+  let sum = ref 0 in
+  Tree.iter_by_id (fun n -> sum := !sum + term s n) doc;
+  !sum
+
+(* The base case, counted: [snapshot.digest_folds]. *)
+let fold_sum metrics s doc =
+  Metrics.incr metrics "snapshot.digest_folds";
+  sum_of s doc
+
+(* The shipped form: the 63-bit sum xor-folded to 32 bits. *)
+let to_int32 sum = Int32.of_int (sum lxor (sum lsr 32))
+
+let fold_digest policy doc = to_int32 (sum_of (scale_of policy) doc)
+
 type t = {
   epoch : int;
   doc : Tree.t;  (* frozen COW view *)
@@ -120,6 +207,8 @@ type t = {
   annotated : bool;  (* signs had a committed annotation epoch at capture *)
   bits_annotated : bool;  (* ... and likewise the role bitmaps *)
   policy : Policy.t;
+  scale : scale;  (* [policy]'s digest inputs, shared along a chain *)
+  digest : int;  (* the view's state digest sum *)
   table : table Atomic.t;
       (* The memo table, bounded at [memo_capacity].  The epoch is
          fixed for the snapshot's lifetime, so entries never go stale.
@@ -149,21 +238,23 @@ let with_lock lock f =
    first keeps its entry: both computed the same decision. *)
 let remember t m =
   let tb = Atomic.get t.table in
-  if not (Smap.mem m.key tb.memos) then begin
-    let tb =
-      if tb.size < memo_capacity then tb
-      else forget tb (snd (Imap.min_binding tb.order))
-    in
-    let m = { m with stamp = tb.next } in
-    Atomic.set t.table
-      {
-        tb with
-        memos = Smap.add m.key m tb.memos;
-        order = Imap.add m.stamp m tb.order;
-        size = tb.size + 1;
-        next = tb.next + 1;
-      }
-  end
+  let listed tb = Option.value (Smap.find_opt m.query tb.memos) ~default:[] in
+  match find_memo ~rewrite:(Option.is_none m.answers) m.subject (listed tb) with
+  | _ -> ()
+  | exception Not_found ->
+      let tb =
+        if tb.size < memo_capacity then tb
+        else forget tb (snd (Imap.min_binding tb.order))
+      in
+      let m = { m with stamp = tb.next } in
+      Atomic.set t.table
+        {
+          tb with
+          memos = Smap.add m.query (m :: listed tb) tb.memos;
+          order = Imap.add m.stamp m tb.order;
+          size = tb.size + 1;
+          next = tb.next + 1;
+        }
 
 (* Whether two ascending id arrays share an id: each id of the shorter
    is binary-searched in the longer. *)
@@ -431,6 +522,23 @@ let capture ?(annotated = true) ?(bits_annotated = true) ?prev ?footprint
     | Some p when follows p && p.policy == policy -> Some p
     | _ -> None
   in
+  (* The digest moves by the terms of the ids the epoch wrote.  When
+     it wrote more than a quarter of the view (an annotation pass), one
+     fold costs less than two lookups per written id. *)
+  let scale, digest =
+    match carry with
+    | Some p
+      when List.compare_length_with stats.Tree.changed (Tree.size view / 4)
+           <= 0 ->
+        ( p.scale,
+          List.fold_left
+            (fun sum id -> moved p.scale ~before:p.doc ~after:view id sum)
+            p.digest stats.Tree.changed )
+    | Some p -> (p.scale, fold_sum metrics p.scale view)
+    | None ->
+        let s = scale_of policy in
+        (s, fold_sum metrics s view)
+  in
   let t =
     {
       epoch;
@@ -441,6 +549,8 @@ let capture ?(annotated = true) ?(bits_annotated = true) ?prev ?footprint
       annotated;
       bits_annotated;
       policy;
+      scale;
+      digest;
       table = Atomic.make (empty_table 0);
       chain = (match carry with Some p -> p.chain | None -> new_chain ());
       metrics;
@@ -453,6 +563,19 @@ let capture ?(annotated = true) ?(bits_annotated = true) ?prev ?footprint
 
 let epoch t = t.epoch
 let document t = t.doc
+
+(* [live] still holds the writes since [t]'s freeze as its change set
+   while [t] is its last freeze. *)
+let digest ?live t =
+  to_int32
+    (match live with
+    | None -> t.digest
+    | Some doc
+      when Tree.family doc = Tree.family t.doc
+           && Tree.generation doc = t.gen + 1
+           && not (Tree.frozen doc) ->
+        Tree.fold_changed (moved t.scale ~before:t.doc ~after:doc) doc t.digest
+    | Some doc -> fold_sum t.metrics t.scale doc)
 
 (* A losing racer drops its own build and takes the published one. *)
 let rec index t =
@@ -477,16 +600,23 @@ let bits_annotated t = t.bits_annotated
 let pins t = t.pins
 let cached_decisions t = (Atomic.get t.table).size
 
-let resolve_lane ?subject ?(lane = Rewrite.Auto) t =
+(* Whether a request reads the rewrite lane; [resolve_lane] adds the
+   reason. *)
+let rewrite_lane ?subject ?(lane = Rewrite.Auto) t =
   match lane with
-  | Rewrite.Materialized -> (Rewrite.Materialized, "forced")
-  | Rewrite.Rewrite -> (Rewrite.Rewrite, "forced")
-  | Rewrite.Auto ->
-      let ann =
-        match subject with None -> t.annotated | Some _ -> t.bits_annotated
-      in
-      if ann then (Rewrite.Materialized, "annotated store")
-      else (Rewrite.Rewrite, "never-annotated store")
+  | Rewrite.Materialized -> false
+  | Rewrite.Rewrite -> true
+  | Rewrite.Auto -> (
+      match subject with
+      | None -> not t.annotated
+      | Some _ -> not t.bits_annotated)
+
+let resolve_lane ?subject ?lane t =
+  let rewrite = rewrite_lane ?subject ?lane t in
+  ( (if rewrite then Rewrite.Rewrite else Rewrite.Materialized),
+    match lane with
+    | Some (Rewrite.Materialized | Rewrite.Rewrite) -> "forced"
+    | _ -> if rewrite then "never-annotated store" else "annotated store" )
 
 let cam t = Cam.build t.doc ~default:(Policy.ds t.policy)
 
@@ -569,22 +699,18 @@ let rewritten_decision ?subject t expr =
   (None, d)
 
 let request ?subject ?lane ?(live = false) t query =
-  let lane, _reason = resolve_lane ?subject ?lane t in
-  let lane_tag = match lane with Rewrite.Rewrite -> "R" | _ -> "M" in
-  let key =
-    match subject with
-    | None -> lane_tag ^ "\x00" ^ query
-    | Some role -> lane_tag ^ "@" ^ role ^ "\x00" ^ query
-  in
+  let rewrite = rewrite_lane ?subject ?lane t in
   let hits, misses, fault =
     if live then ("cache.hits", "cache.misses", "native.eval")
     else ("snapshot.cache.hits", "snapshot.cache.misses", "snapshot.read")
   in
-  match Smap.find_opt key (Atomic.get t.table).memos with
-  | Some m ->
+  match
+    find_memo ~rewrite subject (Smap.find query (Atomic.get t.table).memos)
+  with
+  | m ->
       Metrics.incr t.metrics hits;
       m.decision
-  | None ->
+  | exception Not_found ->
       Metrics.incr t.metrics misses;
       let expr = Requester.parse_or_fail query in
       (* The read path's injection site: lets the serve layer inject
@@ -592,17 +718,16 @@ let request ?subject ?lane ?(live = false) t query =
          chaos soak) without touching the stores. *)
       Fault.point fault;
       let answers, decision =
-        match lane with
-        | Rewrite.Rewrite ->
-            Metrics.incr t.metrics "lane.rewrite";
-            rewritten_decision ?subject t expr
-        | _ ->
-            Metrics.incr t.metrics "lane.materialized";
-            materialized_decision ?subject t expr
+        if rewrite then begin
+          Metrics.incr t.metrics "lane.rewrite";
+          rewritten_decision ?subject t expr
+        end
+        else begin
+          Metrics.incr t.metrics "lane.materialized";
+          materialized_decision ?subject t expr
+        end
       in
-      let m =
-        { key; query; expr; answers; decision; stamp = 0 }
-      in
+      let m = { subject; query; expr; answers; decision; stamp = 0 } in
       with_lock t.lock (fun () -> remember t m);
       decision
 

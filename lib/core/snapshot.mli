@@ -9,8 +9,10 @@
     handed over by the writer or built by the first miss), a lazily
     built array of the view's node records
     in the index's rank order (which a materialized miss reads each
-    answer's sign or role bit from), and a private bounded memo of
-    decisions, all keyed by the epoch that committed them.  The
+    answer's sign or role bit from), a private bounded memo of
+    decisions, and the state digest of what the view grants
+    ({!digest}, carried from the previous snapshot over the epoch's
+    change set), all keyed by the epoch that committed them.  The
     engine's own native reads go through the current snapshot too, so
     every reader shares one read path.  Readers {e pin} a snapshot (refcounted) and answer requests
     from it for as long as they like while the engine builds the next
@@ -153,7 +155,8 @@ val capture :
     of its default signs.  [metrics] receives the snapshot's
     lifetime counters ([snapshot.captures], [snapshot.cache.*],
     [snapshot.index_builds], [snapshot.index_shared],
-    [snapshot.record_builds], and those {!request} counts) and times
+    [snapshot.record_builds], [snapshot.digest_folds] (see {!digest}),
+    and those {!request} counts) and times
     every capture as the [snapshot.capture] stage.  Carry counts once
     per capture: [snapshot.cache.carried] (the entries the new
     snapshot holds), [snapshot.cache.examined] (the entries the carry
@@ -173,6 +176,43 @@ val epoch : t -> int
 val document : t -> Xmlac_xml.Tree.t
 (** The frozen document view.  Mutating it raises
     [Invalid_argument]. *)
+
+(** {1 State digest}
+
+    A 32-bit digest of what the view grants: the anonymous subject's
+    accessible set and every declared role's.  It is a sum mod 2{^63}
+    of one term per node, xor-folded to 32 bits (incremental hashing:
+    Bellare & Micciancio, "A New Paradigm for Collision-Free Hashing:
+    Incrementality at Reduced Cost", EUROCRYPT 1997).  A node's term
+    is an allocation-free 63-bit mix of its id, whether the anonymous
+    subject is granted it and which declared roles are (each read off
+    the node's sign and bitmap, else the policy's defaults); a node
+    granted to nobody adds 0, as an absent one does.  Equal accessible
+    sets therefore give equal digests, and unequal ones collide only
+    by accident.  Epoch numbers are not part of it.
+
+    {!capture} carries the sum along a chain: when it carries memos
+    (the view is [prev]'s next generation under the same policy), the
+    new sum is [prev]'s plus, for each id the epoch wrote, the id's
+    term in the view minus its term in [prev]'s view — O(changed ·
+    log n).  Otherwise, and when the epoch wrote more than a quarter
+    of the view's nodes, it folds the view once, counting
+    [snapshot.digest_folds]. *)
+
+val digest : ?live:Xmlac_xml.Tree.t -> t -> int32
+(** [digest t] is the view's state digest, O(1).  [digest ~live t] is
+    the digest of [live] under [t]'s policy: while [t] is [live]'s
+    last {!Xmlac_xml.Tree.freeze} (same family, [live] one generation
+    past the view, not itself frozen), [t]'s sum moved by the writes
+    [live] has made since ({!Xmlac_xml.Tree.fold_changed}), so O(1)
+    right after a capture; otherwise one fold of [live], counting
+    [snapshot.digest_folds]. *)
+
+val fold_digest : Policy.t -> Xmlac_xml.Tree.t -> int32
+(** The full fold {!digest} carries: every node's term summed in one
+    pass over the tree, under the policy.  The base case, and the
+    oracle the tests and the micro bench hold {!digest} to.  Counts
+    nothing. *)
 
 val cam : t -> Cam.t
 (** The anonymous subject's map over the frozen signs, built afresh by

@@ -108,6 +108,22 @@ let choose t =
   | () -> None
   | exception Found v -> Some v
 
+(* The words below [n], masked, as the coefficients of a polynomial
+   in an odd constant mod 2^63, word [i] at degree [i]: a set held in
+   word 0 hashes to that word itself. *)
+let hash_below n (t : t) =
+  let words = min (Array.length t) ((n + w - 1) / w) in
+  let h = ref 0 and any = ref 0 in
+  for i = words - 1 downto 0 do
+    let x =
+      if (i + 1) * w <= n then t.(i)
+      else t.(i) land ((1 lsl (n - (i * w))) - 1)
+    in
+    h := (!h * 0x1f58476d1ce4e5b9) + x;
+    any := !any lor x
+  done;
+  if !any = 0 then 0 else if !h = 0 then 1 else !h
+
 let memory_bytes (t : t) = Array.length t * (Sys.word_size / 8)
 
 (* --- serialization ------------------------------------------------- *)

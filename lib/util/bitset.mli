@@ -50,6 +50,13 @@ val to_list : t -> int list
 val choose : t -> int option
 (** Smallest member, if any. *)
 
+val hash_below : int -> t -> int
+(** [hash_below n t] hashes the members of [t] below [n] without
+    allocating: 0 exactly when there is none, and otherwise a value
+    that depends on those members alone (for [n <= Sys.int_size],
+    their bit word itself).  The state digest's per-node role
+    term. *)
+
 val memory_bytes : t -> int
 (** Bytes of the bit vector's words, without the block header — what
     the multirole bench reports as bitmap bytes/node. *)

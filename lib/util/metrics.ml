@@ -31,19 +31,15 @@ let create () =
   { counters = Hashtbl.create 16; stages = Hashtbl.create 8;
     lock = Mutex.create () }
 
-(* Callers hold [t.lock]. *)
-let counter_ref t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.replace t.counters name r;
-      r
-
+(* No closure and no option: a counter bump on the read path
+   allocates nothing once the counter exists.  Nothing between the
+   lock and the unlock can raise. *)
 let add t name n =
-  with_lock t (fun () ->
-      let r = counter_ref t name in
-      r := !r + n)
+  Mutex.lock t.lock;
+  (match Hashtbl.find t.counters name with
+  | r -> r := !r + n
+  | exception Not_found -> Hashtbl.replace t.counters name (ref n));
+  Mutex.unlock t.lock
 
 let incr t name = add t name 1
 

@@ -338,6 +338,9 @@ let freeze t =
   t.delta <- empty_delta ();
   (view, stats)
 
+let fold_changed f t acc =
+  Imap.fold (fun id () acc -> f id acc) t.delta.changed acc
+
 let copy t =
   let t' =
     { next_id = t.next_id; index = Imap.empty; root_node = dummy_node;

@@ -173,6 +173,11 @@ val freeze : t -> t * freeze_stats
     the next generation.  Mutating a frozen view raises
     [Invalid_argument]; freezing a frozen view likewise. *)
 
+val fold_changed : (int -> 'a -> 'a) -> t -> 'a -> 'a
+(** Folds over the ids written since the last {!freeze} (ascending):
+    the change set the next freeze will report.  Empty on a frozen
+    view. *)
+
 val frozen : t -> bool
 (** Whether [t] is a frozen view. *)
 

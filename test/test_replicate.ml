@@ -622,6 +622,182 @@ let digest_prop =
           (if same_digest then "equal" else "differ");
       true)
 
+(* The carried digest equals the full fold it replaces
+   ([Snapshot.fold_digest] of the policy and the live document), and
+   each snapshot's own digest equals the fold of its view. *)
+let digest_is_fold eng =
+  let policy = Engine.policy eng and snap = Engine.current_snapshot eng in
+  Engine.state_checksum eng = Snapshot.fold_digest policy (Engine.document eng)
+  && Snapshot.digest snap
+     = Snapshot.fold_digest policy (Snapshot.document snap)
+
+let digest_folds eng =
+  Metrics.counter (Engine.metrics eng) "snapshot.digest_folds"
+
+(* A 50-mutation replicated stream after set-up folds nothing: every
+   capture carries the sum by its change set, and every digest read
+   (the leader's frame, the follower's check) is O(1). *)
+let test_digest_proportional () =
+  let t = mk_cluster ~followers:1 () in
+  ok "annotate_all" (Repl.annotate_all t);
+  ok "annotate_subjects_all" (Repl.annotate_subjects_all t);
+  Alcotest.(check bool) "set-up syncs" true (Repl.sync t);
+  let ld = Repl.leader_engine t and fol = Repl.engine t 1 in
+  let folds = (digest_folds ld, digest_folds fol) in
+  Alcotest.(check bool) "set-up folded on both nodes" true
+    (fst folds > 0 && snd folds > 0);
+  let verified () = Metrics.counter (Repl.metrics t) "repl.digest_verified" in
+  let v0 = verified () in
+  for i = 1 to 50 do
+    if i mod 2 = 1 then
+      ok "insert"
+        (Repl.insert t ~at:"//patient[psn = \"099\"]"
+           ~fragment:(treatment_fragment ()))
+    else ok "update" (Repl.update t "//patient[psn = \"099\"]/treatment");
+    Alcotest.(check bool) "syncs" true (Repl.sync t)
+  done;
+  Alcotest.(check int) "every epoch digest-verified" 50 (verified () - v0);
+  Alcotest.(check (pair int int)) "no fold on leader or follower" folds
+    (digest_folds ld, digest_folds fol);
+  Alcotest.(check bool) "leader digest is the fold" true (digest_is_fold ld);
+  Alcotest.(check bool) "follower digest is the fold" true
+    (digest_is_fold fol)
+
+(* A commit whose publish faulted leaves the registry an epoch behind:
+   the digest folds the live document (which holds the committed
+   epoch) until recovery republishes, and a write made outside any
+   epoch shows up as well. *)
+let test_digest_publish_fault () =
+  let eng = digest_engine () in
+  Fault.arm "snapshot.publish" (Fault.After 1);
+  (match Engine.update eng "//patient/treatment" with
+  | _ -> Alcotest.fail "armed kill did not fire"
+  | exception Fault.Crash _ -> ());
+  Alcotest.(check bool) "snapshot behind the commit" true
+    (Snapshot.epoch (Engine.current_snapshot eng) < Engine.sign_epoch eng);
+  let folds = digest_folds eng in
+  Alcotest.(check bool) "before recover: the fold" true (digest_is_fold eng);
+  Alcotest.(check int) "before recover: folded" (folds + 1) (digest_folds eng);
+  ignore (Engine.recover eng);
+  Alcotest.(check int) "republished" (Engine.sign_epoch eng)
+    (Snapshot.epoch (Engine.current_snapshot eng));
+  Alcotest.(check bool) "after recover: the fold" true (digest_is_fold eng);
+  let twin = digest_engine () in
+  ignore (Engine.update twin "//patient/treatment");
+  Alcotest.(check int32) "after recover: an uncrashed twin's"
+    (Engine.state_checksum twin) (Engine.state_checksum eng);
+  let b = Engine.backend eng Engine.Native in
+  let id = List.hd (b.Backend.live_ids ()) in
+  let sign = b.Backend.sign_of id in
+  let eff =
+    Backend.effective_sign b ~default:(Policy.ds (Engine.policy eng)) id
+  in
+  b.Backend.restore_sign id (Some (flip eff));
+  Alcotest.(check bool) "out-of-epoch write: moved, and the fold" true
+    (Engine.state_checksum eng <> Engine.state_checksum twin
+    && digest_is_fold eng);
+  b.Backend.restore_sign id sign;
+  Alcotest.(check int32) "undone" (Engine.state_checksum twin)
+    (Engine.state_checksum eng);
+  Fault.reset ()
+
+(* The points a leader op and a follower apply cross, where the chain
+   property arms its kills. *)
+let crash_points =
+  [| "epoch.begin"; "native.set_sign"; "native.set_bits"; "native.delete";
+     "native.insert"; "epoch.commit"; "snapshot.publish"; "snapshot.reclaim";
+     "repl.apply"; "repl.ack" |]
+
+let chain_inserts =
+  [| ( "//patient",
+       "<treatment><regular><med>aspirin</med><bill>1000</bill></regular>\
+        </treatment>" );
+     ("//patients", "<patient><psn>077</psn><name>Ann</name></patient>");
+     ("//patient", "<bogus/>") |]
+
+(* After every step of a random epoch chain, on the leader and the
+   follower, the carried digest equals the full fold.  The steps take
+   every path the sum moves on: annotation passes (folded or carried),
+   updates, on- and off-schema inserts, a noop epoch, and a kill at a
+   random armed point, checked while the node is down and again after
+   [Engine.settle] restarts it. *)
+let digest_chain_prop =
+  QCheck2.Test.make ~name:"carried digest = full fold along random chains"
+    ~count:30
+    QCheck2.Gen.(pair Helpers.seed_gen Helpers.seed_gen)
+    (fun (doc_seed, op_seed) ->
+      Fault.reset ();
+      let rng = Prng.create ~seed:doc_seed in
+      let doc = Helpers.random_hospital_doc rng in
+      let policy =
+        Helpers.random_role_policy rng (Helpers.random_subjects rng)
+      in
+      let t =
+        Repl.create ~config:quiet_config ~followers:1 ~dtd:W.Hospital.dtd
+          ~policy doc
+      in
+      let engines = [ Repl.leader_engine t; Repl.engine t 1 ] in
+      let check step =
+        List.iteri
+          (fun i eng ->
+            if not (digest_is_fold eng) then
+              QCheck2.Test.fail_reportf "after %s: %s digest differs from \
+                 the fold" step
+                (if i = 0 then "leader" else "follower"))
+          engines
+      in
+      let orng = Prng.create ~seed:op_seed in
+      let submit = function Ok () | Error _ -> () in
+      let mutation () =
+        match Prng.int orng 3 with
+        | 0 -> submit (Repl.update t (Helpers.random_update orng))
+        | 1 ->
+            let at, xml = Prng.choose orng chain_inserts in
+            submit
+              (Repl.insert t ~at
+                 ~fragment:(Xmlac_xml.Xml_parser.parse_exn xml))
+        | _ -> submit (Repl.annotate_all t)
+      in
+      check "create";
+      for _ = 1 to 8 do
+        let step =
+          match Prng.int orng 7 with
+          | 0 ->
+              submit (Repl.annotate_all t);
+              "annotate"
+          | 1 ->
+              submit (Repl.annotate_subjects_all t);
+              "annotate_subjects"
+          | 2 | 3 ->
+              mutation ();
+              "mutation"
+          | 4 ->
+              Engine.apply_replica (Repl.leader_engine t) Engine.Op_noop;
+              "noop"
+          | _ ->
+              let pt = Prng.choose orng crash_points in
+              Fault.arm pt (Fault.After (1 + Prng.int orng 3));
+              (try
+                 mutation ();
+                 Repl.pump t
+               with Fault.Crash _ -> ());
+              let step = "kill at " ^ pt in
+              check (step ^ ", down");
+              Fault.disarm_all ();
+              List.iter
+                (fun eng ->
+                  ignore (Engine.settle eng ~since:(Engine.sign_epoch eng)))
+                engines;
+              step ^ ", settled"
+        in
+        check step;
+        if not (Repl.sync ~rounds:200 t) then
+          QCheck2.Test.fail_reportf "after %s: no convergence" step;
+        check (step ^ ", synced")
+      done;
+      Fault.reset ();
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* The cross-node equivalence property: a random committed epoch chain
    shipped through a faulty transport (drops, duplicates, reorders,
@@ -746,6 +922,10 @@ let () =
           tc "noop and recovered epochs leave it alone"
             test_digest_ignores_epochs;
           QCheck_alcotest.to_alcotest digest_prop;
+          tc "a replicated stream folds nothing" test_digest_proportional;
+          tc "a faulted publish folds the live document"
+            test_digest_publish_fault;
+          QCheck_alcotest.to_alcotest digest_chain_prop;
         ] );
       ( "properties", [ QCheck_alcotest.to_alcotest equivalence_prop ] );
     ]

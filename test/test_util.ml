@@ -213,6 +213,21 @@ let test_bitset_basics () =
   Alcotest.(check bool) "add/remove" true
     (Bitset.mem 42 (Bitset.add 42 b) && not (Bitset.mem 5 (Bitset.remove 5 b)))
 
+(* The digest's role term: members at or above [n] do not count, and
+   no member below [n] hashes to 0, across word boundaries too. *)
+let test_bitset_hash_below () =
+  let h n l = Bitset.hash_below n (Bitset.of_list l) in
+  Alcotest.(check int) "nothing below n" 0 (h 3 [ 3; 70 ]);
+  Alcotest.(check int) "empty" 0 (h 100 []);
+  Alcotest.(check bool) "members at or above n ignored" true
+    (h 3 [ 0; 2; 5 ] = h 3 [ 0; 2 ] && h 70 [ 1; 69; 70 ] = h 70 [ 1; 69 ]);
+  let sets = [ [ 0 ]; [ 1 ]; [ 0; 1 ]; [ 64 ]; [ 0; 64 ]; [ 1; 64 ]; [ 99 ] ] in
+  let hashes = List.map (h 100) sets in
+  Alcotest.(check bool) "non-empty sets hash apart from 0 and each other"
+    true
+    (List.for_all (fun x -> x <> 0) hashes
+    && List.length (List.sort_uniq compare hashes) = List.length sets)
+
 let test_bitset_shapes () =
   (* Dense contiguous -> run; scattered dense -> bitmap; both must
      round-trip through the wire form and compare equal to their
@@ -348,6 +363,7 @@ let () =
       ( "bitset",
         [
           tc "basics" test_bitset_basics;
+          tc "hash_below" test_bitset_hash_below;
           tc "container shapes round-trip" test_bitset_shapes;
           tc "corrupt wire forms rejected" test_bitset_corrupt;
           QCheck_alcotest.to_alcotest bitset_algebra_qcheck;
