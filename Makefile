@@ -80,6 +80,13 @@ bench-micro:
 bench-snapshot:
 	dune exec bench/main.exe -- -e snapshot
 
+# Crash recovery at every fault point an update crosses, against a
+# full re-annotation of the store.  Exits non-zero if a recovered
+# engine differs from its uncrashed twin or any recovery is not faster
+# than the full re-annotation.  Honours XMLAC_FAULT_SEED.
+bench-recovery:
+	dune exec bench/main.exe -- -e recovery
+
 # Replication under load: apply lag p50/p99 and failover
 # time-to-first-served-read across a readers x churn x fault-rate
 # grid.  Exits non-zero on a single stale grant (a follower serving a
@@ -124,4 +131,4 @@ quickstart:
 clean:
 	dune clean
 
-.PHONY: all test ci soak bench bench-full bench-multirole bench-concurrent bench-rewrite bench-eval bench-micro bench-snapshot bench-replication soak-replication perfbench-smoke doc loc quickstart clean
+.PHONY: all test ci soak bench bench-full bench-multirole bench-concurrent bench-rewrite bench-eval bench-micro bench-snapshot bench-recovery bench-replication soak-replication perfbench-smoke doc loc quickstart clean

@@ -533,12 +533,12 @@ let recover_run policy_path dtd_name doc_path update_expr kill_at kill_after
   in
   if not crashed then Fault.reset ();
   let r, recover_t = Timing.time (fun () -> Engine.recover eng) in
-  Printf.printf "recovery: direction %s, signs rolled back %d\n"
+  Printf.printf "recovery: direction %s, ids discarded %d\n"
     (match r.Engine.direction with
     | `None -> "none"
     | `Back -> "backward"
     | `Forward -> "forward")
-    r.Engine.signs_rolled_back;
+    r.Engine.ids_discarded;
   (* The oracle: a twin that never crashed.  Its full annotation is
      also the baseline recovery is timed against; it then runs the
      update iff the recovered engine committed it (a kill before the

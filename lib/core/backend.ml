@@ -10,11 +10,9 @@ type t = {
   set_sign_ids : int list -> Tree.sign -> int;
   reset_signs : default:Tree.sign -> unit;
   sign_of : int -> Tree.sign option;
-  restore_sign : int -> Tree.sign option -> unit;
   set_bits_batch : (int * (int * bool) list) list -> default:Bitset.t -> int;
   reset_bits : default:Bitset.t -> unit;
   bits_of : int -> Bitset.t option;
-  restore_bits : int -> Bitset.t option -> unit;
   delete_update : Xmlac_xpath.Ast.expr -> int;
   has_node : int -> bool;
   live_ids : unit -> int list;
@@ -86,84 +84,3 @@ let with_faults b =
         pt "delete";
         b.delete_update e);
   }
-
-(* The two annotation representations journal separately: a sign epoch
-   only touches signs, a multi-role epoch only bitmaps, and rollback
-   must restore exactly what the epoch overwrote. *)
-type entry = Sign of int * Tree.sign option | Bits of int * Bitset.t option
-
-type journal = {
-  mutable active : bool;
-  mutable entries : entry list; (* newest first *)
-  mutable restore : (int -> Tree.sign option -> unit) option;
-  mutable restore_bits : (int -> Bitset.t option -> unit) option;
-}
-
-let journal () =
-  { active = false; entries = []; restore = None; restore_bits = None }
-
-let journal_begin j =
-  j.active <- true;
-  j.entries <- []
-
-let journal_stop j =
-  j.active <- false;
-  j.entries <- []
-
-let journaled j b =
-  j.restore <- Some b.restore_sign;
-  j.restore_bits <- Some b.restore_bits;
-  let record id =
-    if j.active && b.has_node id then
-      j.entries <- Sign (id, b.sign_of id) :: j.entries
-  in
-  let record_bits id =
-    if j.active && b.has_node id then
-      j.entries <- Bits (id, b.bits_of id) :: j.entries
-  in
-  {
-    b with
-    set_sign_ids =
-      (fun ids sign ->
-        List.fold_left
-          (fun acc id ->
-            record id;
-            acc + b.set_sign_ids [ id ] sign)
-          0 ids);
-    reset_signs =
-      (fun ~default ->
-        if j.active then List.iter record (b.live_ids ());
-        b.reset_signs ~default);
-    set_bits_batch =
-      (fun edits ~default ->
-        (* One pre-image per touched node covers every role edit the
-           batch applies to it. *)
-        List.fold_left
-          (fun acc ((id, _) as edit) ->
-            record_bits id;
-            acc + b.set_bits_batch [ edit ] ~default)
-          0 edits);
-    reset_bits =
-      (fun ~default ->
-        if j.active then List.iter record_bits (b.live_ids ());
-        b.reset_bits ~default);
-  }
-
-let rollback j =
-  let restore_entry e =
-    match (e, j.restore, j.restore_bits) with
-    | Sign (id, s), Some restore, _ -> restore id s
-    | Bits (id, b), _, Some restore -> restore id b
-    | _ -> ()
-  in
-  match (j.restore, j.restore_bits) with
-  | None, None ->
-      journal_stop j;
-      0
-  | _ ->
-      let n = List.length j.entries in
-      (* Newest first: an id journaled twice is finally restored to its
-         oldest (pre-epoch) value. *)
-      List.iter restore_entry j.entries;
-      journal_stop j;
-      n

@@ -18,16 +18,13 @@
 
     {2 Crash safety}
 
-    The engine's annotation epochs ({!Engine.recover}) lean on two
-    wrappers defined here.  {!with_faults} threads every mutating
-    operation through {!Xmlac_util.Fault} points — per {e node} for
-    sign and bitmap stamps, so a counted trigger can kill the process
-    in the middle of a multi-row UPDATE.  {!journaled} records each
-    overwritten sign or bitmap (the undo journal the native store
-    needs, since it has no WAL); rolling a journal back restores the
-    exact pre-epoch annotation state, including the unannotated [None]
-    of the native representation, via the {!t.restore_sign} /
-    {!t.restore_bits} primitives. *)
+    {!with_faults} threads every mutating operation through
+    {!Xmlac_util.Fault} points — per {e node} for sign and bitmap
+    stamps, so a counted trigger can kill the process in the middle of
+    a multi-row UPDATE.  The native store has no WAL and needs no undo
+    record: its document's last copy-on-write freeze is the committed
+    state, and {!Engine.recover} discards a crashed epoch's writes
+    back to it ({!Xmlac_xml.Tree.abort}). *)
 
 type t = {
   name : string;  (** e.g. "xquery", "row-sql", "column-sql". *)
@@ -54,11 +51,6 @@ type t = {
   sign_of : int -> Xmlac_xml.Tree.sign option;
       (** [None] when the node carries no explicit annotation (native
           store) or does not exist. *)
-  restore_sign : int -> Xmlac_xml.Tree.sign option -> unit;
-      (** Undo-journal primitive: writes back a sign previously read
-          with [sign_of] — including [None], which natively clears the
-          annotation.  No-op on a missing node; relationally [None] is
-          unrepresentable for a live row and is skipped. *)
   set_bits_batch :
     (int * (int * bool) list) list -> default:Xmlac_util.Bitset.t -> int;
       (** [set_bits_batch [(id, [(role, value); ...]); ...] ~default]
@@ -79,9 +71,6 @@ type t = {
   bits_of : int -> Xmlac_util.Bitset.t option;
       (** [None] when the node carries no explicit bitmap (native
           store) or does not exist. *)
-  restore_bits : int -> Xmlac_util.Bitset.t option -> unit;
-      (** Undo-journal primitive for bitmaps; mirrors
-          {!t.restore_sign}, including the [None] conventions. *)
   delete_update : Xmlac_xpath.Ast.expr -> int;
       (** Applies a delete update: removes the selected nodes and their
           subtrees; returns the number of subtree roots removed. *)
@@ -119,33 +108,3 @@ val with_faults : t -> t
     wrapped store runs the whole batch — the read-path site transient
     triggers use to fail a request without corrupting state.  Other
     read operations pass through untouched. *)
-
-(** {1 Annotation undo journal} *)
-
-type journal
-(** Per-backend undo journal for one annotation epoch: every sign or
-    bitmap overwrite performed through a {!journaled} wrapper while the
-    journal is active records the prior value, so {!rollback} can
-    restore the pre-epoch state after a crash. *)
-
-val journal : unit -> journal
-(** A fresh, inactive journal. *)
-
-val journaled : journal -> t -> t
-(** Wraps the backend so [set_sign_ids] / [reset_signs] record each
-    overwritten [(id, prior sign)] and [set_bits_batch] / [reset_bits]
-    each overwritten [(id, prior bitmap)] into the journal while it is
-    active.  Compose {e inside} {!with_faults} so a write interrupted
-    by a fault is neither journaled nor applied. *)
-
-val journal_begin : journal -> unit
-(** Start recording (clears previous entries). *)
-
-val journal_stop : journal -> unit
-(** Stop recording and discard entries — the commit path. *)
-
-val rollback : journal -> int
-(** Restores every journaled sign and bitmap, newest first (so an id
-    written twice ends at its original value), then deactivates the
-    journal.  Returns the number of restores performed.  Requires the
-    journal to have been attached with {!journaled}. *)

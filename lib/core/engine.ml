@@ -22,11 +22,6 @@ type open_op = {
   op : op;
   saved_annotated : bool;
   saved_bits_annotated : bool;
-  mutable prepared : Reannotator.prepared option;
-      (** Pre-mutation repair state (signs, and bitmaps where they are
-          materialized), stashed just before the structural apply —
-          recovery's roll-forward input. *)
-  mutable applied : bool;  (** Whether the structural mutation completed. *)
 }
 
 type direction = [ `None | `Back | `Forward ]
@@ -34,7 +29,7 @@ type direction = [ `None | `Back | `Forward ]
 type recovery = {
   recovered_epoch : int option;
   direction : direction;
-  signs_rolled_back : int;
+  ids_discarded : int;
 }
 
 type t = {
@@ -45,12 +40,11 @@ type t = {
   depend : Depend.t;
   plan : Plan.t;
   doc : Tree.t;
-  (* The native store over [doc], fault-wrapped and journaled, and its
-     undo journal.  [index] is the backend's live index slot: while it
-     describes [doc], repair scopes evaluate on it. *)
+  (* The native store over [doc], fault-wrapped.  [index] is the
+     backend's live index slot: while it describes [doc], repair
+     scopes evaluate on it. *)
   index : Xmlac_xpath.Index.t option ref;
   backend : Backend.t;
-  journal : Backend.journal;
   metrics : Metrics.t;
   (* [annotated] and [bits_annotated] record committed sign and bitmap
      annotation epochs, which decide the auto lane. *)
@@ -113,7 +107,6 @@ let create ?(optimize = true) ~dtd ~policy doc =
   in
   let native_doc = Tree.copy doc in
   let index = ref None in
-  let journal = Backend.journal () in
   let metrics = Metrics.create () in
   let t =
   {
@@ -127,10 +120,7 @@ let create ?(optimize = true) ~dtd ~policy doc =
     plan = Plan.rewrite ~schema:sg (Plan.of_policy policy);
     doc = native_doc;
     index;
-    backend =
-      Backend.with_faults
-        (Backend.journaled journal (Xml_backend.make ~index native_doc));
-    journal;
+    backend = Backend.with_faults (Xml_backend.make ~index native_doc);
     metrics;
     annotated = false;
     bits_annotated = false;
@@ -189,10 +179,10 @@ let role_index t role =
 
 (* --- sign epochs --------------------------------------------------- *)
 
-(* Every mutating operation runs inside a sign epoch: [begin_op] arms
-   the undo journal, and only [commit_op] advances [sign_epoch].  A
-   crash (Fault.Crash escaping the operation) leaves [open_op] set;
-   {!recover} resolves it. *)
+(* Every mutating operation runs inside a sign epoch, opened by
+   [begin_op] on the document's last freeze; only [commit_op] advances
+   [sign_epoch].  A crash (Fault.Crash escaping the operation) leaves
+   [open_op] set; {!recover} resolves it. *)
 let begin_op t op =
   if t.read_only && not t.applying then
     invalid_arg
@@ -215,17 +205,12 @@ let begin_op t op =
       op;
       saved_annotated = t.annotated;
       saved_bits_annotated = t.bits_annotated;
-      prepared = None;
-      applied = false;
     }
   in
   t.open_op <- Some o;
-  Backend.journal_begin t.journal;
   o
 
-(* Close the open epoch's journal under its number. *)
 let close_op t o =
-  Backend.journal_stop t.journal;
   t.sign_epoch <- o.num;
   t.open_op <- None
 
@@ -334,13 +319,10 @@ let structural t op =
 
 (* Apply a structural operation and repair the signs — and the role
    bitmaps, once an [annotate_subjects] epoch has materialized them:
-   take the stashed pre-mutation repair state (or compute it while the
-   store is untouched), apply the mutation unless it already
-   completed, and run the repair's post-mutation phase.  Recovery's
-   roll-forward resumes from what the crashed attempt recorded; its
-   partial sign and bitmap writes were rolled back, so the repair
-   recomputes them from the inputs the uninterrupted operation
-   used.
+   compute the pre-mutation repair state while the store is untouched,
+   apply the mutation, and run the repair's post-mutation phase.
+   Recovery's roll-forward runs it again from the committed state the
+   crashed attempt's writes were discarded back to.
 
    The scopes evaluate on a pre/size index only on demand.  When
    readers evaluated on the current snapshot's index and it still
@@ -357,7 +339,7 @@ let live_index t =
   | Some i when Xmlac_xpath.Index.describes i t.doc -> Some i
   | _ -> None
 
-let restructure t o (touched, apply) =
+let restructure t (touched, apply) =
   let demanded =
     match Snapshot.read_index (current_snapshot t) with
     | Some i when Xmlac_xpath.Index.describes i t.doc ->
@@ -368,24 +350,10 @@ let restructure t o (touched, apply) =
   (* A reader's index replaces the slot's; a stale one is dropped. *)
   t.index := (if Option.is_some demanded then demanded else live_index t);
   let prepared =
-    match o.prepared with
-    | Some p -> p
-    | None ->
-        let p =
-          Reannotator.prepare ~schema:t.sg ~bits:t.bits_annotated t.backend
-            t.depend ~touched
-        in
-        o.prepared <- Some p;
-        p
+    Reannotator.prepare ~schema:t.sg ~bits:t.bits_annotated t.backend t.depend
+      ~touched
   in
-  let deleted_roots =
-    if o.applied then 0
-    else begin
-      let n = apply () in
-      o.applied <- true;
-      n
-    end
-  in
+  let deleted_roots = apply () in
   if Option.is_some demanded && Option.is_none (live_index t) then begin
     t.index := Some (Xmlac_xpath.Index.build t.doc);
     Metrics.incr t.metrics "repair.index_builds"
@@ -398,14 +366,14 @@ let restructure t o (touched, apply) =
 let mutate t op =
   let step = structural t op in
   let o = begin_op t op in
-  let stats, index = restructure t o step in
+  let stats, index = restructure t step in
   commit_op ~footprint:(fst step) ?index t o;
   [ (Native, stats) ]
 
 let update t query = mutate t (Op_update query)
 
 (* The op record takes ownership of [fragment] as-is: every use — the
-   graft and a crash-recovery roll-forward — only reads it
+   graft and a crash-recovery re-run — only reads it
    ([Tree.graft] deep-copies into the target).  The aliasing contract
    (engine.mli): the caller must not mutate the fragment after handing
    it over. *)
@@ -429,27 +397,27 @@ let recover t =
          observable (epoch, counters), so recover stays idempotent. *)
       if Snapshot.current_epoch t.snapshots <> Some t.sign_epoch then
         publish_snapshot t;
-      { recovered_epoch = None; direction = `None; signs_rolled_back = 0 }
+      { recovered_epoch = None; direction = `None; ids_discarded = 0 }
   | Some o ->
       Metrics.incr t.metrics "recovery.runs";
-      (* Undo the crashed attempt's partial sign writes first; the
-         journal was recording since [begin_op]. *)
-      let signs_rolled_back = Backend.rollback t.journal in
+      (* Every commit ends in a freeze, so the document's last freeze
+         is the committed pre-epoch state: discard the crashed
+         attempt's writes back to it. *)
+      let ids_discarded = Tree.abort t.doc in
       t.annotated <- o.saved_annotated;
       t.bits_annotated <- o.saved_bits_annotated;
       let direction, index =
         match o.op with
         | Op_annotate | Op_annotate_subjects | Op_noop ->
-            (* Annotation-only operation: the rollback above already
-               restored the pre-epoch materialization — signs and
-               bitmaps both. *)
+            (* Annotation-only operation: the abort above restored the
+               pre-epoch materialization — signs and bitmaps both. *)
             (`Back, None)
         | Op_update _ | Op_insert _ ->
-            (* Structural operation: the mutation may or may not have
-               been applied; finishing it and re-running the repair —
+            (* Structural operation: running it again from the
+               committed state — the mutation, then the repair of
                signs, and bitmaps where materialized — lands on the
                post-operation state. *)
-            (`Forward, snd (restructure t o (structural t o.op)))
+            (`Forward, snd (restructure t (structural t o.op)))
       in
       (* The epoch number is consumed either way — the counter never
          runs backwards, even across an aborted epoch. *)
@@ -458,8 +426,8 @@ let recover t =
          Readers pinned through the crash keep their pre-crash
          snapshot untouched. *)
       publish_snapshot ?index t;
-      Metrics.add t.metrics "recovery.signs_rolled_back" signs_rolled_back;
-      { recovered_epoch = Some o.num; direction; signs_rolled_back }
+      Metrics.add t.metrics "recovery.ids_discarded" ids_discarded;
+      { recovered_epoch = Some o.num; direction; ids_discarded }
 
 type outcome = Committed | Aborted | Untouched
 

@@ -48,22 +48,26 @@
     {2 Sign epochs and crash recovery}
 
     Every mutating operation — {!annotate}, {!update}, {!insert} — runs
-    as an atomic {e sign epoch}: an undo journal records the previous
-    sign of every node written ({!Backend.journaled}), and only a
-    successful operation commits the epoch and advances {!sign_epoch}.
-    The store's write paths are threaded through deterministic fault
-    points ({!Xmlac_util.Fault.point}: [native.set_sign],
-    [native.delete], [epoch.commit], …); when an armed point fires, the
-    resulting {!Xmlac_util.Fault.Crash} escapes the operation and
-    leaves the epoch open — a simulated kill.  {!recover} then plays
-    the restart: roll the partial sign writes back through the
-    journal, and either stop there (sign-only operations land on the
-    pre-operation materialization) or finish the structural mutation
-    and re-run the repair from the stashed {!Reannotator.prepared}
-    state (structural operations land on the post-operation
-    materialization).  Either way the recovered epoch is published as
+    as an atomic {e sign epoch}, and only a successful operation
+    commits the epoch and advances {!sign_epoch}.  Every commit ends
+    in a copy-on-write {!Xmlac_xml.Tree.freeze} of the document (the
+    epoch's snapshot), and copy-on-write never writes a record a
+    freeze shares, so the last freeze is the exact committed state: no
+    undo record is kept.  The store's write paths are threaded through
+    deterministic fault points ({!Xmlac_util.Fault.point}:
+    [native.set_sign], [native.delete], [epoch.commit], …); when an
+    armed point fires, the resulting {!Xmlac_util.Fault.Crash} escapes
+    the operation and leaves the epoch open — a simulated kill.
+    {!recover} then plays the restart: discard every write since the
+    last freeze ({!Xmlac_xml.Tree.abort}), and either stop there
+    (annotation operations land on the pre-operation materialization)
+    or run the structural operation again from the committed state —
+    the mutation, then the repair — so it lands on the post-operation
+    materialization.  Either way the recovered epoch is published as
     the current snapshot, and the epoch counter
     never runs backwards — an aborted epoch's number is consumed.
+    The abort also discards any write made to {!document} outside an
+    epoch since the last freeze; the engine itself makes none.
     What an interrupted call became is {!settle}'s to say, nobody
     else's: the serving layer and replication only map its outcome. *)
 
@@ -128,8 +132,8 @@ val annotate_subjects : t -> Annotator.subjects_stats
 (** The multi-subject shared pass ({!Annotator.annotate_subjects}):
     every role's accessibility materialized as per-node bitmaps in one
     annotation epoch.  Crash-safe like
-    {!annotate}: a killed pass is rolled back through the bitmap
-    journal, never leaving a partial bitmap visible. *)
+    {!annotate}: recovery discards a killed pass's bitmap writes,
+    never leaving a partial bitmap visible. *)
 
 val annotate_subjects_all : t -> (backend_kind * Annotator.subjects_stats) list
 (** [[(Native, annotate_subjects t)]]. *)
@@ -213,8 +217,8 @@ val insert :
 
     Aliasing contract: the engine takes ownership of [fragment]
     {e without copying it} — the grafts deep-copy out of it, and the
-    retained reference exists only so a crash-recovery roll-forward
-    can re-read it.  The caller must not mutate [fragment] after the
+    retained reference exists only so crash recovery can run the
+    insert again.  The caller must not mutate [fragment] after the
     call (re-using it as the source of further inserts is fine). *)
 
 val accessible : t -> int list
@@ -261,8 +265,8 @@ val open_epoch : t -> int option
     {!recover} first. *)
 
 val wal : t -> backend_kind -> Xmlac_reldb.Wal.t option
-(** Always [None]: the native store is journaled in memory, not
-    through a WAL.  Stays only for [perfbench/]. *)
+(** Always [None]: the native store recovers from its last freeze,
+    not through a WAL.  Stays only for [perfbench/]. *)
 
 (** {1 MVCC snapshots}
 
@@ -299,19 +303,23 @@ type recovery = {
       (** The epoch that was open, or [None] if nothing was in
           flight. *)
   direction : direction;
-      (** [`Back]: a sign-only operation was rolled back to the
-          pre-epoch materialization.  [`Forward]: a structural
-          operation was re-applied and its repair re-run.  [`None]:
-          there was nothing to do. *)
-  signs_rolled_back : int;
-      (** Journal entries replayed (partial writes undone). *)
+      (** [`Back]: an annotation operation's writes were discarded
+          back to the pre-epoch materialization.  [`Forward]: a
+          structural operation's writes were discarded and the
+          operation — mutation and repair — ran again from the
+          committed state.  [`None]: there was nothing to do. *)
+  ids_discarded : int;
+      (** Ids the crashed attempt had written — signs, bitmaps,
+          values, births and deletions — whose writes the abort
+          discarded ({!Xmlac_xml.Tree.abort}); also counted as
+          [recovery.ids_discarded]. *)
 }
 
 val recover : t -> recovery
 (** The simulated restart after a {!Xmlac_util.Fault.Crash}: clears
     the fault registry's kill state and every armed trigger
-    ({!Xmlac_util.Fault.recover}), rolls partial sign writes back
-    through the undo journal, and resolves the open epoch
+    ({!Xmlac_util.Fault.recover}), discards the open epoch's writes
+    back to the document's last freeze, and resolves the epoch
     as described in the module preamble — backwards for {!annotate},
     forwards for {!update} / {!insert}.  Restores the annotation
     tracking, consumes the open epoch's number and publishes the
@@ -343,8 +351,8 @@ val settle : t -> since:int -> bool * outcome
     operation travels to replicas as an {!op} — a logical,
     deterministic description replayed through the replica's own
     engine entry points, so a shipped epoch inherits the full sign
-    epoch machinery above: journaled writes and crash recovery that
-    lands strictly pre- or post-epoch. *)
+    epoch machinery above: crash recovery that lands strictly pre- or
+    post-epoch. *)
 
 (** One mutating operation: the engine records the one an open epoch
     is attempting (recovery finishes or abandons it), and replication

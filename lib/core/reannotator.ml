@@ -16,8 +16,7 @@ let scopes (backend : Backend.t) =
 
 (* The pre-mutation half: the triggered rules, each distinct triggered
    resource's scope before the update, and whether the role bitmaps
-   are repaired too.  Side-effect free, so the engine can stash it for
-   crash recovery. *)
+   are repaired too.  Side-effect free. *)
 type prepared = {
   trig : Trigger.result;
   rules : Rule.t list;
@@ -96,8 +95,7 @@ let repair_bits (backend : Backend.t) scope policy rules region =
   ignore (backend.Backend.set_bits_batch batch ~default);
   List.map fst batch
 
-(* The post-mutation half; re-runnable by recovery once partial sign
-   and bitmap writes of a crashed attempt have been rolled back. *)
+(* The post-mutation half. *)
 let finish ?schema (backend : Backend.t) depend p ~deleted_roots =
   let policy = Depend.policy depend in
   (* One scope memo for the post-update document: the region and,

@@ -60,11 +60,9 @@ type prepared
     distinct triggered resource's scope {e before} the update (one id
     set per resource, not their union: the region needs each
     resource's own pre{_r} to compare with its post{_r}).  Computing
-    it is side-effect free, so the engine stashes it in its open-epoch
-    record — after a crash between the mutation and the repair,
-    {!finish} can be re-run from the stashed value even though the
-    pre-update document no longer exists ({!Engine.recover}'s
-    roll-forward path). *)
+    it is side-effect free.  Nothing keeps it across a crash:
+    {!Engine.recover} discards the crashed attempt's writes, so the
+    pre-update document exists again, and runs {!prepare} anew. *)
 
 val prepare :
   ?schema:Xmlac_xml.Schema_graph.t ->
@@ -100,10 +98,7 @@ val finish :
     identical projections evaluated once, and exactly the role bits of
     R's nodes that disagree written in one {!Backend.t.set_bits_batch}.
     An empty R reads and writes nothing.  No plan goes through
-    {!Backend.t.eval_plan}.  Idempotent
-    given the same [prepared] and document state — recovery re-runs it
-    after rolling back any partial sign and bitmap writes of a crashed
-    attempt. *)
+    {!Backend.t.eval_plan}. *)
 
 val reannotate :
   ?schema:Xmlac_xml.Schema_graph.t ->

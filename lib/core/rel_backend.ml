@@ -108,13 +108,6 @@ let make mapping db : Backend.t =
                     { table = Table.name table; set = [ ("s", v) ]; where = [] })))
           (Db.tables db));
     sign_of;
-    restore_sign =
-      (fun id s ->
-        (* A live tuple always carries a sign value, so the journal
-           never records [None] for it; nothing to restore then. *)
-        match s with
-        | None -> ()
-        | Some sign -> ignore (set_sign_ids mapping db [ id ] sign));
     set_bits_batch =
       (fun edits ~default ->
         (* The batched stamp: one row read and one serialized UPDATE
@@ -154,16 +147,6 @@ let make mapping db : Backend.t =
                     { table = Table.name table; set = [ ("b", v) ]; where = [] })))
           (Db.tables db));
     bits_of;
-    restore_bits =
-      (fun id b ->
-        (* A live tuple always carries a bitmap value, so the journal
-           never records [None] for it; nothing to restore then. *)
-        match b with
-        | None -> ()
-        | Some bits -> (
-            match Shred.node_table mapping db id with
-            | None -> ()
-            | Some table -> ignore (write_bits db table id bits)));
     delete_update =
       (fun e ->
         let ids = Translate.eval_ids mapping db e in

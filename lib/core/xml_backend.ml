@@ -48,14 +48,6 @@ let make ?(index = ref None) doc : Backend.t =
         match Tree.find doc id with
         | Some n -> n.Tree.sign
         | None -> None);
-    restore_sign =
-      (fun id s ->
-        (* The undo-journal primitive: unlike [set_sign_ids] this can
-           write back [None], the unannotated state the native store's
-           compact representation relies on. *)
-        match Tree.find doc id with
-        | Some n -> Tree.set_sign doc n s
-        | None -> ());
     set_bits_batch =
       (fun edits ~default ->
         (* All of a node's role edits fold into one bitmap write;
@@ -85,11 +77,6 @@ let make ?(index = ref None) doc : Backend.t =
     bits_of =
       (fun id ->
         match Tree.find doc id with Some n -> n.Tree.bits | None -> None);
-    restore_bits =
-      (fun id b ->
-        match Tree.find doc id with
-        | Some n -> Tree.set_bits doc n b
-        | None -> ());
     delete_update = (fun e -> Xmlac_xmldb.Update.delete doc e);
     has_node = (fun id -> Tree.find doc id <> None);
     live_ids =

@@ -13,8 +13,9 @@
     the wire bytes unchanged.  Followers
     apply frames strictly in stream order through
     {!Xmlac_core.Engine.apply_replica}, so every applied epoch runs
-    under the full sign-epoch machinery: journaled writes and a crash
-    recovery that lands pre- or post-epoch, never a mix.  After each
+    under the full sign-epoch machinery: a crash recovery that
+    discards the epoch's writes back to the last freeze and lands
+    pre- or post-epoch, never a mix.  After each
     apply the follower recomputes the digest: a match counts under
     [repl.digest_verified], a mismatch marks the follower
     {e divergent} — it stops serving and refuses promotion.

@@ -8,7 +8,8 @@
 
     Values are immutable: every operation returns a fresh bitmap and
     never aliases mutable state with its inputs, so bitmaps can be
-    stashed in undo journals and snapshots without defensive copies. *)
+    shared by copy-on-write trees and snapshots without defensive
+    copies. *)
 
 type t
 
@@ -63,7 +64,7 @@ val memory_bytes : t -> int
 
 val to_string : t -> string
 (** Printable, self-validating wire form — safe inside SQL string
-    literals, WAL records and crash journals. *)
+    literals and WAL records. *)
 
 val of_string : string -> t
 (** Inverse of {!to_string}, re-validating shape, ordering and bounds.

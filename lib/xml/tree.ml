@@ -55,7 +55,9 @@ type t = {
   mutable frozen_view : bool;
   fam : int;
   mutable shape : int;
+  mutable shapes : int;  (* high-water mark of [shape] *)
   mutable delta : delta;
+  mutable base : t option;  (* the last freeze's view, on a live tree *)
 }
 
 let family_counter = ref 0
@@ -73,10 +75,13 @@ let empty_delta () =
 let touch t id = t.delta.changed <- Imap.add id () t.delta.changed
 
 (* The four writes that can move an answer set (add, value, delete,
-   graft) mark the delta structural and bump [shape]. *)
+   graft) mark the delta structural and move [shape] to a value the
+   tree has never had: [abort] sets [shape] back, and an index built
+   on discarded writes must never describe the tree again. *)
 let restructured t =
   t.delta.structural <- true;
-  t.shape <- t.shape + 1
+  t.shapes <- t.shapes + 1;
+  t.shape <- t.shapes
 
 let check_live name t =
   if t.frozen_view then invalid_arg (name ^ ": tree is a frozen snapshot view")
@@ -101,7 +106,7 @@ let create ~root_name =
   let t =
     { next_id = 0; index = Imap.empty; root_node = dummy_node; node_count = 0;
       gen = 0; frozen_view = false; fam = new_family (); shape = 0;
-      delta = empty_delta () }
+      shapes = 0; delta = empty_delta (); base = None }
   in
   let root = fresh_node t ~name:root_name ~value:None ~parent:None in
   t.root_node <- root;
@@ -333,10 +338,31 @@ let freeze t =
      the counters by value; the live tree moves to the next generation
      with a clean slate, so its next write to any shared record copies
      first. *)
-  let view = { t with frozen_view = true; delta = empty_delta () } in
+  let view =
+    { t with frozen_view = true; delta = empty_delta (); base = None }
+  in
   t.gen <- t.gen + 1;
   t.delta <- empty_delta ();
+  t.base <- Some view;
   (view, stats)
+
+(* Copy-on-write never writes a record the last freeze shares, so its
+   view is the exact image before every write since: taking back its
+   index, root and counters discards them all.  The generation stays,
+   so the next write path-copies from the view's records afresh. *)
+let abort t =
+  check_live "Tree.abort" t;
+  match t.base with
+  | None -> invalid_arg "Tree.abort: tree was never frozen"
+  | Some v ->
+      let discarded = Imap.cardinal t.delta.changed in
+      t.next_id <- v.next_id;
+      t.index <- v.index;
+      t.root_node <- v.root_node;
+      t.node_count <- v.node_count;
+      t.shape <- v.shape;
+      t.delta <- empty_delta ();
+      discarded
 
 let fold_changed f t acc =
   Imap.fold (fun id () acc -> f id acc) t.delta.changed acc
@@ -345,7 +371,7 @@ let copy t =
   let t' =
     { next_id = t.next_id; index = Imap.empty; root_node = dummy_node;
       node_count = 0; gen = 0; frozen_view = false; fam = new_family ();
-      shape = 0; delta = empty_delta () }
+      shape = 0; shapes = 0; delta = empty_delta (); base = None }
   in
   let rec dup parent src =
     let n =

@@ -173,6 +173,18 @@ val freeze : t -> t * freeze_stats
     the next generation.  Mutating a frozen view raises
     [Invalid_argument]; freezing a frozen view likewise. *)
 
+val abort : t -> int
+(** Discards every write since the tree's last {!freeze} — signs,
+    bitmaps, values, births and deletions, whoever made them — and
+    returns the tree to that freeze's index, root, node count and id
+    allocator: the next fresh id is the one the freeze would have
+    handed out.  O(1) plus the change set, and it stays in the
+    current generation.  Returns how many ids the discarded writes
+    touched (the {!fold_changed} set).  The view and every record it
+    shares are untouched, since copy-on-write never writes them.
+    Raises [Invalid_argument] on a frozen view or a tree never
+    frozen. *)
+
 val fold_changed : (int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Folds over the ids written since the last {!freeze} (ascending):
     the change set the next freeze will report.  Empty on a frozen
@@ -192,13 +204,16 @@ val family : t -> int
     captured view to be of its predecessor's family. *)
 
 val shape : t -> int
-(** A counter of the tree's structural writes: {!add_child},
-    {!set_value} (when the value changes), {!delete} and {!graft} each
-    bump it; sign and bitmap writes and {!freeze} do not.  A frozen
-    view keeps the value the tree had at freeze.  Within one
+(** The tree's structural state: {!add_child}, {!set_value} (when the
+    value changes), {!delete} and {!graft} each move it to a value the
+    tree has never had before; sign and bitmap writes and {!freeze} do
+    not move it.  A frozen view keeps the value the tree had at
+    freeze, and {!abort} takes that value back.  Within one
     {!family}, two trees with the same shape have the same nodes,
     names, values and document order, so a structure derived from one
-    (the XPath library's pre/size index) describes the other. *)
+    (the XPath library's pre/size index) describes the other — and
+    one derived from writes an {!abort} discarded describes nothing
+    the tree is ever again. *)
 
 (** {1 Copying and comparison} *)
 

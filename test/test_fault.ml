@@ -472,7 +472,7 @@ let test_recover_idempotent () =
   Alcotest.(check bool) "second recovery reports nothing to do" true
     (r2.Engine.direction = `None
     && r2.Engine.recovered_epoch = None
-    && r2.Engine.signs_rolled_back = 0);
+    && r2.Engine.ids_discarded = 0);
   Alcotest.(check bool) "no observable movement" true (before = observe ());
   Fault.reset ()
 

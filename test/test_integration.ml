@@ -472,7 +472,11 @@ let test_crash_after_read site () =
         (Engine.accessible_subject eng role))
     (Policy.roles policy);
   let snap = Engine.current_snapshot eng in
-  Alcotest.(check int) "one post-update index built" 1
+  (* Each attempt that got past the graft built a post-update index;
+     at [epoch.commit] the crashed attempt's described writes that
+     recovery discarded, so the re-run built another. *)
+  Alcotest.(check int) "post-update indexes built"
+    (if site = "epoch.commit" then 2 else 1)
     (counter eng "repair.index_builds");
   Alcotest.(check bool) "no reader took it yet" true
     (Snapshot.read_index snap = None);

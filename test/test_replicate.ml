@@ -525,6 +525,16 @@ let digest_engine () =
 
 let flip = function Tree.Plus -> Tree.Minus | Tree.Minus -> Tree.Plus
 
+(* Writes one node's sign or bitmap straight into the engine's
+   document, outside any epoch; [None] returns it to unannotated. *)
+let write_sign eng id s =
+  let doc = Engine.document eng in
+  Tree.set_sign doc (Option.get (Tree.find doc id)) s
+
+let write_bits eng id b =
+  let doc = Engine.document eng in
+  Tree.set_bits doc (Option.get (Tree.find doc id)) b
+
 (* Flipping one stored sign (or role bit) through a backend changes
    the digest, and flipping it back restores it: the digest is a
    function of the stored grants. *)
@@ -544,15 +554,15 @@ let test_digest_sensitive () =
   let sign = b.Backend.sign_of id in
   let eff = Backend.effective_sign b ~default:(Policy.ds policy) id in
   check_flip "native sign flip" eng
-    ~write:(fun () -> b.Backend.restore_sign id (Some (flip eff)))
-    ~undo:(fun () -> b.Backend.restore_sign id sign);
+    ~write:(fun () -> write_sign eng id (Some (flip eff)))
+    ~undo:(fun () -> write_sign eng id sign);
   let bits = b.Backend.bits_of id in
   let default = Policy.default_bits policy in
   let set = Xmlac_util.Bitset.mem 1 (Backend.effective_bits b ~default id) in
   check_flip "role bit flip" eng
     ~write:(fun () ->
       ignore (b.Backend.set_bits_batch [ (id, [ (1, not set) ]) ] ~default))
-    ~undo:(fun () -> b.Backend.restore_bits id bits)
+    ~undo:(fun () -> write_bits eng id bits)
 
 let test_digest_ignores_epochs () =
   let eng = digest_engine () in
@@ -692,11 +702,11 @@ let test_digest_publish_fault () =
   let eff =
     Backend.effective_sign b ~default:(Policy.ds (Engine.policy eng)) id
   in
-  b.Backend.restore_sign id (Some (flip eff));
+  write_sign eng id (Some (flip eff));
   Alcotest.(check bool) "out-of-epoch write: moved, and the fold" true
     (Engine.state_checksum eng <> Engine.state_checksum twin
     && digest_is_fold eng);
-  b.Backend.restore_sign id sign;
+  write_sign eng id sign;
   Alcotest.(check int32) "undone" (Engine.state_checksum twin)
     (Engine.state_checksum eng);
   Fault.reset ()

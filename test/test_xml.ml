@@ -182,6 +182,57 @@ let test_tree_shape () =
     false
     (Xmlac_xpath.Index.describes (Xmlac_xpath.Index.build frag) doc)
 
+(* [abort] hands back the last freeze's ids and counts, and says how
+   many ids the discarded writes touched. *)
+let test_tree_abort () =
+  let doc, _, b, c, d = small_doc () in
+  let view, _ = Tree.freeze doc in
+  Tree.set_sign doc d (Some Tree.Plus);
+  let e = Tree.add_child doc c "e" in
+  Tree.delete doc b;
+  Alcotest.(check int) "ids touched: d, e and b" 3 (Tree.abort doc);
+  Alcotest.(check bool) "the view's state" true (Tree.equal_annotated doc view);
+  Alcotest.(check int) "size" (Tree.size view) (Tree.size doc);
+  Alcotest.(check bool) "b is back" true (Tree.find doc b.Tree.id <> None);
+  Alcotest.(check bool) "e is gone" true (Tree.find doc e.Tree.id = None);
+  Alcotest.(check int) "e's id is handed out again" e.Tree.id
+    (Tree.add_child doc c "e").Tree.id;
+  Alcotest.(check int) "nothing left to discard after a freeze" 0
+    (ignore (Tree.freeze doc);
+     Tree.abort doc)
+
+let test_tree_abort_rejected () =
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  let doc, _, _, _, _ = small_doc () in
+  raises "a tree never frozen" (fun () -> Tree.abort doc);
+  let view, _ = Tree.freeze doc in
+  raises "a frozen view" (fun () -> Tree.abort view)
+
+(* An index built on discarded structural writes never describes the
+   tree again — not after the abort, nor after a different structural
+   write that takes as many steps — while the view's index describes
+   the aborted tree until its next structural write. *)
+let test_tree_abort_shape () =
+  let doc, _, b, c, _ = small_doc () in
+  let view, _ = Tree.freeze doc in
+  let at_view = Xmlac_xpath.Index.build view in
+  ignore (Tree.add_child doc c "e");
+  let discarded = Xmlac_xpath.Index.build doc in
+  ignore (Tree.abort doc);
+  Alcotest.(check bool) "the view's index describes the aborted tree" true
+    (Xmlac_xpath.Index.describes at_view doc);
+  Alcotest.(check bool) "the discarded index does not" false
+    (Xmlac_xpath.Index.describes discarded doc);
+  Tree.delete doc b;
+  Alcotest.(check bool) "nor after another structural write" false
+    (Xmlac_xpath.Index.describes discarded doc);
+  Alcotest.(check bool) "which the view's index does not describe" false
+    (Xmlac_xpath.Index.describes at_view doc)
+
 let test_tree_equal_structure () =
   let a, _, _, _, _ = small_doc () in
   let b, _, _, _, _ = small_doc () in
@@ -450,6 +501,65 @@ let roundtrip_prop =
       let doc' = Xml_parser.parse_exn (Serializer.to_string doc) in
       Tree.equal_annotated doc doc')
 
+(* After a freeze, any mix of writes — signs, bitmaps, values, births,
+   deletions, grafts and the two clears — then [abort] lands on the
+   view: the same annotated tree with the same ids, the view itself
+   untouched, and the next fresh id the one a never-written twin
+   hands out. *)
+let abort_prop =
+  QCheck2.Test.make ~name:"abort returns the tree to its last freeze"
+    ~count:100 QCheck2.Gen.int64 (fun seed ->
+      let rng = Prng.create ~seed in
+      let doc = Helpers.random_hospital_doc rng in
+      (* A write on a random node among those it applies to, if any. *)
+      let on p f =
+        match List.filter p (Tree.nodes doc) with
+        | [] -> ()
+        | ns -> f (Prng.choose_list rng ns)
+      in
+      let any _ = true and element n = n.Tree.value = None in
+      let write () =
+        match Prng.int rng 8 with
+        | 0 ->
+            on any (fun n ->
+                Tree.set_sign doc n
+                  (Some (Prng.choose rng [| Tree.Plus; Tree.Minus |])))
+        | 1 ->
+            on any (fun n ->
+                Tree.set_bits doc n
+                  (Some (Xmlac_util.Bitset.of_list [ Prng.int rng 4 ])))
+        | 2 ->
+            on
+              (fun n -> n.Tree.children = [])
+              (fun n -> Tree.set_value doc n (Some (Prng.word rng 4)))
+        | 3 -> on element (fun n -> ignore (Tree.add_child doc n "x"))
+        | 4 -> on (fun n -> Tree.parent n <> None) (Tree.delete doc)
+        | 5 ->
+            let frag, _, _, _, _ = small_doc () in
+            on element (fun n -> ignore (Tree.graft doc n frag))
+        | 6 -> Tree.clear_signs doc
+        | _ -> Tree.clear_bits doc
+      in
+      for _ = 1 to Prng.int rng 8 do
+        write ()
+      done;
+      let view, _ = Tree.freeze doc in
+      let twin = Tree.copy view and kept = Tree.copy view in
+      for _ = 1 to 1 + Prng.int rng 12 do
+        write ()
+      done;
+      let touched = Tree.fold_changed (fun _ k -> k + 1) doc 0 in
+      let ids t = List.map (fun (n : Tree.node) -> n.Tree.id) (Tree.nodes t) in
+      let discarded = Tree.abort doc in
+      let fresh t = (Tree.add_child t (Tree.root t) "probe").Tree.id in
+      discarded = touched
+      && Tree.equal_annotated doc view
+      && ids doc = ids view
+      && Tree.size doc = Tree.size view
+      && Tree.equal_annotated view kept
+      && ids view = ids kept
+      && fresh doc = fresh twin)
+
 let validate_prop =
   QCheck2.Test.make ~name:"generated hospital docs validate" ~count:50
     QCheck2.Gen.int64 (fun seed ->
@@ -479,6 +589,10 @@ let () =
           tc "structural equality" test_tree_equal_structure;
           tc "freeze change set" test_tree_freeze_change_set;
           tc "shape" test_tree_shape;
+          tc "abort" test_tree_abort;
+          tc "abort rejected" test_tree_abort_rejected;
+          tc "abort and shape" test_tree_abort_shape;
+          QCheck_alcotest.to_alcotest abort_prop;
         ] );
       ( "serializer",
         [
