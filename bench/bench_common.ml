@@ -62,6 +62,27 @@ let mid_coverage_policy factor =
       Hashtbl.replace mid_policy_cache factor p;
       p
 
+(* The repo benchmark's 16-role policy (perfbench/inputs.ml): the
+   coverage rules plus one qualified allow per role. *)
+let role_scopes =
+  [ "//emailaddress"; "//person[creditcard]/emailaddress"; "//phone"; "//interest";
+    "//payment"; "//location"; "//current"; "//open_auction[type = \"Featured\"]/current" ]
+
+let roles = 16
+
+let role_policy factor =
+  let base = mid_coverage_policy factor in
+  let name i = Printf.sprintf "r%d" i in
+  let subjects = Subject.make_exn (List.init roles (fun i -> Subject.role (name i))) in
+  let qualified =
+    List.init roles (fun i ->
+        Rule.parse ~name:(Printf.sprintf "q%d" i) ~subjects:[ name i ]
+          (List.nth role_scopes (i mod List.length role_scopes))
+          Rule.Plus)
+  in
+  Policy.make ~subjects ~ds:(Policy.ds base) ~cr:(Policy.cr base)
+    (Policy.rules base @ qualified)
+
 let load_db ?wal engine document ~default_sign =
   let db = Db.create engine in
   ignore (Xmlac_shrex.Shred.load mapping ~default_sign db document);

@@ -63,25 +63,7 @@ let measure ?(reps = reps) f =
   let per = float_of_int reps in
   (elapsed /. per *. 1e6, (Gc.minor_words () -. words) /. per)
 
-(* The repo benchmark's role scopes (perfbench/inputs.ml). *)
-let role_scopes =
-  [ "//emailaddress"; "//person[creditcard]/emailaddress"; "//phone"; "//interest";
-    "//payment"; "//location"; "//current"; "//open_auction[type = \"Featured\"]/current" ]
-
-let roles = 16
-
-let role_policy () =
-  let base = Bench_common.mid_coverage_policy factor in
-  let name i = Printf.sprintf "r%d" i in
-  let subjects = Subject.make_exn (List.init roles (fun i -> Subject.role (name i))) in
-  let qualified =
-    List.init roles (fun i ->
-        Rule.parse ~name:(Printf.sprintf "q%d" i) ~subjects:[ name i ]
-          (List.nth role_scopes (i mod List.length role_scopes))
-          Rule.Plus)
-  in
-  Policy.make ~subjects ~ds:(Policy.ds base) ~cr:(Policy.cr base)
-    (Policy.rules base @ qualified)
+let roles = Bench_common.roles
 
 let mean a = Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
 
@@ -191,7 +173,7 @@ let run () =
   let verdicts_differ = report "check verdicts" n !differ in
   (* The repair's scope stage, on a live document. *)
   let eng =
-    Engine.create ~dtd:Xmlac_workload.Xmark.dtd ~policy:(role_policy ())
+    Engine.create ~dtd:Xmlac_workload.Xmark.dtd ~policy:(Bench_common.role_policy factor)
       (Bench_common.doc factor)
   in
   ignore (Engine.annotate eng);

@@ -19,7 +19,15 @@
    state digest after a committed epoch on XMark f=0.1 under a
    sign-only coverage policy: Engine.state_checksum, carried along the
    snapshot chain, next to the full fold it replaces
-   (Snapshot.fold_digest); the run exits 1 if the two differ. *)
+   (Snapshot.fold_digest); the run exits 1 if the two differ.  A
+   fourth times the structural repair's fixed cost on XMark f=0.1
+   under the 16-role policy with its Overlap graph: the footprint
+   trigger next to the expansion test it replaced, a plan compile on
+   a memo miss and on a hit, and the scopes plus the region of a
+   person insert on sorted-array sets next to Set.Make (Int); it
+   prints the plan memo's distinct keys over a mix of update shapes
+   and exits 1 if a trigger set differs from the expansion test or a
+   memoized plan from a fresh compile. *)
 
 open Bechamel
 open Toolkit
@@ -159,6 +167,141 @@ let digest_rows () =
     exit 1
   end
 
+module Sm = Xmlac_xpath.Schema_match
+module Iset = Set.Make (Int)
+
+(* The trigger input of an insert below [at]: the grafted root and
+   everything below it, as the engine builds it. *)
+let insert_touched at name =
+  let at = Xmlac_xpath.Parser.parse_exn at in
+  let root = Xmlac_xpath.Ast.{ steps = at.steps @ [ step Child (Name name) ] } in
+  [ root; Xmlac_xpath.Ast.{ steps = root.steps @ [ step Descendant Wildcard ] } ]
+
+let repair_rows () =
+  let factor = 0.1 in
+  let eng =
+    Engine.create ~dtd:Xmlac_workload.Xmark.dtd
+      ~policy:(Bench_common.role_policy factor) (Bench_common.doc factor)
+  in
+  let policy = Engine.policy eng and sg = Engine.schema_graph eng in
+  let depend = Engine.depend eng in
+  let rules = Array.of_list (Policy.rules policy) in
+  (* The trigger it replaced: some expansion member overlaps an update. *)
+  let expansion_test updates =
+    let triggers =
+      Rule.memo_resource (fun e ->
+          List.exists
+            (fun x -> List.exists (Sm.overlap sg x) updates)
+            (Xmlac_xpath.Expand.expand ~schema:sg e))
+    in
+    List.filter (fun i -> triggers rules.(i).Rule.resource)
+      (List.init (Array.length rules) Fun.id)
+  in
+  let compile key =
+    Plan.rewrite ~schema:sg
+      (Plan.of_rules policy (List.map (fun i -> rules.(i)) key))
+  in
+  let person = insert_touched "/site/people" "person" in
+  let shapes =
+    [ person;
+      insert_touched "/site/regions/europe" "item";
+      insert_touched "/site/open_auctions" "open_auction";
+      insert_touched "/site/closed_auctions" "closed_auction";
+      insert_touched "/site/people/person" "creditcard";
+      insert_touched "/site/people/person/profile" "interest" ]
+    @ List.map (fun e -> [ e ]) (Xmlac_workload.Queries.delete_updates ~n:40 ())
+  in
+  let wrong = ref 0 in
+  let keys =
+    List.map
+      (fun updates ->
+        let r = Trigger.run_all ~schema:sg depend ~updates in
+        if r.Trigger.directly <> expansion_test updates then incr wrong;
+        let key = Trigger.all r in
+        let memo = Depend.plan ~schema:sg depend key and fresh = compile key in
+        if
+          not
+            (Plan.equal_node memo.Plan.query fresh.Plan.query
+            && memo.Plan.mark = fresh.Plan.mark
+            && memo.Plan.default = fresh.Plan.default)
+        then incr wrong;
+        key)
+      shapes
+    |> List.sort_uniq compare |> Array.of_list
+  in
+  (* Cycles through the distinct keys, one per call. *)
+  let cycle f =
+    let k = ref 0 in
+    fun () ->
+      incr k;
+      f keys.(!k mod Array.length keys)
+  in
+  (* The scopes and the region of a person insert, on indexes of the
+     document before and after it, as a read-demanded repair runs. *)
+  let before = Engine.document eng in
+  let after = Tree.copy before in
+  let fragment = Tree.create ~root_name:"person" in
+  ignore (Tree.add_child fragment (Tree.root fragment) ~value:"pb" "name");
+  ignore (Tree.add_child fragment (Tree.root fragment) ~value:"1" "creditcard");
+  ignore
+    (Xmlac_xmldb.Update.insert_nodes after
+       ~at:(Xmlac_xpath.Parser.parse_exn "/site/people") ~fragment);
+  let backend doc =
+    Xml_backend.make ~index:(ref (Some (Xmlac_xpath.Index.build doc))) doc
+  in
+  let pre = backend before and post = backend after in
+  let resources =
+    List.sort_uniq compare
+      (List.map
+         (fun (r : Rule.t) -> r.Rule.resource)
+         (Trigger.triggered_rules depend
+            (Trigger.run_all ~schema:sg depend ~updates:person)))
+  in
+  let region () =
+    List.fold_left
+      (fun acc e ->
+        Plan.Ids.union acc
+          (Plan.Ids.sym_diff
+             (Plan.Ids.of_list (pre.Backend.eval_ids e))
+             (Plan.Ids.of_list (post.Backend.eval_ids e))))
+      Plan.Ids.empty resources
+    |> Plan.Ids.filter post.Backend.has_node
+  in
+  let set_region () =
+    List.fold_left
+      (fun acc e ->
+        let a = Iset.of_list (pre.Backend.eval_ids e)
+        and b = Iset.of_list (post.Backend.eval_ids e) in
+        Iset.union acc (Iset.union (Iset.diff a b) (Iset.diff b a)))
+      Iset.empty resources
+    |> Iset.filter post.Backend.has_node
+  in
+  if Plan.Ids.elements (region ()) <> Iset.elements (set_region ()) then
+    incr wrong;
+  print_rows
+    (Printf.sprintf "structural repair, %d rules, %d nodes"
+       (Array.length rules) (Tree.size before))
+    [
+      row ~calls:2_000 "trigger (footprints)" (fun () ->
+          Trigger.run_all ~schema:sg depend ~updates:person);
+      row ~calls:300 "trigger (expansion test, replaced)" (fun () ->
+          expansion_test person);
+      row ~calls:200 "plan compile, memo miss" (cycle compile);
+      row ~calls:100_000 "plan compile, memo hit"
+        (cycle (Depend.plan ~schema:sg depend));
+      row ~calls:500 "scopes + region (array sets)" region;
+      row ~calls:500 "scopes + region (Set.Make, replaced)" set_region;
+    ];
+  Printf.printf "plan memo: %d distinct triggered sets over %d update shapes\n"
+    (Array.length keys) (List.length shapes);
+  if !wrong > 0 then begin
+    Printf.printf
+      "ASSERTION FAILED: %d trigger sets, plans or regions differ from the \
+       reference\n"
+      !wrong;
+    exit 1
+  end
+
 let run () =
   Bench_common.section
     (Printf.sprintf "Micro-benchmarks (Bechamel, xmark f=%g)" factor);
@@ -188,4 +331,5 @@ let run () =
     (List.sort (fun (a, _) (b, _) -> String.compare a b) rows);
   Xmlac_util.Tabular.print table;
   read_rows ();
-  digest_rows ()
+  digest_rows ();
+  repair_rows ()

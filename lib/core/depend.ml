@@ -1,4 +1,5 @@
 module Xp = Xmlac_xpath
+module Sm = Xp.Schema_match
 
 type mode = Paper | Overlap of Xmlac_xml.Schema_graph.t
 
@@ -8,14 +9,11 @@ type t = {
   rules : Rule.t array;
   adj : int list array;  (** Neighbour indices. *)
   closure : int list array;  (** Transitive closure (lazy-built). *)
+  expansions : Sm.footprint array;  (** Per rule; empty in [Paper] mode. *)
+  plans : (int list, Plan.t) Hashtbl.t;  (** [plan]'s memo. *)
 }
 
-let related mode (a : Rule.t) (b : Rule.t) =
-  match mode with
-  | Paper ->
-      Xp.Containment.comparable a.Rule.resource b.Rule.resource
-      || Xp.Ast.equal_expr a.Rule.resource b.Rule.resource
-  | Overlap sg -> Xp.Schema_match.overlap sg a.Rule.resource b.Rule.resource
+let plan_capacity = 64
 
 let build ~mode policy =
   let rules = Array.of_list (Policy.rules policy) in
@@ -33,20 +31,38 @@ let build ~mode policy =
     | Overlap _ -> true
   in
   (* Relatedness depends on the resources alone: number the distinct
-     resources and decide each pair of them once. *)
-  let classes = ref 0 in
+     resources and decide each pair of them once.  In [Overlap] mode a
+     resource's own footprint decides its pairs (two singleton
+     footprints meet exactly when [overlap] holds), and its
+     expansion's footprint is the trigger's. *)
+  let resources = ref [] and classes = ref 0 in
   let class_of =
-    Rule.memo_resource (fun _ ->
+    Rule.memo_resource (fun e ->
+        resources := e :: !resources;
         incr classes;
         !classes - 1)
   in
   let cls = Array.map (fun (r : Rule.t) -> class_of r.Rule.resource) rules in
+  let resources = Array.of_list (List.rev !resources) in
+  let footprints exprs =
+    match mode with
+    | Paper -> [||]
+    | Overlap sg -> Array.map (fun e -> Sm.footprint sg (exprs sg e)) resources
+  in
+  let own = footprints (fun _ e -> [ e ]) in
+  let related a b =
+    match mode with
+    | Paper ->
+        let p = resources.(a) and q = resources.(b) in
+        Xp.Containment.comparable p q || Xp.Ast.equal_expr p q
+    | Overlap _ -> Sm.footprints_meet own.(a) own.(b)
+  in
   let memo = Array.make_matrix !classes !classes None in
   let related i j =
     match memo.(cls.(i)).(cls.(j)) with
     | Some v -> v
     | None ->
-        let v = related mode rules.(i) rules.(j) in
+        let v = related cls.(i) cls.(j) in
         memo.(cls.(i)).(cls.(j)) <- Some v;
         v
   in
@@ -75,12 +91,33 @@ let build ~mode policy =
     resolve i;
     closure.(i) <- List.rev !acc
   done;
-  { mode; policy; rules; adj; closure }
+  let expanded = footprints (fun sg e -> Xp.Expand.expand ~schema:sg e) in
+  let expansions = if expanded = [||] then [||] else Array.map (Array.get expanded) cls in
+  { mode; policy; rules; adj; closure; expansions; plans = Hashtbl.create 16 }
 
 let mode t = t.mode
 let policy t = t.policy
 let neighbours t i = t.adj.(i)
 let depends t i = t.closure.(i)
+
+let expansion_footprint t i =
+  match t.mode with Paper -> None | Overlap _ -> Some t.expansions.(i)
+
+let plan ?schema t triggered =
+  let compile () =
+    Plan.rewrite ?schema
+      (Plan.of_rules t.policy (List.map (fun i -> t.rules.(i)) triggered))
+  in
+  match (t.mode, schema) with
+  | Overlap sg, Some s when s == sg -> (
+      match Hashtbl.find_opt t.plans triggered with
+      | Some p -> p
+      | None ->
+          let p = compile () in
+          if Hashtbl.length t.plans >= plan_capacity then Hashtbl.reset t.plans;
+          Hashtbl.replace t.plans triggered p;
+          p)
+  | _ -> compile ()
 
 let pp ppf t =
   Array.iteri

@@ -23,8 +23,10 @@ type mode = Paper | Overlap of Xmlac_xml.Schema_graph.t
 type t
 
 val build : mode:mode -> Policy.t -> t
-(** O(n^2) containment/overlap tests; rules are identified by their
-    position in [Policy.rules]. *)
+(** Rules are identified by their position in [Policy.rules].  Each
+    pair of distinct resources is decided once: by containment in
+    [Paper] mode, in [Overlap sg] mode by meeting the two resources'
+    own footprints under [sg], computed once per resource. *)
 
 val mode : t -> mode
 val policy : t -> Policy.t
@@ -35,5 +37,17 @@ val neighbours : t -> int -> int list
 val depends : t -> int -> int list
 (** Transitive closure, excluding the rule itself — the [r.depends]
     list of Figure 7. *)
+
+val expansion_footprint :
+  t -> int -> Xmlac_xpath.Schema_match.footprint option
+(** In [Overlap sg] mode, the footprint under [sg] of the rule's
+    expansion ([Expand.expand ~schema:sg]), computed by {!build}. *)
+
+val plan : ?schema:Xmlac_xml.Schema_graph.t -> t -> int list -> Plan.t
+(** [Plan.rewrite ?schema (Plan.of_rules (policy t) rules)] for the
+    rules at the indices [triggered] ({!Trigger.all}).  In [Overlap sg]
+    mode with [schema] physically [sg] it is memoized by [triggered]:
+    at most 64 plans, emptied when full, unsynchronized (writer only,
+    like every repair step). *)
 
 val pp : Format.formatter -> t -> unit

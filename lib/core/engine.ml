@@ -78,15 +78,15 @@ let publish_snapshot ?footprint ?index t =
   let snap =
     (* The annotation flags decide the snapshot's auto lane.  [prev]
        (the outgoing snapshot) feeds carry-forward: still-valid memos
-       migrate.  [footprint] is a structural epoch's trigger input,
-       passed only while the document lies on the schema's paths, the
-       premise of the [Overlap] test.  [index] is the repair's
+       migrate.  [footprint] is the trigger's footprint of a structural
+       epoch's input, passed only while the document lies on the
+       schema's paths, the premise of the [Overlap] test.  [index] is the repair's
        post-update index, which the snapshot takes over.  The capture
        itself is an O(changed) [Tree.freeze], not a copy. *)
     Snapshot.capture ?prev:(Snapshot.current t.snapshots) ?index
       ?footprint:
         (match footprint with
-        | Some exprs when t.on_schema -> Some (t.sg, exprs)
+        | Some fp when t.on_schema -> Some (t.sg, fp)
         | _ -> None)
       ~epoch:t.sign_epoch ~policy:t.policy ~annotated:t.annotated
       ~bits_annotated:t.bits_annotated ~metrics:t.metrics t.doc
@@ -361,13 +361,13 @@ let restructure t (touched, apply) =
   let stats =
     Reannotator.finish ~schema:t.sg t.backend t.depend prepared ~deleted_roots
   in
-  (stats, live_index t)
+  (stats, live_index t, Reannotator.footprint prepared)
 
 let mutate t op =
   let step = structural t op in
   let o = begin_op t op in
-  let stats, index = restructure t step in
-  commit_op ~footprint:(fst step) ?index t o;
+  let stats, index, footprint = restructure t step in
+  commit_op ?footprint ?index t o;
   [ (Native, stats) ]
 
 let update t query = mutate t (Op_update query)
@@ -417,7 +417,8 @@ let recover t =
                committed state — the mutation, then the repair of
                signs, and bitmaps where materialized — lands on the
                post-operation state. *)
-            (`Forward, snd (restructure t (structural t o.op)))
+            let _, index, _ = restructure t (structural t o.op) in
+            (`Forward, index)
       in
       (* The epoch number is consumed either way — the counter never
          runs backwards, even across an aborted epoch. *)

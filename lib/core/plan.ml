@@ -4,7 +4,65 @@ module Xp = Xmlac_xpath
 module Sql = Xmlac_reldb.Sql
 module Translate = Xmlac_shrex.Translate
 module Timing = Xmlac_util.Timing
-module Ids = Set.Make (Int)
+
+(* Ascending int arrays without duplicates; the binary operations are
+   merges. *)
+module Ids = struct
+  type t = int array
+
+  let empty = [||]
+  let cardinal = Array.length
+  let is_empty a = Array.length a = 0
+  let elements = Array.to_list
+  let iter = Array.iter
+  let fold f a acc = Array.fold_left (fun acc x -> f x acc) acc a
+
+  (* Scope answers usually ascend already: one scan spares the sort. *)
+  let of_array a =
+    let rec ascends i = i >= Array.length a || (a.(i - 1) < a.(i) && ascends (i + 1)) in
+    if ascends 1 then a else Array.of_list (List.sort_uniq Int.compare (elements a))
+
+  let of_list l = of_array (Array.of_list l)
+
+  let mem x a =
+    let rec go lo hi =
+      lo < hi
+      &&
+      let mid = (lo + hi) / 2 in
+      a.(mid) = x || if a.(mid) < x then go (mid + 1) hi else go lo mid
+    in
+    go 0 (Array.length a)
+
+  let filter f a =
+    let kept = List.filter f (elements a) in
+    if List.compare_length_with kept (Array.length a) = 0 then a else Array.of_list kept
+
+  (* Keeps what only [a] holds if [left], what both hold if [both] and
+     what only [b] holds if [right].  A counting pass sizes the result,
+     so a large one is allocated once. *)
+  let merge ~left ~both ~right a b =
+    let la = Array.length a and lb = Array.length b in
+    let rec go emit i j =
+      if i = la then for j = j to lb - 1 do if right then emit b.(j) done
+      else if j = lb then for i = i to la - 1 do if left then emit a.(i) done
+      else if a.(i) < b.(j) then (if left then emit a.(i); go emit (i + 1) j)
+      else if a.(i) > b.(j) then (if right then emit b.(j); go emit i (j + 1))
+      else (if both then emit a.(i); go emit (i + 1) (j + 1))
+    in
+    if la = 0 then (if right then b else empty)
+    else if lb = 0 then (if left then a else empty)
+    else
+      let n = ref 0 in
+      go (fun _ -> incr n) 0 0;
+      let out = Array.make !n 0 and k = ref 0 in
+      go (fun x -> out.(!k) <- x; incr k) 0 0;
+      out
+
+  let union = merge ~left:true ~both:true ~right:true
+  let diff = merge ~left:true ~both:false ~right:false
+  let sym_diff = merge ~left:true ~both:false ~right:true
+  let inter = merge ~left:false ~both:true ~right:false
+end
 
 type node =
   | Empty
@@ -192,7 +250,7 @@ let equiv ?schema a b =
 
 (* --- native lowering ---------------------------------------------- *)
 
-let ids_of_table tbl = Hashtbl.fold (fun id () s -> Ids.add id s) tbl Ids.empty
+let ids_of_table tbl = Ids.of_list (Hashtbl.fold (fun id () l -> id :: l) tbl [])
 
 (* [scope] evaluates one XPath to its id set; the set algebra runs on
    those. *)
@@ -208,10 +266,7 @@ let eval scope t =
 
 let tree_scope doc e = ids_of_table (Xp.Eval.node_set doc e)
 
-let index_scope idx e =
-  Array.fold_left
-    (fun s r -> Ids.add (Xp.Index.id idx r) s)
-    Ids.empty (Xp.Index.eval idx e)
+let index_scope idx e = Ids.of_array (Xp.Index.ids idx (Xp.Index.eval idx e))
 
 let native_ids doc t = Ids.elements (eval (tree_scope doc) t)
 

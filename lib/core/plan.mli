@@ -33,9 +33,33 @@
     flattening / empty elimination are identities of the set
     algebra. *)
 
-module Ids : Set.S with type elt = int
 (** Universal node-id sets — the common currency of the three
-    lowerings. *)
+    lowerings: ascending int arrays, so set operations are merges. *)
+module Ids : sig
+  type t
+
+  val empty : t
+
+  val of_list : int list -> t
+  (** One pass if it ascends strictly, as [eval_ids] answers do; else
+      a sort that drops duplicates. *)
+
+  val of_array : int array -> t
+  (** {!of_list} on an array, kept as it is when it already ascends:
+      the caller must not write to it afterwards. *)
+
+  val elements : t -> int list
+  val mem : int -> t -> bool
+  val cardinal : t -> int
+  val is_empty : t -> bool
+  val union : t -> t -> t
+  val diff : t -> t -> t
+  val sym_diff : t -> t -> t
+  val inter : t -> t -> t
+  val filter : (int -> bool) -> t -> t
+  val iter : (int -> unit) -> t -> unit
+  val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a  (** Ascending, as {!iter}. *)
+end
 
 (** {1 The IR} *)
 

@@ -37,6 +37,8 @@ let prepare ?schema ?(bits = false) (backend : Backend.t) depend ~touched =
   in
   { trig; rules; pre; bits }
 
+let footprint p = p.trig.Trigger.footprint
+
 (* The moved region: the stored nodes whose membership in some
    triggered scope differs between the two document states — the
    union over triggered resources of pre △ post.  Pre-update scopes
@@ -44,10 +46,7 @@ let prepare ?schema ?(bits = false) (backend : Backend.t) depend ~touched =
 let moved_region (backend : Backend.t) scope pre =
   List.fold_left
     (fun acc (e, before) ->
-      let after = scope e in
-      Plan.Ids.union acc
-        (Plan.Ids.union (Plan.Ids.diff before after)
-           (Plan.Ids.diff after before)))
+      Plan.Ids.union acc (Plan.Ids.sym_diff before (scope e)))
     Plan.Ids.empty pre
   |> Plan.Ids.filter backend.Backend.has_node
 
@@ -122,9 +121,9 @@ let finish ?schema (backend : Backend.t) depend p ~deleted_roots =
       Rule.memo_resource (fun e -> Plan.Ids.inter region (scope e))
     in
     (* The restricted Annotation-Queries plan of Section 5.3: the
-       triggered rules' compilation, rewritten, evaluated over the
-       region. *)
-    let plan = Plan.rewrite ?schema (Plan.of_rules policy p.rules) in
+       triggered rules' compilation, rewritten (once per triggered set,
+       {!Depend.plan}), evaluated over the region. *)
+    let plan = Depend.plan ?schema depend (Trigger.all p.trig) in
     let answer = Plan.eval restricted plan in
     (* Partition the region into nodes to mark with the non-default
        sign and nodes to reset to the default, touching only "the

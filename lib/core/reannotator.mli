@@ -5,15 +5,18 @@
     scope {e before} and {e after} applying the update; take as the
     region R the stored nodes whose membership in some triggered scope
     moved — the union over triggered resources r of
-    pre{_r} △ post{_r}; rebuild the annotation plan {e restricted to
-    the triggered rules} ({!Plan.of_rules}, rewritten) and evaluate it
-    with {!Plan.eval} over the post-update scopes intersected with R;
-    then touch only the region nodes whose effective sign disagrees
-    with the plan's verdict.
+    pre{_r} △ post{_r}; take the annotation plan {e restricted to
+    the triggered rules} ({!Plan.of_rules}, rewritten — compiled once
+    per triggered set and memoized in the graph, {!Depend.plan}) and
+    evaluate it with {!Plan.eval} over the post-update scopes
+    intersected with R; then touch only the region nodes whose
+    effective sign disagrees with the plan's verdict.
 
     Each triggered resource goes through {!Backend.t.eval_ids} once per
-    document state ({!Rule.memo_resource}); the region, the sign
-    verdict and every role-bit verdict derive from those scope sets.
+    document state ({!Rule.memo_resource}), and its answer becomes a
+    sorted-array id set ({!Plan.Ids.of_list}, one pass when it already
+    ascends); the region (one merge per resource for pre △ post), the
+    sign verdict and every role-bit verdict derive from those sets.
 
     Why R suffices, with an [Overlap]-mode dependency graph — the one
     {!Engine} builds:
@@ -79,6 +82,10 @@ val prepare :
     signs.  Only an [Overlap] graph makes that repair coincide
     with the full shared pass ({!Annotator.annotate_subjects}). *)
 
+val footprint : prepared -> Xmlac_xpath.Schema_match.footprint option
+(** The update's footprint the trigger computed ([None] unless the
+    graph is [Overlap]), which the engine hands to {!Snapshot.capture}. *)
+
 val finish :
   ?schema:Xmlac_xml.Schema_graph.t ->
   Backend.t ->
@@ -88,7 +95,8 @@ val finish :
   stats
 (** The post-mutation half: the post-update scopes, one memo of them
     for this document state, and from it the region R; then the
-    restricted annotation plan evaluated ({!Plan.eval}) over that memo
+    restricted annotation plan ({!Depend.plan}) evaluated
+    ({!Plan.eval}) over that memo
     with every scope intersected with R — intersection distributes
     over union, except and intersect, so this is the plan's whole
     answer restricted to R without the whole-document set algebra —

@@ -323,10 +323,7 @@ let carry_forward ~prev ~stats ~footprint t =
         fp
   in
   let update =
-    match footprint with
-    | Some (sg, exprs) when structural ->
-        Some (sg, Schema_match.footprint sg exprs)
-    | _ -> None
+    match footprint with Some f when structural -> Some f | _ -> None
   in
   let dropped = Hashtbl.create 16 in
   let by_footprint = ref 0 and by_written = ref 0 and examined = ref 0 in

@@ -81,7 +81,7 @@ val capture :
   ?annotated:bool ->
   ?bits_annotated:bool ->
   ?prev:t ->
-  ?footprint:Xmlac_xml.Schema_graph.t * Xmlac_xpath.Ast.expr list ->
+  ?footprint:Xmlac_xml.Schema_graph.t * Xmlac_xpath.Schema_match.footprint ->
   ?index:Xmlac_xpath.Index.t ->
   ?cam:Cam.t ->
   epoch:int ->
@@ -97,14 +97,14 @@ val capture :
 
     [prev] (normally the registry's current snapshot) enables
     carry-forward.  [footprint] is the schema the document lies on,
-    with the structural epoch's update as the trigger saw it: the
-    expressions locating the nodes the epoch inserted or deleted (the
-    grafted roots and their descendants for an insert, the deleted
-    roots for a delete), or [[]] for an epoch that only wrote signs or
-    bitmaps.  Only a caller that knows every node of the document has
-    sat on the schema's paths ({!Xmlac_xml.Schema_graph.covers}) since
-    the memos it carries were made may pass it, always with the same
-    schema.  A memoized materialized-lane decision migrates into the
+    with the trigger's footprint under it of the structural epoch's
+    update ({!Trigger.result}): of the expressions locating the nodes
+    the epoch inserted or deleted (the grafted roots and their
+    descendants for an insert, the deleted roots for a delete), or
+    empty for an epoch that only wrote signs or bitmaps.  Only a
+    caller that knows every node of the document has sat on the
+    schema's paths ({!Xmlac_xml.Schema_graph.covers}) since the memos
+    it carries were made may pass it, always with the same schema.  A memoized materialized-lane decision migrates into the
     new snapshot when
 
     {ul

@@ -1,50 +1,44 @@
 module Xp = Xmlac_xpath
+module Sm = Xp.Schema_match
 
 type result = {
   directly : int list;
   via_depends : int list;
+  footprint : Sm.footprint option;
 }
 
 let all r = List.sort_uniq Stdlib.compare (r.directly @ r.via_depends)
 
-let related mode x u =
-  match mode with
-  | Depend.Paper ->
-      Xp.Containment.comparable x u || Xp.Ast.equal_expr x u
-  | Depend.Overlap sg -> Xp.Schema_match.overlap sg x u
-
 let run_all ?schema depend ~updates =
-  let policy = Depend.policy depend in
-  let mode = Depend.mode depend in
-  let schema =
-    match (schema, mode) with
-    | Some sg, _ -> Some sg
-    | None, Depend.Overlap sg -> Some sg
-    | None, Depend.Paper -> None
+  let rules = Array.of_list (Policy.rules (Depend.policy depend)) in
+  (* [triggers i] says whether rule [i] is triggered directly. *)
+  let footprint, triggers =
+    match Depend.mode depend with
+    | Depend.Paper ->
+        (* The verdict depends on the resource alone. *)
+        let related x u = Xp.Containment.comparable x u || Xp.Ast.equal_expr x u in
+        let triggers =
+          Rule.memo_resource (fun e ->
+              List.exists
+                (fun x -> List.exists (related x) updates)
+                (Xp.Expand.expand ?schema e))
+        in
+        (None, fun i -> triggers rules.(i).Rule.resource)
+    | Depend.Overlap sg ->
+        (* Some expansion member overlaps some update iff the two
+           footprints meet. *)
+        let ufp = Sm.footprint sg updates in
+        ( Some ufp,
+          fun i ->
+            Sm.footprints_meet (Option.get (Depend.expansion_footprint depend i)) ufp )
   in
-  let rules = Array.of_list (Policy.rules policy) in
-  (* The verdict depends on the resource alone. *)
-  let triggers =
-    Rule.memo_resource (fun e ->
-        let expansion = Xp.Expand.expand ?schema e in
-        List.exists
-          (fun update -> List.exists (fun x -> related mode x update) expansion)
-          updates)
-  in
-  let directly = ref [] in
-  Array.iteri
-    (fun i r -> if triggers r.Rule.resource then directly := i :: !directly)
-    rules;
-  let directly = List.rev !directly in
-  let with_deps =
-    List.concat_map (fun i -> Depend.depends depend i) directly
-  in
-  let direct_set = List.sort_uniq Stdlib.compare directly in
+  let directly = List.filter triggers (List.init (Array.length rules) Fun.id) in
   let via_depends =
-    List.sort_uniq Stdlib.compare
-      (List.filter (fun i -> not (List.mem i direct_set)) with_deps)
+    List.concat_map (Depend.depends depend) directly
+    |> List.filter (fun i -> not (List.mem i directly))
+    |> List.sort_uniq Stdlib.compare
   in
-  { directly = direct_set; via_depends }
+  { directly; via_depends; footprint }
 
 let run ?schema depend ~update = run_all ?schema depend ~updates:[ update ]
 

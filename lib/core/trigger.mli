@@ -8,6 +8,10 @@
     [x ⊑ u ∨ u ⊑ x ∨ x = u] in [Paper] mode, schema overlap in
     [Overlap] mode.
 
+    In [Overlap] mode that is one merge per rule: the footprint of its
+    expansion ({!Depend.expansion_footprint}) meets the updates'
+    ({!Xmlac_xpath.Schema_match.footprint}), computed once per call.
+
     Schema-based expansion (the same schema graph as the [Overlap]
     mode, or none in pure [Paper] mode) rewrites descendant axes inside
     predicates into child-only chains, which is what lets
@@ -18,6 +22,9 @@ type result = {
   directly : int list;  (** Rule indices triggered by expansion vs update. *)
   via_depends : int list;  (** Additional indices from the dependency
                                closure. *)
+  footprint : Xmlac_xpath.Schema_match.footprint option;
+      (** The updates' footprint in [Overlap] mode, for the snapshot
+          carry; [None] in [Paper] mode. *)
 }
 
 val all : result -> int list
@@ -28,8 +35,9 @@ val run :
   Depend.t ->
   update:Xmlac_xpath.Ast.expr ->
   result
-(** [schema] controls expansion only; relatedness follows the
-    dependency graph's mode. *)
+(** [schema] controls expansion in [Paper] mode only; relatedness
+    follows the dependency graph's mode.  [Overlap sg] mode expands
+    under [sg], once, in {!Depend.build}. *)
 
 val run_all :
   ?schema:Xmlac_xml.Schema_graph.t ->

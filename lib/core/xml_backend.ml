@@ -14,8 +14,10 @@ let make ?(index = ref None) doc : Backend.t =
     match live () with
     | Some i -> Array.to_list (Xp.Index.ids i (Xp.Index.eval i e))
     | None ->
-        List.sort Stdlib.compare
-          (List.map (fun (n : Tree.node) -> n.Tree.id) (Xp.Eval.eval doc e))
+        (* In document order, ids ascend until a graft breaks it. *)
+        let ids = List.map (fun (n : Tree.node) -> n.Tree.id) (Xp.Eval.eval doc e) in
+        let rec ascends = function a :: (b :: _ as l) -> a < b && ascends l | _ -> true in
+        if ascends ids then ids else List.sort Stdlib.compare ids
   in
   let scope () =
     match live () with

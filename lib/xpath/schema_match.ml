@@ -110,7 +110,7 @@ let footprint sg exprs =
   Array.of_list (List.rev !acc)
 
 let footprint_is_empty fp = Array.length fp = 0
-let footprint_paths = Array.copy
+let footprint_paths fp = fp
 
 (* A merge over the two ascending arrays. *)
 let footprints_meet a b =

@@ -37,7 +37,8 @@ val disjoint : Xmlac_xml.Schema_graph.t -> Ast.expr -> Ast.expr -> bool
 
     The root paths an expression set can select, as one value, so that
     a test repeated against many partners costs one merge instead of
-    one schema walk per pair. *)
+    one schema walk per pair: the [Overlap] dependency graph's edges,
+    the trigger and the snapshot carry all test footprints. *)
 
 type footprint
 (** A set of indices into [Schema_graph.root_paths]. *)
@@ -52,7 +53,8 @@ val footprint_is_empty : footprint -> bool
 
 val footprint_paths : footprint -> int array
 (** The footprint's root paths, as ascending indices into
-    [Schema_graph.root_paths]: a fresh array. *)
+    [Schema_graph.root_paths]: the footprint's own array, not a copy,
+    so read-only. *)
 
 val footprints_meet : footprint -> footprint -> bool
 (** Whether the two share a root path. *)

@@ -552,6 +552,140 @@ let test_trigger_direct_vs_depends_disjoint () =
     result.Trigger.via_depends
 
 (* ------------------------------------------------------------------ *)
+(* The footprint trigger, the footprint-built graph, the plan memo and
+   the array scope sets, each against what it replaced. *)
+
+module Sm = Xmlac_xpath.Schema_match
+
+let schemas =
+  lazy
+    [ (hospital_sg, Helpers.hospital_qgen_config);
+      (Lazy.force Helpers.xmark_sg, Xmlac_xpath.Qgen.default_config) ]
+
+(* A random policy over the hospital or the XMark schema (resources
+   repeat, and now and then one is unsatisfiable), with one or two
+   random update expressions. *)
+let random_schema_case rng =
+  let sg, config = Prng.choose rng (Array.of_list (Lazy.force schemas)) in
+  let expr () =
+    if Prng.int rng 8 = 0 then parse "//patient/bill"
+    else Xmlac_xpath.Qgen.gen_expr ~config rng sg
+  in
+  let effect () = if Prng.bool rng then Rule.Plus else Rule.Minus in
+  let resources = ref [] in
+  let rules =
+    List.init
+      (1 + Prng.int rng 8)
+      (fun i ->
+        let resource =
+          match !resources with
+          | e :: _ when Prng.int rng 4 = 0 -> e
+          | _ -> expr ()
+        in
+        resources := resource :: !resources;
+        Rule.make ~name:(Printf.sprintf "F%d" i) ~resource (effect ()))
+  in
+  let policy = Policy.make ~ds:(effect ()) ~cr:(effect ()) rules in
+  (sg, policy, List.init (1 + Prng.int rng 2) (fun _ -> expr ()))
+
+let footprint_trigger_prop =
+  QCheck2.Test.make ~name:"footprint trigger = expansion overlap test"
+    ~count:150 QCheck2.Gen.int64 (fun seed ->
+      let rng = Prng.create ~seed in
+      let sg, policy, updates = random_schema_case rng in
+      let d = Depend.build ~mode:(Depend.Overlap sg) policy in
+      let expected =
+        List.concat
+          (List.mapi
+             (fun i (r : Rule.t) ->
+               if
+                 List.exists
+                   (fun x -> List.exists (Sm.overlap sg x) updates)
+                   (Xmlac_xpath.Expand.expand ~schema:sg r.Rule.resource)
+               then [ i ]
+               else [])
+             (Policy.rules policy))
+      in
+      List.for_all
+        (fun schema ->
+          (Trigger.run_all ?schema d ~updates).Trigger.directly = expected)
+        [ None; Some sg ])
+
+let footprint_edges_prop =
+  QCheck2.Test.make ~name:"footprint-built overlap edges = pairwise overlap"
+    ~count:150 QCheck2.Gen.int64 (fun seed ->
+      let rng = Prng.create ~seed in
+      let sg, policy, _ = random_schema_case rng in
+      let d = Depend.build ~mode:(Depend.Overlap sg) policy in
+      let rules = Array.of_list (Policy.rules policy) in
+      let n = Array.length rules in
+      List.for_all
+        (fun i ->
+          Depend.neighbours d i
+          = List.filter
+              (fun j ->
+                j <> i
+                && Sm.overlap sg rules.(i).Rule.resource rules.(j).Rule.resource)
+              (List.init n Fun.id))
+        (List.init n Fun.id))
+
+let plan_memo_prop =
+  QCheck2.Test.make ~name:"memoized plan = fresh rewrite" ~count:100
+    QCheck2.Gen.int64 (fun seed ->
+      let rng = Prng.create ~seed in
+      let sg, policy, _ = random_schema_case rng in
+      let d = Depend.build ~mode:(Depend.Overlap sg) policy in
+      let rules = Array.of_list (Policy.rules policy) in
+      (* Few distinct subsets, drawn often: most calls hit the memo. *)
+      List.for_all
+        (fun _ ->
+          let triggered =
+            List.filter
+              (fun _ -> Prng.int rng 3 > 0)
+              (List.init (min 3 (Array.length rules)) Fun.id)
+          in
+          let fresh =
+            Plan.rewrite ~schema:sg
+              (Plan.of_rules policy (List.map (fun i -> rules.(i)) triggered))
+          in
+          let memo = Depend.plan ~schema:sg d triggered in
+          Plan.equal_node memo.Plan.query fresh.Plan.query
+          && memo.Plan.mark = fresh.Plan.mark
+          && memo.Plan.default = fresh.Plan.default)
+        (List.init 12 Fun.id))
+
+module Iset = Set.Make (Int)
+
+let ids_ops_prop =
+  let gen =
+    QCheck2.Gen.(
+      pair
+        (list_size (int_bound 40) (int_bound 60))
+        (list_size (oneofl [ 0; 1; 3; 80 ]) (int_bound 60)))
+  in
+  QCheck2.Test.make ~name:"array id sets = Set.Make (Int)" ~count:300 gen
+    (fun (l1, l2) ->
+      let a = Plan.Ids.of_list l1 and b = Plan.Ids.of_list l2 in
+      let s = Iset.of_list l1 and t = Iset.of_list l2 in
+      let same ids set = Plan.Ids.elements ids = Iset.elements set in
+      let even x = x mod 2 = 0 in
+      same a s && same b t
+      && same (Plan.Ids.union a b) (Iset.union s t)
+      && same (Plan.Ids.diff a b) (Iset.diff s t)
+      && same (Plan.Ids.inter a b) (Iset.inter s t)
+      && same (Plan.Ids.inter b a) (Iset.inter s t)
+      && same (Plan.Ids.sym_diff a b) (Iset.union (Iset.diff s t) (Iset.diff t s))
+      && same (Plan.Ids.filter even a) (Iset.filter even s)
+      && same (Plan.Ids.of_array (Array.of_list (Iset.elements s))) s
+      && Plan.Ids.cardinal a = Iset.cardinal s
+      && Plan.Ids.is_empty a = Iset.is_empty s
+      && List.for_all
+           (fun x -> Plan.Ids.mem x a = Iset.mem x s)
+           (List.init 62 (fun x -> x - 1))
+      && Plan.Ids.fold (fun x acc -> x :: acc) a []
+         = Iset.fold (fun x acc -> x :: acc) s [])
+
+(* ------------------------------------------------------------------ *)
 (* Re-annotation *)
 
 let test_reannotate_paper_scenario () =
@@ -883,6 +1017,8 @@ let () =
           tc "balanced sql unions" test_plan_sql_balanced;
           tc "engine explain" test_engine_explain;
           QCheck_alcotest.to_alcotest plan_cross_backend_prop;
+          QCheck_alcotest.to_alcotest plan_memo_prop;
+          QCheck_alcotest.to_alcotest ids_ops_prop;
         ] );
       ( "annotator",
         [
@@ -897,6 +1033,7 @@ let () =
           tc "paper mode opposite-only" test_depend_paper_opposite_only;
           tc "overlap mode any sign" test_depend_overlap_any_sign;
           tc "transitive" test_depend_transitive;
+          QCheck_alcotest.to_alcotest footprint_edges_prop;
         ] );
       ( "trigger",
         [
@@ -904,6 +1041,7 @@ let () =
           tc "descendant expansion (R5)" test_trigger_descendant_expansion_needed;
           tc "unrelated update" test_trigger_unrelated_update;
           tc "direct/depends disjoint" test_trigger_direct_vs_depends_disjoint;
+          QCheck_alcotest.to_alcotest footprint_trigger_prop;
         ] );
       ( "reannotator",
         [

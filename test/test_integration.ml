@@ -625,6 +625,167 @@ let test_insert_drops_fragment_annotations () =
         (Engine.accessible_subject eng role))
     (Policy.roles policy)
 
+(* ------------------------------------------------------------------ *)
+(* The check of the repository benchmark's traced role-churn run: a
+   16-role engine with bitmaps on XMark takes a paired insert/delete
+   stream, a read after each mutation; every mutation is replayed
+   through [Reannotator.prepare] / [finish] on a native and a row
+   store built from the engine's document, and all three report the
+   same region, triggered rules and sign writes. *)
+
+let role_scopes =
+  [ "//emailaddress"; "//person[creditcard]/emailaddress"; "//phone";
+    "//interest"; "//payment"; "//location"; "//current";
+    "//open_auction[type = \"Featured\"]/current" ]
+
+let sixteen_role_policy doc =
+  let base = W.Coverage.policy_for_target ~doc ~target:0.5 in
+  let name i = Printf.sprintf "r%d" i in
+  let subjects =
+    Subject.make_exn (List.init 16 (fun i -> Subject.role (name i)))
+  in
+  let qualified =
+    List.init 16 (fun i ->
+        Rule.parse ~name:(Printf.sprintf "q%d" i) ~subjects:[ name i ]
+          (List.nth role_scopes (i mod List.length role_scopes))
+          Rule.Plus)
+  in
+  Policy.make ~subjects ~ds:(Policy.ds base) ~cr:(Policy.cr base)
+    (Policy.rules base @ qualified)
+
+let leaves name children =
+  let t = Tree.create ~root_name:name in
+  List.iter
+    (fun (n, v) -> ignore (Tree.add_child t (Tree.root t) ~value:v n))
+    children;
+  t
+
+(* The name of a set-up person whose children satisfy [pred]. *)
+let person_where pred doc =
+  Tree.fold
+    (fun acc (n : Tree.node) ->
+      let child name =
+        List.exists (fun (c : Tree.node) -> c.Tree.name = name) n.Tree.children
+      in
+      match
+        List.find_opt (fun (c : Tree.node) -> c.Tree.name = "name") n.Tree.children
+      with
+      | Some { Tree.value = Some v; _ } when n.Tree.name = "person" && pred child
+        ->
+          Some v
+      | _ -> acc)
+    None doc
+  |> Option.get
+
+(* Pair [k]: an insert, then the delete of exactly what it inserted.
+   The kinds trigger one rule, several (a creditcard), or none. *)
+let mutation_pair doc k =
+  let m = Printf.sprintf "mr%d" k in
+  let person pred = Printf.sprintf "/site/people/person[name = \"%s\"]" (person_where pred doc) in
+  match k mod 5 with
+  | 0 ->
+      [ `Insert ("/site/people",
+          leaves "person" [ ("name", m); ("emailaddress", "mailto:" ^ m); ("creditcard", "1") ]);
+        `Delete (Printf.sprintf "/site/people/person[name = \"%s\"]" m) ]
+  | 1 ->
+      [ `Insert ("/site/regions/europe",
+          leaves "item" [ ("location", "Greece"); ("name", m); ("payment", "Cash") ]);
+        `Delete (Printf.sprintf "/site/regions/europe/item[name = \"%s\"]" m) ]
+  | 2 ->
+      [ `Insert ("/site/open_auctions",
+          leaves "open_auction" [ ("current", "15.00"); ("seller", m); ("type", "Featured") ]);
+        `Delete (Printf.sprintf "/site/open_auctions/open_auction[seller = \"%s\"]" m) ]
+  | 3 ->
+      let at = person (fun c -> not (c "creditcard")) in
+      [ `Insert (at, leaves "creditcard" []); `Delete (at ^ "/creditcard") ]
+  | _ ->
+      let at = person (fun c -> c "profile") ^ "/profile" in
+      let interest = leaves "interest" [] in
+      Tree.set_value interest (Tree.root interest) (Some m);
+      [ `Insert (at, interest);
+        `Delete (Printf.sprintf "%s/interest[. = \"%s\"]" at m) ]
+
+let test_mirror_replay_matches_engine () =
+  Xmlac_util.Fault.reset ();
+  let source = W.Xmark.generate ~factor:0.02 () in
+  let eng =
+    Engine.create ~dtd:W.Xmark.dtd ~policy:(sixteen_role_policy source) source
+  in
+  ignore (Engine.annotate eng);
+  ignore (Engine.annotate_subjects eng);
+  let policy = Engine.policy eng and schema = Engine.schema_graph eng in
+  let depend = Engine.depend eng and mapping = Engine.mapping eng in
+  let doc = Tree.copy (Engine.document eng) in
+  let db, row = Rel_backend.load mapping policy Xmlac_reldb.Table.Row doc in
+  ignore (Annotator.annotate_with_plan row (Engine.plan eng));
+  ignore (Annotator.annotate_subjects ~schema row policy);
+  let stores = [ ("native", Xml_backend.make doc, None); ("row", row, Some db) ] in
+  let replay mu =
+    let roots = ref [] in
+    let touched, apply =
+      match mu with
+      | `Delete q ->
+          let e = Helpers.parse q in
+          ([ e ], fun (b : Backend.t) _ -> b.Backend.delete_update e)
+      | `Insert (at, fragment) ->
+          let at_expr = Helpers.parse at in
+          let root_path =
+            Xmlac_xpath.Ast.
+              { steps = at_expr.steps @ [ step Child (Name (Tree.root fragment).Tree.name) ] }
+          in
+          ( [ root_path;
+              Xmlac_xpath.Ast.{ steps = root_path.steps @ [ step Descendant Wildcard ] } ],
+            fun _ db ->
+              (match db with
+              | None -> roots := Xmlac_xmldb.Update.insert_nodes doc ~at:at_expr ~fragment
+              | Some db ->
+                  List.iter
+                    (fun r ->
+                      ignore
+                        (Xmlac_shrex.Shred.insert_subtree mapping
+                           ~default_sign:(Rule.effect_to_string (Policy.ds policy))
+                           ~default_bits:(Policy.default_bits policy) db r))
+                    !roots);
+              List.length !roots )
+    in
+    List.map
+      (fun (name, b, db) ->
+        let p = Reannotator.prepare ~schema ~bits:true b depend ~touched in
+        let deleted_roots = apply b db in
+        (name, Reannotator.finish ~schema b depend p ~deleted_roots))
+      stores
+  in
+  let repaired = ref 0 in
+  List.iteri
+    (fun i mu ->
+      let engine =
+        native_stats
+          (match mu with
+          | `Insert (at, fragment) -> Engine.insert eng ~at ~fragment
+          | `Delete q -> Engine.update eng q)
+      in
+      if engine.Reannotator.affected > 0 then incr repaired;
+      List.iter
+        (fun (name, (s : Reannotator.stats)) ->
+          let what field = Printf.sprintf "mutation %d, %s: %s" i name field in
+          Alcotest.(check int) (what "affected") engine.Reannotator.affected
+            s.Reannotator.affected;
+          Alcotest.(check Helpers.int_list) (what "triggered")
+            engine.Reannotator.triggered s.Reannotator.triggered;
+          Alcotest.(check int) (what "changed")
+            (List.length engine.Reannotator.changed)
+            (List.length s.Reannotator.changed))
+        (replay mu);
+      (* A read builds the snapshot's index, which the next repair
+         adopts. *)
+      ignore (Engine.request ~subject:(Printf.sprintf "r%d" (i mod 16)) eng Engine.Native "//person/name"))
+    (List.concat_map (mutation_pair source) (List.init 10 Fun.id));
+  Alcotest.(check int) "every delete took what its insert grafted"
+    (Tree.size source) (Tree.size (Engine.document eng));
+  Alcotest.(check bool) "some mutations moved a region" true (!repaired > 0);
+  Alcotest.(check bool) "the engine adopted a reader's index" true
+    (Xmlac_util.Metrics.counter (Engine.metrics eng) "repair.index_adopted" > 0)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "integration-insert"
@@ -652,5 +813,7 @@ let () =
             (test_crash_after_read "native.insert");
           tc "crash at epoch.commit after a read"
             (test_crash_after_read "epoch.commit");
+          tc "mirror replay matches the engine on 16-role XMark"
+            test_mirror_replay_matches_engine;
         ] );
     ]

@@ -658,7 +658,8 @@ let proportional_carry ~invalidated ~kept ~neighbours ~epoch =
   let prev = ref None in
   let publish exprs =
     let s =
-      Snapshot.capture ?prev:!prev ~footprint:(sg, exprs) ~epoch:0 ~policy
+      Snapshot.capture ?prev:!prev
+        ~footprint:(sg, Xmlac_xpath.Schema_match.footprint sg exprs) ~epoch:0 ~policy
         ~metrics doc
     in
     prev := Some s;

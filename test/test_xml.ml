@@ -551,7 +551,13 @@ let abort_prop =
       let touched = Tree.fold_changed (fun _ k -> k + 1) doc 0 in
       let ids t = List.map (fun (n : Tree.node) -> n.Tree.id) (Tree.nodes t) in
       let discarded = Tree.abort doc in
-      let fresh t = (Tree.add_child t (Tree.root t) "probe").Tree.id in
+      (* The next id each allocator hands out; a root left holding a
+         text value by the writes must drop it to take a child. *)
+      let fresh t =
+        if (Tree.root t).Tree.value <> None then
+          Tree.set_value t (Tree.root t) None;
+        (Tree.add_child t (Tree.root t) "probe").Tree.id
+      in
       discarded = touched
       && Tree.equal_annotated doc view
       && ids doc = ids view
