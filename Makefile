@@ -69,10 +69,12 @@ bench-eval:
 # Micro-benchmarks: one Bechamel row per table/figure kernel, then one
 # memo-hit read through Snapshot.request, Serve.request (live) and
 # Serve.snapshot_request (pinned) in ns and minor words per call, the
-# state digest, and the structural repair's fixed cost (trigger, plan
-# compile on a memo miss and hit, scopes + region).  Exits non-zero
-# if the digests, a trigger set, a memoized plan or a region differ
-# from their references.
+# state digest, the structural repair's fixed cost (trigger, plan
+# compile on a memo miss and hit, scopes + region), and the reader
+# structures of a structural epoch (index build vs patch, records walk
+# vs carry).  Exits non-zero if the digests, a trigger set, a memoized
+# plan, a region, a patched index or carried records differ from
+# their references.
 bench-micro:
 	dune exec bench/main.exe -- -e micro
 

@@ -27,7 +27,16 @@
    person insert on sorted-array sets next to Set.Make (Int); it
    prints the plan memo's distinct keys over a mix of update shapes
    and exits 1 if a trigger set differs from the expansion test or a
-   memoized plan from a fresh compile. *)
+   memoized plan from a fresh compile.  A fifth prices what a
+   read-demanded structural epoch rebuilds for its readers on XMark
+   f=0.1: the pre/size index built from scratch next to
+   Index.patch from the last shape's, after a person insert and
+   after its delete, and the snapshot's rank-to-record array by a
+   walk (filled with a young record, as it was, and with
+   Tree.placeholder) next to the carry from the previous array
+   (Index.carry plus the written ids); in ns, minor and major words
+   and minor collections per call.  It exits 1 if a patched index
+   differs from a built one or a carried array from a walked one. *)
 
 open Bechamel
 open Toolkit
@@ -302,6 +311,128 @@ let repair_rows () =
     exit 1
   end
 
+(* [calls] calls of [f]: ns, minor words, major words and minor
+   collections per call.  [Gc.counters] is exact at any point, and the
+   minor collection count is a global tally. *)
+let gc_row ~calls name f =
+  ignore (Sys.opaque_identity (f ()));
+  let minor0, _, major0 = Gc.counters () in
+  let collections0 = (Gc.quick_stat ()).Gc.minor_collections in
+  let (), elapsed =
+    Xmlac_util.Timing.time (fun () ->
+        for _ = 1 to calls do
+          ignore (Sys.opaque_identity (f ()))
+        done)
+  in
+  let minor1, _, major1 = Gc.counters () in
+  let collections1 = (Gc.quick_stat ()).Gc.minor_collections in
+  let per x = Printf.sprintf "%.1f" (x /. float_of_int calls) in
+  [
+    name;
+    per (elapsed *. 1e9);
+    per (minor1 -. minor0);
+    per (major1 -. major0);
+    Printf.sprintf "%.2f" (float_of_int (collections1 - collections0) /. float_of_int calls);
+  ]
+
+module Index = Xmlac_xpath.Index
+
+(* The records walk as [Snapshot] runs it, into an array filled with
+   [fill]. *)
+let walk_records fill view =
+  let a = Array.make (Tree.size view) fill and next = ref 0 in
+  Tree.iter
+    (fun node ->
+      a.(!next) <- node;
+      incr next)
+    view;
+  a
+
+(* The carry as [Snapshot.capture] runs it: the previous array moved
+   to the new ranks, then each written id's record in the view. *)
+let carry_records ~from idx recs view changed =
+  Index.carry ~from idx recs ~fill:Tree.placeholder ~written:changed
+    ~fresh:(fun id -> Option.get (Tree.find view id))
+
+let index_rows () =
+  let live = Tree.copy (Bench_common.doc 0.1) in
+  let at = Xmlac_xpath.Parser.parse_exn "/site/people" in
+  let fragment = Tree.create ~root_name:"person" in
+  List.iter
+    (fun (name, value) ->
+      ignore (Tree.add_child fragment (Tree.root fragment) ~value name))
+    [ ("name", "pb0"); ("emailaddress", "mailto:pb0@example.com");
+      ("creditcard", "1234 5678 9012 3456") ];
+  let wrong = ref 0 in
+  (* One generation's write, then its index both ways; returns the
+     view frozen after it, the change set and the patched index. *)
+  let epoch label old write =
+    write ();
+    let patched = Index.patch old live and built = Index.build live in
+    if not (Index.equal patched built) then incr wrong;
+    let rows =
+      [ gc_row ~calls:300 ("Index.build, " ^ label) (fun () -> Index.build live);
+        gc_row ~calls:300 ("Index.patch, " ^ label) (fun () -> Index.patch old live) ]
+    in
+    let view, stats = Tree.freeze live in
+    (rows, view, stats.Tree.changed, patched)
+  in
+  let view0, _ = Tree.freeze live in
+  let idx0 = Index.build view0 in
+  let recs0 = walk_records Tree.placeholder view0 in
+  let insert_rows, view1, changed1, idx1 =
+    epoch "person insert" idx0 (fun () ->
+        ignore (Xmlac_xmldb.Update.insert_nodes live ~at ~fragment))
+  in
+  let delete_rows, _, _, _ =
+    epoch "its delete" idx1 (fun () ->
+        ignore
+          (Xmlac_xmldb.Update.delete live
+             (Xmlac_xpath.Parser.parse_exn "/site/people/person[name = \"pb0\"]")))
+  in
+  let carried = carry_records ~from:idx0 idx1 recs0 view1 changed1 in
+  let walked = walk_records Tree.placeholder view1 in
+  Array.iteri
+    (fun r (n : Tree.node) ->
+      let c = carried.(r) in
+      if c.Tree.id <> n.Tree.id || c.Tree.sign <> n.Tree.sign then incr wrong)
+    walked;
+  (* A sign write and a freeze per call path-copy the root, so the
+     young fill is young at every call, as after every write epoch. *)
+  let leaf = (List.hd (Tree.children (Tree.root live))).Tree.id in
+  let epoch_then f () =
+    let n = Option.get (Tree.find live leaf) in
+    Tree.set_sign live n
+      (Some (if n.Tree.sign = Some Tree.Plus then Tree.Minus else Tree.Plus));
+    f (fst (Tree.freeze live))
+  in
+  let table =
+    Xmlac_util.Tabular.create
+      ~headers:
+        [ Printf.sprintf "reader structures, %d nodes" (Tree.size view1);
+          "ns/call"; "minor words"; "major words"; "minor GCs" ]
+  in
+  Xmlac_util.Tabular.set_align table
+    Xmlac_util.Tabular.[ Left; Right; Right; Right; Right ];
+  List.iter (Xmlac_util.Tabular.add_row table)
+    (insert_rows @ delete_rows
+    @ [ gc_row ~calls:1_000 "sign epoch + records walk, young fill"
+          (epoch_then (fun v -> walk_records (Tree.root v) v));
+        gc_row ~calls:1_000 "sign epoch + records walk, placeholder fill"
+          (epoch_then (walk_records Tree.placeholder));
+        gc_row ~calls:1_000 "records walk after the insert"
+          (fun () -> walk_records Tree.placeholder view1);
+        gc_row ~calls:1_000 "records carry across the insert" (fun () ->
+            carry_records ~from:idx0 idx1 recs0 view1 changed1) ]);
+  Xmlac_util.Tabular.print table;
+  if !wrong > 0 then begin
+    Printf.printf
+      "ASSERTION FAILED: %d patched indexes or carried records differ from a \
+       build\n"
+      !wrong;
+    exit 1
+  end
+
 let run () =
   Bench_common.section
     (Printf.sprintf "Micro-benchmarks (Bechamel, xmark f=%g)" factor);
@@ -332,4 +463,5 @@ let run () =
   Xmlac_util.Tabular.print table;
   read_rows ();
   digest_rows ();
-  repair_rows ()
+  repair_rows ();
+  index_rows ()

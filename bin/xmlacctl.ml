@@ -449,6 +449,13 @@ let explain policy_path dtd_name doc_path raw requests subjects lane =
         Snapshot.memo_capacity
         (Snapshot.epoch (Engine.current_snapshot eng))
         (rate (c "cache.hits") (c "cache.misses"));
+      (* What the reads cost the structural epochs: indexes and record
+         arrays built from scratch, and those patched or carried from
+         the previous epoch's. *)
+      Printf.printf
+        "  reader structures index %d built, %d patched; records %d built, %d carried\n"
+        (c "snapshot.index_builds") (c "repair.index_patches")
+        (c "snapshot.record_builds") (c "snapshot.record_carries");
       print_endline "durability:";
       Printf.printf "  sign epoch        %d (committed)\n"
         (Engine.sign_epoch eng);

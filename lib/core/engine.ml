@@ -327,13 +327,16 @@ let structural t op =
    The scopes evaluate on a pre/size index only on demand.  When
    readers evaluated on the current snapshot's index and it still
    describes the document, the repair adopts it for the pre-update
-   scopes and builds the post-update index right after the apply.
-   Without that demand the repair builds nothing: its scopes use the
-   slot while it still describes the document (recovery after a crash
-   that followed the build) and walk the tree otherwise, so an engine
-   nobody reads never builds an index.  Returns the repair's stats
-   and the slot's index if it describes the repaired document, which
-   the epoch's snapshot takes over. *)
+   scopes and, right after the apply, patches it into the post-update
+   index from the apply's change set: a splice of its arrays, no walk
+   of the tree.  Without that demand the repair neither patches nor
+   builds: its scopes use the slot while it still describes the
+   document (recovery after a crash that followed the patch) and walk
+   the tree otherwise, so an engine nobody reads never indexes.  The
+   index is built from scratch only by a snapshot read that finds
+   none (the cold start).  Returns the repair's stats and the slot's
+   index if it describes the repaired document, which the epoch's
+   snapshot takes over. *)
 let live_index t =
   match !(t.index) with
   | Some i when Xmlac_xpath.Index.describes i t.doc -> Some i
@@ -354,10 +357,11 @@ let restructure t (touched, apply) =
       ~touched
   in
   let deleted_roots = apply () in
-  if Option.is_some demanded && Option.is_none (live_index t) then begin
-    t.index := Some (Xmlac_xpath.Index.build t.doc);
-    Metrics.incr t.metrics "repair.index_builds"
-  end;
+  (match demanded with
+  | Some i when Option.is_none (live_index t) ->
+      t.index := Some (Xmlac_xpath.Index.patch i t.doc);
+      Metrics.incr t.metrics "repair.index_patches"
+  | _ -> ());
   let stats =
     Reannotator.finish ~schema:t.sg t.backend t.depend prepared ~deleted_roots
   in

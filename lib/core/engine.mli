@@ -40,10 +40,15 @@
     follows demand.  When readers evaluated on the current snapshot's
     index ({!Snapshot.read_index}) and it describes the document, the
     repair adopts it for the pre-update scopes ([repair.index_adopted])
-    and builds the post-update index right after the mutation
-    ([repair.index_builds]).  The epoch's snapshot takes that index
-    over, so its first miss builds nothing.  An engine nobody reads
-    builds no index at all, and no option or flag changes the rule.
+    and, right after the mutation, patches it into the post-update
+    index from the mutation's change set ({!Xmlac_xpath.Index.patch},
+    counted as [repair.index_patches]): a splice of its arrays, with no
+    walk of the tree.  The epoch's snapshot takes that index over, so
+    its first miss builds nothing, and it carries its predecessor's
+    record array along ([snapshot.record_carries]).  An index is built
+    from scratch only by a read that finds none ([snapshot.index_builds]).
+    An engine nobody reads builds no index at all, and no option or
+    flag changes the rule.
 
     {2 Sign epochs and crash recovery}
 
@@ -235,12 +240,13 @@ val metrics : t -> Xmlac_util.Metrics.t
     the serving layer: [cache.hits], [cache.misses],
     [lane.materialized], [lane.rewrite], [epoch.commits], the
     [snapshot.*] counters ([snapshot.answers_checked],
-    [snapshot.index_builds] — read-side builds only — and
-    [snapshot.record_builds] among them);
+    [snapshot.index_builds] — the only index builds —,
+    [snapshot.record_builds] and [snapshot.record_carries] among them);
     [repair.index_adopted] (structural repairs that adopted a reader's
     index of the document's shape for their pre-update scopes) and
-    [repair.index_builds] (post-update indexes those repairs built and
-    handed to their epoch's snapshot); stage [annotate.subjects]. *)
+    [repair.index_patches] (post-update indexes those repairs patched
+    from it and handed to their epoch's snapshot); stage
+    [annotate.subjects]. *)
 
 val cam : t -> Cam.t
 (** {!Snapshot.cam} of the {!current_snapshot}: the anonymous map over

@@ -202,8 +202,16 @@ type t = {
   records : Tree.node array option Atomic.t;
       (* The view's node records by preorder rank, in [index]'s order:
          what a materialized miss reads each answer's annotation from.
-         Built and published like [index], but never shared: a
-         sign-only epoch's view holds new records for what it wrote. *)
+         Carried from [prev]'s at capture, or built and published like
+         [index]; never shared, since a write epoch's view holds new
+         records for what it wrote.
+
+         Invariant: the slot of rank [r] holds a record of the node
+         [Index.id r] whose sign and bitmap are the view's.  A carried
+         slot may hold an earlier view's record of a node the epochs
+         since path-copied but did not write: a path copy moves no
+         sign and no bitmap (though its children may differ), so only
+         [accessible], which reads those two, may read the slot. *)
   annotated : bool;  (* signs had a committed annotation epoch at capture *)
   bits_annotated : bool;  (* ... and likewise the role bitmaps *)
   policy : Policy.t;
@@ -519,14 +527,15 @@ let capture ?(annotated = true) ?(bits_annotated = true) ?prev ?footprint
     | Some p when follows p && p.policy == policy -> Some p
     | _ -> None
   in
-  (* The digest moves by the terms of the ids the epoch wrote.  When
+  (* The digest and the records move by the ids the epoch wrote.  When
      it wrote more than a quarter of the view (an annotation pass), one
-     fold costs less than two lookups per written id. *)
+     walk costs less than a lookup or two per written id. *)
+  let few =
+    List.compare_length_with stats.Tree.changed (Tree.size view / 4) <= 0
+  in
   let scale, digest =
     match carry with
-    | Some p
-      when List.compare_length_with stats.Tree.changed (Tree.size view / 4)
-           <= 0 ->
+    | Some p when few ->
         ( p.scale,
           List.fold_left
             (fun sum id -> moved p.scale ~before:p.doc ~after:view id sum)
@@ -536,13 +545,31 @@ let capture ?(annotated = true) ?(bits_annotated = true) ?prev ?footprint
         let s = scale_of policy in
         (s, fold_sum metrics s view)
   in
+  (* A reader built [prev]'s records and the view's index is known:
+     each surviving rank takes [prev]'s record of its node, and each
+     written node still in the view its new record (see [records]). *)
+  let records =
+    let built = function Handed i | Read i -> Some i | Unbuilt -> None in
+    match prev with
+    | Some p when follows p && few -> (
+        match (Atomic.get p.records, built (Atomic.get p.index),
+               built (Atomic.get index)) with
+        | Some recs, Some from, Some idx ->
+            Metrics.incr metrics "snapshot.record_carries";
+            Some
+              (Index.carry ~from idx recs ~fill:Tree.placeholder
+                 ~written:stats.Tree.changed ~fresh:(fun id ->
+                   Option.get (Tree.find view id)))
+        | _ -> None)
+    | _ -> None
+  in
   let t =
     {
       epoch;
       doc = view;
       gen = stats.Tree.frozen_gen;
       index;
-      records = Atomic.make None;
+      records = Atomic.make records;
       annotated;
       bits_annotated;
       policy;
@@ -617,15 +644,16 @@ let resolve_lane ?subject ?lane t =
 
 let cam t = Cam.build t.doc ~default:(Policy.ds t.policy)
 
-(* The view's records by rank: [Tree.iter] walks the same preorder as
-   [Index.build], and a sign-only epoch (which may hand the index on)
-   moves no node.  Published like [index]. *)
+(* The view's records by rank, when [capture] carried none: [Tree.iter]
+   walks the same preorder as [Index.build], and a sign-only epoch
+   (which may hand the index on) moves no node.  Published like
+   [index]. *)
 let records t =
   match Atomic.get t.records with
   | Some a -> a
   | None ->
       let n = Index.length (index t) in
-      let a = Array.make n (Tree.root t.doc) and next = ref 0 in
+      let a = Array.make n Tree.placeholder and next = ref 0 in
       Tree.iter
         (fun node ->
           a.(!next) <- node;
@@ -637,6 +665,8 @@ let records t =
         a
       end
       else Option.get (Atomic.get t.records)
+
+let record t r = (records t).(r)
 
 (* A node's effective sign (or role bit) is its own annotation, else
    the default: the value a CAM lookup rebuilds by walking up to the

@@ -29,10 +29,12 @@
     {e carried forward} whenever the epoch provably cannot have moved
     them.  A non-structural
     epoch hands its predecessor's index on as well (see {!index}).  A
-    structural one takes over the index the engine's repair built
-    after its structural write, when readers demanded the previous
-    one ({!read_index}); otherwise its first miss builds one.  No
-    capture builds an index or a record array.  A decision carries
+    structural one takes over the index the engine's repair patched
+    from the previous one after its structural write, when readers
+    demanded the previous one ({!read_index}); otherwise its first
+    miss builds one.  No capture builds an index, and a capture walks
+    no tree for its record array: it carries the previous snapshot's
+    when a reader built that (see {!capture}).  A decision carries
     when the epoch's change set holds none of its answers and, for a
     structural epoch, the paper's §5.3 schema
     test (the one the [Overlap] trigger applies to rules) shows the
@@ -144,9 +146,18 @@ val capture :
     on under provenance alone (same tree family, exactly the next
     generation) when the epoch is non-structural, counting
     [snapshot.index_shared]; policy equality does not matter, since
-    the index holds no annotation.  The record array is never handed
-    on: the new view holds new records for every node the epoch
-    wrote.
+    the index holds no annotation.  The record array ({!record}) is
+    never handed on, since the new view holds new records for every
+    node the epoch wrote; it is carried instead.  When [prev] is
+    continuous with the view (same family, next generation), a reader
+    built [prev]'s records, the new snapshot's index is known (handed
+    over or shared), and the epoch wrote at most a quarter of the
+    view's nodes (the digest's rule), the capture builds the new
+    array without a walk: each rank takes [prev]'s record of the same
+    node ({!Xmlac_xpath.Index.carry}), and each written node still in
+    the view its record in the view, counting
+    [snapshot.record_carries].  Otherwise the first check builds the
+    array by a walk.
 
     [annotated] / [bits_annotated] (both default [true]) record
     whether the frozen signs / role bitmaps carried a committed
@@ -155,7 +166,8 @@ val capture :
     of its default signs.  [metrics] receives the snapshot's
     lifetime counters ([snapshot.captures], [snapshot.cache.*],
     [snapshot.index_builds], [snapshot.index_shared],
-    [snapshot.record_builds], [snapshot.digest_folds] (see {!digest}),
+    [snapshot.record_builds], [snapshot.record_carries],
+    [snapshot.digest_folds] (see {!digest}),
     and those {!request} counts) and times
     every capture as the [snapshot.capture] stage.  Carry counts once
     per capture: [snapshot.cache.carried] (the entries the new
@@ -236,8 +248,8 @@ val read_index : t -> Xmlac_xpath.Index.t option
 (** The snapshot's index if a reader has evaluated on it — built it,
     or called {!index} on one {!capture} was handed — and [None]
     otherwise, without building anything.  The engine's demand test:
-    its next structural repair evaluates on this index and builds the
-    successor's only when it is [Some]
+    its next structural repair evaluates on this index and patches it
+    into the successor's only when it is [Some]
     ({!Engine.update}). *)
 
 val accessible : ?subject:string -> t -> int -> bool
@@ -247,12 +259,22 @@ val accessible : ?subject:string -> t -> int -> bool
     subject).  It reads the node's own record — its sign, else the
     policy's default semantics; for a role, its bitmap bit, else the
     role's resolved default — with no walk up the tree, which is the
-    value {!Cam.lookup} returns on a map of the same view.  The first
-    call on a snapshot builds its rank-to-record array (one preorder
-    walk of the view, publishing by compare-and-set like {!index} and
-    counting [snapshot.record_builds]).  Each application crosses one
+    value {!Cam.lookup} returns on a map of the same view.  It reads
+    the rank-to-record array ({!record}), which {!capture} carried
+    or the first call builds (one preorder walk of the view,
+    publishing by compare-and-set like {!index} and counting
+    [snapshot.record_builds]).  Each application crosses one
     {!Xmlac_util.Deadline.checkpoint}.
     @raise Invalid_argument on an unknown role. *)
+
+val record : t -> int -> Xmlac_xml.Tree.node
+(** [record t r] is the rank-to-record array's entry at rank [r] of
+    {!index}: a record of the node at that rank whose sign and bitmap
+    are the view's.  It need not be the view's current record: a
+    carried entry may be an earlier view's record of a node that the
+    epochs since path-copied but did not write, which differs from
+    the view's only in its children and parent.  Read its sign and
+    bitmap only.  Builds the array as {!accessible} does. *)
 
 val annotated : t -> bool
 (** Whether the frozen signs carried a committed annotation epoch at

@@ -98,13 +98,13 @@ let fresh_node t ~name ~value ~parent =
   touch t id;
   n
 
-let dummy_node =
+let placeholder =
   { id = -1; name = ""; value = None; parent = None; children = []; sign = None;
     bits = None; gen = 0; fam = 0 }
 
 let create ~root_name =
   let t =
-    { next_id = 0; index = Imap.empty; root_node = dummy_node; node_count = 0;
+    { next_id = 0; index = Imap.empty; root_node = placeholder; node_count = 0;
       gen = 0; frozen_view = false; fam = new_family (); shape = 0;
       shapes = 0; delta = empty_delta (); base = None }
   in
@@ -369,7 +369,7 @@ let fold_changed f t acc =
 
 let copy t =
   let t' =
-    { next_id = t.next_id; index = Imap.empty; root_node = dummy_node;
+    { next_id = t.next_id; index = Imap.empty; root_node = placeholder;
       node_count = 0; gen = 0; frozen_view = false; fam = new_family ();
       shape = 0; shapes = 0; delta = empty_delta (); base = None }
   in

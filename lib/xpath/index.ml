@@ -18,14 +18,32 @@ module Tree = Xmlac_xml.Tree
 
 type t = {
   ids : int array;  (* rank -> node id *)
-  size : int array;  (* rank -> number of proper descendants *)
-  name : int array;  (* rank -> interned name *)
+  cells : int array;
+      (* rank -> its number of proper descendants and its interned
+         name, in one word: [size lsl name_bits lor name] *)
   value : string option array;  (* rank -> leaf value *)
   codes : (string, int) Hashtbl.t;  (* name -> interned name *)
   postings : int array array;  (* interned name -> its ranks, ascending *)
+  top : int;
+      (* An id no smaller than any indexed, below every id the tree
+         hands out after this state: the largest when built. *)
   fam : int;  (* the indexed tree's family ... *)
-  shape : int;  (* ... and its shape at build *)
+  shape : int;  (* ... and its shape *)
 }
+
+(* Size and name share a word: a child step reads both of a rank, and
+   a patch copies one array fewer. *)
+let name_bits = 24
+let name_mask = (1 lsl name_bits) - 1
+let cell ~size ~name = (size lsl name_bits) lor name
+let size t r = t.cells.(r) lsr name_bits
+let name t r = t.cells.(r) land name_mask
+
+let new_code codes s =
+  let c = Hashtbl.length codes in
+  if c > name_mask then invalid_arg "Index: more than 2^24 distinct names";
+  Hashtbl.add codes s c;
+  c
 
 (* Names are interned through a table, but a document repeats the
    same name sequences (every [person] subtree opens with the same
@@ -33,8 +51,7 @@ type t = {
    first: [follows.(c)] holds it with its code (-1 while unknown). *)
 let build doc =
   let n = Tree.size doc in
-  let ids = Array.make n 0 and size = Array.make n 0 in
-  let name = Array.make n 0 in
+  let ids = Array.make n 0 and cells = Array.make n 0 in
   let value = Array.make n None and codes = Hashtbl.create 64 in
   let follows = ref (Array.make 64 ("", -1)) and prev = ref 0 in
   let intern s =
@@ -42,8 +59,7 @@ let build doc =
       match Hashtbl.find_opt codes s with
       | Some c -> c
       | None ->
-          let c = Hashtbl.length codes in
-          Hashtbl.add codes s c;
+          let c = new_code codes s in
           let f = !follows in
           if c >= Array.length f then begin
             follows := Array.make (2 * c) ("", -1);
@@ -66,22 +82,27 @@ let build doc =
       | p, c when c >= 0 && (p == s || String.equal p s) -> c
       | _ -> intern s
     in
-    name.(r) <- c;
     prev := c;
     List.iter go node.Tree.children;
-    size.(r) <- !next - r - 1
+    cells.(r) <- cell ~size:(!next - r - 1) ~name:c
   in
   go (Tree.root doc);
   let counts = Array.make (Hashtbl.length codes) 0 in
-  Array.iter (fun c -> counts.(c) <- counts.(c) + 1) name;
+  Array.iter
+    (fun x ->
+      let c = x land name_mask in
+      counts.(c) <- counts.(c) + 1)
+    cells;
   let postings = Array.map (fun k -> Array.make k 0) counts in
   Array.fill counts 0 (Array.length counts) 0;
   Array.iteri
-    (fun r c ->
+    (fun r x ->
+      let c = x land name_mask in
       postings.(c).(counts.(c)) <- r;
       counts.(c) <- counts.(c) + 1)
-    name;
-  { ids; size; name; value; codes; postings; fam = Tree.family doc;
+    cells;
+  { ids; cells; value; codes; postings;
+    top = Array.fold_left Int.max (-1) ids; fam = Tree.family doc;
     shape = Tree.shape doc }
 
 let describes t doc = t.fam = Tree.family doc && t.shape = Tree.shape doc
@@ -99,6 +120,299 @@ let ids t ranks =
   done;
   if !k < Array.length a then Array.stable_sort Int.compare a;
   a
+
+(* --- patching --------------------------------------------------------- *)
+
+(* [ids] (ascending, each flagged) as one byte per id over their range:
+   [lo] and the flags, so that a scan of the ranks tests an id in
+   O(1). *)
+let flag_ids flagged =
+  let lo, hi =
+    List.fold_left
+      (fun (lo, hi) (id, _) -> (Int.min lo id, Int.max hi id))
+      (max_int, min_int) flagged
+  in
+  if flagged = [] then (0, Bytes.empty)
+  else begin
+    let flags = Bytes.make (hi - lo + 1) '\000' in
+    List.iter
+      (fun (id, f) ->
+        let i = id - lo in
+        Bytes.set flags i (Char.unsafe_chr (Char.code (Bytes.get flags i) lor f)))
+      flagged;
+    (lo, flags)
+  end
+
+let flag_of lo flags id =
+  let i = id - lo in
+  if i >= 0 && i < Bytes.length flags then Char.code (Bytes.unsafe_get flags i)
+  else 0
+
+(* Births are numbered above every id of an earlier state of the tree
+   ([top]), and nodes that live on keep their order, so one scan of
+   the new ranks finds each survivor's old rank further along the old
+   ones. *)
+let carry ~from t a ~fill ~written ~fresh =
+  if Array.length a <> Array.length from.ids then
+    invalid_arg "Index.carry: the array is not over the source's ranks";
+  let lo, flags = flag_ids (List.map (fun id -> (id, 1)) written) in
+  let m = Array.length t.ids in
+  let out = if from == t then Array.copy a else Array.make m fill in
+  let n = Array.length from.ids and o = ref 0 in
+  for r = 0 to m - 1 do
+    let id = t.ids.(r) in
+    if flag_of lo flags id <> 0 then out.(r) <- fresh id
+    else if from != t then begin
+      if id > from.top then invalid_arg "Index.carry: an unwritten birth";
+      while !o < n && from.ids.(!o) <> id do
+        incr o
+      done;
+      if !o = n then invalid_arg "Index.carry: not an earlier state of the tree";
+      out.(r) <- a.(!o);
+      incr o
+    end
+  done;
+  out
+
+(* One move of a structural epoch, in the old index's ranks: [Cut r]
+   removed the subtree at [r]; [Graft (p, roots, k)] appended [roots],
+   [k] nodes in all, as the last children of [p], right after [p]'s
+   interval. *)
+type splice = Cut of int | Graft of int * Tree.node list * int
+
+(* The old rank a splice lands before, and how far it moves the old
+   ranks from there on. *)
+let at t = function Cut r -> r | Graft (p, _, _) -> p + size t p + 1
+let shift t = function Cut r -> -size t r - 1 | Graft (_, _, k) -> k
+
+(* At one position a graft goes before a cut (it closes an interval
+   the cut follows), and of two grafts the deeper parent's first. *)
+let before t a b =
+  match Int.compare (at t a) (at t b) with
+  | 0 -> (
+      match (a, b) with
+      | Graft (p, _, _), Graft (q, _, _) -> Int.compare q p
+      | Graft _, Cut _ -> -1
+      | Cut _, Graft _ -> 1
+      | Cut _, Cut _ -> 0)
+  | c -> c
+
+(* The new rank of the surviving old rank [o]. *)
+let moved t splices o =
+  List.fold_left (fun r s -> if at t s <= o then r + shift t s else r) o splices
+
+(* The proper ancestors of rank [r], found by size skips down from the
+   root. *)
+let ancestors t r =
+  let rec down a acc =
+    let c = ref (a + 1) in
+    while !c + size t !c < r do
+      c := !c + size t !c + 1
+    done;
+    if !c = r then a :: acc else down !c (a :: acc)
+  in
+  if r = 0 then [] else down 0 []
+
+let rec count (node : Tree.node) =
+  List.fold_left (fun k c -> k + count c) 1 node.Tree.children
+
+(* The flags of a changed id. *)
+let gone = 1 and written = 2 and grafted_under = 4
+
+(* Every id the tree holds and the index does not was born since, so
+   it is above [top]; a born node whose parent is indexed roots a
+   grafted subtree.  An indexed id the tree no longer holds was
+   deleted.  The changed ids are flagged by id, and one scan of the
+   old ranks finds them in rank order, skipping each cut subtree
+   whole.  The survivors keep their order, so the new arrays are the
+   old ones cut and spliced. *)
+let patch old doc =
+  if Tree.family doc <> old.fam then invalid_arg "Index.patch: another tree";
+  let n = Array.length old.ids and top = old.top in
+  let births = ref [] in
+  let flagged =
+    Tree.fold_changed
+      (fun id acc ->
+        match Tree.find doc id with
+        | Some node when id > top -> (
+            births := id :: !births;
+            match Tree.parent node with
+            | Some p when p.Tree.id <= top -> (p.Tree.id, grafted_under) :: acc
+            | _ -> acc)
+        | Some _ -> (id, written) :: acc
+        | None -> if id <= top then (id, gone) :: acc else acc)
+      doc []
+  in
+  let lo, flags = flag_ids flagged in
+  let splices = ref [] and revalued = ref [] and r = ref 0 in
+  while !r < n do
+    let x = !r in
+    let f = flag_of lo flags old.ids.(x) in
+    if f land gone <> 0 then begin
+      splices := Cut x :: !splices;
+      r := x + size old x + 1
+    end
+    else begin
+      if f <> 0 then begin
+        match Tree.find doc old.ids.(x) with
+        | None -> invalid_arg "Index.patch: the index is not the tree's"
+        | Some node ->
+            if f land grafted_under <> 0 then begin
+              let roots =
+                List.filter (fun (c : Tree.node) -> c.Tree.id > top) node.Tree.children
+              in
+              splices :=
+                Graft (x, roots, List.fold_left (fun k c -> k + count c) 0 roots)
+                :: !splices
+            end;
+            if not (Option.equal String.equal node.Tree.value old.value.(x)) then
+              revalued := (x, node.Tree.value) :: !revalued
+      end;
+      incr r
+    end
+  done;
+  let splices = List.sort (before old) !splices in
+  let m = List.fold_left (fun m s -> m + shift old s) n splices in
+  if m <> Tree.size doc then invalid_arg "Index.patch: the index is not the tree's";
+  let ids = Array.make m 0 and cells = Array.make m 0 in
+  let value = Array.make m None in
+  let codes = ref old.codes in
+  (* A new name is interned into a copy: readers share the old table. *)
+  let intern s =
+    match Hashtbl.find_opt !codes s with
+    | Some c -> c
+    | None ->
+        if !codes == old.codes then codes := Hashtbl.copy old.codes;
+        new_code !codes s
+  in
+  let born = ref [] and w = ref 0 and o = ref 0 in
+  (* The surviving old ranks [!o, upto).  The int copies are a loop,
+     not [Array.blit]: on an array in the major heap a blit goes
+     through the write barrier element by element, while a store into
+     a statically typed [int array] is a plain move. *)
+  let keep upto =
+    let d = !w - !o in
+    for x = !o to upto - 1 do
+      ids.(x + d) <- old.ids.(x);
+      cells.(x + d) <- old.cells.(x)
+    done;
+    Array.blit old.value !o value !w (upto - !o);
+    w := upto + d;
+    o := upto
+  in
+  let rec emit (node : Tree.node) =
+    let x = !w in
+    incr w;
+    ids.(x) <- node.Tree.id;
+    let c = intern node.Tree.name in
+    (match node.Tree.value with None -> () | v -> value.(x) <- v);
+    born := x :: !born;
+    List.iter emit node.Tree.children;
+    cells.(x) <- cell ~size:(!w - x - 1) ~name:c
+  in
+  List.iter
+    (fun s ->
+      keep (at old s);
+      match s with
+      | Cut x -> o := x + size old x + 1
+      | Graft (_, roots, _) -> List.iter emit roots)
+    splices;
+  keep n;
+  (* A splice resizes its parent's ancestors (and a graft its parent);
+     they precede it, so they survive. *)
+  let grow x d =
+    let y = moved old splices x in
+    cells.(y) <- cells.(y) + (d lsl name_bits)
+  in
+  List.iter
+    (fun s ->
+      match s with
+      | Cut x -> List.iter (fun a -> grow a (shift old s)) (ancestors old x)
+      | Graft (p, _, k) -> List.iter (fun a -> grow a k) (p :: ancestors old p))
+    splices;
+  List.iter (fun (x, v) -> value.(moved old splices x) <- v) !revalued;
+  (* Postings: the survivors' ranks moved along the splices, merged
+     with the born ones (ascending, per name).  A name with neither cut
+     nor born ranks, all before the first splice, keeps its array. *)
+  let codes = !codes in
+  let fresh = Array.make (Hashtbl.length codes) [] in
+  List.iter
+    (fun x ->
+      let c = cells.(x) land name_mask in
+      fresh.(c) <- x :: fresh.(c))
+    !born;
+  let cut = Array.make (Hashtbl.length codes) 0 in
+  List.iter
+    (function
+      | Cut x ->
+          for y = x to x + size old x do
+            cut.(name old y) <- cut.(name old y) + 1
+          done
+      | Graft _ -> ())
+    splices;
+  let first = match splices with [] -> n | s :: _ -> at old s in
+  let sp = Array.of_list splices in
+  let postings =
+    Array.mapi
+      (fun c ins ->
+        let p = if c < Array.length old.postings then old.postings.(c) else [||] in
+        let k = Array.length p in
+        if ins = [] && cut.(c) = 0 && (k = 0 || p.(k - 1) < first) then p
+        else begin
+          let out = Array.make (k - cut.(c) + List.length ins) 0 in
+          let j = ref 0 and ins = ref ins in
+          let put x =
+            out.(!j) <- x;
+            incr j
+          in
+          let s = ref 0 and delta = ref 0 and cut_end = ref (-1) in
+          for i = 0 to k - 1 do
+            let x = p.(i) in
+            while !s < Array.length sp && at old sp.(!s) <= x do
+              (match sp.(!s) with
+              | Cut y -> cut_end := y + size old y
+              | Graft _ -> ());
+              delta := !delta + shift old sp.(!s);
+              incr s
+            done;
+            if x > !cut_end then begin
+              let y = x + !delta in
+              while match !ins with z :: _ -> z < y | [] -> false do
+                put (List.hd !ins);
+                ins := List.tl !ins
+              done;
+              put y
+            end
+          done;
+          List.iter put !ins;
+          out
+        end)
+      fresh
+  in
+  { ids; cells; value; codes; postings;
+    top = List.fold_left Int.max top !births; fam = old.fam;
+    shape = Tree.shape doc }
+
+let names t =
+  let a = Array.make (Hashtbl.length t.codes) "" in
+  Hashtbl.iter (fun s c -> a.(c) <- s) t.codes;
+  a
+
+let equal a b =
+  let na = names a and nb = names b in
+  let postings t s =
+    match Hashtbl.find_opt t.codes s with Some c -> t.postings.(c) | None -> [||]
+  in
+  let same_postings t =
+    Hashtbl.fold (fun s _ ok -> ok && postings a s = postings b s) t.codes true
+  in
+  a.fam = b.fam && a.shape = b.shape && a.ids = b.ids && a.value = b.value
+  && Array.for_all2
+       (fun x y ->
+         x lsr name_bits = y lsr name_bits
+         && String.equal na.(x land name_mask) nb.(y land name_mask))
+       a.cells b.cells
+  && same_postings a && same_postings b
 
 (* --- compiled expressions --------------------------------------------- *)
 
@@ -137,7 +451,7 @@ and compile_qual t = function
 
 (* The last rank of [r]'s subtree; the virtual document node, rank -1,
    spans the whole document. *)
-let last t r = if r < 0 then Array.length t.ids - 1 else r + t.size.(r)
+let last t r = if r < 0 then Array.length t.ids - 1 else r + size t r
 
 (* First index of [p] at or after [from] holding a rank >= [v]. *)
 let lower_bound (p : int array) ~from (v : int) =
@@ -148,7 +462,7 @@ let lower_bound (p : int array) ~from (v : int) =
   done;
   !lo
 
-let name_ok t code r = code = any || t.name.(r) = code
+let name_ok t code r = code = any || name t r = code
 
 let accepts t r = function
   | Always -> true
@@ -186,7 +500,7 @@ and witness t s rest accept c =
 and children_exist t s rest accept c hi =
   c <= hi
   && (witness t s rest accept c
-     || children_exist t s rest accept (c + t.size.(c) + 1) hi)
+     || children_exist t s rest accept (c + size t c + 1) hi)
 
 and range_exists t s rest accept c hi =
   c <= hi && (witness t s rest accept c || range_exists t s rest accept (c + 1) hi)
@@ -226,7 +540,7 @@ let select_step t (context : int array) s =
            while !c <= hi do
              let x = !c in
              if name_ok t code x && quals_ok t x quals then push out x;
-             c := x + t.size.(x) + 1
+             c := x + size t x + 1
            done
          done
      | Descendant ->

@@ -21,15 +21,18 @@
     so one index may be read from many domains at once.  It gives the
     same answers as {!Eval.eval}, in the same (document) order.
 
-    The index describes the tree as it was at {!build}, and records
-    the tree's {!Xmlac_xml.Tree.family} and {!Xmlac_xml.Tree.shape}.
-    Sign and bitmap writes leave it valid; a structural write leaves
-    it describing the old state, which {!describes} detects.  So one
-    index serves a frozen snapshot view for its whole life, and the
-    live tree between two structural writes.  The engine's repair
-    evaluates its scopes on one once readers have evaluated on an
-    index of the same shape, and the epoch's snapshot takes over the
-    index the repair built after its structural write. *)
+    The index describes the tree as it was at {!build} or {!patch},
+    and records the tree's {!Xmlac_xml.Tree.family} and
+    {!Xmlac_xml.Tree.shape}.  Sign and bitmap writes leave it valid; a
+    structural write leaves it describing the old state, which
+    {!describes} detects, and {!patch} derives the new state's index
+    from it by splicing the old arrays where the write cut or grafted,
+    without walking the tree.  So one index serves a frozen snapshot
+    view for its whole life, and the live tree between two structural
+    writes.  The engine's repair evaluates its scopes on one once
+    readers have evaluated on an index of the same shape, patches it
+    after its structural write, and the epoch's snapshot takes the
+    patched index over.  {!build} is the cold start. *)
 
 type t
 
@@ -59,3 +62,49 @@ val ids : t -> int array -> int array
     ascending: a fresh array.  Ids that already ascend in document
     order, as they do until a graft, cost one scan and no sort. *)
 
+
+val patch : t -> Xmlac_xml.Tree.t -> t
+(** [patch old doc] is the index of the live tree [doc] after the
+    writes since its last {!Xmlac_xml.Tree.freeze}
+    ({!Xmlac_xml.Tree.fold_changed}), given the index [old] of its
+    shape before them: [old] must have {!describes}d [doc] at or after
+    that freeze.  The result equals {!build} on [doc] (see {!equal}).
+    The changed ids [old] holds and [doc] does not are the deleted
+    subtrees; those [doc] holds and [old] does not were born, and a
+    born node under a node of [old] roots a grafted subtree, which
+    {!Xmlac_xml.Tree.graft} and {!Xmlac_xml.Tree.add_child} place
+    after its parent's other children.  A changed value is rewritten
+    at its rank.  The changed ids are found by one scan of [old]'s
+    ranks against a byte per id; each array is then copied once, cut
+    and spliced; a name [old] never saw is interned into a copy of
+    its name table; the postings move along the splices, and a name's
+    array that no splice reaches is shared.  O(n) copying plus
+    O(changed · log n), and no walk of the tree beyond the grafted
+    subtrees.
+    @raise Invalid_argument when [doc] is of another family, or its
+    node count or a changed id shows that [old] did not describe it
+    before those writes. *)
+
+val carry :
+  from:t -> t -> 'a array -> fill:'a -> written:int list -> fresh:(int -> 'a) ->
+  'a array
+(** [carry ~from t a ~fill ~written ~fresh] moves an array over the
+    ranks of [from], an index of an earlier state of [t]'s tree that
+    no {!Xmlac_xml.Tree.abort} discarded, to [t]'s ranks: the node of
+    each rank of [t] takes [fresh id] if its id is in [written] (every
+    node born since must be), and otherwise [a]'s entry at the node's
+    rank in [from].  Births are numbered above every id of [from] and
+    the nodes that live on keep their order, so one scan of the two
+    id arrays pairs them, with no id-to-rank table; [Array.copy a]
+    and the written ranks when [from == t].  [fill] fills the fresh
+    array first, once, so it should not be a young value (see
+    {!Xmlac_xml.Tree.placeholder}).
+    @raise Invalid_argument when [a] is not of [from]'s length, or
+    the ids show that [from] is not such a state. *)
+
+val equal : t -> t -> bool
+(** Whether two indexes describe the same tree state alike: family,
+    shape, and per rank the id, size, name (as a string: names may be
+    interned in another order) and value, with the same ranks per
+    name.  The check the tests and the micro bench hold {!patch} to
+    against {!build}. *)

@@ -472,12 +472,12 @@ let test_crash_after_read site () =
         (Engine.accessible_subject eng role))
     (Policy.roles policy);
   let snap = Engine.current_snapshot eng in
-  (* Each attempt that got past the graft built a post-update index;
+  (* Each attempt that got past the graft patched a post-update index;
      at [epoch.commit] the crashed attempt's described writes that
-     recovery discarded, so the re-run built another. *)
-  Alcotest.(check int) "post-update indexes built"
+     recovery discarded, so the re-run patched the read index again. *)
+  Alcotest.(check int) "post-update indexes patched"
     (if site = "epoch.commit" then 2 else 1)
-    (counter eng "repair.index_builds");
+    (counter eng "repair.index_patches");
   Alcotest.(check bool) "no reader took it yet" true
     (Snapshot.read_index snap = None);
   let builds = counter eng "snapshot.index_builds" in
@@ -786,6 +786,103 @@ let test_mirror_replay_matches_engine () =
   Alcotest.(check bool) "the engine adopted a reader's index" true
     (Xmlac_util.Metrics.counter (Engine.metrics eng) "repair.index_adopted" > 0)
 
+(* ------------------------------------------------------------------ *)
+(* The patched index under readers.  Every read demands the index, so
+   every structural repair patches the last one and every capture
+   carries the last records.  The oracle shares neither: it evaluates
+   with [Eval] on a copy of the document and reads accessibility off
+   the policy's reference semantics. *)
+
+let served_oracle policy doc ?subject query =
+  let copy = Tree.copy doc in
+  let ids =
+    List.sort Int.compare
+      (List.map
+         (fun (n : Tree.node) -> n.Tree.id)
+         (Xmlac_xpath.Eval.eval copy (Helpers.parse query)))
+  in
+  let ok = Policy.accessible_ids ?subject policy copy in
+  match List.filter (fun id -> not (List.mem id ok)) ids with
+  | [] -> Requester.Granted ids
+  | blocked -> Requester.Denied { blocked = List.length blocked }
+
+let random_structural rng eng =
+  if Prng.bool rng then ignore (Engine.update eng (Helpers.random_update rng))
+  else
+    let at, fragment =
+      if Prng.bool rng then
+        ("//patient", treatment_fragment ~med:"aspirin" ~bill:"120")
+      else ("//staffinfo", staff_fragment ())
+    in
+    ignore (Engine.insert eng ~at ~fragment)
+
+let served_oracle_prop =
+  QCheck2.Test.make
+    ~name:"default engine under readers: served decisions = Eval on a copy"
+    ~count:40 QCheck2.Gen.int64 (fun seed ->
+      let rng = Prng.create ~seed in
+      let doc = Helpers.random_hospital_doc rng in
+      let policy =
+        Helpers.random_role_policy rng (Helpers.random_subjects rng)
+      in
+      let eng = Engine.create ~dtd:W.Hospital.dtd ~policy doc in
+      ignore (Engine.annotate eng);
+      ignore (Engine.annotate_subjects eng);
+      let policy = Engine.policy eng in
+      let subjects = None :: List.map Option.some (Policy.roles policy) in
+      let read step =
+        for _ = 1 to 3 do
+          let subject = Prng.choose_list rng subjects in
+          let q = Xmlac_xpath.Pp.expr_to_string (Helpers.random_hospital_expr rng) in
+          if
+            Engine.request ?subject eng Engine.Native q
+            <> served_oracle policy (Engine.document eng) ?subject q
+          then QCheck2.Test.fail_reportf "after %s: %s differs from the oracle" step q
+        done
+      in
+      read "annotation";
+      for i = 1 to 6 do
+        if Prng.int rng 5 = 0 then ignore (Engine.annotate_subjects eng)
+        else random_structural rng eng;
+        read (Printf.sprintf "epoch %d" i)
+      done;
+      if counter eng "repair.index_patches" = 0 then
+        QCheck2.Test.fail_report "no repair patched an index";
+      true)
+
+(* On a churn engine read after every epoch, the index and the records
+   are built once, at the first read, and every structural epoch after
+   patches the one and carries the other. *)
+let test_churn_patches_not_builds () =
+  let eng =
+    Engine.create ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
+      (W.Hospital.sample_document ())
+  in
+  ignore (Engine.annotate eng);
+  ignore (Engine.request eng Engine.Native "//patient/name");
+  let builds () = counter eng "snapshot.index_builds"
+  and record_builds () = counter eng "snapshot.record_builds" in
+  Alcotest.(check (pair int int)) "the first read builds both" (1, 1)
+    (builds (), record_builds ());
+  for k = 1 to 8 do
+    if k mod 2 = 1 then
+      ignore
+        (Engine.insert eng ~at:"//patients"
+           ~fragment:
+             (Xmlac_xml.Xml_parser.parse_exn
+                (Printf.sprintf "<patient><psn>9%d</psn><name>Ann</name></patient>" k)))
+    else ignore (Engine.update eng (Printf.sprintf "//patient[psn = \"9%d\"]" (k - 1)));
+    ignore (Engine.request eng Engine.Native "//patient/name")
+  done;
+  Alcotest.(check (pair int int)) "builds stay at their cold-start count" (1, 1)
+    (builds (), record_builds ());
+  Alcotest.(check int) "a patch per structural epoch" 8
+    (counter eng "repair.index_patches");
+  Alcotest.(check int) "a carry per epoch" 8 (counter eng "snapshot.record_carries");
+  Alcotest.(check bool) "signs = reference" true
+    (Engine.accessible eng
+    = Policy.accessible_ids (Engine.policy eng) (Engine.document eng))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "integration-insert"
@@ -815,5 +912,11 @@ let () =
             (test_crash_after_read "epoch.commit");
           tc "mirror replay matches the engine on 16-role XMark"
             test_mirror_replay_matches_engine;
+        ] );
+      ( "patched index",
+        [
+          QCheck_alcotest.to_alcotest served_oracle_prop;
+          tc "churn patches and carries, never rebuilds"
+            test_churn_patches_not_builds;
         ] );
     ]

@@ -841,7 +841,7 @@ module Eval = Xmlac_xpath.Eval
 let counter name eng = Metrics.counter (Engine.metrics eng) name
 let builds = counter "snapshot.index_builds"
 let shared = counter "snapshot.index_shared"
-let repair_builds = counter "repair.index_builds"
+let patches = counter "repair.index_patches"
 let adopted = counter "repair.index_adopted"
 
 let insert_patient eng =
@@ -865,8 +865,8 @@ let test_index_built_on_first_miss () =
   insert_patient eng;
   ignore (Engine.update eng probe_update);
   Alcotest.(check int) "captures and publishes build nothing" 0 (builds eng);
-  Alcotest.(check int) "unread structural epochs build nothing either" 0
-    (repair_builds eng);
+  Alcotest.(check int) "unread structural epochs patch nothing either" 0
+    (patches eng);
   Alcotest.(check int) "and adopt nothing" 0 (adopted eng);
   ignore (Engine.request eng Engine.Native "//patient/name");
   Alcotest.(check int) "its first miss builds once" 1 (builds eng);
@@ -883,7 +883,7 @@ let test_index_handed_after_read () =
   ignore (Engine.request eng Engine.Native "//patient/name");
   ignore (Engine.update eng "//patient/psn");
   Alcotest.(check int) "the repair adopted the read index" 1 (adopted eng);
-  Alcotest.(check int) "and built the post-update one" 1 (repair_builds eng);
+  Alcotest.(check int) "and patched it into the post-update one" 1 (patches eng);
   let snap = Engine.current_snapshot eng in
   Alcotest.(check bool) "not yet read" true (Snapshot.read_index snap = None);
   ignore (Engine.request eng Engine.Native "//nurse");
@@ -897,10 +897,10 @@ let test_index_handed_after_read () =
     probe_queries;
   insert_patient eng;
   Alcotest.(check int) "read again: adopted again" 2 (adopted eng);
-  Alcotest.(check int) "and built again" 2 (repair_builds eng);
+  Alcotest.(check int) "and patched again" 2 (patches eng);
   ignore (Engine.update eng probe_update);
   Alcotest.(check int) "unread: nothing adopted" 2 (adopted eng);
-  Alcotest.(check int) "and nothing built" 2 (repair_builds eng);
+  Alcotest.(check int) "and nothing patched" 2 (patches eng);
   ignore (Engine.request eng Engine.Native "//dept");
   Alcotest.(check int) "so the next miss builds" 2 (builds eng)
 
@@ -923,7 +923,7 @@ let test_index_shared_across_annotate () =
   ignore (Engine.request eng Engine.Native "//dept");
   Alcotest.(check int) "the next structural epoch takes the repair's index"
     1 (builds eng);
-  Alcotest.(check int) "which the repair built" 1 (repair_builds eng);
+  Alcotest.(check int) "which the repair patched" 1 (patches eng);
   Engine.unpin_snapshot eng s0;
   Engine.unpin_snapshot eng s1
 
@@ -1069,6 +1069,63 @@ let rank_check_prop =
       Engine.unpin_snapshot eng pinned;
       true)
 
+(* Records carried across epochs: after each epoch whose capture
+   carried its predecessor's records, every rank's record has the
+   sign and bitmap of the view's own record of its node.  A read after
+   every epoch keeps the chain carrying (an epoch that writes more
+   than a quarter of the nodes breaks it); a pinned snapshot keeps the
+   records it had. *)
+let carried_records_prop =
+  QCheck2.Test.make ~name:"carried records = the view's records" ~count:40
+    Helpers.seed_gen (fun seed ->
+      Fault.reset ();
+      let rng = Prng.create ~seed in
+      let doc = Helpers.random_hospital_doc rng in
+      let policy = Helpers.random_role_policy rng (Helpers.random_subjects rng) in
+      let eng = Engine.create ~dtd:W.Hospital.dtd ~policy doc in
+      ignore (Engine.annotate eng);
+      ignore (Engine.annotate_subjects eng);
+      let carries () = Metrics.counter (Engine.metrics eng) "snapshot.record_carries" in
+      let matches snap =
+        let idx = Snapshot.index snap and view = Snapshot.document snap in
+        List.for_all
+          (fun r ->
+            let (c : Tree.node) = Snapshot.record snap r in
+            match Tree.find view (Index.id idx r) with
+            | Some n ->
+                c.Tree.id = n.Tree.id && c.Tree.sign = n.Tree.sign
+                && Option.equal Xmlac_util.Bitset.equal c.Tree.bits n.Tree.bits
+            | None -> false)
+          (List.init (Index.length idx) Fun.id)
+      in
+      (* What a materialized miss reads: the index, then the records. *)
+      let read snap = ignore (Snapshot.accessible snap 0) in
+      read (Engine.current_snapshot eng);
+      let pinned = Engine.pin_snapshot eng in
+      for i = 1 to 6 do
+        let before = carries () in
+        (match Prng.int rng 4 with
+        | 0 -> ignore (Engine.update eng (Helpers.random_update rng))
+        | 1 ->
+            let at, xml = Prng.choose_list rng carry_inserts in
+            ignore (Engine.insert eng ~at ~fragment:(Xmlac_xml.Xml_parser.parse_exn xml))
+        | 2 -> ignore (Engine.annotate eng)
+        | _ ->
+            (* A sign-only epoch that writes one sign: the index is
+               shared and the records copied. *)
+            let doc = Engine.document eng in
+            flip_sign doc (Prng.choose rng (Array.of_list (Tree.nodes doc)));
+            Engine.apply_replica eng Engine.Op_noop);
+        let snap = Engine.current_snapshot eng in
+        if carries () > before && not (matches snap) then
+          QCheck2.Test.fail_reportf "epoch %d: a carried record differs" i;
+        read snap
+      done;
+      if not (matches pinned) then QCheck2.Test.fail_report "the pinned records moved";
+      Engine.unpin_snapshot eng pinned;
+      if carries () = 0 then QCheck2.Test.fail_report "no capture carried";
+      true)
+
 (* Readers on several domains missing on a fresh snapshot at once: one
    index is published, and every decision equals the direct read. *)
 let test_concurrent_first_misses () =
@@ -1082,7 +1139,7 @@ let test_concurrent_first_misses () =
   ignore (Engine.annotate_subjects eng);
   ignore (Engine.update eng probe_update);
   let snap = Engine.pin_snapshot eng in
-  Alcotest.(check int) "nothing was handed over" 0 (repair_builds eng);
+  Alcotest.(check int) "nothing was handed over" 0 (patches eng);
   let queries =
     [ "//patient/name"; "//nurse"; "//treatment"; "//patient/psn"; "//staff//name";
       "//*"; "//patient[treatment]"; "/hospital/dept" ]
@@ -1288,6 +1345,7 @@ let () =
           tc "record array not shared across a sign epoch"
             test_records_not_shared_across_sign_epoch;
           QCheck_alcotest.to_alcotest rank_check_prop;
+          QCheck_alcotest.to_alcotest carried_records_prop;
         ] );
       ( "properties",
         [

@@ -728,6 +728,100 @@ let test_index_xmark () =
   check "fresh" (fst (Tree.freeze doc));
   check "churned" (churned_view (Prng.create ~seed:5L) doc ~steps:20)
 
+(* Patching.  A patched index must equal a fresh build of the tree
+   rank by rank, so [Eval] need only be checked once more on top. *)
+
+(* Names no hospital document holds: a graft of it interns new ones. *)
+let novel =
+  Xmlac_xml.Xml_parser.parse_exn "<ward><bed><tag>x</tag></bed><bed/></ward>"
+
+let value_leaf (n : Tree.node) = n.Tree.children = [] && n.Tree.parent <> None
+
+(* A multi-target graft's targets: a [patients] left empty may have
+   been given a value since, and then takes no graft. *)
+let patients = parse "//patients"
+
+(* One generation's random writes: multi-target deletes, grafts (of
+   known and of unseen names), [add_child], [set_value], sign writes,
+   and a graft deleted again before the generation ends. *)
+let random_writes rng doc =
+  for _ = 1 to 1 + Prng.int rng 5 do
+    let nodes = Array.of_list (Tree.nodes doc) in
+    let n = Prng.choose rng nodes in
+    match Prng.int rng 7 with
+    | 0 -> ignore (Xmlac_xmldb.Update.delete doc (parse (Helpers.random_update rng)))
+    | 1 when List.for_all (fun (t : Tree.node) -> t.Tree.value = None) (Eval.eval doc patients) ->
+        ignore (Xmlac_xmldb.Update.insert doc ~at:patients
+                  ~fragment:(Prng.choose_list rng fragments))
+    | 2 when n.Tree.value = None ->
+        ignore (Tree.graft doc n (Prng.choose_list rng (novel :: fragments)))
+    | 3 when n.Tree.value = None ->
+        ignore (Tree.add_child doc n ?value:(if Prng.bool rng then Some "7" else None)
+                  (if Prng.bool rng then "name" else "cot"))
+    | 4 when value_leaf n ->
+        Tree.set_value doc n (if Prng.bool rng then None else Some (string_of_int (Prng.int rng 3)))
+    | 5 when n.Tree.value = None ->
+        Tree.delete doc (Tree.graft doc n (Prng.choose_list rng fragments))
+    | _ -> Tree.set_sign doc n (Some (if Prng.bool rng then Tree.Plus else Tree.Minus))
+  done
+
+let same_ranks patched built =
+  Index.length patched = Index.length built
+  && List.for_all (fun r -> Index.id patched r = Index.id built r)
+       (List.init (Index.length built) Fun.id)
+  && Index.equal patched built
+
+(* A chain of generations, each patched from the last one's index; a
+   quarter of them are aborted after the patch, after which the last
+   one describes the tree again and the patched one only if the
+   generation wrote nothing structural. *)
+let patch_matches_build_prop =
+  QCheck2.Test.make ~name:"patch = build on churned trees" ~count:200
+    QCheck2.Gen.int64 (fun seed ->
+      let rng = Prng.create ~seed in
+      let doc = Helpers.random_hospital_doc rng in
+      let exprs = List.init 6 (fun _ -> random_index_expr rng) in
+      ignore (Tree.freeze doc);
+      let idx = ref (Index.build doc) in
+      for _ = 1 to 1 + Prng.int rng 5 do
+        random_writes rng doc;
+        let patched = Index.patch !idx doc and built = Index.build doc in
+        if not (same_ranks patched built) then
+          QCheck2.Test.fail_report "patched index differs from a build";
+        (match
+           List.find_opt (fun e -> ids_of (Eval.eval doc e) <> index_ids patched e) exprs
+         with
+        | Some e -> QCheck2.Test.fail_reportf "%s: patched index differs from Eval"
+                      (Pp.expr_to_string e)
+        | None -> ());
+        if Prng.int rng 4 = 0 then begin
+          ignore (Tree.abort doc);
+          let stale = Index.describes patched doc && not (Index.equal patched !idx) in
+          if stale || not (Index.describes !idx doc) then
+            QCheck2.Test.fail_report "abort: the wrong index describes the tree"
+        end
+        else idx := patched;
+        ignore (Tree.freeze doc)
+      done;
+      true)
+
+(* The preconditions [patch] can see. *)
+let test_patch_rejects () =
+  let doc = Helpers.hospital_doc () in
+  ignore (Tree.freeze doc);
+  let idx = Index.build doc in
+  Alcotest.check_raises "another tree" (Invalid_argument "Index.patch: another tree")
+    (fun () -> ignore (Index.patch idx (Tree.copy doc)));
+  let other = Tree.copy doc in
+  ignore (Tree.freeze other);
+  let stale = Index.build other in
+  ignore (Xmlac_xmldb.Update.delete other (parse "//psn"));
+  ignore (Tree.freeze other);
+  ignore (Tree.add_child other (Tree.root other) "cot");
+  Alcotest.check_raises "writes the change set does not hold"
+    (Invalid_argument "Index.patch: the index is not the tree's")
+    (fun () -> ignore (Index.patch stale other))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run ~and_exit:false "xpath-index"
@@ -737,6 +831,8 @@ let () =
           tc "fixed cases" test_index_fixed_cases;
           tc "xmark response queries" test_index_xmark;
           QCheck_alcotest.to_alcotest index_matches_eval_prop;
+          QCheck_alcotest.to_alcotest patch_matches_build_prop;
+          tc "patch rejects another tree's index" test_patch_rejects;
         ] );
     ]
 
