@@ -60,8 +60,8 @@ bench-rewrite:
 # ms, then per-query mean/p50/p99 us and minor words), and a CAM walk
 # vs the rank-space check over each query's answers (the same
 # figures).  Then the repair's scope stage: every rule scope of the
-# repo benchmark's 16-role policy on the live document, through the
-# native backend with Eval and with a live index.  Exits non-zero if
+# repo benchmark's 16-role policy on the live document, walked with
+# Eval and through the native backend on its index.  Exits non-zero if
 # any answer, verdict or scope differs.
 bench-eval:
 	dune exec bench/main.exe -- -e eval
@@ -71,8 +71,8 @@ bench-eval:
 # Serve.snapshot_request (pinned) in ns and minor words per call, the
 # state digest, the structural repair's fixed cost (trigger, plan
 # compile on a memo miss and hit, scopes + region), and the reader
-# structures of a structural epoch (index build vs patch, records walk
-# vs carry).  Exits non-zero if the digests, a trigger set, a memoized
+# structures of a structural epoch (index build vs patch, fresh and
+# into a reused spare, records walk vs carry).  Exits non-zero if the digests, a trigger set, a memoized
 # plan, a region, a patched index or carried records differ from
 # their references.
 bench-micro:

@@ -24,9 +24,9 @@
    Repair scopes, on the live (unfrozen) document of an engine under
    the repo benchmark's 16-role policy (its coverage rules plus one
    qualified allow per role; every rule after optimization): each
-   rule's scope through the native backend's [eval_ids], once walking
-   the tree with [Eval] (an empty index slot) and once joined on an
-   index of the live document.  Output: the live index build time,
+   rule's scope walked on the tree with [Eval], and through the native
+   backend's [eval_ids], which joins on its index of the live
+   document.  Output: the live index build time,
    then per-scope mean / p50 / p99 in microseconds and the minor words
    per scope.  Every scope must give the same id list both ways.
 
@@ -194,15 +194,18 @@ let run () =
 "
     (Timing.percentile build_ms ~p:50.0)
     builds;
-  let walk = Xml_backend.make live in
-  let indexed = Xml_backend.make ~index:(ref (Some (Xp.Index.build live))) live in
+  let walk e =
+    List.sort_uniq Int.compare
+      (List.map (fun (n : Tree.node) -> n.Tree.id) (Xp.Eval.eval live e))
+  in
+  let indexed = Xml_backend.make live in
   let differ = ref [] in
   let walk_us = Array.make n 0.0 and walk_words = Array.make n 0.0 in
   let index_us = Array.make n 0.0 and index_words = Array.make n 0.0 in
   Array.iteri
     (fun i e ->
-      if walk.Backend.eval_ids e <> indexed.Backend.eval_ids e then differ := e :: !differ;
-      let us, w = measure (fun () -> walk.Backend.eval_ids e) in
+      if walk e <> indexed.Backend.eval_ids e then differ := e :: !differ;
+      let us, w = measure (fun () -> walk e) in
       walk_us.(i) <- us;
       walk_words.(i) <- w;
       let us, w = measure (fun () -> indexed.Backend.eval_ids e) in

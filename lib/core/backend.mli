@@ -40,7 +40,7 @@ type t = {
       (** A batch of plans in one pass, in order — the shared
           multi-role annotation pass and the rewrite lane.  The native
           store shares a scope memo across the batch
-          ({!Plan.native_ids_shared}) so each distinct XPath evaluates
+          ({!Plan.ids_shared}) so each distinct XPath evaluates
           once; relationally each plan is one SQL query.  Answers match
           [List.map eval_plan] exactly. *)
   set_sign_ids : int list -> Xmlac_xml.Tree.sign -> int;

@@ -40,10 +40,9 @@ type t = {
   depend : Depend.t;
   plan : Plan.t;
   doc : Tree.t;
-  (* The native store over [doc], fault-wrapped.  [index] is the
-     backend's live index slot: while it describes [doc], repair
-     scopes evaluate on it. *)
-  index : Xmlac_xpath.Index.t option ref;
+  (* The writer's index of [doc], current after every epoch, and the
+     native store over [doc], fault-wrapped, which evaluates on it. *)
+  live : Live_index.t;
   backend : Backend.t;
   metrics : Metrics.t;
   (* [annotated] and [bits_annotated] record committed sign and bitmap
@@ -80,8 +79,8 @@ let publish_snapshot ?footprint ?index t =
        (the outgoing snapshot) feeds carry-forward: still-valid memos
        migrate.  [footprint] is the trigger's footprint of a structural
        epoch's input, passed only while the document lies on the
-       schema's paths, the premise of the [Overlap] test.  [index] is the repair's
-       post-update index, which the snapshot takes over.  The capture
+       schema's paths, the premise of the [Overlap] test.  [index] is
+       the writer's index, lent to the snapshot.  The capture
        itself is an O(changed) [Tree.freeze], not a copy. *)
     Snapshot.capture ?prev:(Snapshot.current t.snapshots) ?index
       ?footprint:
@@ -106,8 +105,8 @@ let create ?(optimize = true) ~dtd ~policy doc =
     else (None, policy)
   in
   let native_doc = Tree.copy doc in
-  let index = ref None in
   let metrics = Metrics.create () in
+  let live = Live_index.create ~metrics native_doc in
   let t =
   {
     policy;
@@ -119,8 +118,8 @@ let create ?(optimize = true) ~dtd ~policy doc =
     depend = Depend.build ~mode:(Depend.Overlap sg) policy;
     plan = Plan.rewrite ~schema:sg (Plan.of_policy policy);
     doc = native_doc;
-    index;
-    backend = Backend.with_faults (Xml_backend.make ~index native_doc);
+    live;
+    backend = Backend.with_faults (Xml_backend.make ~index:live native_doc);
     metrics;
     annotated = false;
     bits_annotated = false;
@@ -134,8 +133,8 @@ let create ?(optimize = true) ~dtd ~policy doc =
   in
   (* Epoch 0 (the load-time materialization) is a committed epoch like
      any other: publish it so readers can pin before the first
-     mutation. *)
-  publish_snapshot t;
+     mutation, with the writer's index, so no first read builds one. *)
+  publish_snapshot ?index:(Live_index.lend live) t;
   t
 
 let policy t = t.policy
@@ -168,6 +167,7 @@ let explain ?(with_doc = true) t =
     (Plan.of_policy t.policy)
 
 let document t = t.doc
+let writer_index t = Live_index.get t.live
 
 let role_index t role =
   match Subject.index (Policy.subjects t.policy) role with
@@ -272,7 +272,8 @@ let request ?subject ?lane t Native query =
   Snapshot.request ?subject ?lane ~live:true (current_snapshot t) query
 
 (* The paper's requester: per-node sign (or per-role bit) reads
-   through the backend. *)
+   through the backend, whose expressions evaluate on the writer's
+   index. *)
 let request_direct ?subject t Native query =
   let b = t.backend and expr = Requester.parse_or_fail query in
   match subject with
@@ -283,7 +284,9 @@ let request_direct ?subject t Native query =
 (* A structural operation's trigger input and its mutation of the
    store, returning the count of subtree roots it deleted or grafted.
    Parses eagerly, so a malformed expression raises before any epoch
-   opens. *)
+   opens.  Both find their targets on the writer's index, in document
+   order as [Eval] lists them, so deletions run in the same order and
+   grafts take the same ids on every replica. *)
 let structural t op =
   match op with
   | Op_update query ->
@@ -307,7 +310,8 @@ let structural t op =
         fun () ->
           Fault.point "native.insert";
           let roots =
-            Xmlac_xmldb.Update.insert_nodes t.doc ~at:at_expr ~fragment
+            Xmlac_xmldb.Update.graft_under t.doc
+              (Live_index.targets t.live at_expr) ~fragment
           in
           (* Nothing validates an insert against the DTD; a graft off
              the schema's paths ends the structural carry for good. *)
@@ -320,52 +324,35 @@ let structural t op =
 (* Apply a structural operation and repair the signs — and the role
    bitmaps, once an [annotate_subjects] epoch has materialized them:
    compute the pre-mutation repair state while the store is untouched,
-   apply the mutation, and run the repair's post-mutation phase.
-   Recovery's roll-forward runs it again from the committed state the
-   crashed attempt's writes were discarded back to.
+   apply the mutation, patch the writer's index, and run the repair's
+   post-mutation phase.  Recovery's roll-forward runs it again from
+   the committed state the crashed attempt's writes were discarded
+   back to, where the writer's index is the buffer from before the
+   crashed patch.
 
-   The scopes evaluate on a pre/size index only on demand.  When
-   readers evaluated on the current snapshot's index and it still
-   describes the document, the repair adopts it for the pre-update
-   scopes and, right after the apply, patches it into the post-update
-   index from the apply's change set: a splice of its arrays, no walk
-   of the tree.  Without that demand the repair neither patches nor
-   builds: its scopes use the slot while it still describes the
-   document (recovery after a crash that followed the patch) and walk
-   the tree otherwise, so an engine nobody reads never indexes.  The
-   index is built from scratch only by a snapshot read that finds
-   none (the cold start).  Returns the repair's stats and the slot's
-   index if it describes the repaired document, which the epoch's
-   snapshot takes over. *)
-let live_index t =
-  match !(t.index) with
-  | Some i when Xmlac_xpath.Index.describes i t.doc -> Some i
-  | _ -> None
-
+   Every scope evaluates on the writer's index.  The patched index
+   goes to the epoch's snapshot only when readers evaluated on the
+   current snapshot's index: then its storage is theirs.  Otherwise
+   the writer takes back an index it handed to the current snapshot
+   if no reader took it, so an engine nobody reads patches back and
+   forth between two buffers.  Returns the repair's stats, the index
+   to hand over, and the trigger's footprint. *)
 let restructure t (touched, apply) =
-  let demanded =
-    match Snapshot.read_index (current_snapshot t) with
-    | Some i when Xmlac_xpath.Index.describes i t.doc ->
-        Metrics.incr t.metrics "repair.index_adopted";
-        Some i
-    | _ -> None
-  in
-  (* A reader's index replaces the slot's; a stale one is dropped. *)
-  t.index := (if Option.is_some demanded then demanded else live_index t);
+  let snap = current_snapshot t in
+  let demanded = Option.is_some (Snapshot.read_index snap) in
+  if not demanded then Live_index.take_back t.live (Snapshot.take_back_index snap);
   let prepared =
     Reannotator.prepare ~schema:t.sg ~bits:t.bits_annotated t.backend t.depend
       ~touched
   in
   let deleted_roots = apply () in
-  (match demanded with
-  | Some i when Option.is_none (live_index t) ->
-      t.index := Some (Xmlac_xpath.Index.patch i t.doc);
-      Metrics.incr t.metrics "repair.index_patches"
-  | _ -> ());
+  Live_index.patch t.live;
   let stats =
     Reannotator.finish ~schema:t.sg t.backend t.depend prepared ~deleted_roots
   in
-  (stats, live_index t, Reannotator.footprint prepared)
+  ( stats,
+    (if demanded then Live_index.lend t.live else None),
+    Reannotator.footprint prepared )
 
 let mutate t op =
   let step = structural t op in

@@ -31,24 +31,36 @@
 
     {2 One index per document shape}
 
-    A structural repair ({!update}, {!insert}) evaluates its triggered
-    scopes before and after the mutation.  The native backend
-    evaluates them by staircase joins on a pre/size index
-    ({!Xmlac_xpath.Index}) while its one live index slot describes the
-    document ({!Xmlac_xpath.Index.describes}: same family and
-    {!Xmlac_xml.Tree.shape}), and walks the tree otherwise.  The slot
-    follows demand.  When readers evaluated on the current snapshot's
-    index ({!Snapshot.read_index}) and it describes the document, the
-    repair adopts it for the pre-update scopes ([repair.index_adopted])
-    and, right after the mutation, patches it into the post-update
-    index from the mutation's change set ({!Xmlac_xpath.Index.patch},
-    counted as [repair.index_patches]): a splice of its arrays, with no
-    walk of the tree.  The epoch's snapshot takes that index over, so
-    its first miss builds nothing, and it carries its predecessor's
-    record array along ([snapshot.record_carries]).  An index is built
-    from scratch only by a read that finds none ([snapshot.index_builds]).
-    An engine nobody reads builds no index at all, and no option or
-    flag changes the rule.
+    The engine's writer owns one pre/size index of the live document
+    ({!Xmlac_xpath.Index}, kept by {!Live_index}; {!writer_index}).  It
+    is built once, at {!create}, and handed to the epoch-0 snapshot, so
+    a first read builds nothing.  Every expression the native store
+    evaluates runs on it by staircase joins: the repair's triggered
+    scopes before and after a structural mutation ({!update},
+    {!insert}), the mutation's own targets and insertion points, the
+    annotation plans, and {!request_direct}.  Right after a structural
+    mutation the writer patches it from the mutation's change set
+    ({!Xmlac_xpath.Index.patch}, counted as [repair.index_patches]): a
+    splice of its arrays into the storage of the index before it, with
+    no walk of the tree.
+
+    An index handed to a snapshot is never written again, and the
+    writer hands the patched index to the epoch's snapshot only when
+    readers evaluated on the current snapshot's index
+    ({!Snapshot.read_index}); otherwise it takes back an index it
+    handed that no reader took ({!Snapshot.take_back_index}).  So an
+    engine nobody reads patches back and forth between two buffers and
+    allocates nothing that grows with the document, while a read
+    engine allocates one index per handed epoch
+    ([repair.index_spares]), and its snapshots' first misses build
+    none.  A snapshot a structural epoch handed nothing builds its
+    index on its first miss ([snapshot.index_builds]), and carries its
+    predecessor's record array along when it was handed one
+    ([snapshot.record_carries]).  After a crash, recovery's
+    {!Xmlac_xml.Tree.abort} restores the shape of the buffer the
+    crashed patch read, which becomes current again; a document no
+    kept buffer describes is indexed anew ([repair.index_rebuilds]).
+    No option or flag changes the rule.
 
     {2 Sign epochs and crash recovery}
 
@@ -127,6 +139,11 @@ val backend : t -> backend_kind -> Backend.t
 val document : t -> Xmlac_xml.Tree.t
 (** The native store's live document. *)
 
+val writer_index : t -> Xmlac_xpath.Index.t
+(** The writer's pre/size index of {!document}, which every expression
+    the native store evaluates runs on ({!Live_index.get}).  Between
+    epochs it describes the document. *)
+
 val annotate : t -> Annotator.stats
 (** Full annotation in one sign epoch. *)
 
@@ -195,9 +212,12 @@ val resolve_lane :
 val request_direct :
   ?subject:string -> t -> backend_kind -> string -> Requester.decision
 (** The paper's requester: per-node sign (or per-role bit) reads
-    through the backend, no index, no memo.  The baseline the
-    [exp_requester] bench and the equivalence property compare
-    {!request} against.
+    through the backend, which evaluates the query on the writer's
+    index ({!writer_index}).  It reads no memo and no snapshot: it
+    sees the live document, an open epoch's writes included.  The
+    baseline the [exp_requester] bench and the equivalence property
+    compare {!request} against; the tests hold both to
+    {!Xmlac_xpath.Eval}, the reference evaluator.
     @raise Invalid_argument like {!request}. *)
 
 val update : t -> string -> (backend_kind * Reannotator.stats) list
@@ -242,10 +262,11 @@ val metrics : t -> Xmlac_util.Metrics.t
     [snapshot.*] counters ([snapshot.answers_checked],
     [snapshot.index_builds] — the only index builds —,
     [snapshot.record_builds] and [snapshot.record_carries] among them);
-    [repair.index_adopted] (structural repairs that adopted a reader's
-    index of the document's shape for their pre-update scopes) and
-    [repair.index_patches] (post-update indexes those repairs patched
-    from it and handed to their epoch's snapshot); stage
+    [repair.index_patches] (the writer's index patched after a
+    structural mutation), [repair.index_spares] (those patches that
+    allocated a buffer, because readers held the one the writer would
+    have reused) and [repair.index_rebuilds] (the writer's index built
+    anew because no kept buffer described the document); stage
     [annotate.subjects]. *)
 
 val cam : t -> Cam.t

@@ -16,8 +16,7 @@
       plan IR  --rewrite-->  smaller plan IR
         |
         +-- eval         (id-set algebra over any scope evaluator:
-        |                 tree_scope walks the XML tree, index_scope
-        |                 joins on its pre/size index)
+        |                 index_scope joins on a pre/size index)
         +-- to_sql       (ShreX translation, balanced n-ary unions)
         +-- to_xquery    (executable FLWOR text for Xmldb.Xquery) v}
 
@@ -144,18 +143,15 @@ val eval : (Xmlac_xpath.Ast.expr -> Ids.t) -> t -> Ids.t
     set of one XPath.  Pass a memoized [scope]
     ({!Rule.memo_resource}) to share scope answers across plans. *)
 
-val tree_scope : Xmlac_xml.Tree.t -> Xmlac_xpath.Ast.expr -> Ids.t
-(** One scope's id set by walking the tree
-    ({!Xmlac_xpath.Eval.node_set}): the native store's evaluator when
-    no index of the document's current shape is at hand. *)
-
 val index_scope : Xmlac_xpath.Index.t -> Xmlac_xpath.Ast.expr -> Ids.t
 (** One scope's id set by a staircase join on a pre/size index: frozen
-    snapshots, and the native store while its index describes the
-    document ({!Xmlac_xpath.Index.describes}). *)
+    snapshots, and the native store's live document
+    ({!Live_index}). *)
 
 val native_ids : Xmlac_xml.Tree.t -> t -> int list
-(** {!eval} over {!tree_scope}, ascending. *)
+(** {!eval} with each scope walked on the tree by
+    {!Xmlac_xpath.Eval.node_set}, ascending: the reference the tests
+    hold the stores to. *)
 
 val ids_shared : (Xmlac_xpath.Ast.expr -> Ids.t) -> t list -> int list list
 (** Evaluates a batch of plans, in order, with a shared scope memo:

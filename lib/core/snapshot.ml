@@ -118,10 +118,12 @@ let new_chain () =
     schema = None;
   }
 
-(* A snapshot's index slot.  [Handed] holds the index the writer built
-   after the epoch's structural write; [Read] one a reader has
-   evaluated on, built or taken over — the demand the writer's next
-   repair follows. *)
+(* A snapshot's index slot.  [Handed] holds an index of the engine's
+   writer (built at creation or patched after the epoch's structural
+   write) that no reader has taken yet: the writer may still take it
+   back and write it ([take_back_index]).  [Read] holds one a reader
+   has evaluated on, built or taken over — never written again, and
+   the demand the writer's next repair follows. *)
 type index_slot = Unbuilt | Handed of Index.t | Read of Index.t
 
 (* The state digest: a sum mod 2^63 of one term per node (incremental
@@ -601,13 +603,14 @@ let digest ?live t =
         Tree.fold_changed (moved t.scale ~before:t.doc ~after:doc) doc t.digest
     | Some doc -> fold_sum t.metrics t.scale doc)
 
-(* A losing racer drops its own build and takes the published one. *)
+(* A losing racer drops its own build and takes the published one.  A
+   handed index is used only once the slot says [Read]: until then the
+   writer may take it back ([take_back_index]) and write it. *)
 let rec index t =
   match Atomic.get t.index with
   | Read i -> i
   | Handed i as slot ->
-      ignore (Atomic.compare_and_set t.index slot (Read i));
-      i
+      if Atomic.compare_and_set t.index slot (Read i) then i else index t
   | Unbuilt ->
       let i = Index.build t.doc in
       if Atomic.compare_and_set t.index Unbuilt (Read i) then begin
@@ -618,6 +621,11 @@ let rec index t =
 
 let read_index t =
   match Atomic.get t.index with Read i -> Some i | Unbuilt | Handed _ -> None
+
+let take_back_index t i =
+  match Atomic.get t.index with
+  | Handed j as slot when j == i -> Atomic.compare_and_set t.index slot Unbuilt
+  | Unbuilt | Handed _ | Read _ -> false
 
 let annotated t = t.annotated
 let bits_annotated t = t.bits_annotated

@@ -29,10 +29,11 @@
     {e carried forward} whenever the epoch provably cannot have moved
     them.  A non-structural
     epoch hands its predecessor's index on as well (see {!index}).  A
-    structural one takes over the index the engine's repair patched
-    from the previous one after its structural write, when readers
-    demanded the previous one ({!read_index}); otherwise its first
-    miss builds one.  No capture builds an index, and a capture walks
+    structural one takes over the index the engine's writer patched
+    after its structural write, when readers demanded the previous
+    one ({!read_index}); otherwise its first miss builds one.  The
+    first snapshot takes over the index the engine built at creation.
+    No capture builds an index, and a capture walks
     no tree for its record array: it carries the previous snapshot's
     when a reader built that (see {!capture}).  A decision carries
     when the epoch's change set holds none of its answers and, for a
@@ -248,9 +249,16 @@ val read_index : t -> Xmlac_xpath.Index.t option
 (** The snapshot's index if a reader has evaluated on it — built it,
     or called {!index} on one {!capture} was handed — and [None]
     otherwise, without building anything.  The engine's demand test:
-    its next structural repair evaluates on this index and patches it
-    into the successor's only when it is [Some]
-    ({!Engine.update}). *)
+    its next structural repair hands the index it patched to the
+    successor only when this is [Some] ({!Engine.update}). *)
+
+val take_back_index : t -> Xmlac_xpath.Index.t -> bool
+(** [take_back_index t i] empties [t]'s index slot and returns [true]
+    when {!capture} was handed [i] and no reader has called {!index}
+    on it since, so that nobody holds [i] through [t] (nor through the
+    snapshots that share its slot); the slot's next reader builds an
+    index.  The writer takes back, before patching, a buffer its
+    readers never used. *)
 
 val accessible : ?subject:string -> t -> int -> bool
 (** [accessible ?subject t] is the check a materialized {!request}

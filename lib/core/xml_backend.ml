@@ -2,31 +2,20 @@ module Tree = Xmlac_xml.Tree
 module Xp = Xmlac_xpath
 module Bitset = Xmlac_util.Bitset
 
-let make ?(index = ref None) doc : Backend.t =
-  (* The slot's index while it describes the document; after a
-     structural write the evaluators fall back to walking the tree. *)
-  let live () =
-    match !index with
-    | Some i when Xp.Index.describes i doc -> Some i
-    | _ -> None
-  in
-  let eval_ids e =
-    match live () with
-    | Some i -> Array.to_list (Xp.Index.ids i (Xp.Index.eval i e))
-    | None ->
-        (* In document order, ids ascend until a graft breaks it. *)
-        let ids = List.map (fun (n : Tree.node) -> n.Tree.id) (Xp.Eval.eval doc e) in
-        let rec ascends = function a :: (b :: _ as l) -> a < b && ascends l | _ -> true in
-        if ascends ids then ids else List.sort Stdlib.compare ids
-  in
-  let scope () =
-    match live () with
-    | Some i -> Plan.index_scope i
-    | None -> Plan.tree_scope doc
-  in
+let make ?index doc : Backend.t =
+  let index = match index with Some i -> i | None -> Live_index.create doc in
+  let scope () = Plan.index_scope (Live_index.get index) in
   {
     Backend.name = "xquery";
-    eval_ids;
+    eval_ids =
+      (fun e ->
+        let i = Live_index.get index in
+        (* Ids ascend in document order until a graft breaks it. *)
+        let ids =
+          Array.fold_right (fun r acc -> Xp.Index.id i r :: acc) (Xp.Index.eval i e) []
+        in
+        let rec ascends = function a :: (b :: _ as l) -> a < b && ascends l | _ -> true in
+        if ascends ids then ids else List.sort Int.compare ids);
     eval_plan = (fun p -> Plan.Ids.elements (Plan.eval (scope ()) p));
     eval_plans = (fun ps -> Plan.ids_shared (scope ()) ps);
     set_sign_ids =
@@ -79,7 +68,8 @@ let make ?(index = ref None) doc : Backend.t =
     bits_of =
       (fun id ->
         match Tree.find doc id with Some n -> n.Tree.bits | None -> None);
-    delete_update = (fun e -> Xmlac_xmldb.Update.delete doc e);
+    delete_update =
+      (fun e -> Xmlac_xmldb.Update.delete_nodes doc (Live_index.targets index e));
     has_node = (fun id -> Tree.find doc id <> None);
     live_ids =
       (fun () ->

@@ -9,15 +9,12 @@
     id-set evaluation (the text form itself is covered by
     {!Xmlac_xmldb.Xquery}). *)
 
-val make : ?index:Xmlac_xpath.Index.t option ref -> Xmlac_xml.Tree.t -> Backend.t
+val make : ?index:Live_index.t -> Xmlac_xml.Tree.t -> Backend.t
 (** The backend operates on the document in place.
 
-    [index] (default: a slot of its own, left empty) is the one live
-    index slot.  While the slot holds an index that
-    {!Xmlac_xpath.Index.describes} the document — no structural write
-    since it was built — [eval_ids], [eval_plan] and [eval_plans]
-    evaluate on it by staircase joins; otherwise they walk the tree
-    with {!Xmlac_xpath.Eval}.  Both give the same ids.  The backend
-    never fills the slot: its owner ({!Engine}) puts an index there
-    when readers demand one, so an unread document is only ever
-    walked. *)
+    [eval_ids], [eval_plan] and [eval_plans] evaluate by staircase
+    joins on [index] ({!Live_index.get}), and [delete_update] finds its
+    targets there.  [index] defaults to one of the backend's own,
+    built now and rebuilt whenever the document's shape moved since
+    ([repair.index_rebuilds], uncounted); its owner ({!Engine}) passes
+    the one its writer patches after each structural write. *)

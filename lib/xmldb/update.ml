@@ -1,8 +1,7 @@
 module Tree = Xmlac_xml.Tree
 module Eval = Xmlac_xpath.Eval
 
-let delete doc expr =
-  let targets = Eval.eval doc expr in
+let delete_nodes doc targets =
   (* Deleting an ancestor first detaches its descendants, so skip any
      target no longer in the document. *)
   List.fold_left
@@ -16,8 +15,11 @@ let delete doc expr =
       else count)
     0 targets
 
-let insert_nodes doc ~at ~fragment =
-  let targets = Eval.eval doc at in
+let delete doc expr = delete_nodes doc (Eval.eval doc expr)
+
+let graft_under doc targets ~fragment =
   List.map (fun parent -> Tree.graft doc parent fragment) targets
+
+let insert_nodes doc ~at ~fragment = graft_under doc (Eval.eval doc at) ~fragment
 
 let insert doc ~at ~fragment = List.length (insert_nodes doc ~at ~fragment)

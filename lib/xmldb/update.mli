@@ -11,6 +11,11 @@ val delete : Xmlac_xml.Tree.t -> Xmlac_xpath.Ast.expr -> int
     document root raises [Invalid_argument] — a document cannot delete
     itself. *)
 
+val delete_nodes : Xmlac_xml.Tree.t -> Xmlac_xml.Tree.node list -> int
+(** {!delete} of targets found elsewhere (the native store's index),
+    in document order: a target an earlier one's subtree took along
+    is skipped. *)
+
 val insert :
   Xmlac_xml.Tree.t ->
   at:Xmlac_xpath.Ast.expr ->
@@ -28,3 +33,11 @@ val insert_nodes :
 (** Like {!insert}, returning the freshly grafted subtree roots — the
     nodes a relational store shredded from the same document takes in
     with {!Xmlac_shrex.Shred.insert_subtree} (same universal ids). *)
+
+val graft_under :
+  Xmlac_xml.Tree.t ->
+  Xmlac_xml.Tree.node list ->
+  fragment:Xmlac_xml.Tree.t ->
+  Xmlac_xml.Tree.node list
+(** {!insert_nodes} under parents found elsewhere, in document order:
+    the order fixes the ids the copies take. *)

@@ -16,19 +16,29 @@ module Tree = Xmlac_xml.Tree
    postings inside the context's interval and stop at the first
    witness. *)
 
+(* The arrays are storage with a capacity: the ranks [0, len) and, per
+   interned name, the first [counts.(c)] slots of [postings.(c)] are
+   the index; the rest is room a later {!patch} into this index may
+   fill.  No two indexes share an array, so patching into one never
+   moves another's answers. *)
 type t = {
-  ids : int array;  (* rank -> node id *)
-  cells : int array;
+  mutable len : int;  (* nodes indexed *)
+  mutable ids : int array;  (* rank -> node id *)
+  mutable cells : int array;
       (* rank -> its number of proper descendants and its interned
          name, in one word: [size lsl name_bits lor name] *)
-  value : string option array;  (* rank -> leaf value *)
-  codes : (string, int) Hashtbl.t;  (* name -> interned name *)
-  postings : int array array;  (* interned name -> its ranks, ascending *)
-  top : int;
+  mutable value : string option array;  (* rank -> leaf value *)
+  mutable codes : (string, int) Hashtbl.t;
+      (* name -> interned name; never written once an index holds it,
+         so indexes of one lineage share it *)
+  mutable postings : int array array;  (* interned name -> its ranks, ascending *)
+  mutable counts : int array;  (* interned name -> its number of ranks *)
+  mutable flags : Bytes.t;  (* a patch's scratch: a byte per changed id *)
+  mutable top : int;
       (* An id no smaller than any indexed, below every id the tree
          hands out after this state: the largest when built. *)
-  fam : int;  (* the indexed tree's family ... *)
-  shape : int;  (* ... and its shape *)
+  mutable fam : int;  (* the indexed tree's family ... *)
+  mutable shape : int;  (* ... and its shape *)
 }
 
 (* Size and name share a word: a child step reads both of a rank, and
@@ -101,12 +111,12 @@ let build doc =
       postings.(c).(counts.(c)) <- r;
       counts.(c) <- counts.(c) + 1)
     cells;
-  { ids; cells; value; codes; postings;
+  { len = n; ids; cells; value; codes; postings; counts; flags = Bytes.empty;
     top = Array.fold_left Int.max (-1) ids; fam = Tree.family doc;
     shape = Tree.shape doc }
 
 let describes t doc = t.fam = Tree.family doc && t.shape = Tree.shape doc
-let length t = Array.length t.ids
+let length t = t.len
 let id t r = t.ids.(r)
 
 (* Ids are handed out in document order and only grafts break it, so
@@ -123,45 +133,48 @@ let ids t ranks =
 
 (* --- patching --------------------------------------------------------- *)
 
-(* [ids] (ascending, each flagged) as one byte per id over their range:
-   [lo] and the flags, so that a scan of the ranks tests an id in
-   O(1). *)
-let flag_ids flagged =
+(* [ids] (each flagged) as one byte per id over their range, in
+   [scratch] when it has the room: [lo], the range's length and the
+   bytes, so that a scan of the ranks tests an id in O(1). *)
+let flag_ids ?(scratch = Bytes.empty) flagged =
   let lo, hi =
     List.fold_left
       (fun (lo, hi) (id, _) -> (Int.min lo id, Int.max hi id))
       (max_int, min_int) flagged
   in
-  if flagged = [] then (0, Bytes.empty)
+  if flagged = [] then (0, 0, scratch)
   else begin
-    let flags = Bytes.make (hi - lo + 1) '\000' in
+    let span = hi - lo + 1 in
+    let flags =
+      if Bytes.length scratch >= span then scratch else Bytes.create (span + (span / 8))
+    in
+    Bytes.fill flags 0 span '\000';
     List.iter
       (fun (id, f) ->
         let i = id - lo in
         Bytes.set flags i (Char.unsafe_chr (Char.code (Bytes.get flags i) lor f)))
       flagged;
-    (lo, flags)
+    (lo, span, flags)
   end
 
-let flag_of lo flags id =
+let flag_of (lo, span, flags) id =
   let i = id - lo in
-  if i >= 0 && i < Bytes.length flags then Char.code (Bytes.unsafe_get flags i)
-  else 0
+  if i >= 0 && i < span then Char.code (Bytes.unsafe_get flags i) else 0
 
 (* Births are numbered above every id of an earlier state of the tree
    ([top]), and nodes that live on keep their order, so one scan of
    the new ranks finds each survivor's old rank further along the old
    ones. *)
 let carry ~from t a ~fill ~written ~fresh =
-  if Array.length a <> Array.length from.ids then
+  if Array.length a <> from.len then
     invalid_arg "Index.carry: the array is not over the source's ranks";
-  let lo, flags = flag_ids (List.map (fun id -> (id, 1)) written) in
-  let m = Array.length t.ids in
+  let flags = flag_ids (List.map (fun id -> (id, 1)) written) in
+  let m = t.len in
   let out = if from == t then Array.copy a else Array.make m fill in
-  let n = Array.length from.ids and o = ref 0 in
+  let n = from.len and o = ref 0 in
   for r = 0 to m - 1 do
     let id = t.ids.(r) in
-    if flag_of lo flags id <> 0 then out.(r) <- fresh id
+    if flag_of flags id <> 0 then out.(r) <- fresh id
     else if from != t then begin
       if id > from.top then invalid_arg "Index.carry: an unwritten birth";
       while !o < n && from.ids.(!o) <> id do
@@ -219,16 +232,34 @@ let rec count (node : Tree.node) =
 (* The flags of a changed id. *)
 let gone = 1 and written = 2 and grafted_under = 4
 
+(* [a] if it holds [m] slots, else a fresh array: with room to spare
+   when [a] is storage a patch reuses ([spare]), so that a buffer
+   patched back and forth between two shapes stops growing after its
+   first patch, and exact otherwise. *)
+let room ~spare a m fill =
+  if Array.length a >= m then a
+  else Array.make (if spare then m + (m / 8) + 16 else m) fill
+
 (* Every id the tree holds and the index does not was born since, so
    it is above [top]; a born node whose parent is indexed roots a
    grafted subtree.  An indexed id the tree no longer holds was
    deleted.  The changed ids are flagged by id, and one scan of the
    old ranks finds them in rank order, skipping each cut subtree
    whole.  The survivors keep their order, so the new arrays are the
-   old ones cut and spliced. *)
-let patch old doc =
+   old ones cut and spliced, written into [into]'s storage. *)
+let patch ?into old doc =
   if Tree.family doc <> old.fam then invalid_arg "Index.patch: another tree";
-  let n = Array.length old.ids and top = old.top in
+  let spare = Option.is_some into in
+  let into =
+    match into with
+    | Some i when i == old -> invalid_arg "Index.patch: into is the source"
+    | Some i -> i
+    | None ->
+        { len = 0; ids = [||]; cells = [||]; value = [||]; codes = old.codes;
+          postings = [||]; counts = [||]; flags = Bytes.empty; top = -1;
+          fam = old.fam; shape = -1 }
+  in
+  let n = old.len and top = old.top in
   let births = ref [] in
   let flagged =
     Tree.fold_changed
@@ -243,11 +274,12 @@ let patch old doc =
         | None -> if id <= top then (id, gone) :: acc else acc)
       doc []
   in
-  let lo, flags = flag_ids flagged in
+  let ((_, _, scratch) as flags) = flag_ids ~scratch:into.flags flagged in
+  into.flags <- scratch;
   let splices = ref [] and revalued = ref [] and r = ref 0 in
   while !r < n do
     let x = !r in
-    let f = flag_of lo flags old.ids.(x) in
+    let f = flag_of flags old.ids.(x) in
     if f land gone <> 0 then begin
       splices := Cut x :: !splices;
       r := x + size old x + 1
@@ -274,8 +306,11 @@ let patch old doc =
   let splices = List.sort (before old) !splices in
   let m = List.fold_left (fun m s -> m + shift old s) n splices in
   if m <> Tree.size doc then invalid_arg "Index.patch: the index is not the tree's";
-  let ids = Array.make m 0 and cells = Array.make m 0 in
-  let value = Array.make m None in
+  (* From here [into]'s arrays are overwritten: until it is whole it
+     describes no shape. *)
+  into.shape <- -1;
+  let ids = room ~spare into.ids m 0 and cells = room ~spare into.cells m 0 in
+  let value = room ~spare into.value m None in
   let codes = ref old.codes in
   (* A new name is interned into a copy: readers share the old table. *)
   let intern s =
@@ -305,7 +340,7 @@ let patch old doc =
     incr w;
     ids.(x) <- node.Tree.id;
     let c = intern node.Tree.name in
-    (match node.Tree.value with None -> () | v -> value.(x) <- v);
+    value.(x) <- node.Tree.value;
     born := x :: !born;
     List.iter emit node.Tree.children;
     cells.(x) <- cell ~size:(!w - x - 1) ~name:c
@@ -332,16 +367,16 @@ let patch old doc =
     splices;
   List.iter (fun (x, v) -> value.(moved old splices x) <- v) !revalued;
   (* Postings: the survivors' ranks moved along the splices, merged
-     with the born ones (ascending, per name).  A name with neither cut
-     nor born ranks, all before the first splice, keeps its array. *)
+     with the born ones (ascending, per name). *)
   let codes = !codes in
-  let fresh = Array.make (Hashtbl.length codes) [] in
+  let k_names = Hashtbl.length codes in
+  let fresh = Array.make k_names [] in
   List.iter
     (fun x ->
       let c = cells.(x) land name_mask in
       fresh.(c) <- x :: fresh.(c))
     !born;
-  let cut = Array.make (Hashtbl.length codes) 0 in
+  let cut = Array.make k_names 0 in
   List.iter
     (function
       | Cut x ->
@@ -350,48 +385,57 @@ let patch old doc =
           done
       | Graft _ -> ())
     splices;
-  let first = match splices with [] -> n | s :: _ -> at old s in
-  let sp = Array.of_list splices in
   let postings =
-    Array.mapi
-      (fun c ins ->
-        let p = if c < Array.length old.postings then old.postings.(c) else [||] in
-        let k = Array.length p in
-        if ins = [] && cut.(c) = 0 && (k = 0 || p.(k - 1) < first) then p
-        else begin
-          let out = Array.make (k - cut.(c) + List.length ins) 0 in
-          let j = ref 0 and ins = ref ins in
-          let put x =
-            out.(!j) <- x;
-            incr j
-          in
-          let s = ref 0 and delta = ref 0 and cut_end = ref (-1) in
-          for i = 0 to k - 1 do
-            let x = p.(i) in
-            while !s < Array.length sp && at old sp.(!s) <= x do
-              (match sp.(!s) with
-              | Cut y -> cut_end := y + size old y
-              | Graft _ -> ());
-              delta := !delta + shift old sp.(!s);
-              incr s
-            done;
-            if x > !cut_end then begin
-              let y = x + !delta in
-              while match !ins with z :: _ -> z < y | [] -> false do
-                put (List.hd !ins);
-                ins := List.tl !ins
-              done;
-              put y
-            end
-          done;
-          List.iter put !ins;
-          out
-        end)
-      fresh
+    if Array.length into.postings >= k_names then into.postings
+    else Array.init k_names (fun c -> if c < Array.length into.postings then into.postings.(c) else [||])
   in
-  { ids; cells; value; codes; postings;
-    top = List.fold_left Int.max top !births; fam = old.fam;
-    shape = Tree.shape doc }
+  let counts = room ~spare into.counts k_names 0 in
+  let sp = Array.of_list splices in
+  for c = 0 to k_names - 1 do
+    (* [old]'s storage may hold stale counts past its own names. *)
+    let k = if c < Hashtbl.length old.codes then old.counts.(c) else 0 in
+    let p = if k > 0 then old.postings.(c) else [||] in
+    let total = k - cut.(c) + List.length fresh.(c) in
+    let out = room ~spare postings.(c) total 0 in
+    postings.(c) <- out;
+    counts.(c) <- total;
+    let j = ref 0 and ins = ref fresh.(c) in
+    let put x =
+      out.(!j) <- x;
+      incr j
+    in
+    let s = ref 0 and delta = ref 0 and cut_end = ref (-1) in
+    for i = 0 to k - 1 do
+      let x = p.(i) in
+      while !s < Array.length sp && at old sp.(!s) <= x do
+        (match sp.(!s) with
+        | Cut y -> cut_end := y + size old y
+        | Graft _ -> ());
+        delta := !delta + shift old sp.(!s);
+        incr s
+      done;
+      if x > !cut_end then begin
+        let y = x + !delta in
+        while match !ins with z :: _ -> z < y | [] -> false do
+          put (List.hd !ins);
+          ins := List.tl !ins
+        done;
+        put y
+      end
+    done;
+    List.iter put !ins
+  done;
+  into.len <- m;
+  into.ids <- ids;
+  into.cells <- cells;
+  into.value <- value;
+  into.codes <- codes;
+  into.postings <- postings;
+  into.counts <- counts;
+  into.top <- List.fold_left Int.max top !births;
+  into.fam <- old.fam;
+  into.shape <- Tree.shape doc;
+  into
 
 let names t =
   let a = Array.make (Hashtbl.length t.codes) "" in
@@ -401,17 +445,22 @@ let names t =
 let equal a b =
   let na = names a and nb = names b in
   let postings t s =
-    match Hashtbl.find_opt t.codes s with Some c -> t.postings.(c) | None -> [||]
+    match Hashtbl.find_opt t.codes s with
+    | Some c -> Array.sub t.postings.(c) 0 t.counts.(c)
+    | None -> [||]
   in
   let same_postings t =
     Hashtbl.fold (fun s _ ok -> ok && postings a s = postings b s) t.codes true
   in
-  a.fam = b.fam && a.shape = b.shape && a.ids = b.ids && a.value = b.value
+  let prefix t a = Array.sub a 0 t.len in
+  a.fam = b.fam && a.shape = b.shape && a.len = b.len
+  && prefix a a.ids = prefix b b.ids
+  && prefix a a.value = prefix b b.value
   && Array.for_all2
        (fun x y ->
          x lsr name_bits = y lsr name_bits
          && String.equal na.(x land name_mask) nb.(y land name_mask))
-       a.cells b.cells
+       (prefix a a.cells) (prefix b b.cells)
   && same_postings a && same_postings b
 
 (* --- compiled expressions --------------------------------------------- *)
@@ -451,11 +500,12 @@ and compile_qual t = function
 
 (* The last rank of [r]'s subtree; the virtual document node, rank -1,
    spans the whole document. *)
-let last t r = if r < 0 then Array.length t.ids - 1 else r + size t r
+let last t r = if r < 0 then t.len - 1 else r + size t r
 
-(* First index of [p] at or after [from] holding a rank >= [v]. *)
-let lower_bound (p : int array) ~from (v : int) =
-  let lo = ref from and hi = ref (Array.length p) in
+(* First index of [p]'s first [upto] at or after [from] holding a rank
+   >= [v]. *)
+let lower_bound (p : int array) ~upto ~from (v : int) =
+  let lo = ref from and hi = ref upto in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
     if p.(mid) < v then lo := mid + 1 else hi := mid
@@ -491,8 +541,8 @@ and exists t r p accept =
       | Child -> children_exist t s rest accept (r + 1) hi
       | Descendant when s.code = any -> range_exists t s rest accept (r + 1) hi
       | Descendant ->
-          let p = t.postings.(s.code) in
-          postings_exist t s rest accept p (lower_bound p ~from:0 (r + 1)) hi)
+          let p = t.postings.(s.code) and k = t.counts.(s.code) in
+          postings_exist t s rest accept p k (lower_bound p ~upto:k ~from:0 (r + 1)) hi)
 
 and witness t s rest accept c =
   name_ok t s.code c && quals_ok t c s.quals && exists t c rest accept
@@ -505,27 +555,30 @@ and children_exist t s rest accept c hi =
 and range_exists t s rest accept c hi =
   c <= hi && (witness t s rest accept c || range_exists t s rest accept (c + 1) hi)
 
-and postings_exist t s rest accept p i hi =
-  i < Array.length p
+and postings_exist t s rest accept p k i hi =
+  i < k
   && p.(i) <= hi
-  && (witness t s rest accept p.(i) || postings_exist t s rest accept p (i + 1) hi)
+  && (witness t s rest accept p.(i) || postings_exist t s rest accept p k (i + 1) hi)
 
-(* A growable rank buffer; unlike [Vec], it hands its contents over as
-   a plain [int array]. *)
-type buf = { mutable a : int array; mutable len : int }
-
-let push b x =
-  if b.len = Array.length b.a then begin
-    let a = Array.make (Int.max 16 (2 * b.len)) 0 in
-    Array.blit b.a 0 a 0 b.len;
-    b.a <- a
-  end;
-  b.a.(b.len) <- x;
-  b.len <- b.len + 1
+(* The ranks a step selects are gathered in a buffer of the domain's
+   that grows to the largest answer once and is reused, so a step
+   allocates its result and nothing else: no doubling copies, which
+   for a large answer would each be a major-heap block. *)
+let scratch = Domain.DLS.new_key (fun () -> ref (Array.make 256 0))
 
 (* One step over an ascending context, giving an ascending result. *)
 let select_step t (context : int array) s =
-  let out = { a = [||]; len = 0 } in
+  let buf = Domain.DLS.get scratch in
+  let used = ref 0 in
+  let push x =
+    if !used = Array.length !buf then begin
+      let a = Array.make (2 * !used) 0 in
+      Array.blit !buf 0 a 0 !used;
+      buf := a
+    end;
+    Array.unsafe_set !buf !used x;
+    incr used
+  in
   let code = s.code and quals = s.quals in
   let nested = ref false and reach = ref (-2) in
   (if code <> absent then
@@ -539,7 +592,7 @@ let select_step t (context : int array) s =
            let c = ref (r + 1) in
            while !c <= hi do
              let x = !c in
-             if name_ok t code x && quals_ok t x quals then push out x;
+             if name_ok t code x && quals_ok t x quals then push x;
              c := x + size t x + 1
            done
          done
@@ -554,21 +607,21 @@ let select_step t (context : int array) s =
              reach := hi;
              if code = any then
                for x = r + 1 to hi do
-                 if quals_ok t x quals then push out x
+                 if quals_ok t x quals then push x
                done
              else begin
-               let p = t.postings.(code) in
-               let j = ref (lower_bound p ~from:!cursor (r + 1)) in
-               while !j < Array.length p && p.(!j) <= hi do
+               let p = t.postings.(code) and k = t.counts.(code) in
+               let j = ref (lower_bound p ~upto:k ~from:!cursor (r + 1)) in
+               while !j < k && p.(!j) <= hi do
                  let x = p.(!j) in
-                 if quals_ok t x quals then push out x;
+                 if quals_ok t x quals then push x;
                  incr j
                done;
                cursor := !j
              end
            end
          done);
-  let result = Array.sub out.a 0 out.len in
+  let result = Array.sub !buf 0 !used in
   (* The children of nested contexts interleave.  Each node has one
      parent, so they are distinct already and only need sorting. *)
   if !nested then Array.sort Int.compare result;

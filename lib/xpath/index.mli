@@ -27,12 +27,13 @@
     structural write leaves it describing the old state, which
     {!describes} detects, and {!patch} derives the new state's index
     from it by splicing the old arrays where the write cut or grafted,
-    without walking the tree.  So one index serves a frozen snapshot
-    view for its whole life, and the live tree between two structural
-    writes.  The engine's repair evaluates its scopes on one once
-    readers have evaluated on an index of the same shape, patches it
-    after its structural write, and the epoch's snapshot takes the
-    patched index over.  {!build} is the cold start. *)
+    without walking the tree, into the storage of an index the caller
+    gives up.  So one index serves a frozen snapshot view for its
+    whole life, and the live tree between two structural writes.  The
+    engine's writer keeps one current across every epoch, patching it
+    back and forth between two buffers, and hands the patched one to
+    the epoch's snapshot when readers want it.  {!build} is the cold
+    start. *)
 
 type t
 
@@ -63,8 +64,8 @@ val ids : t -> int array -> int array
     order, as they do until a graft, cost one scan and no sort. *)
 
 
-val patch : t -> Xmlac_xml.Tree.t -> t
-(** [patch old doc] is the index of the live tree [doc] after the
+val patch : ?into:t -> t -> Xmlac_xml.Tree.t -> t
+(** [patch ?into old doc] is the index of the live tree [doc] after the
     writes since its last {!Xmlac_xml.Tree.freeze}
     ({!Xmlac_xml.Tree.fold_changed}), given the index [old] of its
     shape before them: [old] must have {!describes}d [doc] at or after
@@ -76,14 +77,20 @@ val patch : t -> Xmlac_xml.Tree.t -> t
     after its parent's other children.  A changed value is rewritten
     at its rank.  The changed ids are found by one scan of [old]'s
     ranks against a byte per id; each array is then copied once, cut
-    and spliced; a name [old] never saw is interned into a copy of
-    its name table; the postings move along the splices, and a name's
-    array that no splice reaches is shared.  O(n) copying plus
+    and spliced, and so is each name's postings; a name [old] never
+    saw is interned into a copy of its name table.  O(n) copying plus
     O(changed · log n), and no walk of the tree beyond the grafted
-    subtrees.
-    @raise Invalid_argument when [doc] is of another family, or its
-    node count or a changed id shows that [old] did not describe it
-    before those writes. *)
+    subtrees.  [old] is only read.
+
+    [into] is an index the caller gives up, of any earlier state: the
+    result is [into] itself, its storage overwritten, and it allocates
+    nothing in proportion to the document while its arrays have the
+    room (each grows with some to spare when they do not).  Without
+    [into] the result is a fresh index.  An index readers may still
+    hold must never be passed as [into].
+    @raise Invalid_argument when [into] is [old], [doc] is of another
+    family, or its node count or a changed id shows that [old] did not
+    describe it before those writes. *)
 
 val carry :
   from:t -> t -> 'a array -> fill:'a -> written:int list -> fresh:(int -> 'a) ->

@@ -356,11 +356,13 @@ let cross_store_prop =
    ([request_direct]) reads the same signs and bitmaps, so the
    reference semantics is the only check that can see them drift.
 
-   Reads between mutations decide how the repair evaluates its scopes:
-   on the pre/size index a reader demanded, or by walking the tree.
-   The property reads after the first annotation and after a random
-   half of the mutations, so a run covers the index path at least once
-   and usually the walk too. *)
+   Every repair evaluates its scopes on the writer's pre/size index.
+   Reads between mutations decide whether the repair hands the index
+   it patched to the epoch's snapshot or keeps patching its own two
+   buffers.  The property reads after the first annotation and after a
+   random half of the mutations, so a run usually covers both, and
+   after every step the writer's index must equal a build of the
+   document. *)
 
 let counter eng name = Xmlac_util.Metrics.counter (Engine.metrics eng) name
 
@@ -392,6 +394,11 @@ let repair_oracle_prop =
           Engine.accessible def
           <> Policy.accessible_ids (Engine.policy def) (Engine.document def)
         then fail "anonymous signs differ from the policy";
+        if
+          not
+            (Xmlac_xpath.Index.equal (Engine.writer_index def)
+               (Xmlac_xpath.Index.build (Engine.document def)))
+        then fail "the writer's index differs from a build";
         List.iter
           (fun role ->
             let want =
@@ -429,8 +436,8 @@ let repair_oracle_prop =
         check step;
         if Prng.bool rng then read ()
       done;
-      if counter def "repair.index_adopted" = 0 then
-        QCheck2.Test.fail_report "no repair ran on a read index";
+      if counter def "repair.index_rebuilds" > 0 then
+        QCheck2.Test.fail_report "the writer's index was rebuilt";
       true)
 
 let bitmapped_engine () =
@@ -776,15 +783,21 @@ let test_mirror_replay_matches_engine () =
             (List.length engine.Reannotator.changed)
             (List.length s.Reannotator.changed))
         (replay mu);
-      (* A read builds the snapshot's index, which the next repair
-         adopts. *)
+      (* A read marks the snapshot's index read, so the next repair
+         hands its patched index over. *)
       ignore (Engine.request ~subject:(Printf.sprintf "r%d" (i mod 16)) eng Engine.Native "//person/name"))
     (List.concat_map (mutation_pair source) (List.init 10 Fun.id));
   Alcotest.(check int) "every delete took what its insert grafted"
     (Tree.size source) (Tree.size (Engine.document eng));
   Alcotest.(check bool) "some mutations moved a region" true (!repaired > 0);
-  Alcotest.(check bool) "the engine adopted a reader's index" true
-    (Xmlac_util.Metrics.counter (Engine.metrics eng) "repair.index_adopted" > 0)
+  Alcotest.(check bool) "the writer's index = a build" true
+    (Xmlac_xpath.Index.equal (Engine.writer_index eng)
+       (Xmlac_xpath.Index.build (Engine.document eng)));
+  (* The first mutation follows no read, so its snapshot is handed
+     nothing and the read after it builds the one index. *)
+  Alcotest.(check (pair int int)) "no rebuild; one build, after the unread first epoch"
+    (0, 1)
+    (counter eng "repair.index_rebuilds", counter eng "snapshot.index_builds")
 
 (* ------------------------------------------------------------------ *)
 (* The patched index under readers.  Every read demands the index, so
@@ -850,9 +863,10 @@ let served_oracle_prop =
         QCheck2.Test.fail_report "no repair patched an index";
       true)
 
-(* On a churn engine read after every epoch, the index and the records
-   are built once, at the first read, and every structural epoch after
-   patches the one and carries the other. *)
+(* On a churn engine read after every epoch, the records are built
+   once, at the first read, and the index never (epoch 0's snapshot
+   holds the writer's); every structural epoch patches the one into a
+   fresh buffer, since readers hold the last, and carries the other. *)
 let test_churn_patches_not_builds () =
   let eng =
     Engine.create ~dtd:W.Hospital.dtd ~policy:W.Hospital.policy
@@ -862,7 +876,8 @@ let test_churn_patches_not_builds () =
   ignore (Engine.request eng Engine.Native "//patient/name");
   let builds () = counter eng "snapshot.index_builds"
   and record_builds () = counter eng "snapshot.record_builds" in
-  Alcotest.(check (pair int int)) "the first read builds both" (1, 1)
+  Alcotest.(check (pair int int))
+    "the first read builds the records, epoch 0 was handed the index" (0, 1)
     (builds (), record_builds ());
   for k = 1 to 8 do
     if k mod 2 = 1 then
@@ -874,14 +889,101 @@ let test_churn_patches_not_builds () =
     else ignore (Engine.update eng (Printf.sprintf "//patient[psn = \"9%d\"]" (k - 1)));
     ignore (Engine.request eng Engine.Native "//patient/name")
   done;
-  Alcotest.(check (pair int int)) "builds stay at their cold-start count" (1, 1)
+  Alcotest.(check (pair int int)) "builds stay at their cold-start count" (0, 1)
     (builds (), record_builds ());
-  Alcotest.(check int) "a patch per structural epoch" 8
-    (counter eng "repair.index_patches");
+  Alcotest.(check (pair int int)) "a patch and a spare per structural epoch" (8, 8)
+    (counter eng "repair.index_patches", counter eng "repair.index_spares");
   Alcotest.(check int) "a carry per epoch" 8 (counter eng "snapshot.record_carries");
   Alcotest.(check bool) "signs = reference" true
     (Engine.accessible eng
     = Policy.accessible_ids (Engine.policy eng) (Engine.document eng))
+
+(* ------------------------------------------------------------------ *)
+(* The writer's index.  The engine finds its delete targets and insert
+   parents on it, in the order [Eval] lists them, so deletion order and
+   the ids grafts hand out stay what they were; and every crash between
+   the apply and the commit leaves it describing the settled document. *)
+
+let targets_prop =
+  QCheck2.Test.make ~name:"update targets on the writer index = Eval, in order"
+    ~count:40 Helpers.seed_gen (fun seed ->
+      let rng = Prng.create ~seed in
+      let hospital = Prng.bool rng in
+      let doc =
+        if hospital then Helpers.random_hospital_doc rng
+        else W.Xmark.generate ~seed:(Prng.next_int64 rng) ~factor:0.002 ()
+      in
+      let expr () =
+        if hospital then Helpers.random_hospital_expr rng
+        else Xmlac_xpath.Qgen.gen_expr rng (Lazy.force Helpers.xmark_sg)
+      in
+      let fragment =
+        Xmlac_xml.Xml_parser.parse_exn
+          (if hospital then "<patient><psn>7</psn><name>Ann</name></patient>"
+           else "<person><name>Ann</name><creditcard>1</creditcard></person>")
+      in
+      ignore (Tree.freeze doc);
+      let live = Live_index.create doc in
+      let ids = List.map (fun (n : Tree.node) -> n.Tree.id) in
+      for step = 1 to 8 do
+        let e = expr () in
+        let targets = Live_index.targets live e in
+        if ids targets <> ids (Xmlac_xpath.Eval.eval doc e) then
+          QCheck2.Test.fail_reportf "step %d: %s: targets differ from Eval" step
+            (Xmlac_xpath.Pp.expr_to_string e);
+        (* Churn on those targets, then patch as an epoch does. *)
+        (if Prng.bool rng then begin
+           if List.for_all (fun n -> Tree.parent n <> None) targets then
+             ignore (Xmlac_xmldb.Update.delete_nodes doc targets)
+         end
+         else
+           ignore
+             (Xmlac_xmldb.Update.graft_under doc
+                (List.filteri (fun i _ -> i < 2)
+                   (List.filter (fun (n : Tree.node) -> n.Tree.value = None) targets))
+                ~fragment));
+        Live_index.patch live;
+        ignore (Tree.freeze doc)
+      done;
+      true)
+
+(* A crash at each point between an update's apply and its commit,
+   after a read (the patched index is handed over) and without one
+   (it stays the writer's): once [Engine.settle] ran, the writer's index
+   describes the document and equals a build, with no rebuild. *)
+let test_writer_index_after_crash () =
+  let module Fault = Xmlac_util.Fault in
+  let module Index = Xmlac_xpath.Index in
+  List.iter
+    (fun (site, read) ->
+      Fault.reset ();
+      let eng = bitmapped_engine () in
+      if read then ignore (Engine.request eng Engine.Native "//patient/name");
+      let since = Engine.sign_epoch eng in
+      Fault.arm site (Fault.After 1);
+      let what = Printf.sprintf "%s%s" site (if read then " after a read" else "") in
+      (match
+         if site = "native.insert" then
+           ignore
+             (Engine.insert eng ~at:"//patient"
+                ~fragment:(treatment_fragment ~med:"aspirin" ~bill:"120"))
+         else ignore (Engine.update eng "//patient/treatment")
+       with
+      | () -> Alcotest.failf "%s: the mutation did not crash" what
+      | exception Fault.Crash _ -> ());
+      ignore (Engine.settle eng ~since);
+      Fault.reset ();
+      let idx = Engine.writer_index eng in
+      Alcotest.(check bool) (what ^ ": describes the document") true
+        (Index.describes idx (Engine.document eng));
+      Alcotest.(check bool) (what ^ ": = a build") true
+        (Index.equal idx (Index.build (Engine.document eng)));
+      Alcotest.(check int) (what ^ ": no rebuild") 0
+        (counter eng "repair.index_rebuilds"))
+    (List.concat_map
+       (fun site -> [ (site, false); (site, true) ])
+       [ "native.delete"; "native.insert"; "native.set_sign"; "native.set_bits";
+         "epoch.commit"; "snapshot.publish" ])
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -918,5 +1020,11 @@ let () =
           QCheck_alcotest.to_alcotest served_oracle_prop;
           tc "churn patches and carries, never rebuilds"
             test_churn_patches_not_builds;
+        ] );
+      ( "writer index",
+        [
+          QCheck_alcotest.to_alcotest targets_prop;
+          tc "describes the document after a crash at any apply point"
+            test_writer_index_after_crash;
         ] );
     ]

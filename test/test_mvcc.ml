@@ -830,10 +830,10 @@ let carry_prop =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* The snapshot's document index: never built by a capture, shared
-   along sign-only epochs, and handed from the repair to the next
-   structural epoch's snapshot only when readers demanded the last
-   one. *)
+(* The snapshot's document index: the writer's, handed to epoch 0's
+   snapshot at creation, shared along sign-only epochs, and handed from
+   the repair to the next structural epoch's snapshot only when readers
+   demanded the last one.  Otherwise the writer keeps its buffers. *)
 
 module Index = Xmlac_xpath.Index
 module Eval = Xmlac_xpath.Eval
@@ -842,13 +842,15 @@ let counter name eng = Metrics.counter (Engine.metrics eng) name
 let builds = counter "snapshot.index_builds"
 let shared = counter "snapshot.index_shared"
 let patches = counter "repair.index_patches"
-let adopted = counter "repair.index_adopted"
+let spares = counter "repair.index_spares"
+let rebuilds = counter "repair.index_rebuilds"
 
-let insert_patient eng =
+let insert_patient ?(psn = "p0") eng =
   ignore
     (Engine.insert eng ~at:"//patients"
        ~fragment:
-         (Xmlac_xml.Xml_parser.parse_exn "<patient><name>Ann</name></patient>"))
+         (Xmlac_xml.Xml_parser.parse_exn
+            (Printf.sprintf "<patient><psn>%s</psn><name>Ann</name></patient>" psn)))
 
 (* Whether [snap]'s index answers [q] as [Eval] does on its view. *)
 let index_agrees snap q =
@@ -856,38 +858,49 @@ let index_agrees snap q =
   Array.to_list (Array.map (Index.id idx) (Index.eval idx e))
   = List.map (fun (n : Tree.node) -> n.Tree.id) (Eval.eval (Snapshot.document snap) e)
 
-(* An engine nobody reads builds no index: not at capture, not in the
-   repair.  Its first miss builds one. *)
-let test_index_built_on_first_miss () =
+let writer_index_current eng =
+  Index.equal (Engine.writer_index eng) (Index.build (Engine.document eng))
+
+(* An engine nobody reads takes back the index epoch 0's snapshot was
+   handed and patches back and forth between two buffers: one spare,
+   allocated by the first structural epoch, and no index built. *)
+let test_unread_engine_two_buffers () =
   Fault.reset ();
   let eng = annotated_engine () in
-  ignore (Engine.update eng "//patient/psn");
-  insert_patient eng;
-  ignore (Engine.update eng probe_update);
-  Alcotest.(check int) "captures and publishes build nothing" 0 (builds eng);
-  Alcotest.(check int) "unread structural epochs patch nothing either" 0
-    (patches eng);
-  Alcotest.(check int) "and adopt nothing" 0 (adopted eng);
+  for k = 1 to 100 do
+    let psn = Printf.sprintf "u%d" k in
+    insert_patient ~psn eng;
+    ignore (Engine.update eng (Printf.sprintf "//patient[psn = \"%s\"]" psn));
+    if k = 1 then Alcotest.(check int) "the first epoch allocates the spare" 1 (spares eng)
+  done;
+  Alcotest.(check int) "no spare after the first one" 1 (spares eng);
+  Alcotest.(check int) "a patch per structural epoch" 200 (patches eng);
+  Alcotest.(check int) "no rebuild" 0 (rebuilds eng);
+  Alcotest.(check int) "no index built" 0 (builds eng);
+  Alcotest.(check bool) "the writer index describes the document" true
+    (writer_index_current eng);
   ignore (Engine.request eng Engine.Native "//patient/name");
-  Alcotest.(check int) "its first miss builds once" 1 (builds eng);
-  ignore (Engine.request eng Engine.Native "//nurse");
+  Alcotest.(check int) "the first miss on an unhanded epoch builds" 1 (builds eng);
   ignore (Engine.request eng Engine.Native ~lane:Rewrite.Rewrite "//staff//name");
   Alcotest.(check int) "later misses on either lane reuse it" 1 (builds eng)
 
-(* After a read, the next structural epoch's repair adopts the read
-   index and its snapshot holds the post-update index before any
-   miss.  A structural epoch nobody read between hands nothing on. *)
+(* A read engine never builds an index: epoch 0's snapshot holds the
+   writer's, and each structural epoch after a read takes over the
+   post-update index the repair patched, into a fresh buffer, since
+   the read one is its readers'.  A structural epoch nobody read
+   between hands nothing on. *)
 let test_index_handed_after_read () =
   Fault.reset ();
   let eng = annotated_engine () in
   ignore (Engine.request eng Engine.Native "//patient/name");
+  Alcotest.(check int) "epoch 0's snapshot held the writer's index" 0 (builds eng);
   ignore (Engine.update eng "//patient/psn");
-  Alcotest.(check int) "the repair adopted the read index" 1 (adopted eng);
-  Alcotest.(check int) "and patched it into the post-update one" 1 (patches eng);
+  Alcotest.(check int) "the repair patched the post-update index" 1 (patches eng);
+  Alcotest.(check int) "into a fresh buffer" 1 (spares eng);
   let snap = Engine.current_snapshot eng in
   Alcotest.(check bool) "not yet read" true (Snapshot.read_index snap = None);
   ignore (Engine.request eng Engine.Native "//nurse");
-  Alcotest.(check int) "its first miss builds nothing" 1 (builds eng);
+  Alcotest.(check int) "its first miss builds nothing" 0 (builds eng);
   Alcotest.(check bool) "the miss marked it read" true
     (Option.is_some (Snapshot.read_index snap));
   List.iter
@@ -895,14 +908,20 @@ let test_index_handed_after_read () =
       Alcotest.(check bool) ("handed index = Eval: " ^ q) true
         (index_agrees snap q))
     probe_queries;
+  for k = 1 to 6 do
+    if k mod 2 = 1 then insert_patient eng
+    else ignore (Engine.update eng "//patient[psn = \"p0\"]");
+    ignore (Engine.request eng Engine.Native "//patient/name")
+  done;
+  Alcotest.(check int) "read every epoch: no build" 0 (builds eng);
+  Alcotest.(check int) "and a fresh buffer per handed epoch" 7 (spares eng);
   insert_patient eng;
-  Alcotest.(check int) "read again: adopted again" 2 (adopted eng);
-  Alcotest.(check int) "and patched again" 2 (patches eng);
   ignore (Engine.update eng probe_update);
-  Alcotest.(check int) "unread: nothing adopted" 2 (adopted eng);
-  Alcotest.(check int) "and nothing patched" 2 (patches eng);
+  Alcotest.(check bool) "the writer index describes the document" true
+    (writer_index_current eng);
   ignore (Engine.request eng Engine.Native "//dept");
-  Alcotest.(check int) "so the next miss builds" 2 (builds eng)
+  Alcotest.(check int) "unread epoch: nothing handed, so the next miss builds" 1
+    (builds eng)
 
 let test_index_shared_across_annotate () =
   Fault.reset ();
@@ -923,7 +942,8 @@ let test_index_shared_across_annotate () =
   ignore (Engine.request eng Engine.Native "//dept");
   Alcotest.(check int) "the next structural epoch takes the repair's index"
     1 (builds eng);
-  Alcotest.(check int) "which the repair patched" 1 (patches eng);
+  Alcotest.(check int) "which the repair patched, as it did the first" 2
+    (patches eng);
   Engine.unpin_snapshot eng s0;
   Engine.unpin_snapshot eng s1
 
@@ -1139,7 +1159,8 @@ let test_concurrent_first_misses () =
   ignore (Engine.annotate_subjects eng);
   ignore (Engine.update eng probe_update);
   let snap = Engine.pin_snapshot eng in
-  Alcotest.(check int) "nothing was handed over" 0 (patches eng);
+  Alcotest.(check bool) "nothing was handed over" true
+    (Snapshot.read_index snap = None && builds eng = 0);
   let queries =
     [ "//patient/name"; "//nurse"; "//treatment"; "//patient/psn"; "//staff//name";
       "//*"; "//patient[treatment]"; "/hospital/dept" ]
@@ -1332,8 +1353,8 @@ let () =
         ] );
       ( "index",
         [
-          tc "built on the first miss, never at capture"
-            test_index_built_on_first_miss;
+          tc "unread engine patches two buffers, builds none"
+            test_unread_engine_two_buffers;
           tc "handed to the next structural epoch after a read"
             test_index_handed_after_read;
           tc "shared across an annotate epoch" test_index_shared_across_annotate;

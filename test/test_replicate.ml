@@ -808,6 +808,53 @@ let digest_chain_prop =
       Fault.reset ();
       true)
 
+(* The pre/size indexes along a replicated churn: after every applied
+   epoch, the leader's and the follower's writer indexes each equal a
+   build of their own document, and so does the follower's current
+   snapshot index of its view.  Reading that index is a read, so the
+   follower hands each patched index to its next snapshot while the
+   leader, which nobody reads, patches between its two buffers. *)
+let writer_index_prop =
+  QCheck2.Test.make ~name:"writer and snapshot indexes = builds along churn"
+    ~count:20 Helpers.seed_gen (fun seed ->
+      Fault.reset ();
+      let rng = Prng.create ~seed in
+      let doc = Helpers.random_hospital_doc rng in
+      let t =
+        Repl.create ~config:quiet_config ~followers:1 ~dtd:W.Hospital.dtd
+          ~policy:W.Hospital.policy doc
+      in
+      let leader = Repl.leader_engine t and follower = Repl.engine t 1 in
+      let module Index = Xmlac_xpath.Index in
+      let current what idx doc =
+        if not (Index.equal idx (Index.build doc)) then
+          QCheck2.Test.fail_reportf "%s differs from a build" what
+      in
+      let check step =
+        current (step ^ ": leader's writer index") (Engine.writer_index leader)
+          (Engine.document leader);
+        current (step ^ ": follower's writer index") (Engine.writer_index follower)
+          (Engine.document follower);
+        let snap = Engine.current_snapshot follower in
+        current (step ^ ": follower's snapshot index") (Snapshot.index snap)
+          (Snapshot.document snap)
+      in
+      let submit = function Ok () | Error _ -> () in
+      submit (Repl.annotate_all t);
+      for i = 1 to 10 do
+        (match Prng.int rng 3 with
+        | 0 -> submit (Repl.update t (Helpers.random_update rng))
+        | _ ->
+            let at, xml = Prng.choose rng chain_inserts in
+            submit (Repl.insert t ~at ~fragment:(Xmlac_xml.Xml_parser.parse_exn xml)));
+        if not (Repl.sync ~rounds:50 t) then
+          QCheck2.Test.fail_reportf "epoch %d: no convergence" i;
+        check (Printf.sprintf "epoch %d" i)
+      done;
+      if Metrics.counter (Engine.metrics leader) "repair.index_spares" > 1 then
+        QCheck2.Test.fail_report "the unread leader allocated a second spare";
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* The cross-node equivalence property: a random committed epoch chain
    shipped through a faulty transport (drops, duplicates, reorders,
@@ -937,5 +984,7 @@ let () =
             test_digest_publish_fault;
           QCheck_alcotest.to_alcotest digest_chain_prop;
         ] );
-      ( "properties", [ QCheck_alcotest.to_alcotest equivalence_prop ] );
+      ( "properties",
+        [ QCheck_alcotest.to_alcotest equivalence_prop;
+          QCheck_alcotest.to_alcotest writer_index_prop ] );
     ]

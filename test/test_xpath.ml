@@ -771,10 +771,11 @@ let same_ranks patched built =
        (List.init (Index.length built) Fun.id)
   && Index.equal patched built
 
-(* A chain of generations, each patched from the last one's index; a
-   quarter of them are aborted after the patch, after which the last
-   one describes the tree again and the patched one only if the
-   generation wrote nothing structural. *)
+(* A chain of generations, each patched from the last one's index into
+   the storage of the one before it (as the engine's writer alternates
+   two buffers); a quarter of them are aborted after the patch, after
+   which the last one describes the tree again and the patched one
+   only if the generation wrote nothing structural. *)
 let patch_matches_build_prop =
   QCheck2.Test.make ~name:"patch = build on churned trees" ~count:200
     QCheck2.Gen.int64 (fun seed ->
@@ -782,10 +783,10 @@ let patch_matches_build_prop =
       let doc = Helpers.random_hospital_doc rng in
       let exprs = List.init 6 (fun _ -> random_index_expr rng) in
       ignore (Tree.freeze doc);
-      let idx = ref (Index.build doc) in
+      let idx = ref (Index.build doc) and spare = ref None in
       for _ = 1 to 1 + Prng.int rng 5 do
         random_writes rng doc;
-        let patched = Index.patch !idx doc and built = Index.build doc in
+        let patched = Index.patch ?into:!spare !idx doc and built = Index.build doc in
         if not (same_ranks patched built) then
           QCheck2.Test.fail_report "patched index differs from a build";
         (match
@@ -798,9 +799,13 @@ let patch_matches_build_prop =
           ignore (Tree.abort doc);
           let stale = Index.describes patched doc && not (Index.equal patched !idx) in
           if stale || not (Index.describes !idx doc) then
-            QCheck2.Test.fail_report "abort: the wrong index describes the tree"
+            QCheck2.Test.fail_report "abort: the wrong index describes the tree";
+          spare := Some patched
         end
-        else idx := patched;
+        else begin
+          spare := Some !idx;
+          idx := patched
+        end;
         ignore (Tree.freeze doc)
       done;
       true)
