@@ -72,9 +72,9 @@ bench-eval:
 # state digest, the structural repair's fixed cost (trigger, plan
 # compile on a memo miss and hit, scopes + region), and the reader
 # structures of a structural epoch (index build vs patch, fresh and
-# into a reused spare, records walk vs carry).  Exits non-zero if the digests, a trigger set, a memoized
-# plan, a region, a patched index or carried records differ from
-# their references.
+# into a reused spare, grant column walk vs carry).  Exits non-zero if
+# the digests, a trigger set, a memoized plan, a region, a patched
+# index or the carried grant column differ from their references.
 bench-micro:
 	dune exec bench/main.exe -- -e micro
 
@@ -125,11 +125,13 @@ perfbench-smoke:
 doc:
 	dune build @doc
 
-# Size of the library: lines of every .ml and .mli under lib/ — the
-# figure ROADMAP.md tracks.
+# Size of the library and of the tests: lines of every .ml and .mli
+# under lib/ and under test/ — the figures ROADMAP.md tracks.
 loc:
-	@printf 'lib/ .ml+.mli lines: '
-	@find lib \( -name '*.ml' -o -name '*.mli' \) -print0 | xargs -0 cat | wc -l
+	@for d in lib test; do \
+	  printf '%s/ .ml+.mli lines: ' $$d; \
+	  find $$d \( -name '*.ml' -o -name '*.mli' \) -print0 | xargs -0 cat | wc -l; \
+	done
 
 quickstart:
 	dune exec examples/quickstart.exe

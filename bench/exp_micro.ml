@@ -29,16 +29,17 @@
    and exits 1 if a trigger set differs from the expansion test or a
    memoized plan from a fresh compile.  A fifth prices what a
    read-demanded structural epoch rebuilds for its readers on XMark
-   f=0.1: the pre/size index built from scratch next to
-   Index.patch from the last shape's, into fresh arrays and into a
-   reused spare (the storage of an index nobody reads, as an engine's
-   writer patches), after a person insert and after its delete, and
-   the snapshot's rank-to-record array by a
-   walk (filled with a young record, as it was, and with
-   Tree.placeholder) next to the carry from the previous array
-   (Index.carry plus the written ids); in ns, minor and major words
-   and minor collections per call.  It exits 1 if a patched index
-   differs from a built one or a carried array from a walked one. *)
+   f=0.1, annotated for the anonymous subject and the 16 roles: the
+   pre/size index built from scratch next to Index.patch from the last
+   shape's, into fresh arrays and into a reused spare (the storage of
+   an index nobody reads, as an engine's writer patches), after a
+   person insert and after its delete; then the snapshot's grant
+   column after the insert, by the walk a first check runs
+   (Snapshot.grant_walk) next to the carry a capture runs from the
+   previous column (Snapshot.grant_carry: Index.carry plus the
+   written ids); in ns, minor and major words and minor collections
+   per call.  It exits 1 if a patched index differs from a built one
+   or the carried column from the walked one. *)
 
 open Bechamel
 open Toolkit
@@ -336,25 +337,14 @@ let gc_row ~calls name f =
 
 module Index = Xmlac_xpath.Index
 
-(* The records walk as [Snapshot] runs it, into an array filled with
-   [fill]. *)
-let walk_records fill view =
-  let a = Array.make (Tree.size view) fill and next = ref 0 in
-  Tree.iter
-    (fun node ->
-      a.(!next) <- node;
-      incr next)
-    view;
-  a
-
-(* The carry as [Snapshot.capture] runs it: the previous array moved
-   to the new ranks, then each written id's record in the view. *)
-let carry_records ~from idx recs view changed =
-  Index.carry ~from idx recs ~fill:Tree.placeholder ~written:changed
-    ~fresh:(fun id -> Option.get (Tree.find view id))
-
 let index_rows () =
-  let live = Tree.copy (Bench_common.doc 0.1) in
+  let eng =
+    Engine.create ~dtd:Xmlac_workload.Xmark.dtd
+      ~policy:(Bench_common.role_policy 0.1) (Bench_common.doc 0.1)
+  in
+  ignore (Engine.annotate eng);
+  ignore (Engine.annotate_subjects eng);
+  let policy = Engine.policy eng and live = Tree.copy (Engine.document eng) in
   let at = Xmlac_xpath.Parser.parse_exn "/site/people" in
   let fragment = Tree.create ~root_name:"person" in
   List.iter
@@ -385,10 +375,20 @@ let index_rows () =
   in
   let view0, _ = Tree.freeze live in
   let idx0 = Index.build view0 in
-  let recs0 = walk_records Tree.placeholder view0 in
+  let grants0 = Snapshot.grant_walk policy view0 in
+  (* The grafted nodes get a grant the defaults do not give, so a
+     carry that misses a written rank differs from the walk. *)
+  let grant id () =
+    Option.iter
+      (fun n ->
+        Tree.set_sign live n (Some Tree.Plus);
+        Tree.set_bits live n (Some (Xmlac_util.Bitset.of_list [ 0; 15 ])))
+      (Tree.find live id)
+  in
   let insert_rows, view1, changed1, idx1 =
     epoch "person insert" idx0 (fun () ->
-        ignore (Xmlac_xmldb.Update.insert_nodes live ~at ~fragment))
+        ignore (Xmlac_xmldb.Update.insert_nodes live ~at ~fragment);
+        Tree.fold_changed grant live ())
   in
   let delete_rows, _, _, _ =
     epoch "its delete" idx1 (fun () ->
@@ -396,22 +396,10 @@ let index_rows () =
           (Xmlac_xmldb.Update.delete live
              (Xmlac_xpath.Parser.parse_exn "/site/people/person[name = \"pb0\"]")))
   in
-  let carried = carry_records ~from:idx0 idx1 recs0 view1 changed1 in
-  let walked = walk_records Tree.placeholder view1 in
-  Array.iteri
-    (fun r (n : Tree.node) ->
-      let c = carried.(r) in
-      if c.Tree.id <> n.Tree.id || c.Tree.sign <> n.Tree.sign then incr wrong)
-    walked;
-  (* A sign write and a freeze per call path-copy the root, so the
-     young fill is young at every call, as after every write epoch. *)
-  let leaf = (List.hd (Tree.children (Tree.root live))).Tree.id in
-  let epoch_then f () =
-    let n = Option.get (Tree.find live leaf) in
-    Tree.set_sign live n
-      (Some (if n.Tree.sign = Some Tree.Plus then Tree.Minus else Tree.Plus));
-    f (fst (Tree.freeze live))
+  let carry () =
+    Snapshot.grant_carry policy ~from:idx0 idx1 grants0 view1 ~written:changed1
   in
+  if carry () <> Snapshot.grant_walk policy view1 then incr wrong;
   let table =
     Xmlac_util.Tabular.create
       ~headers:
@@ -422,19 +410,14 @@ let index_rows () =
     Xmlac_util.Tabular.[ Left; Right; Right; Right; Right ];
   List.iter (Xmlac_util.Tabular.add_row table)
     (insert_rows @ delete_rows
-    @ [ gc_row ~calls:1_000 "sign epoch + records walk, young fill"
-          (epoch_then (fun v -> walk_records (Tree.root v) v));
-        gc_row ~calls:1_000 "sign epoch + records walk, placeholder fill"
-          (epoch_then (walk_records Tree.placeholder));
-        gc_row ~calls:1_000 "records walk after the insert"
-          (fun () -> walk_records Tree.placeholder view1);
-        gc_row ~calls:1_000 "records carry across the insert" (fun () ->
-            carry_records ~from:idx0 idx1 recs0 view1 changed1) ]);
+    @ [ gc_row ~calls:1_000 "grants walk after the insert" (fun () ->
+            Snapshot.grant_walk policy view1);
+        gc_row ~calls:1_000 "grants carry across the insert" carry ]);
   Xmlac_util.Tabular.print table;
   if !wrong > 0 then begin
     Printf.printf
-      "ASSERTION FAILED: %d patched indexes or carried records differ from a \
-       build\n"
+      "ASSERTION FAILED: %d patched indexes or carried grant columns differ \
+       from a build or a walk\n"
       !wrong;
     exit 1
   end

@@ -6,13 +6,13 @@
    serves repeated read traffic: the same query workload is replayed
    several rounds on the native store against (a) the paper's
    requester (per-node sign reads, no memo) and (b) Engine.request
-   (the current snapshot: each answer's own record checked by
-   preorder rank, bounded memo).
+   (the current snapshot: each answer's grant bit checked by preorder
+   rank, bounded memo).
 
    Expected shape: the fast lane wins >= 5x on a repeated workload
    (rounds 2..n are pure memo hits); the snapshot after a delete
    update carries the memos whose answers the epoch did not write,
-   and one re-read of the workload builds its record array once. *)
+   and one re-read of the workload builds its grant column once. *)
 
 module Tree = Xmlac_xml.Tree
 module Timing = Xmlac_util.Timing
@@ -94,10 +94,10 @@ let run (cfg : Bench_common.config) =
   let m = Engine.metrics eng in
   let carried = Metrics.counter m "snapshot.cache.carried" in
   List.iter (fun q -> ignore (Engine.request eng Engine.Native q)) queries;
-  let built = Metrics.counter m "snapshot.record_builds" in
+  let built = Metrics.counter m "snapshot.grant_builds" in
   Printf.printf
     "update %s: affected region %d node(s); %d memo(s) carried; re-reading \
-     the workload built %d record array(s)\n"
+     the workload built %d grant column(s)\n"
     update affected carried built;
 
   (* Machine-readable block for the CI artifact. *)
@@ -106,9 +106,9 @@ let run (cfg : Bench_common.config) =
     "  requester.%s: direct_qps=%.0f fastlane_qps=%.0f speedup=%.1f \
      cache_hit_rate=%.3f\n"
     label direct fast (fast /. direct) hit_rate;
-  Printf.printf "  requester.snapshot: affected=%d carried=%d record_builds=%d\n"
+  Printf.printf "  requester.snapshot: affected=%d carried=%d grant_builds=%d\n"
     affected carried built;
   print_endline
     "expected shape: fastlane >= 5x direct on the native store (rounds 2+ \
      are memo hits); the update's snapshot carries memos and builds one \
-     record array."
+     grant column."

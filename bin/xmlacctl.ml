@@ -449,17 +449,17 @@ let explain policy_path dtd_name doc_path raw requests subjects lane =
         Snapshot.memo_capacity
         (Snapshot.epoch (Engine.current_snapshot eng))
         (rate (c "cache.hits") (c "cache.misses"));
-      (* What the reads cost the structural epochs: indexes and record
-         arrays built from scratch, and those patched or carried from
+      (* What the reads cost the structural epochs: indexes and grant
+         columns built from scratch, and those patched or carried from
          the previous epoch's; the writer's index patches, with the
          spare buffers they allocated because readers held the last
          one, and its rebuilds. *)
       Printf.printf
         "  reader structures index %d built, %d patched (%d spares allocated, %d \
-         rebuilt); records %d built, %d carried\n"
+         rebuilt); grants %d built, %d carried\n"
         (c "snapshot.index_builds") (c "repair.index_patches")
         (c "repair.index_spares") (c "repair.index_rebuilds")
-        (c "snapshot.record_builds") (c "snapshot.record_carries");
+        (c "snapshot.grant_builds") (c "snapshot.grant_carries");
       print_endline "durability:";
       Printf.printf "  sign epoch        %d (committed)\n"
         (Engine.sign_epoch eng);

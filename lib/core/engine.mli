@@ -55,8 +55,8 @@
     ([repair.index_spares]), and its snapshots' first misses build
     none.  A snapshot a structural epoch handed nothing builds its
     index on its first miss ([snapshot.index_builds]), and carries its
-    predecessor's record array along when it was handed one
-    ([snapshot.record_carries]).  After a crash, recovery's
+    predecessor's grant column along when it was handed one
+    ([snapshot.grant_carries]).  After a crash, recovery's
     {!Xmlac_xml.Tree.abort} restores the shape of the buffer the
     crashed patch read, which becomes current again; a document no
     kept buffer describes is indexed anew ([repair.index_rebuilds]).
@@ -261,7 +261,7 @@ val metrics : t -> Xmlac_util.Metrics.t
     [lane.materialized], [lane.rewrite], [epoch.commits], the
     [snapshot.*] counters ([snapshot.answers_checked],
     [snapshot.index_builds] — the only index builds —,
-    [snapshot.record_builds] and [snapshot.record_carries] among them);
+    [snapshot.grant_builds] and [snapshot.grant_carries] among them);
     [repair.index_patches] (the writer's index patched after a
     structural mutation), [repair.index_spares] (those patches that
     allocated a buffer, because readers held the one the writer would

@@ -132,7 +132,8 @@ type index_slot = Unbuilt | Handed of Index.t | Read of Index.t
    whether the anonymous subject is granted it and which declared
    roles are; a node granted to nobody, like an absent one, adds 0, so
    the sum is a function of the accessible sets alone.  [scale] is
-   what the term reads off the policy, computed once per chain. *)
+   what the term and the grant column read off the policy, computed
+   once per chain. *)
 type scale = {
   anonymous : bool;  (* the policy's default sign is [Plus] *)
   default_bits : Xmlac_util.Bitset.t;
@@ -152,18 +153,18 @@ let mix x =
   let x = (x lxor (x lsr 29)) * 0x14d049bb133111eb in
   x lxor (x lsr 32)
 
+(* A node's effective sign and bitmap, else the policy's defaults: the
+   one reading the digest's term and the grant column share. *)
+let plus s (n : Tree.node) =
+  match n.Tree.sign with Some sign -> sign = Tree.Plus | None -> s.anonymous
+
+let bits s (n : Tree.node) =
+  match n.Tree.bits with Some b -> b | None -> s.default_bits
+
 (* Allocates nothing. *)
 let term s (n : Tree.node) =
-  let anonymous =
-    match n.Tree.sign with
-    | Some Tree.Plus -> true
-    | Some Tree.Minus -> false
-    | None -> s.anonymous
-  in
-  let roles =
-    Xmlac_util.Bitset.hash_below s.roles
-      (match n.Tree.bits with Some b -> b | None -> s.default_bits)
-  in
+  let anonymous = plus s n
+  and roles = Xmlac_util.Bitset.hash_below s.roles (bits s n) in
   if anonymous || roles <> 0 then
     mix (mix ((n.Tree.id lsl 1) lor Bool.to_int anonymous) + roles)
   else 0
@@ -190,6 +191,46 @@ let to_int32 sum = Int32.of_int (sum lxor (sum lsr 32))
 
 let fold_digest policy doc = to_int32 (sum_of (scale_of policy) doc)
 
+(* The grant column: a node's effective grant as [roles / w + 1]
+   words, role [i] at bit [i] (as in its bitmap) and the anonymous
+   subject at bit [roles].  Word [k] of [n]'s grant masks off bitmap
+   members at or above [roles], which could pose as the anonymous
+   bit. *)
+let w = Sys.int_size
+
+let grant_word s n k =
+  let b = Xmlac_util.Bitset.word (bits s n) k and top = s.roles - (k * w) in
+  if top >= w then b
+  else
+    let b = b land ((1 lsl top) - 1) in
+    if plus s n then b lor (1 lsl top) else b
+
+(* [Tree.iter] walks the same preorder as [Index.build], and a
+   sign-only epoch (which may hand the index on) moves no node. *)
+let walk_grants s doc =
+  let g = Array.init ((s.roles / w) + 1) (fun _ -> Array.make (Tree.size doc) 0) in
+  let next = ref 0 in
+  Tree.iter
+    (fun node ->
+      for k = 0 to Array.length g - 1 do
+        g.(k).(!next) <- grant_word s node k
+      done;
+      incr next)
+    doc;
+  g
+
+(* [g] moved from [from]'s ranks to [idx]'s, each written id still in
+   [view] taking its grant there. *)
+let carry_grants s ~from idx g view ~written =
+  Array.mapi
+    (fun k col ->
+      Index.carry ~from idx col ~written ~fresh:(fun id ->
+          grant_word s (Option.get (Tree.find view id)) k))
+    g
+
+let grant_walk policy doc = walk_grants (scale_of policy) doc
+let grant_carry policy = carry_grants (scale_of policy)
+
 type t = {
   epoch : int;
   doc : Tree.t;  (* frozen COW view *)
@@ -201,19 +242,10 @@ type t = {
          [lock].  The slot itself is shared along a run of
          non-structural epochs, whose views all have the same nodes,
          names and values. *)
-  records : Tree.node array option Atomic.t;
-      (* The view's node records by preorder rank, in [index]'s order:
-         what a materialized miss reads each answer's annotation from.
-         Carried from [prev]'s at capture, or built and published like
-         [index]; never shared, since a write epoch's view holds new
-         records for what it wrote.
-
-         Invariant: the slot of rank [r] holds a record of the node
-         [Index.id r] whose sign and bitmap are the view's.  A carried
-         slot may hold an earlier view's record of a node the epochs
-         since path-copied but did not write: a path copy moves no
-         sign and no bitmap (though its children may differ), so only
-         [accessible], which reads those two, may read the slot. *)
+  grants : int array array option Atomic.t;
+      (* Word [k] of rank [r]'s grant at [.(k).(r)]: carried from
+         [prev]'s at capture or walked and published like [index], never
+         shared, since a write epoch moves the grants it wrote. *)
   annotated : bool;  (* signs had a committed annotation epoch at capture *)
   bits_annotated : bool;  (* ... and likewise the role bitmaps *)
   policy : Policy.t;
@@ -529,7 +561,7 @@ let capture ?(annotated = true) ?(bits_annotated = true) ?prev ?footprint
     | Some p when follows p && p.policy == policy -> Some p
     | _ -> None
   in
-  (* The digest and the records move by the ids the epoch wrote.  When
+  (* The digest and the grants move by the ids the epoch wrote.  When
      it wrote more than a quarter of the view (an annotation pass), one
      walk costs less than a lookup or two per written id. *)
   let few =
@@ -547,21 +579,17 @@ let capture ?(annotated = true) ?(bits_annotated = true) ?prev ?footprint
         let s = scale_of policy in
         (s, fold_sum metrics s view)
   in
-  (* A reader built [prev]'s records and the view's index is known:
-     each surviving rank takes [prev]'s record of its node, and each
-     written node still in the view its new record (see [records]). *)
-  let records =
+  (* Carried when a reader built [prev]'s grants and both indexes are
+     known. *)
+  let grants =
     let built = function Handed i | Read i -> Some i | Unbuilt -> None in
-    match prev with
-    | Some p when follows p && few -> (
-        match (Atomic.get p.records, built (Atomic.get p.index),
+    match carry with
+    | Some p when few -> (
+        match (Atomic.get p.grants, built (Atomic.get p.index),
                built (Atomic.get index)) with
-        | Some recs, Some from, Some idx ->
-            Metrics.incr metrics "snapshot.record_carries";
-            Some
-              (Index.carry ~from idx recs ~fill:Tree.placeholder
-                 ~written:stats.Tree.changed ~fresh:(fun id ->
-                   Option.get (Tree.find view id)))
+        | Some g, Some from, Some idx ->
+            Metrics.incr metrics "snapshot.grant_carries";
+            Some (carry_grants scale ~from idx g view ~written:stats.Tree.changed)
         | _ -> None)
     | _ -> None
   in
@@ -571,7 +599,7 @@ let capture ?(annotated = true) ?(bits_annotated = true) ?prev ?footprint
       doc = view;
       gen = stats.Tree.frozen_gen;
       index;
-      records = Atomic.make records;
+      grants = Atomic.make grants;
       annotated;
       bits_annotated;
       policy;
@@ -652,58 +680,34 @@ let resolve_lane ?subject ?lane t =
 
 let cam t = Cam.build t.doc ~default:(Policy.ds t.policy)
 
-(* The view's records by rank, when [capture] carried none: [Tree.iter]
-   walks the same preorder as [Index.build], and a sign-only epoch
-   (which may hand the index on) moves no node.  Published like
-   [index]. *)
-let records t =
-  match Atomic.get t.records with
-  | Some a -> a
+(* The view's grant column, walked when [capture] carried none and
+   published like [index]. *)
+let rec grants t =
+  match Atomic.get t.grants with
+  | Some g -> g
   | None ->
-      let n = Index.length (index t) in
-      let a = Array.make n Tree.placeholder and next = ref 0 in
-      Tree.iter
-        (fun node ->
-          a.(!next) <- node;
-          incr next)
-        t.doc;
-      assert (!next = n);
-      if Atomic.compare_and_set t.records None (Some a) then begin
-        Metrics.incr t.metrics "snapshot.record_builds";
-        a
-      end
-      else Option.get (Atomic.get t.records)
+      if Atomic.compare_and_set t.grants None (Some (walk_grants t.scale t.doc))
+      then Metrics.incr t.metrics "snapshot.grant_builds";
+      grants t
 
-let record t r = (records t).(r)
-
-(* A node's effective sign (or role bit) is its own annotation, else
-   the default: the value a CAM lookup rebuilds by walking up to the
-   nearest sign change, read off the record directly. *)
+(* One bit of the node's grant: the value a CAM lookup rebuilds by
+   walking up to the nearest sign change. *)
 let accessible ?subject t =
-  let plus =
+  let bit =
     match subject with
-    | None ->
-        let default = Policy.ds t.policy in
-        fun (n : Tree.node) -> Option.value n.Tree.sign ~default = Tree.Plus
-    | Some role ->
-        let bit =
-          match Subject.index (Policy.subjects t.policy) role with
-          | Some i -> i
-          | None -> invalid_arg ("Snapshot.request: unknown role " ^ role)
-        in
-        let default = Policy.resolved_ds t.policy role = Tree.Plus in
-        fun n ->
-          match n.Tree.bits with
-          | Some b -> Xmlac_util.Bitset.mem bit b
-          | None -> default
+    | None -> t.scale.roles
+    | Some role -> (
+        match Subject.index (Policy.subjects t.policy) role with
+        | Some i -> i
+        | None -> invalid_arg ("Snapshot.request: unknown role " ^ role))
   in
-  let recs = records t in
+  let col = (grants t).(bit / w) and mask = 1 lsl (bit mod w) in
   fun r ->
     Deadline.checkpoint ();
-    plus recs.(r)
+    col.(r) land mask <> 0
 
 (* The materialized lane over the frozen state: evaluate on the view's
-   index, then check each answer rank's own record. *)
+   index, then check each answer rank's grant. *)
 let materialized_decision ?subject t expr =
   let accessible = accessible ?subject t in
   let idx = index t in

@@ -7,14 +7,14 @@
     — a frozen copy-on-write view of the document, a pre/size index of
     the view ({!Xmlac_xpath.Index}, which every read miss evaluates on;
     handed over by the writer or built by the first miss), a lazily
-    built array of the view's node records
-    in the index's rank order (which a materialized miss reads each
-    answer's sign or role bit from), a private bounded memo of
-    decisions, and the state digest of what the view grants
-    ({!digest}, carried from the previous snapshot over the epoch's
-    change set), all keyed by the epoch that committed them.  The
-    engine's own native reads go through the current snapshot too, so
-    every reader shares one read path.  Readers {e pin} a snapshot (refcounted) and answer requests
+    built grant column by rank (each node's effective sign and role
+    bits, which a materialized miss tests each answer against), a
+    private bounded memo of decisions, and the state digest of what
+    the view grants ({!digest}, carried from the previous snapshot
+    over the epoch's change set), all keyed by the epoch that
+    committed them.  The engine's own native reads go through the
+    current snapshot too, so every reader shares one read path.
+    Readers {e pin} a snapshot (refcounted) and answer requests
     from it for as long as they like while the engine builds the next
     epoch against its own working set; a snapshot is {e reclaimed}
     (its references dropped, so the GC frees its private records) only
@@ -34,7 +34,7 @@
     one ({!read_index}); otherwise its first miss builds one.  The
     first snapshot takes over the index the engine built at creation.
     No capture builds an index, and a capture walks
-    no tree for its record array: it carries the previous snapshot's
+    no tree for its grant column: it carries the previous snapshot's
     when a reader built that (see {!capture}).  A decision carries
     when the epoch's change set holds none of its answers and, for a
     structural epoch, the paper's §5.3 schema
@@ -67,7 +67,7 @@
        keep the records they froze.}}
 
     A snapshot is safe to share across OCaml domains: the document
-    view is frozen at capture, the index and the record array are each
+    view is frozen at capture, the index and the grant column are each
     published once through an atomic slot and read-only after, and the
     memo is an immutable value in an atomic slot: a hit reads it
     without a lock, a miss replaces it under a private mutex.
@@ -147,18 +147,13 @@ val capture :
     on under provenance alone (same tree family, exactly the next
     generation) when the epoch is non-structural, counting
     [snapshot.index_shared]; policy equality does not matter, since
-    the index holds no annotation.  The record array ({!record}) is
-    never handed on, since the new view holds new records for every
-    node the epoch wrote; it is carried instead.  When [prev] is
-    continuous with the view (same family, next generation), a reader
-    built [prev]'s records, the new snapshot's index is known (handed
-    over or shared), and the epoch wrote at most a quarter of the
-    view's nodes (the digest's rule), the capture builds the new
-    array without a walk: each rank takes [prev]'s record of the same
-    node ({!Xmlac_xpath.Index.carry}), and each written node still in
-    the view its record in the view, counting
-    [snapshot.record_carries].  Otherwise the first check builds the
-    array by a walk.
+    the index holds no annotation.  The grant column ({!accessible})
+    is carried, never handed on: when memos carry, a reader built
+    [prev]'s column, the new index is known and the epoch wrote at
+    most a quarter of the view's nodes (the digest's rule), each rank
+    takes [prev]'s grant of its node and each written node its grant
+    in the view ({!grant_carry}), counting [snapshot.grant_carries].
+    Otherwise the first check walks the view.
 
     [annotated] / [bits_annotated] (both default [true]) record
     whether the frozen signs / role bitmaps carried a committed
@@ -167,7 +162,7 @@ val capture :
     of its default signs.  [metrics] receives the snapshot's
     lifetime counters ([snapshot.captures], [snapshot.cache.*],
     [snapshot.index_builds], [snapshot.index_shared],
-    [snapshot.record_builds], [snapshot.record_carries],
+    [snapshot.grant_builds], [snapshot.grant_carries],
     [snapshot.digest_folds] (see {!digest}),
     and those {!request} counts) and times
     every capture as the [snapshot.capture] stage.  Carry counts once
@@ -264,25 +259,27 @@ val accessible : ?subject:string -> t -> int -> bool
 (** [accessible ?subject t] is the check a materialized {!request}
     miss applies to each answer: whether the node at a rank of
     {!index} is accessible to [subject] (default: the anonymous
-    subject).  It reads the node's own record — its sign, else the
-    policy's default semantics; for a role, its bitmap bit, else the
-    role's resolved default — with no walk up the tree, which is the
-    value {!Cam.lookup} returns on a map of the same view.  It reads
-    the rank-to-record array ({!record}), which {!capture} carried
-    or the first call builds (one preorder walk of the view,
-    publishing by compare-and-set like {!index} and counting
-    [snapshot.record_builds]).  Each application crosses one
-    {!Xmlac_util.Deadline.checkpoint}.
+    subject), read off the node's own sign or bitmap bit, else the
+    (role's resolved) default, with no walk up the tree: the value
+    {!Cam.lookup} returns on a map of the same view.  One mask test of
+    the grant column ({!grant_walk}), which {!capture} carried or the
+    first call builds, counting [snapshot.grant_builds].  Each
+    application crosses one {!Xmlac_util.Deadline.checkpoint}.
     @raise Invalid_argument on an unknown role. *)
 
-val record : t -> int -> Xmlac_xml.Tree.node
-(** [record t r] is the rank-to-record array's entry at rank [r] of
-    {!index}: a record of the node at that rank whose sign and bitmap
-    are the view's.  It need not be the view's current record: a
-    carried entry may be an earlier view's record of a node that the
-    epochs since path-copied but did not write, which differs from
-    the view's only in its children and parent.  Read its sign and
-    bitmap only.  Builds the array as {!accessible} does. *)
+val grant_walk : Policy.t -> Xmlac_xml.Tree.t -> int array array
+(** [grant_walk policy doc] is [doc]'s grant column under [policy],
+    walked as a first check walks it: [.(k).(r)] is word [k] of rank
+    [r]'s grant, role [i] at bit [i] and the anonymous subject at bit
+    [roles] (the declared role count).  Counts nothing. *)
+
+val grant_carry : Policy.t -> from:Xmlac_xpath.Index.t -> Xmlac_xpath.Index.t ->
+  int array array -> Xmlac_xml.Tree.t -> written:int list -> int array array
+(** [grant_carry policy ~from idx g view ~written] is {!capture}'s
+    carry: [g], over [from]'s ranks, moved to [idx]'s
+    ({!Xmlac_xpath.Index.carry}), each id in [written] taking its grant
+    in [view].  Equals [grant_walk policy view] when [g] was the walk
+    of [from]'s state and [written] holds every id written since. *)
 
 val annotated : t -> bool
 (** Whether the frozen signs carried a committed annotation epoch at

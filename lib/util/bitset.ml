@@ -124,6 +124,8 @@ let hash_below n (t : t) =
   done;
   if !any = 0 then 0 else if !h = 0 then 1 else !h
 
+let word (t : t) k = if k < Array.length t then t.(k) else 0
+
 let memory_bytes (t : t) = Array.length t * (Sys.word_size / 8)
 
 (* --- serialization ------------------------------------------------- *)

@@ -58,6 +58,10 @@ val hash_below : int -> t -> int
     their bit word itself).  The state digest's per-node role
     term. *)
 
+val word : t -> int -> int
+(** [word t k] has member [k * Sys.int_size + b] at bit [b]; 0 past
+    the last word.  What the snapshot's grant column copies. *)
+
 val memory_bytes : t -> int
 (** Bytes of the bit vector's words, without the block header — what
     the multirole bench reports as bitmap bytes/node. *)

@@ -98,6 +98,7 @@ let fresh_node t ~name ~value ~parent =
   touch t id;
   n
 
+(* The root a document holds until its own is made. *)
 let placeholder =
   { id = -1; name = ""; value = None; parent = None; children = []; sign = None;
     bits = None; gen = 0; fam = 0 }

@@ -66,12 +66,6 @@ val create : root_name:string -> t
 
 val root : t -> node
 
-val placeholder : node
-(** A record of no tree (id [-1], family [0]), allocated once at
-    start-up.  The fill for a large array of records: filling one
-    with a record just allocated, as every write epoch's path-copied
-    root is, makes [Array.make] force a minor collection first. *)
-
 val add_child : t -> node -> ?value:string -> string -> node
 (** [add_child doc parent name] appends a fresh child element. Raises
     [Invalid_argument] if [parent] does not belong to [doc], or when

@@ -165,12 +165,12 @@ let flag_of (lo, span, flags) id =
    ([top]), and nodes that live on keep their order, so one scan of
    the new ranks finds each survivor's old rank further along the old
    ones. *)
-let carry ~from t a ~fill ~written ~fresh =
+let carry ~from t (a : int array) ~written ~fresh =
   if Array.length a <> from.len then
     invalid_arg "Index.carry: the array is not over the source's ranks";
   let flags = flag_ids (List.map (fun id -> (id, 1)) written) in
   let m = t.len in
-  let out = if from == t then Array.copy a else Array.make m fill in
+  let out = if from == t then Array.copy a else Array.make m 0 in
   let n = from.len and o = ref 0 in
   for r = 0 to m - 1 do
     let id = t.ids.(r) in

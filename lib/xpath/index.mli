@@ -93,19 +93,16 @@ val patch : ?into:t -> t -> Xmlac_xml.Tree.t -> t
     describe it before those writes. *)
 
 val carry :
-  from:t -> t -> 'a array -> fill:'a -> written:int list -> fresh:(int -> 'a) ->
-  'a array
-(** [carry ~from t a ~fill ~written ~fresh] moves an array over the
+  from:t -> t -> int array -> written:int list -> fresh:(int -> int) ->
+  int array
+(** [carry ~from t a ~written ~fresh] moves an int column over the
     ranks of [from], an index of an earlier state of [t]'s tree that
-    no {!Xmlac_xml.Tree.abort} discarded, to [t]'s ranks: the node of
-    each rank of [t] takes [fresh id] if its id is in [written] (every
-    node born since must be), and otherwise [a]'s entry at the node's
-    rank in [from].  Births are numbered above every id of [from] and
-    the nodes that live on keep their order, so one scan of the two
-    id arrays pairs them, with no id-to-rank table; [Array.copy a]
-    and the written ranks when [from == t].  [fill] fills the fresh
-    array first, once, so it should not be a young value (see
-    {!Xmlac_xml.Tree.placeholder}).
+    no {!Xmlac_xml.Tree.abort} discarded, to [t]'s ranks: each node
+    takes [fresh id] if its id is in [written] (every birth since must
+    be), else [a]'s entry at its rank in [from].  Births are numbered
+    above every id of [from] and survivors keep their order, so one
+    scan of the two id arrays pairs them; [Array.copy a] and the
+    written ranks when [from == t].
     @raise Invalid_argument when [a] is not of [from]'s length, or
     the ids show that [from] is not such a state. *)
 

@@ -985,20 +985,20 @@ let index_reuse_prop =
            queries)
 
 (* ------------------------------------------------------------------ *)
-(* The rank-space check: each answer's verdict is read off its own
-   record in the snapshot's rank-to-record array. *)
+(* The rank-space check: each answer's verdict is one bit of its entry
+   in the snapshot's grant column. *)
 
 (* The first annotation is a sign-only epoch that flips signs: before
    it, every node reads the default.  Its snapshot takes the index slot
-   over but must build its own record array, and the snapshot pinned
-   before it must keep reading its own unsigned records.  The new
-   snapshot misses first, so an array handed along with the index
+   over but must build its own grant column, and the snapshot pinned
+   before it must keep reading its own unsigned grants.  The new
+   snapshot misses first, so a column handed along with the index
    would reach the pinned one. *)
-let test_records_not_shared_across_sign_epoch () =
+let test_grants_not_shared_across_sign_epoch () =
   Fault.reset ();
   let eng = make_engine () in
   let m = Engine.metrics eng in
-  let record_builds () = Metrics.counter m "snapshot.record_builds" in
+  let grant_builds () = Metrics.counter m "snapshot.grant_builds" in
   let q = "//patient/name" and lane = Rewrite.Materialized in
   let s0 = Engine.pin_snapshot eng in
   let cold0 =
@@ -1013,7 +1013,7 @@ let test_records_not_shared_across_sign_epoch () =
     (shared eng);
   Alcotest.(check bool) "one index for both views" true
     (Snapshot.index s1 == Snapshot.index s0);
-  Alcotest.(check int) "no array built yet" 0 (record_builds ());
+  Alcotest.(check int) "no column built yet" 0 (grant_builds ());
   let d1 = Snapshot.request ~lane s1 q in
   Alcotest.(check bool) "the new snapshot sees the new signs" true
     (d1 = Engine.request_direct eng Engine.Native q);
@@ -1021,7 +1021,7 @@ let test_records_not_shared_across_sign_epoch () =
   Alcotest.(check bool) "the pinned snapshot keeps its decision" true
     (d0 = Snapshot.request ~lane cold0 q);
   Alcotest.(check bool) "the epoch moved the decision" true (d0 <> d1);
-  Alcotest.(check int) "each snapshot built its own array" 2 (record_builds ());
+  Alcotest.(check int) "each snapshot built its own column" 2 (grant_builds ());
   Engine.unpin_snapshot eng s0;
   Engine.unpin_snapshot eng s1
 
@@ -1089,14 +1089,14 @@ let rank_check_prop =
       Engine.unpin_snapshot eng pinned;
       true)
 
-(* Records carried across epochs: after each epoch whose capture
-   carried its predecessor's records, every rank's record has the
-   sign and bitmap of the view's own record of its node.  A read after
-   every epoch keeps the chain carrying (an epoch that writes more
-   than a quarter of the nodes breaks it); a pinned snapshot keeps the
-   records it had. *)
-let carried_records_prop =
-  QCheck2.Test.make ~name:"carried records = the view's records" ~count:40
+(* The grant column carried across epochs: after each epoch, every
+   rank's verdict for the anonymous subject and for each declared role
+   equals that of a fresh capture of a copy of the view, which walks
+   its own column.  A read after every epoch keeps the chain carrying
+   (an epoch that writes more than a quarter of the nodes breaks it);
+   a pinned snapshot keeps the verdicts it had. *)
+let carried_grants_prop =
+  QCheck2.Test.make ~name:"carried grants = a fresh capture's" ~count:40
     Helpers.seed_gen (fun seed ->
       Fault.reset ();
       let rng = Prng.create ~seed in
@@ -1105,25 +1105,25 @@ let carried_records_prop =
       let eng = Engine.create ~dtd:W.Hospital.dtd ~policy doc in
       ignore (Engine.annotate eng);
       ignore (Engine.annotate_subjects eng);
-      let carries () = Metrics.counter (Engine.metrics eng) "snapshot.record_carries" in
-      let matches snap =
-        let idx = Snapshot.index snap and view = Snapshot.document snap in
-        List.for_all
-          (fun r ->
-            let (c : Tree.node) = Snapshot.record snap r in
-            match Tree.find view (Index.id idx r) with
-            | Some n ->
-                c.Tree.id = n.Tree.id && c.Tree.sign = n.Tree.sign
-                && Option.equal Xmlac_util.Bitset.equal c.Tree.bits n.Tree.bits
-            | None -> false)
-          (List.init (Index.length idx) Fun.id)
+      let policy = Engine.policy eng in
+      let subjects = None :: List.map Option.some (Policy.roles policy) in
+      let carries () = counter "snapshot.grant_carries" eng in
+      (* What a materialized miss reads: the index, then the grants. *)
+      let verdicts snap =
+        let n = Index.length (Snapshot.index snap) in
+        List.map
+          (fun subject -> List.init n (Snapshot.accessible ?subject snap))
+          subjects
       in
-      (* What a materialized miss reads: the index, then the records. *)
-      let read snap = ignore (Snapshot.accessible snap 0) in
-      read (Engine.current_snapshot eng);
+      let fresh snap =
+        verdicts
+          (Snapshot.capture ~epoch:(Snapshot.epoch snap) ~policy
+             ~metrics:(Metrics.create ())
+             (Tree.copy (Snapshot.document snap)))
+      in
       let pinned = Engine.pin_snapshot eng in
+      let pinned_verdicts = verdicts pinned in
       for i = 1 to 6 do
-        let before = carries () in
         (match Prng.int rng 4 with
         | 0 -> ignore (Engine.update eng (Helpers.random_update rng))
         | 1 ->
@@ -1132,19 +1132,105 @@ let carried_records_prop =
         | 2 -> ignore (Engine.annotate eng)
         | _ ->
             (* A sign-only epoch that writes one sign: the index is
-               shared and the records copied. *)
+               shared and the column copied. *)
             let doc = Engine.document eng in
             flip_sign doc (Prng.choose rng (Array.of_list (Tree.nodes doc)));
             Engine.apply_replica eng Engine.Op_noop);
         let snap = Engine.current_snapshot eng in
-        if carries () > before && not (matches snap) then
-          QCheck2.Test.fail_reportf "epoch %d: a carried record differs" i;
-        read snap
+        if verdicts snap <> fresh snap then
+          QCheck2.Test.fail_reportf "epoch %d: the grants differ from a fresh capture's" i
       done;
-      if not (matches pinned) then QCheck2.Test.fail_report "the pinned records moved";
+      if verdicts pinned <> pinned_verdicts || pinned_verdicts <> fresh pinned then
+        QCheck2.Test.fail_report "the pinned grants moved";
       Engine.unpin_snapshot eng pinned;
       if carries () = 0 then QCheck2.Test.fail_report "no capture carried";
       true)
+
+(* With 64 declared roles the grant column spans two words: roles 0 to
+   62 fill word 0, role 63 is bit 0 of word 1 and the anonymous subject
+   bit 1.  The check equals the reference semantics on a fresh capture,
+   after a carried sign epoch and after a carried structural one. *)
+let test_grants_span_two_words () =
+  Fault.reset ();
+  let subjects =
+    Subject.make_exn
+      (List.init 64 (fun i ->
+           Subject.role
+             ?ds:(if i mod 3 = 2 then Some Rule.Plus else None)
+             (Printf.sprintf "r%d" i)))
+  in
+  let policy =
+    Policy.make ~subjects ~ds:Rule.Minus ~cr:Rule.Minus
+      [ Rule.parse "//patient" Rule.Plus;
+        Rule.parse ~subjects:[ "r0" ] "//treatment" Rule.Plus;
+        Rule.parse ~subjects:[ "r62" ] "//staffinfo//name" Rule.Minus;
+        Rule.parse ~subjects:[ "r63" ] "//patient[treatment]" Rule.Minus;
+        Rule.parse ~subjects:[ "r63" ] "//nurse" Rule.Plus ]
+  in
+  let eng = Engine.create ~dtd:W.Hospital.dtd ~policy (W.Hospital.sample_document ()) in
+  ignore (Engine.annotate eng);
+  ignore (Engine.annotate_subjects eng);
+  let policy = Engine.policy eng in
+  let carries () = counter "snapshot.grant_carries" eng in
+  let subjects = [ None; Some "r0"; Some "r62"; Some "r63" ] in
+  let check step snap =
+    let idx = Snapshot.index snap and doc = Snapshot.document snap in
+    List.map
+      (fun subject ->
+        let ok = Snapshot.accessible ?subject snap in
+        let ids =
+          List.filter_map
+            (fun r -> if ok r then Some (Index.id idx r) else None)
+            (List.init (Index.length idx) Fun.id)
+        in
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s, %s" step (Option.value subject ~default:"anonymous"))
+          (Policy.accessible_ids ?subject policy doc)
+          (List.sort Int.compare ids);
+        ids)
+      subjects
+  in
+  let current step = check step (Engine.current_snapshot eng) in
+  let fresh = current "fresh capture" in
+  ignore
+    (check "fresh capture of a copy"
+       (Snapshot.capture ~epoch:0 ~policy ~metrics:(Metrics.create ())
+          (Tree.copy (Engine.document eng))));
+  Alcotest.(check int) "the four subjects see four sets" 4
+    (List.length (List.sort_uniq compare fresh));
+  (* A sign epoch that writes wrong grants into some nodes, then one
+     that writes them back: the second carries real changes to the
+     grants of its written nodes. *)
+  let doc = Engine.document eng in
+  let written =
+    List.filteri (fun i _ -> i mod 5 = 0) (Tree.nodes doc)
+    |> List.map (fun (n : Tree.node) -> (n.Tree.id, n.Tree.sign, n.Tree.bits))
+  in
+  let write f =
+    List.iter
+      (fun (id, sign, bits) ->
+        let n = Option.get (Tree.find doc id) in
+        let sign, bits = f sign bits in
+        Tree.set_sign doc n sign;
+        Tree.set_bits doc n bits)
+      written;
+    Engine.apply_replica eng Engine.Op_noop
+  in
+  let before = carries () in
+  write (fun sign _ ->
+      ( Some (if sign = Some Tree.Plus then Tree.Minus else Tree.Plus),
+        Some (Xmlac_util.Bitset.of_list [ 1; 62; 63 ]) ));
+  write (fun sign bits -> (sign, bits));
+  Alcotest.(check int) "both sign epochs carried" (before + 2) (carries ());
+  ignore (current "after a carried sign epoch");
+  let before = carries () in
+  ignore
+    (Engine.insert eng ~at:"//staffinfo"
+       ~fragment:
+         (Xmlac_xml.Xml_parser.parse_exn
+            "<staff><nurse><sid>9</sid><name>Bo</name><phone>1</phone></nurse></staff>"));
+  Alcotest.(check int) "the insert carried" (before + 1) (carries ());
+  ignore (current "after a carried structural epoch")
 
 (* Readers on several domains missing on a fresh snapshot at once: one
    index is published, and every decision equals the direct read. *)
@@ -1363,10 +1449,11 @@ let () =
         ] );
       ( "rank check",
         [
-          tc "record array not shared across a sign epoch"
-            test_records_not_shared_across_sign_epoch;
+          tc "grant column not shared across a sign epoch"
+            test_grants_not_shared_across_sign_epoch;
           QCheck_alcotest.to_alcotest rank_check_prop;
-          QCheck_alcotest.to_alcotest carried_records_prop;
+          QCheck_alcotest.to_alcotest carried_grants_prop;
+          tc "grants span two words at 64 roles" test_grants_span_two_words;
         ] );
       ( "properties",
         [
