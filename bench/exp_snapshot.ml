@@ -20,10 +20,11 @@
    mutation kind, how many memoized decisions the snapshot carried
    against how many an exact test would have (the decisions that did
    not move), how many carried decisions differ from a direct read —
-   which must be none — how many memos the capture examined, and the
-   capture's p50 time.  It runs at two memo sizes, the second about 4x
-   the first, so a capture whose cost follows the table rather than
-   the epoch shows up as a growing time column.
+   which must be none — how many memos the capture examined (those
+   whose root-path mask met the epoch's), and the capture's p50 time.
+   It runs at two memo sizes, the second about 4x the first; the
+   capture tests every memo's mask in one pass, so its time grows with
+   the table, by a few nanoseconds a memo.
    The bench exits non-zero when any assertion fails, so CI fails
    loudly on a sharing regression or an unsound carry. *)
 
@@ -159,7 +160,8 @@ let pinned_history factor n =
    move is one an exact test would have carried.  [carried <=
    unchanged] is the ceiling; a carried entry that differs from the
    direct read is a soundness failure.  [examined] is the capture's
-   [snapshot.cache.examined]; [capture_us] the p50 of its
+   [snapshot.cache.examined]: the memos whose mask met the epoch's
+   (a footprint drop or a search of the answers); [capture_us] the p50 of its
    [snapshot.capture] time over [carry_reps] rounds of the same
    mutation, each after a fresh warm-up. *)
 let carry_factor = 0.1

@@ -16,8 +16,9 @@ module Imap = Map.Make (Int)
    none of them.  A rewrite-lane entry read no annotation and keeps no
    answers ([None]), so [answers] also names the lane.  The query, as
    text and parsed, feeds the structural carry test.  [stamp] orders
-   eviction and names the memo in its chain's index: stamps only grow
-   along a chain. *)
+   eviction: stamps only grow along a chain.  [mask] is the root-path
+   mask the carry tests ([carry_forward]), [[||]] until a capture
+   fills it in; only the writer reads or writes it. *)
 type memo = {
   subject : string option;
   query : string;
@@ -25,6 +26,7 @@ type memo = {
   answers : int array option;
   decision : Requester.decision;
   stamp : int;
+  mutable mask : int array;
 }
 
 let memo_capacity = 1024
@@ -34,18 +36,16 @@ let memo_capacity = 1024
    invalidated, and a pinned snapshot keeps the table it had.  The
    memos are found by query text ([memos], one memo per lane and
    subject in a query's list) and by stamp ([order], oldest first: the
-   eviction order).  Those stamped below [indexed] are filed in the
-   chain's index; the rest were remembered since. *)
+   eviction order). *)
 type table = {
   memos : memo list Smap.t;
   order : memo Imap.t;
   size : int;
   next : int;
-  indexed : int;
 }
 
 let empty_table next =
-  { memos = Smap.empty; order = Imap.empty; size = 0; next; indexed = next }
+  { memos = Smap.empty; order = Imap.empty; size = 0; next }
 
 let same_subject a b =
   match (a, b) with
@@ -76,47 +76,7 @@ let forget tb m =
     size = tb.size - 1;
   }
 
-(* What the snapshots of one continuous chain share, read and written
-   only by [capture], which the single writer runs.
-
-   [footprints] holds the footprints of recently memoized queries, by
-   query text: a memo a reader created since the last capture finds its
-   query's footprint there when another memo (another subject, or a
-   dropped or evicted entry) already computed it.  Emptied when it
-   reaches [footprint_capacity].
-
-   [by_path] is the index of the head table's filed memos: bucket ->
-   stamps.  A bucket is a root path of [schema] (an index into
-   [Schema_graph.root_paths]), holding every filed materialized memo
-   whose query's footprint has that path, or one of
-   [rewrite_bucket] and [unsatisfiable_bucket].  Dropping or evicting
-   a memo leaves its stamps behind; a capture prunes a bucket's stale
-   stamps when it reads the bucket, and every bucket once [filed] (the
-   stamps held) passes [limit]. *)
-type chain = {
-  footprints : (string, Schema_match.footprint) Hashtbl.t;
-  by_path : (int, int list) Hashtbl.t;
-  mutable filed : int;
-  mutable limit : int;
-  mutable schema : Sg.t option;
-}
-
 let footprint_capacity = 8 * memo_capacity
-let rewrite_bucket = -1  (* every rewrite-lane memo *)
-let unsatisfiable_bucket = -2  (* materialized, with an empty footprint *)
-
-let clear_index chain =
-  Hashtbl.reset chain.by_path;
-  chain.filed <- 0
-
-let new_chain () =
-  {
-    footprints = Hashtbl.create 64;
-    by_path = Hashtbl.create 64;
-    filed = 0;
-    limit = 4 * memo_capacity;
-    schema = None;
-  }
 
 (* A snapshot's index slot.  [Handed] holds an index of the engine's
    writer (built at creation or patched after the epoch's structural
@@ -256,7 +216,11 @@ type t = {
          fixed for the snapshot's lifetime, so entries never go stale.
          A hit reads it without a lock; a reader replaces it under
          [lock]. *)
-  chain : chain;  (* handed on along a continuous chain *)
+  footprints : (string, Schema_match.footprint) Hashtbl.t;
+      (* Recent queries' footprints by text, handed on along a
+         continuous chain and used only by [capture]'s writer: a new
+         memo finds its query's there when another memo computed it.
+         Emptied at [footprint_capacity]. *)
   metrics : Metrics.t;
   lock : Mutex.t;
       (* Serializes the readers that add to [table]; the rest is
@@ -291,12 +255,22 @@ let remember t m =
       let m = { m with stamp = tb.next } in
       Atomic.set t.table
         {
-          tb with
           memos = Smap.add m.query (m :: listed tb) tb.memos;
           order = Imap.add m.stamp m tb.order;
           size = tb.size + 1;
           next = tb.next + 1;
         }
+
+(* Root-path masks: path [p] of the schema's [paths] root paths at bit
+   [p mod w] of word [p / w], and one more bit, [always] at [paths],
+   that every structural update's mask holds. *)
+let set_bit mask p = mask.(p / w) <- mask.(p / w) lor (1 lsl (p mod w))
+let has_bit mask p = mask.(p / w) land (1 lsl (p mod w)) <> 0
+
+let rec meet_from k a b =
+  k < Array.length a && (a.(k) land b.(k) <> 0 || meet_from (k + 1) a b)
+
+let meet a b = meet_from 0 a b
 
 (* Whether two ascending id arrays share an id: each id of the shorter
    is binary-searched in the longer. *)
@@ -330,172 +304,111 @@ let share (a : int array) (b : int array) =
    A structural epoch captured without [footprint] (recovery) drops
    every entry.
 
-   The new snapshot starts from its predecessor's table and the carry
-   finds what to remove the way [Depend] finds the rules an update can
-   reach, without visiting the rest.  On the schema's paths every
-   answer of a query sits at a root path of its footprint, so the
-   memos the update's footprint meets are its root paths' buckets,
-   and a written id can only be the answer of a memo in its own root
-   path's bucket, which a binary search on the answers confirms.  The
-   memos remembered since the last capture are not filed yet: they are
-   tested one by one, then filed.  Without [footprint] (the document
-   may be off the schema's paths, or the caller has not said) or when
-   a written node sits off the schema, every memo is tested instead.
+   The new snapshot starts from its predecessor's table and removes
+   what the rule drops, in one pass that tests each memo's [mask]
+   against two of the epoch's.  On the schema's paths every answer of
+   a query sits at a root path of its footprint, so a written id can
+   only be the answer of a memo holding the id's root path, which a
+   binary search on the answers confirms.  Without [footprint] (the
+   document may be off the schema's paths, or the caller has not said)
+   or when a written node sits off the schema, every memo's answers
+   are searched for every written id instead.
 
-   All of it is gated on provenance ([capture] checks it): the
-   captured view must be the
-   very next generation of the same tree family as [prev]'s, under
-   the same (physically equal) policy — otherwise the tree-level
-   change set does not describe the gap between the two snapshots and
-   the new snapshot simply starts cold (correct, just slower). *)
+   All of it is gated on provenance, which [capture] checks: otherwise
+   the tree-level change set does not describe the gap between the two
+   snapshots and the new snapshot simply starts cold. *)
 let carry_forward ~prev ~stats ~footprint t =
-  let tb = Atomic.get prev.table and chain = t.chain in
+  let tb = Atomic.get prev.table in
   let structural = stats.Tree.structural and changed = stats.Tree.changed in
-  let query_footprint sg m =
-    match Hashtbl.find_opt chain.footprints m.query with
-    | Some fp -> fp
-    | None ->
-        let fp =
-          Schema_match.footprint sg
-            (Xmlac_xpath.Expand.expand ~schema:sg m.expr)
-        in
-        if Hashtbl.length chain.footprints >= footprint_capacity then
-          Hashtbl.reset chain.footprints;
-        Hashtbl.replace chain.footprints m.query fp;
-        fp
-  in
   let update =
     match footprint with Some f when structural -> Some f | _ -> None
   in
-  let dropped = Hashtbl.create 16 in
+  let dropped = ref [] in
   let by_footprint = ref 0 and by_written = ref 0 and examined = ref 0 in
   let drop counter m =
-    if not (Hashtbl.mem dropped m.stamp) then begin
-      incr counter;
-      Hashtbl.replace dropped m.stamp m
-    end
+    incr counter;
+    dropped := m :: !dropped
   in
-  let meets sg ufp m =
-    let fp = query_footprint sg m in
-    Schema_match.footprint_is_empty fp || Schema_match.footprints_meet fp ufp
-  in
-  (* The rule above, on one memo: drops it, or says it stays.
-     [written m answers] says whether the epoch wrote one of them. *)
-  let test ~written m =
-    incr examined;
-    let why =
-      match (m.answers, update) with
-      | None, _ -> if structural then Some by_footprint else None
-      | Some _, Some (sg, ufp) when meets sg ufp m -> Some by_footprint
-      | Some a, _ -> if written m a then Some by_written else None
-    in
-    Option.iter (fun counter -> drop counter m) why;
-    why = None
+  (* Whether the epoch wrote one of [m]'s answers, read off every
+     written id. *)
+  let written_any =
+    let all = lazy (Array.of_list changed) in
+    fun m ->
+      incr examined;
+      match m.answers with
+      | Some a when share (Lazy.force all) a -> drop by_written m
+      | _ -> ()
   in
   (* The written ids that were in [prev]'s view (a birth is in no
      answer), grouped by root path as ascending arrays; [None] when one
      sits off the schema. *)
   let groups sg =
-    let g = Hashtbl.create 16 in
-    let on_schema id =
-      match Tree.find prev.doc id with
-      | None -> true
-      | Some n -> (
-          match Sg.path_index sg n with
-          | None -> false
-          | Some p ->
-              Hashtbl.replace g p
-                (id :: Option.value (Hashtbl.find_opt g p) ~default:[]);
-              true)
+    let push id = function None -> Some [ id ] | Some ids -> Some (id :: ids) in
+    let add g id =
+      match (g, Tree.find prev.doc id) with
+      | None, _ -> None
+      | g, None -> g
+      | Some g, Some n ->
+          Option.map (fun p -> Imap.update p (push id) g) (Sg.path_index sg n)
     in
-    if List.for_all on_schema changed then
-      Some
-        (Hashtbl.fold
-           (fun p ids acc -> Imap.add p (Array.of_list (List.rev ids)) acc)
-           g Imap.empty)
-    else None
+    List.fold_left add (Some Imap.empty) changed
+    |> Option.map (Imap.map (fun ids -> Array.of_list (List.rev ids)))
   in
-  (* A bucket's memos in [tb], its stale stamps pruned. *)
-  let bucket tb p =
-    let stamps = Option.value (Hashtbl.find_opt chain.by_path p) ~default:[] in
-    let ms = List.filter_map (fun s -> Imap.find_opt s tb.order) stamps in
-    let stale = List.length stamps - List.length ms in
-    if stale > 0 then begin
-      chain.filed <- chain.filed - stale;
-      if ms = [] then Hashtbl.remove chain.by_path p
-      else Hashtbl.replace chain.by_path p (List.map (fun m -> m.stamp) ms)
-    end;
-    ms
-  in
-  (* The memos the index names, each visited once, then those not filed
-     yet, which are filed when they stay. *)
-  let indexed sg groups =
-    let tb =
-      match chain.schema with
-      | Some s when s == sg -> tb
-      | _ ->
-          clear_index chain;
-          chain.schema <- Some sg;
-          { tb with indexed = 0 }
+  (* The rule above, on the masks.  A memo's mask is filled in by the
+     first capture that tests it: [always] for a rewrite-lane memo or
+     an empty footprint, else its footprint's root paths. *)
+  let masked sg groups =
+    let paths = List.length (Sg.root_paths sg) in
+    let mask () = Array.make ((paths / w) + 1) 0 in
+    let footprint_of m =
+      match Hashtbl.find_opt t.footprints m.query with
+      | Some fp -> fp
+      | None ->
+          let fp =
+            Schema_match.footprint sg
+              (Xmlac_xpath.Expand.expand ~schema:sg m.expr)
+          in
+          if Hashtbl.length t.footprints >= footprint_capacity then
+            Hashtbl.reset t.footprints;
+          Hashtbl.replace t.footprints m.query fp;
+          fp
     in
-    let seen = Hashtbl.create 16 in
-    let visit f m =
-      if not (Hashtbl.mem dropped m.stamp) then begin
-        if not (Hashtbl.mem seen m.stamp) then begin
-          Hashtbl.replace seen m.stamp ();
-          incr examined
-        end;
-        f m
-      end
+    let mask_of m =
+      if Array.length m.mask = 0 then begin
+        let mask = mask () in
+        (match Option.map (fun _ -> footprint_of m) m.answers with
+        | Some fp when not (Schema_match.footprint_is_empty fp) ->
+            Array.iter (set_bit mask) (Schema_match.footprint_paths fp)
+        | _ -> set_bit mask paths);
+        m.mask <- mask
+      end;
+      m.mask
     in
+    let umask = mask () and gmask = mask () in
     Option.iter
       (fun (_, ufp) ->
-        List.iter
-          (fun p -> List.iter (visit (drop by_footprint)) (bucket tb p))
-          (rewrite_bucket :: unsatisfiable_bucket
-          :: Array.to_list (Schema_match.footprint_paths ufp)))
+        set_bit umask paths;
+        Array.iter (set_bit umask) (Schema_match.footprint_paths ufp))
       update;
+    Option.iter (Imap.iter (fun p _ -> set_bit gmask p)) groups;
     Imap.iter
-      (fun p ids ->
-        List.iter
-          (visit (fun m ->
-               match m.answers with
-               | Some a when share a ids -> drop by_written m
-               | _ -> ()))
-          (bucket tb p))
-      groups;
-    let paths m = Schema_match.footprint_paths (query_footprint sg m) in
-    (* Only the written ids on the memo's own root paths can be its
-       answers. *)
-    let written m a =
-      Array.exists
-        (fun p ->
-          match Imap.find_opt p groups with
-          | Some ids -> share a ids
-          | None -> false)
-        (paths m)
-    in
-    Seq.iter
-      (fun (_, m) ->
-        if test ~written m then begin
-          let paths =
-            match m.answers with
-            | None -> [| rewrite_bucket |]
-            | Some _ -> (
-                match paths m with
-                | [||] -> [| unsatisfiable_bucket |]
-                | paths -> paths)
-          in
-          Array.iter
-            (fun p ->
-              let stamps = Hashtbl.find_opt chain.by_path p in
-              Hashtbl.replace chain.by_path p
-                (m.stamp :: Option.value stamps ~default:[]))
-            paths;
-          chain.filed <- chain.filed + Array.length paths
-        end)
-      (Imap.to_seq_from tb.indexed tb.order);
-    { tb with indexed = tb.next }
+      (fun _ m ->
+        let mask = mask_of m in
+        if meet mask umask then begin
+          incr examined;
+          drop by_footprint m
+        end
+        else
+          match (groups, m.answers) with
+          | None, _ -> written_any m
+          | Some groups, Some a when meet mask gmask ->
+              incr examined;
+              (* Only the written ids on the memo's own root paths can
+                 be its answers. *)
+              if Imap.exists (fun p ids -> has_bit mask p && share a ids) groups
+              then drop by_written m
+          | Some _, _ -> ())
+      tb.order
   in
   let drops_all =
     structural
@@ -506,30 +419,15 @@ let carry_forward ~prev ~stats ~footprint t =
     if (not structural) && changed = [] then tb
     else if drops_all then begin
       by_footprint := tb.size;
-      clear_index chain;
       empty_table tb.next
     end
-    else
-      let kept =
-        match
-          Option.bind footprint (fun (sg, _) ->
-              Option.map (indexed sg) (groups sg))
-        with
-        | Some kept -> kept
-        | None ->
-            let all = Array.of_list changed in
-            Imap.iter
-              (fun _ m -> ignore (test ~written:(fun _ a -> share a all) m))
-              tb.order;
-            tb
-      in
-      Hashtbl.fold (fun _ m tb -> forget tb m) dropped kept
+    else begin
+      (match footprint with
+      | Some (sg, _) -> masked sg (groups sg)
+      | None -> Imap.iter (fun _ m -> written_any m) tb.order);
+      List.fold_left forget tb !dropped
+    end
   in
-  if chain.filed > chain.limit then begin
-    Hashtbl.fold (fun p _ acc -> p :: acc) chain.by_path []
-    |> List.iter (fun p -> ignore (bucket kept p));
-    chain.limit <- max (2 * chain.filed) (4 * memo_capacity)
-  end;
   Atomic.set t.table kept;
   let count name n = if n > 0 then Metrics.add t.metrics name n in
   count "snapshot.cache.carried" kept.size;
@@ -606,7 +504,10 @@ let capture ?(annotated = true) ?(bits_annotated = true) ?prev ?footprint
       scale;
       digest;
       table = Atomic.make (empty_table 0);
-      chain = (match carry with Some p -> p.chain | None -> new_chain ());
+      footprints =
+        (match carry with
+        | Some p -> p.footprints
+        | None -> Hashtbl.create 64);
       metrics;
       lock = Mutex.create ();
       pins = 0;
@@ -766,7 +667,9 @@ let request ?subject ?lane ?(live = false) t query =
           materialized_decision ?subject t expr
         end
       in
-      let m = { subject; query; expr; answers; decision; stamp = 0 } in
+      let m =
+        { subject; query; expr; answers; decision; stamp = 0; mask = [||] }
+      in
       with_lock t.lock (fun () -> remember t m);
       decision
 

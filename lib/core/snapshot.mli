@@ -127,17 +127,17 @@ val capture :
 
     The new snapshot starts from [prev]'s memo as it is and removes
     only what it drops; a memo either snapshot's readers add later is
-    its own.  With [footprint], the carry finds what to drop through
-    an index of the memos by root path that the snapshots of one chain
-    share: the memos whose footprint meets the update's, and those on
-    the root path of a written node (its label path in [prev]'s view,
-    {!Xmlac_xml.Schema_graph.path_index}), each confirmed by a binary
-    search of its answers.  The memos made since the last capture are
-    tested directly and then filed.  So a capture visits what the
-    epoch invalidates plus the memos made since the last capture, not
-    the whole memo.  Without [footprint], or when a written node is off
-    the schema, every memo is tested; an epoch that wrote nothing hands
-    the memo on untouched.
+    its own.  With [footprint], each memo keeps a mask of its
+    footprint's root paths, filled in by the first capture that tests
+    it, and the carry tests every memo in one pass against two masks:
+    the update's footprint (which also drops every rewrite-lane memo
+    and every empty footprint), then the root paths of the written
+    nodes (their label paths in [prev]'s view,
+    {!Xmlac_xml.Schema_graph.path_index}), a memo there confirmed by a
+    binary search of its answers for the written ids on its own paths.
+    Without [footprint], or when a written node is off the schema,
+    every memo's answers are searched for every written id; an epoch
+    that wrote nothing hands the memo on untouched.
 
     [index], when it {!Xmlac_xpath.Index.describes} the captured view
     (same family, no structural write since it was built), becomes
@@ -167,8 +167,9 @@ val capture :
     and those {!request} counts) and times
     every capture as the [snapshot.capture] stage.  Carry counts once
     per capture: [snapshot.cache.carried] (the entries the new
-    snapshot holds), [snapshot.cache.examined] (the entries the carry
-    visited), [snapshot.cache.dropped.footprint] (the structural test
+    snapshot holds), [snapshot.cache.examined] (the memos
+    whose mask met the epoch's, plus every memo that the fallback
+    without a footprint tests), [snapshot.cache.dropped.footprint] (the structural test
     failed, or a rewrite-lane entry met a structural epoch) and
     [snapshot.cache.dropped.written] (an answer was written).
 

@@ -181,9 +181,14 @@ let set_value t node v =
     touch t node.id
   end
 
-let rec iter_subtree f n =
-  f n;
-  List.iter (iter_subtree f) n.children
+(* One closure per walk: [List.iter (iter_subtree f)] would allocate
+   one per node. *)
+let iter_subtree f n =
+  let rec go n =
+    f n;
+    List.iter go n.children
+  in
+  go n
 
 let delete t node =
   check_live "Tree.delete" t;

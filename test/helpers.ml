@@ -137,6 +137,19 @@ type cross_op =
   | Update of string
   | Insert of { at : string; fragment : Tree.t }
 
+(* All three backends over (copies of) one hospital document. *)
+let backends_for doc ~default_sign =
+  let open Xmlac_core in
+  let mapping = Xmlac_shrex.Mapping.of_dtd hospital_dtd in
+  let store kind =
+    let db = Xmlac_reldb.Database.create kind in
+    ignore (Xmlac_shrex.Shred.load mapping ~default_sign db doc);
+    Rel_backend.make mapping db
+  in
+  let native = Xml_backend.make (Tree.copy doc) in
+  let row = store Xmlac_reldb.Table.Row in
+  [ native; row; store Xmlac_reldb.Table.Column ]
+
 type cross = {
   eng : Xmlac_core.Engine.t;
   (* The engine's document, replayed: an insert grafts here first and

@@ -17,17 +17,6 @@ let mapping = Xmlac_shrex.Mapping.of_dtd W.Hospital.dtd
 
 let rule ?name s e = Rule.parse ?name s e
 
-(* All three backends over (copies of) one document. *)
-let backends_for doc ~default_sign =
-  let native_doc = Tree.copy doc in
-  let row_db = Db.create Table.Row in
-  let col_db = Db.create Table.Column in
-  ignore (Xmlac_shrex.Shred.load mapping ~default_sign row_db doc);
-  ignore (Xmlac_shrex.Shred.load mapping ~default_sign col_db doc);
-  [ Xml_backend.make native_doc;
-    Rel_backend.make mapping row_db;
-    Rel_backend.make mapping col_db ]
-
 (* ------------------------------------------------------------------ *)
 (* Policy semantics: Table 2 on a tiny fixture. *)
 
@@ -369,7 +358,7 @@ let plan_cross_backend_prop =
       let cr = if Prng.bool rng then Rule.Plus else Rule.Minus in
       let p = Policy.make ~ds ~cr rules in
       let expected = Policy.accessible_ids p doc in
-      let backends = backends_for doc ~default_sign:(Rule.effect_to_string ds) in
+      let backends = Helpers.backends_for doc ~default_sign:(Rule.effect_to_string ds) in
       List.for_all
         (fun rewrite ->
           List.for_all
@@ -396,7 +385,7 @@ let test_annotate_cross_backend () =
         (backend.Backend.name ^ " accessible")
         expected
         (Backend.accessible_ids backend ~default:(Policy.ds p)))
-    (backends_for doc ~default_sign:"-")
+    (Helpers.backends_for doc ~default_sign:"-")
 
 let test_annotate_allow_default () =
   (* ds = allow: the non-default sign is minus; unannotated nodes are
@@ -415,7 +404,7 @@ let test_annotate_allow_default () =
         (backend.Backend.name ^ " accessible")
         (Policy.accessible_ids p doc)
         (Backend.accessible_ids backend ~default:(Policy.ds p)))
-    (backends_for doc ~default_sign:"+")
+    (Helpers.backends_for doc ~default_sign:"+")
 
 let test_annotate_is_idempotent () =
   let doc = tiny_doc () in
@@ -425,7 +414,7 @@ let test_annotate_is_idempotent () =
       let s1 = Annotator.annotate backend p in
       let s2 = Annotator.annotate backend p in
       Alcotest.(check int) "same marks" s1.Annotator.marked s2.Annotator.marked)
-    (backends_for doc ~default_sign:"-")
+    (Helpers.backends_for doc ~default_sign:"-")
 
 let test_coverage_stat () =
   Alcotest.(check bool) "coverage fraction" true
@@ -711,7 +700,7 @@ let test_reannotate_paper_scenario () =
         (backend.Backend.name ^ " accessible")
         (Policy.accessible_ids p updated)
         (Backend.accessible_ids backend ~default:(Policy.ds p)))
-    (backends_for doc ~default_sign:"-")
+    (Helpers.backends_for doc ~default_sign:"-")
 
 let test_full_reannotate_baseline () =
   let doc = tiny_doc () in
@@ -729,7 +718,7 @@ let test_full_reannotate_baseline () =
         (backend.Backend.name ^ " accessible")
         (Policy.accessible_ids p updated)
         (Backend.accessible_ids backend ~default:(Policy.ds p)))
-    (backends_for doc ~default_sign:"-")
+    (Helpers.backends_for doc ~default_sign:"-")
 
 let test_reannotate_one_evaluation_per_state () =
   (* Section 5.3 evaluates the triggered scopes before and after the
@@ -788,7 +777,7 @@ let test_reannotate_one_evaluation_per_state () =
         before;
       Alcotest.(check (list (pair string int))) (name ^ " after") expected
         after)
-    (backends_for (tiny_doc ()) ~default_sign:"-")
+    (Helpers.backends_for (tiny_doc ()) ~default_sign:"-")
 
 (* The repair region is exactly the stored nodes whose membership in
    some triggered scope moved — the union over triggered rules of
@@ -920,7 +909,7 @@ let reannotation_correct_prop =
 
 let annotated_backend () =
   let doc = tiny_doc () in
-  let backend = List.hd (backends_for doc ~default_sign:"-") in
+  let backend = List.hd (Helpers.backends_for doc ~default_sign:"-") in
   let _ = Annotator.annotate backend optimized in
   backend
 
@@ -981,92 +970,91 @@ let test_engine_overlap_mode () =
   Helpers.cross_apply c (Helpers.Update "//treatment");
   Helpers.check_cross "consistent" c
 
-let () =
+let core_tests =
   let tc name f = Alcotest.test_case name `Quick f in
-  Alcotest.run ~and_exit:false "core"
-    [
-      ( "policy semantics",
-        [
-          tc "deny/deny" test_semantics_deny_deny;
-          tc "deny/allow" test_semantics_deny_allow;
-          tc "allow/deny" test_semantics_allow_deny;
-          tc "allow/allow" test_semantics_allow_allow;
-          tc "paper example annotation" test_semantics_matches_paper_example;
-          tc "reference annotation" test_annotate_reference;
-        ] );
-      ( "optimizer",
-        [
-          tc "Table 3" test_optimizer_table3;
-          tc "opposite effects kept" test_optimizer_keeps_opposite_effects;
-          tc "equivalent rules" test_optimizer_equivalent_rules;
-          tc "later subsumes earlier" test_optimizer_later_subsumes_earlier;
-          QCheck_alcotest.to_alcotest optimizer_preserves_semantics_prop;
-        ] );
-      ( "annotation query",
-        [
-          tc "answer = semantics (deny)" test_annotation_query_eval_matches_semantics;
-          tc "xquery form" test_annotation_query_xquery_form;
-          tc "sql form runs" test_annotation_query_sql_runs;
-        ] );
-      ( "plan",
-        [
-          tc "of_policy shapes" test_plan_of_policy_shapes;
-          tc "simplify" test_plan_simplify;
-          tc "absorb" test_plan_absorb;
-          tc "prune and rewrite" test_plan_prune_and_rewrite;
-          tc "balanced sql unions" test_plan_sql_balanced;
-          tc "engine explain" test_engine_explain;
-          QCheck_alcotest.to_alcotest plan_cross_backend_prop;
-          QCheck_alcotest.to_alcotest plan_memo_prop;
-          QCheck_alcotest.to_alcotest ids_ops_prop;
-        ] );
-      ( "annotator",
-        [
-          tc "cross-backend" test_annotate_cross_backend;
-          tc "allow default" test_annotate_allow_default;
-          tc "idempotent" test_annotate_is_idempotent;
-          tc "coverage stat" test_coverage_stat;
-        ] );
-      ( "depend",
-        [
-          tc "paper example" test_depend_paper_example;
-          tc "paper mode opposite-only" test_depend_paper_opposite_only;
-          tc "overlap mode any sign" test_depend_overlap_any_sign;
-          tc "transitive" test_depend_transitive;
-          QCheck_alcotest.to_alcotest footprint_edges_prop;
-        ] );
-      ( "trigger",
-        [
-          tc "treatment deletion (R3 -> R1)" test_trigger_treatment_deletion;
-          tc "descendant expansion (R5)" test_trigger_descendant_expansion_needed;
-          tc "unrelated update" test_trigger_unrelated_update;
-          tc "direct/depends disjoint" test_trigger_direct_vs_depends_disjoint;
-          QCheck_alcotest.to_alcotest footprint_trigger_prop;
-        ] );
-      ( "reannotator",
-        [
-          tc "paper scenario" test_reannotate_paper_scenario;
-          tc "full baseline" test_full_reannotate_baseline;
-          tc "one scope evaluation per state"
-            test_reannotate_one_evaluation_per_state;
-          tc "region is the scope symmetric difference"
-            test_reannotate_region_is_symmetric_difference;
-          QCheck_alcotest.to_alcotest reannotation_correct_prop;
-        ] );
-      ( "requester",
-        [
-          tc "grants" test_requester_grants;
-          tc "all-or-nothing denial" test_requester_denies_all_or_nothing;
-          tc "empty is granted" test_requester_empty_granted;
-          tc "pp" test_requester_pp;
-        ] );
-      ( "engine",
-        [
-          tc "end to end" test_engine_end_to_end;
-          tc "no optimize" test_engine_no_optimize;
-          tc "overlap mode" test_engine_overlap_mode;
-        ] );
-    ]
+  [
+    ( "policy semantics",
+      [
+        tc "deny/deny" test_semantics_deny_deny;
+        tc "deny/allow" test_semantics_deny_allow;
+        tc "allow/deny" test_semantics_allow_deny;
+        tc "allow/allow" test_semantics_allow_allow;
+        tc "paper example annotation" test_semantics_matches_paper_example;
+        tc "reference annotation" test_annotate_reference;
+      ] );
+    ( "optimizer",
+      [
+        tc "Table 3" test_optimizer_table3;
+        tc "opposite effects kept" test_optimizer_keeps_opposite_effects;
+        tc "equivalent rules" test_optimizer_equivalent_rules;
+        tc "later subsumes earlier" test_optimizer_later_subsumes_earlier;
+        QCheck_alcotest.to_alcotest optimizer_preserves_semantics_prop;
+      ] );
+    ( "annotation query",
+      [
+        tc "answer = semantics (deny)" test_annotation_query_eval_matches_semantics;
+        tc "xquery form" test_annotation_query_xquery_form;
+        tc "sql form runs" test_annotation_query_sql_runs;
+      ] );
+    ( "plan",
+      [
+        tc "of_policy shapes" test_plan_of_policy_shapes;
+        tc "simplify" test_plan_simplify;
+        tc "absorb" test_plan_absorb;
+        tc "prune and rewrite" test_plan_prune_and_rewrite;
+        tc "balanced sql unions" test_plan_sql_balanced;
+        tc "engine explain" test_engine_explain;
+        QCheck_alcotest.to_alcotest plan_cross_backend_prop;
+        QCheck_alcotest.to_alcotest plan_memo_prop;
+        QCheck_alcotest.to_alcotest ids_ops_prop;
+      ] );
+    ( "annotator",
+      [
+        tc "cross-backend" test_annotate_cross_backend;
+        tc "allow default" test_annotate_allow_default;
+        tc "idempotent" test_annotate_is_idempotent;
+        tc "coverage stat" test_coverage_stat;
+      ] );
+    ( "depend",
+      [
+        tc "paper example" test_depend_paper_example;
+        tc "paper mode opposite-only" test_depend_paper_opposite_only;
+        tc "overlap mode any sign" test_depend_overlap_any_sign;
+        tc "transitive" test_depend_transitive;
+        QCheck_alcotest.to_alcotest footprint_edges_prop;
+      ] );
+    ( "trigger",
+      [
+        tc "treatment deletion (R3 -> R1)" test_trigger_treatment_deletion;
+        tc "descendant expansion (R5)" test_trigger_descendant_expansion_needed;
+        tc "unrelated update" test_trigger_unrelated_update;
+        tc "direct/depends disjoint" test_trigger_direct_vs_depends_disjoint;
+        QCheck_alcotest.to_alcotest footprint_trigger_prop;
+      ] );
+    ( "reannotator",
+      [
+        tc "paper scenario" test_reannotate_paper_scenario;
+        tc "full baseline" test_full_reannotate_baseline;
+        tc "one scope evaluation per state"
+          test_reannotate_one_evaluation_per_state;
+        tc "region is the scope symmetric difference"
+          test_reannotate_region_is_symmetric_difference;
+        QCheck_alcotest.to_alcotest reannotation_correct_prop;
+      ] );
+    ( "requester",
+      [
+        tc "grants" test_requester_grants;
+        tc "all-or-nothing denial" test_requester_denies_all_or_nothing;
+        tc "empty is granted" test_requester_empty_granted;
+        tc "pp" test_requester_pp;
+      ] );
+    ( "engine",
+      [
+        tc "end to end" test_engine_end_to_end;
+        tc "no optimize" test_engine_no_optimize;
+        tc "overlap mode" test_engine_overlap_mode;
+      ] );
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Policy files (Policy_io) — appended suite. *)
@@ -1143,12 +1131,12 @@ let test_has_node () =
       let _ = backend.Backend.delete_update (parse "//patient") in
       Alcotest.(check bool) (backend.Backend.name ^ " deleted") false
         (backend.Backend.has_node some_id))
-    (backends_for doc ~default_sign:"-")
+    (Helpers.backends_for doc ~default_sign:"-")
 
 (* Re-annotation touches only nodes whose sign changed. *)
 let test_reannotate_minimal_writes () =
   let doc = tiny_doc () in
-  let backend = List.hd (backends_for doc ~default_sign:"-") in
+  let backend = List.hd (Helpers.backends_for doc ~default_sign:"-") in
   let _ = Annotator.annotate backend optimized in
   let stats =
     Reannotator.reannotate ~schema:hospital_sg backend depend_paper
@@ -1163,7 +1151,7 @@ let test_reannotate_minimal_writes () =
 
 let guarded_backend () =
   let doc = tiny_doc () in
-  let backend = List.hd (backends_for doc ~default_sign:"-") in
+  let backend = List.hd (Helpers.backends_for doc ~default_sign:"-") in
   let _ = Annotator.annotate backend optimized in
   backend
 
@@ -1184,7 +1172,7 @@ let test_guard_refuses_hidden_subtree () =
     Policy.make ~ds:Rule.Minus ~cr:Rule.Minus
       [ rule "//patient" Rule.Plus; rule "//treatment" Rule.Minus ]
   in
-  let backend = List.hd (backends_for doc ~default_sign:"-") in
+  let backend = List.hd (Helpers.backends_for doc ~default_sign:"-") in
   let _ = Annotator.annotate backend p in
   match Update_guard.check_delete backend ~default:Rule.Minus (parse "//patient") with
   | Update_guard.Refused _ -> ()
@@ -1196,7 +1184,7 @@ let test_guard_permits_and_applies () =
     Policy.make ~ds:Rule.Minus ~cr:Rule.Minus
       [ rule "//regular" Rule.Plus; rule "//regular//*" Rule.Plus ]
   in
-  let backend = List.hd (backends_for doc ~default_sign:"-") in
+  let backend = List.hd (Helpers.backends_for doc ~default_sign:"-") in
   let _ = Annotator.annotate backend p in
   let depend = Depend.build ~mode:(Depend.Overlap hospital_sg) p in
   match
@@ -1219,267 +1207,32 @@ let test_guard_pp () =
   Alcotest.(check string) "pp" "refused (3 inaccessible node(s))"
     (Format.asprintf "%a" Update_guard.pp (Update_guard.Refused { blocked = 3 }))
 
-let () =
+let core_extra_tests =
   let tc name f = Alcotest.test_case name `Quick f in
-  Alcotest.run ~and_exit:false "core-extra"
-    [
-      ( "policy io",
-        [
-          tc "parse" test_policy_io_parse;
-          tc "defaults" test_policy_io_defaults;
-          tc "allow config" test_policy_io_allow_config;
-          tc "round trip" test_policy_io_round_trip;
-          tc "errors" test_policy_io_errors;
-          tc "comments and blanks" test_policy_io_comments_blank;
-        ] );
-      ( "backend",
-        [
-          tc "has_node" test_has_node;
-          tc "minimal re-annotation writes" test_reannotate_minimal_writes;
-        ] );
-      ( "update guard",
-        [
-          tc "refuses inaccessible targets" test_guard_refuses_inaccessible;
-          tc "refuses hidden subtrees" test_guard_refuses_hidden_subtree;
-          tc "permits and applies" test_guard_permits_and_applies;
-          tc "vacuous permit" test_guard_vacuous_permit;
-          tc "pp" test_guard_pp;
-        ] );
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Subjects: role DAG, per-role resolution, role-aware policy files,
-   and the shared multi-role annotation pass. *)
-
-module Bitset = Xmlac_util.Bitset
-
-let two_role_subjects () =
-  Subject.make_exn
-    [
-      Subject.role "staff";
-      Subject.role ~inherits:[ "staff" ] ~ds:Rule.Plus "doctor";
-    ]
-
-let test_subject_dag_basics () =
-  let s = two_role_subjects () in
-  Alcotest.(check (list string)) "names in bit order" [ "staff"; "doctor" ]
-    (Subject.names s);
-  Alcotest.(check (option int)) "staff bit" (Some 0) (Subject.index s "staff");
-  Alcotest.(check (option int)) "doctor bit" (Some 1) (Subject.index s "doctor");
-  Alcotest.(check (option int)) "unknown role" None (Subject.index s "nurse");
-  Alcotest.(check (list string)) "closure is self-first" [ "doctor"; "staff" ]
-    (Subject.closure s "doctor");
-  Alcotest.(check bool) "doctor overrides ds" true
-    (Subject.resolved_ds s "doctor" = Some Rule.Plus);
-  Alcotest.(check bool) "staff has no ds" true
-    (Subject.resolved_ds s "staff" = None)
-
-let test_subject_dag_inherited_override () =
-  (* ds/cr resolve through the nearest ancestor that sets them. *)
-  let s =
-    Subject.make_exn
+  [
+    ( "policy io",
       [
-        Subject.role ~ds:Rule.Plus ~cr:Rule.Plus "root";
-        Subject.role ~inherits:[ "root" ] "mid";
-        Subject.role ~inherits:[ "mid" ] ~cr:Rule.Minus "leaf";
-      ]
-  in
-  Alcotest.(check bool) "mid inherits ds" true
-    (Subject.resolved_ds s "mid" = Some Rule.Plus);
-  Alcotest.(check bool) "leaf inherits ds from root" true
-    (Subject.resolved_ds s "leaf" = Some Rule.Plus);
-  Alcotest.(check bool) "leaf keeps own cr" true
-    (Subject.resolved_cr s "leaf" = Some Rule.Minus)
-
-let test_subject_dag_rejects () =
-  let rejects what decls needle =
-    match Subject.make decls with
-    | Ok _ -> Alcotest.fail (what ^ ": accepted")
-    | Error msg ->
-        Alcotest.(check bool)
-          (what ^ " names offender: " ^ msg)
-          true
-          (Helpers.contains msg needle)
-  in
-  rejects "duplicate" [ Subject.role "a"; Subject.role "a" ] "a";
-  rejects "unknown parent" [ Subject.role ~inherits:[ "ghost" ] "a" ] "ghost";
-  rejects "self cycle" [ Subject.role ~inherits:[ "a" ] "a" ] "a";
-  rejects "two-step cycle"
-    [ Subject.role ~inherits:[ "b" ] "a"; Subject.role ~inherits:[ "a" ] "b" ]
-    "cycle";
-  rejects "empty declaration list" [] ""
-
-let two_role_policy () =
-  Policy.make ~subjects:(two_role_subjects ()) ~ds:Rule.Minus ~cr:Rule.Minus
-    [
-      rule "//patient" Rule.Plus;
-      Rule.parse ~subjects:[ "staff" ] "//patient[treatment]" Rule.Minus;
-      Rule.parse ~subjects:[ "doctor" ] "//treatment" Rule.Plus;
-    ]
-
-let test_policy_for_subject () =
-  let p = two_role_policy () in
-  let staff = Policy.for_subject p "staff" in
-  let doctor = Policy.for_subject p "doctor" in
-  (* staff sees the unqualified rule and its own; doctor (an heir of
-     staff) sees all three. *)
-  Alcotest.(check int) "staff rules" 2 (List.length (Policy.rules staff));
-  Alcotest.(check int) "doctor rules" 3 (List.length (Policy.rules doctor));
-  Alcotest.(check bool) "doctor projection carries its ds override" true
-    (Policy.ds doctor = Rule.Plus);
-  Alcotest.(check bool) "staff projection keeps the policy ds" true
-    (Policy.ds staff = Rule.Minus);
-  Alcotest.(check bool) "resolved_ds agrees" true
-    (Policy.resolved_ds p "doctor" = Rule.Plus)
-
-let test_policy_applicability_defaults () =
-  let p = two_role_policy () in
-  let rules = Policy.rules p in
-  let bits r = Bitset.to_list (Policy.applicability p r) in
-  Alcotest.(check (list int)) "unqualified reaches every role" [ 0; 1 ]
-    (bits (List.nth rules 0));
-  Alcotest.(check (list int)) "@staff also reaches its heir" [ 0; 1 ]
-    (bits (List.nth rules 1));
-  Alcotest.(check (list int)) "@doctor reaches doctor only" [ 1 ]
-    (bits (List.nth rules 2));
-  Alcotest.(check (list int)) "default bits = roles resolving ds to +" [ 1 ]
-    (Bitset.to_list (Policy.default_bits p))
-
-let roles_policy_text =
-  "role staff\n\
-   role doctor inherits staff default allow\n\
-   default deny\n\
-   conflict deny\n\
-   allow //patient\n\
-   deny @staff //patient[treatment]\n\
-   allow @doctor //treatment\n"
-
-let test_policy_io_roles_round_trip () =
-  let p = Policy_io.parse_exn roles_policy_text in
-  Alcotest.(check (list string)) "roles" [ "staff"; "doctor" ] (Policy.roles p);
-  Alcotest.(check bool) "doctor ds from decl" true
-    (Policy.resolved_ds p "doctor" = Rule.Plus);
-  let p' = Policy_io.parse_exn (Policy_io.to_string p) in
-  Alcotest.(check bool) "role DAG survives the round trip" true
-    (Subject.equal (Policy.subjects p) (Policy.subjects p'));
-  Alcotest.(check (list string)) "rule qualifier survives" [ "staff" ]
-    (List.nth (Policy.rules p') 1).Rule.subjects;
-  let doc = tiny_doc () in
-  List.iter
-    (fun role ->
-      Alcotest.(check (list int))
-        ("same accessibility for " ^ role)
-        (Policy.accessible_ids ~subject:role p doc)
-        (Policy.accessible_ids ~subject:role p' doc))
-    (Policy.roles p)
-
-let test_policy_io_role_errors () =
-  let err what text needle ~line =
-    match Policy_io.parse text with
-    | Ok _ -> Alcotest.fail (what ^ ": accepted")
-    | Error e ->
-        let msg = Policy_io.error_to_string e in
-        Alcotest.(check int) (what ^ ": line") line e.Policy_io.line;
-        Alcotest.(check bool) (what ^ ": pos is 1-based") true
-          (e.Policy_io.pos >= 1);
-        Alcotest.(check bool)
-          (what ^ " names offender: " ^ msg)
-          true
-          (Helpers.contains msg needle)
-  in
-  err "unknown parent" "role a inherits ghost\ndefault deny\n" "ghost" ~line:1;
-  err "duplicate role" "role a\nrole a\ndefault deny\n" "a" ~line:2;
-  (* The cycle is reported at the first declaration on the loop. *)
-  err "inheritance cycle"
-    "role a inherits b\nrole b inherits a\ndefault deny\n" "cycle" ~line:1;
-  err "unknown qualifier role" "role a\ndefault deny\nallow @ghost //patient\n"
-    "ghost" ~line:3;
-  err "qualifier without role decls" "default deny\nallow @ghost //patient\n"
-    "ghost" ~line:2
-
-(* The tentpole property: for every role of a random multi-role policy
-   over a random document, on each of the three backends, the one
-   shared annotation pass materializes exactly the same accessible set
-   as (a) the historical single-subject path run on the role's
-   projected policy and (b) the reference semantics. *)
-
-let subjects_equivalence_prop =
-  QCheck2.Test.make
-    ~name:"shared multi-role pass = per-role plans = reference (3 backends)"
-    ~count:40 QCheck2.Gen.int64 (fun seed ->
-      let rng = Prng.create ~seed in
-      let doc = Helpers.random_hospital_doc rng in
-      let subjects = Helpers.random_subjects rng in
-      let names = Subject.names subjects in
-      let n_rules = 1 + Prng.int rng 5 in
-      let rules =
-        List.init n_rules (fun i ->
-            let quals = List.filter (fun _ -> Prng.int rng 3 = 0) names in
-            Rule.make
-              ~name:(Printf.sprintf "S%d" i)
-              ~subjects:quals
-              ~resource:(Helpers.random_hospital_expr rng)
-              (if Prng.bool rng then Rule.Plus else Rule.Minus))
-      in
-      let ds = if Prng.bool rng then Rule.Plus else Rule.Minus in
-      let cr = if Prng.bool rng then Rule.Plus else Rule.Minus in
-      let p = Policy.make ~subjects ~ds ~cr rules in
-      let reference =
-        List.map
-          (fun role -> (role, Policy.accessible_ids ~subject:role p doc))
-          names
-      in
-      let default_bits = Policy.default_bits p in
-      let shared_ok =
-        List.for_all
-          (fun backend ->
-            let _ = Annotator.annotate_subjects ~schema:hospital_sg backend p in
-            List.for_all
-              (fun (i, role) ->
-                Backend.accessible_ids_role backend ~default:default_bits
-                  ~role:i
-                = List.assoc role reference)
-              (List.mapi (fun i r -> (i, r)) names))
-          (backends_for doc ~default_sign:"-")
-      in
-      let single_ok =
-        List.for_all
-          (fun role ->
-            let solo = Policy.for_subject p role in
-            List.for_all
-              (fun backend ->
-                let _ = Annotator.annotate ~schema:hospital_sg backend solo in
-                Backend.accessible_ids backend ~default:(Policy.ds solo)
-                = List.assoc role reference)
-              (backends_for doc ~default_sign:"-"))
-          names
-      in
-      shared_ok && single_ok)
-
-let () =
-  let tc name f = Alcotest.test_case name `Quick f in
-  Alcotest.run ~and_exit:false "subjects"
-    [
-      ( "role dag",
-        [
-          tc "basics" test_subject_dag_basics;
-          tc "inherited overrides" test_subject_dag_inherited_override;
-          tc "rejects malformed" test_subject_dag_rejects;
-        ] );
-      ( "policy projection",
-        [
-          tc "for_subject" test_policy_for_subject;
-          tc "applicability and default bits"
-            test_policy_applicability_defaults;
-        ] );
-      ( "policy io roles",
-        [
-          tc "round trip" test_policy_io_roles_round_trip;
-          tc "errors carry line/pos" test_policy_io_role_errors;
-        ] );
-      ( "equivalence",
-        [ QCheck_alcotest.to_alcotest subjects_equivalence_prop ] );
-    ]
+        tc "parse" test_policy_io_parse;
+        tc "defaults" test_policy_io_defaults;
+        tc "allow config" test_policy_io_allow_config;
+        tc "round trip" test_policy_io_round_trip;
+        tc "errors" test_policy_io_errors;
+        tc "comments and blanks" test_policy_io_comments_blank;
+      ] );
+    ( "backend",
+      [
+        tc "has_node" test_has_node;
+        tc "minimal re-annotation writes" test_reannotate_minimal_writes;
+      ] );
+    ( "update guard",
+      [
+        tc "refuses inaccessible targets" test_guard_refuses_inaccessible;
+        tc "refuses hidden subtrees" test_guard_refuses_hidden_subtree;
+        tc "permits and applies" test_guard_permits_and_applies;
+        tc "vacuous permit" test_guard_vacuous_permit;
+        tc "pp" test_guard_pp;
+      ] );
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Edge cases and failure injection — appended suite. *)
@@ -1494,7 +1247,7 @@ let test_empty_policy_deny () =
       let stats = Annotator.annotate backend p in
       Alcotest.(check int) (backend.Backend.name ^ " marks nothing") 0
         stats.Annotator.marked)
-    (backends_for doc ~default_sign:"-")
+    (Helpers.backends_for doc ~default_sign:"-")
 
 let test_empty_policy_allow () =
   let doc = tiny_doc () in
@@ -1513,7 +1266,7 @@ let test_negative_only_deny_default () =
     (fun backend ->
       let stats = Annotator.annotate backend p in
       Alcotest.(check int) (backend.Backend.name) 0 stats.Annotator.marked)
-    (backends_for doc ~default_sign:"-")
+    (Helpers.backends_for doc ~default_sign:"-")
 
 let test_unsatisfiable_rule_harmless () =
   let doc = tiny_doc () in
@@ -1528,7 +1281,7 @@ let test_unsatisfiable_rule_harmless () =
         (backend.Backend.name ^ " accessible")
         (Policy.accessible_ids p doc)
         (Backend.accessible_ids backend ~default:Rule.Minus))
-    (backends_for doc ~default_sign:"-")
+    (Helpers.backends_for doc ~default_sign:"-")
 
 let test_update_wipes_scope () =
   (* Deleting every patient leaves consistent stores and a vacuous
@@ -1546,7 +1299,7 @@ let test_update_wipes_scope () =
 let test_untriggering_update () =
   (* An update unrelated to every rule must not change any sign. *)
   let doc = tiny_doc () in
-  let backend = List.hd (backends_for doc ~default_sign:"-") in
+  let backend = List.hd (Helpers.backends_for doc ~default_sign:"-") in
   let _ = Annotator.annotate backend optimized in
   let before = Backend.accessible_ids backend ~default:Rule.Minus in
   let stats =
@@ -1574,7 +1327,7 @@ let test_engine_rejects_recursive_dtd () =
 
 let test_requester_after_full_delete_of_rule_scope () =
   let doc = tiny_doc () in
-  let backend = List.hd (backends_for doc ~default_sign:"-") in
+  let backend = List.hd (Helpers.backends_for doc ~default_sign:"-") in
   let _ = Annotator.annotate backend optimized in
   let _ =
     Reannotator.reannotate ~schema:hospital_sg backend depend_paper
@@ -1601,20 +1354,21 @@ let test_double_update_idempotent_consistency () =
   Alcotest.(check int) "nothing left" before (Tree.size (Engine.document c.eng));
   Helpers.check_cross "still consistent" c
 
-let () =
+let core_edge_tests =
   let tc name f = Alcotest.test_case name `Quick f in
-  Alcotest.run "core-edge"
-    [
-      ( "edge cases",
-        [
-          tc "empty policy (deny)" test_empty_policy_deny;
-          tc "empty policy (allow)" test_empty_policy_allow;
-          tc "negative-only under deny default" test_negative_only_deny_default;
-          tc "unsatisfiable rule harmless" test_unsatisfiable_rule_harmless;
-          tc "update wipes a scope" test_update_wipes_scope;
-          tc "untriggering update" test_untriggering_update;
-          tc "recursive DTD rejected" test_engine_rejects_recursive_dtd;
-          tc "scope fully deleted" test_requester_after_full_delete_of_rule_scope;
-          tc "double update" test_double_update_idempotent_consistency;
-        ] );
-    ]
+  [
+    ( "edge cases",
+      [
+        tc "empty policy (deny)" test_empty_policy_deny;
+        tc "empty policy (allow)" test_empty_policy_allow;
+        tc "negative-only under deny default" test_negative_only_deny_default;
+        tc "unsatisfiable rule harmless" test_unsatisfiable_rule_harmless;
+        tc "update wipes a scope" test_update_wipes_scope;
+        tc "untriggering update" test_untriggering_update;
+        tc "recursive DTD rejected" test_engine_rejects_recursive_dtd;
+        tc "scope fully deleted" test_requester_after_full_delete_of_rule_scope;
+        tc "double update" test_double_update_idempotent_consistency;
+      ] );
+  ]
+
+let () = Alcotest.run "core" (core_tests @ core_extra_tests @ core_edge_tests)

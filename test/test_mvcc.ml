@@ -738,6 +738,140 @@ let test_carry_proportional_structural () =
       Tree.delete doc (Option.get (Tree.find doc id));
       [ Xmlac_xpath.Parser.parse_exn deleted ])
 
+(* A full memo table on XMark, whose 102 root paths take two mask
+   words.  Before each of 24 structural epochs a window of fresh
+   filler queries keeps the table at [memo_capacity] (the oldest memos
+   go first) and the probes are re-requested, so each epoch carries a
+   full table with every probe in it; after the epoch every probe is
+   requested again, and each answer — carried or recomputed — must
+   equal [request_direct].  The epochs insert and delete a person, its
+   credit card and an open auction.  [//creditcard]'s footprint and
+   the credit-card epochs' update footprint lie only in the second
+   word, and the card flips the person's profile (a write to the
+   second word's paths), so a carry that read only the first word
+   would keep memos the epoch moved. *)
+let test_full_table_xmark () =
+  Fault.reset ();
+  let policy =
+    Policy_io.parse_exn
+      "role clerk\n\
+       default allow\n\
+       conflict deny\n\
+       deny //person[creditcard]/profile\n\
+       deny @clerk //creditcard\n\
+       deny //open_auction[bidder]/seller\n"
+  in
+  let eng =
+    Engine.create ~dtd:W.Xmark.dtd ~policy (W.Xmark.generate ~factor:0.002 ())
+  in
+  ignore (Engine.annotate eng);
+  ignore (Engine.annotate_subjects eng);
+  let sg = Engine.schema_graph eng and m = Engine.metrics eng in
+  let count = Metrics.counter m in
+  let second_word q =
+    Xmlac_xpath.Schema_match.footprint_paths
+      (Xmlac_xpath.Schema_match.footprint sg
+         (Xmlac_xpath.Expand.expand ~schema:sg
+            (Xmlac_xpath.Parser.parse_exn q)))
+    |> Array.for_all (fun p -> p >= Sys.int_size)
+  in
+  Alcotest.(check bool) "//creditcard sits in the second word only" true
+    (second_word "//creditcard");
+  let probes =
+    [ "//creditcard"; "//person/profile"; "//person/profile/interest";
+      "//open_auction/bidder"; "//open_auction/seller"; "//watch";
+      "//person"; "//person/name"; "//item/name"; "/site"; "//bogus" ]
+  in
+  let reads =
+    List.concat_map
+      (fun q ->
+        [ (None, None, q); (Some "clerk", None, q);
+          (None, Some Rewrite.Rewrite, q) ])
+      probes
+  in
+  let read (subject, lane, q) =
+    ignore (Engine.request ?subject ?lane eng Native q)
+  in
+  let fillers epoch =
+    List.init 320 (fun i ->
+        Printf.sprintf
+          (match i mod 4 with
+          | 0 -> "//person[name = \"E%d-%d\"]"
+          | 1 -> "//item[quantity = \"E%d-%d\"]"
+          | 2 -> "//open_auction[initial = \"E%d-%d\"]"
+          | _ -> "//closed_auction[price = \"E%d-%d\"]")
+          epoch i)
+  in
+  let person k = Printf.sprintf "/site/people/person[name = \"P%d\"]" k in
+  let insert at xml =
+    ignore
+      (Engine.insert eng ~at ~fragment:(Xmlac_xml.Xml_parser.parse_exn xml))
+  in
+  let epochs =
+    List.concat_map
+      (fun k ->
+        [ (fun () ->
+            insert "/site/people"
+              (Printf.sprintf
+                 "<person><name>P%d</name>\
+                  <profile><interest/></profile></person>"
+                 k));
+          (fun () -> insert (person k) "<creditcard>1</creditcard>");
+          (fun () ->
+            insert "/site/open_auctions"
+              "<open_auction><bidder><increase>1</increase></bidder>\
+               <seller/></open_auction>");
+          (fun () -> ignore (Engine.update eng (person k ^ "/creditcard")));
+          (fun () ->
+            ignore
+              (Engine.update eng "//open_auction[bidder/increase = \"1\"]"));
+          (fun () -> ignore (Engine.update eng (person k))) ])
+      [ 1; 2; 3; 4 ]
+  in
+  List.iter
+    (fun i -> read (None, None, Printf.sprintf "//category[name = \"W%d\"]" i))
+    (List.init Snapshot.memo_capacity Fun.id);
+  let evicted = ref 0 and hits = ref 0 in
+  let dropped () =
+    count "snapshot.cache.dropped.footprint"
+    + count "snapshot.cache.dropped.written"
+  in
+  let dropped0 = dropped () in
+  List.iteri
+    (fun e epoch ->
+      let before = Snapshot.cached_decisions (Engine.current_snapshot eng) in
+      let fill = fillers e in
+      List.iter (fun q -> read (None, None, q)) fill;
+      List.iter read reads;
+      let held = Snapshot.cached_decisions (Engine.current_snapshot eng) in
+      Alcotest.(check int)
+        (Printf.sprintf "table full before epoch %d" e)
+        Snapshot.memo_capacity held;
+      evicted := !evicted + before + List.length fill - held;
+      let examined = count "snapshot.cache.examined" in
+      epoch ();
+      Alcotest.(check bool)
+        (Printf.sprintf "epoch %d tested on the masks" e)
+        true
+        (count "snapshot.cache.examined" - examined < Snapshot.memo_capacity);
+      List.iter
+        (fun (subject, lane, q) ->
+          let h = count "cache.hits" in
+          let d = Engine.request ?subject ?lane eng Native q in
+          if count "cache.hits" > h then incr hits;
+          let direct = Engine.request_direct ?subject eng Native q in
+          if d <> direct then
+            Alcotest.failf "epoch %d, %s%s%s: %s, direct read %s" e q
+              (match subject with None -> "" | Some r -> " @" ^ r)
+              (match lane with None -> "" | Some _ -> " (rewrite)")
+              (Format.asprintf "%a" Requester.pp d)
+              (Format.asprintf "%a" Requester.pp direct))
+        reads)
+    epochs;
+  Alcotest.(check bool) "FIFO evictions" true (!evicted > 0);
+  Alcotest.(check bool) "memos dropped" true (dropped () > dropped0);
+  Alcotest.(check bool) "probes carried" true (!hits > 0)
+
 (* Every carried decision equals a fresh read.  Memos for the
    anonymous subject and two roles are warmed from a query pool, then a
    random chain of updates, inserts and re-annotations runs; after each
@@ -1436,6 +1570,7 @@ let () =
             test_carry_proportional_sign_write;
           tc "carry in proportion to a structural update"
             test_carry_proportional_structural;
+          tc "full memo table on XMark" test_full_table_xmark;
         ] );
       ( "index",
         [

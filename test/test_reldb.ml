@@ -368,56 +368,55 @@ let test_exec_cross_engine_agreement () =
   in
   Alcotest.(check bool) "row = column" true (run Table.Row = run Table.Column)
 
-let () =
+let reldb_tests =
   let tc name f = Alcotest.test_case name `Quick f in
   let tce name f = Alcotest.test_case name `Quick (both_engines f) in
-  Alcotest.run ~and_exit:false "reldb"
-    [
-      ( "value",
-        [
-          tc "compare order" test_value_compare_order;
-          tc "null comparisons" test_value_cmp_null;
-          tc "numeric strings" test_value_cmp_numeric_strings;
-          tc "literals" test_value_literal;
-        ] );
-      ( "schema",
-        [
-          tc "requires id" test_schema_requires_id;
-          tc "rejects duplicates" test_schema_rejects_duplicates;
-          tc "column index" test_schema_column_index;
-          tc "ddl" test_schema_ddl;
-        ] );
-      ( "table",
-        [
-          tce "insert/get" test_table_insert_get;
-          tce "pid index" test_table_pid_index;
-          tce "update" test_table_update;
-          tce "id immutable" test_table_update_id_rejected;
-          tce "delete/tombstones" test_table_delete;
-          tce "duplicate id" test_table_duplicate_id;
-          tce "arity" test_table_arity;
-        ] );
-      ( "sql",
-        [
-          tc "select rendering (paper Q1)" test_sql_select_render;
-          tc "set ops rendering" test_sql_set_ops_render;
-          tc "stmt rendering" test_sql_stmt_render;
-          tc "is null rendering" test_sql_is_null_render;
-          tc "script round trip" test_script_round_trip;
-          tc "script rejects" test_script_rejects;
-        ] );
-      ( "executor",
-        [
-          tce "scan" test_exec_scan;
-          tce "filter" test_exec_filter;
-          tce "index join" test_exec_join;
-          tce "set operations" test_exec_set_ops;
-          tce "is null" test_exec_is_null;
-          tce "update statement" test_exec_update_stmt;
-          tce "delete statement" test_exec_delete_stmt;
-          tc "cross-engine agreement" test_exec_cross_engine_agreement;
-        ] );
-    ]
+  [
+    ( "value",
+      [
+        tc "compare order" test_value_compare_order;
+        tc "null comparisons" test_value_cmp_null;
+        tc "numeric strings" test_value_cmp_numeric_strings;
+        tc "literals" test_value_literal;
+      ] );
+    ( "schema",
+      [
+        tc "requires id" test_schema_requires_id;
+        tc "rejects duplicates" test_schema_rejects_duplicates;
+        tc "column index" test_schema_column_index;
+        tc "ddl" test_schema_ddl;
+      ] );
+    ( "table",
+      [
+        tce "insert/get" test_table_insert_get;
+        tce "pid index" test_table_pid_index;
+        tce "update" test_table_update;
+        tce "id immutable" test_table_update_id_rejected;
+        tce "delete/tombstones" test_table_delete;
+        tce "duplicate id" test_table_duplicate_id;
+        tce "arity" test_table_arity;
+      ] );
+    ( "sql",
+      [
+        tc "select rendering (paper Q1)" test_sql_select_render;
+        tc "set ops rendering" test_sql_set_ops_render;
+        tc "stmt rendering" test_sql_stmt_render;
+        tc "is null rendering" test_sql_is_null_render;
+        tc "script round trip" test_script_round_trip;
+        tc "script rejects" test_script_rejects;
+      ] );
+    ( "executor",
+      [
+        tce "scan" test_exec_scan;
+        tce "filter" test_exec_filter;
+        tce "index join" test_exec_join;
+        tce "set operations" test_exec_set_ops;
+        tce "is null" test_exec_is_null;
+        tce "update statement" test_exec_update_stmt;
+        tce "delete statement" test_exec_delete_stmt;
+        tc "cross-engine agreement" test_exec_cross_engine_agreement;
+      ] );
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Existential blocks and WAL — appended suites. *)
@@ -555,24 +554,25 @@ let test_wal_checksum_catches_loss_and_reorder () =
   Alcotest.(check bool) "reorder detected" true (full <> reordered);
   Alcotest.(check bool) "loss detected" true (full <> lost)
 
-let () =
+let reldb_extra_tests =
   let tc name f = Alcotest.test_case name `Quick f in
   let tce name f = Alcotest.test_case name `Quick (both_engines f) in
-  Alcotest.run "reldb-extra"
-    [
-      ( "existential blocks",
-        [
-          tce "semijoin dedup" test_exists_block;
-          tce "selective" test_exists_block_selective;
-          tce "chained qualifier block" test_exists_block_chained;
-        ] );
-      ( "wal",
-        [
-          tc "counters" test_wal_counters;
-          tc "order sensitive" test_wal_order_sensitive;
-          tc "row vs column journaling" test_wal_journaling_row_vs_column;
-          tc "updates journaled" test_wal_update_journaled;
-          tc "checksum catches loss and reorder"
-            test_wal_checksum_catches_loss_and_reorder;
-        ] );
-    ]
+  [
+    ( "existential blocks",
+      [
+        tce "semijoin dedup" test_exists_block;
+        tce "selective" test_exists_block_selective;
+        tce "chained qualifier block" test_exists_block_chained;
+      ] );
+    ( "wal",
+      [
+        tc "counters" test_wal_counters;
+        tc "order sensitive" test_wal_order_sensitive;
+        tc "row vs column journaling" test_wal_journaling_row_vs_column;
+        tc "updates journaled" test_wal_update_journaled;
+        tc "checksum catches loss and reorder"
+          test_wal_checksum_catches_loss_and_reorder;
+      ] );
+  ]
+
+let () = Alcotest.run "reldb" (reldb_tests @ reldb_extra_tests)
