@@ -68,13 +68,16 @@ bench-eval:
 
 # Micro-benchmarks: one Bechamel row per table/figure kernel, then one
 # memo-hit read through Snapshot.request, Serve.request (live) and
-# Serve.snapshot_request (pinned) in ns and minor words per call, the
+# Serve.snapshot_request (pinned) and one memo fill (a second
+# subject's first read of a memoized query) in ns and minor words per
+# call, the
 # state digest, the structural repair's fixed cost (trigger, plan
 # compile on a memo miss and hit, scopes + region), and the reader
 # structures of a structural epoch (index build vs patch, fresh and
 # into a reused spare, grant column walk vs carry).  Exits non-zero if
-# the digests, a trigger set, a memoized plan, a region, a patched
-# index or the carried grant column differ from their references.
+# a fill differs from request_direct, or the digests, a trigger set, a
+# memoized plan, a region, a patched index or the carried grant column
+# differ from their references.
 bench-micro:
 	dune exec bench/main.exe -- -e micro
 

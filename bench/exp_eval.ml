@@ -16,8 +16,8 @@
    Accessibility check, over each query's answers: a CAM walk from
    each answer's record found by id (the check before rank-space
    reads), decided by [Requester.decide] over the id list, against
-   [Snapshot.accessible] on the answers' rank array, counted by
-   [Requester.count_blocked] as a snapshot read miss counts it.
+   [Snapshot.accessible] on the answers' rank array, one grant-column
+   read per answer as a snapshot read miss makes it.
    Output: per-query mean / p50 / p99 in microseconds for each.  Every
    answer must get the same verdict from both.
 
@@ -163,7 +163,9 @@ let run () =
       cam_words.(i) <- w;
       let us, w =
         measure ~reps:check_reps (fun () ->
-            Requester.count_blocked ranks ~accessible:rank_check)
+            Array.fold_left
+              (fun n r -> if rank_check r then n else n + 1)
+              0 ranks)
       in
       rank_us.(i) <- us;
       rank_words.(i) <- w)

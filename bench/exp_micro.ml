@@ -15,7 +15,11 @@
    A second table times one memo-hit read on the hospital fixture
    through Snapshot.request, Serve.request (live) and
    Serve.snapshot_request (pinned) — the serving layer's fixed
-   per-call cost — in ns and minor words per call.  A third times the
+   per-call cost — in ns and minor words per call, and one fill: a
+   second subject's first read of a query the snapshot memoized for
+   the anonymous subject, decided without evaluating; the run exits 1
+   if a fill was not counted as one or differs from
+   Engine.request_direct.  A third times the
    state digest after a committed epoch on XMark f=0.1 under a
    sign-only coverage policy: Engine.state_checksum, carried along the
    snapshot chain, next to the full fold it replaces
@@ -134,6 +138,58 @@ let print_rows header rows =
   List.iter (Xmlac_util.Tabular.add_row table) rows;
   Xmlac_util.Tabular.print table
 
+(* A fill per call: on a fresh capture of the two-role hospital
+   fixture, [queries] are memoized by the anonymous subject, untimed,
+   then each is read once as [staff]: no parse, no evaluation, the
+   decision read off the memo's counts.  Returns the row and how many
+   fills were not fills or differ from [request_direct]. *)
+let fill_row () =
+  let module W = Xmlac_workload in
+  let policy =
+    Policy_io.parse_exn
+      "role staff\nrole doctor inherits staff\ndefault deny\nconflict deny\n\
+       allow //patient\ndeny @staff //patient[treatment]\nallow @doctor //treatment\n"
+  in
+  let eng =
+    Engine.create ~dtd:W.Hospital.dtd ~policy (W.Hospital.sample_document ())
+  in
+  ignore (Engine.annotate eng);
+  ignore (Engine.annotate_subjects eng);
+  let policy = Engine.policy eng and doc = Engine.document eng in
+  let queries =
+    Array.init 1_000 (Printf.sprintf "//patient[psn != \"x%d\"]")
+  in
+  let rounds = 40 and wrong = ref 0 and elapsed = ref 0.0 and words = ref 0.0 in
+  for round = 1 to rounds do
+    let metrics = Xmlac_util.Metrics.create () in
+    let snap = Snapshot.capture ~epoch:0 ~policy ~metrics (Tree.copy doc) in
+    Array.iter (fun q -> ignore (Snapshot.request snap q)) queries;
+    let w0 = Gc.minor_words () in
+    let (), t =
+      Xmlac_util.Timing.time (fun () ->
+          Array.iter
+            (fun q -> ignore (Sys.opaque_identity (Snapshot.request ~subject:"staff" snap q)))
+            queries)
+    in
+    words := !words +. (Gc.minor_words () -. w0);
+    elapsed := !elapsed +. t;
+    let fills = Xmlac_util.Metrics.counter metrics "snapshot.cache.fills" in
+    wrong := !wrong + abs (Array.length queries - fills);
+    if round = 1 then
+      Array.iter
+        (fun q ->
+          if
+            Snapshot.request ~subject:"staff" snap q
+            <> Engine.request_direct ~subject:"staff" eng Engine.Native q
+          then incr wrong)
+        queries
+  done;
+  let per = float_of_int (rounds * Array.length queries) in
+  ( [ "Snapshot.request fill (second subject on a memoized query)";
+      Printf.sprintf "%.1f" (!elapsed /. per *. 1e9);
+      Printf.sprintf "%.1f" (!words /. per) ],
+    !wrong )
+
 let read_rows () =
   let module W = Xmlac_workload in
   let module S = Xmlac_serve.Serve in
@@ -145,13 +201,22 @@ let read_rows () =
   let serve = S.create eng in
   let snap = Engine.current_snapshot eng in
   let q = "//patient/name" in
+  let fill, wrong = fill_row () in
   print_rows "memo-hit read"
     [
       row "Snapshot.request" (fun () -> Snapshot.request snap q);
+      fill;
       row "Serve.request (live)" (fun () -> S.request serve Engine.Native q);
       row "Serve.snapshot_request (pinned)" (fun () ->
           S.snapshot_request serve snap q);
-    ]
+    ];
+  if wrong > 0 then begin
+    Printf.printf
+      "ASSERTION FAILED: %d filled decisions differ from request_direct or \
+       were not fills\n"
+      wrong;
+    exit 1
+  end
 
 let digest_rows () =
   let factor = 0.1 in

@@ -16,12 +16,17 @@
    costs the change sets, not the copies: a thousand pinned epochs of
    the largest document must stay far below a thousand deep copies.
 
-   A third table measures carry-forward across structural epochs: per
-   mutation kind, how many memoized decisions the snapshot carried
-   against how many an exact test would have (the decisions that did
-   not move), how many carried decisions differ from a direct read —
-   which must be none — how many memos the capture examined (those
-   whose root-path mask met the epoch's), and the capture's p50 time.
+   A third table measures carry-forward across structural epochs, in
+   memos and in decisions: a snapshot memoizes each query once, with
+   the decision of every subject that asked, and carries or drops the
+   memo whole.  Per mutation kind it counts the memos held before the
+   epoch and those carried, then the decisions (one per subject and
+   query, all memoized before the epoch) and those carried — every
+   decision of a carried memo — against how many an exact test would
+   have carried (the decisions that did not move), how many carried
+   decisions differ from a direct read — which must be none — how
+   many memos the capture examined (those whose root-path mask met
+   the epoch's), and the capture's p50 time.
    It runs at two memo sizes, the second about 4x the first; the
    capture tests every memo's mask in one pass, so its time grows with
    the table, by a few nanoseconds a memo.
@@ -225,12 +230,17 @@ let carry_mutations doc =
       profiled ^ "/interest[. = \"cx6\"]" );
   ]
 
+(* Counts in memos (one per query) and in decisions (one per
+   subject and query: [entries] of them, every one memoized before the
+   epoch). *)
 type carry_row = {
   mutation : string;
+  memos : int;
+  carried_memos : int;
   entries : int;
-  carried : int;
+  carried : int;  (* decisions of a carried memo *)
   unchanged : int;
-  wrong : int;  (* carried entries that differ from the direct read *)
+  wrong : int;  (* carried decisions that differ from the direct read *)
   examined : int;
   capture_us : float;
 }
@@ -252,9 +262,10 @@ let carry_table n =
       (fun subject -> List.map (fun q -> (subject, q)) queries)
       [ None; Some "r0"; Some "r1" ]
   in
-  assert (List.length pairs <= Snapshot.memo_capacity);
+  assert (List.length queries <= Snapshot.memo_capacity);
   let m = Engine.metrics eng in
   let hits () = Metrics.counter m "cache.hits" in
+  let memos () = Snapshot.cached_decisions (Engine.current_snapshot eng) in
   let capture_s () =
     List.fold_left
       (fun acc (stage, total, _) -> if stage = "snapshot.capture" then total else acc)
@@ -272,26 +283,34 @@ let carry_table n =
     apply ();
     capture_s () -. t0
   in
+  (* A decision is carried when its query's memo was, which the
+     epoch's snapshot shows before any read: every pair was memoized
+     before the epoch, and a later read of a dropped query makes a new
+     memo whose other subjects then fill (hits, yet not carried). *)
   let row mutation apply =
     warm ();
-    let before = List.map direct pairs in
+    let before = List.map direct pairs and held = memos () in
     let examined = Metrics.counter m "snapshot.cache.examined" in
     let first = timed apply in
     let examined = Metrics.counter m "snapshot.cache.examined" - examined in
+    let snap = Engine.current_snapshot eng in
+    let kept = List.filter (Snapshot.memoized snap) queries in
     let r =
       List.fold_left2
       (fun r ((subject, q) as pair) was ->
         let h = hits () in
         let d = Engine.request ?subject eng Engine.Native q in
         let now = direct pair in
-        let hit = hits () > h in
+        let carried = List.mem q kept in
+        if carried && hits () = h then failwith "exp_snapshot: a carried memo missed";
         {
           r with
-          carried = (r.carried + if hit then 1 else 0);
+          carried = (r.carried + if carried then 1 else 0);
           unchanged = (r.unchanged + if now = was then 1 else 0);
-          wrong = (r.wrong + if hit && d <> now then 1 else 0);
+          wrong = (r.wrong + if carried && d <> now then 1 else 0);
         })
-        { mutation; entries = List.length pairs; carried = 0; unchanged = 0;
+        { mutation; memos = held; carried_memos = List.length kept;
+          entries = List.length pairs; carried = 0; unchanged = 0;
           wrong = 0; examined; capture_us = 0.0 }
         pairs before
     in
@@ -377,28 +396,31 @@ let run (_cfg : Bench_common.config) =
         let total =
           List.fold_left
             (fun t r ->
-              { t with entries = t.entries + r.entries; carried = t.carried + r.carried;
+              { t with memos = t.memos + r.memos;
+                carried_memos = t.carried_memos + r.carried_memos;
+                entries = t.entries + r.entries; carried = t.carried + r.carried;
                 unchanged = t.unchanged + r.unchanged; wrong = t.wrong + r.wrong;
                 examined = t.examined + r.examined })
-            { mutation = "total"; entries = 0; carried = 0; unchanged = 0; wrong = 0;
-              examined = 0; capture_us = 0.0 }
+            { mutation = "total"; memos = 0; carried_memos = 0; entries = 0; carried = 0;
+              unchanged = 0; wrong = 0; examined = 0; capture_us = 0.0 }
             carry
         in
         Printf.printf
           "\ncarry across structural epochs: factor %s, %d queries x anonymous+2 \
-           roles (%d pairs), memo capacity %d\n"
+           roles (%d memos, %d decisions), memo capacity %d\n"
           (Bench_common.pp_factor carry_factor)
-          n (List.hd carry).entries Snapshot.memo_capacity;
+          n (List.hd carry).memos (List.hd carry).entries Snapshot.memo_capacity;
         let ct =
           Tabular.create
             ~headers:
-              [ "mutation"; "entries"; "carried"; "unchanged"; "carried/unchanged";
-                "wrong"; "examined"; "capture us p50" ]
+              [ "mutation"; "memos"; "carried memos"; "decisions"; "carried";
+                "unchanged"; "carried/unchanged"; "wrong"; "examined"; "capture us p50" ]
         in
         List.iter
           (fun r ->
             Tabular.add_row ct
-              [ r.mutation; string_of_int r.entries; string_of_int r.carried;
+              [ r.mutation; string_of_int r.memos; string_of_int r.carried_memos;
+                string_of_int r.entries; string_of_int r.carried;
                 string_of_int r.unchanged; pct_of r.carried r.unchanged;
                 string_of_int r.wrong; string_of_int r.examined;
                 (if r == total then "-" else Printf.sprintf "%.1f" r.capture_us) ])
@@ -425,9 +447,10 @@ let run (_cfg : Bench_common.config) =
   List.iter
     (fun (n, carry, total) ->
       Printf.printf
-        "  snapshot.carry.q%d: entries=%d carried=%d unchanged=%d wrong=%d \
-         examined=%d capture_p50_us=%.1f\n"
-        n total.entries total.carried total.unchanged total.wrong total.examined
+        "  snapshot.carry.q%d: memos=%d carried_memos=%d entries=%d carried=%d \
+         unchanged=%d wrong=%d examined=%d capture_p50_us=%.1f\n"
+        n total.memos total.carried_memos total.entries total.carried total.unchanged
+        total.wrong total.examined
         (pct (Array.of_list (List.map (fun r -> r.capture_us) carry)) 50.0))
     carries;
 

@@ -402,14 +402,16 @@ let explain policy_path dtd_name doc_path raw requests subjects lane =
       let c = Xmlac_util.Metrics.counter m in
       let per_role = Hashtbl.create 8 in
       let tally role f =
-        let hits = c "cache.hits" and misses = c "cache.misses"
+        let hits = c "cache.hits" and fills = c "cache.fills"
+        and misses = c "cache.misses"
         and checked = c "snapshot.answers_checked" in
         let d = f () in
-        let h, mi, l =
-          Option.value (Hashtbl.find_opt per_role role) ~default:(0, 0, 0)
+        let h, fi, mi, l =
+          Option.value (Hashtbl.find_opt per_role role) ~default:(0, 0, 0, 0)
         in
         Hashtbl.replace per_role role
           ( h + c "cache.hits" - hits,
+            fi + c "cache.fills" - fills,
             mi + c "cache.misses" - misses,
             l + c "snapshot.answers_checked" - checked );
         d
@@ -437,14 +439,15 @@ let explain policy_path dtd_name doc_path raw requests subjects lane =
       in
       List.iter
         (fun role ->
-          let hits, misses, checked =
-            Option.value (Hashtbl.find_opt per_role role) ~default:(0, 0, 0)
+          let hits, fills, misses, checked =
+            Option.value (Hashtbl.find_opt per_role role) ~default:(0, 0, 0, 0)
           in
           Printf.printf
-            "  as %-12s cache %d hit(s) / %d miss(es) (rate %s), answers checked %d\n"
-            role hits misses (rate hits misses) checked)
+            "  as %-12s cache %d hit(s) (%d fill(s)) / %d miss(es) (rate %s), \
+             answers checked %d\n"
+            role hits fills misses (rate hits misses) checked)
         subjects;
-      Printf.printf "  decision cache    %d/%d entries in the epoch %d snapshot, hit rate %s\n"
+      Printf.printf "  decision cache    %d/%d query memos in the epoch %d snapshot, hit rate %s\n"
         (Snapshot.cached_decisions (Engine.current_snapshot eng))
         Snapshot.memo_capacity
         (Snapshot.epoch (Engine.current_snapshot eng))

@@ -264,12 +264,12 @@ let role_sign t b idx id =
 let resolve_lane ?subject ?lane t =
   Snapshot.resolve_lane ?subject ?lane (current_snapshot t)
 
-let request ?subject ?lane t Native query =
+let request ?subject ?lane ?expr t Native query =
   (* Validate the role up front so every path reports it alike. *)
   Option.iter (fun role -> ignore (role_index t role)) subject;
   (* Answered from the last committed epoch's snapshot, memoized
      there; a read never sees an open epoch. *)
-  Snapshot.request ?subject ?lane ~live:true (current_snapshot t) query
+  Snapshot.request ?subject ?lane ~live:true ?expr (current_snapshot t) query
 
 (* The paper's requester: per-node sign (or per-role bit) reads
    through the backend, whose expressions evaluate on the writer's

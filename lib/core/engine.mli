@@ -163,6 +163,7 @@ val annotate_subjects_all : t -> (backend_kind * Annotator.subjects_stats) list
 val request :
   ?subject:string ->
   ?lane:Rewrite.lane ->
+  ?expr:Xmlac_xpath.Ast.expr ->
   t ->
   backend_kind ->
   string ->
@@ -187,13 +188,16 @@ val request :
 
     Requests are answered by {!Snapshot.request} on the
     {!current_snapshot}: the last committed epoch, never an open one.
-    A miss checks each answer's frozen sign (its bitmap bit for
-    [~subject]) in rank space ({!Snapshot.accessible}) and the
-    snapshot memoizes the decision under
-    the effective lane; hits and misses are counted as [cache.hits] /
-    [cache.misses], and a miss crosses the [native.eval] fault point
-    once.  Every evaluation is tallied as [lane.materialized] or
-    [lane.rewrite].
+    A miss evaluates the query once and checks each answer's frozen
+    sign (its bitmap bit for [~subject]); the snapshot memoizes the
+    query's answers and the decision under the effective lane, and
+    another subject's first request of a memoized query is filled
+    from the memo without evaluating.  Hits and misses are counted as
+    [cache.hits] / [cache.misses], fills as [cache.fills] and as hits,
+    and a miss crosses the [native.eval] fault point once.  Every
+    evaluation is tallied as [lane.materialized] or [lane.rewrite].
+    [expr], when given, is [query] already parsed: a miss evaluates it
+    instead of parsing the text again.
     @raise Invalid_argument on a malformed query (naming the
     expression and error position) or an unknown role. *)
 

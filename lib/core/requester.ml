@@ -12,9 +12,6 @@ let blocked ~accessible n id =
   Deadline.checkpoint ();
   if accessible id then n else n + 1
 
-let count_blocked ranks ~accessible =
-  Array.fold_left (blocked ~accessible) 0 ranks
-
 let decide ~ids ~accessible =
   let blocked = List.fold_left (blocked ~accessible) 0 ids in
   if blocked = 0 then Granted ids else Denied { blocked }

@@ -21,11 +21,6 @@ val decide : ids:int list -> accessible:(int -> bool) -> decision
 (** The all-or-nothing rule itself: grants iff every selected id is
     accessible.  An empty answer is granted (vacuously). *)
 
-val count_blocked : int array -> accessible:(int -> bool) -> int
-(** The inaccessible entries of an answer array — {!decide}'s count,
-    with the same deadline checkpoint per entry, without building a
-    list; the snapshot read miss counts its answer ranks with it. *)
-
 val request_via :
   sign:(int -> Xmlac_xml.Tree.sign) -> Backend.t ->
   Xmlac_xpath.Ast.expr -> decision

@@ -7,24 +7,44 @@ module Fault = Xmlac_util.Fault
 module Deadline = Xmlac_util.Deadline
 
 module Sg = Xmlac_xml.Schema_graph
-module Smap = Map.Make (String)
 module Imap = Map.Make (Int)
 
-(* A memoized decision.  On the materialized lane it keeps the ids of
-   the query's answers, ascending, because the check reads each
-   answer's own annotation, and carry-forward must show the epoch wrote
-   none of them.  A rewrite-lane entry read no annotation and keeps no
-   answers ([None]), so [answers] also names the lane.  The query, as
-   text and parsed, feeds the structural carry test.  [stamp] orders
-   eviction: stamps only grow along a chain.  [mask] is the root-path
-   mask the carry tests ([carry_forward]), [[||]] until a capture
-   fills it in; only the writer reads or writes it. *)
+(* The decisions a memo holds, one per subject that asked: a list
+   that only grows, published by compare-and-set ([decide]). *)
+type decided =
+  | Nil
+  | Decided of {
+      subject : string option;
+      decision : Requester.decision;
+      next : decided;
+    }
+
+(* One query's memo on one lane.  On the materialized lane it keeps
+   the ids of the query's answers, ascending, because carry-forward
+   must show the epoch wrote none of them, and [blocked]: how many of
+   the answers each subject may not access, by the subject's grant
+   bit, counted once by the miss that evaluated the query.  A subject
+   the memo holds no decision for is decided from its count ([fill])
+   without evaluating again.  A rewrite-lane memo read no annotation
+   and keeps no answers ([None]), so [answers] also names the lane;
+   its decisions are each their subject's own evaluation.  The query,
+   as text and parsed, feeds the structural carry test.  [stamp]
+   orders eviction: stamps only grow along a chain.  [mask] is the
+   root-path mask the carry tests ([carry_forward]), [[||]] until a
+   capture fills it in; only the writer reads or writes it.
+
+   A memo is carried only when the epoch wrote none of its answers and,
+   structurally, could not have moved them, so a subject's decision —
+   a function of the answers and their grant words alone — is the same
+   in every snapshot that holds the memo.  That is why [decided] is
+   shared by them all: a decision a reader of one snapshot adds answers
+   the readers of every other. *)
 type memo = {
-  subject : string option;
   query : string;
   expr : Ast.expr;
   answers : int array option;
-  decision : Requester.decision;
+  blocked : int array;
+  decided : decided Atomic.t;
   stamp : int;
   mutable mask : int array;
 }
@@ -34,18 +54,68 @@ let memo_capacity = 1024
 (* One snapshot's memo table, as one immutable value: a capture hands
    its predecessor's table on and removes only what the epoch
    invalidated, and a pinned snapshot keeps the table it had.  The
-   memos are found by query text ([memos], one memo per lane and
-   subject in a query's list) and by stamp ([order], oldest first: the
-   eviction order). *)
+   memos are found by query text in [memos], a two-level array of
+   buckets indexed by the text's hash, each bucket a list holding both
+   lanes' memos of its texts, and by stamp ([order], oldest first: the
+   eviction order).  A change copies the top array and the leaves it
+   writes, small enough for the minor heap, and never writes a
+   published array, so unwritten leaves stay shared.  A hit reads one
+   bucket, where a map by text would compare a string at every level
+   of a tree of 1,024 keys. *)
 type table = {
-  memos : memo list Smap.t;
+  memos : memo list array array;
   order : memo Imap.t;
   size : int;
   next : int;
 }
 
-let empty_table next =
-  { memos = Smap.empty; order = Imap.empty; size = 0; next }
+let fan = 32  (* buckets per leaf, and [leaves] leaves: 2,048 buckets *)
+let leaves = 64
+let no_memos = Array.make leaves (Array.make fan [])
+let empty_table next = { memos = no_memos; order = Imap.empty; size = 0; next }
+let bucket query = Hashtbl.hash query land ((fan * leaves) - 1)
+
+let bucket_of tb query =
+  let b = bucket query in
+  tb.memos.(b / fan).(b mod fan)
+
+let rec find_in ~rewrite query = function
+  | [] -> raise Not_found
+  | m :: ms ->
+      if Option.is_none m.answers = rewrite && String.equal m.query query then m
+      else find_in ~rewrite query ms
+
+(* The memo of [query] on one lane.  Allocates nothing. *)
+let find_memo ~rewrite tb query = find_in ~rewrite query (bucket_of tb query)
+
+let new_memo query expr answers blocked =
+  { query; expr; answers; blocked; decided = Atomic.make Nil; stamp = 0; mask = [||] }
+
+(* [tb] without the memos of [drop], with [add] (stamped [tb.next])
+   when given. *)
+let amend ?add tb drop =
+  if drop = [] && add = None then tb
+  else begin
+    let memos = Array.copy tb.memos in
+    let update m f =
+      let b = bucket m.query in
+      let i = b / fan in
+      if memos.(i) == tb.memos.(i) then memos.(i) <- Array.copy memos.(i);
+      memos.(i).(b mod fan) <- f memos.(i).(b mod fan)
+    in
+    let order =
+      List.fold_left
+        (fun order m ->
+          update m (List.filter (fun o -> o != m));
+          Imap.remove m.stamp order)
+        tb.order drop
+    and size = tb.size - List.length drop in
+    match add with
+    | None -> { tb with memos; order; size }
+    | Some m ->
+        update m (List.cons m);
+        { memos; order = Imap.add m.stamp m order; size = size + 1; next = tb.next + 1 }
+  end
 
 let same_subject a b =
   match (a, b) with
@@ -53,28 +123,26 @@ let same_subject a b =
   | Some a, Some b -> String.equal a b
   | _ -> false
 
-(* The memo of [query]'s list for one lane and subject.  A hit
-   allocates nothing. *)
-let rec find_memo ~rewrite subject = function
-  | [] -> raise Not_found
-  | m :: ms ->
-      if Option.is_none m.answers = rewrite && same_subject m.subject subject
-      then m
-      else find_memo ~rewrite subject ms
+(* The subject's decision in a memo's list.  A hit allocates
+   nothing. *)
+let rec decision_of subject = function
+  | Nil -> raise Not_found
+  | Decided d ->
+      if same_subject d.subject subject then d.decision
+      else decision_of subject d.next
 
-let forget tb m =
-  let memos =
-    match List.filter (fun o -> o.stamp <> m.stamp) (Smap.find m.query tb.memos)
-    with
-    | [] -> Smap.remove m.query tb.memos
-    | ms -> Smap.add m.query ms tb.memos
-  in
-  {
-    tb with
-    memos;
-    order = Imap.remove m.stamp tb.order;
-    size = tb.size - 1;
-  }
+(* Adds [subject]'s decision to [m]'s list, unless a racer added one
+   first: both computed the same decision. *)
+let rec decide m subject d =
+  let seen = Atomic.get m.decided in
+  match decision_of subject seen with
+  | d -> d
+  | exception Not_found ->
+      if
+        Atomic.compare_and_set m.decided seen
+          (Decided { subject; decision = d; next = seen })
+      then d
+      else decide m subject d
 
 let footprint_capacity = 8 * memo_capacity
 
@@ -240,26 +308,19 @@ let with_lock lock f =
       Mutex.unlock lock;
       raise e
 
-(* Must run under [t.lock].  A racing reader that memoized the key
-   first keeps its entry: both computed the same decision. *)
+(* Must run under [t.lock].  Adds [m] and returns it, or returns the
+   memo a racing reader added for the same query and lane first. *)
 let remember t m =
   let tb = Atomic.get t.table in
-  let listed tb = Option.value (Smap.find_opt m.query tb.memos) ~default:[] in
-  match find_memo ~rewrite:(Option.is_none m.answers) m.subject (listed tb) with
-  | _ -> ()
+  match find_memo ~rewrite:(Option.is_none m.answers) tb m.query with
+  | held -> held
   | exception Not_found ->
-      let tb =
-        if tb.size < memo_capacity then tb
-        else forget tb (snd (Imap.min_binding tb.order))
+      let evicted =
+        if tb.size < memo_capacity then [] else [ snd (Imap.min_binding tb.order) ]
       in
       let m = { m with stamp = tb.next } in
-      Atomic.set t.table
-        {
-          memos = Smap.add m.query (m :: listed tb) tb.memos;
-          order = Imap.add m.stamp m tb.order;
-          size = tb.size + 1;
-          next = tb.next + 1;
-        }
+      Atomic.set t.table (amend ~add:m tb evicted);
+      m
 
 (* Root-path masks: path [p] of the schema's [paths] root paths at bit
    [p mod w] of word [p / w], and one more bit, [always] at [paths],
@@ -425,7 +486,7 @@ let carry_forward ~prev ~stats ~footprint t =
       (match footprint with
       | Some (sg, _) -> masked sg (groups sg)
       | None -> Imap.iter (fun _ m -> written_any m) tb.order);
-      List.fold_left forget tb !dropped
+      amend tb !dropped
     end
   in
   Atomic.set t.table kept;
@@ -591,36 +652,67 @@ let rec grants t =
       then Metrics.incr t.metrics "snapshot.grant_builds";
       grants t
 
+(* The subject's bit in the grant column. *)
+let subject_bit ?subject t =
+  match subject with
+  | None -> t.scale.roles
+  | Some role -> (
+      match Subject.index (Policy.subjects t.policy) role with
+      | Some i -> i
+      | None -> invalid_arg ("Snapshot.request: unknown role " ^ role))
+
 (* One bit of the node's grant: the value a CAM lookup rebuilds by
    walking up to the nearest sign change. *)
 let accessible ?subject t =
-  let bit =
-    match subject with
-    | None -> t.scale.roles
-    | Some role -> (
-        match Subject.index (Policy.subjects t.policy) role with
-        | Some i -> i
-        | None -> invalid_arg ("Snapshot.request: unknown role " ^ role))
-  in
+  let bit = subject_bit ?subject t in
   let col = (grants t).(bit / w) and mask = 1 lsl (bit mod w) in
   fun r ->
     Deadline.checkpoint ();
     col.(r) land mask <> 0
 
+(* A materialized memo's decision for the subject at [bit], read off
+   its count.  A grant shares the answer list of any grant the memo
+   already holds. *)
+let fill (m : memo) bit =
+  match m.blocked.(bit) with
+  | 0 ->
+      let rec granted = function
+        | Decided { decision = Requester.Granted _ as d; _ } -> d
+        | Decided d -> granted d.next
+        | Nil -> Requester.Granted (Array.to_list (Option.get m.answers))
+      in
+      granted (Atomic.get m.decided)
+  | blocked -> Requester.Denied { blocked }
+
+(* The bits of grant word [k] that name a subject: the roles' and the
+   anonymous subject's. *)
+let subjects_in s k =
+  let top = s.roles + 1 - (k * w) in
+  if top >= w then -1 else (1 lsl top) - 1
+
+(* Counts bit [b + i] of [counts] for each bit [i] set in [z]. *)
+let rec count_bits counts z b =
+  if z <> 0 then begin
+    if z land 1 <> 0 then counts.(b) <- counts.(b) + 1;
+    count_bits counts (z lsr 1) (b + 1)
+  end
+
 (* The materialized lane over the frozen state: evaluate on the view's
-   index, then check each answer rank's grant. *)
-let materialized_decision ?subject t expr =
-  let accessible = accessible ?subject t in
-  let idx = index t in
+   index, then check each answer rank's grant, for every subject at
+   once: the memo's [blocked]. *)
+let materialized t query expr =
+  let idx = index t and g = grants t in
   let ranks = Index.eval idx expr in
   Metrics.add t.metrics "snapshot.answers_checked" (Array.length ranks);
-  let answers = Index.ids idx ranks in
-  let d =
-    match Requester.count_blocked ranks ~accessible with
-    | 0 -> Requester.Granted (Array.to_list answers)
-    | blocked -> Requester.Denied { blocked }
-  in
-  (Some answers, d)
+  let blocked = Array.make (t.scale.roles + 1) 0 in
+  Array.iter
+    (fun r ->
+      Deadline.checkpoint ();
+      for k = 0 to Array.length g - 1 do
+        count_bits blocked (lnot g.(k).(r) land subjects_in t.scale k) (k * w)
+      done)
+    ranks;
+  new_memo query expr (Some (Index.ids idx ranks)) blocked
 
 (* The rewrite lane over the frozen state: compile the request against
    the frozen policy and evaluate the granted/residue pair on the
@@ -629,49 +721,76 @@ let materialized_decision ?subject t expr =
 let rewritten_decision ?subject t expr =
   let compiled = Rewrite.compile ?subject t.policy expr in
   let answer = Rewrite.eval_scopes (Plan.index_scope (index t)) compiled in
-  let d =
-    if answer.Rewrite.blocked > 0 then
-      Requester.Denied { blocked = answer.Rewrite.blocked }
-    else
-      Requester.decide ~ids:answer.Rewrite.granted_ids
-        ~accessible:(fun _ -> true)
-  in
-  (None, d)
+  if answer.Rewrite.blocked > 0 then
+    Requester.Denied { blocked = answer.Rewrite.blocked }
+  else
+    Requester.decide ~ids:answer.Rewrite.granted_ids
+      ~accessible:(fun _ -> true)
 
-let request ?subject ?lane ?(live = false) t query =
-  let rewrite = rewrite_lane ?subject ?lane t in
-  let hits, misses, fault =
-    if live then ("cache.hits", "cache.misses", "native.eval")
-    else ("snapshot.cache.hits", "snapshot.cache.misses", "snapshot.read")
+(* A memoized text parsed when its memo was made. *)
+let memoized t query =
+  List.exists (fun m -> String.equal m.query query) (bucket_of (Atomic.get t.table) query)
+
+(* A miss: the query evaluated once.  [held] is the query's rewrite-lane
+   memo when it holds other subjects' decisions, each compiled for its
+   own subject. *)
+let evaluate ?subject ~rewrite ~misses ~fault ?held ?expr t query =
+  Metrics.incr t.metrics misses;
+  let expr =
+    match (held, expr) with
+    | Some m, _ -> m.expr
+    | None, Some e -> e
+    | None, None -> Requester.parse_or_fail query
   in
-  match
-    find_memo ~rewrite subject (Smap.find query (Atomic.get t.table).memos)
-  with
-  | m ->
-      Metrics.incr t.metrics hits;
-      m.decision
+  (* The read path's injection site: lets the serve layer inject
+     transient faults into live and pinned reads (retry tests, the
+     chaos soak) without touching the stores. *)
+  Fault.point fault;
+  let remember m = with_lock t.lock (fun () -> remember t m) in
+  if rewrite then begin
+    Metrics.incr t.metrics "lane.rewrite";
+    let d = rewritten_decision ?subject t expr in
+    let m =
+      match held with Some m -> m | None -> remember (new_memo query expr None [||])
+    in
+    decide m subject d
+  end
+  else begin
+    Metrics.incr t.metrics "lane.materialized";
+    let bit = subject_bit ?subject t in
+    let m = materialized t query expr in
+    decide (remember m) subject (fill m bit)
+  end
+
+(* A hit finds the subject's decision in the query's memo.  A fill
+   finds the query memoized on the materialized lane but not the
+   subject, and decides it from the memo's count.  A miss evaluates
+   the query. *)
+let request ?subject ?lane ?(live = false) ?expr t query =
+  let rewrite = rewrite_lane ?subject ?lane t in
+  let hits, fills, misses, fault =
+    if live then ("cache.hits", "cache.fills", "cache.misses", "native.eval")
+    else
+      ( "snapshot.cache.hits",
+        "snapshot.cache.fills",
+        "snapshot.cache.misses",
+        "snapshot.read" )
+  in
+  match find_memo ~rewrite (Atomic.get t.table) query with
+  | m -> (
+      match decision_of subject (Atomic.get m.decided) with
+      | d ->
+          Metrics.incr t.metrics hits;
+          d
+      | exception Not_found when rewrite ->
+          evaluate ?subject ~rewrite ~misses ~fault ~held:m t query
+      | exception Not_found ->
+          let d = fill m (subject_bit ?subject t) in
+          Metrics.incr t.metrics hits;
+          Metrics.incr t.metrics fills;
+          decide m subject d)
   | exception Not_found ->
-      Metrics.incr t.metrics misses;
-      let expr = Requester.parse_or_fail query in
-      (* The read path's injection site: lets the serve layer inject
-         transient faults into live and pinned reads (retry tests, the
-         chaos soak) without touching the stores. *)
-      Fault.point fault;
-      let answers, decision =
-        if rewrite then begin
-          Metrics.incr t.metrics "lane.rewrite";
-          rewritten_decision ?subject t expr
-        end
-        else begin
-          Metrics.incr t.metrics "lane.materialized";
-          materialized_decision ?subject t expr
-        end
-      in
-      let m =
-        { subject; query; expr; answers; decision; stamp = 0; mask = [||] }
-      in
-      with_lock t.lock (fun () -> remember t m);
-      decision
+      evaluate ?subject ~rewrite ~misses ~fault ?expr t query
 
 (* --- registry ------------------------------------------------------ *)
 

@@ -9,7 +9,9 @@
     handed over by the writer or built by the first miss), a lazily
     built grant column by rank (each node's effective sign and role
     bits, which a materialized miss tests each answer against), a
-    private bounded memo of decisions, and the state digest of what
+    private bounded memo of queries (each query's answers, how many of
+    them each subject may not access, and the decisions subjects asked
+    for), and the state digest of what
     the view grants ({!digest}, carried from the previous snapshot
     over the epoch's change set), all keyed by the epoch that
     committed them.  The engine's own native reads go through the
@@ -35,11 +37,11 @@
     first snapshot takes over the index the engine built at creation.
     No capture builds an index, and a capture walks
     no tree for its grant column: it carries the previous snapshot's
-    when a reader built that (see {!capture}).  A decision carries
-    when the epoch's change set holds none of its answers and, for a
-    structural epoch, the paper's §5.3 schema
-    test (the one the [Overlap] trigger applies to rules) shows the
-    update missed the query.  Publish cost is therefore O(nodes
+    when a reader built that (see {!capture}).  A query's memo carries,
+    with every subject's decision in it, when the epoch's change set
+    holds none of its answers and, for a structural epoch, the paper's
+    §5.3 schema test (the one the [Overlap] trigger applies to rules)
+    shows the update missed the query.  Publish cost is therefore O(nodes
     changed in the epoch) plus the memos the epoch invalidates, not
     O(document), and a thousand pinned epochs of a large document cost
     little more than one copy plus the sum of their change sets.  No
@@ -69,8 +71,9 @@
     A snapshot is safe to share across OCaml domains: the document
     view is frozen at capture, the index and the grant column are each
     published once through an atomic slot and read-only after, and the
-    memo is an immutable value in an atomic slot: a hit reads it
-    without a lock, a miss replaces it under a private mutex.
+    memo table is an immutable value in an atomic slot: a hit reads
+    it without a lock, a miss replaces it under a private mutex, and a
+    fill adds its decision to the memo's list by compare-and-set.
     Registry operations cross the fault points
     [snapshot.publish] (before the new snapshot is installed) and
     [snapshot.reclaim] (after an old snapshot is dropped), so the
@@ -107,8 +110,9 @@ val capture :
     empty for an epoch that only wrote signs or bitmaps.  Only a
     caller that knows every node of the document has sat on the
     schema's paths ({!Xmlac_xml.Schema_graph.covers}) since the memos
-    it carries were made may pass it, always with the same schema.  A memoized materialized-lane decision migrates into the
-    new snapshot when
+    it carries were made may pass it, always with the same schema.  A
+    materialized-lane memo migrates into the new snapshot, with its
+    decisions, when
 
     {ul
     {- the epoch is non-structural, or its query's footprint (the root
@@ -118,16 +122,19 @@ val capture :
        and sign or bitmap write) holds none of its answers — the check
        read nothing else ({!accessible}).}}
 
-    A rewrite-lane decision migrates across non-structural epochs
-    only; a structural epoch without [footprint] (recovery) carries no
-    decision.  Carry is
+    A rewrite-lane memo migrates across non-structural epochs only; a
+    structural epoch without [footprint] (recovery) carries no memo.
+    A migrated memo is shared, not copied: a decision a reader of
+    either snapshot adds to it later answers the readers of both, which
+    is sound because a subject's decision is a function of the answers
+    and their grants, and the carry rule leaves both unchanged.  Carry is
     gated on provenance (same tree family, exactly the
     next generation, physically equal policy) and silently skipped
     otherwise.
 
-    The new snapshot starts from [prev]'s memo as it is and removes
-    only what it drops; a memo either snapshot's readers add later is
-    its own.  With [footprint], each memo keeps a mask of its
+    The new snapshot starts from [prev]'s memo table as it is and
+    removes only what it drops; a memo either snapshot's readers add
+    later is its own.  With [footprint], each memo keeps a mask of its
     footprint's root paths, filled in by the first capture that tests
     it, and the carry tests every memo in one pass against two masks:
     the update's footprint (which also drops every rewrite-lane memo
@@ -166,11 +173,13 @@ val capture :
     [snapshot.digest_folds] (see {!digest}),
     and those {!request} counts) and times
     every capture as the [snapshot.capture] stage.  Carry counts once
-    per capture: [snapshot.cache.carried] (the entries the new
-    snapshot holds), [snapshot.cache.examined] (the memos
+    per capture, in memos (one per query text and lane, whatever the
+    number of subjects' decisions in it): [snapshot.cache.carried]
+    (the memos the new snapshot holds), [snapshot.cache.examined] (the
+    memos
     whose mask met the epoch's, plus every memo that the fallback
     without a footprint tests), [snapshot.cache.dropped.footprint] (the structural test
-    failed, or a rewrite-lane entry met a structural epoch) and
+    failed, or a rewrite-lane memo met a structural epoch) and
     [snapshot.cache.dropped.written] (an answer was written).
 
     A capture of a fresh {!Xmlac_xml.Tree.copy} with no [prev] shares
@@ -293,11 +302,19 @@ val pins : t -> int
 (** Current pin count (readers holding this snapshot). *)
 
 val memo_capacity : int
-(** The bound on a snapshot's memo (1,024); the oldest entry is
-    evicted first. *)
+(** The bound on a snapshot's memo (1,024), counted in queries: one
+    memo per query text and lane, however many subjects it holds
+    decisions for.  The oldest memo is evicted first. *)
 
 val cached_decisions : t -> int
-(** Memoized decisions currently held (carried entries included). *)
+(** Memos currently held (carried ones included): queries per lane,
+    the count {!memo_capacity} bounds, not the per-subject decisions
+    inside them. *)
+
+val memoized : t -> string -> bool
+(** Whether the snapshot holds a memo of the query text on either
+    lane.  Such a text parsed once already, so the serving layer skips
+    its up-front parse. *)
 
 val resolve_lane :
   ?subject:string -> ?lane:Rewrite.lane -> t -> Rewrite.lane * string
@@ -310,21 +327,39 @@ val request :
   ?subject:string ->
   ?lane:Rewrite.lane ->
   ?live:bool ->
+  ?expr:Xmlac_xpath.Ast.expr ->
   t ->
   string ->
   Requester.decision
 (** [request ?subject t query] answers the all-or-nothing request
-    from the snapshot alone: evaluate [query] on the frozen document's
-    {!index} (built by the first miss), check each answer with
-    {!accessible}, and memoize the decision in the snapshot's memo
-    (keyed by the effective lane).  The answers are the ones
-    {!Xmlac_xpath.Eval.eval} gives on the frozen view.  Full fidelity
-    at the snapshot's epoch and never touches the live stores, so it
-    cannot block on (or be blocked by) the writer.  Crosses
-    {!Xmlac_util.Deadline.checkpoint}s through
-    [Requester.count_blocked] (or [Requester.decide] on the rewrite
-    lane) and {!accessible}, so it honours a caller-installed
-    budget.
+    from the snapshot alone, through its memo: one memo per query text
+    and effective lane, holding the decisions of the subjects that
+    asked.  A request goes one of three ways:
+
+    {ul
+    {- {e hit}: the memo holds the subject's decision — one hash, one
+       bucket and a scan of the memo's decisions, allocating nothing;}
+    {- {e fill}: the query is memoized on the materialized lane but
+       not for this subject — its decision is read off the memo's
+       count of the answers the subject may not access, with no parse
+       and no evaluation, and added to the memo;}
+    {- {e miss}: the query has no memo on the lane — evaluate [query]
+       on the frozen document's {!index} (built by the first miss),
+       check each answer's grant ({!accessible}'s reading) for every
+       subject at once, which gives the counts fills read, and
+       memoize it, the oldest memo going first at {!memo_capacity}.
+       A rewrite-lane memo holds one evaluation per subject, each
+       compiled for it, so another subject's first request of it is a
+       miss that adds to the memo rather than a new memo.}}
+
+    The answers are the ones {!Xmlac_xpath.Eval.eval} gives on the
+    frozen view.  Full fidelity at the snapshot's epoch and never
+    touches the live stores, so it cannot block on (or be blocked by)
+    the writer.  A miss crosses one {!Xmlac_util.Deadline.checkpoint}
+    per answer (per granted answer through [Requester.decide] on the
+    rewrite lane), so it honours a caller-installed budget.  [expr],
+    when given, is [query] already parsed: a miss evaluates it instead
+    of parsing the text.
 
     [~lane] (default {!Rewrite.Auto}) selects the enforcement lane as
     in {!Engine.request}: [Auto] picks the materialized lane iff the
@@ -336,12 +371,13 @@ val request :
 
     A miss counts [lane.materialized] or [lane.rewrite] (and
     [snapshot.answers_checked], the answers checked, on the
-    materialized lane) and crosses one fault point before evaluating.
-    A pinned read (the default) counts
-    [snapshot.cache.hits] / [snapshot.cache.misses] and crosses
-    [snapshot.read]; [~live:true] — {!Engine.request} on the native
-    store — counts [cache.hits] / [cache.misses] and crosses
-    [native.eval] instead.
+    materialized lane) and crosses one fault point before evaluating;
+    a hit or a fill crosses none.  A pinned read (the default) counts
+    [snapshot.cache.hits] / [snapshot.cache.misses], and a fill counts
+    [snapshot.cache.fills] as well as a hit, so a miss always means an
+    evaluation; a miss crosses [snapshot.read].  [~live:true] —
+    {!Engine.request} on the native store — counts [cache.hits] /
+    [cache.fills] / [cache.misses] and crosses [native.eval] instead.
     @raise Invalid_argument on an unparsable query or unknown role. *)
 
 (** {1 Registry: publish / pin / reclaim}

@@ -200,14 +200,14 @@ let count_error m err =
    mutations never commit while degraded; if the epochs disagree
    anyway the snapshot is stale and everything is denied — per role as
    much as for the anonymous subject. *)
-let degraded_decision ?subject ?lane t snap query =
+let degraded_decision ?subject ?lane ?expr t snap query =
   let m = metrics t in
   if Snapshot.epoch snap <> Engine.sign_epoch t.eng then begin
     Metrics.incr m "serve.degraded_stale";
     Metrics.incr m Metrics.stale_snapshot_denials;
     Requester.Denied { blocked = 0 }
   end
-  else Snapshot.request ?subject ?lane snap query
+  else Snapshot.request ?subject ?lane ?expr snap query
 
 let read_failed ~served t err =
   (* A failure while compiling the rewrite lane's plans happens before
@@ -223,8 +223,9 @@ let read_failed ~served t err =
    answers from the layer's snapshot [snap] behind the stale check;
    [Pinned] answers from the caller's [snap] as it is — a pinned read
    cannot block on the writer, and its outcome says nothing about
-   backend health. *)
-let read ~served ?subject ?lane t snap query =
+   backend health.  [expr] is [query] parsed, when the caller parsed
+   it. *)
+let read ~served ?subject ?lane ?expr t snap query =
   let m = metrics t in
   (* Once per request, not per attempt. *)
   if served = Degraded then Metrics.incr m "serve.degraded";
@@ -237,8 +238,9 @@ let read ~served ?subject ?lane t snap query =
           (fun n ->
             match
               match served with
-              | Live -> Engine.request ?subject ?lane t.eng Engine.Native query
-              | Degraded -> degraded_decision ?subject ?lane t snap query
+              | Live ->
+                  Engine.request ?subject ?lane ?expr t.eng Engine.Native query
+              | Degraded -> degraded_decision ?subject ?lane ?expr t snap query
               | Pinned -> Snapshot.request ?subject ?lane snap query
             with
             | decision -> Ok { decision; served; attempts = n }
@@ -263,12 +265,18 @@ let refused t ~counter ~site message =
   Metrics.incr (metrics t) counter;
   Error { class_ = Fatal; site; attempts = 0; message }
 
+(* A query text the current snapshot memoizes parsed before, so only
+   another text is parsed up front: a malformed one is refused before
+   it can reach the breaker, and a well-formed one goes down parsed. *)
 let request ?subject ?lane t Engine.Native query =
   Metrics.time (metrics t) "serve.request" (fun () ->
-      match Requester.parse_or_fail query with
+      match
+        if Snapshot.memoized (Engine.current_snapshot t.eng) query then None
+        else Some (Requester.parse_or_fail query)
+      with
       | exception Invalid_argument msg ->
           refused t ~counter:"serve.parse_errors" ~site:"parse" msg
-      | _expr -> (
+      | expr -> (
           (* Checked up front so the degraded path cannot trip over a
              bad role either. *)
           match subject with
@@ -282,7 +290,7 @@ let request ?subject ?lane t Engine.Native query =
                 | `Reject -> Degraded
                 | `Admit -> Live
               in
-              read ~served ?subject ?lane t t.snapshot query)))
+              read ~served ?subject ?lane ?expr t t.snapshot query)))
 
 (* ---------- mutations ---------- *)
 

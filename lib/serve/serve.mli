@@ -161,7 +161,10 @@ val request :
     roles return a [Fatal] error (sites ["parse"], ["subject"];
     counted as [serve.parse_errors], [serve.unknown_roles]) without
     consulting the breaker — they say nothing about backend health.
-    The kind argument stays only for [perfbench/]
+    The query is parsed up front only when the current snapshot holds
+    no memo of its text ({!Xmlac_core.Snapshot.memoized}: a memoized
+    text parsed before), and then goes down parsed, so a live miss
+    parses once.  The kind argument stays only for [perfbench/]
     ({!Engine.backend_kind}).  Live, degraded and pinned
     ({!snapshot_request}) calls run one read function: under the
     configured deadline (site ["request.native"] live, ["snapshot"]

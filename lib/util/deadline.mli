@@ -5,9 +5,9 @@
     evaluation pipeline is single-threaded, the only honest way to
     enforce that is cooperatively.  A caller installs a {e budget}
     around a unit of work with {!with_budget}; the hot loops of the
-    request path ({!Xmlac_core.Requester.decide} and
-    {!Xmlac_core.Requester.count_blocked} per selected node,
-    {!Xmlac_core.Snapshot.accessible} per checked answer)
+    request path ({!Xmlac_core.Requester.decide} per selected node,
+    a snapshot read miss and {!Xmlac_core.Snapshot.accessible} per
+    checked answer)
     call {!checkpoint}, which is a single mutable-cell read when no
     budget is installed and raises {!Expired} once the budget runs
     out.

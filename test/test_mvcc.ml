@@ -1537,6 +1537,222 @@ let test_multidomain_smoke () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Fills: one memo per query and lane, and a subject the memo holds no
+   decision for is decided from the memo's counts without evaluating
+   the query again. *)
+
+(* Every hit, fill and miss equals [request_direct] on the state at pin
+   time, along a churned chain under a random role DAG: structural
+   epochs (updates, inserts) and sign-only ones (a sign flipped and
+   committed, a bitmap pass).  After each epoch the current snapshot is
+   pinned, up to three stay pinned, and each is read by random subjects
+   and by every subject in a random order on one query, so fills come
+   on fresh, carried and older pinned snapshots; the live path is read
+   alike. *)
+let fill_prop =
+  QCheck2.Test.make ~name:"every hit, fill and miss equals request_direct"
+    ~count:40
+    QCheck2.Gen.(pair Helpers.seed_gen Helpers.seed_gen)
+    (fun (doc_seed, op_seed) ->
+      Fault.reset ();
+      let rng = Prng.create ~seed:doc_seed in
+      let doc = Helpers.random_hospital_doc rng in
+      let policy = Helpers.random_role_policy rng (Helpers.random_subjects rng) in
+      let queries =
+        Array.of_list
+          (carry_queries
+          @ List.init 6 (fun _ -> Pp.expr_to_string (Helpers.random_hospital_expr rng)))
+      in
+      let eng = Engine.create ~dtd:W.Hospital.dtd ~policy doc in
+      ignore (Engine.annotate eng);
+      ignore (Engine.annotate_subjects eng);
+      let subjects =
+        Array.of_list (None :: List.map Option.some (Policy.roles (Engine.policy eng)))
+      in
+      let fills () = counter "snapshot.cache.fills" eng in
+      let fills0 = fills () in
+      let orng = Prng.create ~seed:op_seed in
+      let direct () =
+        Array.map
+          (fun q ->
+            Array.map (fun subject -> Engine.request_direct ?subject eng Engine.Native q) subjects)
+          queries
+      in
+      let pin () = (Engine.pin_snapshot eng, direct ()) in
+      let read step what ask oracle =
+        let check qi si =
+          let subject = subjects.(si) in
+          let d = ask ?subject queries.(qi) in
+          if d <> oracle.(qi).(si) then
+            QCheck2.Test.fail_reportf "after %s, %s %s%s: %s, direct read %s" step what
+              queries.(qi)
+              (match subject with None -> "" | Some r -> " @" ^ r)
+              (Format.asprintf "%a" Requester.pp d)
+              (Format.asprintf "%a" Requester.pp oracle.(qi).(si))
+        in
+        for _ = 1 to 8 do
+          check (Prng.int orng (Array.length queries)) (Prng.int orng (Array.length subjects))
+        done;
+        let qi = Prng.int orng (Array.length queries) in
+        let order = Array.init (Array.length subjects) Fun.id in
+        Prng.shuffle orng order;
+        Array.iter (check qi) order
+      in
+      let pinned = ref [ pin () ] in
+      let read_all step =
+        read step "live" (fun ?subject q -> Engine.request ?subject eng Engine.Native q) (direct ());
+        List.iteri
+          (fun i (snap, oracle) ->
+            read step (Printf.sprintf "pinned %d" i)
+              (fun ?subject q -> Snapshot.request ?subject snap q)
+              oracle)
+          !pinned
+      in
+      read_all "annotation";
+      for _ = 1 to 6 do
+        let step =
+          match Prng.int orng 4 with
+          | 0 ->
+              let u = Helpers.random_update orng in
+              ignore (Engine.update eng u);
+              "update " ^ u
+          | 1 ->
+              let at, xml = Prng.choose_list orng carry_inserts in
+              ignore (Engine.insert eng ~at ~fragment:(Xmlac_xml.Xml_parser.parse_exn xml));
+              "insert " ^ xml
+          | 2 ->
+              let doc = Engine.document eng in
+              flip_sign doc (Prng.choose orng (Array.of_list (Tree.nodes doc)));
+              Engine.apply_replica eng Engine.Op_noop;
+              "sign flip"
+          | _ ->
+              ignore (Engine.annotate_subjects eng);
+              "annotate_subjects"
+        in
+        (pinned :=
+           match pin () :: !pinned with
+           | [ a; b; c; (oldest, _) ] ->
+               Engine.unpin_snapshot eng oldest;
+               [ a; b; c ]
+           | kept -> kept);
+        read_all step
+      done;
+      List.iter (fun (snap, _) -> Engine.unpin_snapshot eng snap) !pinned;
+      if fills () = fills0 then QCheck2.Test.fail_report "no pinned read was a fill";
+      true)
+
+(* Memoized once, however many subjects ask: the anonymous subject's
+   read misses, each role's is a fill, and the query is evaluated
+   once. *)
+let test_one_evaluation_per_query () =
+  Fault.reset ();
+  let roles = List.init 5 (Printf.sprintf "r%d") in
+  let policy =
+    Policy_io.parse_exn
+      (String.concat "\n"
+         (List.map (fun r -> "role " ^ r) roles
+         @ [ "default deny"; "conflict deny"; "allow //patient";
+             "deny @r1 //patient[treatment]"; "allow @r2 //treatment" ])
+      ^ "\n")
+  in
+  let eng = Engine.create ~dtd:W.Hospital.dtd ~policy (W.Hospital.sample_document ()) in
+  ignore (Engine.annotate eng);
+  ignore (Engine.annotate_subjects eng);
+  let snap = Engine.current_snapshot eng and q = "//patient" in
+  let count name = counter name eng in
+  let misses = count "snapshot.cache.misses" and fills = count "snapshot.cache.fills"
+  and evals = count "lane.materialized" and memos = Snapshot.cached_decisions snap in
+  let ask subject =
+    let d = Snapshot.request ?subject snap q in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s equals the direct read" (Option.value subject ~default:"anonymous"))
+      true
+      (d = Engine.request_direct ?subject eng Engine.Native q);
+    d
+  in
+  let decisions = List.map ask (None :: List.map Option.some roles) in
+  Alcotest.(check bool) "the roles' decisions differ" true
+    (List.length (List.sort_uniq compare decisions) > 1);
+  Alcotest.(check int) "one miss" 1 (count "snapshot.cache.misses" - misses);
+  Alcotest.(check int) "a fill per role" (List.length roles)
+    (count "snapshot.cache.fills" - fills);
+  Alcotest.(check int) "one evaluation" 1 (count "lane.materialized" - evals);
+  Alcotest.(check int) "one memo" (memos + 1) (Snapshot.cached_decisions snap);
+  ignore (List.map ask (None :: List.map Option.some roles));
+  Alcotest.(check int) "then every read hits" (List.length roles)
+    (count "snapshot.cache.fills" - fills)
+
+(* A fill on a pinned snapshot after the writer moved on decides what
+   the pinned epoch granted: deleting the treatments grants [staff]
+   every patient, yet the pinned snapshot's fill still denies it. *)
+let test_fill_on_pinned_snapshot () =
+  Fault.reset ();
+  let eng =
+    Engine.create ~dtd:W.Hospital.dtd ~policy:(Lazy.force Helpers.hospital_roles_policy)
+      (W.Hospital.sample_document ())
+  in
+  ignore (Engine.annotate eng);
+  ignore (Engine.annotate_subjects eng);
+  let q = "//patient" in
+  let direct subject = Engine.request_direct ?subject eng Engine.Native q in
+  let before = direct (Some "staff") in
+  let s0 = Engine.pin_snapshot eng in
+  ignore (Snapshot.request s0 q);
+  ignore (Engine.update eng "//patient/treatment");
+  let after = direct (Some "staff") in
+  Alcotest.(check bool) "the epoch moved staff's decision" true (before <> after);
+  let misses = counter "snapshot.cache.misses" eng
+  and fills = counter "snapshot.cache.fills" eng in
+  Alcotest.(check bool) "the pinned fill keeps the pinned decision" true
+    (Snapshot.request ~subject:"staff" s0 q = before);
+  Alcotest.(check int) "a fill" (fills + 1) (counter "snapshot.cache.fills" eng);
+  Alcotest.(check int) "no evaluation" misses (counter "snapshot.cache.misses" eng);
+  Alcotest.(check bool) "the current snapshot answers the new epoch" true
+    (Engine.request ~subject:"staff" eng Engine.Native q = after);
+  Engine.unpin_snapshot eng s0
+
+(* At 64 roles the grant spans two words: role [r63] is bit 0 of word
+   1 and the anonymous subject bit 1.  A miss as [r0] counts both for
+   the fills that follow; the rule on [//patient[treatment]] denies
+   them two patients it leaves [r0] and [r62]. *)
+let test_fill_reads_second_word () =
+  Fault.reset ();
+  let subjects =
+    Subject.make_exn (List.init 64 (fun i -> Subject.role (Printf.sprintf "r%d" i)))
+  in
+  let policy =
+    Policy.make ~subjects ~ds:Rule.Plus ~cr:Rule.Minus
+      [ Rule.parse ~subjects:[ "r0" ] "//treatment" Rule.Minus;
+        Rule.parse ~subjects:[ "r63" ] "//patient[treatment]" Rule.Minus ]
+  in
+  let eng = Engine.create ~dtd:W.Hospital.dtd ~policy (W.Hospital.sample_document ()) in
+  ignore (Engine.annotate eng);
+  ignore (Engine.annotate_subjects eng);
+  let snap = Engine.current_snapshot eng and q = "//patient" in
+  let misses = counter "snapshot.cache.misses" eng
+  and fills = counter "snapshot.cache.fills" eng in
+  let decisions =
+    List.map
+      (fun subject ->
+        let d = Snapshot.request ?subject snap q in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s equals the direct read" (Option.value subject ~default:"anonymous"))
+          true
+          (d = Engine.request_direct ?subject eng Engine.Native q);
+        d)
+      [ Some "r0"; Some "r63"; None; Some "r62" ]
+  in
+  Alcotest.(check bool) "word 1's subjects are denied what word 0's are granted" true
+    (match decisions with
+    | [ d0; d63; anon; d62 ] ->
+        Requester.is_granted d0 && d62 = d0
+        && (not (Requester.is_granted d63))
+        && not (Requester.is_granted anon)
+    | _ -> false);
+  Alcotest.(check int) "one miss" (misses + 1) (counter "snapshot.cache.misses" eng);
+  Alcotest.(check int) "three fills" (fills + 3) (counter "snapshot.cache.fills" eng)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "mvcc"
@@ -1595,6 +1811,13 @@ let () =
           QCheck_alcotest.to_alcotest isolation_prop;
           QCheck_alcotest.to_alcotest cow_equiv_prop;
           QCheck_alcotest.to_alcotest carry_prop;
+        ] );
+      ( "fills",
+        [
+          QCheck_alcotest.to_alcotest fill_prop;
+          tc "one evaluation per query" test_one_evaluation_per_query;
+          tc "fill on a pinned older snapshot" test_fill_on_pinned_snapshot;
+          tc "fill reads grant word 1 at 64 roles" test_fill_reads_second_word;
         ] );
       ( "frontend",
         [
